@@ -80,7 +80,6 @@ from .orbit import (
     orbit_from_dict,
     orbit_spectrum,
     orbit_to_dict,
-    shape_eps_spectrum,
     trace_shape_eps,
     vol_eps,
     vol_reg,

@@ -39,13 +39,17 @@ class RunConfig:
     abs_tol: float | None = None
 
 
+def _reject_constant(name: str) -> float:
+    raise DomainError(f"non-finite number {name} is not allowed in the input")
+
+
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DomainError(f"cannot read input {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"

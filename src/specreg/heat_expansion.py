@@ -48,6 +48,9 @@ from .spectra import (
     Tolerance,
     heat_trace,
     _direct_run,
+    _dual_decay,
+    _lattice_groups,
+    _theta_rest,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -83,23 +86,6 @@ def expansion_value(exp: HeatExpansion, t: float) -> float:
     if not t > 0.0:
         raise DomainError(f"expansion defined for t > 0, got {t!r}")
     return fsum(exp.coeffs[j] * t ** (j / exp.m) for j in sorted(exp.coeffs))
-
-
-def _theta_rest(scale: float, shift: float, t: float) -> float:
-    """Dual-series part of the full-lattice theta sum:
-
-    sum_{n in Z} exp(-t*(scale*n+shift)^2) - sqrt(pi)/(scale*sqrt(t)),
-
-    computed directly from the Poisson dual terms (no cancellation); it is
-    exponentially small for t*scale^2 << pi^2.
-    """
-    prefactor = SQRT_PI / (scale * math.sqrt(t))
-    decay = math.pi * math.pi / (scale * scale * t)
-    k_max = max(2, math.ceil(math.sqrt(45.0 / decay)) + 2)
-    angle = 2.0 * math.pi * shift / scale
-    dual = fsum(2.0 * math.exp(-decay * k * k) * math.cos(angle * k)
-                for k in range(1, k_max + 1))
-    return prefactor * dual
 
 
 # The small-time series of a shifted one-sided lattice trace,
@@ -154,13 +140,9 @@ def _one_sided_power_coeffs(scale: float, shift: float) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def _series_decay(scale: float, t: float) -> float:
-    return math.pi * math.pi / (scale * scale * t)
-
-
 def _one_sided_series(fam: LatticeFamily, t: float) -> float | None:
     """Series value of a shifted one-sided remainder, or None out of reach."""
-    if _series_decay(fam.scale, t) < 50.0:
+    if _dual_decay(fam.scale, t) < 50.0:
         return None
     total = 0.0
     prev = math.inf
@@ -294,28 +276,14 @@ def remainder(spec: Spectrum, exp: HeatExpansion, t: float,
     if exp.source == "finite" and any(isinstance(f, LatticeFamily) for f in spec.families):
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
     parts: list[float] = []
-    lattice = [f for f in spec.families if isinstance(f, LatticeFamily)]
-    paired: set[int] = set()
-    for i, fam in enumerate(lattice):
-        if i in paired:
-            continue
-        if fam.side == "positive" and fam.shift != 0.0:
-            for j in range(i + 1, len(lattice)):
-                other = lattice[j]
-                if (j not in paired and other.side == "positive"
-                        and other.scale == fam.scale and other.mult == fam.mult
-                        and other.shift == -fam.shift):
-                    # exact pair identity: F = mult*(theta_rest - expm1(-t*shift^2))
-                    parts.append(fam.mult * (_theta_rest(fam.scale, fam.shift, t)
-                                             - math.expm1(-t * fam.shift * fam.shift)))
-                    paired.add(i)
-                    paired.add(j)
-                    break
-            if i in paired:
-                continue
-        if fam.side == "full":
+    for kind, fam in _lattice_groups(spec):
+        if kind == "pair":
+            # exact pair identity: F = mult*(theta_rest - expm1(-t*shift^2))
+            parts.append(fam.mult * (_theta_rest(fam.scale, fam.shift, t)
+                                     - math.expm1(-t * fam.shift * fam.shift)))
+        elif kind == "full":
             parts.append(fam.mult * _theta_rest(fam.scale, fam.shift, t))
-        elif fam.shift == 0.0:
+        elif kind == "half":
             parts.append(0.5 * fam.mult * _theta_rest(fam.scale, 0.0, t))
         else:
             # solo shifted one-sided family: series at small t, else direct
@@ -323,8 +291,7 @@ def remainder(spec: Spectrum, exp: HeatExpansion, t: float,
             if series is not None:
                 parts.append(series)
             else:
-                trace_fam = _direct_run(fam.scale, fam.shift, 1, t, fam.mult,
-                                        tol.abs_tol * 0.25)
+                trace_fam = _direct_run(fam, t, tol.abs_tol * 0.25)
                 bm1, b0, _ = _lattice_b_contrib(fam)
                 parts.append(trace_fam - bm1 / math.sqrt(t) - b0)
     for fam in spec.families:
@@ -374,7 +341,7 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
     errs: list[float] = []
     for fam in spec.families:
         if isinstance(fam, LatticeFamily):
-            decay = _series_decay(fam.scale, delta)
+            decay = _dual_decay(fam.scale, delta)
             if decay < 50.0:
                 return None
             # dual terms contribute below prefactor*exp(-decay) on (0, delta]
@@ -399,9 +366,7 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
 
 def _scan_remainder_bound(spec: Spectrum, exp: HeatExpansion) -> float:
     """Empirical C with |F(t)| <= C*t, scanned on a log grid in [1e-3, 1]."""
-    grid = np.logspace(-3.0, 0.0, 25)
-    worst = max(abs(remainder(spec, exp, float(t))) / float(t) for t in grid)
-    return 2.0 * worst
+    return 2.0 * verify_remainder_bound(spec, exp, np.logspace(-3.0, 0.0, 25))
 
 
 def verify_remainder_bound(spec: Spectrum, exp: HeatExpansion, grid) -> float:

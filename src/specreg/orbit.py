@@ -12,10 +12,11 @@ excludes every n = 0 mode; the unprimed spectrum adds the explicit modes A^2
 (multiplicity 2, eigenvalue derivative 2*A*D) per root and counts the r
 Cartan zero modes in kernel_dim.
 
-The eps-smoothed shape operator at the constant-loop base point (s = 0) has
-eigenvalues +/- D/(2*pi*n) * exp(-eps*(2*pi*n)^2), which cancel in pairs;
-volumes are square roots of the primed determinants.  Shape quantities at
-s != 0 are reduced to s = 0 (isometry reduction); only s = 0 is implemented.
+The eps-smoothed shape trace at the constant-loop base point (s = 0) is the
+general spectrum formula on the orbit spectrum, where the +/- root families
+cancel to exactly 0.0; volumes are square roots of the primed determinants.
+Shape quantities at s != 0 are reduced to s = 0 (isometry reduction); only
+s = 0 is implemented.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .spectra import (
     finite_spectrum,
     lattice_family,
     _lattice_runs,
+    _tail_budget,
 )
 from .heat_expansion import HeatExpansion
 from .regdet import default_expansion, log_det_eps, log_det_reg, reg_limit_trace
@@ -96,60 +98,24 @@ def orbit_spectrum(ospec: LoopGroupOrbitSpec, primed: bool = True) -> Spectrum:
     return Spectrum(with_roots.families, with_roots.kernel_dim + ospec.rank)
 
 
-def shape_eps_spectrum(ospec: LoopGroupOrbitSpec, eps: float,
-                       floor: float = 1e-18) -> tuple[tuple[float, int], ...]:
-    """Eigenvalues of the smoothed shape operator at the s = 0 base point.
-
-    Per positive root and level n >= 1: +/- alpha(x)/(2*pi*n) *
-    exp(-eps*(2*pi*n)^2), multiplicity 1 each, plus `rank` zeros per level;
-    levels stop once the damping factor drops below `floor` relative to the
-    largest root value.
-    """
-    if ospec.s != 0.0:
-        raise UnsupportedSpectrumError(
-            "shape spectrum is computed at the constant-loop point s = 0")
-    if not eps > 0.0:
-        raise DomainError(f"shape spectrum requires eps > 0, got {eps!r}")
-    scale = max((abs(d) for _, d in root_values(ospec)), default=1.0)
-    entries: list[tuple[float, int]] = []
-    n = 1
-    while True:
-        level = TWO_PI * n
-        damping = math.exp(-eps * level * level)
-        if scale * damping / level < floor and n > 1:
-            break
-        for _, d_val in root_values(ospec):
-            mu = d_val / level * damping
-            entries.append((+mu, 1))
-            entries.append((-mu, 1))
-        entries.append((0.0, ospec.rank))
-        n += 1
-        if n > 10_000_000:
-            raise NumericError("shape spectrum did not reach the damping floor")
-    return tuple(entries)
-
-
 OrbitOrSpectrum = Union[LoopGroupOrbitSpec, Spectrum]
 
 
 def trace_shape_eps(target: OrbitOrSpectrum, eps: float,
                     tol: Tolerance = DEFAULT_TOL) -> float:
-    """Trace of the smoothed shape operator.
-
-    For an orbit spec the +/- entries of shape_eps_spectrum are summed as
-    symmetric pairs (each pair is exactly 0.0).  For a synthetic Spectrum the
-    general formula -1/2 * sum mult * (dlam/lam) * exp(-eps*lam) is summed
-    over the positive spectrum with the usual certified truncation.
+    """Trace of the smoothed shape operator,
+    -1/2 * sum mult * (dlam/lam) * exp(-eps*lam) over the positive spectrum
+    with the usual certified truncation.  An orbit spec goes through its
+    primed spectrum, at s = 0 only (UnsupportedSpectrumError otherwise).
     """
     if isinstance(target, LoopGroupOrbitSpec):
-        entries = shape_eps_spectrum(target, eps)
-        by_abs: dict[float, list[float]] = {}
-        for mu, mult in entries:
-            by_abs.setdefault(abs(mu), []).append(mu * mult)
-        return fsum(fsum(group) for group in by_abs.values())
+        if target.s != 0.0:
+            raise UnsupportedSpectrumError(
+                "the orbit shape trace is computed at the constant-loop point s = 0")
+        target = orbit_spectrum(target, primed=True)
     if not eps > 0.0:
         raise DomainError(f"shape trace requires eps > 0, got {eps!r}")
-    budget = tol.abs_tol / max(1.0, 2.0 * max(1, len(target.families)))
+    budget = _tail_budget(target, tol)
     terms: list[float] = []
     for fam in target.families:
         if isinstance(fam, ExplicitFamily):
@@ -159,7 +125,7 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float,
         if fam.shift_derivative == 0.0:
             continue
         for u, _, _ in _lattice_runs(fam, eps, budget):
-            # dlam = 2*u*shift_derivative, lam = u^2
+            # dlam = 2*u*shift_derivative, lam = u^2, with u carrying its sign
             terms.extend((-fam.mult * fam.shift_derivative / x * math.exp(-eps * x * x)
                           for x in u.tolist()))
     return fsum(terms)
@@ -236,8 +202,9 @@ def minimality_report(target: OrbitOrSpectrum,
     """Assemble the minimality certificate for an orbit or a synthetic spectrum.
 
     Orbit inputs are anchored at the constant-loop point s = 0 (isometry
-    reduction); the Gateaux direction is the stored family deformation, which
-    reproduces the orbit at geodesic parameter kappa.  tr_reg_H subtracts the
+    reduction), through the general shape formula on their s = 0 spectrum;
+    the Gateaux direction is the stored family deformation, which reproduces
+    the orbit at geodesic parameter kappa.  tr_reg_H subtracts the
     counterterms a_j = -1/2 * delta_b_{j+m} inside a regularised limit;
     Tr_reg_H = tr_reg_H + gamma/2 * delta_b_0; the volume-slope fields compare
     -tr H^eps against a central finite difference of (1/2) log det'_eps at the
@@ -246,17 +213,13 @@ def minimality_report(target: OrbitOrSpectrum,
     if not eps_grid or any(not e > 0.0 for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive entries")
     if isinstance(target, LoopGroupOrbitSpec):
-        anchored = replace(target, s=0.0)
-        base = orbit_spectrum(anchored, primed=True)
-    else:
-        anchored = target
-        base = target
+        target = orbit_spectrum(replace(target, s=0.0), primed=True)
 
     def trace_fn(e: float) -> float:
-        return trace_shape_eps(anchored, e, tol)
+        return trace_shape_eps(target, e, tol)
 
     if exp is None:
-        exp = default_expansion(base, primed=True)
+        exp = default_expansion(target, primed=True)
     delta_b = dict(sorted(exp.coeff_derivatives.items()))
     a_coeffs = {j - exp.m: -0.5 * db for j, db in delta_b.items()}
     tr_reg, _ = reg_limit_trace(trace_fn, a_coeffs, exp.m,
@@ -266,7 +229,7 @@ def minimality_report(target: OrbitOrSpectrum,
     ref_index = 1 if len(eps_grid) > 1 else 0
     eps_ref = float(eps_grid[ref_index])
     analytic = -tr_grid[ref_index]
-    fd, _ = gateaux_fd(lambda k: 0.5 * log_det_eps(deform(base, k), eps_ref, True, tol),
+    fd, _ = gateaux_fd(lambda k: 0.5 * log_det_eps(deform(target, k), eps_ref, True, tol),
                        0.0, step=1e-3)
     return CurvatureReport(
         eps_grid=tuple(float(e) for e in eps_grid),

@@ -42,12 +42,12 @@ from .heat_expansion import (
 from .spectra import (
     DEFAULT_TOL,
     ExplicitFamily,
-    LatticeFamily,
     Spectrum,
     Tolerance,
     heat_trace,
     min_eigenvalue,
     _lattice_runs,
+    _tail_budget,
 )
 
 
@@ -79,7 +79,7 @@ def log_det_eps(spec: Spectrum, eps: float, primed: bool = True,
     if not primed and spec.kernel_dim > 0:
         raise DomainError(
             "cutoff determinant vanishes on a kernel; use the primed form")
-    budget = tol.abs_tol / max(1.0, 2.0 * max(1, len(spec.families)))
+    budget = _tail_budget(spec, tol)
     terms: list[float] = []
     for fam in spec.families:
         if isinstance(fam, ExplicitFamily):
@@ -108,7 +108,7 @@ def _upper_cutoff(spec: Spectrum) -> float:
 def _upper_integral_quad(spec: Spectrum, tol: Tolerance) -> tuple[float, float]:
     """int_1^inf tr exp(-t*B)/t dt by adaptive quadrature plus a tail bound."""
     t_max = _upper_cutoff(spec)
-    inner = Tolerance(1e-14, 1e-14)
+    inner = Tolerance(1e-14)
     value, err = gauss_kronrod(lambda t: heat_trace(spec, t, inner) / t, 1.0, t_max,
                                abs_tol=1e-13)
     tail = heat_trace(spec, t_max) / (t_max * min_eigenvalue(spec))

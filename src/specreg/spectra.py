@@ -13,6 +13,10 @@ Zero modes never live inside a family: structural zeros (scale*n + shift
 equal to 0.0 in exact float arithmetic) are detected at construction and
 moved into kernel_dim, and enumeration skips them defensively.
 
+Every walk over a lattice family reads its structure from here: index runs
+(_runs), one-sided pairing (_lattice_groups), the Poisson dual series
+(_theta_terms) and the tail budget (_tail_budget).
+
 heat_trace sums mult * exp(-t*lam) over the positive spectrum with a
 certified Gaussian tail bound; heat_trace_theta evaluates the same quantity
 through the Jacobi theta transform (Poisson summation), which is the
@@ -23,7 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from math import fsum
 from typing import Iterable, Sequence, Union
 
@@ -36,14 +41,23 @@ SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative accuracy targets for certified summation."""
+    """Absolute accuracy target for certified summation (see _tail_budget)."""
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+        if not self.abs_tol > 0.0:
             raise DomainError("tolerances must be strictly positive")
+
+
+def _number(value: object, what: str, whole: bool = False):
+    """A wire number as float, or as int when `whole`; bools, non-numbers and
+    (when `whole`) fractions raise DomainError instead of being coerced."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or whole
+            and not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise DomainError(f"{what} must be {'an integer' if whole else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if whole else float(value)
 
 
 DEFAULT_TOL = Tolerance()
@@ -60,11 +74,13 @@ class LatticeFamily:
     shift_derivative: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.scale, self.shift, self.shift_derivative))):
+            raise DomainError(f"lattice data must be finite, got {self!r}")
         if not self.scale > 0.0:
             raise DomainError(f"lattice scale must be positive, got {self.scale!r}")
         if self.side not in ("positive", "full"):
             raise DomainError(f"lattice side must be 'positive' or 'full', got {self.side!r}")
-        if not (isinstance(self.mult, int) and self.mult >= 1):
+        if not (type(self.mult) is int and self.mult >= 1):
             raise DomainError(f"multiplicity must be a positive integer, got {self.mult!r}")
         if self.side == "positive" and not self.shift > -self.scale:
             # keeps scale*n + shift > 0-adjacent ordering and q = 1 + shift/scale > 0
@@ -78,10 +94,12 @@ class ExplicitFamily:
     values: tuple[tuple[float, int, float], ...]
 
     def __post_init__(self) -> None:
-        for lam, mult, _ in self.values:
-            if not lam > 0.0:
-                raise DomainError(f"explicit eigenvalues must be positive, got {lam!r}")
-            if not (isinstance(mult, int) and mult >= 1):
+        for lam, mult, deriv in self.values:
+            if not (lam > 0.0 and math.isfinite(lam)):
+                raise DomainError(f"explicit eigenvalues must be positive and finite, got {lam!r}")
+            if not math.isfinite(deriv):
+                raise DomainError(f"eigenvalue derivatives must be finite, got {deriv!r}")
+            if not (type(mult) is int and mult >= 1):
                 raise DomainError(f"multiplicity must be a positive integer, got {mult!r}")
 
 
@@ -96,7 +114,7 @@ class Spectrum:
     kernel_dim: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.kernel_dim, int) and self.kernel_dim >= 0):
+        if not (type(self.kernel_dim) is int and self.kernel_dim >= 0):
             raise DomainError(f"kernel_dim must be a non-negative integer, got {self.kernel_dim!r}")
 
 
@@ -126,13 +144,13 @@ def lattice_family(
     possible structural zero is n = 0 of a full lattice with shift exactly 0.0;
     one-sided families (shift > -scale, n >= 1) never contain one.
     """
-    kernel = 0
-    if side == "full":
-        shift = _canonical_full_shift(scale, shift)
-        if shift == 0.0:
-            kernel = mult
     fam = LatticeFamily(scale=scale, shift=shift, side=side, mult=mult,
                         shift_derivative=shift_derivative)
+    kernel = 0
+    if side == "full":
+        fam = replace(fam, shift=_canonical_full_shift(scale, shift))
+        if fam.shift == 0.0:
+            kernel = mult
     return Spectrum((fam,), kernel)
 
 
@@ -152,16 +170,16 @@ def finite_spectrum(values: Iterable[Sequence[float]]) -> Spectrum:
             lam, mult, deriv = row
         else:
             raise DomainError(f"expected (lam, mult[, derivative]) row, got {row!r}")
-        mult = int(mult)
+        mult = _number(mult, "multiplicity", whole=True)
         if mult < 1:
             raise DomainError(f"multiplicity must be >= 1, got {mult!r}")
-        lam = float(lam)
+        lam = _number(lam, "eigenvalue")
         if lam < 0.0:
             raise DomainError(f"eigenvalues must be >= 0, got {lam!r}")
         if lam == 0.0:
             kernel += mult
         else:
-            rows.append((lam, mult, float(deriv)))
+            rows.append((lam, mult, _number(deriv, "eigenvalue derivative")))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     families: tuple[Family, ...] = (ExplicitFamily(tuple(rows)),) if rows else ()
     return Spectrum(families, kernel)
@@ -190,13 +208,10 @@ def deform(spec: Spectrum, kappa: float) -> Spectrum:
         if isinstance(fam, LatticeFamily):
             if fam.side == "full" and fam.shift == 0.0:
                 base_kernel -= fam.mult  # its structural zero is re-derived below
-            new_shift = fam.shift + kappa * fam.shift_derivative
-            if fam.side == "full":
-                new_shift = _canonical_full_shift(fam.scale, new_shift)
-                if new_shift == 0.0:
-                    base_kernel += fam.mult
-            new_fams.append(LatticeFamily(fam.scale, new_shift, fam.side, fam.mult,
-                                          fam.shift_derivative))
+            moved = lattice_family(fam.scale, fam.shift + kappa * fam.shift_derivative,
+                                   fam.side, fam.mult, fam.shift_derivative)
+            new_fams.extend(moved.families)
+            base_kernel += moved.kernel_dim
         else:
             rows = []
             for lam, mult, deriv in fam.values:
@@ -238,15 +253,13 @@ def min_eigenvalue(spec: Spectrum) -> float:
             for lam, _, _ in fam.values:
                 best = min(best, lam)
         else:
-            centre = -fam.shift / fam.scale
-            lo = 1 if fam.side == "positive" else None
-            for n in {math.floor(centre), math.ceil(centre),
-                      math.floor(centre) - 1, math.ceil(centre) + 1}:
-                if lo is not None and n < lo:
-                    continue
-                u = fam.scale * n + fam.shift
-                if u != 0.0:
-                    best = min(best, u * u)
+            for sigma, start, _ in _runs(fam):
+                # |u| is smallest next to where the run crosses zero, or at its start
+                c = -sigma / fam.scale
+                for n in {start, math.floor(c) - 1, math.floor(c), math.ceil(c), math.ceil(c) + 1}:
+                    u = fam.scale * n + sigma
+                    if n >= start and u != 0.0:
+                        best = min(best, u * u)
     if not math.isfinite(best):
         raise DomainError("spectrum has no positive eigenvalues")
     return best
@@ -279,61 +292,63 @@ def _run_upper_index(scale: float, sigma: float, start: int, decay: float,
         f"lattice tail would need more than {n_hi} terms (decay={decay!r})")
 
 
-def _lattice_runs(fam: LatticeFamily, decay: float, budget: float):
-    """Yield (u_values ascending in index, heat_tail_bound, first_omitted_u).
+def _runs(fam: LatticeFamily) -> tuple[tuple[float, int, float], ...]:
+    """The index runs (sigma, start, sign), u = sign*(scale*n + sigma), n >= start.
 
-    One run for a positive-side family (n >= 1); two runs for a full family
-    (n >= 1 with +shift, and the mirror n <= 0 re-indexed as m >= 0 with
-    -shift).  Structural zeros (u == 0.0) are dropped from the arrays.
+    n >= 1 with +shift; a full family adds the mirror n <= 0, re-indexed as
+    m >= 0 with -shift and sign -1 so that u keeps its true sign.
     """
-    runs = [(fam.shift, 1)] if fam.side == "positive" else [(fam.shift, 1), (-fam.shift, 0)]
-    per_run = budget / len(runs)
-    for sigma, start in runs:
-        n_hi, tail = _run_upper_index(fam.scale, sigma, start, decay, fam.mult, per_run)
+    if fam.side == "positive":
+        return ((fam.shift, 1, 1.0),)
+    return ((fam.shift, 1, 1.0), (-fam.shift, 0, -1.0))
+
+
+def _lattice_runs(fam: LatticeFamily, decay: float, budget: float, runs=None):
+    """Yield (u_values ascending in index, heat_tail_bound, first_omitted_u)
+    for each of `runs` (default: all of fam's), splitting `budget` evenly.
+
+    Structural zeros (u == 0.0) are dropped.  Negation is exact, so u*u does
+    not depend on the sign.
+    """
+    runs = runs or _runs(fam)
+    for sigma, start, sign in runs:
+        n_hi, tail = _run_upper_index(fam.scale, sigma, start, decay, fam.mult,
+                                      budget / len(runs))
         n = np.arange(start, n_hi + 1, dtype=float)
         u = fam.scale * n + sigma
         u = u[u != 0.0]
-        yield u, tail, fam.scale * (n_hi + 1) + sigma
+        yield (u if sign > 0.0 else -u), tail, sign * (fam.scale * (n_hi + 1) + sigma)
 
 
-def _count_runs(spec: Spectrum) -> int:
-    total = 0
-    for fam in spec.families:
-        if isinstance(fam, LatticeFamily):
-            total += 1 if fam.side == "positive" else 2
-    return total
+def _direct_run(fam: LatticeFamily, t: float, budget: float, runs=None) -> float:
+    """mult * sum exp(-t*u^2) over `runs` of fam (default: all), tails below budget."""
+    return fsum(w for u, _, _ in _lattice_runs(fam, t, budget, runs)
+                for w in (fam.mult * np.exp(-t * u * u)).tolist())
+
+
+def _tail_budget(spec: Spectrum, tol: Tolerance) -> float:
+    """Truncation budget of one family's lattice tails in a sum over spec."""
+    return tol.abs_tol / (2.0 * max(1, len(spec.families)))
 
 
 def heat_trace(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
                include_kernel: bool = False) -> float:
     """tr exp(-t*B) over the positive spectrum (plus kernel_dim if asked).
 
-    Direct summation, exactly-rounded (math.fsum) over terms ordered by
-    ascending |n| with +/- partners adjacent; lattice tails certified below
-    tol.abs_tol by the Gaussian tail bound.
+    Direct summation, exactly rounded by math.fsum, so the order of the terms
+    does not matter; lattice tails certified below tol.abs_tol by the Gaussian
+    tail bound.
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
-    n_runs = _count_runs(spec)
-    budget = tol.abs_tol / max(1.0, 2.0 * n_runs)
+    budget = _tail_budget(spec, tol)
     terms: list[float] = []
     for fam in spec.families:
         if isinstance(fam, ExplicitFamily):
             terms.extend(mult * math.exp(-t * lam) for lam, mult, _ in fam.values)
             continue
-        weights = []
         for u, _, _ in _lattice_runs(fam, t, budget):
-            weights.append((fam.mult * np.exp(-t * u * u)).tolist())
-        if fam.side == "positive":
-            terms.extend(weights[0])
-        else:
-            up, down = weights
-            terms.extend(down[:1])  # n = 0 (absent when it is the structural zero)
-            down = down[1:]
-            common = min(len(up), len(down))
-            terms.extend(up[i] + down[i] for i in range(common))
-            terms.extend(up[common:])
-            terms.extend(down[common:])
+            terms.extend((fam.mult * np.exp(-t * u * u)).tolist())
     value = fsum(terms)
     if include_kernel:
         value += spec.kernel_dim
@@ -344,31 +359,67 @@ def heat_trace(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
 # theta-transform route
 
 
-def _theta_full(scale: float, shift: float, t: float, budget: float) -> float:
-    """sum_{n in Z} exp(-t*(scale*n + shift)^2) by Poisson summation.
+def _lattice_groups(spec: Spectrum) -> list[tuple[str, LatticeFamily]]:
+    """The lattice families of spec as (kind, family).
 
-    Equals (sqrt(pi)/(scale*sqrt(t))) * (1 + 2*sum_{k>=1} exp(-pi^2 k^2/(scale^2 t))
-    * cos(2 pi k shift/scale)); the dual series converges double-exponentially
-    for small t, which is exactly where direct summation is expensive.
+    kind is "full" for a full family, "half" for a zero-shift one-sided family
+    and "pair" for a shifted one-sided family matched with the earliest
+    unmatched earlier one of equal scale and mult and opposite shift (listed
+    once, as that earlier family).  Shifted one-sided families left unmatched
+    come last as "solo".
     """
-    prefactor = SQRT_PI / (scale * math.sqrt(t))
-    decay = math.pi * math.pi / (scale * scale * t)
-    log_target = math.log(max(2.0 * prefactor, 2.0) / budget)
+    groups, waiting = [], []
+    for fam in spec.families:
+        if not isinstance(fam, LatticeFamily):
+            continue
+        if fam.side == "full":
+            groups.append(("full", fam))
+        elif fam.shift == 0.0:
+            groups.append(("half", fam))
+        else:
+            for i, other in enumerate(waiting):
+                if (other.shift == -fam.shift and other.scale == fam.scale
+                        and other.mult == fam.mult):
+                    groups.append(("pair", waiting.pop(i)))
+                    break
+            else:
+                waiting.append(fam)
+    groups.extend(("solo", fam) for fam in waiting)
+    return groups
+
+
+def _dual_decay(scale: float, t: float) -> float:
+    """Decay rate pi^2/(scale^2 t) of the Poisson dual terms in k^2."""
+    return math.pi * math.pi / (scale * scale * t)
+
+
+def _theta_terms(scale: float, shift: float, t: float, log_target: float) -> list[float]:
+    """Dual terms 2*exp(-decay*k^2)*cos(2*pi*k*shift/scale), k = 1..k_max past
+    exp(-log_target), of sum_{n in Z} exp(-t*(scale*n + shift)^2) =
+    sqrt(pi)/(scale*sqrt(t)) * (1 + sum_k dual_k).  They fall double-
+    exponentially for small t, exactly where direct summation is expensive.
+    """
+    decay = _dual_decay(scale, t)
     k_max = max(2, math.ceil(math.sqrt(max(log_target, 1.0) / decay)) + 2)
-    acc = [1.0]
     angle = 2.0 * math.pi * shift / scale
-    for k in range(1, k_max + 1):
-        acc.append(2.0 * math.exp(-decay * k * k) * math.cos(angle * k))
-    return prefactor * fsum(acc)
+    return [2.0 * math.exp(-decay * k * k) * math.cos(angle * k)
+            for k in range(1, k_max + 1)]
 
 
-def _direct_run(scale: float, sigma: float, start: int, t: float, mult: int,
-                budget: float) -> float:
-    n_hi, _ = _run_upper_index(scale, sigma, start, t, mult, budget)
-    n = np.arange(start, n_hi + 1, dtype=float)
-    u = scale * n + sigma
-    u = u[u != 0.0]
-    return float(fsum((mult * np.exp(-t * u * u)).tolist()))
+def _theta_full(scale: float, shift: float, t: float, budget: float) -> float:
+    """sum_{n in Z} exp(-t*(scale*n + shift)^2) by Poisson summation, with the
+    dual series truncated below `budget`."""
+    prefactor = SQRT_PI / (scale * math.sqrt(t))
+    log_target = math.log(max(2.0 * prefactor, 2.0) / budget)
+    return prefactor * fsum([1.0] + _theta_terms(scale, shift, t, log_target))
+
+
+def _theta_rest(scale: float, shift: float, t: float) -> float:
+    """sum_{n in Z} exp(-t*(scale*n+shift)^2) - sqrt(pi)/(scale*sqrt(t)) from
+    the dual terms down to exp(-45), without cancellation; it is exponentially
+    small for t*scale^2 << pi^2."""
+    prefactor = SQRT_PI / (scale * math.sqrt(t))
+    return prefactor * fsum(_theta_terms(scale, shift, t, 45.0))
 
 
 def heat_trace_theta(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
@@ -376,49 +427,28 @@ def heat_trace_theta(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
     """Same trace as heat_trace, but lattice families go through the theta
     transform.  This is the independent small-t route used for cross-checks.
 
-    Full families use the transform directly (minus the structural zero term
-    when present).  One-sided families with opposite shifts, equal scale and
-    equal mult are paired into a full transform minus the n = 0 term; a
-    zero-shift family is half of (full - 1); a leftover shifted family uses
-    the transform minus a directly summed mirror complement.  Explicit
-    families have no transform and are summed directly.
+    Per _lattice_groups: full families use the transform directly (minus the
+    structural zero term when present); a pair is a full transform minus the
+    n = 0 term; a zero-shift family is half of (full - 1); a solo family uses
+    the transform minus its directly summed mirror run.  Explicit families
+    have no transform and are summed directly.
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
-    budget = tol.abs_tol / max(1.0, 2.0 * max(1, len(spec.families)))
-    lattice = [f for f in spec.families if isinstance(f, LatticeFamily)]
-    paired: dict[int, int] = {}
-    used = set()
-    for i, fam in enumerate(lattice):
-        if i in used or fam.side != "positive" or fam.shift == 0.0:
-            continue
-        for j in range(i + 1, len(lattice)):
-            other = lattice[j]
-            if (j not in used and other.side == "positive"
-                    and other.scale == fam.scale and other.mult == fam.mult
-                    and other.shift == -fam.shift):
-                paired[i] = j
-                used.add(i)
-                used.add(j)
-                break
+    budget = _tail_budget(spec, tol)
     parts: list[float] = []
-    for i, fam in enumerate(lattice):
-        if i in used and i not in paired:
-            continue  # consumed as the partner of an earlier family
-        if fam.side == "full":
-            full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
+    for kind, fam in _lattice_groups(spec):
+        full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
+        if kind == "full":
             centre = math.exp(-t * fam.shift * fam.shift) if fam.shift == 0.0 else 0.0
             parts.append(fam.mult * (full - centre))
-        elif i in paired:
-            full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
+        elif kind == "pair":
             parts.append(fam.mult * (full - math.exp(-t * fam.shift * fam.shift)))
-        elif fam.shift == 0.0:
-            full = _theta_full(fam.scale, 0.0, t, budget / fam.mult)
+        elif kind == "half":
             parts.append(0.5 * fam.mult * (full - 1.0))
         else:
-            full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
-            complement = _direct_run(fam.scale, -fam.shift, 0, t, fam.mult, budget)
-            parts.append(fam.mult * full - complement)
+            mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice
+            parts.append(fam.mult * full - _direct_run(fam, t, budget, mirror))
     for fam in spec.families:
         if isinstance(fam, ExplicitFamily):
             parts.extend(mult * math.exp(-t * lam) for lam, mult, _ in fam.values)
@@ -461,7 +491,7 @@ def spectrum_from_dict(data: dict) -> Spectrum:
     if not isinstance(raw_fams, list):
         raise DomainError("spectrum JSON needs a 'families' array")
     kernel = data.get("kernel_dim", 0)
-    if not (isinstance(kernel, int) and kernel >= 0):
+    if not (type(kernel) is int and kernel >= 0):
         raise DomainError(f"kernel_dim must be a non-negative integer, got {kernel!r}")
     fams: list[Family] = []
     structural = 0
@@ -472,25 +502,24 @@ def spectrum_from_dict(data: dict) -> Spectrum:
         if kind == "lattice":
             try:
                 fam_spec = lattice_family(
-                    scale=float(raw["scale"]),
-                    shift=float(raw.get("shift", 0.0)),
+                    scale=_number(raw["scale"], "lattice scale"),
+                    shift=_number(raw.get("shift", 0.0), "lattice shift"),
                     side=str(raw.get("side", "positive")),
-                    mult=int(raw.get("mult", 1)),
-                    shift_derivative=float(raw.get("shift_derivative", 0.0)),
+                    mult=_number(raw.get("mult", 1), "multiplicity", whole=True),
+                    shift_derivative=_number(raw.get("shift_derivative", 0.0),
+                                             "shift_derivative"),
                 )
             except KeyError as exc:
                 raise DomainError(f"family #{idx} is missing key {exc}") from exc
-            fams.extend(fam_spec.families)
-            structural += fam_spec.kernel_dim
         elif kind == "explicit":
             rows = raw.get("values")
             if not isinstance(rows, list):
                 raise DomainError(f"family #{idx} needs a 'values' array")
             fam_spec = finite_spectrum(rows)
-            fams.extend(fam_spec.families)
-            structural += fam_spec.kernel_dim
         else:
             raise DomainError(f"family #{idx} has unknown kind {kind!r}")
+        fams.extend(fam_spec.families)
+        structural += fam_spec.kernel_dim
     if kernel < structural:
         raise DomainError(
             f"kernel_dim={kernel} cannot be below the {structural} structural zero mode(s)")

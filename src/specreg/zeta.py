@@ -33,12 +33,13 @@ from .heat_expansion import HeatExpansion
 from .spectra import (
     DEFAULT_TOL,
     ExplicitFamily,
-    LatticeFamily,
     Spectrum,
     Tolerance,
     heat_trace,
     min_eigenvalue,
     _lattice_runs,
+    _runs,
+    _tail_budget,
 )
 from .regdet import (
     counterterms,
@@ -98,7 +99,7 @@ def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None,
     pole_part = fsum(b / (j / exp.m + s)
                      for j, b in sorted(exp.coeffs.items()) if b != 0.0)
     t_max = _upper_cutoff_s(spec, s)
-    inner = Tolerance(1e-14, 1e-14)
+    inner = Tolerance(1e-14)
     upper, err_up = gauss_kronrod(
         lambda t: heat_trace(spec, t, inner) * t ** (s - 1.0), 1.0, t_max,
         abs_tol=1e-13)
@@ -133,9 +134,7 @@ def zeta_direct(spec: Spectrum, s: float, n_terms: int = 400) -> ZetaEvaluation:
             continue
         if not s > 0.55:
             raise DomainError("direct summation of a lattice needs s > 0.55")
-        runs = [(fam.shift, 1)] if fam.side == "positive" else [(fam.shift, 1),
-                                                               (-fam.shift, 0)]
-        for sigma, start in runs:
+        for sigma, start, _ in _runs(fam):
             turn = max(start, math.ceil(-sigma / fam.scale) + 1)
             stop = max(turn, start + n_terms)
             for n in range(start, stop + 1):
@@ -188,7 +187,7 @@ def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None,
         exp = default_expansion(spec, primed=True)
     if exp.includes_kernel:
         raise DomainError("zeta continuation needs a kernel-free (primed) expansion")
-    budget = tol.abs_tol / max(1.0, 2.0 * max(1, len(spec.families)))
+    budget = _tail_budget(spec, tol)
     e1_terms: list[float] = []
     tail_err = 0.0
     for fam in spec.families:

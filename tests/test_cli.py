@@ -1,12 +1,20 @@
-"""End-to-end CLI checks: exit codes, wire formats, determinism."""
+"""End-to-end CLI checks: exit codes, wire formats, determinism.
+
+Most cases run `specreg.cli.main` in this interpreter and capture its output;
+`test_module_entry_point` and `test_console_script_installed` start real
+processes.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +25,10 @@ from specreg import (
     orbit_to_dict,
     spectrum_to_dict,
 )
+from specreg.cli import main
 
 TWO_PI = 2.0 * math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FIN23 = finite_spectrum([(2.0, 1), (3.0, 1)])
 ONE0 = lattice_family(TWO_PI, 0.0, "positive", 1)
@@ -26,9 +36,18 @@ ONEPI = lattice_family(TWO_PI, math.pi, "positive", 1)
 SU2 = LoopGroupOrbitSpec(1, ((1.0,),), (1.0,), 0.25)
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "specreg.cli", *args],
-                          capture_output=True, text=True, timeout=120)
+@pytest.fixture
+def run_cli(capsys):
+    """Run `specreg ARGS` in-process; returns exit code, stdout and stderr."""
+    def run(*args: str) -> subprocess.CompletedProcess:
+        capsys.readouterr()
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+    return run
 
 
 def write_json(tmp_path, name: str, obj) -> str:
@@ -41,7 +60,7 @@ def write_json(tmp_path, name: str, obj) -> str:
 # detreg
 
 
-def test_detreg_stdout_json(tmp_path):
+def test_detreg_stdout_json(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path)
     assert proc.returncode == 0
@@ -51,14 +70,14 @@ def test_detreg_stdout_json(tmp_path):
     assert payload["kernel_dim"] == 0
 
 
-def test_detreg_eps_override(tmp_path):
+def test_detreg_eps_override(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path, "--eps", "0.5,0.05")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eps_grid"] == [0.5, 0.05]
 
 
-def test_detreg_reruns_byte_identical(tmp_path):
+def test_detreg_reruns_byte_identical(run_cli, tmp_path):
     path = write_json(tmp_path, "one0.json", spectrum_to_dict(ONE0))
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     proc1 = run_cli("detreg", "--input", path, "--output", out1)
@@ -71,7 +90,7 @@ def test_detreg_reruns_byte_identical(tmp_path):
     assert "log_det_reg=" in proc1.stdout
 
 
-def test_detreg_csv(tmp_path):
+def test_detreg_csv(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path, "--format", "csv")
     assert proc.returncode == 0
@@ -91,7 +110,7 @@ def test_detreg_csv(tmp_path):
 # zeta
 
 
-def test_zeta_values(tmp_path):
+def test_zeta_values(run_cli, tmp_path):
     obj = spectrum_to_dict(ONE0)
     obj["s_values"] = [2.0, 3.0]
     proc = run_cli("zeta", "--input", write_json(tmp_path, "z.json", obj))
@@ -102,7 +121,7 @@ def test_zeta_values(tmp_path):
     assert evals[1]["value"] == pytest.approx(1.0 / 60480.0, abs=1e-9)
 
 
-def test_zeta_csv_route_column(tmp_path):
+def test_zeta_csv_route_column(run_cli, tmp_path):
     obj = spectrum_to_dict(FIN23)
     obj["s_values"] = [1.5]
     proc = run_cli("zeta", "--input", write_json(tmp_path, "z.json", obj),
@@ -113,7 +132,7 @@ def test_zeta_csv_route_column(tmp_path):
     assert lines[1].endswith(",mellin-split")
 
 
-def test_zeta_bad_s_values(tmp_path):
+def test_zeta_bad_s_values(run_cli, tmp_path):
     obj = spectrum_to_dict(FIN23)
     obj["s_values"] = []
     proc = run_cli("zeta", "--input", write_json(tmp_path, "z.json", obj))
@@ -125,7 +144,7 @@ def test_zeta_bad_s_values(tmp_path):
 # bridge
 
 
-def test_bridge_pass(tmp_path):
+def test_bridge_pass(run_cli, tmp_path):
     path = write_json(tmp_path, "one0.json", spectrum_to_dict(ONE0))
     proc = run_cli("bridge", "--input", path)
     assert proc.returncode == 0
@@ -134,7 +153,7 @@ def test_bridge_pass(tmp_path):
     assert abs(payload["discrepancy"]) <= 1e-10
 
 
-def test_bridge_tight_tolerance_fails(tmp_path):
+def test_bridge_tight_tolerance_fails(run_cli, tmp_path):
     path = write_json(tmp_path, "onepi.json", spectrum_to_dict(ONEPI))
     proc = run_cli("bridge", "--input", path, "--abs-tol", "1e-18")
     assert proc.returncode == 1
@@ -145,7 +164,7 @@ def test_bridge_tight_tolerance_fails(tmp_path):
 # orbit
 
 
-def test_orbit_certificate(tmp_path):
+def test_orbit_certificate(run_cli, tmp_path):
     path = write_json(tmp_path, "su2.json", orbit_to_dict(SU2))
     proc = run_cli("orbit", "--input", path)
     assert proc.returncode == 0
@@ -155,7 +174,7 @@ def test_orbit_certificate(tmp_path):
     assert payload["eps_grid"] == [1e-1, 1e-2, 1e-3]
 
 
-def test_orbit_eps_override(tmp_path):
+def test_orbit_eps_override(run_cli, tmp_path):
     path = write_json(tmp_path, "su2.json", orbit_to_dict(SU2))
     proc = run_cli("orbit", "--input", path, "--eps", "0.2,0.02")
     assert proc.returncode == 0
@@ -166,7 +185,7 @@ def test_orbit_eps_override(tmp_path):
 # gamma
 
 
-def test_gamma_self_check():
+def test_gamma_self_check(run_cli):
     proc = run_cli("gamma")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -174,7 +193,7 @@ def test_gamma_self_check():
     assert payload["difference"] <= 1e-12
 
 
-def test_gamma_tight_tolerance_fails():
+def test_gamma_tight_tolerance_fails(run_cli):
     proc = run_cli("gamma", "--abs-tol", "1e-18")
     assert proc.returncode == 1
     assert "gamma routes disagree" in proc.stderr
@@ -184,7 +203,7 @@ def test_gamma_tight_tolerance_fails():
 # error handling
 
 
-def test_malformed_json_reports_position(tmp_path):
+def test_malformed_json_reports_position(run_cli, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ bad")
     proc = run_cli("detreg", "--input", str(path))
@@ -192,25 +211,124 @@ def test_malformed_json_reports_position(tmp_path):
     assert "line 1 column 3" in proc.stderr
 
 
-def test_missing_input_file(tmp_path):
+def test_missing_input_file(run_cli, tmp_path):
     proc = run_cli("detreg", "--input", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
     assert "cannot read input" in proc.stderr
 
 
-def test_bad_eps_list(tmp_path):
+def test_bad_eps_list(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path, "--eps", "0,1")
     assert proc.returncode == 2
     assert "--eps" in proc.stderr
 
 
-def test_unknown_subcommand():
+def test_unknown_subcommand(run_cli):
     assert run_cli("frobnicate").returncode == 2
 
 
-def test_no_arguments():
+def test_no_arguments(run_cli):
     assert run_cli().returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# README examples, pinned byte for byte
+
+
+def _readme_blocks() -> list[tuple[str, str, str]]:
+    """(info string, prose since the previous block, body) of each fenced block."""
+    blocks, prose, info, body = [], [], None, []
+    for line in README.read_text().splitlines(keepends=True):
+        if info is None and line.startswith("```"):
+            info, body = line[3:].strip(), []
+        elif info is None:
+            prose.append(line)
+        elif line.rstrip() == "```":
+            blocks.append((info, "".join(prose), "".join(body)))
+            info, prose = None, []
+        else:
+            body.append(line)
+    return blocks
+
+
+def _readme_inputs() -> dict[str, str]:
+    """README json blocks by the last `name.json` named in the prose before them."""
+    inputs = {}
+    for info, prose, body in _readme_blocks():
+        names = re.findall(r"`(\w+\.json)`", prose)
+        if info == "json" and names:
+            inputs[names[-1]] = body
+    return inputs
+
+
+README_CALLS = [(body.split("\n", 1)[0], body.split("\n", 1)[1])
+                for _, _, body in _readme_blocks() if body.startswith("$ specreg ")]
+
+
+def test_readme_lists_every_subcommand_example():
+    calls = [call for call, _ in README_CALLS]
+    assert len(calls) == 6
+    assert {shlex.split(call)[2] for call in calls} == {
+        "detreg", "zeta", "bridge", "orbit", "gamma"}
+
+
+@pytest.mark.parametrize("call, expected", README_CALLS,
+                         ids=[call[2:] for call, _ in README_CALLS])
+def test_readme_example_output(run_cli, tmp_path, monkeypatch, call, expected):
+    for name, body in _readme_inputs().items():
+        (tmp_path / name).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    proc = run_cli(*shlex.split(call)[2:])
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+# ---------------------------------------------------------------------------
+# bad wire input: exit 2 with an input error, never a traceback
+
+LATTICE = {"kind": "lattice", "scale": 1.0, "shift": 0.25, "side": "positive", "mult": 1}
+EXPLICIT = {"kind": "explicit", "values": [[2.0, 1, 0.0]]}
+
+
+def _spectrum_text(family: dict, kernel_dim: str = "0", **override: str) -> str:
+    fields = {**{key: json.dumps(val) for key, val in family.items()}, **override}
+    body = ", ".join(f'"{key}": {val}' for key, val in fields.items())
+    return f'{{"families": [{{{body}}}], "kernel_dim": {kernel_dim}}}'
+
+
+BAD_INPUTS = {  # name: (input text, fragment the error message must name)
+    "scale-infinity": (_spectrum_text(LATTICE, scale="Infinity"), "non-finite"),
+    "full-shift-nan": (_spectrum_text(LATTICE, side='"full"', shift="NaN"), "non-finite"),
+    "scale-overflows-to-inf": (_spectrum_text(LATTICE, scale="1e400"), "finite"),
+    "row-infinity": (_spectrum_text(EXPLICIT, values="[[Infinity, 1, 0]]"), "non-finite"),
+    "row-overflows-to-inf": (_spectrum_text(EXPLICIT, values="[[1e400, 1, 0]]"), "finite"),
+    "row-mult-fraction": (_spectrum_text(EXPLICIT, values="[[2.0, 1.7, 0.0]]"), "integer"),
+    "row-mult-true": (_spectrum_text(EXPLICIT, values="[[2.0, true, 0.0]]"), "integer"),
+    "lattice-mult-fraction": (_spectrum_text(LATTICE, mult="1.7"), "integer"),
+    "lattice-mult-true": (_spectrum_text(LATTICE, mult="true"), "integer"),
+    "kernel-dim-true": (_spectrum_text(EXPLICIT, kernel_dim="true"), "integer"),
+}
+
+
+@pytest.mark.parametrize("command", ["detreg", "bridge"])
+@pytest.mark.parametrize("text, fragment", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    proc = run_cli(command, "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert fragment in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_module_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "specreg.cli", "gamma"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_console_script_installed():

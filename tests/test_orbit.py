@@ -23,7 +23,6 @@ from specreg import (
     orbit_from_dict,
     orbit_spectrum,
     orbit_to_dict,
-    shape_eps_spectrum,
     trace_shape_eps,
     vol_eps,
     vol_reg,
@@ -122,26 +121,14 @@ def test_orbit_coefficient_derivatives_cancel(ospec):
 
 
 # ---------------------------------------------------------------------------
-# shape spectrum and its trace
+# shape trace
 
 
-def test_shape_spectrum_structure():
-    base = LoopGroupOrbitSpec(1, ((1.0,),), (1.0,))
-    entries = shape_eps_spectrum(base, 0.01)
-    mx = max(abs(mu) for mu, _ in entries)
-    assert mx == pytest.approx(math.exp(-0.01 * TWO_PI ** 2) / TWO_PI, rel=1e-15)
-    assert mx == pytest.approx(0.10724265134460952, rel=1e-15)
-    # level 1 carries +mu, -mu, and `rank` zeros
-    assert entries[0] == (mx, 1)
-    assert entries[1] == (-mx, 1)
-    assert entries[2] == (0.0, 1)
-
-
-def test_shape_spectrum_guards():
+def test_orbit_shape_trace_guards():
     with pytest.raises(UnsupportedSpectrumError):
-        shape_eps_spectrum(SU2, 0.01)  # s != 0
+        trace_shape_eps(SU2, 0.01)  # s != 0
     with pytest.raises(DomainError):
-        shape_eps_spectrum(ABELIAN, 0.0)
+        trace_shape_eps(ABELIAN, 0.0)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 1.0, 10.0])
@@ -165,6 +152,16 @@ def test_shape_trace_lattice_spectrum():
 def test_shape_trace_explicit_spectrum():
     spec = finite_spectrum([(1.0, 1, 1.5)])
     assert trace_shape_eps(spec, 1.0) == -0.75 * math.exp(-1.0)
+
+
+@pytest.mark.parametrize("shift", [0.3, -0.3])
+def test_full_lattice_gateaux_slopes_agree(shift):
+    # the mirror run n <= 0 has u = scale*n + shift < 0, so its terms
+    # -mult*shift_derivative/u * exp(-eps*u^2) change sign with u
+    report = minimality_report(lattice_family(1.0, shift, "full", 1, 0.7))
+    assert report.gateaux_log_vol_eps_analytic == pytest.approx(
+        report.gateaux_log_vol_eps_fd, abs=1e-6)
+    assert abs(report.gateaux_log_vol_eps_analytic) > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,35 @@ def test_explicit_validation():
         Spectrum((), kernel_dim=-1)
 
 
+NON_FINITE_OR_NON_INTEGRAL = {
+    "scale-inf": lambda: LatticeFamily(scale=math.inf),
+    "full-shift-nan": lambda: lattice_family(1.0, math.nan, "full"),
+    "full-shift-inf": lambda: lattice_family(1.0, math.inf, "full"),
+    "shift-derivative-nan": lambda: lattice_family(1.0, 0.2, "positive", 1, math.nan),
+    "lattice-mult-true": lambda: LatticeFamily(scale=1.0, mult=True),
+    "eigenvalue-inf": lambda: ExplicitFamily(((math.inf, 1, 0.0),)),
+    "derivative-nan": lambda: ExplicitFamily(((1.0, 1, math.nan),)),
+    "row-mult-fraction": lambda: finite_spectrum([(2.0, 1.7)]),
+    "row-mult-true": lambda: finite_spectrum([(2.0, True)]),
+    "eigenvalue-string": lambda: finite_spectrum([("2.0", 1)]),
+    "kernel-dim-true": lambda: Spectrum((), kernel_dim=True),
+    "wire-mult-fraction": lambda: spectrum_from_dict(
+        {"families": [{"kind": "lattice", "scale": 1.0, "mult": 1.7}]}),
+    "wire-kernel-dim-true": lambda: spectrum_from_dict({"families": [], "kernel_dim": True}),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_OR_NON_INTEGRAL.values(),
+                         ids=NON_FINITE_OR_NON_INTEGRAL.keys())
+def test_non_finite_and_non_integral_input_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_integral_float_multiplicity_accepted():
+    assert finite_spectrum([(2.0, 2.0)]).families[0].values == ((2.0, 2, 0.0),)
+
+
 def test_full_shift_canonicalisation():
     # shifts congruent mod the scale serialise identically, boundary maps to +scale/2
     assert lattice_family(2.0, -1.0, "full").families[0].shift == 1.0
@@ -106,6 +135,12 @@ def test_min_eigenvalue():
     assert min_eigenvalue(FIN23) == 2.0
     with pytest.raises(DomainError):
         min_eigenvalue(finite_spectrum([]))
+
+
+def test_min_eigenvalue_one_sided_shift_beyond_scale():
+    # every index n >= 1 lies right of the zero crossing: the minimum is at n = 1
+    assert min_eigenvalue(lattice_family(1.0, 2.5)) == 3.5 ** 2
+    assert min_eigenvalue(lattice_family(2.0, 2.0)) == 16.0
 
 
 def test_tolerance_validation():
