@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
 from .special import euler_gamma_integral, euler_gamma_series
-from .spectra import spectrum_from_dict, spectrum_to_dict
+from .spectra import _number, spectrum_from_dict, spectrum_to_dict
 from .regdet import build_report, report_to_dict
 from .zeta import bridge_to_dict, verify_bridge, zeta_value
 from .orbit import curvature_to_dict, minimality_report, orbit_from_dict
@@ -63,6 +63,15 @@ def _emit(text: str, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _finite(report: dict) -> dict:
+    """The report, or NumericError if any number in it is NaN or infinite."""
+    try:
+        json.dumps(report, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError("the result has a NaN or infinite value") from exc
+    return report
+
+
 def _json_block(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -80,7 +89,7 @@ def _csv_lines(comments: list[tuple[str, object]], header: list[str],
 def _cmd_detreg(config: RunConfig) -> int:
     spec = spectrum_from_dict(_load_json(config.input_path))
     grid = config.eps or DEFAULT_EPS_GRID
-    report = report_to_dict(build_report(spec, eps_grid=grid))
+    report = _finite(report_to_dict(build_report(spec, eps_grid=grid)))
     if config.format == "csv":
         comments = [(key, report[key]) for key in
                     ("log_det_reg", "log_Det_reg", "b0", "b0_primed", "kernel_dim",
@@ -101,17 +110,17 @@ def _cmd_zeta(config: RunConfig) -> int:
     raw = _load_json(config.input_path)
     spec = spectrum_from_dict(raw)
     s_values = raw.get("s_values", list(DEFAULT_S_VALUES))
-    if (not isinstance(s_values, list) or not s_values
-            or not all(isinstance(s, (int, float)) for s in s_values)):
+    if not isinstance(s_values, list) or not s_values:
         raise DomainError("'s_values' must be a non-empty array of numbers")
-    evaluations = [zeta_value(spec, float(s)) for s in s_values]
-    payload = {
+    s_values = [_number(s, "each of 's_values'") for s in s_values]
+    evaluations = [zeta_value(spec, s) for s in s_values]
+    payload = _finite({
         "spectrum": spectrum_to_dict(spec),
         "evaluations": [
             {"s": ev.s, "value": ev.value, "error": ev.error, "route": ev.route}
             for ev in evaluations
         ],
-    }
+    })
     if config.format == "csv":
         rows = [[ev.s, ev.value, ev.error, ev.route] for ev in evaluations]
         _emit(_csv_lines([], ["s", "value", "error", "route"], rows), config)
@@ -125,7 +134,7 @@ def _cmd_zeta(config: RunConfig) -> int:
 def _cmd_bridge(config: RunConfig) -> int:
     spec = spectrum_from_dict(_load_json(config.input_path))
     report = verify_bridge(spec, abs_tol=config.abs_tol)
-    payload = bridge_to_dict(report)
+    payload = _finite(bridge_to_dict(report))
     if config.format == "csv":
         rows = [[key, payload[key]] for key in sorted(payload)]
         _emit(_csv_lines([], ["quantity", "value"], rows), config)
@@ -145,7 +154,7 @@ def _cmd_bridge(config: RunConfig) -> int:
 def _cmd_orbit(config: RunConfig) -> int:
     ospec = orbit_from_dict(_load_json(config.input_path))
     grid = config.eps or DEFAULT_ORBIT_EPS
-    report = curvature_to_dict(minimality_report(ospec, eps_grid=grid))
+    report = _finite(curvature_to_dict(minimality_report(ospec, eps_grid=grid)))
     if config.format == "csv":
         comments = [(key, report[key]) for key in
                     ("tr_reg_H", "Tr_reg_H", "gateaux_log_vol_eps_analytic",
@@ -207,7 +216,7 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         return handler(config)
-    except NumericError as exc:
+    except ArithmeticError as exc:  # NumericError, or a float overflow or division by zero
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except (DomainError, UnsupportedSpectrumError) as exc:

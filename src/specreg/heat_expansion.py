@@ -24,16 +24,16 @@ explicit rows via expm1, full lattices via the dual (Poisson) series, paired
 or zero-shift one-sided lattices via exact pair identities.  A solo shifted
 one-sided family uses its exact small-time power series F = sum_k a_k t^k
 (coefficients from odd Bernoulli polynomials of 1 + shift/scale, computed in
-exact rational arithmetic and cached per family) whenever the dual terms are
-certifiably below 1e-20; only above that window does it fall back to a direct
-big-minus-big difference, which is then short and carries ~1e-14 noise.
+double precision from their Fourier series and cached per family) whenever
+the dual terms are certifiably below 1e-20; only above that window does it
+fall back to a direct big-minus-big difference, which is then short and
+carries ~1e-14 noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from math import fsum
 
@@ -100,44 +100,83 @@ def expansion_value(exp: HeatExpansion, t: float) -> float:
 # leaves an error comparable to the dual terms already being neglected.
 _SERIES_KMAX = 60
 
-
-@lru_cache(maxsize=4)
-def _bernoulli_fractions(n_max: int) -> tuple[Fraction, ...]:
-    """B_0..B_n_max as exact rationals (B_1 = -1/2 convention)."""
-    values = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m))
-        values.append(Fraction(-acc, m + 1))
-    return tuple(values)
+# For x in [0, 1] and n = 2k+1 >= 3 (DLMF 24.8.2),
+#   B_n(x) = (-1)^(k+1) 2 n! / (2 pi)^n * S_k(x),  S_k(x) = sum_{j>=1} sin(2 pi j x) / j^n,
+# so the part of a_k carried by B_n(x) is (1/pi) * (2k)!/k! * (c/(2 pi))^(2k) * S_k(x).
+# Since |sin(2 pi j x)| <= j |sin(2 pi x)|, the terms j <= J_n with
+# J_n^(2-n)/(n-2) <= 1e-17 leave a relative tail below 1e-17 (J_9 = 204,
+# J_n = 2 from n = 53 on); n = 3, 5, 7 use the polynomials instead.
+_SINE_WEIGHTS = tuple(
+    tuple(j ** -float(n) for j in range(1, math.ceil((1e17 / (n - 2)) ** (1.0 / (n - 2))) + 1))
+    for n in range(9, 2 * _SERIES_KMAX + 2, 2))
+# S_k(x) = (-1)^(k+1) (2 pi)^n / (2 n!) * B_n(x) for k = 1, 2, 3
+_POLY_TO_SINE = tuple((2.0 * math.pi) ** n / (2.0 * math.factorial(n)) for n in (3, 5, 7))
+# the power part costs one pass per whole scale in the shift; beyond this
+# many the table is left empty and callers take the direct evaluation
+_MAX_WHOLE_SCALES = 2 ** 18
 
 
 @lru_cache(maxsize=256)
 def _one_sided_power_coeffs(scale: float, shift: float) -> tuple[float, ...]:
-    """(a_1, .., a_K) for one one-sided family, exact rationals rounded once.
+    """(a_1, .., a_K) for one one-sided family, in double precision.
+
+    For shift >= 0, write q = 1 + shift/scale = 1 + M + x0 with M whole and
+    x0 in [0, 1); then B_n(q) = B_n(x0) + n * sum_{i=0..M} (x0 + i)^(n-1), and
+    each u = (x0 + i)*scale adds (-1)^(k+1) u^(2k)/k! to a_k, the Taylor
+    coefficient of 1 - exp(-t*u^2).  For shift < 0, B_n(q) = -B_n(-shift/scale).
+    B_n(x) is then reflected onto x in [0, 1/2] (B_n(1 - x) = -B_n(x)) and
+    taken from the sine series above, or for n < 9 from B_3 = x(x-1/2)(x-1),
+    B_5 = B_3 (x^2-x-1/3), B_7 = B_3 (x^4-2x^3+x+1/3).  The reduced arguments
+    x and 1/2 - x are formed from exact float differences (fmod and
+    Sterbenz), not from the rounded ratio shift/scale, so B_n keeps its full
+    relative accuracy next to its zeros at x = 0 and 1/2.
 
     The list is truncated early if a coefficient overflows float range (only
-    possible for extreme scale values; callers then fall back to the direct
-    evaluation sooner).
+    possible for extreme scale values), and left empty if the shift spans
+    more than _MAX_WHOLE_SCALES scales; callers then fall back to the direct
+    evaluation sooner.
     """
-    q = 1 + Fraction(shift) / Fraction(scale)
-    bern = _bernoulli_fractions(2 * _SERIES_KMAX + 1)
-    q_pows = [Fraction(1)]
-    for _ in range(2 * _SERIES_KMAX + 1):
-        q_pows.append(q_pows[-1] * q)
-    c2 = Fraction(scale) * Fraction(scale)
-    c2_pow = Fraction(1)
-    coeffs: list[float] = []
-    for k in range(1, _SERIES_KMAX + 1):
-        n = 2 * k + 1
-        poly = sum(math.comb(n, j) * bern[j] * q_pows[n - j]
-                   for j in range(n + 1) if j < 2 or j % 2 == 0)
-        c2_pow *= c2
-        a_k = (-1) ** (k + 1) * c2_pow * poly / (math.factorial(k) * n)
-        try:
-            coeffs.append(float(a_k))
-        except OverflowError:
-            break
-    return tuple(coeffs)
+    if shift < 0.0:
+        y, sign, pieces = -shift, -1.0, 0
+    else:
+        y, sign = math.fmod(shift, scale), 1.0
+        whole = (shift - y) / scale
+        if whole >= _MAX_WHOLE_SCALES:
+            return ()
+        pieces = round(whole) + 1
+    coeffs = []
+    with np.errstate(over="ignore"):
+        u2 = (y + scale * np.arange(pieces)) ** 2
+        term = np.ones_like(u2)
+        for k in range(1, _SERIES_KMAX + 1):
+            term *= u2 / k
+            coeffs.append((-1.0) ** (k + 1) * float(term.sum()))
+    if y > 0.5 * scale:
+        y, sign = scale - y, -sign
+    x = y / scale
+    gap = (0.5 * scale - y) / scale
+    if x != 0.0 and gap != 0.0:
+        if x <= gap:
+            theta, flip = 2.0 * math.pi * x, 1.0
+        else:
+            # sin(2 pi j (1/2 - gap)) = (-1)^(j+1) sin(2 pi j gap)
+            theta, flip = 2.0 * math.pi * gap, -1.0
+        sines = [flip ** (j + 1) * math.sin(theta * j)
+                 for j in range(1, len(_SINE_WEIGHTS[0]) + 1)]
+        # B_3, -B_5, B_7 with p = x(1-x) and x - 1/2 = -gap
+        p = x * (1.0 - x)
+        low = (gap * p, gap * p * (p + 1.0 / 3.0), gap * p * (p * p + p + 1.0 / 3.0))
+        sums = [b * f for b, f in zip(low, _POLY_TO_SINE)] + [
+            fsum(w * v for w, v in zip(weights, sines)) for weights in _SINE_WEIGHTS]
+        # the running prefactor (2k)!/k! (c/(2 pi))^(2k) starts at the size
+        # sin(2 pi x) of S_k, so it overflows only where a_k itself does
+        c_over_2pi = scale / (2.0 * math.pi)
+        prefactor = sign * sines[0] / math.pi
+        for k, series in enumerate(sums, start=1):
+            prefactor *= 2.0 * (2 * k - 1) * (c_over_2pi * c_over_2pi)
+            coeffs[k - 1] += prefactor * (series / sines[0])
+    kept = next((k for k, a in enumerate(coeffs) if not math.isfinite(a)), len(coeffs))
+    return tuple(coeffs[:kept])
 
 
 def _one_sided_series(fam: LatticeFamily, t: float) -> float | None:

@@ -38,6 +38,7 @@ from .spectra import (
     finite_spectrum,
     lattice_family,
     _lattice_runs,
+    _number,
     _tail_budget,
 )
 from .heat_expansion import HeatExpansion
@@ -55,7 +56,7 @@ class LoopGroupOrbitSpec:
     cartan_mode: str = "consistent-2r"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rank, int) and self.rank >= 1):
+        if not (type(self.rank) is int and self.rank >= 1):
             raise DomainError(f"rank must be a positive integer, got {self.rank!r}")
         if self.cartan_mode not in ("consistent-2r", "paper-4r"):
             raise DomainError(f"unknown cartan_mode {self.cartan_mode!r}")
@@ -64,6 +65,9 @@ class LoopGroupOrbitSpec:
         for root in self.positive_roots:
             if len(root) != self.rank:
                 raise DomainError("every root must have `rank` components")
+        components = (a for root in self.positive_roots for a in root)
+        if not all(map(math.isfinite, (self.s, *self.x, *components))):
+            raise DomainError(f"orbit data must be finite, got {self!r}")
 
     @property
     def dim_g(self) -> int:
@@ -274,12 +278,14 @@ def orbit_from_dict(data: dict) -> LoopGroupOrbitSpec:
     if not isinstance(data, dict):
         raise DomainError("orbit JSON must be an object")
     try:
-        roots = tuple(tuple(float(a) for a in root) for root in data["positive_roots"])
+        rank = _number(data["rank"], "rank", whole=True)
+        roots = tuple(tuple(_number(a, "root component") for a in root)
+                      for root in data["positive_roots"])
         return LoopGroupOrbitSpec(
-            rank=int(data["rank"]),
+            rank=rank,
             positive_roots=roots,
-            x=tuple(float(v) for v in data["x"]),
-            s=float(data.get("s", 0.0)),
+            x=tuple(_number(v, "base direction component") for v in data["x"]),
+            s=_number(data.get("s", 0.0), "s"),
             cartan_mode=str(data.get("cartan_mode", "consistent-2r")),
         )
     except (KeyError, TypeError, ValueError) as exc:

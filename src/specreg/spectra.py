@@ -269,6 +269,10 @@ def min_eigenvalue(spec: Spectrum) -> float:
 # enumeration with certified tails
 
 
+# one run enumerates at most this many indices (8 MB per float array)
+_MAX_RUN_TERMS = 2 ** 20
+
+
 def _run_upper_index(scale: float, sigma: float, start: int, decay: float,
                      mult: int, budget: float) -> tuple[int, float]:
     """Last index n_hi (and tail bound) so that sum_{n > n_hi} mult*exp(-decay*u^2)
@@ -277,19 +281,21 @@ def _run_upper_index(scale: float, sigma: float, start: int, decay: float,
     Uses the Gaussian tail bound  term(n_hi+1) * (1 + 1/(2*decay*scale*u)).
     """
     turn = max(start, math.ceil(-sigma / scale))
-    log_target = math.log(max(mult, 1) * 4.0 / budget) + max(0.0, -math.log(decay * scale))
+    log_target = (math.log(max(mult, 1) * 4.0 / budget)
+                  + max(0.0, -math.log(decay) - math.log(scale)))
     u_target = math.sqrt(max(log_target, 1.0) / decay)
-    n_hi = max(turn + 1, math.ceil((u_target - sigma) / scale) + 1)
+    n_hi = max(turn + 1, math.ceil(min((u_target - sigma) / scale, _MAX_RUN_TERMS)) + 1)
     for _ in range(200):
+        if n_hi > _MAX_RUN_TERMS:
+            break
         u1 = scale * (n_hi + 1) + sigma
         tail = mult * math.exp(-decay * u1 * u1) * (1.0 + 1.0 / (2.0 * decay * scale * u1))
         if tail <= budget:
             return n_hi, tail
         n_hi += max(4, n_hi // 4)
-        if n_hi > 200_000_000:
-            break
     raise NumericError(
-        f"lattice tail would need more than {n_hi} terms (decay={decay!r})")
+        f"lattice tail would need more than {_MAX_RUN_TERMS} terms "
+        f"(scale={scale!r}, decay={decay!r})")
 
 
 def _runs(fam: LatticeFamily) -> tuple[tuple[float, int, float], ...]:

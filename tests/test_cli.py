@@ -7,6 +7,8 @@ processes.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specreg import (
     LoopGroupOrbitSpec,
@@ -297,6 +301,11 @@ def _spectrum_text(family: dict, kernel_dim: str = "0", **override: str) -> str:
     return f'{{"families": [{{{body}}}], "kernel_dim": {kernel_dim}}}'
 
 
+def _orbit_text(**override: str) -> str:
+    fields = {"rank": "1", "positive_roots": "[[1.0]]", "x": "[1.0]", "s": "0.25", **override}
+    return "{" + ", ".join(f'"{key}": {val}' for key, val in fields.items()) + "}"
+
+
 BAD_INPUTS = {  # name: (input text, fragment the error message must name)
     "scale-infinity": (_spectrum_text(LATTICE, scale="Infinity"), "non-finite"),
     "full-shift-nan": (_spectrum_text(LATTICE, side='"full"', shift="NaN"), "non-finite"),
@@ -308,11 +317,24 @@ BAD_INPUTS = {  # name: (input text, fragment the error message must name)
     "lattice-mult-fraction": (_spectrum_text(LATTICE, mult="1.7"), "integer"),
     "lattice-mult-true": (_spectrum_text(LATTICE, mult="true"), "integer"),
     "kernel-dim-true": (_spectrum_text(EXPLICIT, kernel_dim="true"), "integer"),
+    "orbit-rank-fraction": (_orbit_text(rank="1.7"), "integer"),
+    "orbit-rank-true": (_orbit_text(rank="true", positive_roots="[[true]]"), "integer"),
+    "orbit-root-true": (_orbit_text(positive_roots="[[true]]"), "number"),
+    "orbit-s-overflows-to-inf": (_orbit_text(s="1e400"), "finite"),
+    "s-values-true": (_spectrum_text(EXPLICIT)[:-1] + ', "s_values": [true]}', "s_values"),
+    "s-values-overflow-to-inf": (_spectrum_text(EXPLICIT)[:-1] + ', "s_values": [1e400]}',
+                                 "outside the supported range"),
 }
+# the commands each input goes to; detreg and bridge where not listed
+COMMANDS_FOR = {"orbit-rank-fraction": ("orbit",), "orbit-rank-true": ("orbit",),
+                "orbit-root-true": ("orbit",), "orbit-s-overflows-to-inf": ("orbit",),
+                "s-values-true": ("zeta",), "s-values-overflow-to-inf": ("zeta",)}
 
 
-@pytest.mark.parametrize("command", ["detreg", "bridge"])
-@pytest.mark.parametrize("text, fragment", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+@pytest.mark.parametrize("command, text, fragment", [
+    pytest.param(command, text, fragment, id=f"{name}-{command}")
+    for name, (text, fragment) in BAD_INPUTS.items()
+    for command in COMMANDS_FOR.get(name, ("detreg", "bridge"))])
 def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -322,6 +344,91 @@ def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, f
     assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every generated input ends in a certified result or a typed error
+
+
+def _finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+_JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=2), st.just(1e400),
+                  st.integers(-2, 2), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _one_sided(draw):
+    scale = draw(st.floats(0.5, 8.0))
+    ratio = draw(st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True))
+    return {"kind": "lattice", "scale": scale, "shift": ratio * scale, "side": "positive",
+            "mult": draw(st.integers(1, 3)), "shift_derivative": draw(st.floats(-1.0, 1.0))}
+
+
+@st.composite
+def _full(draw):
+    scale = draw(st.floats(0.5, 8.0))
+    return {"kind": "lattice", "scale": scale, "side": "full",
+            "shift": draw(st.floats(-0.5, 0.5)) * scale, "mult": draw(st.integers(1, 3)),
+            "shift_derivative": draw(st.floats(-1.0, 1.0))}
+
+
+_EXPLICIT = st.builds(lambda rows: {"kind": "explicit", "values": rows}, st.lists(
+    st.tuples(st.floats(0.1, 50.0), st.integers(1, 3), st.floats(-1.0, 1.0)).map(list),
+    min_size=1, max_size=3))
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv tail, input object): a spectrum for detreg/zeta/bridge or an
+    orbit for orbit, with at most one field replaced by a junk value."""
+    command = draw(st.sampled_from(("orbit", "bridge", "zeta", "detreg")))
+    if command == "orbit":
+        rank = draw(st.integers(1, 2))
+        obj = {"rank": rank,
+               "positive_roots": draw(st.lists(st.lists(st.floats(0.0, 1.5), min_size=rank,
+                                                        max_size=rank), max_size=2)),
+               "x": draw(st.lists(st.floats(0.5, 1.5), min_size=rank, max_size=rank)),
+               "s": draw(st.floats(0.0, 1.0)),
+               "cartan_mode": draw(st.sampled_from(("consistent-2r", "paper-4r")))}
+        target = obj
+    else:
+        families = draw(st.lists(st.one_of(_one_sided(), _one_sided(), _full(), _EXPLICIT),
+                                 min_size=1, max_size=3))
+        obj = {"families": families, "kernel_dim": draw(st.integers(0, 1))}
+        if command == "zeta":
+            obj["s_values"] = draw(st.lists(st.floats(-0.9, 3.0), min_size=1, max_size=2))
+        target = draw(st.sampled_from([obj] + families))
+    if draw(st.integers(0, 3)) == 0:
+        target[draw(st.sampled_from(sorted(target)))] = draw(_JUNK)
+    return command, obj
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=_cli_case())
+def test_cli_fuzz_finite_or_typed_error(fuzz_input, case):
+    command, obj = case
+    fuzz_input.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(fuzz_input)])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert _finite(json.loads(out.getvalue()))
+    elif code == 1:
+        assert err.getvalue().startswith(("numeric failure: ", "bridge check failed: "))
+    else:
+        assert code == 2 and err.getvalue().startswith("input error: ")
 
 
 def test_module_entry_point():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +26,7 @@ from specreg import (
     remainder,
     verify_remainder_bound,
 )
-from specreg.heat_expansion import mellin_cutoff_integral
+from specreg.heat_expansion import _one_sided_power_coeffs, mellin_cutoff_integral
 
 mp.mp.dps = 30
 
@@ -120,6 +121,67 @@ def test_expansion_shape_validation():
     with pytest.raises(DomainError):
         HeatExpansion(m=2, J=2, coeffs={0: 1.0}, source="analytic",
                       remainder_bound=0.0, coeff_derivatives={0: 0.0})
+
+
+# ---------------------------------------------------------------------------
+# power-series coefficients of a shifted one-sided lattice against mpmath
+
+
+def _exact_power_coeffs(scale: float, shift: float) -> list[tuple]:
+    """(a_k, sine part, power part) for k = 1..60 at 50 digits.
+
+    q = 1 + shift/scale is formed exactly from the float inputs and split as
+    q = 1 + M + x0; the power part of a_k carries n * sum_{i=0..M} (x0 + i)^(n-1)
+    (for shift < 0, M = -1 and x0 = q) and the sine part the rest, B_n(x0).
+    """
+    with mp.workdps(50):
+        q = 1 + mp.mpf(shift) / mp.mpf(scale)
+        whole = int(mp.floor(q - 1)) if shift >= 0.0 else -1
+        x0 = q - 1 - whole
+        out = []
+        for k in range(1, 61):
+            n = 2 * k + 1
+            unit = (-1) ** (k + 1) * mp.mpf(scale) ** (2 * k) / (mp.factorial(k) * n)
+            power = n * mp.fsum((x0 + i) ** (n - 1) for i in range(whole + 1))
+            exact = unit * mp.bernpoly(n, q)
+            out.append((exact, exact - unit * power, unit * power))
+        return out
+
+
+# r = shift/scale -> the k at which the sine and power parts of B_{2k+1}(1 + r)
+# cancel to less than half of the larger one (the same k for every scale)
+CANCELLING_K = {0.25: {2}, 0.5 - 1e-9: {10}, 1.0 - 1e-6: {13}}
+
+
+@pytest.mark.parametrize("r", [1e-9, -1e-9, 0.25, 0.5, 0.5 + 1e-9, 0.5 - 1e-9, -0.9,
+                               1.0 - 1e-6, 1.0, 1.3, 2.7, 5.5])
+@pytest.mark.parametrize("scale", [1.0, TWO_PI, 7.0])
+def test_power_coeffs_against_bernpoly(scale, r):
+    got = _one_sided_power_coeffs(scale, r * scale)
+    exact = _exact_power_coeffs(scale, r * scale)
+    assert len(got) == len(exact)
+    cancelling = set()
+    with mp.workdps(50):
+        for k, (a, (ref, sine, power)) in enumerate(zip(got, exact), start=1):
+            larger = max(abs(sine), abs(power))
+            if abs(ref) < 0.5 * larger:
+                cancelling.add(k)
+                bound = 1e-13 * larger
+            else:
+                bound = 1e-13 * abs(ref)
+            assert abs(mp.mpf(a) - ref) <= bound, (k, a, float(ref))
+    assert cancelling == CANCELLING_K.get(r, set())
+
+
+def test_power_coeffs_truncate_where_exact_table_overflows():
+    scale, shift = 1e10, 0.25e10
+    got = _one_sided_power_coeffs(scale, shift)
+    exact = _exact_power_coeffs(scale, shift)
+    in_range = next(k for k, (ref, _, _) in enumerate(exact) if abs(ref) > sys.float_info.max)
+    assert 0 < len(got) == in_range < 60
+    with mp.workdps(50):
+        assert all(abs(mp.mpf(a) - ref) <= 1e-13 * abs(ref)
+                   for a, (ref, _, _) in zip(got, exact))
 
 
 # ---------------------------------------------------------------------------

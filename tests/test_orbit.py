@@ -53,6 +53,16 @@ def test_orbit_spec_validation():
         LoopGroupOrbitSpec(1, ((1.0,),), (1.0, 2.0))
     with pytest.raises(DomainError):
         LoopGroupOrbitSpec(2, ((1.0,),), (1.0, 2.0))
+    # booleans and non-finite values are not silently taken as numbers
+    with pytest.raises(DomainError):
+        LoopGroupOrbitSpec(True, ((1.0,),), (1.0,))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            LoopGroupOrbitSpec(1, ((1.0,),), (1.0,), s=bad)
+        with pytest.raises(DomainError):
+            LoopGroupOrbitSpec(1, ((bad,),), (1.0,))
+        with pytest.raises(DomainError):
+            LoopGroupOrbitSpec(1, ((1.0,),), (bad,))
 
 
 def test_dim_g():

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from specreg import (
+    EULER_GAMMA,
     DomainError,
     PoleError,
     analytic_expansion,
@@ -163,6 +164,22 @@ def test_zeta_prime0_closed_forms(spec, oracle):
     assert 0.0 <= err <= 1e-10
 
 
+@pytest.mark.parametrize("r", [1.0 - 1e-6, 1.3, 2.7])
+def test_zeta_prime0_lerch_for_shift_beyond_scale(r):
+    # shift >= scale: the series coefficients come through
+    # B_n(x + 1) = B_n(x) + n x^(n-1), once or twice
+    spec = lattice_family(TWO_PI, r * TWO_PI, "positive", 1)
+    q = 1.0 + r
+    lerch = (2.0 * math.log(TWO_PI) * (q - 0.5)
+             + 2.0 * (math.lgamma(q) - 0.5 * math.log(TWO_PI)))
+    value, err = zeta_prime0(spec)
+    assert abs(value - lerch) <= err + 1e-13
+    heat, heat_err = log_det_reg(spec)
+    b0_primed = analytic_expansion(spec).b0
+    assert b0_primed == pytest.approx(-(0.5 + r), abs=1e-15)
+    assert abs(-value - (-EULER_GAMMA * b0_primed + heat)) <= err + heat_err + 1e-13
+
+
 def test_scaling_laws():
     scaled = scale_spectrum(ONE0, 4.0)
     assert zeta_value(scaled, 2.0).value == pytest.approx(1.0 / 23040.0, abs=1e-12)
@@ -189,7 +206,6 @@ def test_bridge_routes_are_independent():
     assert report.heat_route == pytest.approx(report.zeta_route, abs=1e-12)
     # heat route decomposes exactly as -gamma*b0' + log det_reg
     value, _ = log_det_reg(ONEPI)
-    from specreg import EULER_GAMMA
     assert report.heat_route == -EULER_GAMMA * report.b0_primed + value
 
 
