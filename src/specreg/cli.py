@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,19 +265,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     eps = None
-    if getattr(args, "eps", None):
-        try:
+    abs_tol = getattr(args, "abs_tol", None)
+    try:
+        if getattr(args, "eps", None):
             eps = _parse_eps(args.eps)
-        except DomainError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
+        if abs_tol is not None and not 0.0 < abs_tol < math.inf:
+            raise DomainError(f"--abs-tol needs a positive finite number, got {abs_tol!r}")
+    except DomainError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     config = RunConfig(
         command=args.command,
         input_path=getattr(args, "input", None),
         output_path=args.output,
         format=args.format,
         eps=eps,
-        abs_tol=getattr(args, "abs_tol", None),
+        abs_tol=abs_tol,
     )
     return run(config)
 

@@ -97,58 +97,66 @@ def counterterms(exp: HeatExpansion) -> dict[int, float]:
     return {j: exp.m * b / j for j, b in sorted(exp.coeffs.items()) if j != 0}
 
 
-def _upper_cutoff(spec: Spectrum) -> float:
+def _mellin_upper(spec: Spectrum, s: float) -> tuple[float, float]:
+    """int_1^inf t^(s-1) tr exp(-t*B) dt; returns (value, error).
+
+    Gauss-Kronrod on [1, t_max] plus the tail bound
+    t_max^(s-1) tr exp(-t_max*B) / lam0.  t_max starts at
+    max(1.5, 45/lam0, 4|s|/lam0) and grows by 1.4 until the integrand is
+    below 1e-20 or t_max reaches 1e9.  A smallest eigenvalue lam0 so small
+    that t^(s-1) overflows before the trace decays raises NumericError.
+    """
     lam0 = min_eigenvalue(spec)
-    t_max = max(1.5, 45.0 / lam0)
-    while heat_trace(spec, t_max) > 1e-19 and t_max < 1e9:
-        t_max *= 1.5
-    return t_max
-
-
-def _upper_integral_quad(spec: Spectrum, tol: Tolerance) -> tuple[float, float]:
-    """int_1^inf tr exp(-t*B)/t dt by adaptive quadrature plus a tail bound."""
-    t_max = _upper_cutoff(spec)
-    inner = Tolerance(1e-14)
-    value, err = gauss_kronrod(lambda t: heat_trace(spec, t, inner) / t, 1.0, t_max,
-                               abs_tol=1e-13)
-    tail = heat_trace(spec, t_max) / (t_max * min_eigenvalue(spec))
+    try:
+        t_max = max(1.5, 45.0 / lam0, 4.0 * abs(s) / lam0)
+        while heat_trace(spec, t_max) * t_max ** (s - 1.0) > 1e-20 and t_max < 1e9:
+            t_max *= 1.4
+        inner = Tolerance(1e-14)
+        value, err = gauss_kronrod(lambda t: heat_trace(spec, t, inner) * t ** (s - 1.0),
+                                   1.0, t_max, abs_tol=1e-13)
+        tail = heat_trace(spec, t_max) * t_max ** (s - 1.0) / lam0
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericError(f"smallest eigenvalue {lam0!r} is too small: t^(s-1) tr exp(-t*B) "
+                           f"at s={s!r} overflows before it decays") from exc
     return value, err + tail
+
+
+def _require_finite(value: float, err: float, what: str) -> None:
+    """NumericError if the value or its error is NaN or infinite."""
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
 def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
                  method: str = "tanh-sinh",
                  tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """int_0^1 t^(s-1) F(t) dt with F the expansion remainder.
+    """int_0^1 t^(s-1) F(t) dt with F the expansion remainder; needs s > -1.
 
-    Explicit spectra with an exact expansion integrate from t = 0 (the
-    integrand extends continuously); lattice spectra use log-spaced panels
-    down to 1e-10 and close the gap to t = 0 with the exact small-time series
-    integral where the structure certifies one, otherwise with the remainder
-    bound C*delta^(s+1)/(s+1) (requires s > -1 for that path).  `method`
-    selects tanh-sinh panels (heat route) or Gauss-Kronrod panels (zeta route)
-    so the two determinant routes stay numerically independent.
+    Log-spaced panels cover [delta, 1], delta = min(1e-10, 1/lam) over the
+    explicit rows lam; the gap to t = 0 is closed with the exact small-time
+    series integral where the structure certifies one (explicit rows and
+    lattice families of an analytic or finite expansion), otherwise with the
+    remainder bound C*delta^(s+1)/(s+1).  Starting the panels at delta keeps
+    the t^s endpoint behaviour of F(t) t^(s-1) out of the quadrature, which
+    matters for Gauss-Kronrod as s approaches -1.
+    `method` selects tanh-sinh panels (heat route) or Gauss-Kronrod panels
+    (zeta route) so the two determinant routes stay numerically independent.
     """
-    exact_from_zero = (spec.families
-                       and all(isinstance(f, ExplicitFamily) for f in spec.families)
-                       and exp.source in ("finite", "analytic"))
-    if exact_from_zero:
-        edges = [0.0, 1e-2, 1.0]
-        cutoff_value = 0.0
-        cutoff_err = 0.0
-    elif not spec.families:
+    if not spec.families:
         return 0.0, 0.0
+    if not s > -0.999:
+        raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
+    # below 1/lam the series of exp(-lam*t) - 1 has no cancellation
+    lam_max = max((lam for fam in spec.families if isinstance(fam, ExplicitFamily)
+                   for lam, _, _ in fam.values), default=0.0)
+    delta = min(1e-10, 1.0 / lam_max) if lam_max > 0.0 else 1e-10
+    edges = [delta] + [e for e in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0) if e > delta]
+    cut = mellin_cutoff_integral(spec, exp, delta, s)
+    if cut is not None:
+        cutoff_value, cutoff_err = cut
     else:
-        delta = 1e-10
-        if not s > -0.999:
-            raise DomainError(
-                f"lower Mellin integral needs s > -1 for this spectrum, got {s!r}")
-        edges = [delta, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0]
-        cut = mellin_cutoff_integral(spec, exp, delta, s)
-        if cut is not None:
-            cutoff_value, cutoff_err = cut
-        else:
-            cutoff_value = 0.0
-            cutoff_err = exp.remainder_bound * delta ** (s + 1.0) / (s + 1.0)
+        cutoff_value = 0.0
+        cutoff_err = exp.remainder_bound * delta ** (s + 1.0) / (s + 1.0)
 
     def integrand(t: float) -> float:
         return remainder(spec, exp, t, tol) * t ** (s - 1.0)
@@ -190,7 +198,7 @@ def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None,
     if exp is None:
         exp = default_expansion(spec, primed)
     _require_primed_consistency(spec, exp, primed)
-    upper, err_up = _upper_integral_quad(spec, tol)
+    upper, err_up = _mellin_upper(spec, 0.0)
     lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh", tol)
     value = -fsum(counterterms(exp).values()) - upper - lower
     err = err_up + err_low
@@ -199,6 +207,7 @@ def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None,
         if not all(math.isfinite(d) for d in devs) or devs[-1] > devs[0] + 1e-9:
             raise NumericError(
                 f"cutoff determinant does not approach the computed asymptote: {devs}")
+    _require_finite(value, err, "log_det_reg")
     return value, err
 
 

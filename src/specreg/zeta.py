@@ -28,15 +28,12 @@ from math import fsum
 
 from .errors import DomainError, PoleError
 from .special import EULER_GAMMA, exp_integral_e1, gamma_fn, hurwitz_zeta
-from .quadrature import gauss_kronrod
 from .heat_expansion import HeatExpansion
 from .spectra import (
     DEFAULT_TOL,
     ExplicitFamily,
     Spectrum,
     Tolerance,
-    heat_trace,
-    min_eigenvalue,
     _lattice_runs,
     _runs,
     _tail_budget,
@@ -46,6 +43,8 @@ from .regdet import (
     default_expansion,
     log_det_reg,
     mellin_lower,
+    _mellin_upper,
+    _require_finite,
 )
 
 S_RANGE = (-2.0, 30.0)
@@ -74,14 +73,6 @@ def _check_poles(s: float, exp: HeatExpansion) -> None:
         raise PoleError(f"s={s!r} is within 1e-6 of a Gamma pole")
 
 
-def _upper_cutoff_s(spec: Spectrum, s: float) -> float:
-    lam0 = min_eigenvalue(spec)
-    t_max = max(1.5, 45.0 / lam0, 4.0 * abs(s) / lam0)
-    while heat_trace(spec, t_max) * t_max ** (s - 1.0) > 1e-20 and t_max < 1e9:
-        t_max *= 1.4
-    return t_max
-
-
 def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None,
                tol: Tolerance = DEFAULT_TOL) -> ZetaEvaluation:
     """zeta_B(s) by the Mellin split; route tag "mellin-split".
@@ -98,16 +89,12 @@ def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None,
     _check_poles(s, exp)
     pole_part = fsum(b / (j / exp.m + s)
                      for j, b in sorted(exp.coeffs.items()) if b != 0.0)
-    t_max = _upper_cutoff_s(spec, s)
-    inner = Tolerance(1e-14)
-    upper, err_up = gauss_kronrod(
-        lambda t: heat_trace(spec, t, inner) * t ** (s - 1.0), 1.0, t_max,
-        abs_tol=1e-13)
-    tail = heat_trace(spec, t_max) * t_max ** (s - 1.0) / min_eigenvalue(spec)
+    upper, err_up = _mellin_upper(spec, s)
     lower, err_low = mellin_lower(spec, exp, s, "gauss-kronrod", tol)
     inv_gamma = 1.0 / gamma_fn(s)
     value = inv_gamma * (pole_part + upper + lower)
-    err = abs(inv_gamma) * (err_up + tail + err_low) + 1e-15 * abs(value)
+    err = abs(inv_gamma) * (err_up + err_low) + 1e-15 * abs(value)
+    _require_finite(value, err, f"zeta({s!r})")
     return ZetaEvaluation(s=s, value=value, error=err, route="mellin-split")
 
 

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
 import shutil
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specreg
 from specreg import (
     LoopGroupOrbitSpec,
     finite_spectrum,
@@ -331,14 +333,23 @@ COMMANDS_FOR = {"orbit-rank-fraction": ("orbit",), "orbit-rank-true": ("orbit",)
                 "s-values-true": ("zeta",), "s-values-overflow-to-inf": ("zeta",)}
 
 
-@pytest.mark.parametrize("command, text, fragment", [
-    pytest.param(command, text, fragment, id=f"{name}-{command}")
+# bad --abs-tol values on a good input; gamma takes no input file
+BAD_ABS_TOL = {"nan": "nan", "infinity": "inf", "zero": "0", "negative": "-1e-9"}
+
+
+@pytest.mark.parametrize("command, text, fragment, options", [
+    pytest.param(command, text, fragment, (), id=f"{name}-{command}")
     for name, (text, fragment) in BAD_INPUTS.items()
-    for command in COMMANDS_FOR.get(name, ("detreg", "bridge"))])
-def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, fragment):
+    for command in COMMANDS_FOR.get(name, ("detreg", "bridge"))] + [
+    pytest.param(command, _spectrum_text(EXPLICIT), "--abs-tol", (f"--abs-tol={value}",),
+                 id=f"abs-tol-{name}-{command}")
+    for name, value in BAD_ABS_TOL.items() for command in ("bridge", "gamma")])
+def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, fragment,
+                                             options):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    proc = run_cli(command, "--input", str(path))
+    inputs = ("--input", str(path)) if command != "gamma" else ()
+    proc = run_cli(command, *inputs, *options)
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
     assert fragment in proc.stderr
@@ -436,6 +447,15 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(specreg.__file__).resolve().parents[1])
+    code = "import sys, specreg.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_installed():

@@ -10,6 +10,7 @@ import pytest
 from specreg import (
     EULER_GAMMA,
     DomainError,
+    NumericError,
     PoleError,
     analytic_expansion,
     bridge_to_dict,
@@ -95,6 +96,68 @@ def test_route_tags():
     assert zeta_value(FIN23, 2.0).route == "mellin-split"
     assert zeta_direct(FIN23, 2.0).route == "direct-sum"
     assert zeta_closed_form(FIN23, 2.0).route == "closed-form-oracle"
+
+
+# ---------------------------------------------------------------------------
+# the lower Mellin integral near s = -1, where F(t) t^(s-1) ~ t^s at t = 0
+
+
+def _one_sided_oracle(scale: float, shift: float, s: float) -> float:
+    s2 = 2 * mp.mpf(s)
+    return float(mp.mpf(scale) ** -s2 * mp.zeta(s2, 1 + mp.mpf(shift) / scale))
+
+
+@pytest.mark.parametrize("s", [-0.95, -0.99])
+@pytest.mark.parametrize("scale, shift", [(TWO_PI, math.pi), (1.3, 0.4), (2.2, -0.5)])
+def test_zeta_value_near_minus_one_shifted_one_sided(scale, shift, s):
+    got = zeta_value(lattice_family(scale, shift, "positive", 1), s)
+    assert abs(got.value - _one_sided_oracle(scale, shift, s)) <= got.error
+
+
+@pytest.mark.parametrize("s", [-0.95, -0.99])
+def test_zeta_value_near_minus_one_explicit(s):
+    got = zeta_value(FIN23, s)
+    assert abs(got.value - float(mp.mpf(2) ** -s + mp.mpf(3) ** -s)) <= got.error
+
+
+@pytest.mark.parametrize("s", [-0.9, 0.75])
+@pytest.mark.parametrize("lam", [3e11, 1e12])
+def test_zeta_value_large_explicit_eigenvalue(lam, s):
+    # the series gap [0, delta] of the lower integral shrinks below 1/lambda
+    got = zeta_value(finite_spectrum([(lam, 1), (2.0, 1)]), s)
+    exact = float(mp.mpf(lam) ** -s + mp.mpf(2) ** -s)
+    assert abs(got.value - exact) <= got.error <= 1e-13 * max(1.0, abs(exact))
+
+
+def test_explicit_lower_integral_needs_s_above_minus_one():
+    # F(t) t^(s-1) ~ t^s is not integrable at t = 0 for s <= -1
+    with pytest.raises(DomainError):
+        zeta_value(FIN23, -1.5)
+
+
+# a full lattice whose smallest eigenvalue (7.2e-226) is tiny but nonzero
+TINY = lattice_family(4.585, 2.68e-113, "full", 1)
+
+
+@pytest.mark.parametrize("s", [1.49, 3.0])
+def test_tiny_eigenvalue_overflowing_zeta_raises(s):
+    # lam0^(-s) alone exceeds the largest double
+    with pytest.raises(NumericError):
+        zeta_value(TINY, s)
+
+
+def test_tiny_eigenvalue_zeta_within_error():
+    q = mp.mpf(2.68e-113) / mp.mpf(4.585)
+    s2 = 2 * mp.mpf(0.27)
+    oracle = float(mp.mpf(4.585) ** -s2 * (mp.zeta(s2, q) + mp.zeta(s2, 1 - q)))
+    got = zeta_value(TINY, 0.27)
+    assert math.isfinite(got.error)
+    assert abs(got.value - oracle) <= got.error
+
+
+def test_tiny_eigenvalue_log_det_reg_raises():
+    with pytest.raises(NumericError):
+        log_det_reg(TINY)
 
 
 # ---------------------------------------------------------------------------
