@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import fsum
-
-import numpy as np
+from operator import add, mul
 
 from .errors import DomainError, FitConditionError, UnsupportedSpectrumError
 from .spectra import (
@@ -116,6 +115,13 @@ _POLY_TO_SINE = tuple((2.0 * math.pi) ** n / (2.0 * math.factorial(n)) for n in 
 _MAX_WHOLE_SCALES = 2 ** 18
 
 
+def _pairwise_sum(terms: list[float]) -> float:
+    """Sum by pairwise halving: rounding error grows like log2(len), not len."""
+    while len(terms) > 1:
+        terms = list(map(add, terms[::2], terms[1::2])) + terms[len(terms) & ~1:]
+    return terms[0] if terms else 0.0
+
+
 @lru_cache(maxsize=256)
 def _one_sided_power_coeffs(scale: float, shift: float) -> tuple[float, ...]:
     """(a_1, .., a_K) for one one-sided family, in double precision.
@@ -144,13 +150,16 @@ def _one_sided_power_coeffs(scale: float, shift: float) -> tuple[float, ...]:
         if whole >= _MAX_WHOLE_SCALES:
             return ()
         pieces = round(whole) + 1
+    # u*u and plain additions, since float ** and fsum raise OverflowError
+    # where the table should instead end at its first infinite coefficient
     coeffs = []
-    with np.errstate(over="ignore"):
-        u2 = (y + scale * np.arange(pieces)) ** 2
-        term = np.ones_like(u2)
-        for k in range(1, _SERIES_KMAX + 1):
-            term *= u2 / k
-            coeffs.append((-1.0) ** (k + 1) * float(term.sum()))
+    u2 = [u * u for u in (y + scale * i for i in range(pieces))]
+    term = [1.0] * pieces
+    for k in range(1, _SERIES_KMAX + 1):
+        term = [a * (b / k) for a, b in zip(term, u2)]
+        coeffs.append((-1.0) ** (k + 1) * _pairwise_sum(term))
+        if not math.isfinite(coeffs[-1]):
+            break  # every later power sum overflows too
     if y > 0.5 * scale:
         y, sign = scale - y, -sign
     x = y / scale
@@ -172,7 +181,7 @@ def _one_sided_power_coeffs(scale: float, shift: float) -> tuple[float, ...]:
         # sin(2 pi x) of S_k, so it overflows only where a_k itself does
         c_over_2pi = scale / (2.0 * math.pi)
         prefactor = sign * sines[0] / math.pi
-        for k, series in enumerate(sums, start=1):
+        for k, series in enumerate(sums[:len(coeffs)], start=1):
             prefactor *= 2.0 * (2 * k - 1) * (c_over_2pi * c_over_2pi)
             coeffs[k - 1] += prefactor * (series / sines[0])
     kept = next((k for k, a in enumerate(coeffs) if not math.isfinite(a)), len(coeffs))
@@ -262,35 +271,72 @@ def finite_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
                          includes_kernel=not primed)
 
 
+def _jacobi_svd(columns: list[list[float]]):
+    """One-sided Jacobi SVD (Golub & Van Loan, *Matrix Computations*, 8.6) of
+    a tall matrix A given by its columns: rotate column pairs until all are
+    orthogonal to working precision, so A V = W with W_j = sigma_j u_j.
+    Returns (W, sigma, V), W and V by columns.  Unlike the Gram matrix, whose
+    condition is the square, this keeps the singular values accurate.
+    """
+    w = [list(col) for col in columns]
+    p = len(w)
+    v = [[float(i == j) for j in range(p)] for i in range(p)]
+    for _ in range(60):
+        rotated = False
+        for j in range(p - 1):
+            for k in range(j + 1, p):
+                alpha = fsum(x * x for x in w[j])
+                beta = fsum(x * x for x in w[k])
+                gamma = fsum(map(mul, w[j], w[k]))
+                if abs(gamma) <= 2.0 ** -52 * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cos = 1.0 / math.hypot(1.0, tan)
+                sin = cos * tan
+                for cols in (w, v):
+                    cols[j], cols[k] = ([cos * a - sin * b for a, b in zip(cols[j], cols[k])],
+                                        [sin * a + cos * b for a, b in zip(cols[j], cols[k])])
+        if not rotated:
+            break
+    sigma = [math.hypot(*col) for col in w]
+    return w, sigma, v
+
+
 def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
                   primed: bool = True, tol: Tolerance = DEFAULT_TOL,
                   max_condition: float = 1e12) -> HeatExpansion:
     """Least-squares fit of the t^(j/m) basis to the heat trace on `grid`.
 
     The grid must lie in (0, 1] and carry at least J+m+2 points.  Columns are
-    normalised before solving; a condition number above max_condition raises
-    FitConditionError.  The remainder bound is estimated from the scaled
-    residuals (doubled for safety).
+    normalised, and one SVD of that matrix gives both its 2-norm condition
+    number (above max_condition raises FitConditionError) and the solution.
+    The remainder bound is estimated from the scaled residuals (doubled for
+    safety).
     """
-    ts = np.asarray(sorted(float(t) for t in grid), dtype=float)
-    if ts.size < J + m + 2:
-        raise DomainError(f"fit grid needs at least {J + m + 2} points, got {ts.size}")
-    if ts[0] <= 0.0 or ts[-1] > 1.0 or np.unique(ts).size != ts.size:
+    ts = sorted(float(t) for t in grid)
+    if len(ts) < J + m + 2:
+        raise DomainError(f"fit grid needs at least {J + m + 2} points, got {len(ts)}")
+    if not all(0.0 < t <= 1.0 for t in ts) or len(set(ts)) != len(ts):
         raise DomainError("fit grid must be distinct points in (0, 1]")
-    powers = [j / m for j in range(-J, m)]
-    design = np.column_stack([ts ** p for p in powers])
-    norms = np.linalg.norm(design, axis=0)
-    scaled = design / norms
-    condition = float(np.linalg.cond(scaled))
+    columns = [[t ** (j / m) for t in ts] for j in range(-J, m)]
+    norms = [math.hypot(*col) for col in columns]
+    w, sigma, v = _jacobi_svd([[x / nrm for x in col] for col, nrm in zip(columns, norms)])
+    condition = max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
     if condition > max_condition:
         raise FitConditionError(
             f"fit basis condition {condition:.3e} exceeds {max_condition:.1e}")
-    y = np.array([heat_trace(spec, t, tol, include_kernel=not primed) for t in ts])
-    solution, *_ = np.linalg.lstsq(scaled, y, rcond=None)
-    coeff_vec = solution / norms
-    coeffs = {j: float(c) for j, c in zip(range(-J, m), coeff_vec)}
-    residual = y - design @ coeff_vec
-    c_bound = 2.0 * float(np.max(np.abs(residual) / ts))
+    y = [heat_trace(spec, t, tol, include_kernel=not primed) for t in ts]
+    # least squares through the SVD, dropping singular values below the
+    # relative cutoff eps*max(rows, columns) as LAPACK's lstsq does
+    cutoff = 2.0 ** -52 * len(ts) * max(sigma)
+    weights = [fsum(map(mul, col, y)) / (sg * sg) if sg > cutoff else 0.0
+               for col, sg in zip(w, sigma)]
+    coeff_vec = [fsum(map(mul, row, weights)) / nrm for row, nrm in zip(zip(*v), norms)]
+    coeffs = dict(zip(range(-J, m), coeff_vec))
+    c_bound = 2.0 * max(abs(yi - fsum(col[i] * c for col, c in zip(columns, coeff_vec))) / t
+                        for i, (t, yi) in enumerate(zip(ts, y)))
     return HeatExpansion(m=m, J=J, coeffs=coeffs, source="fitted",
                          remainder_bound=c_bound,
                          coeff_derivatives={j: 0.0 for j in range(-J, m)},
@@ -371,8 +417,7 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
     """int_0^delta t^(s-1) F(t) dt from the exact small-time structure.
 
     Returns (value, error_bound), or None when some family cannot certify its
-    series at delta (callers then fall back to the remainder-bound estimate
-    C*delta^(s+1)/(s+1)).  Needs s > -1.
+    series at delta (mellin_lower then tries a smaller delta).  Needs s > -1.
     """
     if exp.source == "fitted" or not 0.0 < delta <= 1e-6 or not s > -1.0:
         return None
@@ -405,7 +450,7 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
 
 def _scan_remainder_bound(spec: Spectrum, exp: HeatExpansion) -> float:
     """Empirical C with |F(t)| <= C*t, scanned on a log grid in [1e-3, 1]."""
-    return 2.0 * verify_remainder_bound(spec, exp, np.logspace(-3.0, 0.0, 25))
+    return 2.0 * verify_remainder_bound(spec, exp, [10.0 ** (-3 + k / 8) for k in range(25)])
 
 
 def verify_remainder_bound(spec: Spectrum, exp: HeatExpansion, grid) -> float:

@@ -130,8 +130,8 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float,
             continue
         for u, _, _ in _lattice_runs(fam, eps, budget):
             # dlam = 2*u*shift_derivative, lam = u^2, with u carrying its sign
-            terms.extend((-fam.mult * fam.shift_derivative / x * math.exp(-eps * x * x)
-                          for x in u.tolist()))
+            terms.extend(-fam.mult * fam.shift_derivative / x * math.exp(-eps * x * x)
+                         for x in u)
     return fsum(terms)
 
 

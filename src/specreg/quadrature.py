@@ -139,7 +139,8 @@ def tanh_sinh(
     integrable endpoint singularity is sampled at accurate abscissae.
     Endpoints themselves are never evaluated: nodes that round onto a or b
     carry double-exponentially small weights and are skipped.  Returns
-    (value, error_estimate).
+    (value, error_estimate); NumericError if max_level halvings end before
+    two levels agree.
     """
     if not b > a:
         raise NumericError(f"tanh-sinh needs b > a, got [{a}, {b}]")
@@ -180,4 +181,5 @@ def tanh_sinh(
         estimate = new_estimate
         if err <= max(abs_tol, 1e-15 * abs(estimate)):
             return estimate, err
-    return estimate, err
+    raise NumericError(
+        f"tanh-sinh failed on [{a}, {b}]: levels still differ by {err!r} after {max_level}")

@@ -87,8 +87,7 @@ def log_det_eps(spec: Spectrum, eps: float, primed: bool = True,
                          for lam, mult, _ in fam.values)
             continue
         for u, _, _ in _lattice_runs(fam, eps, budget):
-            terms.extend(fam.mult * exp_integral_e1(x)
-                         for x in (eps * u * u).tolist())
+            terms.extend(fam.mult * exp_integral_e1(eps * x * x) for x in u)
     return -fsum(terms)
 
 
@@ -115,7 +114,7 @@ def _mellin_upper(spec: Spectrum, s: float) -> tuple[float, float]:
         value, err = gauss_kronrod(lambda t: heat_trace(spec, t, inner) * t ** (s - 1.0),
                                    1.0, t_max, abs_tol=1e-13)
         tail = heat_trace(spec, t_max) * t_max ** (s - 1.0) / lam0
-    except (OverflowError, ZeroDivisionError) as exc:
+    except OverflowError as exc:
         raise NumericError(f"smallest eigenvalue {lam0!r} is too small: t^(s-1) tr exp(-t*B) "
                            f"at s={s!r} overflows before it decays") from exc
     return value, err + tail
@@ -127,18 +126,24 @@ def _require_finite(value: float, err: float, what: str) -> None:
         raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
+# mellin_lower's panel edges above delta: every second decade up to 1e-2
+_EDGES = tuple(float(f"1e-{k}") for k in range(322, 0, -2)) + (1e-1, 1.0)
+
+
 def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
                  method: str = "tanh-sinh",
                  tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """int_0^1 t^(s-1) F(t) dt with F the expansion remainder; needs s > -1.
 
-    Log-spaced panels cover [delta, 1], delta = min(1e-10, 1/lam) over the
-    explicit rows lam; the gap to t = 0 is closed with the exact small-time
-    series integral where the structure certifies one (explicit rows and
-    lattice families of an analytic or finite expansion), otherwise with the
-    remainder bound C*delta^(s+1)/(s+1).  Starting the panels at delta keeps
-    the t^s endpoint behaviour of F(t) t^(s-1) out of the quadrature, which
-    matters for Gauss-Kronrod as s approaches -1.
+    Panels cover [delta, 1] with edges at most two decades apart, starting
+    from delta = min(1e-10, 1/lam) over the explicit rows lam.  The gap to
+    t = 0 is closed with the exact small-time series integral of an analytic
+    or finite expansion; where some family cannot certify its series at
+    delta, delta shrinks by factors of 100, at most ten times, and after that
+    NumericError is raised.  Only a fitted expansion, which has no series,
+    closes the gap with its remainder bound C*delta^(s+1)/(s+1).  Starting
+    the panels at delta keeps the t^s endpoint behaviour of F(t) t^(s-1) out
+    of the quadrature, which matters for Gauss-Kronrod as s approaches -1.
     `method` selects tanh-sinh panels (heat route) or Gauss-Kronrod panels
     (zeta route) so the two determinant routes stay numerically independent.
     """
@@ -150,13 +155,21 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     lam_max = max((lam for fam in spec.families if isinstance(fam, ExplicitFamily)
                    for lam, _, _ in fam.values), default=0.0)
     delta = min(1e-10, 1.0 / lam_max) if lam_max > 0.0 else 1e-10
-    edges = [delta] + [e for e in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0) if e > delta]
-    cut = mellin_cutoff_integral(spec, exp, delta, s)
-    if cut is not None:
-        cutoff_value, cutoff_err = cut
-    else:
+    if exp.source == "fitted":
         cutoff_value = 0.0
         cutoff_err = exp.remainder_bound * delta ** (s + 1.0) / (s + 1.0)
+    else:
+        for _ in range(11):
+            cut = mellin_cutoff_integral(spec, exp, delta, s)
+            if cut is not None:
+                break
+            delta /= 100.0
+        else:
+            raise NumericError(
+                f"the small-time series does not certify [0, delta] for delta "
+                f"down to {100.0 * delta!r}")
+        cutoff_value, cutoff_err = cut
+    edges = [delta] + [e for e in _EDGES if e > delta]
 
     def integrand(t: float) -> float:
         return remainder(spec, exp, t, tol) * t ** (s - 1.0)

@@ -32,8 +32,6 @@ from dataclasses import dataclass, replace
 from math import fsum
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -246,7 +244,11 @@ def scale_spectrum(spec: Spectrum, factor: float) -> Spectrum:
 
 
 def min_eigenvalue(spec: Spectrum) -> float:
-    """Smallest strictly positive eigenvalue of the spectrum."""
+    """Smallest strictly positive eigenvalue of the spectrum.
+
+    A lattice eigenvalue u^2 below the smallest subnormal float rounds to 0.0;
+    that raises NumericError, since no routine can work with it.
+    """
     best = math.inf
     for fam in spec.families:
         if isinstance(fam, ExplicitFamily):
@@ -262,6 +264,8 @@ def min_eigenvalue(spec: Spectrum) -> float:
                         best = min(best, u * u)
     if not math.isfinite(best):
         raise DomainError("spectrum has no positive eigenvalues")
+    if best == 0.0:
+        raise NumericError("the smallest eigenvalue underflows to 0.0 in double precision")
     return best
 
 
@@ -269,7 +273,8 @@ def min_eigenvalue(spec: Spectrum) -> float:
 # enumeration with certified tails
 
 
-# one run enumerates at most this many indices (8 MB per float array)
+# one run enumerates at most this many indices (a list of 2^20 floats is
+# about 32 MB, and each term costs one exp)
 _MAX_RUN_TERMS = 2 ** 20
 
 
@@ -313,23 +318,22 @@ def _lattice_runs(fam: LatticeFamily, decay: float, budget: float, runs=None):
     """Yield (u_values ascending in index, heat_tail_bound, first_omitted_u)
     for each of `runs` (default: all of fam's), splitting `budget` evenly.
 
-    Structural zeros (u == 0.0) are dropped.  Negation is exact, so u*u does
-    not depend on the sign.
+    u_values is a list of floats.  Structural zeros (u == 0.0) are dropped.
+    Negation is exact, so u*u does not depend on the sign.
     """
     runs = runs or _runs(fam)
     for sigma, start, sign in runs:
         n_hi, tail = _run_upper_index(fam.scale, sigma, start, decay, fam.mult,
                                       budget / len(runs))
-        n = np.arange(start, n_hi + 1, dtype=float)
-        u = fam.scale * n + sigma
-        u = u[u != 0.0]
-        yield (u if sign > 0.0 else -u), tail, sign * (fam.scale * (n_hi + 1) + sigma)
+        u = [sign * x for x in (fam.scale * n + sigma for n in range(start, n_hi + 1))
+             if x != 0.0]
+        yield u, tail, sign * (fam.scale * (n_hi + 1) + sigma)
 
 
 def _direct_run(fam: LatticeFamily, t: float, budget: float, runs=None) -> float:
     """mult * sum exp(-t*u^2) over `runs` of fam (default: all), tails below budget."""
-    return fsum(w for u, _, _ in _lattice_runs(fam, t, budget, runs)
-                for w in (fam.mult * np.exp(-t * u * u)).tolist())
+    return fsum(fam.mult * math.exp(-t * x * x)
+                for u, _, _ in _lattice_runs(fam, t, budget, runs) for x in u)
 
 
 def _tail_budget(spec: Spectrum, tol: Tolerance) -> float:
@@ -354,7 +358,7 @@ def heat_trace(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
             terms.extend(mult * math.exp(-t * lam) for lam, mult, _ in fam.values)
             continue
         for u, _, _ in _lattice_runs(fam, t, budget):
-            terms.extend((fam.mult * np.exp(-t * u * u)).tolist())
+            terms.extend(fam.mult * math.exp(-t * x * x) for x in u)
     value = fsum(terms)
     if include_kernel:
         value += spec.kernel_dim

@@ -34,6 +34,7 @@ from .spectra import (
     ExplicitFamily,
     Spectrum,
     Tolerance,
+    min_eigenvalue,
     _lattice_runs,
     _runs,
     _tail_budget,
@@ -174,6 +175,8 @@ def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None,
         exp = default_expansion(spec, primed=True)
     if exp.includes_kernel:
         raise DomainError("zeta continuation needs a kernel-free (primed) expansion")
+    if spec.families:
+        min_eigenvalue(spec)  # NumericError before E1 meets an underflowed eigenvalue
     budget = _tail_budget(spec, tol)
     e1_terms: list[float] = []
     tail_err = 0.0
@@ -182,7 +185,7 @@ def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None,
             e1_terms.extend(mult * exp_integral_e1(lam) for lam, mult, _ in fam.values)
             continue
         for u, heat_tail, u_next in _lattice_runs(fam, 1.0, budget):
-            e1_terms.extend(fam.mult * exp_integral_e1(x) for x in (u * u).tolist())
+            e1_terms.extend(fam.mult * exp_integral_e1(x * x) for x in u)
             tail_err += heat_tail / (u_next * u_next)
     upper = fsum(e1_terms)
     lower, err_low = mellin_lower(spec, exp, 0.0, "gauss-kronrod", tol)

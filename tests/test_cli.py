@@ -191,6 +191,15 @@ def test_orbit_eps_override(run_cli, tmp_path):
 # gamma
 
 
+def test_bridge_underflowing_eigenvalue_exits_1(run_cli, tmp_path):
+    # a valid spectrum whose smallest eigenvalue (1e-170)^2 underflows: a
+    # numeric failure, not an input error
+    path = write_json(tmp_path, "tiny.json", spectrum_to_dict(lattice_family(1.0, 1e-170, "full")))
+    proc = run_cli("bridge", "--input", path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numeric failure: ")
+
+
 def test_gamma_self_check(run_cli):
     proc = run_cli("gamma")
     assert proc.returncode == 0
@@ -449,13 +458,23 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["passed"] is True
 
 
-def test_cli_import_leaves_scipy_out():
+def _modules_after_cli_import(fragment: str) -> str:
+    """The modules whose names contain `fragment` once a fresh interpreter has
+    imported specreg.cli, as printed by that interpreter."""
     src = str(Path(specreg.__file__).resolve().parents[1])
-    code = "import sys, specreg.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    code = f"import sys, specreg.cli; print(sorted(m for m in sys.modules if {fragment!r} in m))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _modules_after_cli_import("scipy") == "[]\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    assert _modules_after_cli_import("numpy") == "[]\n"
 
 
 def test_console_script_installed():

@@ -6,7 +6,6 @@ import math
 import sys
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from specreg import (
@@ -22,6 +21,7 @@ from specreg import (
     finite_expansion,
     finite_spectrum,
     fit_expansion,
+    heat_trace,
     lattice_family,
     remainder,
     verify_remainder_bound,
@@ -32,6 +32,12 @@ mp.mp.dps = 30
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
+
+
+def logspace(lo: float, hi: float, num: int) -> list[float]:
+    """num points from 10^lo to 10^hi, evenly spaced in the exponent."""
+    return [10.0 ** (lo + (hi - lo) * k / (num - 1)) for k in range(num)]
+
 
 ONE0 = lattice_family(TWO_PI, 0.0, "positive", 1)
 ONEPI = lattice_family(TWO_PI, math.pi, "positive", 1)
@@ -80,7 +86,7 @@ def test_structural_kernel_remainder_identity():
     # with the zero mode excised the remainder is just the Poisson dual part
     full0 = lattice_family(2.0, 0.0, "full", 2)
     exp = analytic_expansion(full0)
-    worst = verify_remainder_bound(full0, exp, np.logspace(-4, 0, 40))
+    worst = verify_remainder_bound(full0, exp, logspace(-4, 0, 40))
     assert worst <= exp.remainder_bound
     assert abs(remainder(full0, exp, 1e-3)) <= 1e-250
 
@@ -263,7 +269,7 @@ def test_pair_identity_matches_solo_remainders():
 def test_remainder_bound_holds_on_grid():
     for spec in (ONE0, ONEPI, FULLPI):
         exp = analytic_expansion(spec)
-        worst = verify_remainder_bound(spec, exp, np.logspace(-4, 0, 40))
+        worst = verify_remainder_bound(spec, exp, logspace(-4, 0, 40))
         assert worst <= exp.remainder_bound
 
 
@@ -271,7 +277,7 @@ def test_remainder_bound_holds_on_grid():
 # fitted expansions
 
 
-FIT_GRID = np.logspace(-4, -2, 25)
+FIT_GRID = logspace(-4, -2, 25)
 
 
 def test_fit_recovers_lattice_coefficients():
@@ -280,7 +286,7 @@ def test_fit_recovers_lattice_coefficients():
     assert fit.coeffs[-1] == pytest.approx(1.0 / (4.0 * SQRT_PI), abs=1e-9)
     assert fit.coeffs[0] == pytest.approx(-0.5, abs=1e-9)
     # the refit bound holds on a denser grid over the same window
-    worst = verify_remainder_bound(ONE0, fit, np.logspace(-4, -2, 40))
+    worst = verify_remainder_bound(ONE0, fit, logspace(-4, -2, 40))
     assert worst <= fit.remainder_bound
 
 
@@ -293,6 +299,29 @@ def test_fitted_remainder_is_direct_difference():
 def test_fit_condition_guard():
     with pytest.raises(FitConditionError):
         fit_expansion(ONE0, FIT_GRID, max_condition=10.0)
+
+
+def test_fit_matches_mpmath_svd():
+    # the acceptance-06 design: condition number and least-squares solution
+    # of the column-normalised basis against a 50-digit SVD of the same data
+    y = [heat_trace(ONE0, t) for t in FIT_GRID]
+    with mp.workdps(50):
+        cols = [[mp.mpf(t) ** (mp.mpf(j) / 2) for t in FIT_GRID] for j in range(-2, 2)]
+        norms = [mp.sqrt(mp.fsum(x * x for x in col)) for col in cols]
+        scaled = mp.matrix([[col[i] / nrm for col, nrm in zip(cols, norms)]
+                            for i in range(len(FIT_GRID))])
+        u, sigma, vt = mp.svd_r(scaled)
+        condition = max(sigma) / min(sigma)
+        solution = vt.T * mp.diag([1 / sg for sg in sigma]) * (u.T * mp.matrix(y))
+        want = [float(solution[i]) for i in range(4)]
+        norms = [float(nrm) for nrm in norms]
+    fit = fit_expansion(ONE0, FIT_GRID, max_condition=float(condition) * (1.0 + 1e-12))
+    with pytest.raises(FitConditionError):
+        fit_expansion(ONE0, FIT_GRID, max_condition=float(condition) * (1.0 - 1e-12))
+    # backward-stable least squares: error below a few eps * condition * |x|
+    got = [fit.coeffs[j] * nrm for j, nrm in zip(range(-2, 2), norms)]
+    bound = 16.0 * sys.float_info.epsilon * float(condition) * max(map(abs, want))
+    assert max(abs(g - w) for g, w in zip(got, want)) <= bound
 
 
 def test_fit_grid_validation():

@@ -110,6 +110,12 @@ def test_tanh_sinh_matches_gauss_kronrod():
     assert ts == pytest.approx(gk, abs=1e-12)
 
 
+def test_tanh_sinh_unconverged_raises():
+    # 1000 radians of oscillation are far from resolved after four halvings
+    with pytest.raises(NumericError):
+        tanh_sinh(lambda x: math.cos(1e3 * x), 0.0, 1.0, max_level=4)
+
+
 def test_tanh_sinh_interval_validation():
     with pytest.raises(NumericError):
         tanh_sinh(lambda x: x, 1.0, 1.0)

@@ -105,6 +105,15 @@ def test_log_det_reg_closed_forms(spec, oracle, tol):
     assert 0.0 <= err <= 1e-11
 
 
+@pytest.mark.parametrize("lam", [1e20, 1e40, 1e100])
+def test_log_det_reg_huge_explicit_row(lam):
+    # delta = 1/lam puts the first panel edge far below 1e-8; a panel spanning
+    # those decades in one go left tanh-sinh unconverged and the value 3.3 off
+    spec = finite_spectrum([(lam, 1), (2.0, 1)])
+    value, err = log_det_reg(spec)
+    assert abs(value - (math.log(lam) + math.log(2.0) + 2.0 * EULER_GAMMA)) <= err + 1e-13
+
+
 def test_log_det_reg_frozen_digits():
     # regression pins for the two transcendental cases above
     assert log_det_reg(ONEPI)[0] == pytest.approx(-2.1735282560403877, rel=1e-14)

@@ -17,6 +17,7 @@ from specreg import (
     finite_spectrum,
     lattice_family,
     log_det_reg,
+    min_eigenvalue,
     scale_spectrum,
     verify_bridge,
     zeta_closed_form,
@@ -241,6 +242,47 @@ def test_zeta_prime0_lerch_for_shift_beyond_scale(r):
     b0_primed = analytic_expansion(spec).b0
     assert b0_primed == pytest.approx(-(0.5 + r), abs=1e-15)
     assert abs(-value - (-EULER_GAMMA * b0_primed + heat)) <= err + heat_err + 1e-13
+
+
+@pytest.mark.parametrize("scale,shift", [(1e5, 3e4), (5e4, 1e4), (1e5, 4.5e4)])
+def test_wide_lattice_against_closed_forms(scale, shift):
+    # the dual terms of so wide a lattice are not negligible on [0, 1e-10], so
+    # the exact series closes [0, delta] only once delta has shrunk
+    spec = lattice_family(scale, shift, "positive", 1)
+    q = 1.0 + shift / scale
+    lerch = (2.0 * math.log(scale) * (q - 0.5)
+             + 2.0 * (math.lgamma(q) - 0.5 * math.log(TWO_PI)))
+    value, err = log_det_reg(spec)
+    assert abs(value - (-lerch + EULER_GAMMA * (0.5 - q))) <= err + 1e-13
+    got = zeta_value(spec, 0.75)
+    want = zeta_closed_form(spec, 0.75).value
+    assert abs(got.value - want) <= got.error + 1e-15 * abs(want)
+
+
+def test_uncertified_small_time_series_raises():
+    # the shift spans more whole scales than the coefficient table covers,
+    # so nothing certifies [0, delta]
+    spec = lattice_family(1.0, 300000.3, "positive", 1)
+    with pytest.raises(NumericError):
+        log_det_reg(spec)
+    with pytest.raises(NumericError):
+        zeta_value(spec, 0.75)
+
+
+# u = 1e-170 squares to 0.0 in double precision
+UNDERFLOW = lattice_family(1.0, 1e-170, "full", 1)
+
+
+@pytest.mark.parametrize("call", [
+    min_eigenvalue,
+    log_det_reg,
+    lambda spec: zeta_value(spec, 0.75),
+    zeta_prime0,
+    verify_bridge,
+], ids=["min_eigenvalue", "log_det_reg", "zeta_value", "zeta_prime0", "verify_bridge"])
+def test_underflowing_smallest_eigenvalue_is_numeric_error(call):
+    with pytest.raises(NumericError, match="underflows"):
+        call(UNDERFLOW)
 
 
 def test_scaling_laws():
