@@ -27,7 +27,6 @@ from .spectra import (
     ExplicitFamily,
     LatticeFamily,
     Spectrum,
-    Tolerance,
     compose,
     deform,
     finite_spectrum,

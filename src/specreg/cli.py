@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
@@ -28,16 +27,6 @@ DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_ORBIT_EPS = (1e-1, 1e-2, 1e-3)
 DEFAULT_S_VALUES = (0.25, 0.75, 1.5, 2.0, 3.0)
 DEFAULT_GAMMA_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    format: str = "json"
-    eps: tuple[float, ...] | None = None
-    abs_tol: float | None = None
 
 
 def _reject_constant(name: str) -> float:
@@ -57,9 +46,9 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -87,28 +76,28 @@ def _csv_lines(comments: list[tuple[str, object]], header: list[str],
     return "\n".join(out) + "\n"
 
 
-def _cmd_detreg(config: RunConfig) -> int:
-    spec = spectrum_from_dict(_load_json(config.input_path))
-    grid = config.eps or DEFAULT_EPS_GRID
+def _cmd_detreg(args: argparse.Namespace) -> int:
+    spec = spectrum_from_dict(_load_json(args.input))
+    grid = args.eps or DEFAULT_EPS_GRID
     report = _finite(report_to_dict(build_report(spec, eps_grid=grid)))
-    if config.format == "csv":
+    if args.format == "csv":
         comments = [(key, report[key]) for key in
                     ("log_det_reg", "log_Det_reg", "b0", "b0_primed", "kernel_dim",
                      "quadrature_error")]
         comments += [(f"counterterm_{j}", val)
                      for j, val in sorted(report["counterterms"].items(), key=lambda kv: int(kv[0]))]
         rows = [[eps, val] for eps, val in zip(report["eps_grid"], report["log_det_eps"])]
-        _emit(_csv_lines(comments, ["eps", "log_det_eps"], rows), config)
+        _emit(_csv_lines(comments, ["eps", "log_det_eps"], rows), args)
     else:
-        _emit(_json_block(report), config)
-    if config.output_path:
+        _emit(_json_block(report), args)
+    if args.output:
         print(f"detreg: log_det_reg={report['log_det_reg']!r} "
-              f"log_Det_reg={report['log_Det_reg']!r} -> {config.output_path}")
+              f"log_Det_reg={report['log_Det_reg']!r} -> {args.output}")
     return 0
 
 
-def _cmd_zeta(config: RunConfig) -> int:
-    raw = _load_json(config.input_path)
+def _cmd_zeta(args: argparse.Namespace) -> int:
+    raw = _load_json(args.input)
     spec = spectrum_from_dict(raw)
     s_values = raw.get("s_values", list(DEFAULT_S_VALUES))
     if not isinstance(s_values, list) or not s_values:
@@ -122,29 +111,29 @@ def _cmd_zeta(config: RunConfig) -> int:
             for ev in evaluations
         ],
     })
-    if config.format == "csv":
+    if args.format == "csv":
         rows = [[ev.s, ev.value, ev.error, ev.route] for ev in evaluations]
-        _emit(_csv_lines([], ["s", "value", "error", "route"], rows), config)
+        _emit(_csv_lines([], ["s", "value", "error", "route"], rows), args)
     else:
-        _emit(_json_block(payload), config)
-    if config.output_path:
-        print(f"zeta: {len(evaluations)} evaluation(s) -> {config.output_path}")
+        _emit(_json_block(payload), args)
+    if args.output:
+        print(f"zeta: {len(evaluations)} evaluation(s) -> {args.output}")
     return 0
 
 
-def _cmd_bridge(config: RunConfig) -> int:
-    spec = spectrum_from_dict(_load_json(config.input_path))
-    report = verify_bridge(spec, abs_tol=config.abs_tol)
+def _cmd_bridge(args: argparse.Namespace) -> int:
+    spec = spectrum_from_dict(_load_json(args.input))
+    report = verify_bridge(spec, abs_tol=args.abs_tol)
     payload = _finite(bridge_to_dict(report))
-    if config.format == "csv":
+    if args.format == "csv":
         rows = [[key, payload[key]] for key in sorted(payload)]
-        _emit(_csv_lines([], ["quantity", "value"], rows), config)
+        _emit(_csv_lines([], ["quantity", "value"], rows), args)
     else:
-        _emit(_json_block(payload), config)
-    if config.output_path:
+        _emit(_json_block(payload), args)
+    if args.output:
         verdict = "OK" if report.passed else "FAIL"
         print(f"bridge: discrepancy={report.discrepancy!r} "
-              f"threshold={report.threshold!r} {verdict} -> {config.output_path}")
+              f"threshold={report.threshold!r} {verdict} -> {args.output}")
     if not report.passed:
         print(f"bridge check failed: discrepancy {report.discrepancy!r} "
               f"exceeds threshold {report.threshold!r}", file=sys.stderr)
@@ -152,30 +141,30 @@ def _cmd_bridge(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_orbit(config: RunConfig) -> int:
-    ospec = orbit_from_dict(_load_json(config.input_path))
-    grid = config.eps or DEFAULT_ORBIT_EPS
+def _cmd_orbit(args: argparse.Namespace) -> int:
+    ospec = orbit_from_dict(_load_json(args.input))
+    grid = args.eps or DEFAULT_ORBIT_EPS
     report = _finite(curvature_to_dict(minimality_report(ospec, eps_grid=grid)))
-    if config.format == "csv":
+    if args.format == "csv":
         comments = [(key, report[key]) for key in
                     ("tr_reg_H", "Tr_reg_H", "gateaux_log_vol_eps_analytic",
                      "gateaux_log_vol_eps_fd", "strongly_minimal", "heat_minimal",
                      "zeta_minimal")]
         rows = [[eps, val] for eps, val in zip(report["eps_grid"], report["tr_H_eps"])]
-        _emit(_csv_lines(comments, ["eps", "tr_H_eps"], rows), config)
+        _emit(_csv_lines(comments, ["eps", "tr_H_eps"], rows), args)
     else:
-        _emit(_json_block(report), config)
-    if config.output_path:
+        _emit(_json_block(report), args)
+    if args.output:
         print(f"orbit: strongly_minimal={report['strongly_minimal']} "
-              f"-> {config.output_path}")
+              f"-> {args.output}")
     return 0
 
 
-def _cmd_gamma(config: RunConfig) -> int:
+def _cmd_gamma(args: argparse.Namespace) -> int:
     integral, integral_err = euler_gamma_integral()
     series = euler_gamma_series()
     difference = abs(integral - series)
-    tolerance = config.abs_tol if config.abs_tol is not None else DEFAULT_GAMMA_TOL
+    tolerance = args.abs_tol if args.abs_tol is not None else DEFAULT_GAMMA_TOL
     passed = difference <= tolerance
     payload = {
         "integral_route": integral,
@@ -185,14 +174,14 @@ def _cmd_gamma(config: RunConfig) -> int:
         "tolerance": tolerance,
         "passed": passed,
     }
-    if config.format == "csv":
+    if args.format == "csv":
         rows = [[key, payload[key]] for key in sorted(payload)]
-        _emit(_csv_lines([], ["quantity", "value"], rows), config)
+        _emit(_csv_lines([], ["quantity", "value"], rows), args)
     else:
-        _emit(_json_block(payload), config)
-    if config.output_path:
+        _emit(_json_block(payload), args)
+    if args.output:
         print(f"gamma: integral={integral!r} series={series!r} "
-              f"difference={difference!r} -> {config.output_path}")
+              f"difference={difference!r} -> {args.output}")
     if not passed:
         print(f"gamma routes disagree by {difference!r} (tolerance {tolerance!r})",
               file=sys.stderr)
@@ -209,14 +198,10 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     try:
-        return handler(config)
+        return _HANDLERS[args.command](args)
     except ArithmeticError as exc:  # NumericError, or a float overflow or division by zero
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
@@ -264,25 +249,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    eps = None
     abs_tol = getattr(args, "abs_tol", None)
     try:
         if getattr(args, "eps", None):
-            eps = _parse_eps(args.eps)
+            args.eps = _parse_eps(args.eps)
         if abs_tol is not None and not 0.0 < abs_tol < math.inf:
             raise DomainError(f"--abs-tol needs a positive finite number, got {abs_tol!r}")
     except DomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    config = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=args.output,
-        format=args.format,
-        eps=eps,
-        abs_tol=abs_tol,
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -40,11 +40,10 @@ from operator import add, mul
 
 from .errors import DomainError, FitConditionError, UnsupportedSpectrumError
 from .spectra import (
-    DEFAULT_TOL,
+    ABS_TOL,
     ExplicitFamily,
     LatticeFamily,
     Spectrum,
-    Tolerance,
     heat_trace,
     _direct_run,
     _dual_decay,
@@ -305,8 +304,7 @@ def _jacobi_svd(columns: list[list[float]]):
 
 
 def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
-                  primed: bool = True, tol: Tolerance = DEFAULT_TOL,
-                  max_condition: float = 1e12) -> HeatExpansion:
+                  primed: bool = True, max_condition: float = 1e12) -> HeatExpansion:
     """Least-squares fit of the t^(j/m) basis to the heat trace on `grid`.
 
     The grid must lie in (0, 1] and carry at least J+m+2 points.  Columns are
@@ -327,7 +325,7 @@ def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
     if condition > max_condition:
         raise FitConditionError(
             f"fit basis condition {condition:.3e} exceeds {max_condition:.1e}")
-    y = [heat_trace(spec, t, tol, include_kernel=not primed) for t in ts]
+    y = [heat_trace(spec, t, include_kernel=not primed) for t in ts]
     # least squares through the SVD, dropping singular values below the
     # relative cutoff eps*max(rows, columns) as LAPACK's lstsq does
     cutoff = 2.0 ** -52 * len(ts) * max(sigma)
@@ -343,8 +341,7 @@ def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
                          includes_kernel=not primed)
 
 
-def remainder(spec: Spectrum, exp: HeatExpansion, t: float,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:
     """F(t) = tr exp(-t*B) - sum_j b_j t^(j/m).
 
     The value is independent of the primed convention (the kernel constant
@@ -356,7 +353,7 @@ def remainder(spec: Spectrum, exp: HeatExpansion, t: float,
     if not t > 0.0:
         raise DomainError(f"remainder defined for t > 0, got {t!r}")
     if exp.source == "fitted":
-        trace = heat_trace(spec, t, tol, include_kernel=exp.includes_kernel)
+        trace = heat_trace(spec, t, include_kernel=exp.includes_kernel)
         return trace - expansion_value(exp, t)
     if exp.source == "finite" and any(isinstance(f, LatticeFamily) for f in spec.families):
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
@@ -376,7 +373,7 @@ def remainder(spec: Spectrum, exp: HeatExpansion, t: float,
             if series is not None:
                 parts.append(series)
             else:
-                trace_fam = _direct_run(fam, t, tol.abs_tol * 0.25)
+                trace_fam = _direct_run(fam, t, ABS_TOL * 0.25)
                 bm1, b0, _ = _lattice_b_contrib(fam)
                 parts.append(trace_fam - bm1 / math.sqrt(t) - b0)
     for fam in spec.families:

@@ -29,10 +29,8 @@ from typing import Sequence, Union
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
 from .special import EULER_GAMMA, TWO_PI
 from .spectra import (
-    DEFAULT_TOL,
     ExplicitFamily,
     Spectrum,
-    Tolerance,
     compose,
     deform,
     finite_spectrum,
@@ -105,8 +103,7 @@ def orbit_spectrum(ospec: LoopGroupOrbitSpec, primed: bool = True) -> Spectrum:
 OrbitOrSpectrum = Union[LoopGroupOrbitSpec, Spectrum]
 
 
-def trace_shape_eps(target: OrbitOrSpectrum, eps: float,
-                    tol: Tolerance = DEFAULT_TOL) -> float:
+def trace_shape_eps(target: OrbitOrSpectrum, eps: float) -> float:
     """Trace of the smoothed shape operator,
     -1/2 * sum mult * (dlam/lam) * exp(-eps*lam) over the positive spectrum
     with the usual certified truncation.  An orbit spec goes through its
@@ -119,7 +116,7 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float,
         target = orbit_spectrum(target, primed=True)
     if not eps > 0.0:
         raise DomainError(f"shape trace requires eps > 0, got {eps!r}")
-    budget = _tail_budget(target, tol)
+    budget = _tail_budget(target)
     terms: list[float] = []
     for fam in target.families:
         if isinstance(fam, ExplicitFamily):
@@ -135,23 +132,22 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float,
     return fsum(terms)
 
 
-def vol_eps(ospec: LoopGroupOrbitSpec, eps: float,
-            tol: Tolerance = DEFAULT_TOL) -> float:
+def vol_eps(ospec: LoopGroupOrbitSpec, eps: float) -> float:
     """Preregularised volume sqrt(det'_eps) of the orbit operator."""
-    return math.exp(0.5 * log_det_eps(orbit_spectrum(ospec, True), eps, True, tol))
+    return math.exp(0.5 * log_det_eps(orbit_spectrum(ospec, True), eps))
 
 
-def vol_reg(ospec: LoopGroupOrbitSpec, tol: Tolerance = DEFAULT_TOL) -> float:
+def vol_reg(ospec: LoopGroupOrbitSpec) -> float:
     """Heat-kernel regularised volume sqrt(det'_reg)."""
-    value, _ = log_det_reg(orbit_spectrum(ospec, True), None, True, tol)
+    value, _ = log_det_reg(orbit_spectrum(ospec, True))
     return math.exp(0.5 * value)
 
 
-def vol_zeta(ospec: LoopGroupOrbitSpec, tol: Tolerance = DEFAULT_TOL) -> float:
+def vol_zeta(ospec: LoopGroupOrbitSpec) -> float:
     """Zeta-regularised volume sqrt(Det'_reg) = e^(-gamma*b0'/2) * vol_reg."""
     spec = orbit_spectrum(ospec, True)
     exp = default_expansion(spec, primed=True)
-    value, _ = log_det_reg(spec, exp, True, tol)
+    value, _ = log_det_reg(spec, exp)
     return math.exp(0.5 * (-EULER_GAMMA * exp.b0 + value))
 
 
@@ -201,7 +197,6 @@ MINIMALITY_TOL = 1e-8
 
 def minimality_report(target: OrbitOrSpectrum,
                       eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3),
-                      tol: Tolerance = DEFAULT_TOL,
                       exp: HeatExpansion | None = None) -> CurvatureReport:
     """Assemble the minimality certificate for an orbit or a synthetic spectrum.
 
@@ -218,22 +213,18 @@ def minimality_report(target: OrbitOrSpectrum,
         raise DomainError("eps grid must be non-empty with positive entries")
     if isinstance(target, LoopGroupOrbitSpec):
         target = orbit_spectrum(replace(target, s=0.0), primed=True)
-
-    def trace_fn(e: float) -> float:
-        return trace_shape_eps(target, e, tol)
-
     if exp is None:
         exp = default_expansion(target, primed=True)
     delta_b = dict(sorted(exp.coeff_derivatives.items()))
     a_coeffs = {j - exp.m: -0.5 * db for j, db in delta_b.items()}
-    tr_reg, _ = reg_limit_trace(trace_fn, a_coeffs, exp.m,
+    tr_reg, _ = reg_limit_trace(lambda e: trace_shape_eps(target, e), a_coeffs, exp.m,
                                 eps_sequence=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
     tr_zeta = tr_reg + 0.5 * EULER_GAMMA * delta_b.get(0, 0.0)
-    tr_grid = tuple(trace_fn(float(e)) for e in eps_grid)
+    tr_grid = tuple(trace_shape_eps(target, float(e)) for e in eps_grid)
     ref_index = 1 if len(eps_grid) > 1 else 0
     eps_ref = float(eps_grid[ref_index])
     analytic = -tr_grid[ref_index]
-    fd, _ = gateaux_fd(lambda k: 0.5 * log_det_eps(deform(target, k), eps_ref, True, tol),
+    fd, _ = gateaux_fd(lambda k: 0.5 * log_det_eps(deform(target, k), eps_ref),
                        0.0, step=1e-3)
     return CurvatureReport(
         eps_grid=tuple(float(e) for e in eps_grid),

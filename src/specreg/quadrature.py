@@ -52,6 +52,8 @@ _WG = (
 )
 _EPS = sys.float_info.epsilon
 _REL_TOL = 1e-12
+# tanh_sinh skips nodes whose weight is below this
+_MIN_WEIGHT = 1e-290
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -140,11 +142,15 @@ def tanh_sinh(
     Endpoints themselves are never evaluated: nodes that round onto a or b
     carry double-exponentially small weights and are skipped.  Returns
     (value, error_estimate); NumericError if max_level halvings end before
-    two levels agree.
+    two levels agree, or if the panel is so narrow that even the largest
+    weight, half-width * pi/2 at the centre, is below the node cutoff.
     """
     if not b > a:
         raise NumericError(f"tanh-sinh needs b > a, got [{a}, {b}]")
     half = 0.5 * (b - a)
+    if half * 0.5 * math.pi < _MIN_WEIGHT:
+        raise NumericError(f"tanh-sinh panel [{a}, {b}] is too narrow: every weight "
+                           f"is below {_MIN_WEIGHT}")
     u_max = 3.8  # tanh argument ~ pi/2*sinh(3.8) ~ 35; weights beyond are < 1e-290
 
     def node(u: float) -> tuple[float, float]:
@@ -163,7 +169,7 @@ def tanh_sinh(
         while u <= u_max:
             for su in (u, -u) if u > 0.0 else (u,):
                 x, w = node(su)
-                if w < 1e-290 or x <= a or x >= b:
+                if w < _MIN_WEIGHT or x <= a or x >= b:
                     continue
                 terms.append(w * f(x))
             u += h

@@ -40,10 +40,8 @@ from .heat_expansion import (
     remainder,
 )
 from .spectra import (
-    DEFAULT_TOL,
     ExplicitFamily,
     Spectrum,
-    Tolerance,
     heat_trace,
     min_eigenvalue,
     _lattice_runs,
@@ -67,8 +65,7 @@ def _require_primed_consistency(spec: Spectrum, exp: HeatExpansion, primed: bool
             "determinant vanishes on a kernel; use the primed (kernel-free) form")
 
 
-def log_det_eps(spec: Spectrum, eps: float, primed: bool = True,
-                tol: Tolerance = DEFAULT_TOL) -> float:
+def log_det_eps(spec: Spectrum, eps: float, primed: bool = True) -> float:
     """log of the cutoff determinant, -sum mult*E1(eps*lam).
 
     Lattice tails are certified through the Gaussian bound divided by
@@ -79,7 +76,7 @@ def log_det_eps(spec: Spectrum, eps: float, primed: bool = True,
     if not primed and spec.kernel_dim > 0:
         raise DomainError(
             "cutoff determinant vanishes on a kernel; use the primed form")
-    budget = _tail_budget(spec, tol)
+    budget = _tail_budget(spec)
     terms: list[float] = []
     for fam in spec.families:
         if isinstance(fam, ExplicitFamily):
@@ -110,8 +107,7 @@ def _mellin_upper(spec: Spectrum, s: float) -> tuple[float, float]:
         t_max = max(1.5, 45.0 / lam0, 4.0 * abs(s) / lam0)
         while heat_trace(spec, t_max) * t_max ** (s - 1.0) > 1e-20 and t_max < 1e9:
             t_max *= 1.4
-        inner = Tolerance(1e-14)
-        value, err = gauss_kronrod(lambda t: heat_trace(spec, t, inner) * t ** (s - 1.0),
+        value, err = gauss_kronrod(lambda t: heat_trace(spec, t, 1e-14) * t ** (s - 1.0),
                                    1.0, t_max, abs_tol=1e-13)
         tail = heat_trace(spec, t_max) * t_max ** (s - 1.0) / lam0
     except OverflowError as exc:
@@ -131,8 +127,7 @@ _EDGES = tuple(float(f"1e-{k}") for k in range(322, 0, -2)) + (1e-1, 1.0)
 
 
 def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
-                 method: str = "tanh-sinh",
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+                 method: str = "tanh-sinh") -> tuple[float, float]:
     """int_0^1 t^(s-1) F(t) dt with F the expansion remainder; needs s > -1.
 
     Panels cover [delta, 1] with edges at most two decades apart, starting
@@ -147,8 +142,6 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     `method` selects tanh-sinh panels (heat route) or Gauss-Kronrod panels
     (zeta route) so the two determinant routes stay numerically independent.
     """
-    if not spec.families:
-        return 0.0, 0.0
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
     # below 1/lam the series of exp(-lam*t) - 1 has no cancellation
@@ -172,7 +165,7 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     edges = [delta] + [e for e in _EDGES if e > delta]
 
     def integrand(t: float) -> float:
-        return remainder(spec, exp, t, tol) * t ** (s - 1.0)
+        return remainder(spec, exp, t) * t ** (s - 1.0)
 
     total = cutoff_value
     err = cutoff_err
@@ -188,38 +181,40 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     return total, err
 
 
+# cutoffs on which log_det_reg checks the approach to its asymptote
+_VERIFY_EPS = (1e-2, 1e-3, 1e-4)
+
+
 def _asymptote_deviations(spec: Spectrum, exp: HeatExpansion, value: float,
-                          primed: bool, tol: Tolerance,
-                          eps_seq: Sequence[float]) -> list[float]:
+                          primed: bool) -> list[float]:
     devs = []
     cts = counterterms(exp)
-    for eps in eps_seq:
+    for eps in _VERIFY_EPS:
         asymptote = value + exp.b0 * math.log(eps)
         asymptote += fsum(cts[j] * eps ** (j / exp.m) for j in cts if j < 0)
-        devs.append(abs(log_det_eps(spec, eps, primed, tol) - asymptote))
+        devs.append(abs(log_det_eps(spec, eps, primed) - asymptote))
     return devs
 
 
 def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None,
-                primed: bool = True, tol: Tolerance = DEFAULT_TOL,
-                verify_eps: Sequence[float] = (1e-2, 1e-3, 1e-4)) -> tuple[float, float]:
+                primed: bool = True) -> tuple[float, float]:
     """Heat-kernel regularised log-determinant; returns (value, error_bound).
 
     Evaluates the closed form (module docstring) and verifies the cutoff
-    asymptote on `verify_eps`, raising NumericError if the deviations grow.
+    asymptote on eps = 1e-2, 1e-3, 1e-4, raising NumericError if the
+    deviations grow.
     """
     if exp is None:
         exp = default_expansion(spec, primed)
     _require_primed_consistency(spec, exp, primed)
     upper, err_up = _mellin_upper(spec, 0.0)
-    lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh", tol)
+    lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
     value = -fsum(counterterms(exp).values()) - upper - lower
     err = err_up + err_low
-    if verify_eps:
-        devs = _asymptote_deviations(spec, exp, value, primed, tol, verify_eps)
-        if not all(math.isfinite(d) for d in devs) or devs[-1] > devs[0] + 1e-9:
-            raise NumericError(
-                f"cutoff determinant does not approach the computed asymptote: {devs}")
+    devs = _asymptote_deviations(spec, exp, value, primed)
+    if not all(math.isfinite(d) for d in devs) or devs[-1] > devs[0] + 1e-9:
+        raise NumericError(
+            f"cutoff determinant does not approach the computed asymptote: {devs}")
     _require_finite(value, err, "log_det_reg")
     return value, err
 
@@ -246,19 +241,18 @@ class RegDetReport:
 
 def build_report(spec: Spectrum, exp: HeatExpansion | None = None,
                  primed: bool = True,
-                 eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4),
-                 tol: Tolerance = DEFAULT_TOL) -> RegDetReport:
+                 eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> RegDetReport:
     """Cutoff determinants on a grid plus both regularised values."""
     if not eps_grid or any(not e > 0.0 for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive entries")
     if exp is None:
         exp = default_expansion(spec, primed)
     _require_primed_consistency(spec, exp, primed)
-    value, err = log_det_reg(spec, exp, primed, tol)
+    value, err = log_det_reg(spec, exp, primed)
     b0_primed = exp.b0 if not exp.includes_kernel else exp.b0 - spec.kernel_dim
     return RegDetReport(
         eps_grid=tuple(float(e) for e in eps_grid),
-        log_det_eps=tuple(log_det_eps(spec, float(e), primed, tol) for e in eps_grid),
+        log_det_eps=tuple(log_det_eps(spec, float(e), primed) for e in eps_grid),
         log_det_reg=value,
         log_det_zeta=-EULER_GAMMA * b0_primed + value,
         b0=b0_primed + spec.kernel_dim,

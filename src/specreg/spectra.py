@@ -36,16 +36,8 @@ from .errors import DomainError, NumericError, UnsupportedSpectrumError
 
 SQRT_PI = math.sqrt(math.pi)
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute accuracy target for certified summation (see _tail_budget)."""
-
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise DomainError("tolerances must be strictly positive")
+# absolute accuracy target of every certified lattice sum (see _tail_budget)
+ABS_TOL = 1e-12
 
 
 def _number(value: object, what: str, whole: bool = False):
@@ -56,9 +48,6 @@ def _number(value: object, what: str, whole: bool = False):
         raise DomainError(f"{what} must be {'an integer' if whole else 'a number'}, "
                           f"got {value!r}")
     return int(value) if whole else float(value)
-
-
-DEFAULT_TOL = Tolerance()
 
 
 @dataclass(frozen=True)
@@ -336,22 +325,24 @@ def _direct_run(fam: LatticeFamily, t: float, budget: float, runs=None) -> float
                 for u, _, _ in _lattice_runs(fam, t, budget, runs) for x in u)
 
 
-def _tail_budget(spec: Spectrum, tol: Tolerance) -> float:
+def _tail_budget(spec: Spectrum, abs_tol: float = ABS_TOL) -> float:
     """Truncation budget of one family's lattice tails in a sum over spec."""
-    return tol.abs_tol / (2.0 * max(1, len(spec.families)))
+    return abs_tol / (2.0 * max(1, len(spec.families)))
 
 
-def heat_trace(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
+def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
                include_kernel: bool = False) -> float:
     """tr exp(-t*B) over the positive spectrum (plus kernel_dim if asked).
 
     Direct summation, exactly rounded by math.fsum, so the order of the terms
-    does not matter; lattice tails certified below tol.abs_tol by the Gaussian
+    does not matter; lattice tails certified below abs_tol by the Gaussian
     tail bound.
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
-    budget = _tail_budget(spec, tol)
+    if not abs_tol > 0.0:
+        raise DomainError(f"heat trace requires abs_tol > 0, got {abs_tol!r}")
+    budget = _tail_budget(spec, abs_tol)
     terms: list[float] = []
     for fam in spec.families:
         if isinstance(fam, ExplicitFamily):
@@ -432,8 +423,7 @@ def _theta_rest(scale: float, shift: float, t: float) -> float:
     return prefactor * fsum(_theta_terms(scale, shift, t, 45.0))
 
 
-def heat_trace_theta(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
-                     include_kernel: bool = False) -> float:
+def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> float:
     """Same trace as heat_trace, but lattice families go through the theta
     transform.  This is the independent small-t route used for cross-checks.
 
@@ -445,7 +435,7 @@ def heat_trace_theta(spec: Spectrum, t: float, tol: Tolerance = DEFAULT_TOL,
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
-    budget = _tail_budget(spec, tol)
+    budget = _tail_budget(spec)
     parts: list[float] = []
     for kind, fam in _lattice_groups(spec):
         full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)

@@ -30,10 +30,8 @@ from .errors import DomainError, PoleError
 from .special import EULER_GAMMA, exp_integral_e1, gamma_fn, hurwitz_zeta
 from .heat_expansion import HeatExpansion
 from .spectra import (
-    DEFAULT_TOL,
     ExplicitFamily,
     Spectrum,
-    Tolerance,
     min_eigenvalue,
     _lattice_runs,
     _runs,
@@ -74,8 +72,7 @@ def _check_poles(s: float, exp: HeatExpansion) -> None:
         raise PoleError(f"s={s!r} is within 1e-6 of a Gamma pole")
 
 
-def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None,
-               tol: Tolerance = DEFAULT_TOL) -> ZetaEvaluation:
+def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None) -> ZetaEvaluation:
     """zeta_B(s) by the Mellin split; route tag "mellin-split".
 
     Rejects s within 1e-6 of the poles -j/m and of the non-positive Gamma
@@ -91,7 +88,7 @@ def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None,
     pole_part = fsum(b / (j / exp.m + s)
                      for j, b in sorted(exp.coeffs.items()) if b != 0.0)
     upper, err_up = _mellin_upper(spec, s)
-    lower, err_low = mellin_lower(spec, exp, s, "gauss-kronrod", tol)
+    lower, err_low = mellin_lower(spec, exp, s, "gauss-kronrod")
     inv_gamma = 1.0 / gamma_fn(s)
     value = inv_gamma * (pole_part + upper + lower)
     err = abs(inv_gamma) * (err_up + err_low) + 1e-15 * abs(value)
@@ -108,11 +105,15 @@ def _em_tail(scale: float, sigma: float, n_from: int, two_s: float) -> float:
     return scale ** (-two_s) * (head + b2 + b4)
 
 
-def zeta_direct(spec: Spectrum, s: float, n_terms: int = 400) -> ZetaEvaluation:
+# indices summed per lattice run by zeta_direct before its Euler-Maclaurin tail
+_DIRECT_TERMS = 400
+
+
+def zeta_direct(spec: Spectrum, s: float) -> ZetaEvaluation:
     """Truncated Dirichlet series with an Euler-Maclaurin tail; route "direct-sum".
 
     Exact for explicit spectra at any s; lattice families require s > 0.55
-    for the tail to be certified (error ~ q^(-2s-5) at q ~ n_terms).
+    for the tail to be certified (error ~ q^(-2s-5) at q ~ _DIRECT_TERMS).
     """
     parts: list[float] = []
     err = 0.0
@@ -124,7 +125,7 @@ def zeta_direct(spec: Spectrum, s: float, n_terms: int = 400) -> ZetaEvaluation:
             raise DomainError("direct summation of a lattice needs s > 0.55")
         for sigma, start, _ in _runs(fam):
             turn = max(start, math.ceil(-sigma / fam.scale) + 1)
-            stop = max(turn, start + n_terms)
+            stop = max(turn, start + _DIRECT_TERMS)
             for n in range(start, stop + 1):
                 u = fam.scale * n + sigma
                 if u != 0.0:
@@ -164,8 +165,7 @@ def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:
     return ZetaEvaluation(s=s, value=fsum(parts), error=5e-13, route="closed-form-oracle")
 
 
-def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None,
-                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None) -> tuple[float, float]:
     """zeta_B'(0) = gamma*b0' + sum_{j!=0} m*b_j/j + I1 + I0; returns (value, err).
 
     I1 through the E1-sum identity, I0 by Gauss-Kronrod panels (numerics
@@ -175,9 +175,8 @@ def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None,
         exp = default_expansion(spec, primed=True)
     if exp.includes_kernel:
         raise DomainError("zeta continuation needs a kernel-free (primed) expansion")
-    if spec.families:
-        min_eigenvalue(spec)  # NumericError before E1 meets an underflowed eigenvalue
-    budget = _tail_budget(spec, tol)
+    min_eigenvalue(spec)  # NumericError before E1 meets an underflowed eigenvalue
+    budget = _tail_budget(spec)
     e1_terms: list[float] = []
     tail_err = 0.0
     for fam in spec.families:
@@ -188,7 +187,7 @@ def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None,
             e1_terms.extend(fam.mult * exp_integral_e1(x * x) for x in u)
             tail_err += heat_tail / (u_next * u_next)
     upper = fsum(e1_terms)
-    lower, err_low = mellin_lower(spec, exp, 0.0, "gauss-kronrod", tol)
+    lower, err_low = mellin_lower(spec, exp, 0.0, "gauss-kronrod")
     value = EULER_GAMMA * exp.b0 + fsum(counterterms(exp).values()) + upper + lower
     return value, tail_err + err_low
 
@@ -210,8 +209,7 @@ class BridgeReport:
 
 
 def verify_bridge(spec: Spectrum, exp: HeatExpansion | None = None,
-                  abs_tol: float | None = None,
-                  tol: Tolerance = DEFAULT_TOL) -> BridgeReport:
+                  abs_tol: float | None = None) -> BridgeReport:
     """Check the determinant bridge on one spectrum; primed throughout.
 
     passed uses the threshold `abs_tol` when given, else twice the combined
@@ -219,8 +217,8 @@ def verify_bridge(spec: Spectrum, exp: HeatExpansion | None = None,
     """
     if exp is None:
         exp = default_expansion(spec, primed=True)
-    zp, zeta_err = zeta_prime0(spec, exp, tol)
-    heat, heat_err = log_det_reg(spec, exp, True, tol)
+    zp, zeta_err = zeta_prime0(spec, exp)
+    heat, heat_err = log_det_reg(spec, exp)
     zeta_route = -zp
     heat_route = -EULER_GAMMA * exp.b0 + heat
     discrepancy = abs(zeta_route - heat_route)

@@ -119,3 +119,10 @@ def test_tanh_sinh_unconverged_raises():
 def test_tanh_sinh_interval_validation():
     with pytest.raises(NumericError):
         tanh_sinh(lambda x: x, 1.0, 1.0)
+
+
+def test_tanh_sinh_panel_below_weight_cutoff_raises():
+    # every weight is under the node cutoff: both levels would sum to 0 and agree,
+    # although the integral is log 100
+    with pytest.raises(NumericError, match="too narrow"):
+        tanh_sinh(lambda x: 1.0 / x, 1e-300, 1e-298)

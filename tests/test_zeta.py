@@ -12,8 +12,10 @@ from specreg import (
     DomainError,
     NumericError,
     PoleError,
+    Spectrum,
     analytic_expansion,
     bridge_to_dict,
+    build_report,
     finite_spectrum,
     lattice_family,
     log_det_reg,
@@ -283,6 +285,19 @@ UNDERFLOW = lattice_family(1.0, 1e-170, "full", 1)
 def test_underflowing_smallest_eigenvalue_is_numeric_error(call):
     with pytest.raises(NumericError, match="underflows"):
         call(UNDERFLOW)
+
+
+@pytest.mark.parametrize("kernel_dim", [0, 2])
+@pytest.mark.parametrize("call", [
+    log_det_reg,
+    lambda spec: zeta_value(spec, 0.75),
+    zeta_prime0,
+    verify_bridge,
+    build_report,
+], ids=["log_det_reg", "zeta_value", "zeta_prime0", "verify_bridge", "build_report"])
+def test_empty_spectrum_is_domain_error(call, kernel_dim):
+    with pytest.raises(DomainError, match="no positive eigenvalues"):
+        call(Spectrum((), kernel_dim))
 
 
 def test_scaling_laws():
