@@ -147,6 +147,12 @@ def test_min_eigenvalue_one_sided_shift_beyond_scale():
     assert min_eigenvalue(lattice_family(2.0, 2.0)) == 16.0
 
 
+def test_tolerance_validation():
+    for abs_tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(DomainError):
+            heat_trace(ONE0, 0.1, abs_tol)
+
+
 # ---------------------------------------------------------------------------
 # heat trace values
 
@@ -173,9 +179,6 @@ def test_heat_trace_domain():
         heat_trace(ONE0, 0.0)
     with pytest.raises(DomainError):
         heat_trace_theta(ONE0, -1.0)
-    for abs_tol in (0.0, -1e-12, math.nan):
-        with pytest.raises(DomainError):
-            heat_trace(ONE0, 0.1, abs_tol)
 
 
 def test_heat_trace_kernel_inclusion():
