@@ -49,6 +49,7 @@ from .heat_expansion import (
     finite_expansion,
     fit_expansion,
     remainder,
+    remainder_fn,
     verify_remainder_bound,
 )
 from .regdet import (

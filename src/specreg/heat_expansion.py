@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import fsum
 from operator import add, mul
+from typing import Callable
 
 from .errors import DomainError, FitConditionError, UnsupportedSpectrumError
 from .spectra import (
@@ -187,14 +188,15 @@ def _one_sided_power_coeffs(scale: float, shift: float) -> tuple[float, ...]:
     return tuple(coeffs[:kept])
 
 
-def _one_sided_series(fam: LatticeFamily, t: float) -> float | None:
-    """Series value of a shifted one-sided remainder, or None out of reach."""
+def _one_sided_series(fam: LatticeFamily, coeffs: tuple[float, ...], t: float) -> float | None:
+    """Series value of a shifted one-sided remainder, or None out of reach;
+    coeffs is the family's _one_sided_power_coeffs table."""
     if _dual_decay(fam.scale, t) < 50.0:
         return None
     total = 0.0
     prev = math.inf
     power = 1.0
-    for a in _one_sided_power_coeffs(fam.scale, fam.shift):
+    for a in coeffs:
         power *= t
         term = a * power
         if abs(term) > prev:
@@ -226,8 +228,16 @@ def analytic_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
     """Exact m=2, J=2 expansion for lattice (plus explicit) spectra.
 
     With primed=True (default) b_0 excludes the kernel; coefficient
-    derivatives are populated from the families' shift derivatives.
+    derivatives are populated from the families' shift derivatives.  The
+    remainder bound C is scanned on [1e-3, 1] (_scan_remainder_bound).
     """
+    exp = _analytic_coeffs(spec, primed)
+    return replace(exp, remainder_bound=_scan_remainder_bound(spec, exp))
+
+
+def _analytic_coeffs(spec: Spectrum, primed: bool) -> HeatExpansion:
+    """analytic_expansion without the scan of C, left at 0.0: the determinant
+    and zeta routes read C only from fitted expansions."""
     b_minus1_parts: list[float] = []
     b0_parts: list[float] = []
     db0_parts: list[float] = []
@@ -247,10 +257,9 @@ def analytic_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
         b0 -= spec.kernel_dim
     coeffs = {-2: 0.0, -1: fsum(b_minus1_parts), 0: b0, 1: 0.0}
     derivs = {-2: 0.0, -1: 0.0, 0: fsum(db0_parts), 1: 0.0}
-    exp = HeatExpansion(m=2, J=2, coeffs=coeffs, source="analytic",
-                        remainder_bound=0.0, coeff_derivatives=derivs,
-                        includes_kernel=not primed)
-    return replace(exp, remainder_bound=_scan_remainder_bound(spec, exp))
+    return HeatExpansion(m=2, J=2, coeffs=coeffs, source="analytic",
+                         remainder_bound=0.0, coeff_derivatives=derivs,
+                         includes_kernel=not primed)
 
 
 def finite_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
@@ -341,71 +350,111 @@ def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
                          includes_kernel=not primed)
 
 
-def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:
-    """F(t) = tr exp(-t*B) - sum_j b_j t^(j/m).
+def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]:
+    """t -> F(t) = tr exp(-t*B) - sum_j b_j t^(j/m), for t > 0.
 
     The value is independent of the primed convention (the kernel constant
-    cancels between trace and b_0).  For analytic/finite sources the remainder
-    is evaluated from the family structure through the cancellation-free
-    identities described in the module docstring; for fitted sources it is the
-    direct difference against the fitted coefficients.
+    cancels between trace and b_0).  For analytic/finite sources F is
+    evaluated from the family structure through the cancellation-free
+    identities described in the module docstring; for fitted sources it is
+    the direct difference against the fitted coefficients.  Everything that
+    does not depend on t is resolved here, once: the pairing of one-sided
+    families, the b-coefficients and series coefficients of solo families,
+    the explicit rows, and each theta family's table of cosines.  A
+    quadrature over t builds F once and calls it at every node.
     """
-    if not t > 0.0:
-        raise DomainError(f"remainder defined for t > 0, got {t!r}")
     if exp.source == "fitted":
-        trace = heat_trace(spec, t, include_kernel=exp.includes_kernel)
-        return trace - expansion_value(exp, t)
+        def fitted(t: float) -> float:
+            if not t > 0.0:
+                raise DomainError(f"remainder defined for t > 0, got {t!r}")
+            return heat_trace(spec, t, include_kernel=exp.includes_kernel) - expansion_value(exp, t)
+
+        return fitted
     if exp.source == "finite" and any(isinstance(f, LatticeFamily) for f in spec.families):
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
-    parts: list[float] = []
-    for kind, fam in _lattice_groups(spec):
-        if kind == "pair":
-            # exact pair identity: F = mult*(theta_rest - expm1(-t*shift^2))
-            parts.append(fam.mult * (_theta_rest(fam.scale, fam.shift, t)
-                                     - math.expm1(-t * fam.shift * fam.shift)))
-        elif kind == "full":
-            parts.append(fam.mult * _theta_rest(fam.scale, fam.shift, t))
-        elif kind == "half":
-            parts.append(0.5 * fam.mult * _theta_rest(fam.scale, 0.0, t))
-        else:
+    # (kind, family, cosine table) per theta group; (family, coefficients,
+    # b_{-1}, b_0) per solo family; (lam, mult) per explicit row
+    groups = _lattice_groups(spec)
+    thetas = [(kind, fam, []) for kind, fam in groups if kind != "solo"]
+    solos = [(fam, _one_sided_power_coeffs(fam.scale, fam.shift)) + _lattice_b_contrib(fam)[:2]
+             for kind, fam in groups if kind == "solo"]
+    rows = [(lam, mult) for fam in spec.families if isinstance(fam, ExplicitFamily)
+            for lam, mult, _ in fam.values]
+
+    def value(t: float) -> float:
+        if not t > 0.0:
+            raise DomainError(f"remainder defined for t > 0, got {t!r}")
+        parts: list[float] = []
+        for kind, fam, cosines in thetas:
+            if kind == "pair":
+                # exact pair identity: F = mult*(theta_rest - expm1(-t*shift^2))
+                parts.append(fam.mult * (_theta_rest(fam.scale, fam.shift, t, cosines)
+                                         - math.expm1(-t * fam.shift * fam.shift)))
+            elif kind == "full":
+                parts.append(fam.mult * _theta_rest(fam.scale, fam.shift, t, cosines))
+            else:
+                parts.append(0.5 * fam.mult * _theta_rest(fam.scale, 0.0, t, cosines))
+        for fam, coeffs, bm1, b0 in solos:
             # solo shifted one-sided family: series at small t, else direct
-            series = _one_sided_series(fam, t)
+            series = _one_sided_series(fam, coeffs, t)
             if series is not None:
                 parts.append(series)
             else:
                 trace_fam = _direct_run(fam, t, ABS_TOL * 0.25)
-                bm1, b0, _ = _lattice_b_contrib(fam)
                 parts.append(trace_fam - bm1 / math.sqrt(t) - b0)
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            parts.extend(mult * math.expm1(-t * lam) for lam, mult, _ in fam.values)
-    return fsum(parts)
+        parts.extend(mult * math.expm1(-t * lam) for lam, mult in rows)
+        return fsum(parts)
+
+    return value
+
+
+def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:
+    """F(t) = tr exp(-t*B) - sum_j b_j t^(j/m) at one t > 0; see remainder_fn,
+    which callers evaluating F at many t should build once instead."""
+    return remainder_fn(spec, exp)(t)
+
+
+# Rounding allowance of a cutoff series per unit of k*|term_k|: the
+# coefficient (Bernoulli tables good to ~2k ulps of their larger part, or k
+# products), the k products of the running power of delta and the division
+# each cost a few ulps; the terms themselves are summed exactly rounded.
+_CUTOFF_ROUNDING = 8.0 * 2.0 ** -52
 
 
 def _one_sided_cutoff(fam: LatticeFamily, delta: float, s: float) -> tuple[float, float] | None:
+    terms: list[float] = []
     total = 0.0
     prev = math.inf
+    weighted = 0.0
+    power = delta ** s
     for k, a in enumerate(_one_sided_power_coeffs(fam.scale, fam.shift), start=1):
-        term = a * delta ** (k + s) / (k + s)
+        power *= delta
+        term = a * power / (k + s)
         if abs(term) > prev:
             return None
         prev = abs(term)
+        terms.append(term)
         total += term
+        weighted += k * abs(term)
         if abs(term) <= 1e-22 * max(1.0, abs(total)):
-            return fam.mult * total, fam.mult * abs(term)
+            return fam.mult * fsum(terms), fam.mult * (abs(term) + _CUTOFF_ROUNDING * weighted)
     return None
 
 
 def _explicit_cutoff(lam: float, mult: int, delta: float, s: float) -> tuple[float, float] | None:
     # int_0^delta t^(s-1) * (exp(-lam*t) - 1) dt, term by term
+    terms: list[float] = []
     total = 0.0
+    weighted = 0.0
     factor = 1.0
     for k in range(1, 201):
         factor *= -lam * delta / k
         term = factor * delta ** s / (k + s)
+        terms.append(term)
         total += term
+        weighted += k * abs(term)
         if abs(term) <= 1e-22 * max(1.0, abs(total)):
-            return mult * total, mult * abs(term)
+            return mult * fsum(terms), mult * (abs(term) + _CUTOFF_ROUNDING * weighted)
     return None
 
 
@@ -413,10 +462,17 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
                            s: float) -> tuple[float, float] | None:
     """int_0^delta t^(s-1) F(t) dt from the exact small-time structure.
 
-    Returns (value, error_bound), or None when some family cannot certify its
-    series at delta (mellin_lower then tries a smaller delta).  Needs s > -1.
+    Each lattice family needs its Poisson dual terms to decay at least like
+    exp(-50 k^2) at delta; a shifted one-sided family then integrates its power
+    series F = sum a_k t^k term by term, and an explicit row the series of
+    exp(-lam*t) - 1.  A series must fall below 1e-22 of its sum before its
+    terms start growing.  The error bound adds the dual terms' bound, the last
+    term of each series and its rounding allowance.  Returns (value,
+    error_bound), or None when some family cannot certify its series at delta
+    (mellin_lower then tries a smaller delta).  Any delta > 0 may be asked
+    for; the checks, not a fixed cap, decide.  Needs s > -1.
     """
-    if exp.source == "fitted" or not 0.0 < delta <= 1e-6 or not s > -1.0:
+    if exp.source == "fitted" or not 0.0 < delta or not s > -1.0:
         return None
     parts: list[float] = []
     errs: list[float] = []
@@ -452,9 +508,10 @@ def _scan_remainder_bound(spec: Spectrum, exp: HeatExpansion) -> float:
 
 def verify_remainder_bound(spec: Spectrum, exp: HeatExpansion, grid) -> float:
     """max_t |F(t)|/t over a grid; <= exp.remainder_bound when the bound holds."""
+    value = remainder_fn(spec, exp)
     worst = 0.0
     for t in grid:
-        worst = max(worst, abs(remainder(spec, exp, float(t))) / float(t))
+        worst = max(worst, abs(value(float(t))) / float(t))
     return worst
 
 

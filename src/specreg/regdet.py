@@ -34,10 +34,10 @@ from .quadrature import gauss_kronrod, tanh_sinh
 from .special import EULER_GAMMA, exp_integral_e1
 from .heat_expansion import (
     HeatExpansion,
-    analytic_expansion,
     finite_expansion,
     mellin_cutoff_integral,
-    remainder,
+    remainder_fn,
+    _analytic_coeffs,
 )
 from .spectra import (
     ExplicitFamily,
@@ -50,10 +50,12 @@ from .spectra import (
 
 
 def default_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
-    """finite_expansion for explicit-only spectra, analytic_expansion otherwise."""
+    """finite_expansion for explicit-only spectra, otherwise the coefficients of
+    analytic_expansion without its scan of the remainder bound, which nothing
+    reads for an analytic source (remainder_bound is left at 0.0)."""
     if spec.families and all(isinstance(f, ExplicitFamily) for f in spec.families):
         return finite_expansion(spec, primed=primed)
-    return analytic_expansion(spec, primed=primed)
+    return _analytic_coeffs(spec, primed)
 
 
 def _require_primed_consistency(spec: Spectrum, exp: HeatExpansion, primed: bool) -> None:
@@ -99,21 +101,35 @@ def _mellin_upper(spec: Spectrum, s: float) -> tuple[float, float]:
     Gauss-Kronrod on [1, t_max] plus the tail bound
     t_max^(s-1) tr exp(-t_max*B) / lam0.  t_max starts at
     max(1.5, 45/lam0, 4|s|/lam0) and grows by 1.4 until the integrand is
-    below 1e-20 or t_max reaches 1e9.  A smallest eigenvalue lam0 so small
-    that t^(s-1) overflows before the trace decays raises NumericError.
+    below 1e-20 or t_max reaches 1e9.  [1, t_max] is split at 1, 2, 4, ..,
+    and each panel integrated to its share of the 1e-13 target: one 21-point
+    panel over [1, t_max] can undersample the fast exp(-lam t) decay of the
+    low eigenvalues next to t = 1 while its Gauss and Kronrod values still
+    agree, and then states an error far below the true one.  A smallest
+    eigenvalue lam0 so small that t^(s-1) overflows before the trace decays
+    raises NumericError.
     """
     lam0 = min_eigenvalue(spec)
+
+    def integrand(t: float) -> float:
+        return heat_trace(spec, t, 1e-14) * t ** (s - 1.0)
+
     try:
         t_max = max(1.5, 45.0 / lam0, 4.0 * abs(s) / lam0)
         while heat_trace(spec, t_max) * t_max ** (s - 1.0) > 1e-20 and t_max < 1e9:
             t_max *= 1.4
-        value, err = gauss_kronrod(lambda t: heat_trace(spec, t, 1e-14) * t ** (s - 1.0),
-                                   1.0, t_max, abs_tol=1e-13)
+        edges = [1.0]
+        while 2.0 * edges[-1] < t_max:
+            edges.append(2.0 * edges[-1])
+        edges.append(t_max)
+        share = 1e-13 / (len(edges) - 1)
+        panels = [gauss_kronrod(integrand, a, b, abs_tol=share)
+                  for a, b in zip(edges[:-1], edges[1:])]
         tail = heat_trace(spec, t_max) * t_max ** (s - 1.0) / lam0
     except OverflowError as exc:
         raise NumericError(f"smallest eigenvalue {lam0!r} is too small: t^(s-1) tr exp(-t*B) "
                            f"at s={s!r} overflows before it decays") from exc
-    return value, err + tail
+    return fsum(value for value, _ in panels), fsum(err for _, err in panels) + tail
 
 
 def _require_finite(value: float, err: float, what: str) -> None:
@@ -124,48 +140,56 @@ def _require_finite(value: float, err: float, what: str) -> None:
 
 # mellin_lower's panel edges above delta: every second decade up to 1e-2
 _EDGES = tuple(float(f"1e-{k}") for k in range(322, 0, -2)) + (1e-1, 1.0)
+# the deltas mellin_lower tries for the series closure of [0, delta], largest
+# first, and how many of them: without explicit rows, 1e-2 down to 1e-30
+_DELTAS = tuple(float(f"1e-{k}") for k in range(2, 324))
+_DELTA_TRIES = 29
 
 
 def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
                  method: str = "tanh-sinh") -> tuple[float, float]:
     """int_0^1 t^(s-1) F(t) dt with F the expansion remainder; needs s > -1.
 
-    Panels cover [delta, 1] with edges at most two decades apart, starting
-    from delta = min(1e-10, 1/lam) over the explicit rows lam.  The gap to
-    t = 0 is closed with the exact small-time series integral of an analytic
-    or finite expansion; where some family cannot certify its series at
-    delta, delta shrinks by factors of 100, at most ten times, and after that
+    [0, delta] is closed with the exact small-time series integral of an
+    analytic or finite expansion (mellin_cutoff_integral), at the largest
+    decade delta <= 1e-2 where every family certifies its series; delta also
+    stays at or below 1/lam over the explicit rows lam, where the series of
+    exp(-lam*t) - 1 has no cancellation.  If none of 29 decades certifies,
     NumericError is raised.  Only a fitted expansion, which has no series,
-    closes the gap with its remainder bound C*delta^(s+1)/(s+1).  Starting
-    the panels at delta keeps the t^s endpoint behaviour of F(t) t^(s-1) out
-    of the quadrature, which matters for Gauss-Kronrod as s approaches -1.
-    `method` selects tanh-sinh panels (heat route) or Gauss-Kronrod panels
-    (zeta route) so the two determinant routes stay numerically independent.
+    closes the gap with its remainder bound C*delta^(s+1)/(s+1) at delta =
+    min(1e-10, 1/lam).  Panels cover [delta, 1] with edges at most two
+    decades apart.  Starting the panels at delta keeps the t^s endpoint
+    behaviour of F(t) t^(s-1) out of the quadrature, which matters for
+    Gauss-Kronrod as s approaches -1.  F is built once (remainder_fn) and
+    evaluated at every node.  `method` selects tanh-sinh panels (heat route)
+    or Gauss-Kronrod panels (zeta route) so the two determinant routes stay
+    numerically independent.
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
-    # below 1/lam the series of exp(-lam*t) - 1 has no cancellation
     lam_max = max((lam for fam in spec.families if isinstance(fam, ExplicitFamily)
                    for lam, _, _ in fam.values), default=0.0)
-    delta = min(1e-10, 1.0 / lam_max) if lam_max > 0.0 else 1e-10
     if exp.source == "fitted":
+        delta = min(1e-10, 1.0 / lam_max) if lam_max > 0.0 else 1e-10
         cutoff_value = 0.0
         cutoff_err = exp.remainder_bound * delta ** (s + 1.0) / (s + 1.0)
     else:
-        for _ in range(11):
+        deltas = [d for d in _DELTAS if d * lam_max <= 1.0][:_DELTA_TRIES]
+        for delta in deltas:
             cut = mellin_cutoff_integral(spec, exp, delta, s)
             if cut is not None:
                 break
-            delta /= 100.0
         else:
             raise NumericError(
                 f"the small-time series does not certify [0, delta] for delta "
-                f"down to {100.0 * delta!r}")
+                f"down to {deltas[-1]!r}")
         cutoff_value, cutoff_err = cut
     edges = [delta] + [e for e in _EDGES if e > delta]
 
+    remainder = remainder_fn(spec, exp)
+
     def integrand(t: float) -> float:
-        return remainder(spec, exp, t) * t ** (s - 1.0)
+        return remainder(t) * t ** (s - 1.0)
 
     total = cutoff_value
     err = cutoff_err
@@ -185,15 +209,29 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
 _VERIFY_EPS = (1e-2, 1e-3, 1e-4)
 
 
-def _asymptote_deviations(spec: Spectrum, exp: HeatExpansion, value: float,
-                          primed: bool) -> list[float]:
-    devs = []
+def _log_det_reg(spec: Spectrum, exp: HeatExpansion | None,
+                 primed: bool) -> tuple[float, float, dict[float, float]]:
+    """log_det_reg's (value, error) and the cutoff determinants, by eps, on
+    which it checked the asymptote."""
+    if exp is None:
+        exp = default_expansion(spec, primed)
+    _require_primed_consistency(spec, exp, primed)
+    upper, err_up = _mellin_upper(spec, 0.0)
+    lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
     cts = counterterms(exp)
-    for eps in _VERIFY_EPS:
+    value = -fsum(cts.values()) - upper - lower
+    err = err_up + err_low
+    dets = {eps: log_det_eps(spec, eps, primed) for eps in _VERIFY_EPS}
+    devs = []
+    for eps, det in dets.items():
         asymptote = value + exp.b0 * math.log(eps)
         asymptote += fsum(cts[j] * eps ** (j / exp.m) for j in cts if j < 0)
-        devs.append(abs(log_det_eps(spec, eps, primed) - asymptote))
-    return devs
+        devs.append(abs(det - asymptote))
+    if not all(math.isfinite(d) for d in devs) or devs[-1] > devs[0] + 1e-9:
+        raise NumericError(
+            f"cutoff determinant does not approach the computed asymptote: {devs}")
+    _require_finite(value, err, "log_det_reg")
+    return value, err, dets
 
 
 def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None,
@@ -204,18 +242,7 @@ def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None,
     asymptote on eps = 1e-2, 1e-3, 1e-4, raising NumericError if the
     deviations grow.
     """
-    if exp is None:
-        exp = default_expansion(spec, primed)
-    _require_primed_consistency(spec, exp, primed)
-    upper, err_up = _mellin_upper(spec, 0.0)
-    lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
-    value = -fsum(counterterms(exp).values()) - upper - lower
-    err = err_up + err_low
-    devs = _asymptote_deviations(spec, exp, value, primed)
-    if not all(math.isfinite(d) for d in devs) or devs[-1] > devs[0] + 1e-9:
-        raise NumericError(
-            f"cutoff determinant does not approach the computed asymptote: {devs}")
-    _require_finite(value, err, "log_det_reg")
+    value, err, _ = _log_det_reg(spec, exp, primed)
     return value, err
 
 
@@ -247,12 +274,12 @@ def build_report(spec: Spectrum, exp: HeatExpansion | None = None,
         raise DomainError("eps grid must be non-empty with positive entries")
     if exp is None:
         exp = default_expansion(spec, primed)
-    _require_primed_consistency(spec, exp, primed)
-    value, err = log_det_reg(spec, exp, primed)
+    value, err, dets = _log_det_reg(spec, exp, primed)
     b0_primed = exp.b0 if not exp.includes_kernel else exp.b0 - spec.kernel_dim
+    grid = tuple(float(e) for e in eps_grid)
     return RegDetReport(
-        eps_grid=tuple(float(e) for e in eps_grid),
-        log_det_eps=tuple(log_det_eps(spec, float(e), primed) for e in eps_grid),
+        eps_grid=grid,
+        log_det_eps=tuple(dets[e] if e in dets else log_det_eps(spec, e, primed) for e in grid),
         log_det_reg=value,
         log_det_zeta=-EULER_GAMMA * b0_primed + value,
         b0=b0_primed + spec.kernel_dim,

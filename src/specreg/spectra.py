@@ -394,17 +394,25 @@ def _dual_decay(scale: float, t: float) -> float:
     return math.pi * math.pi / (scale * scale * t)
 
 
-def _theta_terms(scale: float, shift: float, t: float, log_target: float) -> list[float]:
+def _theta_terms(scale: float, shift: float, t: float, log_target: float,
+                 cosines: list[float] | None = None) -> list[float]:
     """Dual terms 2*exp(-decay*k^2)*cos(2*pi*k*shift/scale), k = 1..k_max past
     exp(-log_target), of sum_{n in Z} exp(-t*(scale*n + shift)^2) =
     sqrt(pi)/(scale*sqrt(t)) * (1 + sum_k dual_k).  They fall double-
     exponentially for small t, exactly where direct summation is expensive.
+
+    `cosines`, when given, is a table of cos(2*pi*k*shift/scale) for k = 1, 2,
+    .. that one family reuses across many t; it is extended here as far as
+    k_max needs.
     """
     decay = _dual_decay(scale, t)
     k_max = max(2, math.ceil(math.sqrt(max(log_target, 1.0) / decay)) + 2)
-    angle = 2.0 * math.pi * shift / scale
-    return [2.0 * math.exp(-decay * k * k) * math.cos(angle * k)
-            for k in range(1, k_max + 1)]
+    if cosines is None:
+        cosines = []
+    if len(cosines) < k_max:
+        angle = 2.0 * math.pi * shift / scale
+        cosines.extend(math.cos(angle * k) for k in range(len(cosines) + 1, k_max + 1))
+    return [2.0 * math.exp(-decay * k * k) * cosines[k - 1] for k in range(1, k_max + 1)]
 
 
 def _theta_full(scale: float, shift: float, t: float, budget: float) -> float:
@@ -415,12 +423,13 @@ def _theta_full(scale: float, shift: float, t: float, budget: float) -> float:
     return prefactor * fsum([1.0] + _theta_terms(scale, shift, t, log_target))
 
 
-def _theta_rest(scale: float, shift: float, t: float) -> float:
+def _theta_rest(scale: float, shift: float, t: float, cosines: list[float]) -> float:
     """sum_{n in Z} exp(-t*(scale*n+shift)^2) - sqrt(pi)/(scale*sqrt(t)) from
     the dual terms down to exp(-45), without cancellation; it is exponentially
-    small for t*scale^2 << pi^2."""
+    small for t*scale^2 << pi^2.  `cosines` is the family's table, as in
+    _theta_terms."""
     prefactor = SQRT_PI / (scale * math.sqrt(t))
-    return prefactor * fsum(_theta_terms(scale, shift, t, 45.0))
+    return prefactor * fsum(_theta_terms(scale, shift, t, 45.0, cosines))
 
 
 def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> float:

@@ -24,9 +24,11 @@ from specreg import (
     heat_trace,
     lattice_family,
     remainder,
+    remainder_fn,
     verify_remainder_bound,
 )
 from specreg.heat_expansion import _one_sided_power_coeffs, mellin_cutoff_integral
+from specreg.regdet import default_expansion
 
 mp.mp.dps = 30
 
@@ -266,6 +268,20 @@ def test_pair_identity_matches_solo_remainders():
         assert remainder(pair, exp_pair, t) == pytest.approx(solo, abs=1e-13)
 
 
+def test_remainder_fn_reuses_its_tables():
+    # one F across t in any order, its cosine tables growing with t, gives
+    # the values of a fresh evaluation at each t
+    spec = compose(lattice_family(30.0, 7.0, "full", 2), ONEPI3,
+                   lattice_family(TWO_PI, -math.pi / 3.0, "positive", 1),
+                   lattice_family(9.0, 0.0, "positive", 1), lattice_family(1.3, 0.4), FIN23)
+    exp = analytic_expansion(spec)
+    f = remainder_fn(spec, exp)
+    for t in (1e-4, 1.0, 1e-3, 0.3, 1e-4, 2.5):
+        assert f(t) == remainder(spec, exp, t)
+    with pytest.raises(DomainError):
+        f(0.0)
+
+
 def test_remainder_bound_holds_on_grid():
     for spec in (ONE0, ONEPI, FULLPI):
         exp = analytic_expansion(spec)
@@ -365,7 +381,8 @@ def test_cutoff_integral_full_lattice_zero():
 
 def test_cutoff_integral_out_of_reach():
     exp = analytic_expansion(ONEPI)
-    assert mellin_cutoff_integral(ONEPI, exp, 1e-3, 0.0) is None
+    # at delta = 1e-1 the dual terms decay only like exp(-2.5 k^2)
+    assert mellin_cutoff_integral(ONEPI, exp, 1e-1, 0.0) is None
     assert mellin_cutoff_integral(ONEPI, exp, 1e-10, -1.0) is None
     fit = fit_expansion(ONE0, FIT_GRID)
     assert mellin_cutoff_integral(ONE0, fit, 1e-10, 0.0) is None
@@ -387,3 +404,96 @@ def test_expansion_from_dict_malformed():
         expansion_from_dict({"m": 2})
     with pytest.raises(DomainError):
         expansion_from_dict({"m": 2, "J": 2, "coeffs": "nope"})
+
+
+# ---------------------------------------------------------------------------
+# cutoff integrals at the largest certified delta, against mpmath oracles that
+# never go through the small-time series
+
+
+CUTOFF_S = [-0.9, 0.0, 0.75, 3.0]
+DECADES = [float(f"1e-{k}") for k in range(2, 31)]
+
+
+def _certified(spec, s):
+    """(delta, value, error) at the largest decade <= 1e-2 that certifies."""
+    exp = default_expansion(spec)
+    return next((d,) + got for d in DECADES
+                if (got := mellin_cutoff_integral(spec, exp, d, s)) is not None)
+
+
+def _mp_cutoff(f, s: float, delta: float):
+    """int_0^delta t^(s-1) f(t) dt by mp.quad.  For s < 0, t = u^p with
+    p = 1/(1+s) turns the t^s behaviour at t = 0 into a smooth integrand."""
+    s = mp.mpf(s)
+    p = 1 / (1 + s) if s < 0 else mp.mpf(1)
+    return mp.quad(lambda u: p * u ** (p * s - 1) * f(u ** p), [0, mp.mpf(delta) ** (1 / p)])
+
+
+@pytest.mark.parametrize("s", CUTOFF_S)
+def test_cutoff_integral_shifted_one_sided_against_quad(s):
+    # for shift pi, scale 2 pi the eigenvalues are the odd multiples 3 pi, 5 pi, ..
+    # of pi, so F = -expm1(-pi^2 t) + (dual terms of the full odd lattice)/2,
+    # and those are below 1e-100 on (0, 1e-3]
+    delta, value, err = _certified(ONEPI, s)
+    assert delta == 1e-3
+    ref = _mp_cutoff(lambda t: -mp.expm1(-mp.pi ** 2 * t), s, delta)
+    assert abs(value - float(ref)) <= err
+
+
+@pytest.mark.parametrize("s", CUTOFF_S)
+def test_cutoff_integral_explicit_against_quad(s):
+    delta, value, err = _certified(FIN23, s)
+    assert delta == 1e-2
+    ref = _mp_cutoff(lambda t: mp.expm1(-2 * t) + mp.expm1(-3 * t), s, delta)
+    assert abs(value - float(ref)) <= err
+
+
+FULL44 = lattice_family(4.4, 0.5, "full", 1)
+
+
+@pytest.mark.parametrize("s", CUTOFF_S)
+def test_cutoff_integral_full_lattice_against_quad(s):
+    # the dual terms decay like exp(-51 k^2) at delta = 1e-2, barely certified;
+    # below t = 3.4e-3 F itself is under 1e-60, so the quadrature starts there
+    delta, value, err = _certified(FULL44, s)
+    assert delta == 1e-2 and value == 0.0
+    with mp.workdps(40):
+        c, shift = mp.mpf(4.4), mp.mpf(0.5)
+
+        def f(t):
+            n_max = int(mp.sqrt(250 / t) / c) + 2
+            return (mp.fsum(mp.exp(-t * (c * n + shift) ** 2) for n in range(-n_max, n_max + 1))
+                    - mp.sqrt(mp.pi) / (c * mp.sqrt(t)))
+
+        ref = mp.quad(lambda t: t ** (s - 1) * f(t), [mp.mpf("3.4e-3"), delta])
+    assert 0.0 < ref <= err
+
+
+def _identity_cutoff(scale: float, shift: float, s: float, delta: float):
+    """int_0^delta t^(s-1) F(t) dt of a one-sided family from its zeta function:
+    Gamma(s) zeta_B(s) less the part above delta, sum lam^(-s) Gamma(s, lam*delta),
+    and the two expansion terms b_j delta^(s+j/2)/(s+j/2).  s = 0 is taken as
+    s = 1e-20, where the poles of Gamma(s) and of b_0/s cancel at 45 digits."""
+    with mp.workdps(45):
+        c, d = mp.mpf(scale), mp.mpf(delta)
+        q = 1 + mp.mpf(shift) / c
+        s = mp.mpf(s) if s != 0.0 else mp.mpf("1e-20")
+        total = mp.gamma(s) * c ** (-2 * s) * mp.zeta(2 * s, q)
+        n = 1
+        while (lam := (c * (n - 1 + q)) ** 2) * d <= 110:
+            total -= lam ** (-s) * mp.gammainc(s, lam * d)
+            n += 1
+        total -= mp.sqrt(mp.pi) / (2 * c) * d ** (s - mp.mpf(0.5)) / (s - mp.mpf(0.5))
+        total -= (mp.mpf(0.5) - q) * d ** s / s
+        return +total
+
+
+@pytest.mark.parametrize("s", CUTOFF_S)
+@pytest.mark.parametrize("scale, shift", [(TWO_PI, math.pi / 3.0), (1.3, 0.4), (2.2, -0.5),
+                                          (1.0, 2.7)])
+def test_cutoff_integral_one_sided_against_zeta_identity(scale, shift, s):
+    spec = lattice_family(scale, shift, "positive", 1)
+    delta, value, err = _certified(spec, s)
+    assert delta >= 1e-3
+    assert abs(value - float(_identity_cutoff(scale, shift, s, delta))) <= err

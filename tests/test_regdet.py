@@ -24,7 +24,9 @@ from specreg import (
     reg_limit_trace,
     report_to_dict,
 )
-from specreg.regdet import mellin_lower
+from specreg import regdet
+from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
+from specreg.regdet import default_expansion, mellin_lower
 
 mp.mp.dps = 30
 
@@ -151,6 +153,7 @@ def test_log_det_reg_primed_mismatch():
 def test_build_report_consistency():
     report = build_report(ONEPI)
     assert report.log_det_zeta == -EULER_GAMMA * report.b0_primed + report.log_det_reg
+    assert report.log_det_eps == tuple(log_det_eps(ONEPI, e) for e in report.eps_grid)
     assert report.b0 == report.b0_primed + report.kernel_dim
     assert report.b0_primed == pytest.approx(-1.0, abs=1e-15)
     assert report.eps_grid == (1e-1, 1e-2, 1e-3, 1e-4)
@@ -239,3 +242,43 @@ def test_mellin_lower_validation():
         mellin_lower(ONEPI, exp, 0.0, method="simpson")
     with pytest.raises(DomainError):
         mellin_lower(ONEPI, exp, -1.5)
+
+
+def test_default_expansion_skips_the_remainder_scan():
+    # the same coefficients as analytic_expansion; only the scanned C, which
+    # nothing reads for an analytic source, is left out
+    spec = compose(ONEPI, FULLPI3, finite_spectrum([(5.0, 2)]))
+    full = analytic_expansion(spec)
+    assert full.remainder_bound > 0.0
+    assert default_expansion(spec) == HeatExpansion(
+        m=full.m, J=full.J, coeffs=full.coeffs, source="analytic", remainder_bound=0.0,
+        coeff_derivatives=full.coeff_derivatives, includes_kernel=full.includes_kernel)
+
+
+BUILTINS = (
+    FIN23, ONE0, ONEPI, FULLPI3, FULLPI,
+    orbit_spectrum(LoopGroupOrbitSpec(1, ((1.0,),), (1.0,), 0.25), primed=True),
+    orbit_spectrum(LoopGroupOrbitSpec(2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4), 0.2), primed=True),
+)
+
+
+def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch):
+    # both routes at s = 0 on the seven built-in spectra: 5405 evaluations
+    # while the series closed only [0, 1e-10], 4144 with [0, delta] up to 1e-2
+    calls = [0]
+
+    def counted(rule):
+        def run(f, a, b, **kwargs):
+            def g(t):
+                calls[0] += 1
+                return f(t)
+            return rule(g, a, b, **kwargs)
+        return run
+
+    monkeypatch.setattr(regdet, "tanh_sinh", counted(regdet.tanh_sinh))
+    monkeypatch.setattr(regdet, "gauss_kronrod", counted(regdet.gauss_kronrod))
+    for spec in BUILTINS:
+        exp = default_expansion(spec)
+        for method in ("tanh-sinh", "gauss-kronrod"):
+            mellin_lower(spec, exp, 0.0, method)
+    assert calls[0] <= 4300

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -95,6 +96,30 @@ def test_routes_agree(spec, s):
         assert abs(d.value - cf.value) <= d.error + cf.error + 1e-13
 
 
+def _full_oracle(scale: float, shift: float, s: float) -> float:
+    """Hurwitz closed form of a full lattice with q = |shift|/scale formed exactly."""
+    q = abs(mp.mpf(shift)) / mp.mpf(scale)
+    s2 = 2 * mp.mpf(s)
+    return float(mp.mpf(scale) ** -s2 * (mp.zeta(s2, q) + mp.zeta(s2, 1 - q)))
+
+
+def test_full_lattice_zeta_sweep_within_error():
+    # the upper Mellin integral of lattices like the first one used to state
+    # an error of 2e-12 while being 1.3e-9 off
+    rng = random.Random(20261018)
+    cases = [(4.4484676023112915, 0.2750486877340886)] + [
+        (scale, rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.45) * scale)
+        for scale in (rng.uniform(2.0, 7.0) for _ in range(24))]
+    misses = []
+    for scale, shift in cases:
+        spec = lattice_family(scale, shift, "full", 1)
+        for s in (-0.9, 0.003, 1.0, 2.0, 3.0):
+            got = zeta_value(spec, s)
+            if not abs(got.value - _full_oracle(scale, shift, s)) <= got.error:
+                misses.append((scale, shift, s))
+    assert misses == []
+
+
 def test_route_tags():
     assert zeta_value(FIN23, 2.0).route == "mellin-split"
     assert zeta_direct(FIN23, 2.0).route == "direct-sum"
@@ -158,9 +183,13 @@ def test_tiny_eigenvalue_zeta_within_error():
     assert abs(got.value - oracle) <= got.error
 
 
-def test_tiny_eigenvalue_log_det_reg_raises():
-    with pytest.raises(NumericError):
-        log_det_reg(TINY)
+def test_tiny_eigenvalue_log_det_reg_sine_formula():
+    # a shifted full lattice has b0' = 0 and log det_reg = log(4 sin^2(pi q));
+    # here that is -517.78, nearly all of it from the upper Mellin integral
+    # over t up to 45/lam0 ~ 6e226
+    q = mp.mpf(2.68e-113) / mp.mpf(4.585)
+    value, err = log_det_reg(TINY)
+    assert abs(value - float(mp.log(4 * mp.sin(mp.pi * q) ** 2))) <= err <= 1e-11
 
 
 # ---------------------------------------------------------------------------
