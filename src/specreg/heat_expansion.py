@@ -42,13 +42,11 @@ from typing import Callable
 from .errors import DomainError, FitConditionError, UnsupportedSpectrumError
 from .spectra import (
     ABS_TOL,
-    ExplicitFamily,
     LatticeFamily,
     Spectrum,
     heat_trace,
     _direct_run,
     _dual_decay,
-    _lattice_groups,
     _theta_rest,
 )
 
@@ -238,25 +236,15 @@ def analytic_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
 def _analytic_coeffs(spec: Spectrum, primed: bool) -> HeatExpansion:
     """analytic_expansion without the scan of C, left at 0.0: the determinant
     and zeta routes read C only from fitted expansions."""
-    b_minus1_parts: list[float] = []
-    b0_parts: list[float] = []
-    db0_parts: list[float] = []
-    for fam in spec.families:
-        if isinstance(fam, LatticeFamily):
-            bm1, b0, db0 = _lattice_b_contrib(fam)
-            b_minus1_parts.append(bm1)
-            b0_parts.append(b0)
-            db0_parts.append(db0)
-        elif isinstance(fam, ExplicitFamily):
-            b0_parts.append(float(sum(mult for _, mult, _ in fam.values)))
-        else:
-            raise UnsupportedSpectrumError(f"cannot expand family {type(fam).__name__}")
-    # kernel-inclusive b_0 counts zero modes with weight 1 (exp(0) = 1)
-    b0 = fsum(b0_parts) + spec.kernel_dim
+    contribs = [_lattice_b_contrib(fam) for fam in spec.lattices]
+    # each explicit row adds its multiplicity to b_0, and the kernel-inclusive
+    # b_0 counts zero modes with weight 1 too (exp(0) = 1)
+    explicit = sum(mult for _, mult, _ in spec.rows)
+    b0 = fsum([b for _, b, _ in contribs] + [explicit]) + spec.kernel_dim
     if primed:
         b0 -= spec.kernel_dim
-    coeffs = {-2: 0.0, -1: fsum(b_minus1_parts), 0: b0, 1: 0.0}
-    derivs = {-2: 0.0, -1: 0.0, 0: fsum(db0_parts), 1: 0.0}
+    coeffs = {-2: 0.0, -1: fsum(bm1 for bm1, _, _ in contribs), 0: b0, 1: 0.0}
+    derivs = {-2: 0.0, -1: 0.0, 0: fsum(db0 for _, _, db0 in contribs), 1: 0.0}
     return HeatExpansion(m=2, J=2, coeffs=coeffs, source="analytic",
                          remainder_bound=0.0, coeff_derivatives=derivs,
                          includes_kernel=not primed)
@@ -264,14 +252,13 @@ def _analytic_coeffs(spec: Spectrum, primed: bool) -> HeatExpansion:
 
 def finite_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
     """Exact m=1, J=1 expansion for explicit spectra; C = sum mult*lam."""
+    if spec.lattices:
+        raise UnsupportedSpectrumError("finite_expansion needs an explicit spectrum")
     total = 0
     c_bound = 0.0
-    for fam in spec.families:
-        if not isinstance(fam, ExplicitFamily):
-            raise UnsupportedSpectrumError("finite_expansion needs an explicit spectrum")
-        for lam, mult, _ in fam.values:
-            total += mult
-            c_bound += mult * lam
+    for lam, mult, _ in spec.rows:
+        total += mult
+        c_bound += mult * lam
     b0 = float(total) + (0 if primed else spec.kernel_dim)
     return HeatExpansion(m=1, J=1, coeffs={-1: 0.0, 0: b0}, source="finite",
                          remainder_bound=c_bound,
@@ -357,11 +344,12 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
     cancels between trace and b_0).  For analytic/finite sources F is
     evaluated from the family structure through the cancellation-free
     identities described in the module docstring; for fitted sources it is
-    the direct difference against the fitted coefficients.  Everything that
-    does not depend on t is resolved here, once: the pairing of one-sided
-    families, the b-coefficients and series coefficients of solo families,
-    the explicit rows, and each theta family's table of cosines.  A
-    quadrature over t builds F once and calls it at every node.
+    the direct difference against the fitted coefficients.  The pairing of
+    one-sided families and the explicit rows come from the spectrum's views
+    (Spectrum.groups, Spectrum.rows); the b-coefficients and series
+    coefficients of solo families and each theta family's table of cosines
+    are resolved here, once.  A quadrature over t builds F once and calls it
+    at every node.
     """
     if exp.source == "fitted":
         def fitted(t: float) -> float:
@@ -370,16 +358,13 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
             return heat_trace(spec, t, include_kernel=exp.includes_kernel) - expansion_value(exp, t)
 
         return fitted
-    if exp.source == "finite" and any(isinstance(f, LatticeFamily) for f in spec.families):
+    if exp.source == "finite" and spec.lattices:
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
     # (kind, family, cosine table) per theta group; (family, coefficients,
-    # b_{-1}, b_0) per solo family; (lam, mult) per explicit row
-    groups = _lattice_groups(spec)
-    thetas = [(kind, fam, []) for kind, fam in groups if kind != "solo"]
+    # b_{-1}, b_0) per solo family
+    thetas = [(kind, fam, []) for kind, fam in spec.groups if kind != "solo"]
     solos = [(fam, _one_sided_power_coeffs(fam.scale, fam.shift)) + _lattice_b_contrib(fam)[:2]
-             for kind, fam in groups if kind == "solo"]
-    rows = [(lam, mult) for fam in spec.families if isinstance(fam, ExplicitFamily)
-            for lam, mult, _ in fam.values]
+             for kind, fam in spec.groups if kind == "solo"]
 
     def value(t: float) -> float:
         if not t > 0.0:
@@ -402,7 +387,7 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
             else:
                 trace_fam = _direct_run(fam, t, ABS_TOL * 0.25)
                 parts.append(trace_fam - bm1 / math.sqrt(t) - b0)
-        parts.extend(mult * math.expm1(-t * lam) for lam, mult in rows)
+        parts.extend(mult * math.expm1(-t * lam) for lam, mult, _ in spec.rows)
         return fsum(parts)
 
     return value
@@ -476,28 +461,26 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
         return None
     parts: list[float] = []
     errs: list[float] = []
-    for fam in spec.families:
-        if isinstance(fam, LatticeFamily):
-            decay = _dual_decay(fam.scale, delta)
-            if decay < 50.0:
-                return None
-            # dual terms contribute below prefactor*exp(-decay) on (0, delta]
-            prefactor = fam.mult * SQRT_PI / (fam.scale * math.sqrt(delta))
-            errs.append(2.0 * prefactor * math.exp(-decay) * delta ** s)
-            if fam.side == "full" or fam.shift == 0.0:
-                continue
-            got = _one_sided_cutoff(fam, delta, s)
-            if got is None:
-                return None
-            parts.append(got[0])
-            errs.append(got[1])
-        else:
-            for lam, mult, _ in fam.values:
-                got = _explicit_cutoff(lam, mult, delta, s)
-                if got is None:
-                    return None
-                parts.append(got[0])
-                errs.append(got[1])
+    for fam in spec.lattices:
+        decay = _dual_decay(fam.scale, delta)
+        if decay < 50.0:
+            return None
+        # dual terms contribute below prefactor*exp(-decay) on (0, delta]
+        prefactor = fam.mult * SQRT_PI / (fam.scale * math.sqrt(delta))
+        errs.append(2.0 * prefactor * math.exp(-decay) * delta ** s)
+        if fam.side == "full" or fam.shift == 0.0:
+            continue
+        got = _one_sided_cutoff(fam, delta, s)
+        if got is None:
+            return None
+        parts.append(got[0])
+        errs.append(got[1])
+    for lam, mult, _ in spec.rows:
+        got = _explicit_cutoff(lam, mult, delta, s)
+        if got is None:
+            return None
+        parts.append(got[0])
+        errs.append(got[1])
     return fsum(parts), fsum(errs) + 1e-18
 
 

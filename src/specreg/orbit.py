@@ -29,7 +29,6 @@ from typing import Sequence, Union
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
 from .special import EULER_GAMMA, TWO_PI
 from .spectra import (
-    ExplicitFamily,
     Spectrum,
     compose,
     deform,
@@ -117,12 +116,9 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float) -> float:
     if not eps > 0.0:
         raise DomainError(f"shape trace requires eps > 0, got {eps!r}")
     budget = _tail_budget(target)
-    terms: list[float] = []
-    for fam in target.families:
-        if isinstance(fam, ExplicitFamily):
-            terms.extend(-0.5 * mult * (deriv / lam) * math.exp(-eps * lam)
-                         for lam, mult, deriv in fam.values)
-            continue
+    terms = [-0.5 * mult * (deriv / lam) * math.exp(-eps * lam)
+             for lam, mult, deriv in target.rows]
+    for fam in target.lattices:
         if fam.shift_derivative == 0.0:
             continue
         for u, _, _ in _lattice_runs(fam, eps, budget):
@@ -146,7 +142,7 @@ def vol_reg(ospec: LoopGroupOrbitSpec) -> float:
 def vol_zeta(ospec: LoopGroupOrbitSpec) -> float:
     """Zeta-regularised volume sqrt(Det'_reg) = e^(-gamma*b0'/2) * vol_reg."""
     spec = orbit_spectrum(ospec, True)
-    exp = default_expansion(spec, primed=True)
+    exp = default_expansion(spec)
     value, _ = log_det_reg(spec, exp)
     return math.exp(0.5 * (-EULER_GAMMA * exp.b0 + value))
 
@@ -214,7 +210,7 @@ def minimality_report(target: OrbitOrSpectrum,
     if isinstance(target, LoopGroupOrbitSpec):
         target = orbit_spectrum(replace(target, s=0.0), primed=True)
     if exp is None:
-        exp = default_expansion(target, primed=True)
+        exp = default_expansion(target)
     delta_b = dict(sorted(exp.coeff_derivatives.items()))
     a_coeffs = {j - exp.m: -0.5 * db for j, db in delta_b.items()}
     tr_reg, _ = reg_limit_trace(lambda e: trace_shape_eps(target, e), a_coeffs, exp.m,

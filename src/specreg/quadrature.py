@@ -52,8 +52,6 @@ _WG = (
 )
 _EPS = sys.float_info.epsilon
 _REL_TOL = 1e-12
-# tanh_sinh skips nodes whose weight is below this
-_MIN_WEIGHT = 1e-290
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -140,18 +138,15 @@ def tanh_sinh(
     as offsets from the nearer endpoint (1 -+ tanh v = 2/(exp(+-2v)+1)), so an
     integrable endpoint singularity is sampled at accurate abscissae.
     Endpoints themselves are never evaluated: nodes that round onto a or b
-    carry double-exponentially small weights and are skipped.  Returns
-    (value, error_estimate); NumericError if max_level halvings end before
-    two levels agree, or if the panel is so narrow that even the largest
-    weight, half-width * pi/2 at the centre, is below the node cutoff.
+    carry double-exponentially small weights and are skipped.  Every other
+    node is kept, so the rule scales with the panel: its weights are at
+    least about 4.7e-29 * half-width.  Returns (value, error_estimate);
+    NumericError if max_level halvings end before two levels agree.
     """
     if not b > a:
         raise NumericError(f"tanh-sinh needs b > a, got [{a}, {b}]")
     half = 0.5 * (b - a)
-    if half * 0.5 * math.pi < _MIN_WEIGHT:
-        raise NumericError(f"tanh-sinh panel [{a}, {b}] is too narrow: every weight "
-                           f"is below {_MIN_WEIGHT}")
-    u_max = 3.8  # tanh argument ~ pi/2*sinh(3.8) ~ 35; weights beyond are < 1e-290
+    u_max = 3.8  # tanh argument ~ pi/2*sinh(3.8) ~ 35; weights beyond are < 5e-29*half
 
     def node(u: float) -> tuple[float, float]:
         su = math.sinh(u)
@@ -169,7 +164,7 @@ def tanh_sinh(
         while u <= u_max:
             for su in (u, -u) if u > 0.0 else (u,):
                 x, w = node(su)
-                if w < _MIN_WEIGHT or x <= a or x >= b:
+                if x <= a or x >= b:
                     continue
                 terms.append(w * f(x))
             u += h

@@ -40,7 +40,6 @@ from .heat_expansion import (
     _analytic_coeffs,
 )
 from .spectra import (
-    ExplicitFamily,
     Spectrum,
     heat_trace,
     min_eigenvalue,
@@ -49,45 +48,38 @@ from .spectra import (
 )
 
 
-def default_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
-    """finite_expansion for explicit-only spectra, otherwise the coefficients of
-    analytic_expansion without its scan of the remainder bound, which nothing
-    reads for an analytic source (remainder_bound is left at 0.0)."""
-    if spec.families and all(isinstance(f, ExplicitFamily) for f in spec.families):
-        return finite_expansion(spec, primed=primed)
-    return _analytic_coeffs(spec, primed)
+def default_expansion(spec: Spectrum) -> HeatExpansion:
+    """The kernel-free finite_expansion for explicit-only spectra, otherwise
+    the kernel-free coefficients of analytic_expansion without its scan of
+    the remainder bound, which nothing reads for an analytic source
+    (remainder_bound is left at 0.0)."""
+    if spec.families and not spec.lattices:
+        return finite_expansion(spec)
+    return _analytic_coeffs(spec, True)
 
 
-def _require_primed_consistency(spec: Spectrum, exp: HeatExpansion, primed: bool) -> None:
-    if exp.includes_kernel != (not primed):
-        raise DomainError(
-            "expansion primed convention does not match the requested determinant")
-    if not primed and spec.kernel_dim > 0:
-        raise DomainError(
-            "determinant vanishes on a kernel; use the primed (kernel-free) form")
+def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
+    """(sum mult*E1(eps*lam) over the positive spectrum, bound on the omitted
+    lattice tails).  The tails are bounded by the Gaussian heat-trace tail
+    divided by eps*lam at the first omitted index (E1(x) <= exp(-x)/x)."""
+    budget = _tail_budget(spec)
+    terms = [mult * exp_integral_e1(eps * lam) for lam, mult, _ in spec.rows]
+    tail = 0.0
+    for fam in spec.lattices:
+        for u, heat_tail, u_next in _lattice_runs(fam, eps, budget):
+            terms.extend(fam.mult * exp_integral_e1(eps * x * x) for x in u)
+            tail += heat_tail / (eps * u_next * u_next)
+    return fsum(terms), tail
 
 
-def log_det_eps(spec: Spectrum, eps: float, primed: bool = True) -> float:
-    """log of the cutoff determinant, -sum mult*E1(eps*lam).
-
-    Lattice tails are certified through the Gaussian bound divided by
-    eps*lam at the first omitted index (E1(x) <= exp(-x)/x).
+def log_det_eps(spec: Spectrum, eps: float) -> float:
+    """log of the cutoff determinant over the positive (kernel-free)
+    spectrum, -sum mult*E1(eps*lam), with lattice tails certified as in
+    _e1_sum.
     """
     if not eps > 0.0:
         raise DomainError(f"cutoff parameter must be positive, got {eps!r}")
-    if not primed and spec.kernel_dim > 0:
-        raise DomainError(
-            "cutoff determinant vanishes on a kernel; use the primed form")
-    budget = _tail_budget(spec)
-    terms: list[float] = []
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            terms.extend(mult * exp_integral_e1(eps * lam)
-                         for lam, mult, _ in fam.values)
-            continue
-        for u, _, _ in _lattice_runs(fam, eps, budget):
-            terms.extend(fam.mult * exp_integral_e1(eps * x * x) for x in u)
-    return -fsum(terms)
+    return -_e1_sum(spec, eps)[0]
 
 
 def counterterms(exp: HeatExpansion) -> dict[int, float]:
@@ -167,8 +159,7 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
-    lam_max = max((lam for fam in spec.families if isinstance(fam, ExplicitFamily)
-                   for lam, _, _ in fam.values), default=0.0)
+    lam_max = max((lam for lam, _, _ in spec.rows), default=0.0)
     if exp.source == "fitted":
         delta = min(1e-10, 1.0 / lam_max) if lam_max > 0.0 else 1e-10
         cutoff_value = 0.0
@@ -185,43 +176,46 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
                 f"down to {deltas[-1]!r}")
         cutoff_value, cutoff_err = cut
     edges = [delta] + [e for e in _EDGES if e > delta]
+    if method == "tanh-sinh":
+        quad, tol = tanh_sinh, 3e-15
+    elif method == "gauss-kronrod":
+        quad, tol = gauss_kronrod, 1e-14
+    else:
+        raise DomainError(f"unknown quadrature method {method!r}")
 
     remainder = remainder_fn(spec, exp)
 
     def integrand(t: float) -> float:
         return remainder(t) * t ** (s - 1.0)
 
-    total = cutoff_value
-    err = cutoff_err
+    values, err = [cutoff_value], cutoff_err
     for a, b in zip(edges[:-1], edges[1:]):
-        if method == "tanh-sinh":
-            part, part_err = tanh_sinh(integrand, a, b, abs_tol=3e-15)
-        elif method == "gauss-kronrod":
-            part, part_err = gauss_kronrod(integrand, a, b, abs_tol=1e-14)
-        else:
-            raise DomainError(f"unknown quadrature method {method!r}")
-        total += part
+        part, part_err = quad(integrand, a, b, abs_tol=tol)
+        values.append(part)
         err += part_err
-    return total, err
+    # exactly rounded: the panels can cancel, and a running sum would add a
+    # rounding error that no panel's estimate covers
+    return fsum(values), err
 
 
 # cutoffs on which log_det_reg checks the approach to its asymptote
 _VERIFY_EPS = (1e-2, 1e-3, 1e-4)
 
 
-def _log_det_reg(spec: Spectrum, exp: HeatExpansion | None,
-                 primed: bool) -> tuple[float, float, dict[float, float]]:
+def _log_det_reg(spec: Spectrum,
+                 exp: HeatExpansion | None) -> tuple[float, float, dict[float, float]]:
     """log_det_reg's (value, error) and the cutoff determinants, by eps, on
     which it checked the asymptote."""
     if exp is None:
-        exp = default_expansion(spec, primed)
-    _require_primed_consistency(spec, exp, primed)
+        exp = default_expansion(spec)
+    if exp.includes_kernel:
+        raise DomainError("the determinant needs a kernel-free (primed) expansion")
     upper, err_up = _mellin_upper(spec, 0.0)
     lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
     cts = counterterms(exp)
     value = -fsum(cts.values()) - upper - lower
     err = err_up + err_low
-    dets = {eps: log_det_eps(spec, eps, primed) for eps in _VERIFY_EPS}
+    dets = {eps: log_det_eps(spec, eps) for eps in _VERIFY_EPS}
     devs = []
     for eps, det in dets.items():
         asymptote = value + exp.b0 * math.log(eps)
@@ -234,15 +228,16 @@ def _log_det_reg(spec: Spectrum, exp: HeatExpansion | None,
     return value, err, dets
 
 
-def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None,
-                primed: bool = True) -> tuple[float, float]:
-    """Heat-kernel regularised log-determinant; returns (value, error_bound).
+def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None) -> tuple[float, float]:
+    """Heat-kernel regularised log-determinant of the positive (kernel-free)
+    spectrum; returns (value, error_bound).
 
     Evaluates the closed form (module docstring) and verifies the cutoff
     asymptote on eps = 1e-2, 1e-3, 1e-4, raising NumericError if the
-    deviations grow.
+    deviations grow.  `exp` defaults to default_expansion; an expansion that
+    includes the kernel raises DomainError.
     """
-    value, err, _ = _log_det_reg(spec, exp, primed)
+    value, err, _ = _log_det_reg(spec, exp)
     return value, err
 
 
@@ -267,23 +262,23 @@ class RegDetReport:
 
 
 def build_report(spec: Spectrum, exp: HeatExpansion | None = None,
-                 primed: bool = True,
                  eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> RegDetReport:
-    """Cutoff determinants on a grid plus both regularised values."""
+    """Cutoff determinants on a grid plus both regularised values, all of the
+    positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
+    them.  `exp` is as for log_det_reg."""
     if not eps_grid or any(not e > 0.0 for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive entries")
     if exp is None:
-        exp = default_expansion(spec, primed)
-    value, err, dets = _log_det_reg(spec, exp, primed)
-    b0_primed = exp.b0 if not exp.includes_kernel else exp.b0 - spec.kernel_dim
+        exp = default_expansion(spec)
+    value, err, dets = _log_det_reg(spec, exp)
     grid = tuple(float(e) for e in eps_grid)
     return RegDetReport(
         eps_grid=grid,
-        log_det_eps=tuple(dets[e] if e in dets else log_det_eps(spec, e, primed) for e in grid),
+        log_det_eps=tuple(dets[e] if e in dets else log_det_eps(spec, e) for e in grid),
         log_det_reg=value,
-        log_det_zeta=-EULER_GAMMA * b0_primed + value,
-        b0=b0_primed + spec.kernel_dim,
-        b0_primed=b0_primed,
+        log_det_zeta=-EULER_GAMMA * exp.b0 + value,
+        b0=exp.b0 + spec.kernel_dim,
+        b0_primed=exp.b0,
         kernel_dim=spec.kernel_dim,
         quadrature_error=err,
         counterterms=counterterms(exp),

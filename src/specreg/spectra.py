@@ -1,7 +1,8 @@
 """Spectrum model and heat traces.
 
 A Spectrum is a finite union of eigenvalue families plus a count of zero
-modes (kernel_dim).  Two family kinds are supported:
+modes (kernel_dim).  Two family kinds are supported, and any other type is
+rejected at construction:
 
 * LatticeFamily: eigenvalues (scale*n + shift)^2 with multiplicity `mult`,
   where n runs over n >= 1 ("positive" side) or all integers ("full" side).
@@ -13,9 +14,13 @@ Zero modes never live inside a family: structural zeros (scale*n + shift
 equal to 0.0 in exact float arithmetic) are detected at construction and
 moved into kernel_dim, and enumeration skips them defensively.
 
-Every walk over a lattice family reads its structure from here: index runs
-(_runs), one-sided pairing (_lattice_groups), the Poisson dual series
-(_theta_terms) and the tail budget (_tail_budget).
+A Spectrum keeps its families in order (deform, scale_spectrum and the wire
+format walk them so) and holds three views built once, on first use: its
+explicit rows (Spectrum.rows), its lattice families (Spectrum.lattices) and
+their one-sided pairing (Spectrum.groups).  Every routine reads the views;
+only this module tells the family types apart.  Every walk over a lattice
+family reads its structure from here: index runs (_runs), the pairing, the
+Poisson dual series (_theta_terms) and the tail budget (_tail_budget).
 
 heat_trace sums mult * exp(-t*lam) over the positive spectrum with a
 certified Gaussian tail bound; heat_trace_theta evaluates the same quantity
@@ -29,10 +34,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import fsum
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, NumericError, UnsupportedSpectrumError
+from .errors import DomainError, NumericError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -103,6 +109,47 @@ class Spectrum:
     def __post_init__(self) -> None:
         if not (type(self.kernel_dim) is int and self.kernel_dim >= 0):
             raise DomainError(f"kernel_dim must be a non-negative integer, got {self.kernel_dim!r}")
+        for fam in self.families:
+            if not isinstance(fam, (LatticeFamily, ExplicitFamily)):
+                raise DomainError(f"unknown family type {type(fam).__name__}")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[float, int, float], ...]:
+        """Every explicit (lam, mult, lam_derivative) row, across families."""
+        return tuple(row for fam in self.families if isinstance(fam, ExplicitFamily)
+                     for row in fam.values)
+
+    @cached_property
+    def lattices(self) -> tuple[LatticeFamily, ...]:
+        """The lattice families, in order."""
+        return tuple(fam for fam in self.families if isinstance(fam, LatticeFamily))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[str, LatticeFamily], ...]:
+        """The lattice families as (kind, family).
+
+        kind is "full" for a full family, "half" for a zero-shift one-sided
+        family and "pair" for a shifted one-sided family matched with the
+        earliest unmatched earlier one of equal scale and mult and opposite
+        shift (listed once, as that earlier family).  Shifted one-sided
+        families left unmatched come last as "solo".
+        """
+        groups, waiting = [], []
+        for fam in self.lattices:
+            if fam.side == "full":
+                groups.append(("full", fam))
+            elif fam.shift == 0.0:
+                groups.append(("half", fam))
+            else:
+                for i, other in enumerate(waiting):
+                    if (other.shift == -fam.shift and other.scale == fam.scale
+                            and other.mult == fam.mult):
+                        groups.append(("pair", waiting.pop(i)))
+                        break
+                else:
+                    waiting.append(fam)
+        groups.extend(("solo", fam) for fam in waiting)
+        return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +285,15 @@ def min_eigenvalue(spec: Spectrum) -> float:
     A lattice eigenvalue u^2 below the smallest subnormal float rounds to 0.0;
     that raises NumericError, since no routine can work with it.
     """
-    best = math.inf
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            for lam, _, _ in fam.values:
-                best = min(best, lam)
-        else:
-            for sigma, start, _ in _runs(fam):
-                # |u| is smallest next to where the run crosses zero, or at its start
-                c = -sigma / fam.scale
-                for n in {start, math.floor(c) - 1, math.floor(c), math.ceil(c), math.ceil(c) + 1}:
-                    u = fam.scale * n + sigma
-                    if n >= start and u != 0.0:
-                        best = min(best, u * u)
+    best = min((lam for lam, _, _ in spec.rows), default=math.inf)
+    for fam in spec.lattices:
+        for sigma, start, _ in _runs(fam):
+            # |u| is smallest next to where the run crosses zero, or at its start
+            c = -sigma / fam.scale
+            for n in {start, math.floor(c) - 1, math.floor(c), math.ceil(c), math.ceil(c) + 1}:
+                u = fam.scale * n + sigma
+                if n >= start and u != 0.0:
+                    best = min(best, u * u)
     if not math.isfinite(best):
         raise DomainError("spectrum has no positive eigenvalues")
     if best == 0.0:
@@ -343,11 +386,8 @@ def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
     if not abs_tol > 0.0:
         raise DomainError(f"heat trace requires abs_tol > 0, got {abs_tol!r}")
     budget = _tail_budget(spec, abs_tol)
-    terms: list[float] = []
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            terms.extend(mult * math.exp(-t * lam) for lam, mult, _ in fam.values)
-            continue
+    terms = [mult * math.exp(-t * lam) for lam, mult, _ in spec.rows]
+    for fam in spec.lattices:
         for u, _, _ in _lattice_runs(fam, t, budget):
             terms.extend(fam.mult * math.exp(-t * x * x) for x in u)
     value = fsum(terms)
@@ -358,35 +398,6 @@ def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
 
 # ---------------------------------------------------------------------------
 # theta-transform route
-
-
-def _lattice_groups(spec: Spectrum) -> list[tuple[str, LatticeFamily]]:
-    """The lattice families of spec as (kind, family).
-
-    kind is "full" for a full family, "half" for a zero-shift one-sided family
-    and "pair" for a shifted one-sided family matched with the earliest
-    unmatched earlier one of equal scale and mult and opposite shift (listed
-    once, as that earlier family).  Shifted one-sided families left unmatched
-    come last as "solo".
-    """
-    groups, waiting = [], []
-    for fam in spec.families:
-        if not isinstance(fam, LatticeFamily):
-            continue
-        if fam.side == "full":
-            groups.append(("full", fam))
-        elif fam.shift == 0.0:
-            groups.append(("half", fam))
-        else:
-            for i, other in enumerate(waiting):
-                if (other.shift == -fam.shift and other.scale == fam.scale
-                        and other.mult == fam.mult):
-                    groups.append(("pair", waiting.pop(i)))
-                    break
-            else:
-                waiting.append(fam)
-    groups.extend(("solo", fam) for fam in waiting)
-    return groups
 
 
 def _dual_decay(scale: float, t: float) -> float:
@@ -436,17 +447,17 @@ def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> 
     """Same trace as heat_trace, but lattice families go through the theta
     transform.  This is the independent small-t route used for cross-checks.
 
-    Per _lattice_groups: full families use the transform directly (minus the
-    structural zero term when present); a pair is a full transform minus the
-    n = 0 term; a zero-shift family is half of (full - 1); a solo family uses
-    the transform minus its directly summed mirror run.  Explicit families
+    Per Spectrum.groups: full families use the transform directly (minus
+    the structural zero term when present); a pair is a full transform minus
+    the n = 0 term; a zero-shift family is half of (full - 1); a solo family
+    uses the transform minus its directly summed mirror run.  Explicit rows
     have no transform and are summed directly.
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
     budget = _tail_budget(spec)
     parts: list[float] = []
-    for kind, fam in _lattice_groups(spec):
+    for kind, fam in spec.groups:
         full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
         if kind == "full":
             centre = math.exp(-t * fam.shift * fam.shift) if fam.shift == 0.0 else 0.0
@@ -458,9 +469,7 @@ def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> 
         else:
             mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice
             parts.append(fam.mult * full - _direct_run(fam, t, budget, mirror))
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            parts.extend(mult * math.exp(-t * lam) for lam, mult, _ in fam.values)
+    parts.extend(mult * math.exp(-t * lam) for lam, mult, _ in spec.rows)
     value = fsum(parts)
     if include_kernel:
         value += spec.kernel_dim

@@ -27,21 +27,15 @@ from dataclasses import dataclass
 from math import fsum
 
 from .errors import DomainError, PoleError
-from .special import EULER_GAMMA, exp_integral_e1, gamma_fn, hurwitz_zeta
+from .special import EULER_GAMMA, gamma_fn, hurwitz_zeta
 from .heat_expansion import HeatExpansion
-from .spectra import (
-    ExplicitFamily,
-    Spectrum,
-    min_eigenvalue,
-    _lattice_runs,
-    _runs,
-    _tail_budget,
-)
+from .spectra import Spectrum, min_eigenvalue, _runs
 from .regdet import (
     counterterms,
     default_expansion,
     log_det_reg,
     mellin_lower,
+    _e1_sum,
     _mellin_upper,
     _require_finite,
 )
@@ -81,7 +75,7 @@ def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None) -> Ze
     """
     _check_s_range(s)
     if exp is None:
-        exp = default_expansion(spec, primed=True)
+        exp = default_expansion(spec)
     if exp.includes_kernel:
         raise DomainError("zeta continuation needs a kernel-free (primed) expansion")
     _check_poles(s, exp)
@@ -115,14 +109,11 @@ def zeta_direct(spec: Spectrum, s: float) -> ZetaEvaluation:
     Exact for explicit spectra at any s; lattice families require s > 0.55
     for the tail to be certified (error ~ q^(-2s-5) at q ~ _DIRECT_TERMS).
     """
-    parts: list[float] = []
+    if spec.lattices and not s > 0.55:
+        raise DomainError("direct summation of a lattice needs s > 0.55")
+    parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
     err = 0.0
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            parts.extend(mult * lam ** (-s) for lam, mult, _ in fam.values)
-            continue
-        if not s > 0.55:
-            raise DomainError("direct summation of a lattice needs s > 0.55")
+    for fam in spec.lattices:
         for sigma, start, _ in _runs(fam):
             turn = max(start, math.ceil(-sigma / fam.scale) + 1)
             stop = max(turn, start + _DIRECT_TERMS)
@@ -148,11 +139,8 @@ def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:
     """
     if abs(s - 0.5) < 1e-9:
         raise PoleError("spectral zeta of a lattice has its pole at s = 1/2")
-    parts: list[float] = []
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            parts.extend(mult * lam ** (-s) for lam, mult, _ in fam.values)
-            continue
+    parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
+    for fam in spec.lattices:
         c2s = fam.scale ** (-2.0 * s)
         if fam.side == "positive":
             parts.append(fam.mult * c2s * hurwitz_zeta(2.0 * s, 1.0 + fam.shift / fam.scale))
@@ -172,21 +160,11 @@ def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None) -> tuple[float
     independent of the heat-route determinant).
     """
     if exp is None:
-        exp = default_expansion(spec, primed=True)
+        exp = default_expansion(spec)
     if exp.includes_kernel:
         raise DomainError("zeta continuation needs a kernel-free (primed) expansion")
     min_eigenvalue(spec)  # NumericError before E1 meets an underflowed eigenvalue
-    budget = _tail_budget(spec)
-    e1_terms: list[float] = []
-    tail_err = 0.0
-    for fam in spec.families:
-        if isinstance(fam, ExplicitFamily):
-            e1_terms.extend(mult * exp_integral_e1(lam) for lam, mult, _ in fam.values)
-            continue
-        for u, heat_tail, u_next in _lattice_runs(fam, 1.0, budget):
-            e1_terms.extend(fam.mult * exp_integral_e1(x * x) for x in u)
-            tail_err += heat_tail / (u_next * u_next)
-    upper = fsum(e1_terms)
+    upper, tail_err = _e1_sum(spec, 1.0)
     lower, err_low = mellin_lower(spec, exp, 0.0, "gauss-kronrod")
     value = EULER_GAMMA * exp.b0 + fsum(counterterms(exp).values()) + upper + lower
     return value, tail_err + err_low
@@ -216,7 +194,7 @@ def verify_bridge(spec: Spectrum, exp: HeatExpansion | None = None,
     error budget of the two routes.
     """
     if exp is None:
-        exp = default_expansion(spec, primed=True)
+        exp = default_expansion(spec)
     zp, zeta_err = zeta_prime0(spec, exp)
     heat, heat_err = log_det_reg(spec, exp)
     zeta_route = -zp

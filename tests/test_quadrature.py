@@ -121,8 +121,14 @@ def test_tanh_sinh_interval_validation():
         tanh_sinh(lambda x: x, 1.0, 1.0)
 
 
-def test_tanh_sinh_panel_below_weight_cutoff_raises():
-    # every weight is under the node cutoff: both levels would sum to 0 and agree,
-    # although the integral is log 100
-    with pytest.raises(NumericError, match="too narrow"):
-        tanh_sinh(lambda x: 1.0 / x, 1e-300, 1e-298)
+def test_tanh_sinh_narrow_panel_keeps_its_nodes():
+    # the weights scale with the panel (each at least ~4.7e-29 * half-width), so
+    # a panel at 1e-300 is integrated like any other
+    value, _ = tanh_sinh(lambda x: 1.0 / x, 1e-300, 1e-298)
+    assert value == pytest.approx(math.log(100.0), rel=1e-15)
+
+
+def test_tanh_sinh_subnormal_panel_raises():
+    # 1/x overflows to inf on a subnormal panel, so no two levels agree
+    with pytest.raises(NumericError):
+        tanh_sinh(lambda x: 1.0 / x, 1e-320, 1e-318)

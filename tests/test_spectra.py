@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import specreg
 from specreg import (
     DomainError,
     ExplicitFamily,
@@ -25,6 +28,8 @@ from specreg import (
     spectrum_loads,
     spectrum_to_dict,
 )
+from specreg.heat_expansion import remainder_fn
+from specreg.regdet import default_expansion
 
 mp.mp.dps = 30
 
@@ -234,6 +239,69 @@ def test_dual_route_pure_relative_above_floor(spec):
 def test_theta_route_explicit_families_pass_through():
     assert heat_trace_theta(FIN23, 0.5) == pytest.approx(heat_trace(FIN23, 0.5),
                                                          abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the views: explicit rows, lattice families and their one-sided pairing
+
+
+def test_views_split_families_in_order():
+    first = lattice_family(2.0, 0.3)
+    second = lattice_family(3.0, 0.1, "full")
+    spec = compose(finite_spectrum([(5.0, 2, 0.5)]), first,
+                   finite_spectrum([(7.0, 3), (1.0, 1)]), second)
+    assert spec.rows == ((5.0, 2, 0.5), (1.0, 1, 0.0), (7.0, 3, 0.0))
+    assert spec.lattices == first.families + second.families
+
+
+def test_groups_pairing_rules():
+    fams = (
+        LatticeFamily(2.0, 0.5),
+        LatticeFamily(2.0, 0.5, shift_derivative=1.0),  # unmatched once 0 pairs
+        LatticeFamily(2.0, 0.0),
+        LatticeFamily(2.0, -0.5),                       # pairs with the earliest, 0
+        LatticeFamily(2.0, 0.25, "full"),
+        LatticeFamily(2.0, 0.0, "full"),
+        LatticeFamily(3.0, -0.5),                       # other scale
+        LatticeFamily(2.0, -0.5, mult=2),               # other mult
+        LatticeFamily(2.0, 0.4),                        # same sign, not opposite
+    )
+    spec = Spectrum(fams[:2] + (ExplicitFamily(((1.0, 1, 0.0),)),) + fams[2:])
+    index = [(kind, next(i for i, f in enumerate(fams) if f is fam))
+             for kind, fam in spec.groups]
+    assert index == [("half", 2), ("pair", 0), ("full", 4), ("full", 5),
+                     ("solo", 1), ("solo", 6), ("solo", 7), ("solo", 8)]
+
+
+def test_explicit_placement_does_not_move_traces():
+    rows = finite_spectrum([(0.7, 2, 0.1), (3.5, 1)])
+    lattices = [lattice_family(2.0, 0.4), lattice_family(2.0, -0.4),
+                lattice_family(3.0, 0.2, "full", 2), lattice_family(2.5, 0.3)]
+    orders = [compose(rows, *lattices), compose(*lattices[:2], rows, *lattices[2:]),
+              compose(*lattices, rows)]
+    remainders = [remainder_fn(spec, default_expansion(spec)) for spec in orders]
+    for t in (1e-3, 0.1, 2.0):
+        for values in ([heat_trace(spec, t) for spec in orders],
+                       [heat_trace_theta(spec, t) for spec in orders],
+                       [f(t) for f in remainders]):
+            assert len({value.hex() for value in values}) == 1
+
+
+def test_unknown_family_type_rejected():
+    with pytest.raises(DomainError, match="unknown family type"):
+        Spectrum((object(),))
+
+
+def test_family_type_dispatch_only_in_spectra():
+    # Spectrum.rows, .lattices and .groups are where the family types are told
+    # apart; every other module reads those views
+    dispatch = re.compile(r"isinstance\([^)]*\b(ExplicitFamily|LatticeFamily)\b")
+    package = Path(specreg.__file__).parent
+    found = [f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
+             if path.name != "spectra.py"
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if dispatch.search(line)]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
