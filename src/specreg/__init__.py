@@ -58,7 +58,6 @@ from .regdet import (
     counterterms,
     log_det_eps,
     log_det_reg,
-    reg_limit_trace,
     report_to_dict,
 )
 from .zeta import (

@@ -17,6 +17,18 @@ general spectrum formula on the orbit spectrum, where the +/- root families
 cancel to exactly 0.0; volumes are square roots of the primed determinants.
 Shape quantities at s != 0 are reduced to s = 0 (isometry reduction); only
 s = 0 is implemented.
+
+The regularised shape trace (the eps -> 0 limit of the shape trace once its
+-1/2 * delta_b_0 * log(eps) divergence is removed) is exact per family: with
+scale c, shift sigma and shift derivative sigma',
+
+    explicit row          -1/2 * mult * lam'/lam
+    one-sided lattice     (mult*sigma'/c) * (log c + gamma/2 + psi(1 + sigma/c))
+    full lattice          -mult * sigma' * (pi/c) * cot(pi*sigma/c), 0 at sigma = 0
+
+(DLMF 5.5, 5.11: the full lattice pairs its two runs into
+psi(-sigma/c) - psi(1 + sigma/c) = pi*cot(pi*sigma/c), and their log(eps)
+terms cancel).
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from math import fsum
 from typing import Sequence, Union
 
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
-from .special import EULER_GAMMA, TWO_PI
+from .special import EULER_GAMMA, TWO_PI, _digamma
 from .spectra import (
     Spectrum,
     compose,
@@ -38,8 +50,7 @@ from .spectra import (
     _number,
     _tail_budget,
 )
-from .heat_expansion import HeatExpansion
-from .regdet import default_expansion, log_det_eps, log_det_reg, reg_limit_trace
+from .regdet import default_expansion, log_det_eps, log_det_reg
 
 
 @dataclass(frozen=True)
@@ -191,30 +202,45 @@ class CurvatureReport:
 MINIMALITY_TOL = 1e-8
 
 
+def _reg_shape_trace(spec: Spectrum) -> float:
+    """Regularised limit of trace_shape_eps(spec, eps) as eps -> 0, summed
+    from the closed form of each family (module docstring)."""
+    terms = [-0.5 * mult * deriv / lam for lam, mult, deriv in spec.rows]
+    for fam in spec.lattices:
+        c, rate = fam.scale, fam.mult * fam.shift_derivative
+        if fam.side == "positive":
+            psi = _digamma(1.0 + fam.shift / c)
+            terms.append(rate / c * (math.log(c) + 0.5 * EULER_GAMMA + psi))
+            continue
+        # exact reduction: a full family built directly may hold any shift, and
+        # at a multiple of c its zero mode is skipped and the +/-n modes cancel
+        sigma = math.remainder(fam.shift, c)
+        if sigma != 0.0:
+            terms.append(-rate * math.pi / (c * math.tan(math.pi * sigma / c)))
+    return fsum(terms)
+
+
 def minimality_report(target: OrbitOrSpectrum,
-                      eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3),
-                      exp: HeatExpansion | None = None) -> CurvatureReport:
+                      eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> CurvatureReport:
     """Assemble the minimality certificate for an orbit or a synthetic spectrum.
 
     Orbit inputs are anchored at the constant-loop point s = 0 (isometry
     reduction), through the general shape formula on their s = 0 spectrum;
     the Gateaux direction is the stored family deformation, which reproduces
-    the orbit at geodesic parameter kappa.  tr_reg_H subtracts the
-    counterterms a_j = -1/2 * delta_b_{j+m} inside a regularised limit;
-    Tr_reg_H = tr_reg_H + gamma/2 * delta_b_0; the volume-slope fields compare
-    -tr H^eps against a central finite difference of (1/2) log det'_eps at the
-    reference eps (second grid point).
+    the orbit at geodesic parameter kappa.  tr_reg_H is the per-family closed
+    form of the regularised shape trace (_reg_shape_trace); delta_b are the
+    coefficient derivatives of default_expansion, and Tr_reg_H = tr_reg_H +
+    gamma/2 * delta_b_0.  The shape trace is evaluated on eps_grid only, and
+    the volume-slope fields compare -tr H^eps against a central finite
+    difference of (1/2) log det'_eps at the reference eps (second grid
+    point).
     """
     if not eps_grid or any(not e > 0.0 for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive entries")
     if isinstance(target, LoopGroupOrbitSpec):
         target = orbit_spectrum(replace(target, s=0.0), primed=True)
-    if exp is None:
-        exp = default_expansion(target)
-    delta_b = dict(sorted(exp.coeff_derivatives.items()))
-    a_coeffs = {j - exp.m: -0.5 * db for j, db in delta_b.items()}
-    tr_reg, _ = reg_limit_trace(lambda e: trace_shape_eps(target, e), a_coeffs, exp.m,
-                                eps_sequence=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+    delta_b = dict(sorted(default_expansion(target).coeff_derivatives.items()))
+    tr_reg = _reg_shape_trace(target)
     tr_zeta = tr_reg + 0.5 * EULER_GAMMA * delta_b.get(0, 0.0)
     tr_grid = tuple(trace_shape_eps(target, float(e)) for e in eps_grid)
     ref_index = 1 if len(eps_grid) > 1 else 0

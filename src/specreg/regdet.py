@@ -1,4 +1,4 @@
-"""Heat-kernel regularised determinants and regularised limits.
+"""Heat-kernel regularised determinants.
 
 The cutoff determinant multiplies per-eigenvalue factors h_eps(lam) =
 exp(-E1(eps*lam)), so log det_eps = -sum mult*E1(eps*lam) over the positive
@@ -15,11 +15,6 @@ matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a
 decreasing eps sequence (a non-divergence check on the expansion; the
 deviations measure |int_0^eps F/t|, not numerical error, so they are not
 folded into the reported error bound).
-
-reg_limit_trace implements the counterterm-subtracted limit of a cutoff
-trace: subtract (m*a_j/(j+m))*eps^{(j+m)/m} for coefficient keys j < -m and
-a_{-m}*ln(eps) for key -m (keys above -m carry positive powers and vanish),
-then extrapolate the remaining sequence by staged Aitken acceleration.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NumericError
 from .quadrature import gauss_kronrod, tanh_sinh
@@ -297,69 +292,3 @@ def report_to_dict(report: RegDetReport) -> dict:
         "quadrature_error": report.quadrature_error,
         "counterterms": {str(j): c for j, c in sorted(report.counterterms.items())},
     }
-
-
-def _aitken(seq: Sequence[float]) -> list[float]:
-    out = []
-    for x0, x1, x2 in zip(seq, seq[1:], seq[2:]):
-        denom = (x2 - x1) - (x1 - x0)
-        if abs(denom) < 1e-300:
-            out.append(x2)
-        else:
-            out.append(x2 - (x2 - x1) ** 2 / denom)
-    return out
-
-
-def reg_limit_trace(trace_fn: Callable[[float], float],
-                    counterterm_coeffs: Mapping[int, float], m: int,
-                    eps_sequence: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> tuple[float, float]:
-    """Regularised limit of a cutoff trace; returns (value, error_gauge).
-
-    counterterm_coeffs maps the divergence index j (as in a_j*eps^(j/m) for
-    j < 0, a_{-m} for the log term) to its coefficient.  The divergent part
-    is subtracted in closed form: a_{-m}*log(eps) for the log index and
-    m*a_j/(j+m)*eps^((j+m)/m) for j < -m, while indices above -m decay on
-    their own.  Remaining convergence is accelerated by staged Aitken
-    extrapolation, and a sequence that moves away from its asymptote raises
-    NumericError.
-    """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m!r}")
-    eps_seq = [float(e) for e in eps_sequence]
-    if len(eps_seq) < 2 or any(not e > 0.0 for e in eps_seq) or \
-            any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
-        raise DomainError("eps_sequence must be decreasing and positive")
-    vals = []
-    for eps in eps_seq:
-        subtract = []
-        for j, a in sorted(counterterm_coeffs.items()):
-            if j == -m:
-                subtract.append(a * math.log(eps))
-            elif j < -m:
-                jj = j + m
-                subtract.append((m * a / jj) * eps ** (jj / m))
-        vals.append(trace_fn(eps) - fsum(subtract))
-    scale = max(1.0, max(abs(v) for v in vals))
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    floor = 5e-14 * scale
-    if max(abs(d) for d in diffs) <= floor:
-        return vals[-1], max(abs(diffs[-1]), 1e-16)
-    if abs(diffs[-1]) > abs(diffs[0]) * 1.05 + floor and abs(diffs[-1]) > 1e-12 * scale:
-        raise NumericError(
-            "cutoff trace does not converge after counterterm subtraction "
-            f"(deviations {['%.3e' % d for d in diffs]})")
-    seq = vals
-    last_err = abs(diffs[-1])
-    for _ in range(2):
-        if len(seq) < 3:
-            break
-        accel = _aitken(seq)
-        step = abs(accel[-1] - seq[-1])
-        if len(accel) >= 2:
-            last_err = abs(accel[-1] - accel[-2]) + 1e-15 * scale
-        else:
-            last_err = step + 1e-15 * scale
-        seq = accel
-        if last_err <= floor:
-            break
-    return seq[-1], last_err

@@ -6,15 +6,20 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specreg import (
     DomainError,
     EULER_GAMMA,
     LoopGroupOrbitSpec,
     NumericError,
+    Spectrum,
     UnsupportedSpectrumError,
     analytic_expansion,
+    compose,
     curvature_to_dict,
+    deform,
     finite_spectrum,
     gateaux_fd,
     lattice_family,
@@ -23,11 +28,14 @@ from specreg import (
     orbit_from_dict,
     orbit_spectrum,
     orbit_to_dict,
+    scale_spectrum,
     trace_shape_eps,
     vol_eps,
     vol_reg,
     vol_zeta,
+    zeta_prime0,
 )
+from specreg.orbit import root_values
 from specreg.spectra import LatticeFamily
 
 mp.mp.dps = 30
@@ -252,9 +260,9 @@ def test_synthetic_deformation_traces():
     assert abs(resid) <= 1e-15
     psi = float(mp.digamma(mp.mpf(3) / 2))
     assert report.Tr_reg_H == pytest.approx(
-        (psi + math.log(TWO_PI)) / TWO_PI, abs=1e-8)
+        (psi + math.log(TWO_PI)) / TWO_PI, abs=1e-14)
     assert report.tr_reg_H == pytest.approx(
-        (psi + math.log(TWO_PI) + 0.5 * EULER_GAMMA) / TWO_PI, abs=1e-8)
+        (psi + math.log(TWO_PI) + 0.5 * EULER_GAMMA) / TWO_PI, abs=1e-14)
     assert not report.heat_minimal and not report.zeta_minimal
 
 
@@ -272,6 +280,108 @@ def test_curvature_to_dict_keys():
                       "strongly_minimal", "heat_minimal", "zeta_minimal"}
     assert d["strongly_minimal"] is True
     assert list(d["delta_b"]) == ["-2", "-1", "0", "1"]
+
+
+# ---------------------------------------------------------------------------
+# regularised shape trace: the closed form of each family against mpmath
+
+
+def _mp_one_sided(scale, shift, mult, rate):
+    c = mp.mpf(scale)
+    return mult * rate / c * (mp.log(c) + mp.euler / 2 + mp.digamma(1 + mp.mpf(shift) / c))
+
+
+def _mp_full(scale, shift, mult, rate):
+    c = mp.mpf(scale)
+    return -mult * rate * mp.pi / c * mp.cot(mp.pi * mp.mpf(shift) / c)
+
+
+@pytest.mark.parametrize("scale,shift", [(s, 0.4 * s) for s in (0.1, 1.0, 10.0, 30.0, 100.0)]
+                         + [(1.0, 57.3)])
+def test_reg_shape_trace_one_sided_digamma(scale, shift):
+    report = minimality_report(lattice_family(scale, shift, "positive", 1, 1.0))
+    ref = _mp_one_sided(scale, shift, 1, 1.0)
+    assert abs(report.tr_reg_H - ref) <= 1e-13 * (1 + abs(ref))
+    assert report.delta_b[0] == -1.0 / scale
+
+
+@pytest.mark.parametrize("scale,shift", [(1.0, 0.3), (1.0, -0.45), (TWO_PI, 1.0),
+                                         (50.0, 20.0), (0.2, 0.05), (1.0, 3.3)])
+def test_reg_shape_trace_full_cotangent(scale, shift):
+    # built directly, so the shift is not reduced into (-scale/2, scale/2]
+    report = minimality_report(Spectrum((LatticeFamily(scale, shift, "full", 2, 0.7),)))
+    ref = _mp_full(scale, shift, 2, 0.7)
+    assert abs(report.tr_reg_H - ref) <= 1e-13 * (1 + abs(ref))
+    assert report.Tr_reg_H == report.tr_reg_H  # no log divergence: delta_b_0 = 0
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, -2.0])
+def test_reg_shape_trace_full_zero_shift(shift):
+    # the +n and -n modes cancel, and the zero mode n = -shift sits in the kernel
+    spec = Spectrum((LatticeFamily(1.0, shift, "full", 1, 0.7),), kernel_dim=1)
+    assert trace_shape_eps(spec, 1e-3) == 0.0
+    assert minimality_report(spec).tr_reg_H == 0.0
+
+
+ROWS = ((2.0, 1, 0.5), (7.5, 3, -1.2))
+MIX = compose(finite_spectrum(ROWS), lattice_family(TWO_PI, 1.0, "full", 2, 0.3),
+              lattice_family(3.0, 1.2, "positive", 1, -0.7))
+
+
+def test_reg_shape_trace_mix():
+    ref = (mp.fsum(-mp.mpf(mult) * deriv / (2 * lam) for lam, mult, deriv in ROWS)
+           + _mp_full(TWO_PI, 1.0, 2, 0.3) + _mp_one_sided(3.0, 1.2, 1, -0.7))
+    report = minimality_report(MIX)
+    assert abs(report.tr_reg_H - ref) <= 1e-13 * (1 + abs(ref))
+
+
+def test_reg_shape_trace_is_the_zeta_determinant_slope():
+    # Tr_reg_H = -1/2 d/dkappa log Det_zeta = 1/2 d/dkappa zeta'(0), through
+    # the zeta route and a finite difference, independent of the closed forms
+    slope, err = gateaux_fd(lambda k: 0.5 * zeta_prime0(deform(MIX, k))[0], 0.0)
+    assert minimality_report(MIX).Tr_reg_H == pytest.approx(slope, abs=1e-8 + 10 * err)
+
+
+@pytest.mark.parametrize("ospec", [SU2, RANK2])
+def test_reg_shape_trace_orbit_sine_product(ospec):
+    # Tr_reg_H = -d/ds log vol_zeta, with log vol_zeta = sum_alpha 2 log(2 sin(A/2)/A)
+    # (Euler's sine product)
+    ref = 0.0
+    for a_val, d_val in root_values(ospec):
+        a_mp = mp.mpf(a_val)
+        ref -= 2 * d_val * (mp.cot(a_mp / 2) / 2 - 1 / a_mp)
+    report = minimality_report(orbit_spectrum(ospec, primed=True))
+    assert abs(report.Tr_reg_H - ref) <= 1e-14
+    assert report.Tr_reg_H == report.tr_reg_H
+
+
+@st.composite
+def _mix(draw):
+    """A spectrum of 1-3 families: explicit rows, full and one-sided lattices."""
+    families = []
+    for kind in draw(st.lists(st.sampled_from(("rows", "full", "one-sided")),
+                              min_size=1, max_size=3)):
+        rate = draw(st.floats(-1.0, 1.0))
+        mult = draw(st.integers(1, 3))
+        if kind == "rows":
+            families.append(finite_spectrum([(draw(st.floats(0.1, 50.0)), mult, rate)]))
+            continue
+        scale = draw(st.floats(0.5, 8.0))
+        ratio = draw(st.floats(-0.5, 0.5) if kind == "full" else st.floats(-0.9, 3.0))
+        side = "full" if kind == "full" else "positive"
+        families.append(lattice_family(scale, ratio * scale, side, mult, rate))
+    return compose(*families)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(spec=_mix(), log_f=st.floats(-3.0, 5.0))
+def test_reg_shape_trace_scale_covariance(spec, log_f):
+    # tr H^eps of f*B is tr H^(f*eps) of B, so the finite part moves by the
+    # log divergence alone: -1/2 * delta_b_0 * log f
+    base = minimality_report(spec)
+    scaled = minimality_report(scale_spectrum(spec, math.exp(log_f)))
+    expected = base.tr_reg_H - 0.5 * base.delta_b.get(0, 0.0) * log_f
+    assert abs(scaled.tr_reg_H - expected) <= 1e-12 * (1 + abs(expected))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cutoff and heat-regularised determinants and the regularised-limit extractor."""
+"""Cutoff and heat-regularised determinants."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from specreg import (
     lattice_family,
     log_det_eps,
     log_det_reg,
-    reg_limit_trace,
     report_to_dict,
 )
 from specreg import regdet
@@ -181,48 +180,6 @@ def test_build_report_grid_validation():
         build_report(FIN23, eps_grid=())
     with pytest.raises(DomainError):
         build_report(FIN23, eps_grid=(0.1, -0.2))
-
-
-# ---------------------------------------------------------------------------
-# regularised limits of cutoff traces
-
-
-def test_reg_limit_constant():
-    value, gauge = reg_limit_trace(lambda eps: 7.25, {}, 1)
-    assert value == 7.25
-    assert gauge <= 1e-12
-
-
-def test_reg_limit_log_divergence():
-    value, _ = reg_limit_trace(lambda eps: math.log(eps) + 5.0, {-1: 1.0}, 1)
-    assert value == pytest.approx(5.0, abs=1e-13)
-
-
-def test_reg_limit_power_divergence():
-    value, _ = reg_limit_trace(lambda eps: 2.5 * eps ** -0.5 + 0.75,
-                               {-3: -1.25}, 2)
-    assert value == pytest.approx(0.75, abs=1e-10)
-
-
-def test_reg_limit_accelerates_linear_tail():
-    value, _ = reg_limit_trace(lambda eps: 1.5 + 0.3 * eps, {}, 1)
-    assert value == pytest.approx(1.5, abs=1e-12)
-
-
-def test_reg_limit_detects_unsubtracted_divergence():
-    with pytest.raises(NumericError):
-        reg_limit_trace(lambda eps: 1.0 / eps, {}, 1)
-
-
-def test_reg_limit_validation():
-    with pytest.raises(DomainError):
-        reg_limit_trace(lambda eps: 0.0, {}, 0)
-    with pytest.raises(DomainError):
-        reg_limit_trace(lambda eps: 0.0, {}, 1, eps_sequence=(0.1,))
-    with pytest.raises(DomainError):
-        reg_limit_trace(lambda eps: 0.0, {}, 1, eps_sequence=(1e-4, 1e-3))
-    with pytest.raises(DomainError):
-        reg_limit_trace(lambda eps: 0.0, {}, 1, eps_sequence=(0.1, -0.2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from specreg import (
     hurwitz_zeta_prime0,
     log_cutoff,
 )
+from specreg.special import _digamma
 
 mp.mp.dps = 30
 
@@ -90,6 +91,23 @@ def test_gamma_exact_points():
 def test_gamma_poles(s):
     with pytest.raises(PoleError):
         gamma_fn(s)
+
+
+DIGAMMA_X = [1e-8, 1e-3, 0.1, 0.5, 1.0, 1.4616321449683622, 1.46163214496836, 2.0, 9.5,
+             10.0, 10.5, 58.3, 1e3, 1e6, 1e12]
+
+
+@pytest.mark.parametrize("x", DIGAMMA_X)
+def test_digamma_against_mpmath(x):
+    # 1.46163... is psi's zero, where only an absolute bound can hold
+    ref = mp.digamma(mp.mpf(x))
+    assert abs(_digamma(x) - ref) <= 1e-15 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+def test_digamma_domain(x):
+    with pytest.raises(DomainError):
+        _digamma(x)
 
 
 HURWITZ_S = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 2.0, 3.7, 10.0, 30.0]
