@@ -9,11 +9,12 @@ no epsilon-algorithm extrapolation, so an algebraic endpoint singularity
 t^p costs about a factor 2^(p+1) of error per bisection: integrable, but
 slow as p approaches -1.  [a, inf) is mapped onto (0, 1] by t = a + (1-u)/u.
 
-The tanh-sinh (double-exponential) rule serves the heat route because the
-lower Mellin integrals have integrable endpoint behaviour (F(t)/t with
-|F| <= C*t) that the DE substitution handles without any endpoint
-evaluation.  The two rules share no nodes, so the heat and zeta routes of the
-determinant bridge stay numerically independent.
+The tanh-sinh (double-exponential) rule serves the heat route's lower Mellin
+integral where it has no closed form (unpaired shifted one-sided lattices and
+fitted expansions): F(t)/t with |F| <= C*t is integrable at the endpoint,
+and the DE substitution handles it without any endpoint evaluation.  The
+two rules share no nodes, so the heat and zeta routes of the determinant
+bridge stay numerically independent.
 """
 
 from __future__ import annotations

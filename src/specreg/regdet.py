@@ -9,9 +9,14 @@ determinant is the closed form
                   - int_1^inf tr exp(-t*B) dt/t
                   - int_0^1 F(t) dt/t,
 
-with F the expansion remainder.  log_det_reg evaluates this with certified
-quadrature and then verifies that the cutoff determinant approaches the
-matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a
+with F the expansion remainder.  log_det_reg takes the upper integral by
+Gauss-Kronrod panels and, for an analytic or finite expansion, the lower one
+in closed form per family (_lower_closed_form): each lattice family's
+Poisson dual terms integrate to an erfc series, and each explicit row and
+paired shift to Ein = gamma + log + E1.  Only unpaired shifted one-sided
+families, and fitted expansions, go through mellin_lower's tanh-sinh panels.
+It then verifies that the cutoff determinant approaches the matching
+asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a
 decreasing eps sequence (a non-divergence check on the expansion; the
 deviations measure |int_0^eps F/t|, not numerical error, so they are not
 folded into the reported error bound).
@@ -26,7 +31,7 @@ from typing import Sequence
 
 from .errors import DomainError, NumericError
 from .quadrature import gauss_kronrod, tanh_sinh
-from .special import EULER_GAMMA, exp_integral_e1
+from .special import EULER_GAMMA, exp_integral_e1, _ein
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -40,6 +45,7 @@ from .spectra import (
     min_eigenvalue,
     _lattice_runs,
     _tail_budget,
+    _MAX_RUN_TERMS,
 )
 
 
@@ -148,9 +154,11 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     decades apart.  Starting the panels at delta keeps the t^s endpoint
     behaviour of F(t) t^(s-1) out of the quadrature, which matters for
     Gauss-Kronrod as s approaches -1.  F is built once (remainder_fn) and
-    evaluated at every node.  `method` selects tanh-sinh panels (heat route)
-    or Gauss-Kronrod panels (zeta route) so the two determinant routes stay
-    numerically independent.
+    evaluated at every node.  `method` selects tanh-sinh panels or
+    Gauss-Kronrod panels.  The zeta route (zeta_value, zeta_prime0) takes
+    Gauss-Kronrod; the heat route (log_det_reg) has a closed form for every
+    family but the unpaired shifted one-sided ones, and takes tanh-sinh only
+    for those and for fitted expansions.
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
@@ -193,6 +201,98 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     return fsum(values), err
 
 
+# unit roundoff
+_U = 2.0 ** -53
+# truncation target of each dual series D, per unit of multiplicity
+_DUAL_TAIL = 1e-17
+# relative error of math.erfc (within 2.7 u of mpmath on [0, 26.5]) and of
+# special._ein (derived in its docstring)
+_ERFC_ROUNDING = 4.0 * _U
+_EIN_ROUNDING = 8.0 * _U
+
+
+def _dual_tail(scale: float, K: int) -> float:
+    """Bound on sum_{k>K} 2*erfc(pi*k/c)/k, c = scale; see _dual_mellin."""
+    a = (math.pi / scale) ** 2
+    return (2.0 * scale * math.exp(-a * (K + 1) ** 2)
+            / (math.pi ** 1.5 * (K + 1) ** 2 * -math.expm1(-a * (2 * K + 3))))
+
+
+def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
+    """D(c, sigma) = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*erfc(pi*k/c)/k and its
+    error bound, with c = scale and sigma = shift.
+
+    D is int_0^1 of the Poisson dual part of sum_{n in Z} exp(-t*(c*n +
+    sigma)^2) against dt/t: per dual term, int_0^1 t^(-3/2) exp(-beta/t) dt
+    = sqrt(pi/beta)*erfc(sqrt(beta)) at beta = (pi*k/c)^2 (DLMF 8.4.6,
+    7.11.2).  With a = (pi/c)^2, erfc(x) <= exp(-x^2)/(x*sqrt(pi)) and
+    k^2 - (K+1)^2 >= (k-K-1)(2K+3) bound the terms past K by
+    2c*exp(-a(K+1)^2) / (pi^(3/2)*(K+1)^2*(1 - exp(-a(2K+3)))) (_dual_tail);
+    K starts where the exponential alone meets _DUAL_TAIL and grows until the
+    whole bound does.  The error adds, per term, erfc's own rounding, its
+    argument's (relative sensitivity at most 2x^2 + 1, since erfc(x) >
+    2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
+    cosine's angle, and the products; then half an ulp for the exactly
+    rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
+    raise NumericError.
+    """
+    # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
+    log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)
+    K = max(0, math.ceil(scale / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
+    if K > _MAX_RUN_TERMS:
+        raise NumericError(f"the dual series of a lattice with scale {scale!r} "
+                           f"would need more than {_MAX_RUN_TERMS} terms")
+    while _dual_tail(scale, K) > _DUAL_TAIL:
+        K += 1
+    angle = 2.0 * math.pi * shift / scale
+    terms, errs = [], []
+    for k in range(1, K + 1):
+        x = math.pi * k / scale
+        weight = 2.0 * math.erfc(x) / k
+        cos = math.cos(angle * k)
+        terms.append(weight * cos)
+        errs.append(weight * (abs(cos) * (_ERFC_ROUNDING + (3.0 * x * x + 2.5) * _U)
+                              + (2.0 * abs(angle * k) + 2.0) * _U))
+    value = fsum(terms)
+    return value, _dual_tail(scale, K) + fsum(errs) + 0.5 * math.ulp(value)
+
+
+def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
+    """int_0^1 F(t) dt/t for an analytic or finite expansion, per
+    Spectrum.groups and Spectrum.rows, and its error bound.
+
+    A full group gives mult*D(c, sigma), a half group mult*D(c, 0)/2, a pair
+    mult*(D(c, sigma) + Ein(sigma^2)) (its remainder adds 1 - exp(-t*sigma^2))
+    and an explicit row -mult*Ein(lam) (from exp(-lam*t) - 1); D is
+    _dual_mellin.  Solo one-sided families have no closed form: their share of
+    F is the remainder of their own analytic expansion, integrated by
+    mellin_lower's tanh-sinh panels.  Each Ein term carries _EIN_ROUNDING and
+    each product with mult a further u; the sum is exactly rounded.
+    """
+    parts, errs = [], []
+    for kind, fam in spec.groups:
+        if kind == "solo":
+            continue
+        dual, dual_err = _dual_mellin(fam.scale, fam.shift)
+        weight = 0.5 * fam.mult if kind == "half" else fam.mult
+        parts.append(weight * dual)
+        errs.append(weight * dual_err + _U * abs(parts[-1]))
+        # Ein(x) ~ x, so a shift whose square underflows adds nothing
+        if kind == "pair" and fam.shift * fam.shift > 0.0:
+            parts.append(fam.mult * _ein(fam.shift * fam.shift))
+            errs.append((_EIN_ROUNDING + _U) * parts[-1])
+    for lam, mult, _ in spec.rows:
+        parts.append(-mult * _ein(lam))
+        errs.append(-(_EIN_ROUNDING + _U) * parts[-1])
+    solos = Spectrum(tuple(fam for kind, fam in spec.groups if kind == "solo"))
+    if solos.families:
+        value, err = mellin_lower(solos, _analytic_coeffs(solos, True), 0.0, "tanh-sinh")
+        parts.append(value)
+        errs.append(err)
+    value = fsum(parts)
+    return value, fsum(errs) + 0.5 * math.ulp(value)
+
+
 # cutoffs on which log_det_reg checks the approach to its asymptote
 _VERIFY_EPS = (1e-2, 1e-3, 1e-4)
 
@@ -206,10 +306,19 @@ def _log_det_reg(spec: Spectrum,
     if exp.includes_kernel:
         raise DomainError("the determinant needs a kernel-free (primed) expansion")
     upper, err_up = _mellin_upper(spec, 0.0)
-    lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
+    if exp.source == "fitted" or (exp.source == "finite" and spec.lattices):
+        # no structural remainder (mellin_lower raises for the finite case)
+        lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
+    else:
+        lower, err_low = _lower_closed_form(spec)
     cts = counterterms(exp)
-    value = -fsum(cts.values()) - upper - lower
-    err = err_up + err_low
+    ct_sum = fsum(cts.values())
+    head = -ct_sum - upper
+    value = head - lower
+    # forming the value rounds each m*b_j/j twice, their sum once and the two
+    # subtractions once each
+    err = (err_up + err_low + _U * fsum(abs(c) for c in cts.values())
+           + 0.5 * (math.ulp(ct_sum) + math.ulp(head) + math.ulp(value)))
     dets = {eps: log_det_eps(spec, eps) for eps in _VERIFY_EPS}
     devs = []
     for eps, det in dets.items():

@@ -1,10 +1,11 @@
 """Scalar special functions for the regularised-determinant machinery.
 
 Everything here is double precision and deterministic: the exponential
-integral E1, the logarithm of the spectral cutoff factor h_eps, the Gamma
-function (math.gamma with typed poles), the digamma function, the Hurwitz
-zeta function (Euler-Maclaurin), and the Euler-Mascheroni constant by two
-independent routes (used by the `specreg gamma` self-check).
+integral E1 and its entire companion Ein, the logarithm of the spectral
+cutoff factor h_eps, the Gamma function (math.gamma with typed poles), the
+digamma function, the Hurwitz zeta function (Euler-Maclaurin), and the
+Euler-Mascheroni constant by two independent routes (used by the `specreg
+gamma` self-check).
 """
 
 from __future__ import annotations
@@ -65,6 +66,33 @@ def exp_integral_e1(x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return h * math.exp(-x)
+
+
+def _ein(x: float) -> float:
+    """Ein(x) = int_0^x (1 - exp(-u))/u du = gamma + ln(x) + E1(x), x > 0
+    (DLMF 6.2.3).
+
+    Below x = 2 the series sum_{k>=1} (-1)^(k+1) x^k/(k*k!) (DLMF 6.6.4),
+    whose terms never outweigh the value by more than a factor 2.8 there, so
+    small x loses nothing to cancellation; from 2 on gamma + ln(x) + E1(x),
+    three positive terms, with E1(x) <= 0.049.  Both sums are exactly
+    rounded.  The relative error stays below 8 u (u = 2^-53): the series
+    terms carry at most (k + 1/2) u each, and above 2 the error is one ulp of
+    ln(x) plus exp_integral_e1's, which is within 84 u of mpmath on [1, 700]
+    (largest near x = 1, which is why the series reaches to 2).
+    """
+    if not x > 0.0:
+        raise DomainError(f"Ein requires x > 0, got {x!r}")
+    if x >= 2.0:
+        return fsum((EULER_GAMMA, math.log(x), exp_integral_e1(x)))
+    terms = []
+    term = -1.0
+    for k in range(1, 40):
+        term *= -x / k
+        terms.append(term / k)
+        if abs(term) <= 2.0 ** -60 * x:
+            break
+    return fsum(terms)
 
 
 def log_cutoff(lam: float, eps: float) -> float:

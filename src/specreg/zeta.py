@@ -10,8 +10,9 @@ through the Mellin split
 zeta_prime0 evaluates zeta_B'(0) = gamma*b0' + sum_{j!=0} m*b_j/j + I1 + I0
 with the upper integral done through the exact identity
 int_1^inf tr exp(-t*B)/t dt = sum mult*E1(lam) and the lower one by
-Gauss-Kronrod panels — deliberately different numerics from the heat route in
-regdet, so verify_bridge compares two independently computed numbers:
+Gauss-Kronrod panels over the remainder — deliberately different numerics
+from the heat route in regdet, which sums the lower integral in closed form
+per family, so verify_bridge compares two independently computed numbers:
 
     -zeta_B'(0)   versus   -gamma*b0' + log det_reg.
 

@@ -26,6 +26,7 @@ from specreg import (
 from specreg import regdet
 from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
+from specreg.zeta import zeta_prime0
 
 mp.mp.dps = 30
 
@@ -104,16 +105,26 @@ def test_log_det_reg_closed_forms(spec, oracle, tol):
     assert 0.0 <= err <= 1e-11
 
 
-@pytest.mark.parametrize("lam", [1e20, 1e40, 1e100, 1e200, 1e250, 1e300])
+@pytest.mark.parametrize("lam", [1e20, 1e40, 1e94, 1e97, 1e100, 1e106, 1e109, 1e200,
+                                 1e250, 1e300])
 def test_log_det_reg_huge_explicit_row(lam):
-    # delta = 1/lam puts the first panel edge far below 1e-8; a panel spanning
-    # those decades in one go left tanh-sinh unconverged and the value 3.3 off.
-    # From 1e200 on the panels cancel, so they must be summed exactly rounded;
-    # at 1e300 the first panel is [1e-300, 1e-298]
+    # a row's lower integral is -Ein(lam); the stated error must also hold
+    # the rounding of forming the value from it, which at lam = 1e94 is
+    # several times everything else
     spec = finite_spectrum([(lam, 1), (2.0, 1)])
     value, err = log_det_reg(spec)
     oracle = mp.log(lam) + mp.log(2) + 2 * mp.euler
-    assert abs(mp.mpf(value) - oracle) <= err + 1e-13
+    assert abs(mp.mpf(value) - oracle) <= err
+
+
+def test_log_det_reg_pair_with_underflowing_shift_square():
+    # Ein(sigma^2) of a pair at shift 1e-170 underflows with sigma^2; the
+    # value is the zero-shift one, twice log(2 pi) - gamma/2 of n^2, n >= 1
+    spec = compose(lattice_family(1.0, 1e-170, "positive", 1),
+                   lattice_family(1.0, -1e-170, "positive", 1))
+    value, err = log_det_reg(spec)
+    oracle = 2 * (mp.log(2 * mp.pi) - mp.euler / 2)
+    assert abs(mp.mpf(value) - oracle) <= err
 
 
 def test_log_det_reg_frozen_digits():
@@ -240,3 +251,103 @@ def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch):
         for method in ("tanh-sinh", "gauss-kronrod"):
             mellin_lower(spec, exp, 0.0, method)
     assert calls[0] <= 4300
+
+
+def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch):
+    # the heat route's lower integral is a closed form for every family but a
+    # solo shifted one-sided one; the zeta route keeps its Gauss-Kronrod panels
+    calls = {"tanh-sinh": 0, "gauss-kronrod": 0}
+
+    def counted(rule, key):
+        def run(f, a, b, **kwargs):
+            def g(t):
+                calls[key] += 1
+                return f(t)
+            return rule(g, a, b, **kwargs)
+        return run
+
+    monkeypatch.setattr(regdet, "tanh_sinh", counted(regdet.tanh_sinh, "tanh-sinh"))
+    for spec in BUILTINS:
+        if spec is not ONEPI:
+            log_det_reg(spec)
+    assert calls["tanh-sinh"] == 0  # 2401 when every family went through tanh-sinh
+    log_det_reg(ONEPI)
+    assert calls["tanh-sinh"] == 357
+    monkeypatch.setattr(regdet, "gauss_kronrod",
+                        counted(regdet.gauss_kronrod, "gauss-kronrod"))
+    for spec in BUILTINS:
+        zeta_prime0(spec)
+    assert calls["gauss-kronrod"] == 1386
+
+
+# ---------------------------------------------------------------------------
+# the closed-form lower integral against the Lerch formula
+
+
+def _lerch_log_det_reg(spec) -> mp.mpf:
+    """log det_reg = -zeta'(0) + gamma*zeta(0), per family at 40 digits; a
+    lattice family sums Hurwitz series with zeta_H(0, q) = 1/2 - q and
+    zeta_H'(0, q) = loggamma(q) - log(2 pi)/2, its q formed exactly."""
+    with mp.workdps(40):
+        total = mp.mpf(0)
+        for lam, mult, _ in spec.rows:
+            total += mult * (mp.log(lam) + mp.euler)
+        for fam in spec.lattices:
+            c, sigma = mp.mpf(fam.scale), mp.mpf(fam.shift)
+            if fam.side == "positive":
+                parts = [(1, 1 + sigma / c)]
+            elif fam.shift == 0.0:
+                parts = [(2, mp.mpf(1))]
+            else:
+                parts = [(1, abs(sigma) / c), (1, 1 - abs(sigma) / c)]
+            for weight, q in parts:
+                zeta0 = mp.mpf(0.5) - q
+                zeta0_prime = -2 * mp.log(c) * zeta0 + 2 * (mp.loggamma(q) - mp.log(2 * mp.pi) / 2)
+                total += fam.mult * weight * (-zeta0_prime + mp.euler * zeta0)
+        return total
+
+
+CLOSED_FORM_SCALES = (0.1, 1.0, TWO_PI, 50.0, 1e3)
+CLOSED_FORM_SHIFTS = (0.0, 1e-8, 0.3, 0.49, -0.49)  # absolute 1e-8, else times the scale
+
+
+def _closed_form_cases():
+    for scale in CLOSED_FORM_SCALES:
+        for frac in CLOSED_FORM_SHIFTS:
+            shift = frac if frac == 1e-8 else frac * scale
+            yield pytest.param(lattice_family(scale, shift, "full", 3),
+                               id=f"full-{scale:g}-{frac:g}")
+            if shift == 0.0:
+                yield pytest.param(lattice_family(scale, 0.0, "positive", 2),
+                                   id=f"half-{scale:g}")
+                continue
+            yield pytest.param(compose(lattice_family(scale, shift, "positive", 2),
+                                       lattice_family(scale, -shift, "positive", 2)),
+                               id=f"pair-{scale:g}-{frac:g}")
+            yield pytest.param(compose(
+                lattice_family(scale, shift, "positive", 1),
+                lattice_family(scale, 0.1 * scale, "full", 2),
+                lattice_family(scale, 0.0, "positive", 1),
+                finite_spectrum([(3.0, 1)])), id=f"mix-{scale:g}-{frac:g}")
+    for lam in (1e-8, 1e-3, 0.5, 1.0, 2.0, 7.0, 1e3, 1e20):
+        yield pytest.param(finite_spectrum([(lam, 2)]), id=f"row-{lam:g}")
+
+
+@pytest.mark.parametrize("spec", list(_closed_form_cases()))
+def test_log_det_reg_lerch_oracle(spec):
+    # every stated error covers the 40-digit Lerch value, with no slack
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
+
+
+@pytest.mark.parametrize("scale", CLOSED_FORM_SCALES)
+@pytest.mark.parametrize("K", [1, 3, 10])
+def test_dual_tail_bound(scale, K):
+    # sum_{k>K} 2 erfc(pi k/c)/k at 30 digits; erfc is log-concave, so the
+    # terms past the 3c kept ones add less than 1e-35 of the first
+    with mp.workdps(30):
+        c = mp.mpf(scale)
+        tail = mp.fsum(2 * mp.erfc(mp.pi * k / c) / k
+                       for k in range(K + 1, K + 2 + int(3 * scale)))
+    # a bound below the smallest subnormal rounds to 0.0
+    assert tail <= regdet._dual_tail(scale, K) or tail < 2.0 ** -1074

@@ -19,7 +19,7 @@ from specreg import (
     hurwitz_zeta_prime0,
     log_cutoff,
 )
-from specreg.special import _digamma
+from specreg.special import _digamma, _ein
 
 mp.mp.dps = 30
 
@@ -55,6 +55,32 @@ def test_e1_monotone_decreasing():
 def test_e1_domain(bad):
     with pytest.raises(DomainError):
         exp_integral_e1(bad)
+
+
+def test_ein_against_mpmath():
+    # Ein(x) = gamma + ln x + E1(x) at 40 significant digits (the working
+    # precision grows with -log10 x, where the three terms cancel), on 200
+    # log-spaced points and densely where the series hands over to E1; the
+    # relative error stays inside the 8 u its docstring derives
+    worst = 0.0
+    for x in [10.0 ** (-300 + 600 * i / 199) for i in range(200)] + [
+            0.5 + i / 32 for i in range(112)]:
+        with mp.workdps(40 + max(0, round(-math.log10(x)))):
+            ref = mp.euler + mp.log(x) + mp.e1(x)
+            worst = max(worst, float(abs(_ein(x) - ref) / ref))
+    assert worst <= 8.0 * 2.0 ** -53
+
+
+def test_ein_series_meets_e1_route():
+    # the series below 2 and gamma + ln x + E1(x) from 2 on join continuously
+    below, above = _ein(math.nextafter(2.0, 0.0)), _ein(2.0)
+    assert 0.0 <= above - below <= 4.0 * math.ulp(above)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300, math.nan])
+def test_ein_domain(bad):
+    with pytest.raises(DomainError):
+        _ein(bad)
 
 
 def test_log_cutoff_is_minus_e1():

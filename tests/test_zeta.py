@@ -7,6 +7,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specreg import (
     EULER_GAMMA,
@@ -17,6 +19,7 @@ from specreg import (
     analytic_expansion,
     bridge_to_dict,
     build_report,
+    compose,
     finite_spectrum,
     lattice_family,
     log_det_reg,
@@ -371,3 +374,55 @@ def test_bridge_to_dict_keys():
                       "b0_primed", "kernel_dim"}
     assert d["passed"] is True
     assert d["kernel_dim"] == 0
+
+
+@st.composite
+def _family_mix(draw):
+    """(spectrum, terms of -zeta'(0) by the Lerch formula): up to two
+    explicit rows and at most one full, pair, half and solo family each."""
+    parts, terms = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        lam, mult = draw(st.floats(0.1, 50.0)), draw(st.integers(1, 3))
+        parts.append(finite_spectrum([(lam, mult)]))
+        terms.append(mult * math.log(lam))
+
+    def add(side, frac, scale, mult):
+        # a one-sided family is mult * scale^(-2s) * zeta_H(2s, 1 + shift/scale),
+        # a shifted full one that at q = |shift|/scale plus that at 1 - q;
+        # zeta_H(0, q) = 1/2 - q and zeta_H'(0, q) = lgamma(q) - log(2 pi)/2
+        spec = lattice_family(scale, frac * scale, side, mult)
+        parts.append(spec)
+        shift = spec.families[0].shift
+        qs = [1.0 + shift / scale] if side == "positive" else [
+            abs(shift) / scale, 1.0 - abs(shift) / scale]
+        terms.extend(2.0 * mult * (math.log(scale) * (0.5 - q)
+                                   - math.lgamma(q) + 0.5 * math.log(TWO_PI)) for q in qs)
+
+    def scale_mult():
+        return draw(st.floats(1.0, 8.0)), draw(st.integers(1, 2))
+
+    if draw(st.booleans()):
+        add("full", draw(st.floats(0.05, 0.5)), *scale_mult())
+    if draw(st.booleans()):
+        frac, (scale, mult) = draw(st.floats(0.05, 0.9)), scale_mult()
+        add("positive", frac, scale, mult)
+        add("positive", -frac, scale, mult)
+    if draw(st.booleans()):
+        add("positive", 0.0, *scale_mult())
+    if draw(st.booleans()) or not parts:
+        add("positive", draw(st.floats(-0.9, 0.9).filter(bool)), *scale_mult())
+    return compose(*parts), terms
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=_family_mix())
+def test_bridge_on_random_mixes(case):
+    # the heat route's closed-form lower integral against the zeta route's
+    # Gauss-Kronrod panels, and both against the Lerch formula with a
+    # rounding floor of 1e-13 per unit of term magnitude
+    spec, terms = case
+    report = verify_bridge(spec)
+    assert report.passed
+    assert report.budget < 1e-6
+    floor = 1e-13 * (1.0 + sum(abs(t) for t in terms))
+    assert abs(report.heat_route - math.fsum(terms)) <= report.heat_error + floor
