@@ -46,7 +46,7 @@ from .spectra import (
     deform,
     finite_spectrum,
     lattice_family,
-    _lattice_runs,
+    _lattice_sum,
     _number,
     _tail_budget,
 )
@@ -115,8 +115,9 @@ OrbitOrSpectrum = Union[LoopGroupOrbitSpec, Spectrum]
 
 def trace_shape_eps(target: OrbitOrSpectrum, eps: float) -> float:
     """Trace of the smoothed shape operator,
-    -1/2 * sum mult * (dlam/lam) * exp(-eps*lam) over the positive spectrum
-    with the usual certified truncation.  An orbit spec goes through its
+    -1/2 * sum mult * (dlam/lam) * exp(-eps*lam) over the positive spectrum,
+    each lattice run summed directly or closed by an Euler-Maclaurin tail
+    (spectra._lattice_sum).  An orbit spec goes through its
     primed spectrum, at s = 0 only (UnsupportedSpectrumError otherwise).
     """
     if isinstance(target, LoopGroupOrbitSpec):
@@ -130,12 +131,9 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float) -> float:
     terms = [-0.5 * mult * (deriv / lam) * math.exp(-eps * lam)
              for lam, mult, deriv in target.rows]
     for fam in target.lattices:
-        if fam.shift_derivative == 0.0:
-            continue
-        for u, _, _ in _lattice_runs(fam, eps, budget):
-            # dlam = 2*u*shift_derivative, lam = u^2, with u carrying its sign
-            terms.extend(-fam.mult * fam.shift_derivative / x * math.exp(-eps * x * x)
-                         for x in u)
+        # dlam = 2*u*shift_derivative, lam = u^2, with u carrying its sign
+        if fam.shift_derivative != 0.0:
+            terms.extend(_lattice_sum(fam, "shape", eps, budget)[0])
     return fsum(terms)
 
 

@@ -2,8 +2,11 @@
 
 The cutoff determinant multiplies per-eigenvalue factors h_eps(lam) =
 exp(-E1(eps*lam)), so log det_eps = -sum mult*E1(eps*lam) over the positive
-spectrum.  As eps -> 0 it diverges like the counterterm sum; the regularised
-determinant is the closed form
+spectrum.  Each lattice run of that sum (_e1_sum) is summed directly for a
+head and closed by the Euler-Maclaurin tail of spectra._lattice_sum, so it
+costs a bounded number of E1 calls whatever eps*scale^2 is.  As eps -> 0 it
+diverges like the counterterm sum; the regularised determinant is the
+closed form
 
     log det_reg = - sum_{j != 0} m*b_j/j
                   - int_1^inf tr exp(-t*B) dt/t
@@ -17,9 +20,11 @@ paired shift to Ein = gamma + log + E1.  Only unpaired shifted one-sided
 families, and fitted expansions, go through mellin_lower's tanh-sinh panels.
 It then verifies that the cutoff determinant approaches the matching
 asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a
-decreasing eps sequence (a non-divergence check on the expansion; the
-deviations measure |int_0^eps F/t|, not numerical error, so they are not
-folded into the reported error bound).
+decreasing eps sequence, scaled down for lattice scales above 10*pi
+(_verify_eps; a non-divergence check on the expansion; the deviations
+measure |int_0^eps F/t|, not numerical error, so they are not folded into
+the reported error bound).  The guard's sums share no code with the heat
+route's lower integral, a dual erfc series beside Gauss-Kronrod panels.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Sequence
 
 from .errors import DomainError, NumericError
 from .quadrature import gauss_kronrod, tanh_sinh
-from .special import EULER_GAMMA, exp_integral_e1, _ein
+from .special import EULER_GAMMA, exp_integral_e1, _ein, _ERFC_ROUNDING, _U
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -43,7 +48,7 @@ from .spectra import (
     Spectrum,
     heat_trace,
     min_eigenvalue,
-    _lattice_runs,
+    _lattice_sum,
     _tail_budget,
     _MAX_RUN_TERMS,
 )
@@ -60,23 +65,27 @@ def default_expansion(spec: Spectrum) -> HeatExpansion:
 
 
 def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
-    """(sum mult*E1(eps*lam) over the positive spectrum, bound on the omitted
-    lattice tails).  The tails are bounded by the Gaussian heat-trace tail
-    divided by eps*lam at the first omitted index (E1(x) <= exp(-x)/x)."""
+    """(sum mult*E1(eps*lam) over the positive spectrum, bound on the lattice
+    runs' error).  Each lattice run goes through spectra._lattice_sum: a
+    short run is summed directly and bounds its omitted tail by the Gaussian
+    heat-trace tail over eps*lam at the first omitted index (E1(x) <=
+    exp(-x)/x); a long one sums a head directly and closes the rest with an
+    Euler-Maclaurin tail, so it costs O(1) E1 calls whatever eps*scale^2 is,
+    and bounds the remainder and the rounding."""
     budget = _tail_budget(spec)
     terms = [mult * exp_integral_e1(eps * lam) for lam, mult, _ in spec.rows]
     tail = 0.0
     for fam in spec.lattices:
-        for u, heat_tail, u_next in _lattice_runs(fam, eps, budget):
-            terms.extend(fam.mult * exp_integral_e1(eps * x * x) for x in u)
-            tail += heat_tail / (eps * u_next * u_next)
+        fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
+        terms.extend(fam_terms)
+        tail += fam_bound
     return fsum(terms), tail
 
 
 def log_det_eps(spec: Spectrum, eps: float) -> float:
     """log of the cutoff determinant over the positive (kernel-free)
-    spectrum, -sum mult*E1(eps*lam), with lattice tails certified as in
-    _e1_sum.
+    spectrum, -sum mult*E1(eps*lam), with lattice runs closed and certified
+    as in _e1_sum.
     """
     if not eps > 0.0:
         raise DomainError(f"cutoff parameter must be positive, got {eps!r}")
@@ -201,13 +210,9 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     return fsum(values), err
 
 
-# unit roundoff
-_U = 2.0 ** -53
 # truncation target of each dual series D, per unit of multiplicity
 _DUAL_TAIL = 1e-17
-# relative error of math.erfc (within 2.7 u of mpmath on [0, 26.5]) and of
-# special._ein (derived in its docstring)
-_ERFC_ROUNDING = 4.0 * _U
+# relative error of special._ein (derived in its docstring)
 _EIN_ROUNDING = 8.0 * _U
 
 
@@ -293,8 +298,23 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
     return value, fsum(errs) + 0.5 * math.ulp(value)
 
 
-# cutoffs on which log_det_reg checks the approach to its asymptote
+# cutoffs on which log_det_reg checks the approach to its asymptote, for
+# lattice scales up to _VERIFY_SCALE
 _VERIFY_EPS = (1e-2, 1e-3, 1e-4)
+_VERIFY_SCALE = 10.0 * math.pi
+
+
+def _verify_eps(spec: Spectrum) -> tuple[float, ...]:
+    """_VERIFY_EPS, times (_VERIFY_SCALE/c_max)^2 when the largest lattice
+    scale c_max exceeds _VERIFY_SCALE: the expansion is asymptotic only once
+    eps*c_max^2 is small, and a lattice's dual terms fall like
+    exp(-pi^2/(eps*c^2)).  The Euler-Maclaurin tails keep the smaller
+    cutoffs cheap."""
+    c_max = max((fam.scale for fam in spec.lattices), default=0.0)
+    if c_max <= _VERIFY_SCALE:
+        return _VERIFY_EPS
+    factor = (_VERIFY_SCALE / c_max) ** 2
+    return tuple(eps * factor for eps in _VERIFY_EPS)
 
 
 def _log_det_reg(spec: Spectrum,
@@ -319,7 +339,7 @@ def _log_det_reg(spec: Spectrum,
     # subtractions once each
     err = (err_up + err_low + _U * fsum(abs(c) for c in cts.values())
            + 0.5 * (math.ulp(ct_sum) + math.ulp(head) + math.ulp(value)))
-    dets = {eps: log_det_eps(spec, eps) for eps in _VERIFY_EPS}
+    dets = {eps: log_det_eps(spec, eps) for eps in _verify_eps(spec)}
     devs = []
     for eps, det in dets.items():
         asymptote = value + exp.b0 * math.log(eps)
@@ -337,8 +357,9 @@ def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None) -> tuple[float
     spectrum; returns (value, error_bound).
 
     Evaluates the closed form (module docstring) and verifies the cutoff
-    asymptote on eps = 1e-2, 1e-3, 1e-4, raising NumericError if the
-    deviations grow.  `exp` defaults to default_expansion; an expansion that
+    asymptote on eps = 1e-2, 1e-3, 1e-4 (scaled down for lattice scales
+    above 10*pi, see _verify_eps), raising NumericError if the deviations
+    grow.  `exp` defaults to default_expansion; an expansion that
     includes the kernel raises DomainError.
     """
     value, err, _ = _log_det_reg(spec, exp)

@@ -3,9 +3,13 @@
 Everything here is double precision and deterministic: the exponential
 integral E1 and its entire companion Ein, the logarithm of the spectral
 cutoff factor h_eps, the Gamma function (math.gamma with typed poles), the
-digamma function, the Hurwitz zeta function (Euler-Maclaurin), and the
+digamma function, the Hurwitz zeta function (Euler-Maclaurin), the
 Euler-Mascheroni constant by two independent routes (used by the `specreg
-gamma` self-check).
+gamma` self-check), and the closed forms of the Euler-Maclaurin tail of
+the lattice summands (tail integrals, derivatives and remainder bounds)
+that spectra._lattice_sum closes its long runs with.  hurwitz_zeta keeps
+its own Euler-Maclaurin sum: it is the oracle of zeta_direct, which goes
+through _lattice_sum.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 TWO_PI = 2.0 * math.pi
 
+# unit roundoff
+_U = 2.0 ** -53
+# relative error of exp_integral_e1 (see its docstring) and of math.erfc
+# (within 2.7 u of mpmath on [0, 26.5])
+_E1_ROUNDING = 160.0 * _U
+_ERFC_ROUNDING = 4.0 * _U
+
 
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf exp(-u)/u du, x > 0.
@@ -33,8 +44,13 @@ def exp_integral_e1(x: float) -> float:
 
         E1(x) = exp(-x) / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
 
-    for x >= 1.  Relative error is a few 1e-15 over [1e-300, 700]; beyond
-    ~745 the result underflows cleanly to 0.0.
+    for x >= 1.  Beyond ~745 the result underflows cleanly to 0.0.
+
+    Relative error, measured against mpmath at 30-40 digits on about 6e4
+    points of [1e-300, 700]: at most 8 u (u = 2^-53) below 1, 124 u on
+    [1, 2] (worst just above 1, where the continued fraction takes the most
+    iterations and its rounding accumulates), 36 u on [2, 30] and 11 u
+    beyond.  _E1_ROUNDING = 160 u states it for every caller's budget.
     """
     if not x > 0.0:
         raise DomainError(f"E1 requires x > 0, got {x!r}")
@@ -78,8 +94,9 @@ def _ein(x: float) -> float:
     three positive terms, with E1(x) <= 0.049.  Both sums are exactly
     rounded.  The relative error stays below 8 u (u = 2^-53): the series
     terms carry at most (k + 1/2) u each, and above 2 the error is one ulp of
-    ln(x) plus exp_integral_e1's, which is within 84 u of mpmath on [1, 700]
-    (largest near x = 1, which is why the series reaches to 2).
+    ln(x) plus exp_integral_e1's, at most 36 u of E1 <= 0.049 against a value
+    >= 1.27 (E1's error peaks just above x = 1, which is why the series
+    reaches to 2).
     """
     if not x > 0.0:
         raise DomainError(f"Ein requires x > 0, got {x!r}")
@@ -132,6 +149,181 @@ _BERNOULLI = (
     7.0 / 6.0,
     -3617.0 / 510.0,
 )
+
+
+# ---------------------------------------------------------------------------
+# Euler-Maclaurin tails of Gaussian and power lattice sums
+#
+# spectra._lattice_sum sums a run of f(scale*n + sigma), n >= start, directly
+# up to N and closes the rest here.  f is one of the summands named by
+# `kind`: exp(-rate*u^2) ("heat"), E1(rate*u^2) ("e1"), exp(-rate*u^2)/u
+# ("shape") and u^-rate ("power"); a = scale*N + sigma > 0.
+
+
+# Euler-Maclaurin weights B_2k/(2k)!, k = 1..8 (DLMF 2.10.1).  After the B16
+# term the remainder is at most |B_16|/16! * int_N^inf |F^(16)(x)| dx, since
+# the periodic Bernoulli function obeys |B~_16(x)| <= |B_16| (DLMF 24.9.1).
+_EM_WEIGHTS = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+_EM_REMAINDER = abs(_EM_WEIGHTS[-1])
+# Cramer's inequality |H_j(y)|*exp(-y^2/2) <= k*sqrt(2^j j!), k = 1.086435
+# (A&S 22.14.17), rounded up; the round-up (6e-5 relative) also covers the
+# rounding of the bounds computed from it
+_CRAMER = 1.0865
+_INV_SQRT_FACT = tuple(1.0 / math.sqrt(math.factorial(i)) for i in range(17))
+# the factor of _em_remainder's "heat" bound that does not depend on a
+_HEAT_LEAD = _EM_REMAINDER * _CRAMER / _INV_SQRT_FACT[16] * math.sqrt(math.pi)
+
+
+def _em_remainder(kind: str, scale: float, a: float, rate: float) -> float:
+    """Bound on the Euler-Maclaurin remainder of sum_{n >= N} f(scale*n + sigma),
+    a = scale*N + sigma > 0, after the B16 term, for unit weight.
+
+    With F(x) = f(scale*x + sigma) the remainder is at most
+    _EM_REMAINDER * scale^15 * int_a^inf |f^(16)(u)| du.  For the Gaussian
+    kinds write g = exp(-rate*u^2), y = sqrt(rate)*u; then g^(i) =
+    (-sqrt(rate))^i H_i(y) g, so Cramer's inequality gives |g^(i)| <=
+    k*(2*rate)^(i/2)*sqrt(i!)*exp(-y^2/2).  For phi = g/u, Leibniz gives
+    |phi^(j)(u)| <= j!/u^(j+1) * sum_i |g^(i)(u)| u^i/i!, which integrates
+    over [a, inf) to at most j!/a^j * exp(-y_a^2/2) * S_j with
+    S_j = 1/j + k*sum_{0<i<j} w^i/(sqrt(i!)(j-i)) + k*w^j*log(1+2/y_a^2)/(2 sqrt(j!)),
+    w = sqrt(2)*y_a (the last from E1(x) < exp(-x)*log(1+1/x), DLMF 6.8.2).
+    "shape" needs j = 16, "e1" twice j = 15 (its derivative is -2*phi),
+    "heat" int |g^(16)| <= k*sqrt(16!)*sqrt(pi)*(2*rate)^7.5*exp(-y_a^2/2), and
+    "power" int |f^(16)| = (rate)_16 * a^(-rate-15)/(rate+15) exactly.
+    """
+    ratio = scale / a
+    if kind == "power":
+        rising = math.prod(rate + i for i in range(16))
+        return _EM_REMAINDER * ratio ** 15 * rising * a ** -rate / (rate + 15.0)
+    y2 = rate * a * a
+    if kind == "heat":
+        return _HEAT_LEAD * (2.0 * scale * scale * rate) ** 7.5 * math.exp(-0.5 * y2)
+    j = 15 if kind == "e1" else 16
+    w = math.sqrt(2.0 * y2)
+    total, power = 1.0 / j, 1.0
+    for i in range(1, j):
+        power *= w
+        total += _CRAMER * power * _INV_SQRT_FACT[i] / (j - i)
+    if y2 > 0.0:
+        total += _CRAMER * power * w * _INV_SQRT_FACT[j] * math.log1p(2.0 / y2) / 2.0
+    bound = (_EM_REMAINDER * ratio ** 15 * math.factorial(j) * math.exp(-0.5 * y2)
+             * total)
+    return 2.0 * bound if kind == "e1" else bound / a
+
+
+def _em_guess(kind: str, scale: float, rate: float, target: float) -> float:
+    """The a at which the leading factor of _em_remainder meets `target`
+    (the factors exp(-y^2/2)*S_j, which start near 1/j, left out)."""
+    if kind == "heat":
+        lead = _HEAT_LEAD * (2.0 * scale * scale * rate) ** 7.5
+        return math.sqrt(2.0 * math.log(lead / target) / rate) if lead > target else 0.0
+    if kind == "e1":
+        return scale * (2.0 * _EM_REMAINDER * math.factorial(14) / target) ** (1.0 / 15.0)
+    if kind == "shape":
+        return scale * (_EM_REMAINDER * math.factorial(15) / (scale * target)) ** (1.0 / 16.0)
+    rising = math.prod(rate + i for i in range(16))
+    return math.exp((math.log(_EM_REMAINDER * rising / ((rate + 15.0) * target))
+                     + 15.0 * math.log(scale)) / (rate + 15.0))
+
+
+def _em_tail(kind: str, scale: float, a: float, rate: float,
+             index_part: float) -> tuple[list[float], float]:
+    """The Euler-Maclaurin closure [integral, f(a)/2, corrections] of
+    sum_{n >= N} f(scale*n + sigma) with a = scale*N + sigma, for unit weight,
+    and a bound on its rounding.
+
+    The integrals int_a^inf f(u) du/scale are closed forms: (-a*E1(y^2) +
+    sqrt(pi/rate)*erfc(y))/scale for "e1", E1(y^2)/(2*scale) for "shape",
+    sqrt(pi)*erfc(y)/(2*scale*sqrt(rate)) for "heat" (y = sqrt(rate)*a) and
+    a^(1-rate)/((rate-1)*scale) for "power".  The corrections are
+    -sum_k B_2k/(2k)! * scale^(2k-1) * f^(2k-1)(a), with g^(j) from the
+    Hermite recurrence H_(j+1) = 2y*H_j - 2j*H_(j-1) and phi = g/u from
+    a*phi^(j) = g^(j) - j*phi^(j-1).  The rounding bound carries each closed
+    form's relative error and the sensitivity to its rounded argument, a
+    running bound on each derivative (the same recurrences on magnitudes,
+    times u per operation on the longest chain), and the shift of the whole
+    tail by the rounding of a itself, |delta a| <= u*(index_part + a), times
+    sum_n |f'(u_n)| <= f(a)/scale + max_{u>=a} |f'(u)|.
+    """
+    if kind == "power":
+        fa = a ** -rate
+        integral = a * fa / ((rate - 1.0) * scale)
+        half = 0.5 * fa
+        errs = [6.0 * _U * integral, 2.0 * _U * half]
+        slope = rate * fa / a
+        derivs, mags, chain = [], [], []
+        fj = fa
+        for j in range(1, 16):
+            fj *= -(rate + j - 1.0) / a
+            if j % 2:
+                derivs.append(fj)
+                mags.append(abs(fj))
+                chain.append(3.0 * j + 4.0)
+    else:
+        y2 = rate * a * a
+        y = math.sqrt(y2)
+        g = math.exp(-y2)
+        root = math.sqrt(rate)
+        # g^(j) = p_j * H_j(y) with p_j = (-root)^j * g; magnitudes alongside
+        h_prev, h, m_prev, m = 0.0, 1.0, 0.0, 1.0
+        p = pm = g
+        phi = phim = g / a
+        gs, gms, phis, phims = [], [], [], []
+        for j in range(16):
+            gj, gjm = p * h, pm * m
+            if j:
+                phi = (gj - j * phi) / a
+                phim = (gjm + j * phim) / a
+            gs.append(gj)
+            gms.append(gjm)
+            phis.append(phi)
+            phims.append(phim)
+            h_prev, h = h, 2.0 * y * h - 2.0 * j * h_prev
+            m_prev, m = m, 2.0 * y * m + 2.0 * j * m_prev
+            p *= -root
+            pm *= root
+        odd = range(1, 16, 2)
+        if kind == "heat":
+            derivs, mags = [gs[j] for j in odd], [gms[j] for j in odd]
+            integral = math.sqrt(math.pi) * math.erfc(y) / (2.0 * scale * root)
+            half = 0.5 * g
+            errs = [(_ERFC_ROUNDING + (4.0 * y2 + 6.0) * _U) * integral,
+                    (2.0 * y2 + 2.0) * _U * half]
+            slope = 2.0 * root * y * g if y2 >= 0.5 else math.sqrt(2.0 * rate / math.e)
+            fa = g
+        else:
+            e1 = exp_integral_e1(y2)
+            if kind == "shape":
+                derivs, mags = [phis[j] for j in odd], [phims[j] for j in odd]
+                integral = e1 / (2.0 * scale)
+                half = 0.5 * g / a
+                errs = [(_E1_ROUNDING + (2.0 * y2 + 4.0) * _U) * integral,
+                        (2.0 * y2 + 4.0) * _U * half]
+                slope = (1.0 / (a * a) + 2.0 * rate) * g
+                fa = g / a
+            else:
+                derivs = [-2.0 * phis[j - 1] for j in odd]
+                mags = [2.0 * phims[j - 1] for j in odd]
+                edge = a * e1
+                erfc_part = math.sqrt(math.pi / rate) * math.erfc(y)
+                integral = (erfc_part - edge) / scale
+                half = 0.5 * e1
+                errs = [(edge * (_E1_ROUNDING + (2.0 * y2 + 4.0) * _U)
+                         + erfc_part * (_ERFC_ROUNDING + (4.0 * y2 + 5.0) * _U)
+                         + _U * abs(erfc_part - edge)) / scale + _U * abs(integral),
+                        (_E1_ROUNDING + (2.0 * y2 + 2.0) * _U) * half]
+                slope = 2.0 * g / a
+                fa = e1
+        chain = [8.0 * j + 8.0 + 2.0 * y2 for j in odd]
+    corrections, power = [], scale
+    for weight, deriv, mag, steps in zip(_EM_WEIGHTS, derivs, mags, chain):
+        corrections.append(-weight * power * deriv)
+        errs.append(steps * _U * abs(weight) * power * mag)
+        power *= scale * scale
+    correction = fsum(corrections)
+    errs.append(_U * abs(correction))
+    errs.append(_U * (index_part + a) * (fa / scale + slope))
+    return [integral, half, correction], fsum(errs)
 
 
 def _digamma(x: float) -> float:

@@ -22,8 +22,19 @@ only this module tells the family types apart.  Every walk over a lattice
 family reads its structure from here: index runs (_runs), the pairing, the
 Poisson dual series (_theta_terms) and the tail budget (_tail_budget).
 
-heat_trace sums mult * exp(-t*lam) over the positive spectrum with a
-certified Gaussian tail bound; heat_trace_theta evaluates the same quantity
+Every sum of a summand over a lattice family's runs goes through
+_lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
+E1(eps*u^2), the shape trace's exp(-eps*u^2)/u and zeta_direct's |u|^-2s.  A
+short run is summed term by term.  A long one is summed directly up to an
+index N and closed by Euler-Maclaurin through B16 (special._em_tail): the
+tail integral in closed form, f(N)/2, and the odd derivatives from a
+Hermite recurrence.  N is the first index where a derived remainder bound
+(special._em_remainder) meets _EM_SHARE of the run's budget, and the run
+states that bound plus its rounding, so its cost no longer grows like
+1/(scale*sqrt(t)).
+
+heat_trace sums mult * exp(-t*lam) over the positive spectrum with
+certified lattice tails; heat_trace_theta evaluates the same quantity
 through the Jacobi theta transform (Poisson summation), which is the
 independent oracle route for small t.
 """
@@ -39,6 +50,14 @@ from math import fsum
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, NumericError
+from .special import (
+    _E1_ROUNDING,
+    _U,
+    _em_guess,
+    _em_remainder,
+    _em_tail,
+    exp_integral_e1,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -152,6 +171,17 @@ class Spectrum:
         return tuple(groups)
 
 
+def _zero_modes(fam: LatticeFamily) -> int:
+    """fam's structural zero modes: mult if an index of its runs gives
+    scale*n + shift == 0.0 in float arithmetic (which enumeration skips), else 0."""
+    for sigma, start, _ in _runs(fam):
+        c = -sigma / fam.scale
+        if any(n >= start and fam.scale * n + sigma == 0.0
+               for n in (math.floor(c), math.ceil(c))):
+            return fam.mult
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -234,14 +264,15 @@ def deform(spec: Spectrum, kappa: float) -> Spectrum:
 
     Lattice shifts become shift + kappa*shift_derivative; explicit eigenvalues
     become lam + kappa*derivative (DomainError if one leaves the positive
-    axis).  kernel_dim is adjusted if a structural zero appears or disappears.
+    axis).  kernel_dim keeps its zero modes that no lattice holds and counts
+    the structural zeros of the moved lattices afresh.
     """
-    base_kernel = spec.kernel_dim
+    # the zero modes not tied to a lattice; a family built directly may hold a
+    # structural zero that kernel_dim never counted
+    base_kernel = max(0, spec.kernel_dim - sum(map(_zero_modes, spec.lattices)))
     new_fams: list[Family] = []
     for fam in spec.families:
         if isinstance(fam, LatticeFamily):
-            if fam.side == "full" and fam.shift == 0.0:
-                base_kernel -= fam.mult  # its structural zero is re-derived below
             moved = lattice_family(fam.scale, fam.shift + kappa * fam.shift_derivative,
                                    fam.side, fam.mult, fam.shift_derivative)
             new_fams.extend(moved.families)
@@ -302,12 +333,22 @@ def min_eigenvalue(spec: Spectrum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# enumeration with certified tails
+# lattice sums: a direct head closed by an Euler-Maclaurin tail
 
 
-# one run enumerates at most this many indices (a list of 2^20 floats is
-# about 32 MB, and each term costs one exp)
+# a run enumerates at most this many indices directly (a list of 2^20 floats
+# is about 32 MB, and each term costs one exp)
 _MAX_RUN_TERMS = 2 ** 20
+# no run is closed by Euler-Maclaurin below |u| = _EM_MIN_HEAD * scale
+_EM_MIN_HEAD = 4
+# what closing a run costs (the head's rounding, _em_start and _em_tail: two
+# dozen microseconds), in direct terms of each summand; a run is closed only
+# when that saves more terms than this
+_EM_OVERHEAD = {"e1": 8, "heat": 256, "shape": 256, "power": 0}
+# the share of a run's budget its Euler-Maclaurin remainder may take: a
+# direct E1 run's truncation bound is its Gaussian tail over rate*u^2 >=
+# log(4*mult/budget), about 30, and closing a run should not cost accuracy
+_EM_SHARE = 1.0 / 32.0
 
 
 def _run_upper_index(scale: float, sigma: float, start: int, decay: float,
@@ -316,23 +357,22 @@ def _run_upper_index(scale: float, sigma: float, start: int, decay: float,
     with u = scale*n + sigma is below `budget`.
 
     Uses the Gaussian tail bound  term(n_hi+1) * (1 + 1/(2*decay*scale*u)).
+    n_hi may be far beyond what a direct sum can enumerate; _lattice_sum
+    closes such runs with an Euler-Maclaurin tail.
     """
     turn = max(start, math.ceil(-sigma / scale))
     log_target = (math.log(max(mult, 1) * 4.0 / budget)
                   + max(0.0, -math.log(decay) - math.log(scale)))
     u_target = math.sqrt(max(log_target, 1.0) / decay)
-    n_hi = max(turn + 1, math.ceil(min((u_target - sigma) / scale, _MAX_RUN_TERMS)) + 1)
+    # 1e18 only keeps ceil() finite
+    n_hi = max(turn + 1, math.ceil(min((u_target - sigma) / scale, 1e18)) + 1)
     for _ in range(200):
-        if n_hi > _MAX_RUN_TERMS:
-            break
         u1 = scale * (n_hi + 1) + sigma
         tail = mult * math.exp(-decay * u1 * u1) * (1.0 + 1.0 / (2.0 * decay * scale * u1))
         if tail <= budget:
             return n_hi, tail
         n_hi += max(4, n_hi // 4)
-    raise NumericError(
-        f"lattice tail would need more than {_MAX_RUN_TERMS} terms "
-        f"(scale={scale!r}, decay={decay!r})")
+    raise NumericError(f"no lattice tail bound found (scale={scale!r}, decay={decay!r})")
 
 
 def _runs(fam: LatticeFamily) -> tuple[tuple[float, int, float], ...]:
@@ -346,26 +386,127 @@ def _runs(fam: LatticeFamily) -> tuple[tuple[float, int, float], ...]:
     return ((fam.shift, 1, 1.0), (-fam.shift, 0, -1.0))
 
 
-def _lattice_runs(fam: LatticeFamily, decay: float, budget: float, runs=None):
-    """Yield (u_values ascending in index, heat_tail_bound, first_omitted_u)
-    for each of `runs` (default: all of fam's), splitting `budget` evenly.
+def _summands(kind: str, weight: float, rate: float, xs: list[float]) -> list[float]:
+    """weight*f(x) for each x: f is exp(-rate*x^2) ("heat"), E1(rate*x^2)
+    ("e1"), exp(-rate*x^2)/x ("shape") or |x|^-rate ("power")."""
+    if kind == "heat":
+        return [weight * math.exp(-rate * x * x) for x in xs]
+    if kind == "e1":
+        return [weight * exp_integral_e1(rate * x * x) for x in xs]
+    if kind == "shape":
+        return [weight / x * math.exp(-rate * x * x) for x in xs]
+    return [weight * abs(x) ** -rate for x in xs]
 
-    u_values is a list of floats.  Structural zeros (u == 0.0) are dropped.
-    Negation is exact, so u*u does not depend on the sign.
+
+def _points(scale: float, sigma: float, start: int, stop: int, sign: float) -> list[float]:
+    """u = sign*(scale*n + sigma) for start <= n < stop, structural zeros
+    (u == 0.0) dropped; at most _MAX_RUN_TERMS of them."""
+    if stop - start > _MAX_RUN_TERMS:
+        raise NumericError(f"lattice sum would need more than {_MAX_RUN_TERMS} direct "
+                           f"terms (scale={scale!r}, shift={sigma!r})")
+    return [sign * x for x in (scale * n + sigma for n in range(start, stop)) if x != 0.0]
+
+
+def _em_start(kind: str, scale: float, sigma: float, start: int, rate: float,
+              target: float, n_hi: int | None) -> tuple[int, float] | None:
+    """First index N of a run's Euler-Maclaurin tail and its remainder bound,
+    or None when the run that _run_upper_index ends at n_hi (None: never) is
+    better summed directly: it ends below |u| = _EM_MIN_HEAD*scale, or fewer
+    than _EM_OVERHEAD terms after N.  A run that never ends and would need
+    more than _MAX_RUN_TERMS direct terms raises NumericError.
+
+    N is the first index with scale*N + sigma >= a and remainder at most
+    `target` on the sequence a = max(_em_guess, _EM_MIN_HEAD*scale), then
+    a + max(a/16, scale), ..., so at most 1/16 past the smallest such index.
+    It depends on the run only through a, so runs of equal scale meet at the
+    same a (and the mirrored runs of a full family cancel exactly).
     """
+    overhead = _EM_OVERHEAD[kind]
+    # N >= start, so this only skips the search when its result is direct anyway
+    if n_hi is not None and (n_hi < start + overhead
+                             or scale * n_hi + sigma < _EM_MIN_HEAD * scale):
+        return None
+    last = start + _MAX_RUN_TERMS if n_hi is None else n_hi - overhead
+    a = max(_em_guess(kind, scale, rate, target), _EM_MIN_HEAD * scale)
+    while (n := max(start, math.ceil((a - sigma) / scale))) <= last:
+        remainder = _em_remainder(kind, scale, scale * n + sigma, rate)
+        if remainder <= target:
+            return n, remainder
+        a += max(a / 16.0, scale)
+    if n_hi is not None:
+        return None
+    raise NumericError(f"lattice sum would need more than {_MAX_RUN_TERMS} direct "
+                       f"terms (scale={scale!r}, shift={sigma!r})")
+
+
+def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: float,
+                start: int, sign: float, n_em: int, remainder: float
+                ) -> tuple[list[float], float]:
+    """A run's head n < n_em summed directly plus its Euler-Maclaurin closure
+    (special._em_tail), and their error bound: the remainder, the closure's
+    rounding, and the head's: per term the summand's own error plus its
+    sensitivity to the rounding of u = scale*n + sigma (relative
+    u*(2 + |sigma|/|u|)) and of rate*u^2."""
+    xs = _points(scale, sigma, start, n_em, sign)
+    head = _summands(kind, weight, rate, xs)
+    a = scale * n_em + sigma
+    pieces, err = _em_tail(kind, scale, a, rate, abs(scale * n_em))
+    signed = weight * sign if kind == "shape" else weight
+    pieces = [signed * p for p in pieces]
+    bound = abs(signed) * (remainder + err) + _U * fsum(map(abs, pieces))
+    if head:
+        spread = 2.0 + abs(sigma) / min(map(abs, xs))
+        top = max(abs(xs[0]), a)
+        sensitivity = (rate * spread + 3.0 if kind == "power"
+                       else (rate * top * top + 1.0) * (2.0 * spread + 2.0) + 4.0)
+        own = _E1_ROUNDING if kind == "e1" else _U
+        bound += (own + sensitivity * _U) * fsum(map(abs, head))
+    return head + pieces, bound
+
+
+def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
+                 runs=None) -> tuple[list[float], float]:
+    """Terms whose sum is sum weight*f(u) over `runs` of fam (default: all of
+    them), and a bound on that sum's error; f and `rate` as in _summands.
+
+    The weight is mult, or -mult*shift_derivative for "shape", whose summand
+    is odd (u carries its sign).  `budget` is split evenly over the runs.  A
+    run that _em_start leaves direct is summed term for term as it always
+    was and states its Gaussian tail bound (over rate*u^2 for "e1", times
+    |weight|/(mult*u) for "shape"); every other run, and every "power" run,
+    is a _closed_run, whose remainder is at most _EM_SHARE of its share of
+    the budget.
+    """
+    weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult
     runs = runs or _runs(fam)
+    share = budget / len(runs)
+    scale = fam.scale
+    terms, bound = [], 0.0
     for sigma, start, sign in runs:
-        n_hi, tail = _run_upper_index(fam.scale, sigma, start, decay, fam.mult,
-                                      budget / len(runs))
-        u = [sign * x for x in (fam.scale * n + sigma for n in range(start, n_hi + 1))
-             if x != 0.0]
-        yield u, tail, sign * (fam.scale * (n_hi + 1) + sigma)
+        n_hi = None
+        if kind != "power":
+            n_hi, tail = _run_upper_index(scale, sigma, start, rate, fam.mult, share)
+        closing = _em_start(kind, scale, sigma, start, rate,
+                            _EM_SHARE * share / abs(weight), n_hi)
+        if closing:
+            run_terms, run_bound = _closed_run(kind, weight, rate, scale, sigma, start,
+                                               sign, *closing)
+            terms.extend(run_terms)
+            bound += run_bound
+            continue
+        terms.extend(_summands(kind, weight, rate, _points(scale, sigma, start,
+                                                           n_hi + 1, sign)))
+        u_next = scale * (n_hi + 1) + sigma
+        bound += (tail / (rate * u_next * u_next) if kind == "e1"
+                  else tail * abs(weight) / (fam.mult * u_next) if kind == "shape"
+                  else tail)
+    return terms, bound
 
 
 def _direct_run(fam: LatticeFamily, t: float, budget: float, runs=None) -> float:
-    """mult * sum exp(-t*u^2) over `runs` of fam (default: all), tails below budget."""
-    return fsum(fam.mult * math.exp(-t * x * x)
-                for u, _, _ in _lattice_runs(fam, t, budget, runs) for x in u)
+    """mult * sum exp(-t*u^2) over `runs` of fam (default: all), to within budget
+    (see _lattice_sum)."""
+    return fsum(_lattice_sum(fam, "heat", t, budget, runs)[0])
 
 
 def _tail_budget(spec: Spectrum, abs_tol: float = ABS_TOL) -> float:
@@ -377,9 +518,10 @@ def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
                include_kernel: bool = False) -> float:
     """tr exp(-t*B) over the positive spectrum (plus kernel_dim if asked).
 
-    Direct summation, exactly rounded by math.fsum, so the order of the terms
-    does not matter; lattice tails certified below abs_tol by the Gaussian
-    tail bound.
+    Summed exactly rounded by math.fsum, so the order of the terms does not
+    matter; each lattice run is summed directly with its tail certified
+    below abs_tol by the Gaussian tail bound, or, when it is long, closed by
+    an Euler-Maclaurin tail with remainder below abs_tol (_lattice_sum).
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
@@ -388,8 +530,7 @@ def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
     budget = _tail_budget(spec, abs_tol)
     terms = [mult * math.exp(-t * lam) for lam, mult, _ in spec.rows]
     for fam in spec.lattices:
-        for u, _, _ in _lattice_runs(fam, t, budget):
-            terms.extend(fam.mult * math.exp(-t * x * x) for x in u)
+        terms.extend(_lattice_sum(fam, "heat", t, budget)[0])
     value = fsum(terms)
     if include_kernel:
         value += spec.kernel_dim

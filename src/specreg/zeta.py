@@ -16,9 +16,11 @@ per family, so verify_bridge compares two independently computed numbers:
 
     -zeta_B'(0)   versus   -gamma*b0' + log det_reg.
 
-zeta_direct (truncated Dirichlet series with an inline Euler-Maclaurin tail)
-and zeta_closed_form (Hurwitz zeta per lattice family) are further routes
-used for cross-checks.
+zeta_direct (the Dirichlet series, each lattice run closed by the shared
+Euler-Maclaurin tail of spectra._lattice_sum) and zeta_closed_form (Hurwitz
+zeta per lattice family) are further routes used for cross-checks.
+hurwitz_zeta keeps its own Euler-Maclaurin tail on purpose: zeta_closed_form
+is zeta_direct's oracle, so the two must not share code.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 from math import fsum
 
 from .errors import DomainError, PoleError
-from .special import EULER_GAMMA, gamma_fn, hurwitz_zeta
+from .special import EULER_GAMMA, gamma_fn, hurwitz_zeta, _U
 from .heat_expansion import HeatExpansion
-from .spectra import Spectrum, min_eigenvalue, _runs
+from .spectra import Spectrum, min_eigenvalue, _lattice_sum, _tail_budget
 from .regdet import (
     counterterms,
     default_expansion,
@@ -91,43 +93,30 @@ def zeta_value(spec: Spectrum, s: float, exp: HeatExpansion | None = None) -> Ze
     return ZetaEvaluation(s=s, value=value, error=err, route="mellin-split")
 
 
-def _em_tail(scale: float, sigma: float, n_from: int, two_s: float) -> float:
-    """sum_{n >= n_from} (scale*n + sigma)^(-two_s) by Euler-Maclaurin (3 terms)."""
-    q = n_from + sigma / scale
-    head = q ** (1.0 - two_s) / (two_s - 1.0) + 0.5 * q ** (-two_s)
-    b2 = two_s * q ** (-two_s - 1.0) / 12.0
-    b4 = -two_s * (two_s + 1.0) * (two_s + 2.0) * q ** (-two_s - 3.0) / 720.0
-    return scale ** (-two_s) * (head + b2 + b4)
-
-
-# indices summed per lattice run by zeta_direct before its Euler-Maclaurin tail
-_DIRECT_TERMS = 400
-
-
 def zeta_direct(spec: Spectrum, s: float) -> ZetaEvaluation:
-    """Truncated Dirichlet series with an Euler-Maclaurin tail; route "direct-sum".
+    """Dirichlet series summed directly with an Euler-Maclaurin tail per
+    lattice run (spectra._lattice_sum); route "direct-sum".
 
-    Exact for explicit spectra at any s; lattice families require s > 0.55
-    for the tail to be certified (error ~ q^(-2s-5) at q ~ _DIRECT_TERMS).
+    Exact for explicit spectra at any s; lattice families require s > 0.55.
+    Each run's head is long enough that the B16 remainder is below u =
+    2^-53 times the largest term, lam_min^(-s), shared over the families'
+    runs.  The error adds the runs' remainder and rounding bounds, two u
+    per row term (pow and the product with mult) and half an ulp for the
+    exactly rounded sum.
     """
     if spec.lattices and not s > 0.55:
         raise DomainError("direct summation of a lattice needs s > 0.55")
     parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
-    err = 0.0
-    for fam in spec.lattices:
-        for sigma, start, _ in _runs(fam):
-            turn = max(start, math.ceil(-sigma / fam.scale) + 1)
-            stop = max(turn, start + _DIRECT_TERMS)
-            for n in range(start, stop + 1):
-                u = fam.scale * n + sigma
-                if u != 0.0:
-                    parts.append(fam.mult * abs(u) ** (-2.0 * s))
-            parts.append(fam.mult * _em_tail(fam.scale, sigma, stop + 1, 2.0 * s))
-            q = stop + 1 + sigma / fam.scale
-            err += fam.mult * fam.scale ** (-2.0 * s) * abs(
-                2.0 * s * (2.0 * s + 1) * (2.0 * s + 2) * (2.0 * s + 3) * (2.0 * s + 4)
-            ) * q ** (-2.0 * s - 5.0) / 30240.0
-    return ZetaEvaluation(s=s, value=fsum(parts), error=err + 1e-15, route="direct-sum")
+    err = 2.0 * _U * fsum(parts)
+    if spec.lattices:
+        budget = _tail_budget(spec, _U * min_eigenvalue(spec) ** -s)
+        for fam in spec.lattices:
+            terms, bound = _lattice_sum(fam, "power", 2.0 * s, budget)
+            parts.extend(terms)
+            err += bound
+    value = fsum(parts)
+    return ZetaEvaluation(s=s, value=value, error=err + 0.5 * math.ulp(value),
+                          route="direct-sum")
 
 
 def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:

@@ -96,6 +96,15 @@ def test_detreg_reruns_byte_identical(run_cli, tmp_path):
     assert "log_det_reg=" in proc1.stdout
 
 
+def test_detreg_small_scale_lattice(run_cli, tmp_path):
+    # the asymptote guard summed ~6.7e5 E1 terms here and took about 15 s
+    path = write_json(tmp_path, "small.json", {
+        "families": [{"kind": "lattice", "scale": 1e-3, "shift": 0.5}], "kernel_dim": 0})
+    proc = run_cli("detreg", "--input", path)
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(json.loads(proc.stdout)["log_det_reg"])
+
+
 def test_detreg_csv(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path, "--format", "csv")

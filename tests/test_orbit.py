@@ -36,6 +36,7 @@ from specreg import (
     zeta_prime0,
 )
 from specreg.orbit import root_values
+from specreg import spectra
 from specreg.spectra import LatticeFamily
 
 mp.mp.dps = 30
@@ -313,6 +314,33 @@ def test_reg_shape_trace_full_cotangent(scale, shift):
     ref = _mp_full(scale, shift, 2, 0.7)
     assert abs(report.tr_reg_H - ref) <= 1e-13 * (1 + abs(ref))
     assert report.Tr_reg_H == report.tr_reg_H  # no log divergence: delta_b_0 = 0
+
+
+def test_certificate_of_a_structural_zero_kernel_dim_never_counted():
+    # built directly with kernel_dim 0; deform used to drive kernel_dim to -1
+    spec = Spectrum((LatticeFamily(1.0, 0.0, "full", 1, 0.7),))
+    report = minimality_report(spec)
+    assert report.tr_reg_H == 0.0
+    assert report.tr_H_eps == (0.0, 0.0, 0.0)
+    assert deform(spec, 0.1).kernel_dim == 0
+    assert deform(spec, 0.0).kernel_dim == 1
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+def test_orbit_shape_trace_vanishes_exactly_on_closed_runs(eps, monkeypatch):
+    # the runs here are long enough to be closed by Euler-Maclaurin tails,
+    # and the +/- root families still cancel term for term
+    closures = []
+    em_tail = spectra._em_tail
+    monkeypatch.setattr(spectra, "_em_tail",
+                        lambda *args: closures.append(args) or em_tail(*args))
+    for ospec in (LoopGroupOrbitSpec(1, ((1.0,),), (1.0,)),
+                  LoopGroupOrbitSpec(2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4))):
+        assert trace_shape_eps(ospec, eps) == 0.0
+    # a dyadic scale keeps every u exact, so the full runs cancel too
+    spec = Spectrum((LatticeFamily(2.0 ** -10, 2.0 ** -9, "full", 1, 0.7),), kernel_dim=1)
+    assert trace_shape_eps(spec, eps) == 0.0
+    assert len(closures) == 2 + 4 + 2  # one per run with a shift derivative
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0, -2.0])

@@ -23,7 +23,7 @@ from specreg import (
     log_det_reg,
     report_to_dict,
 )
-from specreg import regdet
+from specreg import regdet, spectra
 from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
 from specreg.zeta import zeta_prime0
@@ -351,3 +351,61 @@ def test_dual_tail_bound(scale, K):
                        for k in range(K + 1, K + 2 + int(3 * scale)))
     # a bound below the smallest subnormal rounds to 0.0
     assert tail <= regdet._dual_tail(scale, K) or tail < 2.0 ** -1074
+
+
+# ---------------------------------------------------------------------------
+# lattice runs closed by an Euler-Maclaurin tail, and the guard's cutoffs
+
+
+def _count_e1(monkeypatch) -> list[int]:
+    calls = [0]
+    e1 = spectra.exp_integral_e1
+
+    def counted(x):
+        calls[0] += 1
+        return e1(x)
+
+    monkeypatch.setattr(spectra, "exp_integral_e1", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [lattice_family(1e-3, 0.5e-3, "positive", 1),
+                                  lattice_family(1e-3, 0.0, "positive", 1),
+                                  lattice_family(1e-5, 0.3e-5, "positive", 2), ONEPI,
+                                  FULLPI3, orbit_spectrum(LoopGroupOrbitSpec(
+                                      2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4), 0.2))])
+def test_log_det_eps_calls_per_run(spec, monkeypatch):
+    # a run costs a bounded number of E1 calls, whatever eps*scale^2 is; the
+    # direct sum of the first spectrum made about 6.7e5 at eps = 1e-4
+    calls = _count_e1(monkeypatch)
+    runs = sum(len(spectra._runs(fam)) for fam in spec.lattices)
+    for eps in regdet._VERIFY_EPS:
+        calls[0] = 0
+        log_det_eps(spec, eps)
+        assert calls[0] <= 64 * runs
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e-3])
+def test_log_det_reg_small_scale(scale):
+    # used to take 0.7 s at scale 1e-2 (one E1 call per lattice term in the
+    # guard) and 6.7 s at 1e-3
+    spec = lattice_family(scale, 0.5 * scale, "positive", 1)
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
+
+
+def test_verify_eps_scales_with_the_largest_lattice():
+    for spec in (ONE0, FULLPI3, FIN23, lattice_family(10.0 * math.pi, 1.0, "full", 1)):
+        assert regdet._verify_eps(spec) is regdet._VERIFY_EPS
+    big = compose(ONE0, lattice_family(1e3, 100.0, "full", 2))
+    factor = (10.0 * math.pi / 1e3) ** 2
+    assert regdet._verify_eps(big) == tuple(e * factor for e in regdet._VERIFY_EPS)
+
+
+def test_guard_at_large_scale():
+    # eps*scale^2 >> 1 on every fixed cutoff, so the deviations grew (1.35,
+    # 1.55, 1.69) and the guard raised although the value was right
+    spec = compose(lattice_family(1e3, -490.0, "positive", 1),
+                   lattice_family(1e3, 100.0, "full", 2), finite_spectrum([(3.0, 1)]))
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err

@@ -19,7 +19,7 @@ from specreg import (
     hurwitz_zeta_prime0,
     log_cutoff,
 )
-from specreg.special import _digamma, _ein
+from specreg.special import _CRAMER, _E1_ROUNDING, _EM_REMAINDER, _EM_WEIGHTS, _digamma, _ein
 
 mp.mp.dps = 30
 
@@ -30,7 +30,27 @@ E1_GRID = [1e-300, 1e-12, 1e-8, 1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5,
 @pytest.mark.parametrize("x", E1_GRID)
 def test_e1_against_mpmath(x):
     ref = float(mp.e1(x))
-    assert exp_integral_e1(x) == pytest.approx(ref, rel=5e-14, abs=1e-300)
+    assert exp_integral_e1(x) == pytest.approx(ref, rel=_E1_ROUNDING, abs=1e-300)
+
+
+def test_e1_stated_rounding_just_above_one():
+    # the continued fraction's rounding peaks just above x = 1
+    for k in range(200):
+        x = 1.0 + k * 2.5e-5
+        assert abs(exp_integral_e1(x) - mp.e1(x)) <= _E1_ROUNDING * mp.e1(x)
+
+
+def test_euler_maclaurin_constants():
+    for k, weight in enumerate(_EM_WEIGHTS, start=1):
+        ref = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+        assert abs(weight - ref) <= 2.0 ** -52 * abs(ref)
+    assert _EM_REMAINDER >= 2 * mp.zeta(16) / (2 * mp.pi) ** 16 * (1 - 2.0 ** -52)
+    # Cramer's inequality, which the remainder bounds of the Gaussian tails use
+    for j in range(17):
+        norm = mp.sqrt(2 ** j * mp.factorial(j))
+        worst = max(abs(mp.hermite(j, y)) * mp.e ** (-y * y / 2)
+                    for y in (mp.mpf(i) / 20 for i in range(200)))
+        assert worst <= _CRAMER * norm
 
 
 def test_e1_series_identity_small_x():

@@ -371,3 +371,82 @@ def test_from_dict_validation():
                                           "shift": 0.0, "side": "full",
                                           "mult": 2}],
                             "kernel_dim": 1})
+
+
+# ---------------------------------------------------------------------------
+# lattice runs closed by an Euler-Maclaurin tail
+
+
+def _mp_lattice_sum(kind: str, fam: LatticeFamily, rate: float) -> mp.mpf:
+    """sum weight*f(u) over fam's runs, by routes that share no code with
+    _lattice_sum: Hurwitz zeta for "power", the Jacobi theta function for
+    "heat" (full families and zero-shift one-sided ones), and for "e1" and
+    "shape" the terms up to u > 0 plus mpmath's own Euler-Maclaurin
+    summation (numerical derivatives and quadrature) at 18 digits."""
+    c, r = mp.mpf(fam.scale), mp.mpf(rate)
+    weight = -fam.mult * mp.mpf(fam.shift_derivative) if kind == "shape" else fam.mult
+    if kind == "heat":
+        q = mp.e ** (-mp.pi ** 2 / (c * c * r))
+        full = mp.sqrt(mp.pi / r) / c * mp.jtheta(3, mp.pi * mp.mpf(fam.shift) / c, q)
+        if fam.side == "full":
+            return weight * (full - (1 if fam.shift == 0.0 else 0))
+        assert fam.shift == 0.0
+        return weight * (full - 1) / 2
+    total = mp.mpf(0)
+    for sigma, start, sign in specreg.spectra._runs(fam):
+        sigma = mp.mpf(sigma)
+        n0 = start
+        while c * n0 + sigma <= 0:
+            n0 += 1
+        if kind == "power":
+            total += mp.fsum(abs(c * n + sigma) ** -r for n in range(start, n0)
+                             if c * n + sigma != 0)
+            total += c ** -r * mp.zeta(r, n0 + sigma / c)
+            continue
+
+        def f(n):
+            u = c * n + sigma
+            if u == 0:
+                return mp.mpf(0)
+            return mp.e1(r * u * u) if kind == "e1" else sign * mp.e ** (-r * u * u) / u
+
+        total += mp.fsum(f(n) for n in range(start, n0))
+        with mp.workdps(18):
+            total += mp.nsum(f, [n0, mp.inf], method="euler-maclaurin")
+    return weight * total
+
+
+def _em_oracle_cases():
+    # each summand at every scale and both cutoffs, with zero and nonzero
+    # shifts, one-sided and full runs
+    grid = [(s, r) for s in (1e-4, 1e-2, 1.0, TWO_PI) for r in (1e-2, 1e-4)]
+    for i, (scale, rate) in enumerate(grid):
+        frac = (0.0, 0.3, -0.45)[i % 3]
+        side = ("positive", "full")[i % 2]
+        yield "e1", LatticeFamily(scale, frac * scale, "positive", 2), rate
+        yield "heat", LatticeFamily(scale, 0.0, side, 2), rate
+        yield "heat", LatticeFamily(scale, 0.3 * scale, "full", 1), rate
+        yield "power", LatticeFamily(scale, frac * scale, side, 2), (1.2, 3.0, 61.0)[i % 3]
+        yield "shape", LatticeFamily(scale, -0.3 * scale, "positive", 1, 0.7), rate
+    yield "e1", LatticeFamily(1e-2, -0.45e-2, "full", 1), 1e-4
+    yield "e1", LatticeFamily(TWO_PI, 0.3 * TWO_PI, "full", 1), 1e-4
+    yield "shape", LatticeFamily(1.0, 0.3, "full", 1, -1.5), 1e-4
+
+
+@pytest.mark.parametrize("kind,fam,rate", list(_em_oracle_cases()))
+def test_lattice_sum_against_mpmath(kind, fam, rate, monkeypatch):
+    closures = []
+    em_tail = specreg.spectra._em_tail
+    monkeypatch.setattr(specreg.spectra, "_em_tail",
+                        lambda *args: closures.append(args) or em_tail(*args))
+    terms, bound = specreg.spectra._lattice_sum(fam, kind, rate, 1e-13)
+    value = math.fsum(terms)
+    miss = abs(mp.mpf(value) - _mp_lattice_sum(kind, fam, rate))
+    if not closures:
+        # runs summed directly state only their truncation bound, as they
+        # always did; their terms carry the summand's own rounding on top
+        own = specreg.special._E1_ROUNDING if kind == "e1" else 2.0 ** -53
+        bound += (own + 4.0 * 2.0 ** -53) * math.fsum(map(abs, terms))
+    # closed runs: the stated bound covers the miss with no slack beyond the
+    # final rounding
+    assert miss <= bound + 0.5 * math.ulp(value)

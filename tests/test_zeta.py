@@ -426,3 +426,28 @@ def test_bridge_on_random_mixes(case):
     assert report.budget < 1e-6
     floor = 1e-13 * (1.0 + sum(abs(t) for t in terms))
     assert abs(report.heat_route - math.fsum(terms)) <= report.heat_error + floor
+
+
+def _mp_zeta_lattice(spec, s: float) -> mp.mpf:
+    """zeta_B(s) of lattice families by Hurwitz zeta, q formed exactly."""
+    total = mp.mpf(0)
+    for fam in spec.lattices:
+        c, sigma = mp.mpf(fam.scale), mp.mpf(fam.shift)
+        if fam.side == "positive":
+            parts = [1 + sigma / c]
+        else:
+            q = abs(sigma) / c
+            parts = [1 - q] + ([q] if q else [1])
+        total += fam.mult * sum(c ** (-2 * s) * mp.zeta(2 * s, q) for q in parts)
+    return total
+
+
+@pytest.mark.parametrize("spec", [ONE0, ONEPI, FULLPI3, FULL0M2,
+                                  lattice_family(1e-3, 0.4e-3, "positive", 2),
+                                  lattice_family(0.05, -0.02, "full", 1)])
+@pytest.mark.parametrize("s", [0.6, 1.5, 3.0, 30.0])
+def test_zeta_direct_error_covers_hurwitz(spec, s):
+    # the Euler-Maclaurin remainder and rounding bounds, with no fixed floor
+    got = zeta_direct(spec, s)
+    assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
+    assert got.error <= 1e-13 * got.value
