@@ -8,26 +8,26 @@ on (0, 1].  The b_0 coefficient carries the primed/unprimed convention: the
 
 Coefficient sources:
 
-* analytic  - exact table for lattice families (m=2, J=2): a full lattice
-  contributes sqrt(pi)/scale * mult to b_{-1} (and, at shift 0, -mult to b_0
-  for its excised zero mode); a one-sided lattice contributes
-  sqrt(pi)/(2*scale) * mult to b_{-1} and -mult*(1/2 + shift/scale) to the
-  kernel-inclusive b_0; explicit rows contribute their multiplicity to b_0.
-  Coefficient derivatives along the stored deformation: only b_0 moves, by
-  -mult*shift_derivative/scale per one-sided family.
+* analytic  - exact table for lattice families (m=2, J=2), read from
+  Spectrum.poisson: each theta of weight w contributes w*sqrt(pi)/scale to
+  b_{-1} and nothing to b_0, each exponential its weight to b_0 (explicit
+  rows their multiplicity, a structural zero or a pair's n = 0 term a
+  negative weight), and each solo sqrt(pi)/(2*scale) * mult to b_{-1} and
+  -mult*(1/2 + shift/scale) to b_0.  Coefficient derivatives along the
+  stored deformation: only b_0 moves, by -mult*shift_derivative/scale per
+  one-sided family.
 * finite    - exact m=1, J=1 expansion for explicit spectra with the sharp
   remainder bound C = sum mult*lam (since |expm1(-x)| <= x).
 * fitted    - least squares in the t^(j/m) basis on a user grid.
 
-The remainder is evaluated cancellation-free wherever structure allows:
-explicit rows via expm1, full lattices via the dual (Poisson) series, paired
-or zero-shift one-sided lattices via exact pair identities.  A solo shifted
-one-sided family uses its exact small-time power series F = sum_k a_k t^k
-(coefficients from odd Bernoulli polynomials of 1 + shift/scale, computed in
-double precision from their Fourier series and cached per family) whenever
-the dual terms are certifiably below 1e-20; only above that window does it
-fall back to a direct big-minus-big difference, which is then short and
-carries ~1e-14 noise.
+The remainder is evaluated cancellation-free from the same data: each theta
+through its dual (Poisson) series, each exponential via expm1.  A solo uses
+its exact small-time power series F = sum_k a_k t^k (coefficients from odd
+Bernoulli polynomials of 1 + shift/scale, computed in double precision from
+their Fourier series and cached per family) whenever the dual terms are
+certifiably below 1e-20; only above that window does it fall back to a
+direct big-minus-big difference, which is then short and carries ~1e-14
+noise.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from math import fsum
 from operator import add, mul
 from typing import Callable
@@ -91,8 +92,8 @@ def expansion_value(exp: HeatExpansion, t: float) -> float:
 #     = sqrt(pi)/(2c) t^(-1/2) - (1/2 + theta/c) + sum_{k>=1} a_k t^k + O(exp(-pi^2/(c^2 t))),
 #
 # has a_k = (-1)^(k+1) c^(2k) B_{2k+1}(1 + theta/c) / (k! (2k+1)) with B_n(q)
-# the Bernoulli polynomials (for theta = 0 every a_k vanishes, matching the
-# zero-shift pair identity).  The series has zero radius but its terms only
+# the Bernoulli polynomials (for theta = 0 every a_k vanishes: the family is
+# then half a theta sum less 1/2).  The series has zero radius but its terms only
 # start growing near k ~ pi^2/(c^2 t), so truncating at the smallest term
 # leaves an error comparable to the dual terms already being neglected.
 _SERIES_KMAX = 60
@@ -206,20 +207,9 @@ def _one_sided_series(fam: LatticeFamily, coeffs: tuple[float, ...], t: float) -
     return None
 
 
-def _lattice_b_contrib(fam: LatticeFamily) -> tuple[float, float, float]:
-    """(b_{-1}, family-trace b_0, d b_0/d kappa) for one lattice family.
-
-    A full family at shift 0 enumerates only n != 0 (its zero mode lives in
-    kernel_dim), so removing the n = 0 term costs -mult in b_0; the full
-    theta sum itself has no constant term.
-    """
-    if fam.side == "full":
-        b0 = -float(fam.mult) if fam.shift == 0.0 else 0.0
-        return fam.mult * SQRT_PI / fam.scale, b0, 0.0
-    b_minus1 = fam.mult * SQRT_PI / (2.0 * fam.scale)
-    b0 = -fam.mult * (0.5 + fam.shift / fam.scale)
-    db0 = -fam.mult * fam.shift_derivative / fam.scale
-    return b_minus1, b0, db0
+def _solo_coeffs(fam: LatticeFamily) -> tuple[float, float]:
+    """(b_{-1}, b_0) of one one-sided family's trace."""
+    return fam.mult * SQRT_PI / (2.0 * fam.scale), -fam.mult * (0.5 + fam.shift / fam.scale)
 
 
 def analytic_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
@@ -236,15 +226,19 @@ def analytic_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
 def _analytic_coeffs(spec: Spectrum, primed: bool) -> HeatExpansion:
     """analytic_expansion without the scan of C, left at 0.0: the determinant
     and zeta routes read C only from fitted expansions."""
-    contribs = [_lattice_b_contrib(fam) for fam in spec.lattices]
-    # each explicit row adds its multiplicity to b_0, and the kernel-inclusive
-    # b_0 counts zero modes with weight 1 too (exp(0) = 1)
-    explicit = sum(mult for _, mult, _ in spec.rows)
-    b0 = fsum([b for _, b, _ in contribs] + [explicit]) + spec.kernel_dim
-    if primed:
-        b0 -= spec.kernel_dim
-    coeffs = {-2: 0.0, -1: fsum(bm1 for bm1, _, _ in contribs), 0: b0, 1: 0.0}
-    derivs = {-2: 0.0, -1: 0.0, 0: fsum(db0 for _, _, db0 in contribs), 1: 0.0}
+    poisson = spec.poisson
+    solos = [_solo_coeffs(fam) for fam in poisson.solos]
+    b_minus1 = fsum([weight * SQRT_PI / scale for weight, scale, _ in poisson.thetas]
+                    + [bm1 for bm1, _ in solos])
+    b0 = fsum([weight for _, weight in poisson.exponentials] + [b for _, b in solos])
+    if not primed:
+        # the kernel-inclusive b_0 counts zero modes with weight 1 (exp(0) = 1)
+        b0 += spec.kernel_dim
+    # only one-sided families have a shift-dependent b_0
+    db0 = fsum(-fam.mult * fam.shift_derivative / fam.scale
+               for fam in spec.lattices if fam.side == "positive")
+    coeffs = {-2: 0.0, -1: b_minus1, 0: b0, 1: 0.0}
+    derivs = {-2: 0.0, -1: 0.0, 0: db0, 1: 0.0}
     return HeatExpansion(m=2, J=2, coeffs=coeffs, source="analytic",
                          remainder_bound=0.0, coeff_derivatives=derivs,
                          includes_kernel=not primed)
@@ -342,14 +336,13 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
 
     The value is independent of the primed convention (the kernel constant
     cancels between trace and b_0).  For analytic/finite sources F is
-    evaluated from the family structure through the cancellation-free
-    identities described in the module docstring; for fitted sources it is
-    the direct difference against the fitted coefficients.  The pairing of
-    one-sided families and the explicit rows come from the spectrum's views
-    (Spectrum.groups, Spectrum.rows); the b-coefficients and series
-    coefficients of solo families and each theta family's table of cosines
-    are resolved here, once.  A quadrature over t builds F once and calls it
-    at every node.
+    evaluated from Spectrum.poisson as in the module docstring: the sum of
+    w*_theta_rest over its thetas, w*expm1(-t*lam) over its exponentials and
+    each solo's series or direct difference; for fitted sources it is the
+    direct difference against the fitted coefficients.  The solos' series
+    coefficients and b-coefficients and each theta's table of cosines are
+    resolved here, once.  A quadrature over t builds F once and calls it at
+    every node.
     """
     if exp.source == "fitted":
         def fitted(t: float) -> float:
@@ -360,34 +353,27 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
         return fitted
     if exp.source == "finite" and spec.lattices:
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
-    # (kind, family, cosine table) per theta group; (family, coefficients,
-    # b_{-1}, b_0) per solo family
-    thetas = [(kind, fam, []) for kind, fam in spec.groups if kind != "solo"]
-    solos = [(fam, _one_sided_power_coeffs(fam.scale, fam.shift)) + _lattice_b_contrib(fam)[:2]
-             for kind, fam in spec.groups if kind == "solo"]
+    poisson = spec.poisson
+    # (weight, scale, shift, cosine table) per theta; (family, coefficients,
+    # b_{-1}, b_0) per solo
+    thetas = [theta + ([],) for theta in poisson.thetas]
+    solos = [(fam, _one_sided_power_coeffs(fam.scale, fam.shift)) + _solo_coeffs(fam)
+             for fam in poisson.solos]
 
     def value(t: float) -> float:
         if not t > 0.0:
             raise DomainError(f"remainder defined for t > 0, got {t!r}")
-        parts: list[float] = []
-        for kind, fam, cosines in thetas:
-            if kind == "pair":
-                # exact pair identity: F = mult*(theta_rest - expm1(-t*shift^2))
-                parts.append(fam.mult * (_theta_rest(fam.scale, fam.shift, t, cosines)
-                                         - math.expm1(-t * fam.shift * fam.shift)))
-            elif kind == "full":
-                parts.append(fam.mult * _theta_rest(fam.scale, fam.shift, t, cosines))
-            else:
-                parts.append(0.5 * fam.mult * _theta_rest(fam.scale, 0.0, t, cosines))
+        parts = [weight * _theta_rest(scale, shift, t, cosines)
+                 for weight, scale, shift, cosines in thetas]
+        parts.extend(weight * math.expm1(-t * lam) for lam, weight in poisson.exponentials)
         for fam, coeffs, bm1, b0 in solos:
-            # solo shifted one-sided family: series at small t, else direct
+            # series at small t, else direct
             series = _one_sided_series(fam, coeffs, t)
             if series is not None:
                 parts.append(series)
             else:
                 trace_fam = _direct_run(fam, t, ABS_TOL * 0.25)
                 parts.append(trace_fam - bm1 / math.sqrt(t) - b0)
-        parts.extend(mult * math.expm1(-t * lam) for lam, mult, _ in spec.rows)
         return fsum(parts)
 
     return value
@@ -426,8 +412,9 @@ def _one_sided_cutoff(fam: LatticeFamily, delta: float, s: float) -> tuple[float
     return None
 
 
-def _explicit_cutoff(lam: float, mult: int, delta: float, s: float) -> tuple[float, float] | None:
-    # int_0^delta t^(s-1) * (exp(-lam*t) - 1) dt, term by term
+def _explicit_cutoff(lam: float, weight: float, delta: float,
+                     s: float) -> tuple[float, float] | None:
+    # weight * int_0^delta t^(s-1) * (exp(-lam*t) - 1) dt, term by term
     terms: list[float] = []
     total = 0.0
     weighted = 0.0
@@ -439,7 +426,7 @@ def _explicit_cutoff(lam: float, mult: int, delta: float, s: float) -> tuple[flo
         total += term
         weighted += k * abs(term)
         if abs(term) <= 1e-22 * max(1.0, abs(total)):
-            return mult * fsum(terms), mult * (abs(term) + _CUTOFF_ROUNDING * weighted)
+            return weight * fsum(terms), abs(weight) * (abs(term) + _CUTOFF_ROUNDING * weighted)
     return None
 
 
@@ -447,36 +434,34 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
                            s: float) -> tuple[float, float] | None:
     """int_0^delta t^(s-1) F(t) dt from the exact small-time structure.
 
-    Each lattice family needs its Poisson dual terms to decay at least like
-    exp(-50 k^2) at delta; a shifted one-sided family then integrates its power
-    series F = sum a_k t^k term by term, and an explicit row the series of
-    exp(-lam*t) - 1.  A series must fall below 1e-22 of its sum before its
-    terms start growing.  The error bound adds the dual terms' bound, the last
-    term of each series and its rounding allowance.  Returns (value,
-    error_bound), or None when some family cannot certify its series at delta
-    (mellin_lower then tries a smaller delta).  Any delta > 0 may be asked
-    for; the checks, not a fixed cap, decide.  Needs s > -1.
+    Every theta and solo of Spectrum.poisson needs its Poisson dual terms to
+    decay at least like exp(-50 k^2) at delta; a theta's share of F is then
+    only those terms, a solo integrates its power series F = sum a_k t^k term
+    by term, and an exponential (lam, w) the series of w*(exp(-lam*t) - 1).
+    A series must fall below 1e-22 of its sum before its terms start growing.
+    The error bound adds the dual terms' bound, the last term of each series
+    and its rounding allowance.  Returns (value, error_bound), or None when
+    some part cannot certify its series at delta (mellin_lower then tries a
+    smaller delta).  Any delta > 0 may be asked for; the checks, not a fixed
+    cap, decide.  Needs s > -1.
     """
     if exp.source == "fitted" or not 0.0 < delta or not s > -1.0:
         return None
-    parts: list[float] = []
+    poisson = spec.poisson
     errs: list[float] = []
-    for fam in spec.lattices:
-        decay = _dual_decay(fam.scale, delta)
+    duals = [(weight, scale) for weight, scale, _ in poisson.thetas]
+    duals += [(fam.mult, fam.scale) for fam in poisson.solos]
+    for weight, scale in duals:
+        decay = _dual_decay(scale, delta)
         if decay < 50.0:
             return None
         # dual terms contribute below prefactor*exp(-decay) on (0, delta]
-        prefactor = fam.mult * SQRT_PI / (fam.scale * math.sqrt(delta))
+        prefactor = weight * SQRT_PI / (scale * math.sqrt(delta))
         errs.append(2.0 * prefactor * math.exp(-decay) * delta ** s)
-        if fam.side == "full" or fam.shift == 0.0:
-            continue
-        got = _one_sided_cutoff(fam, delta, s)
-        if got is None:
-            return None
-        parts.append(got[0])
-        errs.append(got[1])
-    for lam, mult, _ in spec.rows:
-        got = _explicit_cutoff(lam, mult, delta, s)
+    parts: list[float] = []
+    for got in chain((_one_sided_cutoff(fam, delta, s) for fam in poisson.solos),
+                     (_explicit_cutoff(lam, weight, delta, s)
+                      for lam, weight in poisson.exponentials)):
         if got is None:
             return None
         parts.append(got[0])

@@ -10,11 +10,11 @@ t^p costs about a factor 2^(p+1) of error per bisection: integrable, but
 slow as p approaches -1.  [a, inf) is mapped onto (0, 1] by t = a + (1-u)/u.
 
 The tanh-sinh (double-exponential) rule serves the heat route's lower Mellin
-integral where it has no closed form (unpaired shifted one-sided lattices and
-fitted expansions): F(t)/t with |F| <= C*t is integrable at the endpoint,
-and the DE substitution handles it without any endpoint evaluation.  The
-two rules share no nodes, so the heat and zeta routes of the determinant
-bridge stay numerically independent.
+integral where it has no closed form (the solos of Spectrum.poisson, unpaired
+shifted one-sided lattices, and fitted expansions): F(t)/t with |F| <= C*t
+is integrable at the endpoint, and the DE substitution handles it without
+any endpoint evaluation.  The two rules share no nodes, so the heat and zeta
+routes of the determinant bridge stay numerically independent.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ closed form
 
 with F the expansion remainder.  log_det_reg takes the upper integral by
 Gauss-Kronrod panels and, for an analytic or finite expansion, the lower one
-in closed form per family (_lower_closed_form): each lattice family's
-Poisson dual terms integrate to an erfc series, and each explicit row and
-paired shift to Ein = gamma + log + E1.  Only unpaired shifted one-sided
-families, and fitted expansions, go through mellin_lower's tanh-sinh panels.
+in closed form from Spectrum.poisson (_lower_closed_form): each theta's
+Poisson dual terms integrate to an erfc series, and each exponential to Ein
+= gamma + log + E1.  Only the solos (unpaired shifted one-sided families),
+and fitted expansions, go through mellin_lower's tanh-sinh panels.
 It then verifies that the cutoff determinant approaches the matching
 asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a
 decreasing eps sequence, scaled down for lattice scales above 10*pi
@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import DomainError, NumericError
 from .quadrature import gauss_kronrod, tanh_sinh
-from .special import EULER_GAMMA, exp_integral_e1, _ein, _ERFC_ROUNDING, _U
+from .special import EULER_GAMMA, exp_integral_e1, _ein, _U
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -48,9 +48,9 @@ from .spectra import (
     Spectrum,
     heat_trace,
     min_eigenvalue,
+    _dual_mellin,
     _lattice_sum,
     _tail_budget,
-    _MAX_RUN_TERMS,
 )
 
 
@@ -154,7 +154,7 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
 
     [0, delta] is closed with the exact small-time series integral of an
     analytic or finite expansion (mellin_cutoff_integral), at the largest
-    decade delta <= 1e-2 where every family certifies its series; delta also
+    decade delta <= 1e-2 where every part certifies its series; delta also
     stays at or below 1/lam over the explicit rows lam, where the series of
     exp(-lam*t) - 1 has no cancellation.  If none of 29 decades certifies,
     NumericError is raised.  Only a fitted expansion, which has no series,
@@ -166,8 +166,8 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     evaluated at every node.  `method` selects tanh-sinh panels or
     Gauss-Kronrod panels.  The zeta route (zeta_value, zeta_prime0) takes
     Gauss-Kronrod; the heat route (log_det_reg) has a closed form for every
-    family but the unpaired shifted one-sided ones, and takes tanh-sinh only
-    for those and for fitted expansions.
+    theta and exponential of Spectrum.poisson, and takes tanh-sinh only for
+    its solos and for fitted expansions.
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
@@ -210,87 +210,33 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     return fsum(values), err
 
 
-# truncation target of each dual series D, per unit of multiplicity
-_DUAL_TAIL = 1e-17
 # relative error of special._ein (derived in its docstring)
 _EIN_ROUNDING = 8.0 * _U
 
 
-def _dual_tail(scale: float, K: int) -> float:
-    """Bound on sum_{k>K} 2*erfc(pi*k/c)/k, c = scale; see _dual_mellin."""
-    a = (math.pi / scale) ** 2
-    return (2.0 * scale * math.exp(-a * (K + 1) ** 2)
-            / (math.pi ** 1.5 * (K + 1) ** 2 * -math.expm1(-a * (2 * K + 3))))
-
-
-def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
-    """D(c, sigma) = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*erfc(pi*k/c)/k and its
-    error bound, with c = scale and sigma = shift.
-
-    D is int_0^1 of the Poisson dual part of sum_{n in Z} exp(-t*(c*n +
-    sigma)^2) against dt/t: per dual term, int_0^1 t^(-3/2) exp(-beta/t) dt
-    = sqrt(pi/beta)*erfc(sqrt(beta)) at beta = (pi*k/c)^2 (DLMF 8.4.6,
-    7.11.2).  With a = (pi/c)^2, erfc(x) <= exp(-x^2)/(x*sqrt(pi)) and
-    k^2 - (K+1)^2 >= (k-K-1)(2K+3) bound the terms past K by
-    2c*exp(-a(K+1)^2) / (pi^(3/2)*(K+1)^2*(1 - exp(-a(2K+3)))) (_dual_tail);
-    K starts where the exponential alone meets _DUAL_TAIL and grows until the
-    whole bound does.  The error adds, per term, erfc's own rounding, its
-    argument's (relative sensitivity at most 2x^2 + 1, since erfc(x) >
-    2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
-    cosine's angle, and the products; then half an ulp for the exactly
-    rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
-    raise NumericError.
-    """
-    # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
-    log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)
-    K = max(0, math.ceil(scale / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
-    if K > _MAX_RUN_TERMS:
-        raise NumericError(f"the dual series of a lattice with scale {scale!r} "
-                           f"would need more than {_MAX_RUN_TERMS} terms")
-    while _dual_tail(scale, K) > _DUAL_TAIL:
-        K += 1
-    angle = 2.0 * math.pi * shift / scale
-    terms, errs = [], []
-    for k in range(1, K + 1):
-        x = math.pi * k / scale
-        weight = 2.0 * math.erfc(x) / k
-        cos = math.cos(angle * k)
-        terms.append(weight * cos)
-        errs.append(weight * (abs(cos) * (_ERFC_ROUNDING + (3.0 * x * x + 2.5) * _U)
-                              + (2.0 * abs(angle * k) + 2.0) * _U))
-    value = fsum(terms)
-    return value, _dual_tail(scale, K) + fsum(errs) + 0.5 * math.ulp(value)
-
-
 def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t for an analytic or finite expansion, per
-    Spectrum.groups and Spectrum.rows, and its error bound.
+    """int_0^1 F(t) dt/t for an analytic or finite expansion, from
+    Spectrum.poisson, and its error bound.
 
-    A full group gives mult*D(c, sigma), a half group mult*D(c, 0)/2, a pair
-    mult*(D(c, sigma) + Ein(sigma^2)) (its remainder adds 1 - exp(-t*sigma^2))
-    and an explicit row -mult*Ein(lam) (from exp(-lam*t) - 1); D is
-    _dual_mellin.  Solo one-sided families have no closed form: their share of
-    F is the remainder of their own analytic expansion, integrated by
+    A theta of weight w gives w*D(c, sigma) (spectra._dual_mellin) and an
+    exponential (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1; a row at
+    lam = 0.0 adds nothing.  The solos have no closed form: their share of F
+    is the remainder of their own analytic expansion, integrated by
     mellin_lower's tanh-sinh panels.  Each Ein term carries _EIN_ROUNDING and
-    each product with mult a further u; the sum is exactly rounded.
+    each product with its weight a further u; the sum is exactly rounded.
     """
+    poisson = spec.poisson
     parts, errs = [], []
-    for kind, fam in spec.groups:
-        if kind == "solo":
-            continue
-        dual, dual_err = _dual_mellin(fam.scale, fam.shift)
-        weight = 0.5 * fam.mult if kind == "half" else fam.mult
+    for weight, scale, shift in poisson.thetas:
+        dual, dual_err = _dual_mellin(scale, shift)
         parts.append(weight * dual)
         errs.append(weight * dual_err + _U * abs(parts[-1]))
-        # Ein(x) ~ x, so a shift whose square underflows adds nothing
-        if kind == "pair" and fam.shift * fam.shift > 0.0:
-            parts.append(fam.mult * _ein(fam.shift * fam.shift))
-            errs.append((_EIN_ROUNDING + _U) * parts[-1])
-    for lam, mult, _ in spec.rows:
-        parts.append(-mult * _ein(lam))
-        errs.append(-(_EIN_ROUNDING + _U) * parts[-1])
-    solos = Spectrum(tuple(fam for kind, fam in spec.groups if kind == "solo"))
-    if solos.families:
+    for lam, weight in poisson.exponentials:
+        if lam > 0.0:
+            parts.append(-weight * _ein(lam))
+            errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
+    if poisson.solos:
+        solos = Spectrum(poisson.solos)
         value, err = mellin_lower(solos, _analytic_coeffs(solos, True), 0.0, "tanh-sinh")
         parts.append(value)
         errs.append(err)

@@ -17,10 +17,14 @@ moved into kernel_dim, and enumeration skips them defensively.
 A Spectrum keeps its families in order (deform, scale_spectrum and the wire
 format walk them so) and holds three views built once, on first use: its
 explicit rows (Spectrum.rows), its lattice families (Spectrum.lattices) and
-their one-sided pairing (Spectrum.groups).  Every routine reads the views;
-only this module tells the family types apart.  Every walk over a lattice
-family reads its structure from here: index runs (_runs), the pairing, the
-Poisson dual series (_theta_terms) and the tail budget (_tail_budget).
+its trace as Poisson data (Spectrum.poisson): full theta sums, signed
+exponentials that complete them to the actual trace (every explicit row
+among them), and the unpaired shifted one-sided families, the solos, which
+have no such form.  Every routine reads the views; only this module tells
+the family types apart.  Every walk over a lattice family reads its
+structure from here: index runs (_runs), the pairing, the Poisson dual
+series (_theta_terms, and its Mellin integral _dual_mellin) and the tail
+budget (_tail_budget).
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
@@ -34,9 +38,9 @@ states that bound plus its rounding, so its cost no longer grows like
 1/(scale*sqrt(t)).
 
 heat_trace sums mult * exp(-t*lam) over the positive spectrum with
-certified lattice tails; heat_trace_theta evaluates the same quantity
-through the Jacobi theta transform (Poisson summation), which is the
-independent oracle route for small t.
+certified lattice tails and never reads Spectrum.poisson; heat_trace_theta
+evaluates the same quantity from it through the Jacobi theta transform
+(Poisson summation), which is the independent oracle route for small t.
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import fsum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, NumericError
 from .special import (
     _E1_ROUNDING,
+    _ERFC_ROUNDING,
     _U,
     _em_guess,
     _em_remainder,
@@ -118,6 +123,16 @@ class ExplicitFamily:
 Family = Union[LatticeFamily, ExplicitFamily]
 
 
+class Poisson(NamedTuple):
+    """A positive spectrum's heat trace as Poisson data: the sum of weight *
+    sum_{n in Z} exp(-t*(scale*n + shift)^2) over thetas, of weight *
+    exp(-t*lam) over exponentials, and the one-sided traces of the solos."""
+
+    thetas: tuple[tuple[float, float, float], ...]  # (weight, scale, shift)
+    exponentials: tuple[tuple[float, float], ...]  # (lam, weight)
+    solos: tuple[LatticeFamily, ...]
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """A finite union of families plus the number of zero modes."""
@@ -144,31 +159,36 @@ class Spectrum:
         return tuple(fam for fam in self.families if isinstance(fam, LatticeFamily))
 
     @cached_property
-    def groups(self) -> tuple[tuple[str, LatticeFamily], ...]:
-        """The lattice families as (kind, family).
-
-        kind is "full" for a full family, "half" for a zero-shift one-sided
-        family and "pair" for a shifted one-sided family matched with the
-        earliest unmatched earlier one of equal scale and mult and opposite
-        shift (listed once, as that earlier family).  Shifted one-sided
-        families left unmatched come last as "solo".
-        """
-        groups, waiting = [], []
+    def poisson(self) -> Poisson:
+        """The trace as Poisson data.  A full family is the theta (mult, scale,
+        shift), plus the row (0.0, -mult) if it holds a structural zero; a
+        zero-shift one-sided family is the theta (mult/2, scale, 0.0) plus
+        (0.0, -mult/2).  A shifted one-sided family and the earliest unmatched
+        earlier one of equal scale and mult and opposite shift are that
+        family's theta (mult, scale, shift) plus the row (shift^2, -mult) that
+        removes its n = 0 term.  Shifted one-sided families left unmatched are
+        the solos, in order.  The explicit rows (lam, mult) come last."""
+        thetas, exponentials, waiting = [], [], []
         for fam in self.lattices:
             if fam.side == "full":
-                groups.append(("full", fam))
+                thetas.append((fam.mult, fam.scale, fam.shift))
+                if _zero_modes(fam):
+                    exponentials.append((0.0, -fam.mult))
             elif fam.shift == 0.0:
-                groups.append(("half", fam))
+                thetas.append((0.5 * fam.mult, fam.scale, 0.0))
+                exponentials.append((0.0, -0.5 * fam.mult))
             else:
                 for i, other in enumerate(waiting):
                     if (other.shift == -fam.shift and other.scale == fam.scale
                             and other.mult == fam.mult):
-                        groups.append(("pair", waiting.pop(i)))
+                        waiting.pop(i)
+                        thetas.append((other.mult, other.scale, other.shift))
+                        exponentials.append((other.shift * other.shift, -other.mult))
                         break
                 else:
                     waiting.append(fam)
-        groups.extend(("solo", fam) for fam in waiting)
-        return tuple(groups)
+        exponentials.extend((lam, mult) for lam, mult, _ in self.rows)
+        return Poisson(tuple(thetas), tuple(exponentials), tuple(waiting))
 
 
 def _zero_modes(fam: LatticeFamily) -> int:
@@ -584,33 +604,73 @@ def _theta_rest(scale: float, shift: float, t: float, cosines: list[float]) -> f
     return prefactor * fsum(_theta_terms(scale, shift, t, 45.0, cosines))
 
 
-def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> float:
-    """Same trace as heat_trace, but lattice families go through the theta
-    transform.  This is the independent small-t route used for cross-checks.
+# truncation target of each dual series D, per unit of weight
+_DUAL_TAIL = 1e-17
 
-    Per Spectrum.groups: full families use the transform directly (minus
-    the structural zero term when present); a pair is a full transform minus
-    the n = 0 term; a zero-shift family is half of (full - 1); a solo family
-    uses the transform minus its directly summed mirror run.  Explicit rows
-    have no transform and are summed directly.
+
+def _dual_tail(scale: float, K: int) -> float:
+    """Bound on sum_{k>K} 2*erfc(pi*k/c)/k, c = scale; see _dual_mellin."""
+    a = (math.pi / scale) ** 2
+    return (2.0 * scale * math.exp(-a * (K + 1) ** 2)
+            / (math.pi ** 1.5 * (K + 1) ** 2 * -math.expm1(-a * (2 * K + 3))))
+
+
+def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
+    """D(c, sigma) = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*erfc(pi*k/c)/k and its
+    error bound, with c = scale and sigma = shift.
+
+    D is int_0^1 of the Poisson dual part of sum_{n in Z} exp(-t*(c*n +
+    sigma)^2) against dt/t: per dual term, int_0^1 t^(-3/2) exp(-beta/t) dt
+    = sqrt(pi/beta)*erfc(sqrt(beta)) at beta = (pi*k/c)^2 (DLMF 8.4.6,
+    7.11.2).  With a = (pi/c)^2, erfc(x) <= exp(-x^2)/(x*sqrt(pi)) and
+    k^2 - (K+1)^2 >= (k-K-1)(2K+3) bound the terms past K by
+    2c*exp(-a(K+1)^2) / (pi^(3/2)*(K+1)^2*(1 - exp(-a(2K+3)))) (_dual_tail);
+    K starts where the exponential alone meets _DUAL_TAIL and grows until the
+    whole bound does.  The error adds, per term, erfc's own rounding, its
+    argument's (relative sensitivity at most 2x^2 + 1, since erfc(x) >
+    2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
+    cosine's angle, and the products; then half an ulp for the exactly
+    rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
+    raise NumericError.
+    """
+    # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
+    log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)
+    K = max(0, math.ceil(scale / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
+    if K > _MAX_RUN_TERMS:
+        raise NumericError(f"the dual series of a lattice with scale {scale!r} "
+                           f"would need more than {_MAX_RUN_TERMS} terms")
+    while _dual_tail(scale, K) > _DUAL_TAIL:
+        K += 1
+    angle = 2.0 * math.pi * shift / scale
+    terms, errs = [], []
+    for k in range(1, K + 1):
+        x = math.pi * k / scale
+        weight = 2.0 * math.erfc(x) / k
+        cos = math.cos(angle * k)
+        terms.append(weight * cos)
+        errs.append(weight * (abs(cos) * (_ERFC_ROUNDING + (3.0 * x * x + 2.5) * _U)
+                              + (2.0 * abs(angle * k) + 2.0) * _U))
+    value = fsum(terms)
+    return value, _dual_tail(scale, K) + fsum(errs) + 0.5 * math.ulp(value)
+
+
+def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> float:
+    """Same trace as heat_trace, but through Spectrum.poisson: each theta by
+    the Jacobi transform (Poisson summation), each exponential directly, and
+    each solo as its full lattice's transform less its directly summed mirror
+    run.  This is the independent small-t route used for cross-checks.
     """
     if not t > 0.0:
         raise DomainError(f"heat trace requires t > 0, got {t!r}")
     budget = _tail_budget(spec)
-    parts: list[float] = []
-    for kind, fam in spec.groups:
-        full = _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
-        if kind == "full":
-            centre = math.exp(-t * fam.shift * fam.shift) if fam.shift == 0.0 else 0.0
-            parts.append(fam.mult * (full - centre))
-        elif kind == "pair":
-            parts.append(fam.mult * (full - math.exp(-t * fam.shift * fam.shift)))
-        elif kind == "half":
-            parts.append(0.5 * fam.mult * (full - 1.0))
-        else:
-            mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice
-            parts.append(fam.mult * full - _direct_run(fam, t, budget, mirror))
-    parts.extend(mult * math.exp(-t * lam) for lam, mult, _ in spec.rows)
+    poisson = spec.poisson
+    parts = [weight * _theta_full(scale, shift, t, budget / weight)
+             for weight, scale, shift in poisson.thetas]
+    parts.extend(weight * math.exp(-t * lam) for lam, weight in poisson.exponentials)
+    for fam in poisson.solos:
+        mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice
+        parts.append(fam.mult * _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
+                     - _direct_run(fam, t, budget, mirror))
     value = fsum(parts)
     if include_kernel:
         value += spec.kernel_dim

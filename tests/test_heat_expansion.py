@@ -23,11 +23,15 @@ from specreg import (
     fit_expansion,
     heat_trace,
     lattice_family,
+    log_det_reg,
     remainder,
     remainder_fn,
     verify_remainder_bound,
+    zeta_prime0,
+    zeta_value,
 )
 from specreg.heat_expansion import _one_sided_power_coeffs, mellin_cutoff_integral
+from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
 from specreg.regdet import default_expansion
 
 mp.mp.dps = 30
@@ -280,6 +284,17 @@ def test_remainder_fn_reuses_its_tables():
         assert f(t) == remainder(spec, exp, t)
     with pytest.raises(DomainError):
         f(0.0)
+
+
+def test_paired_orbit_builds_no_bernoulli_table():
+    # both root pairs of the SU(2) orbit are full theta sums less their n = 0
+    # term, and its Cartan family is half a theta sum: no solo needs a table
+    spec = orbit_spectrum(LoopGroupOrbitSpec(1, ((1.0,),), (1.0,), 0.25))
+    _one_sided_power_coeffs.cache_clear()
+    zeta_value(spec, 0.75)
+    zeta_prime0(spec)
+    log_det_reg(spec)
+    assert _one_sided_power_coeffs.cache_info().misses == 0
 
 
 def test_remainder_bound_holds_on_grid():

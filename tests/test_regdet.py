@@ -350,7 +350,7 @@ def test_dual_tail_bound(scale, K):
         tail = mp.fsum(2 * mp.erfc(mp.pi * k / c) / k
                        for k in range(K + 1, K + 2 + int(3 * scale)))
     # a bound below the smallest subnormal rounds to 0.0
-    assert tail <= regdet._dual_tail(scale, K) or tail < 2.0 ** -1074
+    assert tail <= spectra._dual_tail(scale, K) or tail < 2.0 ** -1074
 
 
 # ---------------------------------------------------------------------------

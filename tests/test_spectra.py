@@ -242,7 +242,7 @@ def test_theta_route_explicit_families_pass_through():
 
 
 # ---------------------------------------------------------------------------
-# the views: explicit rows, lattice families and their one-sided pairing
+# the views: explicit rows, lattice families and their Poisson data
 
 
 def test_views_split_families_in_order():
@@ -254,23 +254,45 @@ def test_views_split_families_in_order():
     assert spec.lattices == first.families + second.families
 
 
-def test_groups_pairing_rules():
-    fams = (
-        LatticeFamily(2.0, 0.5),
-        LatticeFamily(2.0, 0.5, shift_derivative=1.0),  # unmatched once 0 pairs
-        LatticeFamily(2.0, 0.0),
-        LatticeFamily(2.0, -0.5),                       # pairs with the earliest, 0
-        LatticeFamily(2.0, 0.25, "full"),
-        LatticeFamily(2.0, 0.0, "full"),
-        LatticeFamily(3.0, -0.5),                       # other scale
-        LatticeFamily(2.0, -0.5, mult=2),               # other mult
-        LatticeFamily(2.0, 0.4),                        # same sign, not opposite
-    )
+NINE_FAMILIES = (
+    LatticeFamily(2.0, 0.5),
+    LatticeFamily(2.0, 0.5, shift_derivative=1.0),  # unmatched once 0 pairs
+    LatticeFamily(2.0, 0.0),
+    LatticeFamily(2.0, -0.5),                       # pairs with the earliest, 0
+    LatticeFamily(2.0, 0.25, "full"),
+    LatticeFamily(2.0, 0.0, "full"),
+    LatticeFamily(3.0, -0.5),                       # other scale
+    LatticeFamily(2.0, -0.5, mult=2),               # other mult
+    LatticeFamily(2.0, 0.4),                        # same sign, not opposite
+)
+
+
+def test_poisson_pairing_rules():
+    fams = NINE_FAMILIES
     spec = Spectrum(fams[:2] + (ExplicitFamily(((1.0, 1, 0.0),)),) + fams[2:])
-    index = [(kind, next(i for i, f in enumerate(fams) if f is fam))
-             for kind, fam in spec.groups]
-    assert index == [("half", 2), ("pair", 0), ("full", 4), ("full", 5),
-                     ("solo", 1), ("solo", 6), ("solo", 7), ("solo", 8)]
+    poisson = spec.poisson
+    # half of the zero-shift family's theta, family 0 paired with family 3 as
+    # the theta of family 0 less its n = 0 term, then the two full families
+    assert poisson.thetas == ((0.5, 2.0, 0.0), (1, 2.0, 0.5), (1, 2.0, 0.25), (1, 2.0, 0.0))
+    assert poisson.exponentials == ((0.0, -0.5), (0.25, -1), (0.0, -1), (1.0, 1))
+    # the earliest partner wins; scale, mult and an opposite shift must match
+    assert [next(i for i, f in enumerate(fams) if f is fam)
+            for fam in poisson.solos] == [1, 6, 7, 8]
+
+
+def _poisson_trace(spec: Spectrum, t: float) -> float:
+    """Spectrum.poisson summed term by term: each theta over n in Z, each
+    exponential once and each solo over n >= 1, to exp(-50)."""
+    reach = math.sqrt(50.0 / t)
+    poisson = spec.poisson
+    terms = [weight * math.exp(-t * lam) for lam, weight in poisson.exponentials]
+    lattices = [(weight, scale, shift, True) for weight, scale, shift in poisson.thetas]
+    lattices += [(fam.mult, fam.scale, fam.shift, False) for fam in poisson.solos]
+    for weight, scale, shift, full in lattices:
+        top = math.ceil((reach + abs(shift)) / scale)
+        terms.extend(weight * math.exp(-t * (scale * n + shift) ** 2)
+                     for n in range(-top if full else 1, top + 1))
+    return math.fsum(terms)
 
 
 def test_explicit_placement_does_not_move_traces():
@@ -287,20 +309,36 @@ def test_explicit_placement_does_not_move_traces():
             assert len({value.hex() for value in values}) == 1
 
 
+POISSON_SPECS = [
+    compose(finite_spectrum([(0.7, 2, 0.1), (3.5, 1)]), lattice_family(2.0, 0.4),
+            lattice_family(2.0, -0.4), lattice_family(3.0, 0.2, "full", 2),
+            lattice_family(2.5, 0.3)),
+    Spectrum(NINE_FAMILIES[:2] + (ExplicitFamily(((1.0, 1, 0.0),)),) + NINE_FAMILIES[2:]),
+]
+
+
+@pytest.mark.parametrize("spec", POISSON_SPECS, ids=["placement", "nine-families"])
+def test_poisson_data_sums_to_heat_trace(spec):
+    for t in (1e-3, 0.1, 2.0):
+        direct = heat_trace(spec, t)
+        assert abs(_poisson_trace(spec, t) - direct) <= 1e-12 * (1.0 + abs(direct))
+
+
 def test_unknown_family_type_rejected():
     with pytest.raises(DomainError, match="unknown family type"):
         Spectrum((object(),))
 
 
 def test_family_type_dispatch_only_in_spectra():
-    # Spectrum.rows, .lattices and .groups are where the family types are told
-    # apart; every other module reads those views
+    # Spectrum.rows, .lattices and .poisson are where the family types are
+    # told apart; every other module reads those views, and no module brings
+    # back the retired per-kind groups
     dispatch = re.compile(r"isinstance\([^)]*\b(ExplicitFamily|LatticeFamily)\b")
+    retired = re.compile(r"""["'](pair|half|solo)["']|\.groups\b""")
     package = Path(specreg.__file__).parent
     found = [f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
-             if path.name != "spectra.py"
              for number, line in enumerate(path.read_text().splitlines(), start=1)
-             if dispatch.search(line)]
+             if path.name != "spectra.py" and dispatch.search(line) or retired.search(line)]
     assert found == []
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from specreg import (
     EULER_GAMMA,
     DomainError,
+    LatticeFamily,
     NumericError,
     PoleError,
     Spectrum,
@@ -21,6 +22,8 @@ from specreg import (
     build_report,
     compose,
     finite_spectrum,
+    heat_trace,
+    heat_trace_theta,
     lattice_family,
     log_det_reg,
     min_eigenvalue,
@@ -365,6 +368,23 @@ def test_bridge_tight_tolerance_fails():
     report = verify_bridge(ONEPI, abs_tol=1e-18)
     assert not report.passed
     assert report.threshold == 1e-18
+
+
+@pytest.mark.parametrize("turns", [1.0, -1.0, 3.0])
+def test_full_family_with_structural_zero_off_n0(turns):
+    # lattice_family(2 pi, 0.0, "full"), built directly with shift = turns*scale:
+    # the same operator, with its structural zero at n = -turns instead of 0
+    spec = Spectrum((LatticeFamily(TWO_PI, turns * TWO_PI, "full"),), 1)
+    canonical = lattice_family(TWO_PI, 0.0, "full")
+    assert analytic_expansion(spec).b0 == analytic_expansion(canonical).b0 == -1.0
+    for t in (1e-3, 0.1, 2.0):
+        direct = heat_trace(spec, t)
+        assert abs(heat_trace_theta(spec, t) - direct) <= 1e-12 * (1.0 + abs(direct))
+    got, ref = zeta_value(spec, 0.75), zeta_value(canonical, 0.75)
+    assert abs(got.value - ref.value) <= got.error + ref.error
+    (value, err), (ref_value, ref_err) = log_det_reg(spec), log_det_reg(canonical)
+    assert abs(value - ref_value) <= err + ref_err
+    assert verify_bridge(spec).passed
 
 
 def test_bridge_to_dict_keys():
