@@ -15,6 +15,9 @@ shifted one-sided lattices, and fitted expansions): F(t)/t with |F| <= C*t
 is integrable at the endpoint, and the DE substitution handles it without
 any endpoint evaluation.  The two rules share no nodes, so the heat and zeta
 routes of the determinant bridge stay numerically independent.
+gauss_kronrod takes log_det_reg's upper Mellin integral and, on the zeta
+route, zeta_prime0's lower one and zeta_value's two over the solos only
+(every other family has a closed form there).
 """
 
 from __future__ import annotations

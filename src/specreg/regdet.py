@@ -98,7 +98,8 @@ def counterterms(exp: HeatExpansion) -> dict[int, float]:
 
 
 def _mellin_upper(spec: Spectrum, s: float) -> tuple[float, float]:
-    """int_1^inf t^(s-1) tr exp(-t*B) dt; returns (value, error).
+    """int_1^inf t^(s-1) tr exp(-t*B) dt; returns (value, error).  log_det_reg
+    takes it at s = 0, and zeta_value for the solos at any s.
 
     Gauss-Kronrod on [1, t_max] plus the tail bound
     t_max^(s-1) tr exp(-t_max*B) / lam0.  t_max starts at
@@ -164,10 +165,11 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     behaviour of F(t) t^(s-1) out of the quadrature, which matters for
     Gauss-Kronrod as s approaches -1.  F is built once (remainder_fn) and
     evaluated at every node.  `method` selects tanh-sinh panels or
-    Gauss-Kronrod panels.  The zeta route (zeta_value, zeta_prime0) takes
-    Gauss-Kronrod; the heat route (log_det_reg) has a closed form for every
-    theta and exponential of Spectrum.poisson, and takes tanh-sinh only for
-    its solos and for fitted expansions.
+    Gauss-Kronrod panels.  The zeta route takes Gauss-Kronrod: zeta_prime0
+    on the whole spectrum, zeta_value only on its solos (every theta and
+    exponential of Spectrum.poisson has a closed form there).  The heat route
+    (log_det_reg) has a closed form for every theta and exponential as well,
+    and takes tanh-sinh only for its solos and for fitted expansions.
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")

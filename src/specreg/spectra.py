@@ -495,7 +495,13 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     was and states its Gaussian tail bound (over rate*u^2 for "e1", times
     |weight|/(mult*u) for "shape"); every other run, and every "power" run,
     is a _closed_run, whose remainder is at most _EM_SHARE of its share of
-    the budget.
+    the budget.  A direct run also states its rounding, (own + 4 u) times
+    the sum of its terms' magnitudes: "own" is the summand's error
+    (_E1_ROUNDING for E1, u for the others) and 4 u the product with the
+    weight and the rounding of rate*u^2 where it is of order one.  Further
+    out the argument's rounding grows with rate*u^2 in a term that has
+    fallen like exp(-rate*u^2); for the E1 runs that zeta_prime0 reads,
+    E1's stated 160 u (at most 36 u measured beyond x = 2) absorbs it.
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult
     runs = runs or _runs(fam)
@@ -514,12 +520,15 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
             terms.extend(run_terms)
             bound += run_bound
             continue
-        terms.extend(_summands(kind, weight, rate, _points(scale, sigma, start,
-                                                           n_hi + 1, sign)))
+        run_terms = _summands(kind, weight, rate, _points(scale, sigma, start,
+                                                          n_hi + 1, sign))
+        terms.extend(run_terms)
         u_next = scale * (n_hi + 1) + sigma
         bound += (tail / (rate * u_next * u_next) if kind == "e1"
                   else tail * abs(weight) / (fam.mult * u_next) if kind == "shape"
                   else tail)
+        own = _E1_ROUNDING if kind == "e1" else _U
+        bound += (own + 4.0 * _U) * fsum(map(abs, run_terms))
     return terms, bound
 
 
@@ -631,7 +640,11 @@ def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
     2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
     cosine's angle, and the products; then half an ulp for the exactly
     rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
-    raise NumericError.
+    raise NumericError.  A limit of the same kind for the solos: a shift of
+    more than 2^18 whole scales has no table of small-time coefficients
+    (heat_expansion._MAX_WHOLE_SCALES), so nothing certifies the start of
+    mellin_lower's integral and log_det_reg and zeta_value raise
+    NumericError (one-sided shift 0.5 at scale 1e-6, for instance).
     """
     # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
     log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)

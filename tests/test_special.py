@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -19,7 +20,19 @@ from specreg import (
     hurwitz_zeta_prime0,
     log_cutoff,
 )
-from specreg.special import _CRAMER, _E1_ROUNDING, _EM_REMAINDER, _EM_WEIGHTS, _digamma, _ein
+from specreg.special import (
+    _CRAMER,
+    _E1_ROUNDING,
+    _EM_REMAINDER,
+    _EM_WEIGHTS,
+    _G1_COEFFS,
+    _GAMMA_INC_ROUNDING,
+    _GAMMA_ROUNDING,
+    _digamma,
+    _ein,
+    lower_gamma_scaled,
+    upper_gamma_scaled,
+)
 
 mp.mp.dps = 30
 
@@ -237,3 +250,73 @@ def test_euler_gamma_series():
 def test_two_gamma_routes_agree():
     value, _ = euler_gamma_integral()
     assert abs(value - euler_gamma_series()) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# incomplete gamma functions
+
+
+def _gamma_inc_points():
+    """(a, x) over the ranges the zeta closed form asks for: a = s in
+    [-2, 30] at any x, a = 1/2 - s in [-29.5, 2.5] at x >= pi, a next to the
+    integers 0, -1, -2 (where Temme's form and the recurrence meet E1) and x
+    next to 0.8 (where the routes meet)."""
+    rng = random.Random(8)
+    points = [(rng.uniform(-2.0, 30.0), math.exp(rng.uniform(math.log(1e-300), math.log(60.0))))
+              for _ in range(300)]
+    points += [(rng.uniform(-29.5, 2.5), math.exp(rng.uniform(math.log(math.pi), math.log(700.0))))
+               for _ in range(150)]
+    points += [(rng.uniform(-2.0, 30.0), rng.uniform(0.7, 0.9)) for _ in range(100)]
+    points += [(a0 + d, x) for a0 in (0.0, -1.0, -2.0, 0.5, -0.5)
+               for d in (0.0, 1e-9, -1e-9, 1e-3, -1e-3)
+               for x in (1e-300, 1e-8, 0.3, 0.799, 0.8, 1.0, math.pi, 20.0)]
+    # the result must stay inside the double range
+    return [(a, x) for a, x in points if a <= 0 or math.lgamma(a) - a * math.log(x) < 700]
+
+
+def test_upper_gamma_scaled_against_mpmath():
+    misses = []
+    for a, x in _gamma_inc_points():
+        want = mp.gammainc(a, x) * mp.mpf(x) ** -a
+        if not abs(upper_gamma_scaled(a, x) - want) <= _GAMMA_INC_ROUNDING * want:
+            misses.append((a, x))
+    assert misses == []
+
+
+@pytest.mark.parametrize("a", [-1.9, -1.5, -1.0 + 1e-3, -0.7, -0.003, 0.003, 0.25, 1.5, 3.0,
+                               7.5, 29.0])
+def test_lower_gamma_scaled_against_mpmath(a):
+    for x in (0.0, 1e-12, 0.05, 0.7, 2.0, math.pi):
+        value, err = lower_gamma_scaled(a, x)
+        want = 1 / mp.mpf(a) if x == 0.0 else mp.gammainc(a, 0, x) * mp.mpf(x) ** -a
+        assert abs(value - want) <= err
+
+
+def test_incomplete_gamma_domain():
+    with pytest.raises(DomainError):
+        upper_gamma_scaled(0.5, 0.0)
+    with pytest.raises(DomainError):
+        upper_gamma_scaled(31.0, 1.0)
+    with pytest.raises(DomainError):
+        lower_gamma_scaled(0.5, -1.0)
+    with pytest.raises(PoleError):
+        lower_gamma_scaled(-1.0, 0.5)
+    with pytest.raises(OverflowError):
+        upper_gamma_scaled(3.0, 1e-226)
+
+
+def test_temme_coefficients():
+    # G1(b) = (1/Gamma(1 + b) - 1)/b from the table, on |b| <= 1/2
+    for b in (-0.5, -0.31, -0.1, -1e-3, 1e-3, 0.1, 0.37, 0.5):
+        series = math.fsum(c * b ** j for j, c in enumerate(_G1_COEFFS))
+        want = (1 / mp.gamma(1 + mp.mpf(b)) - 1) / b
+        assert abs(series - want) <= 2.0 ** -52 * abs(want)
+
+
+def test_gamma_fn_stated_rounding():
+    rng = random.Random(9)
+    points = [rng.uniform(-2.0, 30.0) for _ in range(200)]
+    points += [n + d for n in (0, -1, -2) for d in (1e-6, -1e-6, 1e-3, -1e-3)]
+    for s in points:
+        want = mp.gamma(s)
+        assert abs(gamma_fn(s) - want) <= _GAMMA_ROUNDING * abs(want)

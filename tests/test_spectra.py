@@ -472,19 +472,10 @@ def _em_oracle_cases():
 
 
 @pytest.mark.parametrize("kind,fam,rate", list(_em_oracle_cases()))
-def test_lattice_sum_against_mpmath(kind, fam, rate, monkeypatch):
-    closures = []
-    em_tail = specreg.spectra._em_tail
-    monkeypatch.setattr(specreg.spectra, "_em_tail",
-                        lambda *args: closures.append(args) or em_tail(*args))
+def test_lattice_sum_against_mpmath(kind, fam, rate):
     terms, bound = specreg.spectra._lattice_sum(fam, kind, rate, 1e-13)
     value = math.fsum(terms)
     miss = abs(mp.mpf(value) - _mp_lattice_sum(kind, fam, rate))
-    if not closures:
-        # runs summed directly state only their truncation bound, as they
-        # always did; their terms carry the summand's own rounding on top
-        own = specreg.special._E1_ROUNDING if kind == "e1" else 2.0 ** -53
-        bound += (own + 4.0 * 2.0 ** -53) * math.fsum(map(abs, terms))
-    # closed runs: the stated bound covers the miss with no slack beyond the
-    # final rounding
+    # direct and closed runs alike: the stated bound covers the miss with no
+    # slack beyond the final rounding
     assert miss <= bound + 0.5 * math.ulp(value)

@@ -7,6 +7,8 @@ import random
 
 import mpmath as mp
 import pytest
+import specreg.regdet
+import specreg.zeta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from specreg import (
     EULER_GAMMA,
     DomainError,
     LatticeFamily,
+    LoopGroupOrbitSpec,
     NumericError,
     PoleError,
     Spectrum,
@@ -27,6 +30,7 @@ from specreg import (
     lattice_family,
     log_det_reg,
     min_eigenvalue,
+    orbit_spectrum,
     scale_spectrum,
     verify_bridge,
     zeta_closed_form,
@@ -163,10 +167,14 @@ def test_zeta_value_large_explicit_eigenvalue(lam, s):
     assert abs(got.value - exact) <= got.error <= 1e-13 * max(1.0, abs(exact))
 
 
-def test_explicit_lower_integral_needs_s_above_minus_one():
-    # F(t) t^(s-1) ~ t^s is not integrable at t = 0 for s <= -1
+def test_zeta_below_minus_one_without_solos():
+    # every row and theta is a closed form, so s <= -1 is reached exactly;
+    # a solo keeps the lower Mellin integral, where F(t) t^(s-1) ~ t^s is
+    # not integrable at t = 0 for s <= -1
+    got = zeta_value(FIN23, -1.5)
+    assert abs(mp.mpf(got.value) - (mp.mpf(2) ** 1.5 + mp.mpf(3) ** 1.5)) <= got.error
     with pytest.raises(DomainError):
-        zeta_value(FIN23, -1.5)
+        zeta_value(ONEPI, -1.5)
 
 
 # a full lattice whose smallest eigenvalue (7.2e-226) is tiny but nonzero
@@ -180,13 +188,20 @@ def test_tiny_eigenvalue_overflowing_zeta_raises(s):
         zeta_value(TINY, s)
 
 
-def test_tiny_eigenvalue_zeta_within_error():
+def test_tiny_eigenvalue_zeta_within_error(monkeypatch):
+    # the closed form takes a handful of incomplete gammas, where the upper
+    # Mellin integral took hundreds of panels out to t ~ 45/lam0
+    calls = []
+    upper = specreg.zeta.upper_gamma_scaled
+    monkeypatch.setattr(specreg.zeta, "upper_gamma_scaled",
+                        lambda a, x: calls.append(a) or upper(a, x))
     q = mp.mpf(2.68e-113) / mp.mpf(4.585)
     s2 = 2 * mp.mpf(0.27)
     oracle = float(mp.mpf(4.585) ** -s2 * (mp.zeta(s2, q) + mp.zeta(s2, 1 - q)))
     got = zeta_value(TINY, 0.27)
     assert math.isfinite(got.error)
     assert abs(got.value - oracle) <= got.error
+    assert len(calls) <= 16
 
 
 def test_tiny_eigenvalue_log_det_reg_sine_formula():
@@ -230,8 +245,6 @@ def test_s_range_guard():
 def test_kernel_inclusive_expansion_rejected():
     full0 = lattice_family(2.0, 0.0, "full", 1)
     unprimed = analytic_expansion(full0, primed=False)
-    with pytest.raises(DomainError):
-        zeta_value(full0, 2.0, exp=unprimed)
     with pytest.raises(DomainError):
         zeta_prime0(full0, exp=unprimed)
 
@@ -449,14 +462,15 @@ def test_bridge_on_random_mixes(case):
 
 
 def _mp_zeta_lattice(spec, s: float) -> mp.mpf:
-    """zeta_B(s) of lattice families by Hurwitz zeta, q formed exactly."""
+    """zeta_B(s) of lattice families by Hurwitz zeta, q formed exactly (a
+    full family's shift first reduced by the exact math.remainder)."""
     total = mp.mpf(0)
     for fam in spec.lattices:
         c, sigma = mp.mpf(fam.scale), mp.mpf(fam.shift)
         if fam.side == "positive":
             parts = [1 + sigma / c]
         else:
-            q = abs(sigma) / c
+            q = abs(mp.mpf(math.remainder(fam.shift, fam.scale))) / c
             parts = [1 - q] + ([q] if q else [1])
         total += fam.mult * sum(c ** (-2 * s) * mp.zeta(2 * s, q) for q in parts)
     return total
@@ -471,3 +485,93 @@ def test_zeta_direct_error_covers_hurwitz(spec, s):
     got = zeta_direct(spec, s)
     assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
     assert got.error <= 1e-13 * got.value
+
+
+def _mp_zeta(spec, s: float) -> mp.mpf:
+    """zeta_B(s) of explicit rows and lattice families, exactly up to mpmath's
+    30 digits."""
+    rows = mp.fsum(mult * mp.mpf(lam) ** -mp.mpf(s) for lam, mult, _ in spec.rows)
+    return rows + _mp_zeta_lattice(spec, s)
+
+
+@pytest.mark.parametrize("turns", [1.7, 1.0])
+def test_closed_form_reduces_full_shift(turns):
+    # a full family built directly with its shift outside the principal cell;
+    # at one whole scale its structural zero sits at n = -1
+    spec = Spectrum((LatticeFamily(TWO_PI, turns * TWO_PI, "full"),), int(turns == 1.0))
+    for s in (-0.7, 0.75, 1.5, 3.0):
+        got = zeta_value(spec, s)
+        assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
+    # zeta_closed_form's fixed error of 5e-13 does not cover hurwitz_zeta's
+    # rounding at negative s (8.5e-13 off at s = -0.7 at one whole scale)
+    for s in (0.75, 1.5, 3.0):
+        got, closed = zeta_value(spec, s), zeta_closed_form(spec, s)
+        assert abs(mp.mpf(closed.value) - _mp_zeta_lattice(spec, s)) <= closed.error
+        assert abs(got.value - closed.value) <= got.error + closed.error
+
+
+def _random_mix(rng: random.Random) -> Spectrum:
+    """Up to two explicit rows and one to three of a full lattice, a +-
+    pair of one-sided lattices and a zero-shift one-sided lattice, each at its
+    own scale in [0.05, 50]: no solos, so every part is a closed form."""
+    parts = [finite_spectrum([(rng.uniform(0.1, 50.0), rng.randint(1, 3))])
+             for _ in range(rng.randint(0, 2))]
+    for kind in rng.sample(("full", "pair", "half"), rng.randint(1, 3)):
+        scale, mult = math.exp(rng.uniform(math.log(0.05), math.log(50.0))), rng.randint(1, 2)
+        if kind == "full":
+            parts.append(lattice_family(scale, rng.uniform(-0.5, 0.5) * scale, "full", mult))
+        elif kind == "pair":
+            frac = rng.uniform(0.05, 0.9)
+            parts += [lattice_family(scale, frac * scale, "positive", mult),
+                      lattice_family(scale, -frac * scale, "positive", mult)]
+        else:
+            parts.append(lattice_family(scale, 0.0, "positive", mult))
+    return compose(*parts)
+
+
+def test_zeta_value_sweep_against_hurwitz():
+    # each value within its stated error of the exact-q Hurwitz sum, and the
+    # Dirichlet series within the two errors wherever it converges
+    rng = random.Random(20261019)
+    misses, disagreements = [], []
+    for case in range(10):
+        spec = _random_mix(rng)
+        for s in (-1.9, -0.7, -0.003, 0.003, 0.25, 1.5, 7.5, 29.0):
+            got = zeta_value(spec, s)
+            if not abs(mp.mpf(got.value) - _mp_zeta(spec, s)) <= got.error:
+                misses.append((case, s))
+            if s > 0.55:
+                direct = zeta_direct(spec, s)
+                if not abs(direct.value - got.value) <= direct.error + got.error:
+                    disagreements.append((case, s))
+    assert misses == []
+    assert disagreements == []
+
+
+def test_orbit_pair_at_s_three():
+    # the rank-2 orbit's +- pairs remove their n = 0 terms: formed as
+    # Gamma(3) - Gamma(3, x), that difference lost 2.7e-12 here, 27 times the
+    # old stated error; the series of gamma(3, x) keeps it to rounding
+    spec = orbit_spectrum(LoopGroupOrbitSpec(2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4), 0.2))
+    got = zeta_value(spec, 3.0)
+    assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, 3.0)) <= got.error
+    assert got.error <= 2e-14 * got.value
+
+
+@pytest.mark.parametrize("spec", [FULLPI3, FULL0M2, FIN23, lattice_family(50.0, 10.0, "full"),
+                                  lattice_family(0.05, 0.02, "full", 2)])
+def test_closed_form_takes_no_quadrature(spec, monkeypatch):
+    # without solos nothing integrates numerically, and each theta takes a
+    # bounded number of incomplete gammas whatever its scale
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature or heat trace on the closed-form route")
+
+    calls = []
+    upper = specreg.zeta.upper_gamma_scaled
+    monkeypatch.setattr(specreg.zeta, "upper_gamma_scaled",
+                        lambda a, x: calls.append(a) or upper(a, x))
+    for name in ("heat_trace", "gauss_kronrod", "tanh_sinh"):
+        monkeypatch.setattr(specreg.regdet, name, refuse)
+    for s in (-0.7, 0.25, 1.5, 7.5):
+        zeta_value(spec, s)
+    assert len(calls) <= 4 * 16 * len(spec.poisson.thetas)
