@@ -3,8 +3,8 @@
 tr exp(-t*B)  ~  sum_j b_j t^(j/m),   j = -J .. m-1,
 
 with remainder F(t) = tr exp(-t*B) - sum_j b_j t^(j/m) satisfying |F| <= C*t
-on (0, 1].  The b_0 coefficient carries the primed/unprimed convention: the
-"primed" expansion tracks the kernel-free trace, so b_0' = b_0 - kernel_dim.
+on (0, 1].  Every expansion is kernel-free: the trace runs over the positive
+spectrum, so b_0 is the primed b_0' (the reports add kernel_dim beside it).
 
 Coefficient sources:
 
@@ -18,7 +18,8 @@ Coefficient sources:
   one-sided family.
 * finite    - exact m=1, J=1 expansion for explicit spectra with the sharp
   remainder bound C = sum mult*lam (since |expm1(-x)| <= x).
-* fitted    - least squares in the t^(j/m) basis on a user grid.
+* fitted    - least squares in the t^(j/m) basis on a user grid, for
+  verify_remainder_bound; the determinant and zeta routes never read one.
 
 The remainder is evaluated cancellation-free from the same data: each theta
 through its dual (Poisson) series, each exponential via expm1.  A solo uses
@@ -26,8 +27,8 @@ its exact small-time power series F = sum_k a_k t^k (coefficients from odd
 Bernoulli polynomials of 1 + shift/scale, computed in double precision from
 their Fourier series and cached per family) whenever the dual terms are
 certifiably below 1e-20; only above that window does it fall back to a
-direct big-minus-big difference, which is then short and carries ~1e-14
-noise.
+direct big-minus-big difference, which is then short, carries ~1e-14
+noise and the rounding of b_{-1} and b_0 (_solo_rounding).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class HeatExpansion:
     source: str
     remainder_bound: float
     coeff_derivatives: dict[int, float]
-    includes_kernel: bool = False
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.J < 0:
@@ -212,39 +212,35 @@ def _solo_coeffs(fam: LatticeFamily) -> tuple[float, float]:
     return fam.mult * SQRT_PI / (2.0 * fam.scale), -fam.mult * (0.5 + fam.shift / fam.scale)
 
 
-def analytic_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
+def analytic_expansion(spec: Spectrum) -> HeatExpansion:
     """Exact m=2, J=2 expansion for lattice (plus explicit) spectra.
 
-    With primed=True (default) b_0 excludes the kernel; coefficient
-    derivatives are populated from the families' shift derivatives.  The
-    remainder bound C is scanned on [1e-3, 1] (_scan_remainder_bound).
+    Coefficient derivatives are populated from the families' shift
+    derivatives.  The remainder bound C is scanned on [1e-3, 1]
+    (_scan_remainder_bound).
     """
-    exp = _analytic_coeffs(spec, primed)
+    exp = _analytic_coeffs(spec)
     return replace(exp, remainder_bound=_scan_remainder_bound(spec, exp))
 
 
-def _analytic_coeffs(spec: Spectrum, primed: bool) -> HeatExpansion:
-    """analytic_expansion without the scan of C, left at 0.0: the determinant
-    and zeta routes read C only from fitted expansions."""
+def _analytic_coeffs(spec: Spectrum) -> HeatExpansion:
+    """analytic_expansion without the scan of C, left at 0.0, which the
+    determinant and zeta routes never read."""
     poisson = spec.poisson
     solos = [_solo_coeffs(fam) for fam in poisson.solos]
     b_minus1 = fsum([weight * SQRT_PI / scale for weight, scale, _ in poisson.thetas]
                     + [bm1 for bm1, _ in solos])
     b0 = fsum([weight for _, weight in poisson.exponentials] + [b for _, b in solos])
-    if not primed:
-        # the kernel-inclusive b_0 counts zero modes with weight 1 (exp(0) = 1)
-        b0 += spec.kernel_dim
     # only one-sided families have a shift-dependent b_0
     db0 = fsum(-fam.mult * fam.shift_derivative / fam.scale
                for fam in spec.lattices if fam.side == "positive")
     coeffs = {-2: 0.0, -1: b_minus1, 0: b0, 1: 0.0}
     derivs = {-2: 0.0, -1: 0.0, 0: db0, 1: 0.0}
     return HeatExpansion(m=2, J=2, coeffs=coeffs, source="analytic",
-                         remainder_bound=0.0, coeff_derivatives=derivs,
-                         includes_kernel=not primed)
+                         remainder_bound=0.0, coeff_derivatives=derivs)
 
 
-def finite_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
+def finite_expansion(spec: Spectrum) -> HeatExpansion:
     """Exact m=1, J=1 expansion for explicit spectra; C = sum mult*lam."""
     if spec.lattices:
         raise UnsupportedSpectrumError("finite_expansion needs an explicit spectrum")
@@ -253,11 +249,9 @@ def finite_expansion(spec: Spectrum, primed: bool = True) -> HeatExpansion:
     for lam, mult, _ in spec.rows:
         total += mult
         c_bound += mult * lam
-    b0 = float(total) + (0 if primed else spec.kernel_dim)
-    return HeatExpansion(m=1, J=1, coeffs={-1: 0.0, 0: b0}, source="finite",
+    return HeatExpansion(m=1, J=1, coeffs={-1: 0.0, 0: float(total)}, source="finite",
                          remainder_bound=c_bound,
-                         coeff_derivatives={-1: 0.0, 0: 0.0},
-                         includes_kernel=not primed)
+                         coeff_derivatives={-1: 0.0, 0: 0.0})
 
 
 def _jacobi_svd(columns: list[list[float]]):
@@ -294,7 +288,7 @@ def _jacobi_svd(columns: list[list[float]]):
 
 
 def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
-                  primed: bool = True, max_condition: float = 1e12) -> HeatExpansion:
+                  max_condition: float = 1e12) -> HeatExpansion:
     """Least-squares fit of the t^(j/m) basis to the heat trace on `grid`.
 
     The grid must lie in (0, 1] and carry at least J+m+2 points.  Columns are
@@ -315,7 +309,7 @@ def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
     if condition > max_condition:
         raise FitConditionError(
             f"fit basis condition {condition:.3e} exceeds {max_condition:.1e}")
-    y = [heat_trace(spec, t, include_kernel=not primed) for t in ts]
+    y = [heat_trace(spec, t) for t in ts]
     # least squares through the SVD, dropping singular values below the
     # relative cutoff eps*max(rows, columns) as LAPACK's lstsq does
     cutoff = 2.0 ** -52 * len(ts) * max(sigma)
@@ -327,30 +321,22 @@ def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
                         for i, (t, yi) in enumerate(zip(ts, y)))
     return HeatExpansion(m=m, J=J, coeffs=coeffs, source="fitted",
                          remainder_bound=c_bound,
-                         coeff_derivatives={j: 0.0 for j in range(-J, m)},
-                         includes_kernel=not primed)
+                         coeff_derivatives={j: 0.0 for j in range(-J, m)})
 
 
 def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]:
     """t -> F(t) = tr exp(-t*B) - sum_j b_j t^(j/m), for t > 0.
 
-    The value is independent of the primed convention (the kernel constant
-    cancels between trace and b_0).  For analytic/finite sources F is
-    evaluated from Spectrum.poisson as in the module docstring: the sum of
-    w*_theta_rest over its thetas, w*expm1(-t*lam) over its exponentials and
-    each solo's series or direct difference; for fitted sources it is the
-    direct difference against the fitted coefficients.  The solos' series
-    coefficients and b-coefficients and each theta's table of cosines are
-    resolved here, once.  A quadrature over t builds F once and calls it at
-    every node.
+    For analytic/finite sources F is evaluated from Spectrum.poisson as in
+    the module docstring: the sum of w*_theta_rest over its thetas,
+    w*expm1(-t*lam) over its exponentials and each solo's series or direct
+    difference; for fitted sources it is the direct difference against the
+    fitted coefficients.  The solos' series coefficients and b-coefficients
+    and each theta's table of cosines are resolved here, once.  A quadrature
+    over t builds F once and calls it at every node.
     """
     if exp.source == "fitted":
-        def fitted(t: float) -> float:
-            if not t > 0.0:
-                raise DomainError(f"remainder defined for t > 0, got {t!r}")
-            return heat_trace(spec, t, include_kernel=exp.includes_kernel) - expansion_value(exp, t)
-
-        return fitted
+        return lambda t: heat_trace(spec, t) - expansion_value(exp, t)
     if exp.source == "finite" and spec.lattices:
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
     poisson = spec.poisson
@@ -377,6 +363,35 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
         return fsum(parts)
 
     return value
+
+
+# A solo's coefficients as the direct difference forms them, u = 2^-53:
+# b_0 = -mult*(1/2 + r), r = shift/scale, rounds r, the sum and the product,
+# u*mult*(|r| + 2|1/2 + r|) <= 3u*mult*(1/2 + |r|); b_{-1}/sqrt(t) takes float
+# sqrt(pi) (1.2 u), a product, two divisions and sqrt(t): 5.2 u of itself.
+_B0_ROUNDING = 3.0 * 2.0 ** -53
+_BM1_ROUNDING = 5.2 * 2.0 ** -53
+
+
+def _power_integral(p: float, lo: float) -> float:
+    """int_lo^1 t^(p-1) dt for 0 < lo <= 1."""
+    return -math.log(lo) if p == 0.0 else -math.expm1(p * math.log(lo)) / p
+
+
+def _solo_rounding(fam: LatticeFamily, delta: float, s: float) -> float:
+    """Bound on what the rounding of a solo's b_0 and b_{-1} adds to
+    int_delta^1 t^(s-1) F(t) dt: delta_b0 * int t^(s-1) dt + delta_b_{-1} *
+    int t^(s-3/2) dt over the part of [delta, 1] where F is the direct
+    difference.  That part is above the series' reach, which ends before
+    _dual_decay falls below 50 and, once the series holds at some t, holds
+    at every smaller t (each term ratio |a_{k+1}/a_k|*t shrinks with t): one
+    probe at decay 51 shows where it starts, or leaves all of [delta, 1]."""
+    bm1 = _solo_coeffs(fam)[0]
+    probe = min(1.0, math.pi ** 2 / (51.0 * fam.scale * fam.scale))
+    coeffs = _one_sided_power_coeffs(fam.scale, fam.shift)
+    lo = max(delta, probe) if _one_sided_series(fam, coeffs, probe) is not None else delta
+    db0 = _B0_ROUNDING * fam.mult * (0.5 + abs(fam.shift / fam.scale))
+    return db0 * _power_integral(s, lo) + _BM1_ROUNDING * bm1 * _power_integral(s - 0.5, lo)
 
 
 def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:
@@ -430,9 +445,10 @@ def _explicit_cutoff(lam: float, weight: float, delta: float,
     return None
 
 
-def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
+def mellin_cutoff_integral(spec: Spectrum, delta: float,
                            s: float) -> tuple[float, float] | None:
-    """int_0^delta t^(s-1) F(t) dt from the exact small-time structure.
+    """int_0^delta t^(s-1) F(t) dt from the exact small-time structure, F
+    the remainder of the spectrum's own analytic or finite expansion.
 
     Every theta and solo of Spectrum.poisson needs its Poisson dual terms to
     decay at least like exp(-50 k^2) at delta; a theta's share of F is then
@@ -445,7 +461,7 @@ def mellin_cutoff_integral(spec: Spectrum, exp: HeatExpansion, delta: float,
     smaller delta).  Any delta > 0 may be asked for; the checks, not a fixed
     cap, decide.  Needs s > -1.
     """
-    if exp.source == "fitted" or not 0.0 < delta or not s > -1.0:
+    if not 0.0 < delta or not s > -1.0:
         return None
     poisson = spec.poisson
     errs: list[float] = []
@@ -492,12 +508,15 @@ def expansion_to_dict(exp: HeatExpansion) -> dict:
         "remainder_bound": exp.remainder_bound,
         "coeff_derivatives": {str(j): exp.coeff_derivatives[j]
                               for j in sorted(exp.coeff_derivatives)},
-        "includes_kernel": exp.includes_kernel,
     }
 
 
 def expansion_from_dict(data: dict) -> HeatExpansion:
     try:
+        # expansions are kernel-free; an older kernel-inclusive one is refused, not misread
+        if data.get("includes_kernel", False) is not False:
+            raise DomainError("kernel-inclusive expansions are not supported: "
+                              f"includes_kernel={data['includes_kernel']!r}")
         coeffs = {int(j): float(b) for j, b in data["coeffs"].items()}
         derivs = {int(j): float(b)
                   for j, b in data.get("coeff_derivatives", {}).items()}
@@ -506,7 +525,6 @@ def expansion_from_dict(data: dict) -> HeatExpansion:
             source=str(data.get("source", "analytic")),
             remainder_bound=float(data.get("remainder_bound", 0.0)),
             coeff_derivatives=derivs or {j: 0.0 for j in coeffs},
-            includes_kernel=bool(data.get("includes_kernel", False)),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DomainError(f"malformed expansion object: {exc}") from exc

@@ -151,9 +151,8 @@ def vol_reg(ospec: LoopGroupOrbitSpec) -> float:
 def vol_zeta(ospec: LoopGroupOrbitSpec) -> float:
     """Zeta-regularised volume sqrt(Det'_reg) = e^(-gamma*b0'/2) * vol_reg."""
     spec = orbit_spectrum(ospec, True)
-    exp = default_expansion(spec)
-    value, _ = log_det_reg(spec, exp)
-    return math.exp(0.5 * (-EULER_GAMMA * exp.b0 + value))
+    value, _ = log_det_reg(spec)
+    return math.exp(0.5 * (-EULER_GAMMA * default_expansion(spec).b0 + value))
 
 
 def gateaux_fd(f, s0: float, step: float = 1e-3, order: int = 4) -> tuple[float, float]:

@@ -11,10 +11,10 @@ slow as p approaches -1.  [a, inf) is mapped onto (0, 1] by t = a + (1-u)/u.
 
 The tanh-sinh (double-exponential) rule serves the heat route's lower Mellin
 integral where it has no closed form (the solos of Spectrum.poisson, unpaired
-shifted one-sided lattices, and fitted expansions): F(t)/t with |F| <= C*t
-is integrable at the endpoint, and the DE substitution handles it without
-any endpoint evaluation.  The two rules share no nodes, so the heat and zeta
-routes of the determinant bridge stay numerically independent.
+shifted one-sided lattices): F(t)/t with |F| <= C*t is integrable at the
+endpoint, and the DE substitution handles it without any endpoint
+evaluation.  The two rules share no nodes, so the heat and zeta routes of
+the determinant bridge stay numerically independent.
 gauss_kronrod takes log_det_reg's upper Mellin integral and, on the zeta
 route, zeta_prime0's lower one and zeta_value's two over the solos only
 (every other family has a closed form there).
@@ -56,6 +56,11 @@ _WG = (
 )
 _EPS = sys.float_info.epsilon
 _REL_TOL = 1e-12
+# tanh-sinh's rounding per unit of |w*f|, in u = 2^-53: the weight rounds
+# float pi (0.35), cosh(u) (2), cosh(v)^2 (4), three products and a division
+# (4); v's rounding (3.35) moves node and weight together and leaves the
+# weight off the node's by at most as much (tanh(u)^2 <= 1); w*f (1): 14.7.
+_TS_NODE_ROUNDING = 16.0 * 2.0 ** -53
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -145,7 +150,9 @@ def tanh_sinh(
     carry double-exponentially small weights and are skipped.  Every other
     node is kept, so the rule scales with the panel: its weights are at
     least about 4.7e-29 * half-width.  Returns (value, error_estimate);
-    NumericError if max_level halvings end before two levels agree.
+    NumericError if max_level halvings end before two levels agree.  Levels
+    that agree to the last bit still round: the error is at least
+    _TS_NODE_ROUNDING of h*sum |w*f| plus u of each level sum and total.
     """
     if not b > a:
         raise NumericError(f"tanh-sinh needs b > a, got [{a}, {b}]")
@@ -161,8 +168,8 @@ def tanh_sinh(
         x = a + offset if u < 0.0 else b - offset
         return x, w
 
-    def level_sum(h: float, first: float) -> float:
-        # Sum f at u = +/- (first, first + h, first + 2h, ...) up to u_max.
+    def level_sum(h: float, first: float) -> tuple[float, float]:
+        # Sum f at u = +/- (first, first + h, first + 2h, ...) up to u_max; its rounding
         terms = []
         u = first
         while u <= u_max:
@@ -172,19 +179,22 @@ def tanh_sinh(
                     continue
                 terms.append(w * f(x))
             u += h
-        return math.fsum(terms)
+        total = math.fsum(terms)
+        return total, _TS_NODE_ROUNDING * math.fsum(map(abs, terms)) + 0.5 * _EPS * abs(total)
 
     h = 1.0
-    total = level_sum(h, 0.0)
+    total, rounding = level_sum(h, 0.0)
     estimate = h * total
     err = abs(estimate)
     for _ in range(max_level):
         h *= 0.5
-        total += level_sum(2.0 * h, h)  # new nodes at odd multiples of h
+        level, level_rounding = level_sum(2.0 * h, h)  # new nodes at odd multiples of h
+        total += level
+        rounding += level_rounding + 0.5 * _EPS * abs(total)
         new_estimate = h * total
         err = abs(new_estimate - estimate)
         estimate = new_estimate
         if err <= max(abs_tol, 1e-15 * abs(estimate)):
-            return estimate, err
+            return estimate, max(err, h * rounding)
     raise NumericError(
         f"tanh-sinh failed on [{a}, {b}]: levels still differ by {err!r} after {max_level}")

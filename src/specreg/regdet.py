@@ -12,15 +12,15 @@ closed form
                   - int_1^inf tr exp(-t*B) dt/t
                   - int_0^1 F(t) dt/t,
 
-with F the expansion remainder.  log_det_reg takes the upper integral by
-Gauss-Kronrod panels and, for an analytic or finite expansion, the lower one
-in closed form from Spectrum.poisson (_lower_closed_form): each theta's
-Poisson dual terms integrate to an erfc series, and each exponential to Ein
-= gamma + log + E1.  Only the solos (unpaired shifted one-sided families),
-and fitted expansions, go through mellin_lower's tanh-sinh panels.
-It then verifies that the cutoff determinant approaches the matching
-asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a
-decreasing eps sequence, scaled down for lattice scales above 10*pi
+with b_j and F from the spectrum's own expansion (default_expansion), the
+only one these routes take.  log_det_reg takes the upper integral by
+Gauss-Kronrod panels and the lower one in closed form from Spectrum.poisson
+(_lower_closed_form): each theta's Poisson dual terms integrate to an erfc
+series, and each exponential to Ein = gamma + log + E1.  Only the solos
+(unpaired shifted one-sided families) go through mellin_lower's tanh-sinh
+panels.  It then verifies that the cutoff determinant approaches the
+matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on
+a decreasing eps sequence, scaled down for lattice scales above 10*pi
 (_verify_eps; a non-divergence check on the expansion; the deviations
 measure |int_0^eps F/t|, not numerical error, so they are not folded into
 the reported error bound).  The guard's sums share no code with the heat
@@ -43,6 +43,7 @@ from .heat_expansion import (
     mellin_cutoff_integral,
     remainder_fn,
     _analytic_coeffs,
+    _solo_rounding,
 )
 from .spectra import (
     Spectrum,
@@ -55,13 +56,12 @@ from .spectra import (
 
 
 def default_expansion(spec: Spectrum) -> HeatExpansion:
-    """The kernel-free finite_expansion for explicit-only spectra, otherwise
-    the kernel-free coefficients of analytic_expansion without its scan of
-    the remainder bound, which nothing reads for an analytic source
-    (remainder_bound is left at 0.0)."""
+    """finite_expansion for explicit-only spectra, otherwise the coefficients
+    of analytic_expansion without its scan of C (left at 0.0): the one
+    expansion that the determinant and zeta routes take."""
     if spec.families and not spec.lattices:
         return finite_expansion(spec)
-    return _analytic_coeffs(spec, True)
+    return _analytic_coeffs(spec)
 
 
 def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
@@ -149,46 +149,40 @@ _DELTAS = tuple(float(f"1e-{k}") for k in range(2, 324))
 _DELTA_TRIES = 29
 
 
-def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
+def mellin_lower(spec: Spectrum, s: float,
                  method: str = "tanh-sinh") -> tuple[float, float]:
-    """int_0^1 t^(s-1) F(t) dt with F the expansion remainder; needs s > -1.
+    """int_0^1 t^(s-1) F(t) dt with F the remainder of default_expansion;
+    needs s > -1.
 
-    [0, delta] is closed with the exact small-time series integral of an
-    analytic or finite expansion (mellin_cutoff_integral), at the largest
-    decade delta <= 1e-2 where every part certifies its series; delta also
-    stays at or below 1/lam over the explicit rows lam, where the series of
-    exp(-lam*t) - 1 has no cancellation.  If none of 29 decades certifies,
-    NumericError is raised.  Only a fitted expansion, which has no series,
-    closes the gap with its remainder bound C*delta^(s+1)/(s+1) at delta =
-    min(1e-10, 1/lam).  Panels cover [delta, 1] with edges at most two
-    decades apart.  Starting the panels at delta keeps the t^s endpoint
-    behaviour of F(t) t^(s-1) out of the quadrature, which matters for
-    Gauss-Kronrod as s approaches -1.  F is built once (remainder_fn) and
-    evaluated at every node.  `method` selects tanh-sinh panels or
-    Gauss-Kronrod panels.  The zeta route takes Gauss-Kronrod: zeta_prime0
-    on the whole spectrum, zeta_value only on its solos (every theta and
-    exponential of Spectrum.poisson has a closed form there).  The heat route
-    (log_det_reg) has a closed form for every theta and exponential as well,
-    and takes tanh-sinh only for its solos and for fitted expansions.
+    [0, delta] is closed with the exact small-time series integral
+    (mellin_cutoff_integral), at the largest decade delta <= 1e-2 where
+    every part certifies its series; delta also stays at or below 1/lam over
+    the explicit rows lam, where the series of exp(-lam*t) - 1 has no
+    cancellation.  If none of 29 decades certifies, NumericError is raised.
+    Panels cover [delta, 1] with edges at most two decades apart.  Starting
+    the panels at delta keeps the t^s endpoint behaviour of F(t) t^(s-1) out
+    of the quadrature, which matters for Gauss-Kronrod as s approaches -1.
+    F is built once (remainder_fn) and evaluated at every node.  The error
+    adds the solos' coefficient rounding (heat_expansion._solo_rounding).
+    `method` selects tanh-sinh panels or Gauss-Kronrod panels.  The zeta
+    route takes Gauss-Kronrod: zeta_prime0 on the whole spectrum, zeta_value
+    only on its solos (every theta and exponential of Spectrum.poisson has a
+    closed form there).  The heat route (log_det_reg) takes tanh-sinh, and
+    only for its solos, for the same reason.
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
     lam_max = max((lam for lam, _, _ in spec.rows), default=0.0)
-    if exp.source == "fitted":
-        delta = min(1e-10, 1.0 / lam_max) if lam_max > 0.0 else 1e-10
-        cutoff_value = 0.0
-        cutoff_err = exp.remainder_bound * delta ** (s + 1.0) / (s + 1.0)
+    deltas = [d for d in _DELTAS if d * lam_max <= 1.0][:_DELTA_TRIES]
+    for delta in deltas:
+        cut = mellin_cutoff_integral(spec, delta, s)
+        if cut is not None:
+            break
     else:
-        deltas = [d for d in _DELTAS if d * lam_max <= 1.0][:_DELTA_TRIES]
-        for delta in deltas:
-            cut = mellin_cutoff_integral(spec, exp, delta, s)
-            if cut is not None:
-                break
-        else:
-            raise NumericError(
-                f"the small-time series does not certify [0, delta] for delta "
-                f"down to {deltas[-1]!r}")
-        cutoff_value, cutoff_err = cut
+        raise NumericError(
+            f"the small-time series does not certify [0, delta] for delta "
+            f"down to {deltas[-1]!r}")
+    cutoff_value, cutoff_err = cut
     edges = [delta] + [e for e in _EDGES if e > delta]
     if method == "tanh-sinh":
         quad, tol = tanh_sinh, 3e-15
@@ -197,12 +191,13 @@ def mellin_lower(spec: Spectrum, exp: HeatExpansion, s: float,
     else:
         raise DomainError(f"unknown quadrature method {method!r}")
 
-    remainder = remainder_fn(spec, exp)
+    remainder = remainder_fn(spec, default_expansion(spec))
 
     def integrand(t: float) -> float:
         return remainder(t) * t ** (s - 1.0)
 
-    values, err = [cutoff_value], cutoff_err
+    values = [cutoff_value]
+    err = cutoff_err + fsum(_solo_rounding(fam, delta, s) for fam in spec.poisson.solos)
     for a, b in zip(edges[:-1], edges[1:]):
         part, part_err = quad(integrand, a, b, abs_tol=tol)
         values.append(part)
@@ -217,7 +212,7 @@ _EIN_ROUNDING = 8.0 * _U
 
 
 def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t for an analytic or finite expansion, from
+    """int_0^1 F(t) dt/t, F the remainder of default_expansion, from
     Spectrum.poisson, and its error bound.
 
     A theta of weight w gives w*D(c, sigma) (spectra._dual_mellin) and an
@@ -238,8 +233,7 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
             parts.append(-weight * _ein(lam))
             errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
     if poisson.solos:
-        solos = Spectrum(poisson.solos)
-        value, err = mellin_lower(solos, _analytic_coeffs(solos, True), 0.0, "tanh-sinh")
+        value, err = mellin_lower(Spectrum(poisson.solos), 0.0, "tanh-sinh")
         parts.append(value)
         errs.append(err)
     value = fsum(parts)
@@ -266,19 +260,11 @@ def _verify_eps(spec: Spectrum) -> tuple[float, ...]:
 
 
 def _log_det_reg(spec: Spectrum,
-                 exp: HeatExpansion | None) -> tuple[float, float, dict[float, float]]:
+                 exp: HeatExpansion) -> tuple[float, float, dict[float, float]]:
     """log_det_reg's (value, error) and the cutoff determinants, by eps, on
-    which it checked the asymptote."""
-    if exp is None:
-        exp = default_expansion(spec)
-    if exp.includes_kernel:
-        raise DomainError("the determinant needs a kernel-free (primed) expansion")
+    which it checked the asymptote; exp is default_expansion(spec)."""
     upper, err_up = _mellin_upper(spec, 0.0)
-    if exp.source == "fitted" or (exp.source == "finite" and spec.lattices):
-        # no structural remainder (mellin_lower raises for the finite case)
-        lower, err_low = mellin_lower(spec, exp, 0.0, "tanh-sinh")
-    else:
-        lower, err_low = _lower_closed_form(spec)
+    lower, err_low = _lower_closed_form(spec)
     cts = counterterms(exp)
     ct_sum = fsum(cts.values())
     head = -ct_sum - upper
@@ -300,17 +286,16 @@ def _log_det_reg(spec: Spectrum,
     return value, err, dets
 
 
-def log_det_reg(spec: Spectrum, exp: HeatExpansion | None = None) -> tuple[float, float]:
+def log_det_reg(spec: Spectrum) -> tuple[float, float]:
     """Heat-kernel regularised log-determinant of the positive (kernel-free)
     spectrum; returns (value, error_bound).
 
-    Evaluates the closed form (module docstring) and verifies the cutoff
-    asymptote on eps = 1e-2, 1e-3, 1e-4 (scaled down for lattice scales
-    above 10*pi, see _verify_eps), raising NumericError if the deviations
-    grow.  `exp` defaults to default_expansion; an expansion that
-    includes the kernel raises DomainError.
+    Evaluates the closed form (module docstring) with the coefficients of
+    default_expansion and verifies the cutoff asymptote on eps = 1e-2,
+    1e-3, 1e-4 (scaled down for lattice scales above 10*pi, see
+    _verify_eps), raising NumericError if the deviations grow.
     """
-    value, err, _ = _log_det_reg(spec, exp)
+    value, err, _ = _log_det_reg(spec, default_expansion(spec))
     return value, err
 
 
@@ -334,15 +319,14 @@ class RegDetReport:
     counterterms: dict[int, float]
 
 
-def build_report(spec: Spectrum, exp: HeatExpansion | None = None,
+def build_report(spec: Spectrum,
                  eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> RegDetReport:
     """Cutoff determinants on a grid plus both regularised values, all of the
     positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
-    them.  `exp` is as for log_det_reg."""
+    them."""
     if not eps_grid or any(not e > 0.0 for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive entries")
-    if exp is None:
-        exp = default_expansion(spec)
+    exp = default_expansion(spec)
     value, err, dets = _log_det_reg(spec, exp)
     grid = tuple(float(e) for e in eps_grid)
     return RegDetReport(

@@ -543,9 +543,8 @@ def _tail_budget(spec: Spectrum, abs_tol: float = ABS_TOL) -> float:
     return abs_tol / (2.0 * max(1, len(spec.families)))
 
 
-def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
-               include_kernel: bool = False) -> float:
-    """tr exp(-t*B) over the positive spectrum (plus kernel_dim if asked).
+def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL) -> float:
+    """tr exp(-t*B) over the positive (kernel-free) spectrum.
 
     Summed exactly rounded by math.fsum, so the order of the terms does not
     matter; each lattice run is summed directly with its tail certified
@@ -560,10 +559,7 @@ def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL,
     terms = [mult * math.exp(-t * lam) for lam, mult, _ in spec.rows]
     for fam in spec.lattices:
         terms.extend(_lattice_sum(fam, "heat", t, budget)[0])
-    value = fsum(terms)
-    if include_kernel:
-        value += spec.kernel_dim
-    return value
+    return fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +663,7 @@ def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
     return value, _dual_tail(scale, K) + fsum(errs) + 0.5 * math.ulp(value)
 
 
-def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> float:
+def heat_trace_theta(spec: Spectrum, t: float) -> float:
     """Same trace as heat_trace, but through Spectrum.poisson: each theta by
     the Jacobi transform (Poisson summation), each exponential directly, and
     each solo as its full lattice's transform less its directly summed mirror
@@ -684,10 +680,7 @@ def heat_trace_theta(spec: Spectrum, t: float, include_kernel: bool = False) -> 
         mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice
         parts.append(fam.mult * _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
                      - _direct_run(fam, t, budget, mirror))
-    value = fsum(parts)
-    if include_kernel:
-        value += spec.kernel_dim
-    return value
+    return fsum(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .special import (
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
-from .heat_expansion import HeatExpansion, _analytic_coeffs
+from .heat_expansion import HeatExpansion
 from .spectra import Spectrum, min_eigenvalue, _lattice_sum, _tail_budget
 from .regdet import (
     counterterms,
@@ -254,11 +254,11 @@ def zeta_value(spec: Spectrum, s: float) -> ZetaEvaluation:
     solos = spec.poisson.solos
     if solos:
         sub = Spectrum(solos)
-        exp = _analytic_coeffs(sub, True)
+        exp = default_expansion(sub)
         pole_part = fsum(b / (j / exp.m + s)
                          for j, b in sorted(exp.coeffs.items()) if b != 0.0)
         upper, err_up = _mellin_upper(sub, s)
-        lower, err_low = mellin_lower(sub, exp, s, "gauss-kronrod")
+        lower, err_low = mellin_lower(sub, s, "gauss-kronrod")
         solo, solo_err = pole_part + upper + lower, err_up + err_low
     inv_gamma = 1.0 / gamma_fn(s)
     scaled = inv_gamma * fsum((mellin, solo))
@@ -324,19 +324,16 @@ def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:
     return ZetaEvaluation(s=s, value=fsum(parts), error=5e-13, route="closed-form-oracle")
 
 
-def zeta_prime0(spec: Spectrum, exp: HeatExpansion | None = None) -> tuple[float, float]:
+def zeta_prime0(spec: Spectrum) -> tuple[float, float]:
     """zeta_B'(0) = gamma*b0' + sum_{j!=0} m*b_j/j + I1 + I0; returns (value, err).
 
     I1 through the E1-sum identity, I0 by Gauss-Kronrod panels (numerics
     independent of the heat-route determinant).
     """
-    if exp is None:
-        exp = default_expansion(spec)
-    if exp.includes_kernel:
-        raise DomainError("zeta continuation needs a kernel-free (primed) expansion")
+    exp = default_expansion(spec)
     min_eigenvalue(spec)  # NumericError before E1 meets an underflowed eigenvalue
     upper, tail_err = _e1_sum(spec, 1.0)
-    lower, err_low = mellin_lower(spec, exp, 0.0, "gauss-kronrod")
+    lower, err_low = mellin_lower(spec, 0.0, "gauss-kronrod")
     value = EULER_GAMMA * exp.b0 + fsum(counterterms(exp).values()) + upper + lower
     return value, tail_err + err_low
 
@@ -357,19 +354,17 @@ class BridgeReport:
     kernel_dim: int
 
 
-def verify_bridge(spec: Spectrum, exp: HeatExpansion | None = None,
-                  abs_tol: float | None = None) -> BridgeReport:
+def verify_bridge(spec: Spectrum, abs_tol: float | None = None) -> BridgeReport:
     """Check the determinant bridge on one spectrum; primed throughout.
 
     passed uses the threshold `abs_tol` when given, else twice the combined
     error budget of the two routes.
     """
-    if exp is None:
-        exp = default_expansion(spec)
-    zp, zeta_err = zeta_prime0(spec, exp)
-    heat, heat_err = log_det_reg(spec, exp)
+    b0 = default_expansion(spec).b0
+    zp, zeta_err = zeta_prime0(spec)
+    heat, heat_err = log_det_reg(spec)
     zeta_route = -zp
-    heat_route = -EULER_GAMMA * exp.b0 + heat
+    heat_route = -EULER_GAMMA * b0 + heat
     discrepancy = abs(zeta_route - heat_route)
     budget = zeta_err + heat_err + 1e-14
     threshold = abs_tol if abs_tol is not None else 2.0 * budget
@@ -382,7 +377,7 @@ def verify_bridge(spec: Spectrum, exp: HeatExpansion | None = None,
         budget=budget,
         threshold=threshold,
         passed=discrepancy <= threshold,
-        b0_primed=exp.b0,
+        b0_primed=b0,
         kernel_dim=spec.kernel_dim,
     )
 

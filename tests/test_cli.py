@@ -465,7 +465,7 @@ def test_cli_fuzz_finite_or_typed_error(fuzz_input, case):
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "specreg.cli", "gamma"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
 

@@ -32,7 +32,6 @@ from specreg import (
 )
 from specreg.heat_expansion import _one_sided_power_coeffs, mellin_cutoff_integral
 from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
-from specreg.regdet import default_expansion
 
 mp.mp.dps = 30
 
@@ -79,12 +78,9 @@ def test_analytic_coefficients_shifted_and_full():
 
 def test_analytic_primed_convention():
     # the zero mode of a shift-0 full lattice sits in kernel_dim, so the
-    # kernel-free b_0 is -mult while the kernel-inclusive theta sum has none
+    # kernel-free b_0 is -mult
     full0 = lattice_family(2.0, 0.0, "full", 1)
-    primed = analytic_expansion(full0, primed=True)
-    unprimed = analytic_expansion(full0, primed=False)
-    assert primed.coeffs[0] == -1.0 and not primed.includes_kernel
-    assert unprimed.coeffs[0] == 0.0 and unprimed.includes_kernel
+    assert analytic_expansion(full0).coeffs[0] == -1.0
     assert analytic_expansion(lattice_family(2.0, 0.0, "full", 3)).coeffs[0] == -3.0
 
 
@@ -369,9 +365,8 @@ def test_fit_grid_validation():
 
 
 def test_cutoff_integral_shifted_leading_term():
-    exp = analytic_expansion(ONEPI)
     delta = 1e-10
-    got = mellin_cutoff_integral(ONEPI, exp, delta, 0.0)
+    got = mellin_cutoff_integral(ONEPI, delta, 0.0)
     assert got is not None
     value, err = got
     # F = pi^2 t - (pi^4/2) t^2 + ..., so the integral is pi^2 d - (pi^4/4) d^2 + ...
@@ -380,27 +375,23 @@ def test_cutoff_integral_shifted_leading_term():
 
 
 def test_cutoff_integral_explicit_leading_term():
-    exp = finite_expansion(FIN23)
     delta = 1e-10
-    got = mellin_cutoff_integral(FIN23, exp, delta, 0.0)
+    got = mellin_cutoff_integral(FIN23, delta, 0.0)
     assert got is not None
     value, _ = got
     assert abs(value + 5.0 * delta) <= 1e-19
 
 
 def test_cutoff_integral_full_lattice_zero():
-    got = mellin_cutoff_integral(FULLPI, analytic_expansion(FULLPI), 1e-10, 0.0)
+    got = mellin_cutoff_integral(FULLPI, 1e-10, 0.0)
     assert got is not None
     assert got[0] == 0.0
 
 
 def test_cutoff_integral_out_of_reach():
-    exp = analytic_expansion(ONEPI)
     # at delta = 1e-1 the dual terms decay only like exp(-2.5 k^2)
-    assert mellin_cutoff_integral(ONEPI, exp, 1e-1, 0.0) is None
-    assert mellin_cutoff_integral(ONEPI, exp, 1e-10, -1.0) is None
-    fit = fit_expansion(ONE0, FIT_GRID)
-    assert mellin_cutoff_integral(ONE0, fit, 1e-10, 0.0) is None
+    assert mellin_cutoff_integral(ONEPI, 1e-1, 0.0) is None
+    assert mellin_cutoff_integral(ONEPI, 1e-10, -1.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +412,17 @@ def test_expansion_from_dict_malformed():
         expansion_from_dict({"m": 2, "J": 2, "coeffs": "nope"})
 
 
+@pytest.mark.parametrize("flag", [True, 1, "true", None])
+def test_expansion_from_dict_rejects_kernel_inclusive(flag):
+    # expansions are kernel-free; an older dict that says otherwise is an
+    # error, never read as a kernel-free one
+    data = expansion_to_dict(analytic_expansion(ONEPI))
+    assert "includes_kernel" not in data
+    assert expansion_from_dict(dict(data, includes_kernel=False)) == expansion_from_dict(data)
+    with pytest.raises(DomainError, match="kernel-inclusive"):
+        expansion_from_dict(dict(data, includes_kernel=flag))
+
+
 # ---------------------------------------------------------------------------
 # cutoff integrals at the largest certified delta, against mpmath oracles that
 # never go through the small-time series
@@ -432,9 +434,8 @@ DECADES = [float(f"1e-{k}") for k in range(2, 31)]
 
 def _certified(spec, s):
     """(delta, value, error) at the largest decade <= 1e-2 that certifies."""
-    exp = default_expansion(spec)
     return next((d,) + got for d in DECADES
-                if (got := mellin_cutoff_integral(spec, exp, d, s)) is not None)
+                if (got := mellin_cutoff_integral(spec, d, s)) is not None)
 
 
 def _mp_cutoff(f, s: float, delta: float):

@@ -186,12 +186,15 @@ def test_heat_trace_domain():
         heat_trace_theta(ONE0, -1.0)
 
 
-def test_heat_trace_kernel_inclusion():
+def test_heat_trace_excludes_kernel():
+    # the three zero modes of the shift-0 full lattice sit in kernel_dim, and
+    # both traces run over the positive spectrum only
     spec = lattice_family(2.0, 0.0, "full", 3)
+    assert spec.kernel_dim == 3
     t = 0.7
-    assert heat_trace(spec, t, include_kernel=True) - heat_trace(spec, t) == 3.0
-    assert heat_trace_theta(spec, t, include_kernel=True) - \
-        heat_trace_theta(spec, t) == pytest.approx(3.0, abs=1e-13)
+    ref = 3 * (mp.jtheta(3, 0, mp.exp(-4 * mp.mpf(t))) - 1)
+    assert heat_trace(spec, t) == pytest.approx(float(ref), rel=1e-14)
+    assert heat_trace_theta(spec, t) == pytest.approx(float(ref), abs=1e-13)
 
 
 def test_heat_trace_compose_additive():

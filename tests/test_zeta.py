@@ -242,13 +242,6 @@ def test_s_range_guard():
         zeta_direct(ONE0, 0.5)
 
 
-def test_kernel_inclusive_expansion_rejected():
-    full0 = lattice_family(2.0, 0.0, "full", 1)
-    unprimed = analytic_expansion(full0, primed=False)
-    with pytest.raises(DomainError):
-        zeta_prime0(full0, exp=unprimed)
-
-
 # ---------------------------------------------------------------------------
 # zeta(0) and zeta'(0)
 
