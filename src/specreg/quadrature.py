@@ -13,11 +13,9 @@ The tanh-sinh (double-exponential) rule serves the heat route's lower Mellin
 integral where it has no closed form (the solos of Spectrum.poisson, unpaired
 shifted one-sided lattices): F(t)/t with |F| <= C*t is integrable at the
 endpoint, and the DE substitution handles it without any endpoint
-evaluation.  The two rules share no nodes, so the heat and zeta routes of
-the determinant bridge stay numerically independent.
-gauss_kronrod takes log_det_reg's upper Mellin integral and, on the zeta
-route, zeta_prime0's lower one and zeta_value's two over the solos only
-(every other family has a closed form there).
+evaluation.  gauss_kronrod takes log_det_reg's upper Mellin integral and
+the integral route of the Euler-constant self-check.  The zeta route
+integrates nothing: its values are closed forms and lattice sums.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ a decreasing eps sequence, scaled down for lattice scales above 10*pi
 (_verify_eps; a non-divergence check on the expansion; the deviations
 measure |int_0^eps F/t|, not numerical error, so they are not folded into
 the reported error bound).  The guard's sums share no code with the heat
-route's lower integral, a dual erfc series beside Gauss-Kronrod panels.
+route's lower integral, a dual erfc series beside tanh-sinh panels.
 """
 
 from __future__ import annotations
@@ -97,41 +97,35 @@ def counterterms(exp: HeatExpansion) -> dict[int, float]:
     return {j: exp.m * b / j for j, b in sorted(exp.coeffs.items()) if j != 0}
 
 
-def _mellin_upper(spec: Spectrum, s: float) -> tuple[float, float]:
-    """int_1^inf t^(s-1) tr exp(-t*B) dt; returns (value, error).  log_det_reg
-    takes it at s = 0, and zeta_value for the solos at any s.
+def _mellin_upper(spec: Spectrum) -> tuple[float, float]:
+    """int_1^inf tr exp(-t*B) dt/t, log_det_reg's upper integral; returns
+    (value, error).
 
     Gauss-Kronrod on [1, t_max] plus the tail bound
-    t_max^(s-1) tr exp(-t_max*B) / lam0.  t_max starts at
-    max(1.5, 45/lam0, 4|s|/lam0) and grows by 1.4 until the integrand is
-    below 1e-20 or t_max reaches 1e9.  [1, t_max] is split at 1, 2, 4, ..,
-    and each panel integrated to its share of the 1e-13 target: one 21-point
-    panel over [1, t_max] can undersample the fast exp(-lam t) decay of the
-    low eigenvalues next to t = 1 while its Gauss and Kronrod values still
-    agree, and then states an error far below the true one.  A smallest
-    eigenvalue lam0 so small that t^(s-1) overflows before the trace decays
-    raises NumericError.
+    t_max^-1 tr exp(-t_max*B) / lam0.  t_max starts at max(1.5, 45/lam0) and
+    grows by 1.4 until the integrand is below 1e-20 or t_max reaches 1e9.
+    [1, t_max] is split at 1, 2, 4, .., and each panel integrated to its
+    share of the 1e-13 target: one 21-point panel over [1, t_max] can
+    undersample the fast exp(-lam t) decay of the low eigenvalues next to
+    t = 1 while its Gauss and Kronrod values still agree, and then states an
+    error far below the true one.
     """
     lam0 = min_eigenvalue(spec)
 
     def integrand(t: float) -> float:
-        return heat_trace(spec, t, 1e-14) * t ** (s - 1.0)
+        return heat_trace(spec, t, 1e-14) * t ** -1.0
 
-    try:
-        t_max = max(1.5, 45.0 / lam0, 4.0 * abs(s) / lam0)
-        while heat_trace(spec, t_max) * t_max ** (s - 1.0) > 1e-20 and t_max < 1e9:
-            t_max *= 1.4
-        edges = [1.0]
-        while 2.0 * edges[-1] < t_max:
-            edges.append(2.0 * edges[-1])
-        edges.append(t_max)
-        share = 1e-13 / (len(edges) - 1)
-        panels = [gauss_kronrod(integrand, a, b, abs_tol=share)
-                  for a, b in zip(edges[:-1], edges[1:])]
-        tail = heat_trace(spec, t_max) * t_max ** (s - 1.0) / lam0
-    except OverflowError as exc:
-        raise NumericError(f"smallest eigenvalue {lam0!r} is too small: t^(s-1) tr exp(-t*B) "
-                           f"at s={s!r} overflows before it decays") from exc
+    t_max = max(1.5, 45.0 / lam0)
+    while heat_trace(spec, t_max) * t_max ** -1.0 > 1e-20 and t_max < 1e9:
+        t_max *= 1.4
+    edges = [1.0]
+    while 2.0 * edges[-1] < t_max:
+        edges.append(2.0 * edges[-1])
+    edges.append(t_max)
+    share = 1e-13 / (len(edges) - 1)
+    panels = [gauss_kronrod(integrand, a, b, abs_tol=share)
+              for a, b in zip(edges[:-1], edges[1:])]
+    tail = heat_trace(spec, t_max) * t_max ** -1.0 / lam0
     return fsum(value for value, _ in panels), fsum(err for _, err in panels) + tail
 
 
@@ -149,26 +143,21 @@ _DELTAS = tuple(float(f"1e-{k}") for k in range(2, 324))
 _DELTA_TRIES = 29
 
 
-def mellin_lower(spec: Spectrum, s: float,
-                 method: str = "tanh-sinh") -> tuple[float, float]:
+def mellin_lower(spec: Spectrum, s: float) -> tuple[float, float]:
     """int_0^1 t^(s-1) F(t) dt with F the remainder of default_expansion;
-    needs s > -1.
+    needs s > -1.  log_det_reg takes it at s = 0 for its solos, the one part
+    of its lower integral without a closed form.
 
     [0, delta] is closed with the exact small-time series integral
     (mellin_cutoff_integral), at the largest decade delta <= 1e-2 where
     every part certifies its series; delta also stays at or below 1/lam over
     the explicit rows lam, where the series of exp(-lam*t) - 1 has no
     cancellation.  If none of 29 decades certifies, NumericError is raised.
-    Panels cover [delta, 1] with edges at most two decades apart.  Starting
-    the panels at delta keeps the t^s endpoint behaviour of F(t) t^(s-1) out
-    of the quadrature, which matters for Gauss-Kronrod as s approaches -1.
-    F is built once (remainder_fn) and evaluated at every node.  The error
-    adds the solos' coefficient rounding (heat_expansion._solo_rounding).
-    `method` selects tanh-sinh panels or Gauss-Kronrod panels.  The zeta
-    route takes Gauss-Kronrod: zeta_prime0 on the whole spectrum, zeta_value
-    only on its solos (every theta and exponential of Spectrum.poisson has a
-    closed form there).  The heat route (log_det_reg) takes tanh-sinh, and
-    only for its solos, for the same reason.
+    Tanh-sinh panels cover [delta, 1] with edges at most two decades apart;
+    starting them at delta keeps the t^s endpoint behaviour of F(t) t^(s-1)
+    out of the quadrature.  F is built once (remainder_fn) and evaluated at
+    every node.  The error adds the solos' coefficient rounding
+    (heat_expansion._solo_rounding).
     """
     if not s > -0.999:
         raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
@@ -184,13 +173,6 @@ def mellin_lower(spec: Spectrum, s: float,
             f"down to {deltas[-1]!r}")
     cutoff_value, cutoff_err = cut
     edges = [delta] + [e for e in _EDGES if e > delta]
-    if method == "tanh-sinh":
-        quad, tol = tanh_sinh, 3e-15
-    elif method == "gauss-kronrod":
-        quad, tol = gauss_kronrod, 1e-14
-    else:
-        raise DomainError(f"unknown quadrature method {method!r}")
-
     remainder = remainder_fn(spec, default_expansion(spec))
 
     def integrand(t: float) -> float:
@@ -199,7 +181,7 @@ def mellin_lower(spec: Spectrum, s: float,
     values = [cutoff_value]
     err = cutoff_err + fsum(_solo_rounding(fam, delta, s) for fam in spec.poisson.solos)
     for a, b in zip(edges[:-1], edges[1:]):
-        part, part_err = quad(integrand, a, b, abs_tol=tol)
+        part, part_err = tanh_sinh(integrand, a, b, abs_tol=3e-15)
         values.append(part)
         err += part_err
     # exactly rounded: the panels can cancel, and a running sum would add a
@@ -233,7 +215,7 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
             parts.append(-weight * _ein(lam))
             errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
     if poisson.solos:
-        value, err = mellin_lower(Spectrum(poisson.solos), 0.0, "tanh-sinh")
+        value, err = mellin_lower(Spectrum(poisson.solos), 0.0)
         parts.append(value)
         errs.append(err)
     value = fsum(parts)
@@ -263,7 +245,7 @@ def _log_det_reg(spec: Spectrum,
                  exp: HeatExpansion) -> tuple[float, float, dict[float, float]]:
     """log_det_reg's (value, error) and the cutoff determinants, by eps, on
     which it checked the asymptote; exp is default_expansion(spec)."""
-    upper, err_up = _mellin_upper(spec, 0.0)
+    upper, err_up = _mellin_upper(spec)
     lower, err_low = _lower_closed_form(spec)
     cts = counterterms(exp)
     ct_sum = fsum(cts.values())

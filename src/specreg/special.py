@@ -9,8 +9,8 @@ Euler-Mascheroni constant by two independent routes (used by the `specreg
 gamma` self-check), and the closed forms of the Euler-Maclaurin tail of
 the lattice summands (tail integrals, derivatives and remainder bounds)
 that spectra._lattice_sum closes its long runs with.  hurwitz_zeta keeps
-its own Euler-Maclaurin sum: it is the oracle of zeta_direct, which goes
-through _lattice_sum.
+its own Euler-Maclaurin sum: it is the oracle of zeta_direct and of
+zeta_value's solos, which go through _lattice_sum.
 """
 
 from __future__ import annotations
@@ -141,6 +141,10 @@ def gamma_fn(s: float) -> float:
 
 # relative errors of gamma_fn and upper_gamma_scaled (see their docstrings)
 _GAMMA_ROUNDING = 16.0 * _U
+# error of math.lgamma relative to max(1, |log Gamma(q)|): at most 12.5 u,
+# measured against 40-digit mpmath on 3e4 points of q in [1e-8, 1e6], packed
+# next to the zeros at 1 and 2 and below 1e-3
+_LGAMMA_ROUNDING = 16.0 * _U
 _GAMMA_INC_ROUNDING = 48.0 * _U
 
 # G1(b) = (1/Gamma(1 + b) - 1)/b = sum_j _G1_COEFFS[j] b^j: the Taylor
@@ -346,11 +350,14 @@ def _em_remainder(kind: str, scale: float, a: float, rate: float) -> float:
     w = sqrt(2)*y_a (the last from E1(x) < exp(-x)*log(1+1/x), DLMF 6.8.2).
     "shape" needs j = 16, "e1" twice j = 15 (its derivative is -2*phi),
     "heat" int |g^(16)| <= k*sqrt(16!)*sqrt(pi)*(2*rate)^7.5*exp(-y_a^2/2), and
-    "power" int |f^(16)| = (rate)_16 * a^(-rate-15)/(rate+15) exactly.
+    "power" int |f^(16)| = |(rate)_16| * a^(-rate-15)/(rate+15) exactly for
+    rate > -15, where |f^(16)| falls to 0; below rate 1 that bounds the
+    remainder of the continued sum (the Hurwitz zeta function's
+    Euler-Maclaurin continuation, DLMF 25.11.5).
     """
     ratio = scale / a
     if kind == "power":
-        rising = math.prod(rate + i for i in range(16))
+        rising = abs(math.prod(rate + i for i in range(16)))
         return _EM_REMAINDER * ratio ** 15 * rising * a ** -rate / (rate + 15.0)
     y2 = rate * a * a
     if kind == "heat":
@@ -378,8 +385,10 @@ def _em_guess(kind: str, scale: float, rate: float, target: float) -> float:
         return scale * (2.0 * _EM_REMAINDER * math.factorial(14) / target) ** (1.0 / 15.0)
     if kind == "shape":
         return scale * (_EM_REMAINDER * math.factorial(15) / (scale * target)) ** (1.0 / 16.0)
-    rising = math.prod(rate + i for i in range(16))
-    return math.exp((math.log(_EM_REMAINDER * rising / ((rate + 15.0) * target))
+    rising = abs(math.prod(rate + i for i in range(16)))
+    if rising == 0.0:
+        return 0.0  # f is a polynomial of degree below 16: the closure is exact
+    return math.exp((math.log(_EM_REMAINDER * rising / (rate + 15.0)) - math.log(target)
                      + 15.0 * math.log(scale)) / (rate + 15.0))
 
 
@@ -400,22 +409,30 @@ def _em_tail(kind: str, scale: float, a: float, rate: float,
     running bound on each derivative (the same recurrences on magnitudes,
     times u per operation on the longest chain), and the shift of the whole
     tail by the rounding of a itself, |delta a| <= u*(index_part + a), times
-    sum_n |f'(u_n)| <= f(a)/scale + max_{u>=a} |f'(u)|.
+    |sum_n f'(u_n)| <= f(a)/scale + max_{u>=a} |f'(u)|; for "power", whose
+    sum of f' is a continuation below rate 0, max |f'| is replaced by the
+    closure of that sum less its integral.  Below rate 1 the "power"
+    integral is negative (the continuation) and cancels against the head.
     """
     if kind == "power":
         fa = a ** -rate
         integral = a * fa / ((rate - 1.0) * scale)
         half = 0.5 * fa
-        errs = [6.0 * _U * integral, 2.0 * _U * half]
-        slope = rate * fa / a
-        derivs, mags, chain = [], [], []
-        fj = fa
-        for j in range(1, 16):
-            fj *= -(rate + j - 1.0) / a
-            if j % 2:
-                derivs.append(fj)
-                mags.append(abs(fj))
-                chain.append(3.0 * j + 4.0)
+        errs = [6.0 * _U * abs(integral), 2.0 * _U * half]
+        # f^(j)(a) = (-1)^j (rate)_j a^(-rate-j), j = 0..16
+        fjs = [fa]
+        for j in range(1, 17):
+            fjs.append(fjs[-1] * -(rate + j - 1.0) / a)
+        derivs = fjs[1:16:2]
+        mags = list(map(abs, derivs))
+        chain = [3.0 * j + 4.0 for j in range(1, 16, 2)]
+        # sum_n f'(u_n), continued below rate 0, by this closure applied to
+        # f': -f(a)/scale + f'(a)/2 - sum_k B_2k/(2k)! scale^(2k-1) f^(2k)(a),
+        # remainder at most _EM_REMAINDER * scale^15 * |f^(16)(a)|
+        slope = 0.5 * abs(fjs[1]) + fsum(
+            abs(weight) * scale ** (2 * k - 1) * abs(fjs[2 * k])
+            for k, weight in enumerate(_EM_WEIGHTS, start=1)) + (
+            _EM_REMAINDER * scale ** 15 * abs(fjs[16]))
     else:
         y2 = rate * a * a
         y = math.sqrt(y2)
@@ -505,13 +522,21 @@ def _digamma(x: float) -> float:
     return fsum(terms)
 
 
-def hurwitz_zeta(s: float, q: float) -> float:
-    """Hurwitz zeta zeta_H(s, q) = sum_{k>=0} (q+k)^(-s), continued in s.
+def hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
+    """(zeta_H(s, q), error bound), zeta_H(s, q) = sum_{k>=0} (q+k)^(-s)
+    continued in s: Euler-Maclaurin with N = 16 explicit terms and
+    Bernoulli corrections through B16 at q_N = q + 16.  Raises PoleError at
+    s = 1 and DomainError for q <= 0 or s < -2.
 
-    Euler-Maclaurin with N = 16 explicit terms and Bernoulli corrections
-    through B16.  Validated against mpmath to ~1e-13 (mixed abs/rel) for
-    s in [-2, 30], q in (0, 3]; larger q only improves convergence.
-    Raises PoleError at s = 1 and DomainError for q <= 0 or s < -2.
+    The bound takes q as rounded by 2u (u = 2^-53), as zeta_closed_form
+    forms it, and q + k by a further u, so a power x^(-p) carries 3|p| u
+    from its base, |p| log(x) u from a rounded exponent (1 - s, -s - 1), an
+    ulp (2u) of its own and u per further operation; the k-th correction,
+    2k - 1 Pochhammer factors and 2k - 2 divisions by q_N, 18k u.  At s < 0 the head and the tail integral q_N^(1-s)/(s-1) cancel
+    (each about 400 times the value at s = -0.7), where these terms bind.
+    The partial sums add a u each; the remainder after B16 is at most
+    |B16|/16! |(s)_16| q_N^(-s-15)/(s+15), as special._em_remainder derives
+    (kept apart from it, as is all of this oracle).
     """
     if not q > 0.0:
         raise DomainError(f"Hurwitz zeta requires q > 0, got {q!r}")
@@ -522,7 +547,8 @@ def hurwitz_zeta(s: float, q: float) -> float:
     n_explicit = 16
     head = [(q + k) ** (-s) for k in range(n_explicit)]
     q_n = q + n_explicit
-    tail = q_n ** (1.0 - s) / (s - 1.0) + 0.5 * q_n ** (-s)
+    tail_integral = q_n ** (1.0 - s) / (s - 1.0)
+    half = 0.5 * q_n ** (-s)
     # Corrections B_{2k}/(2k)! * (s)_{2k-1} * q_n^{-s-2k+1}.
     poch = s
     factorial_inv = 0.5
@@ -534,7 +560,20 @@ def hurwitz_zeta(s: float, q: float) -> float:
         poch *= (s + two_k - 1.0) * (s + two_k)
         factorial_inv /= (two_k + 1.0) * (two_k + 2.0)
         q_pow /= q_n * q_n
-    return fsum(head) + tail + fsum(corrections)
+    head_sum, correction = fsum(head), fsum(corrections)
+    tail = tail_integral + half
+    value = head_sum + tail + correction
+    rising = abs(math.prod(s + i for i in range(16)))
+    log_q_n = math.log(q_n)
+    errs = [(3.0 * abs(s) + 2.0) * _U * fsum(map(abs, head)),
+            (abs(1.0 - s) * (3.0 + log_q_n) + 4.0) * _U * abs(tail_integral),
+            (3.0 * abs(s) + 2.0) * _U * half,
+            _U * (abs(head_sum) + abs(tail) + abs(correction) + abs(head_sum + tail)
+                  + abs(value)),
+            abs(_BERNOULLI[-1]) / math.factorial(16) * rising * q_n ** (-s - 15.0) / (s + 15.0)]
+    errs.extend((3.0 * abs(s) + abs(s + 1.0) * log_q_n + 18.0 * k) * _U * abs(c)
+                for k, c in enumerate(corrections, start=1))
+    return value, fsum(errs)
 
 
 def hurwitz_zeta_prime0(q: float) -> float:

@@ -28,7 +28,8 @@ budget (_tail_budget).
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
-E1(eps*u^2), the shape trace's exp(-eps*u^2)/u and zeta_direct's |u|^-2s.  A
+E1(eps*u^2), the shape trace's exp(-eps*u^2)/u and the Dirichlet series'
+|u|^-2s (zeta_direct, and zeta_value's solos, continued below s = 1/2).  A
 short run is summed term by term.  A long one is summed directly up to an
 index N and closed by Euler-Maclaurin through B16 (special._em_tail): the
 tail integral in closed form, f(N)/2, and the odd derivatives from a
@@ -477,7 +478,7 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
     if head:
         spread = 2.0 + abs(sigma) / min(map(abs, xs))
         top = max(abs(xs[0]), a)
-        sensitivity = (rate * spread + 3.0 if kind == "power"
+        sensitivity = (abs(rate) * spread + 3.0 if kind == "power"
                        else (rate * top * top + 1.0) * (2.0 * spread + 2.0) + 4.0)
         own = _E1_ROUNDING if kind == "e1" else _U
         bound += (own + sensitivity * _U) * fsum(map(abs, head))
@@ -500,8 +501,8 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     (_E1_ROUNDING for E1, u for the others) and 4 u the product with the
     weight and the rounding of rate*u^2 where it is of order one.  Further
     out the argument's rounding grows with rate*u^2 in a term that has
-    fallen like exp(-rate*u^2); for the E1 runs that zeta_prime0 reads,
-    E1's stated 160 u (at most 36 u measured beyond x = 2) absorbs it.
+    fallen like exp(-rate*u^2); for the E1 runs of log_det_eps, E1's
+    stated 160 u (at most 36 u measured beyond x = 2) absorbs it.
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult
     runs = runs or _runs(fam)
@@ -639,8 +640,8 @@ def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
     raise NumericError.  A limit of the same kind for the solos: a shift of
     more than 2^18 whole scales has no table of small-time coefficients
     (heat_expansion._MAX_WHOLE_SCALES), so nothing certifies the start of
-    mellin_lower's integral and log_det_reg and zeta_value raise
-    NumericError (one-sided shift 0.5 at scale 1e-6, for instance).
+    mellin_lower's integral and log_det_reg raises NumericError (one-sided
+    shift 0.5 at scale 1e-6, for instance).
     """
     # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
     log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)

@@ -9,30 +9,25 @@ Physical Applications of Spectral Zeta Functions*, 1995): the part above is
 a sum of upper incomplete gammas over n, the part below, by Poisson
 summation, the pole term 1/(s - 1/2) plus a sum of incomplete gammas over
 the dual index k, and both stop after a handful of terms at every scale
-(_theta_bracket).  An explicit row is exactly mult*lam^(-s).  Only the
-solos, unpaired shifted one-sided lattices with no such form, keep the
-split at t = 1 of their own expansion,
+(_theta_bracket).  An explicit row is exactly mult*lam^(-s).  The solos,
+unpaired shifted one-sided lattices, are their Dirichlet series
+(zeta_direct), closed by the Euler-Maclaurin tail of spectra._lattice_sum,
+which continues them below s = 1/2.  Nothing here integrates numerically.
 
-    Gamma(s) zeta_B(s) = sum_j b_j / (j/m + s)
-                        + int_1^inf t^(s-1) tr exp(-t*B) dt
-                        + int_0^1 t^(s-1) F(t) dt,
-
-with both integrals by Gauss-Kronrod panels.
-
-zeta_prime0 evaluates zeta_B'(0) = gamma*b0' + sum_{j!=0} m*b_j/j + I1 + I0
-with the upper integral done through the exact identity
-int_1^inf tr exp(-t*B)/t dt = sum mult*E1(lam) and the lower one by
-Gauss-Kronrod panels over the remainder — deliberately different numerics
-from the heat route in regdet, which sums the lower integral in closed form
-per family, so verify_bridge compares two independently computed numbers:
+zeta_prime0 sums zeta_B'(0) per family: -m*log(lam) per row (lam, m);
+m*[(2q - 1)*log(c) + 2*log Gamma(q) - log(2 pi)] per one-sided family
+(c, sigma, m), q = 1 + sigma/c (Lerch's formula: Whittaker & Watson 13.21,
+DLMF 25.11.18); -2m*log(2*sin(pi*|sigma|/c)) per full one, sigma =
+math.remainder(shift, c) (Kronecker's limit formula), or 2m*log(c/(2 pi))
+with a structural zero.  verify_bridge compares two numbers that share no
+numerics, these closed forms and the heat route of regdet:
 
     -zeta_B'(0)   versus   -gamma*b0' + log det_reg.
 
-zeta_direct (the Dirichlet series, each lattice run closed by the shared
-Euler-Maclaurin tail of spectra._lattice_sum) and zeta_closed_form (Hurwitz
-zeta per lattice family) are further routes used for cross-checks.
-hurwitz_zeta keeps its own Euler-Maclaurin tail on purpose: zeta_closed_form
-is zeta_direct's oracle, so the two must not share code.
+zeta_direct is also a route of its own for any spectrum, and
+zeta_closed_form (Hurwitz zeta per lattice family) the oracle of both.
+hurwitz_zeta keeps its own Euler-Maclaurin tail on purpose: an oracle must
+not share code with what it checks.
 """
 
 from __future__ import annotations
@@ -45,27 +40,21 @@ from math import fsum
 from .errors import DomainError, NumericError, PoleError
 from .special import (
     EULER_GAMMA,
+    TWO_PI,
     _GAMMA_INC_ROUNDING,
     _GAMMA_ROUNDING,
+    _LGAMMA_ROUNDING,
     _U,
     gamma_fn,
     hurwitz_zeta,
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
-from .heat_expansion import HeatExpansion
-from .spectra import Spectrum, min_eigenvalue, _lattice_sum, _tail_budget
-from .regdet import (
-    counterterms,
-    default_expansion,
-    log_det_reg,
-    mellin_lower,
-    _e1_sum,
-    _mellin_upper,
-    _require_finite,
-)
+from .spectra import Spectrum, min_eigenvalue, _lattice_sum, _zero_modes
+from .regdet import default_expansion, log_det_reg, _require_finite
 
 S_RANGE = (-2.0, 30.0)
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
@@ -81,14 +70,11 @@ def _check_s_range(s: float) -> None:
         raise DomainError(f"s={s!r} outside the supported range {S_RANGE}")
 
 
-def _check_poles(s: float, exp: HeatExpansion) -> None:
-    for j, b in exp.coeffs.items():
-        if b == 0.0:
-            continue  # zero residue: the candidate pole at -j/m is removable
-        if abs(s + j / exp.m) <= 1e-6:
-            raise PoleError(f"s={s!r} is within 1e-6 of the pole at {-j / exp.m}")
-    if s < 0.5 and abs(s - round(s)) <= 1e-6 and round(s) <= 0:
-        raise PoleError(f"s={s!r} is within 1e-6 of a Gamma pole")
+def _check_pole(s: float, spec: Spectrum) -> None:
+    """PoleError within 1e-6 of zeta_B's one pole, s = 1/2 when spec has
+    lattices (residue b_{-1} > 0)."""
+    if spec.lattices and abs(s - 0.5) <= 1e-6:
+        raise PoleError(f"s={s!r} is within 1e-6 of the pole at 0.5")
 
 
 # relative rounding of x = pi*(u/scale)^2 beyond twice that of u: the
@@ -231,41 +217,29 @@ def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
 
 
 def zeta_value(spec: Spectrum, s: float) -> ZetaEvaluation:
-    """zeta_B(s) by the Mellin split; route tag "mellin-split".
+    """zeta_B(s) in closed form; route tag "mellin-split".
 
-    Every theta and row of Spectrum.poisson is a closed form (_split_sums).
-    The solos, which have none, keep the split at t = 1 of their own
-    analytic expansion: its pole part, the upper integral by Gauss-Kronrod
-    panels (regdet._mellin_upper) and the lower one by mellin_lower's
-    Gauss-Kronrod panels, which restricts a spectrum with solos to s > -1;
-    their share carries a further 1e-15 of itself for the rounding that
-    those bounds leave out.  Rejects s within 1e-6 of the poles -j/m of the
-    analytic or finite expansion and of the non-positive Gamma poles.  A
-    term beyond the double range raises NumericError.
+    Every theta and row of Spectrum.poisson is a closed form (_split_sums),
+    and the solos are their Dirichlet series (zeta_direct), which restricts
+    a spectrum with solos to s > -1.  Rejects s within 1e-6 of the lattice
+    pole (_check_pole) and of the non-positive Gamma poles.  A term beyond
+    the double range raises NumericError.
     """
     _check_s_range(s)
     min_eigenvalue(spec)  # DomainError or NumericError before any sum meets it
-    _check_poles(s, default_expansion(spec))
+    _check_pole(s, spec)
+    if s < 0.5 and abs(s - round(s)) <= 1e-6 and round(s) <= 0:
+        raise PoleError(f"s={s!r} is within 1e-6 of a Gamma pole")
     try:
         mellin, mellin_err, direct, direct_err = _split_sums(spec, s)
     except OverflowError as exc:
         raise NumericError(f"a term of zeta({s!r}) overflows") from exc
-    solo, solo_err = 0.0, 0.0
-    solos = spec.poisson.solos
-    if solos:
-        sub = Spectrum(solos)
-        exp = default_expansion(sub)
-        pole_part = fsum(b / (j / exp.m + s)
-                         for j, b in sorted(exp.coeffs.items()) if b != 0.0)
-        upper, err_up = _mellin_upper(sub, s)
-        lower, err_low = mellin_lower(sub, s, "gauss-kronrod")
-        solo, solo_err = pole_part + upper + lower, err_up + err_low
+    solo = zeta_direct(Spectrum(spec.poisson.solos), s)
     inv_gamma = 1.0 / gamma_fn(s)
-    scaled = inv_gamma * fsum((mellin, solo))
-    value = direct + scaled
-    err = (abs(inv_gamma) * (mellin_err + solo_err) + 1e-15 * abs(inv_gamma * solo)
-           + (_GAMMA_ROUNDING + 3.0 * _U) * abs(scaled) + direct_err
-           + 0.5 * math.ulp(value))
+    scaled = inv_gamma * mellin
+    value = fsum((direct, scaled, solo.value))
+    err = (abs(inv_gamma) * mellin_err + (_GAMMA_ROUNDING + 3.0 * _U) * abs(scaled)
+           + direct_err + solo.error + 0.5 * math.ulp(value))
     _require_finite(value, err, f"zeta({s!r})")
     return ZetaEvaluation(s=s, value=value, error=err, route="mellin-split")
 
@@ -274,23 +248,31 @@ def zeta_direct(spec: Spectrum, s: float) -> ZetaEvaluation:
     """Dirichlet series summed directly with an Euler-Maclaurin tail per
     lattice run (spectra._lattice_sum); route "direct-sum".
 
-    Exact for explicit spectra at any s; lattice families require s > 0.55.
-    Each run's head is long enough that the B16 remainder is below u =
-    2^-53 times the largest term, lam_min^(-s), shared over the families'
-    runs.  The error adds the runs' remainder and rounding bounds, two u
-    per row term (pow and the product with mult) and half an ulp for the
-    exactly rounded sum.
+    Exact for explicit spectra at any s.  A lattice family needs s > -1 away
+    from its pole at 1/2; below 1/2 the closure continues each run's
+    divergent series, as the Hurwitz zeta function's Euler-Maclaurin formula
+    does.  A family's runs share the budget u*mult*lam^(-s), lam its
+    smallest eigenvalue, so the remainder is below u/32 of that term (an
+    underflowed term leaves the smallest normal double, which every term is
+    then below).  The error adds the runs' remainder and rounding bounds,
+    two u per row term (pow and the product with mult) and half an ulp for
+    the exactly rounded sum.  A term beyond the double range raises
+    NumericError.
     """
-    if spec.lattices and not s > 0.55:
-        raise DomainError("direct summation of a lattice needs s > 0.55")
-    parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
-    err = 2.0 * _U * fsum(parts)
-    if spec.lattices:
-        budget = _tail_budget(spec, _U * min_eigenvalue(spec) ** -s)
+    if spec.lattices and not s > -1.0:
+        raise DomainError(f"direct summation of a lattice needs s > -1, got {s!r}")
+    _check_pole(s, spec)
+    try:
+        parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
+        err = 2.0 * _U * fsum(parts)
         for fam in spec.lattices:
-            terms, bound = _lattice_sum(fam, "power", 2.0 * s, budget)
+            first = fam.mult * min_eigenvalue(Spectrum((fam,))) ** -s
+            terms, bound = _lattice_sum(fam, "power", 2.0 * s,
+                                        max(_U * first, _SMALLEST_NORMAL))
             parts.extend(terms)
             err += bound
+    except OverflowError as exc:
+        raise NumericError(f"a term of zeta({s!r}) overflows") from exc
     value = fsum(parts)
     return ZetaEvaluation(s=s, value=value, error=err + 0.5 * math.ulp(value),
                           route="direct-sum")
@@ -299,43 +281,76 @@ def zeta_direct(spec: Spectrum, s: float) -> ZetaEvaluation:
 def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:
     """Hurwitz-zeta closed form per lattice family; route "closed-form-oracle".
 
-    positive side: mult * scale^(-2s) * zeta_H(2s, 1 + shift/scale);
+    positive side: mult * scale^(-2s) * zeta_H(2s, (scale + shift)/scale);
     full side:     mult * scale^(-2s) * [zeta_H(2s, q) + zeta_H(2s, 1-q)]
-    with q = |sigma|/scale and sigma the exact remainder of shift modulo
-    scale, in [-scale/2, scale/2] (math.remainder, as
+    with q = |sigma|/scale and 1 - q = (scale - |sigma|)/scale, sigma the
+    exact remainder of shift modulo scale (math.remainder, as
     orbit._reg_shape_trace reduces it), and 2*zeta_H(2s, 1) when sigma is
-    0.0, a structural zero.  Valid for 2s >= -2 away from s = 1/2.
+    0.0, a structural zero.  Each q is good to the 2u that hurwitz_zeta's
+    bound takes in; a row adds 3u, a family 5u (the power and products), the
+    sum half an ulp.  Valid for 2s >= -2 away from s = 1/2.
     """
     if abs(s - 0.5) < 1e-9:
         raise PoleError("spectral zeta of a lattice has its pole at s = 1/2")
     parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
+    errs = [3.0 * _U * abs(part) for part in parts]
     for fam in spec.lattices:
-        c2s = fam.scale ** (-2.0 * s)
+        c = fam.scale
+        c2s = fam.mult * c ** (-2.0 * s)
         if fam.side == "positive":
-            parts.append(fam.mult * c2s * hurwitz_zeta(2.0 * s, 1.0 + fam.shift / fam.scale))
-            continue
-        sigma = math.remainder(fam.shift, fam.scale)
-        if sigma == 0.0:
-            parts.append(2.0 * fam.mult * c2s * hurwitz_zeta(2.0 * s, 1.0))
+            qs = [(c + fam.shift) / c]
         else:
-            q = abs(sigma) / fam.scale
-            parts.append(fam.mult * c2s * (hurwitz_zeta(2.0 * s, q)
-                                           + hurwitz_zeta(2.0 * s, 1.0 - q)))
-    return ZetaEvaluation(s=s, value=fsum(parts), error=5e-13, route="closed-form-oracle")
+            sigma = abs(math.remainder(fam.shift, c))
+            qs = [1.0, 1.0] if sigma == 0.0 else [sigma / c, (c - sigma) / c]
+        hurwitz = [hurwitz_zeta(2.0 * s, q) for q in qs]
+        parts.append(c2s * fsum(value for value, _ in hurwitz))
+        errs.append(abs(c2s) * fsum(err for _, err in hurwitz) + 5.0 * _U * abs(parts[-1]))
+    value = fsum(parts)
+    return ZetaEvaluation(s=s, value=value, error=fsum(errs) + 0.5 * math.ulp(value),
+                          route="closed-form-oracle")
 
 
 def zeta_prime0(spec: Spectrum) -> tuple[float, float]:
-    """zeta_B'(0) = gamma*b0' + sum_{j!=0} m*b_j/j + I1 + I0; returns (value, err).
+    """zeta_B'(0) per family in closed form (module docstring); returns
+    (value, err).
 
-    I1 through the E1-sum identity, I0 by Gauss-Kronrod panels (numerics
-    independent of the heat-route determinant).
+    The error takes, u = 2^-53: 3u of a row's term; for a one-sided family
+    4u of (2q - 1)*log c, _LGAMMA_ROUNDING of max(1, |log Gamma(q)|) twice,
+    3u of log(2 pi), and q = (c + sigma)/c's 2u relative through d/dq =
+    2*log c + 2*psi(q), |q*psi(q)| <= 1 + q*(1 + |log q|); for a full family
+    its sine's argument's 2.35u relative (theta*cot(theta) <= 1), the sine's
+    ulp and the log's; a u per family sum and product, and half an ulp.
     """
-    exp = default_expansion(spec)
-    min_eigenvalue(spec)  # NumericError before E1 meets an underflowed eigenvalue
-    upper, tail_err = _e1_sum(spec, 1.0)
-    lower, err_low = mellin_lower(spec, 0.0, "gauss-kronrod")
-    value = EULER_GAMMA * exp.b0 + fsum(counterterms(exp).values()) + upper + lower
-    return value, tail_err + err_low
+    min_eigenvalue(spec)  # DomainError or NumericError, as every route raises
+    log_2pi = math.log(TWO_PI)
+    terms, errs = [], []
+    for lam, mult, _ in spec.rows:
+        terms.append(-mult * math.log(lam))
+        errs.append(3.0 * _U * abs(terms[-1]))
+    for fam in spec.lattices:
+        c, m = fam.scale, fam.mult
+        if fam.side == "positive":
+            q = (c + fam.shift) / c
+            log_c, log_gamma = math.log(c), math.lgamma(q)
+            parts = ((2.0 * q - 1.0) * log_c, 2.0 * log_gamma, -log_2pi)
+            terms.append(m * fsum(parts))
+            q_psi = 1.0 + q * (1.0 + abs(math.log(q)))
+            errs.append(m * (4.0 * _U * abs(parts[0])
+                             + 2.0 * _LGAMMA_ROUNDING * max(1.0, abs(log_gamma))
+                             + 3.0 * _U * log_2pi
+                             + 4.0 * _U * (q * abs(log_c) + q_psi))
+                        + 2.0 * _U * abs(terms[-1]))
+        elif _zero_modes(fam):
+            log_ratio = math.log(c / TWO_PI)
+            terms.append(2.0 * m * log_ratio)
+            errs.append(2.0 * m * (1.35 + 2.0 * abs(log_ratio)) * _U + _U * abs(terms[-1]))
+        else:
+            theta = math.pi * (abs(math.remainder(fam.shift, c)) / c)
+            log_sine = math.log(2.0 * math.sin(theta))
+            terms.append(-2.0 * m * log_sine)
+            errs.append(2.0 * m * (4.35 + 2.0 * abs(log_sine)) * _U + _U * abs(terms[-1]))
+    value = fsum(terms)
+    return value, fsum(errs) + 0.5 * math.ulp(value)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -365,9 +366,44 @@ def test_reg_shape_trace_mix():
 
 def test_reg_shape_trace_is_the_zeta_determinant_slope():
     # Tr_reg_H = -1/2 d/dkappa log Det_zeta = 1/2 d/dkappa zeta'(0), through
-    # the zeta route and a finite difference, independent of the closed forms
+    # zeta'(0)'s per-family closed forms (log Gamma, log sin) and gateaux_fd,
+    # not through the digamma and cotangent of _reg_shape_trace
     slope, err = gateaux_fd(lambda k: 0.5 * zeta_prime0(deform(MIX, k))[0], 0.0)
     assert minimality_report(MIX).Tr_reg_H == pytest.approx(slope, abs=1e-8 + 10 * err)
+
+
+def _bench_mix(rng: random.Random) -> Spectrum:
+    """A lattice mix as perfbench draws them: one to three explicit rows, a
+    shifted full lattice and a shifted one-sided one, every family with a
+    derivative along the deformation."""
+    rows = [(rng.uniform(0.5, 20.0), rng.randint(1, 3), rng.uniform(-0.5, 0.5))
+            for _ in range(rng.randint(1, 3))]
+    c_full, c_one = rng.uniform(2.0, 7.0), rng.uniform(2.0, 7.0)
+
+    def shift(scale):
+        return scale * rng.uniform(0.05, 0.45) * rng.choice((-1.0, 1.0))
+
+    return compose(finite_spectrum(rows),
+                   lattice_family(c_full, shift(c_full), "full", rng.randint(1, 3),
+                                  rng.uniform(-1.0, 1.0)),
+                   lattice_family(c_one, shift(c_one), "positive", rng.randint(1, 3),
+                                  rng.uniform(-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zeta_prime0_slope_is_twice_the_regularised_trace(seed):
+    # the volumes and the certificate describe the same operator: along
+    # deform, d/dkappa zeta'(0) = 2*Tr_reg_H = 2*tr_reg_H + gamma*delta_b0,
+    # since psi is the derivative of log Gamma and cot that of log sin.  The
+    # 4th-order stencil at h = 1e-4 carries 18/(12h) times zeta'(0)'s stated
+    # error; its truncation h^4*|f^(5)|/30 is below 1e-13 on these mixes.
+    spec = _bench_mix(random.Random(seed))
+    h = 1e-4
+    values = {k: zeta_prime0(deform(spec, k * h)) for k in (-2, -1, 1, 2)}
+    slope = (values[-2][0] - 8.0 * values[-1][0] + 8.0 * values[1][0] - values[2][0]) / (12.0 * h)
+    report = minimality_report(spec)
+    err = max(e for _, e in values.values())
+    assert abs(slope - 2.0 * report.Tr_reg_H) <= 1.5 * err / h + 1e-13
 
 
 @pytest.mark.parametrize("ospec", [SU2, RANK2])

@@ -176,29 +176,31 @@ HURWITZ_Q = [0.25, 0.5, 1.0, 1.5, 2.5]
 @pytest.mark.parametrize("s", HURWITZ_S)
 @pytest.mark.parametrize("q", HURWITZ_Q)
 def test_hurwitz_against_mpmath(s, q):
-    ref = float(mp.zeta(s, q))
+    ref = mp.zeta(s, q)
+    value, err = hurwitz_zeta(s, q)
     # mixed tolerance: zeta_H has exact zeros (e.g. s=-2, q=1) where a pure
     # relative comparison is undefined
-    assert abs(hurwitz_zeta(s, q) - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert abs(value - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
+    assert abs(mp.mpf(value) - ref) <= err
 
 
 @pytest.mark.parametrize("q", HURWITZ_Q)
 def test_hurwitz_at_zero(q):
-    assert hurwitz_zeta(0.0, q) == pytest.approx(0.5 - q, abs=1e-13)
+    assert hurwitz_zeta(0.0, q)[0] == pytest.approx(0.5 - q, abs=1e-13)
 
 
 def test_hurwitz_index_shift():
     # zeta_H(s, q) - zeta_H(s, q+1) = q^(-s)
     for s, q in [(2.3, 0.7), (-1.5, 1.25), (5.0, 2.0)]:
-        lhs = hurwitz_zeta(s, q) - hurwitz_zeta(s, q + 1.0)
+        lhs = hurwitz_zeta(s, q)[0] - hurwitz_zeta(s, q + 1.0)[0]
         assert lhs == pytest.approx(q ** (-s), rel=1e-12, abs=1e-13)
 
 
 def test_hurwitz_riemann_values():
-    assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-13)
-    assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi ** 4 / 90.0, rel=1e-13)
-    assert hurwitz_zeta(-1.0, 1.0) == pytest.approx(-1.0 / 12.0, abs=1e-13)
-    assert hurwitz_zeta(0.0, 1.0) == pytest.approx(-0.5, abs=1e-13)
+    assert hurwitz_zeta(2.0, 1.0)[0] == pytest.approx(math.pi ** 2 / 6.0, rel=1e-13)
+    assert hurwitz_zeta(4.0, 1.0)[0] == pytest.approx(math.pi ** 4 / 90.0, rel=1e-13)
+    assert hurwitz_zeta(-1.0, 1.0)[0] == pytest.approx(-1.0 / 12.0, abs=1e-13)
+    assert hurwitz_zeta(0.0, 1.0)[0] == pytest.approx(-0.5, abs=1e-13)
 
 
 def test_hurwitz_domain_and_pole():
@@ -221,7 +223,7 @@ def test_hurwitz_prime0_closed_forms():
 def test_hurwitz_prime0_fd_cross_check():
     q = 1.5
     h = 1e-5
-    fd = (hurwitz_zeta(h, q) - hurwitz_zeta(-h, q)) / (2.0 * h)
+    fd = (hurwitz_zeta(h, q)[0] - hurwitz_zeta(-h, q)[0]) / (2.0 * h)
     assert fd == pytest.approx(hurwitz_zeta_prime0(q), abs=1e-8)
 
 

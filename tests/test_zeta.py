@@ -169,8 +169,7 @@ def test_zeta_value_large_explicit_eigenvalue(lam, s):
 
 def test_zeta_below_minus_one_without_solos():
     # every row and theta is a closed form, so s <= -1 is reached exactly;
-    # a solo keeps the lower Mellin integral, where F(t) t^(s-1) ~ t^s is
-    # not integrable at t = 0 for s <= -1
+    # a spectrum with a solo keeps the domain s > -1
     got = zeta_value(FIN23, -1.5)
     assert abs(mp.mpf(got.value) - (mp.mpf(2) ** 1.5 + mp.mpf(3) ** 1.5)) <= got.error
     with pytest.raises(DomainError):
@@ -304,12 +303,13 @@ def test_wide_lattice_against_closed_forms(scale, shift):
 
 def test_uncertified_small_time_series_raises():
     # the shift spans more whole scales than the coefficient table covers,
-    # so nothing certifies [0, delta]
+    # so nothing certifies [0, delta] of the heat route's lower integral;
+    # zeta_value sums the solo's Dirichlet series, which needs no table
     spec = lattice_family(1.0, 300000.3, "positive", 1)
     with pytest.raises(NumericError):
         log_det_reg(spec)
-    with pytest.raises(NumericError):
-        zeta_value(spec, 0.75)
+    got = zeta_value(spec, 0.75)
+    assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, 0.75)) <= got.error
 
 
 # u = 1e-170 squares to 0.0 in double precision
@@ -443,15 +443,23 @@ def _family_mix(draw):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(case=_family_mix())
 def test_bridge_on_random_mixes(case):
-    # the heat route's closed-form lower integral against the zeta route's
-    # Gauss-Kronrod panels, and both against the Lerch formula with a
-    # rounding floor of 1e-13 per unit of term magnitude
+    # the heat route's dual series, Ein terms and quadratures against the
+    # zeta route's closed forms, and the heat route against the Lerch
+    # formula with a rounding floor of 1e-13 per unit of term magnitude
     spec, terms = case
     report = verify_bridge(spec)
     assert report.passed
     assert report.budget < 1e-6
     floor = 1e-13 * (1.0 + sum(abs(t) for t in terms))
     assert abs(report.heat_route - math.fsum(terms)) <= report.heat_error + floor
+
+
+def _mp_hurwitz(s2: float, q: mp.mpf) -> mp.mpf:
+    """zeta_H(s2, q) by mpmath at 30 digits plus s2*log10(q): at large q and
+    s2 mpmath's value holds fewer digits than it works with (1e-9 relative
+    at q = 220, s2 = 20 with 40 digits; exact to double with 77)."""
+    with mp.workdps(30 + max(0, math.ceil(s2 * math.log10(max(float(q), 1.0))))):
+        return +mp.zeta(s2, q)
 
 
 def _mp_zeta_lattice(spec, s: float) -> mp.mpf:
@@ -465,7 +473,7 @@ def _mp_zeta_lattice(spec, s: float) -> mp.mpf:
         else:
             q = abs(mp.mpf(math.remainder(fam.shift, fam.scale))) / c
             parts = [1 - q] + ([q] if q else [1])
-        total += fam.mult * sum(c ** (-2 * s) * mp.zeta(2 * s, q) for q in parts)
+        total += fam.mult * sum(c ** (-2 * s) * _mp_hurwitz(2 * s, q) for q in parts)
     return total
 
 
@@ -478,6 +486,18 @@ def test_zeta_direct_error_covers_hurwitz(spec, s):
     got = zeta_direct(spec, s)
     assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
     assert got.error <= 1e-13 * got.value
+
+
+@pytest.mark.parametrize("spec", [ONE0, ONEPI, FULLPI3, FULL0M2, FIN23,
+                                  lattice_family(1e-3, 0.4e-3, "positive", 2),
+                                  lattice_family(0.05, -0.02, "full", 1),
+                                  Spectrum((LatticeFamily(TWO_PI, 1.7 * TWO_PI, "full"),))])
+@pytest.mark.parametrize("s", [-0.95, -0.45, 0.0, 0.25, 0.5 - 1e-5, 0.5 + 1e-5])
+def test_zeta_direct_continued_below_the_pole(spec, s):
+    # below s = 1/2 each run's series diverges and its Euler-Maclaurin
+    # closure is the continuation; at s = 0 every summand is 1
+    got = zeta_direct(spec, s)
+    assert abs(mp.mpf(got.value) - _mp_zeta(spec, s)) <= got.error
 
 
 def _mp_zeta(spec, s: float) -> mp.mpf:
@@ -493,14 +513,24 @@ def test_closed_form_reduces_full_shift(turns):
     # at one whole scale its structural zero sits at n = -1
     spec = Spectrum((LatticeFamily(TWO_PI, turns * TWO_PI, "full"),), int(turns == 1.0))
     for s in (-0.7, 0.75, 1.5, 3.0):
-        got = zeta_value(spec, s)
-        assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
-    # zeta_closed_form's fixed error of 5e-13 does not cover hurwitz_zeta's
-    # rounding at negative s (8.5e-13 off at s = -0.7 at one whole scale)
-    for s in (0.75, 1.5, 3.0):
         got, closed = zeta_value(spec, s), zeta_closed_form(spec, s)
+        assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
         assert abs(mp.mpf(closed.value) - _mp_zeta_lattice(spec, s)) <= closed.error
         assert abs(got.value - closed.value) <= got.error + closed.error
+
+
+@pytest.mark.parametrize("spec", [ONE0, ONEPI, FULLPI3, FULL0M2, lattice_family(TWO_PI, 0.0, "full"),
+                                  lattice_family(0.05, -0.0499, "positive", 3),
+                                  lattice_family(0.3, 2e3, "positive", 2),
+                                  lattice_family(7.0, 1e-8 * 7.0, "full")],
+                         ids=lambda spec: repr(spec.families[0])[14:60])
+@pytest.mark.parametrize("s", [-0.95, -0.7, -0.25, 0.1, 0.75, 1.5, 3.0, 10.0])
+def test_closed_form_error_covers_hurwitz(spec, s):
+    # hurwitz_zeta's head and Euler-Maclaurin tail cancel at s < 0 (the
+    # zero-shift full lattice of scale 2 pi lost 8.5e-13 at s = -0.7), and
+    # the derived bound covers that and the rounding of each q
+    got = zeta_closed_form(spec, s)
+    assert abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error
 
 
 def _random_mix(rng: random.Random) -> Spectrum:
@@ -524,7 +554,7 @@ def _random_mix(rng: random.Random) -> Spectrum:
 
 def test_zeta_value_sweep_against_hurwitz():
     # each value within its stated error of the exact-q Hurwitz sum, and the
-    # Dirichlet series within the two errors wherever it converges
+    # Dirichlet series, continued below s = 1/2, within the two errors
     rng = random.Random(20261019)
     misses, disagreements = [], []
     for case in range(10):
@@ -533,7 +563,7 @@ def test_zeta_value_sweep_against_hurwitz():
             got = zeta_value(spec, s)
             if not abs(mp.mpf(got.value) - _mp_zeta(spec, s)) <= got.error:
                 misses.append((case, s))
-            if s > 0.55:
+            if s > -1.0:
                 direct = zeta_direct(spec, s)
                 if not abs(direct.value - got.value) <= direct.error + got.error:
                     disagreements.append((case, s))
@@ -552,10 +582,10 @@ def test_orbit_pair_at_s_three():
 
 
 @pytest.mark.parametrize("spec", [FULLPI3, FULL0M2, FIN23, lattice_family(50.0, 10.0, "full"),
-                                  lattice_family(0.05, 0.02, "full", 2)])
+                                  lattice_family(0.05, 0.02, "full", 2), ONEPI])
 def test_closed_form_takes_no_quadrature(spec, monkeypatch):
-    # without solos nothing integrates numerically, and each theta takes a
-    # bounded number of incomplete gammas whatever its scale
+    # nothing on the zeta side integrates numerically, a solo included, and
+    # each theta takes a bounded number of incomplete gammas whatever its scale
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature or heat trace on the closed-form route")
 
@@ -567,4 +597,91 @@ def test_closed_form_takes_no_quadrature(spec, monkeypatch):
         monkeypatch.setattr(specreg.regdet, name, refuse)
     for s in (-0.7, 0.25, 1.5, 7.5):
         zeta_value(spec, s)
+    zeta_prime0(spec)
     assert len(calls) <= 4 * 16 * len(spec.poisson.thetas)
+
+
+# ---------------------------------------------------------------------------
+# the solos' Dirichlet series and zeta'(0) per family, against mpmath
+
+
+def _random_solos() -> list[LatticeFamily]:
+    """120 seeded solos: q = 1 + shift/scale from 1e-8 (a fifth of them, next
+    to the lower edge) through the bulk to 1e6 (a fifth), scales in [0.01,
+    100], multiplicities 1-3; first two where a bound that ignores the
+    sign of the tail integral falls short, (3.0, 1.1) at s = -0.25 and
+    (3.0, 0.3, mult 3) at s = 0.1."""
+    rng = random.Random(20261018)
+    solos = [LatticeFamily(3.0, 1.1, "positive", 1),
+             LatticeFamily(3.0, 0.30000000000000004, "positive", 3)]
+    while len(solos) < 120:
+        scale = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+        pick = rng.random()
+        q = (10.0 ** rng.uniform(-8.0, -1.0) if pick < 0.2
+             else 10.0 ** rng.uniform(0.0, 6.0) if pick > 0.8 else rng.uniform(0.05, 4.0))
+        solos.append(LatticeFamily(scale, (q - 1.0) * scale, "positive", rng.randint(1, 3)))
+    return solos
+
+
+SOLOS = _random_solos()
+
+
+@pytest.mark.parametrize("s", [-0.95, -0.7, -0.45, -0.25, 0.1, 0.25, 0.45, 0.5 - 1e-5,
+                               0.5 + 1e-5, 0.75, 1.5, 3.0, 10.0])
+def test_solo_zeta_value_against_hurwitz(s, monkeypatch):
+    # each solo is its Dirichlet series continued below s = 1/2 by the
+    # Euler-Maclaurin closure; no quadrature, and the stated error covers
+    # the exact-q Hurwitz value with no floor
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature or heat trace on a solo")
+
+    for name in ("heat_trace", "gauss_kronrod", "tanh_sinh"):
+        monkeypatch.setattr(specreg.regdet, name, refuse)
+    misses = []
+    for fam in SOLOS:
+        spec = Spectrum((fam,))
+        got = zeta_value(spec, s)
+        if not abs(mp.mpf(got.value) - _mp_zeta_lattice(spec, s)) <= got.error:
+            misses.append((fam, got))
+    assert misses == []
+
+
+def _mp_zeta_prime0(spec) -> mp.mpf:
+    """zeta_B'(0) at 40 digits: -mult*log(lam) per row, and per Hurwitz series
+    mult*scale^(-2s)*zeta_H(2s, q) of a lattice family (q formed exactly)
+    -2*mult*log(scale)*zeta_H(0, q) + 2*mult*zeta_H'(0, q), with
+    zeta_H(0, q) = 1/2 - q and zeta_H'(0, q) = loggamma(q) - log(2 pi)/2."""
+    with mp.workdps(40):
+        total = -mp.fsum(mult * mp.log(lam) for lam, mult, _ in spec.rows)
+        for fam in spec.lattices:
+            c = mp.mpf(fam.scale)
+            if fam.side == "positive":
+                qs = [1 + mp.mpf(fam.shift) / c]
+            else:
+                q = abs(mp.mpf(math.remainder(fam.shift, fam.scale))) / c
+                qs = [1 - q] + ([q] if q else [1])
+            for q in qs:
+                total += fam.mult * (-2 * mp.log(c) * (mp.mpf(0.5) - q)
+                                     + 2 * mp.loggamma(q) - mp.log(2 * mp.pi))
+        return total
+
+
+def _prime0_cases() -> list[Spectrum]:
+    rng = random.Random(1995)
+    rows = [finite_spectrum([(lam, mult)]) for lam, mult in
+            [(1e-12, 1), (0.5, 3), (1.0, 1), (2.0, 2), (1e8, 1), (1e300, 2)]]
+    fulls = [lattice_family(c, f * c, "full", m) for c in (0.01, 1.0, TWO_PI, 300.0)
+             for f, m in ((0.0, 1), (1e-8, 2), (-1e-8, 1), (0.5, 3), (-0.5, 1), (0.3, 2))]
+    one_sided = [lattice_family(c, (q - 1.0) * c, "positive", m)
+                 for c in (0.01, 1.0, TWO_PI, 300.0)
+                 for q, m in ((1e-8, 1), (1e-3, 2), (0.5, 3), (1.0, 1), (1.5, 2),
+                              (7.0, 3), (1e3, 1), (1e6, 2))]
+    mixes = [compose(*rng.sample(rows + fulls + one_sided, 5)) for _ in range(20)]
+    return rows + fulls + one_sided + mixes
+
+
+@pytest.mark.parametrize("spec", _prime0_cases())
+def test_zeta_prime0_against_mpmath(spec):
+    value, err = zeta_prime0(spec)
+    assert abs(mp.mpf(value) - _mp_zeta_prime0(spec)) <= err
+    assert err <= 1e-13 * (1.0 + abs(value))
