@@ -373,15 +373,10 @@ _B0_ROUNDING = 3.0 * 2.0 ** -53
 _BM1_ROUNDING = 5.2 * 2.0 ** -53
 
 
-def _power_integral(p: float, lo: float) -> float:
-    """int_lo^1 t^(p-1) dt for 0 < lo <= 1."""
-    return -math.log(lo) if p == 0.0 else -math.expm1(p * math.log(lo)) / p
-
-
-def _solo_rounding(fam: LatticeFamily, delta: float, s: float) -> float:
+def _solo_rounding(fam: LatticeFamily, delta: float) -> float:
     """Bound on what the rounding of a solo's b_0 and b_{-1} adds to
-    int_delta^1 t^(s-1) F(t) dt: delta_b0 * int t^(s-1) dt + delta_b_{-1} *
-    int t^(s-3/2) dt over the part of [delta, 1] where F is the direct
+    int_delta^1 F(t) dt/t: delta_b0 * int dt/t + delta_b_{-1} * int
+    t^(-3/2) dt over the part [lo, 1] of [delta, 1] where F is the direct
     difference.  That part is above the series' reach, which ends before
     _dual_decay falls below 50 and, once the series holds at some t, holds
     at every smaller t (each term ratio |a_{k+1}/a_k|*t shrinks with t): one
@@ -391,7 +386,8 @@ def _solo_rounding(fam: LatticeFamily, delta: float, s: float) -> float:
     coeffs = _one_sided_power_coeffs(fam.scale, fam.shift)
     lo = max(delta, probe) if _one_sided_series(fam, coeffs, probe) is not None else delta
     db0 = _B0_ROUNDING * fam.mult * (0.5 + abs(fam.shift / fam.scale))
-    return db0 * _power_integral(s, lo) + _BM1_ROUNDING * bm1 * _power_integral(s - 0.5, lo)
+    log_lo = math.log(lo)
+    return db0 * -log_lo + _BM1_ROUNDING * bm1 * (2.0 * math.expm1(-0.5 * log_lo))
 
 
 def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:

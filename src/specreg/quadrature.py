@@ -13,9 +13,10 @@ The tanh-sinh (double-exponential) rule serves the heat route's lower Mellin
 integral where it has no closed form (the solos of Spectrum.poisson, unpaired
 shifted one-sided lattices): F(t)/t with |F| <= C*t is integrable at the
 endpoint, and the DE substitution handles it without any endpoint
-evaluation.  gauss_kronrod takes log_det_reg's upper Mellin integral and
-the integral route of the Euler-constant self-check.  The zeta route
-integrates nothing: its values are closed forms and lattice sums.
+evaluation.  gauss_kronrod takes only the integral route of the
+Euler-constant self-check: log_det_reg's upper Mellin integral is an E1 sum,
+and the zeta route integrates nothing, its values being closed forms and
+lattice sums.
 """
 
 from __future__ import annotations

@@ -13,18 +13,20 @@ closed form
                   - int_0^1 F(t) dt/t,
 
 with b_j and F from the spectrum's own expansion (default_expansion), the
-only one these routes take.  log_det_reg takes the upper integral by
-Gauss-Kronrod panels and the lower one in closed form from Spectrum.poisson
-(_lower_closed_form): each theta's Poisson dual terms integrate to an erfc
-series, and each exponential to Ein = gamma + log + E1.  Only the solos
-(unpaired shifted one-sided families) go through mellin_lower's tanh-sinh
-panels.  It then verifies that the cutoff determinant approaches the
-matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on
-a decreasing eps sequence, scaled down for lattice scales above 10*pi
-(_verify_eps; a non-divergence check on the expansion; the deviations
-measure |int_0^eps F/t|, not numerical error, so they are not folded into
-the reported error bound).  The guard's sums share no code with the heat
-route's lower integral, a dual erfc series beside tanh-sinh panels.
+only one these routes take.  The upper integral is the same E1 sum at
+eps = 1, since int_1^inf exp(-lam*t) dt/t = E1(lam) (A&S 5.1.1).  The lower
+one is a closed form from Spectrum.poisson (_lower_closed_form): each
+theta's Poisson dual terms integrate to an erfc series, and each
+exponential to Ein = gamma + log + E1.  Only the solos (unpaired shifted
+one-sided families) go through mellin_lower's tanh-sinh panels.  It then
+verifies that the cutoff determinant approaches the matching asymptote
+value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a decreasing eps
+sequence, scaled down for lattice scales above 10*pi (_verify_eps; a
+non-divergence check on the expansion; the deviations measure
+|int_0^eps F/t|, not numerical error, so they are not folded into the
+reported error bound).  The guard and the upper integral share _e1_sum:
+what the guard checks is that the E1 sums at eps and at 1 differ by the
+counterterms, b_0*ln(eps) and the lower integral's dual series.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from math import fsum
 from typing import Sequence
 
 from .errors import DomainError, NumericError
-from .quadrature import gauss_kronrod, tanh_sinh
-from .special import EULER_GAMMA, exp_integral_e1, _ein, _U
+from .quadrature import tanh_sinh
+from .special import EULER_GAMMA, exp_integral_e1, _ein, _E1_ROUNDING, _U
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -47,7 +49,6 @@ from .heat_expansion import (
 )
 from .spectra import (
     Spectrum,
-    heat_trace,
     min_eigenvalue,
     _dual_mellin,
     _lattice_sum,
@@ -65,21 +66,30 @@ def default_expansion(spec: Spectrum) -> HeatExpansion:
 
 
 def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
-    """(sum mult*E1(eps*lam) over the positive spectrum, bound on the lattice
-    runs' error).  Each lattice run goes through spectra._lattice_sum: a
-    short run is summed directly and bounds its omitted tail by the Gaussian
-    heat-trace tail over eps*lam at the first omitted index (E1(x) <=
-    exp(-x)/x); a long one sums a head directly and closes the rest with an
+    """(sum mult*E1(eps*lam) over the positive spectrum, error bound).
+
+    Each lattice run goes through spectra._lattice_sum: a short run is
+    summed directly and bounds its omitted tail by the Gaussian heat-trace
+    tail over eps*lam at the first omitted index (E1(x) <= exp(-x)/x); a
+    long one sums a head directly and closes the rest with an
     Euler-Maclaurin tail, so it costs O(1) E1 calls whatever eps*scale^2 is,
-    and bounds the remainder and the rounding."""
+    and bounds the remainder and the rounding.  An explicit row's term
+    carries _E1_ROUNDING and u for the product with its multiplicity (E1's
+    160 u also absorbs the rounding of eps*lam where E1 is not negligible,
+    as in _lattice_sum), and the exactly rounded sum half an ulp.
+    min_eigenvalue raises NumericError first when the smallest eigenvalue
+    underflows to 0.0, where E1 has no value.
+    """
+    min_eigenvalue(spec)
     budget = _tail_budget(spec)
     terms = [mult * exp_integral_e1(eps * lam) for lam, mult, _ in spec.rows]
-    tail = 0.0
+    err = (_E1_ROUNDING + _U) * fsum(map(abs, terms))
     for fam in spec.lattices:
         fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
         terms.extend(fam_terms)
-        tail += fam_bound
-    return fsum(terms), tail
+        err += fam_bound
+    value = fsum(terms)
+    return value, err + 0.5 * math.ulp(value)
 
 
 def log_det_eps(spec: Spectrum, eps: float) -> float:
@@ -97,38 +107,6 @@ def counterterms(exp: HeatExpansion) -> dict[int, float]:
     return {j: exp.m * b / j for j, b in sorted(exp.coeffs.items()) if j != 0}
 
 
-def _mellin_upper(spec: Spectrum) -> tuple[float, float]:
-    """int_1^inf tr exp(-t*B) dt/t, log_det_reg's upper integral; returns
-    (value, error).
-
-    Gauss-Kronrod on [1, t_max] plus the tail bound
-    t_max^-1 tr exp(-t_max*B) / lam0.  t_max starts at max(1.5, 45/lam0) and
-    grows by 1.4 until the integrand is below 1e-20 or t_max reaches 1e9.
-    [1, t_max] is split at 1, 2, 4, .., and each panel integrated to its
-    share of the 1e-13 target: one 21-point panel over [1, t_max] can
-    undersample the fast exp(-lam t) decay of the low eigenvalues next to
-    t = 1 while its Gauss and Kronrod values still agree, and then states an
-    error far below the true one.
-    """
-    lam0 = min_eigenvalue(spec)
-
-    def integrand(t: float) -> float:
-        return heat_trace(spec, t, 1e-14) * t ** -1.0
-
-    t_max = max(1.5, 45.0 / lam0)
-    while heat_trace(spec, t_max) * t_max ** -1.0 > 1e-20 and t_max < 1e9:
-        t_max *= 1.4
-    edges = [1.0]
-    while 2.0 * edges[-1] < t_max:
-        edges.append(2.0 * edges[-1])
-    edges.append(t_max)
-    share = 1e-13 / (len(edges) - 1)
-    panels = [gauss_kronrod(integrand, a, b, abs_tol=share)
-              for a, b in zip(edges[:-1], edges[1:])]
-    tail = heat_trace(spec, t_max) * t_max ** -1.0 / lam0
-    return fsum(value for value, _ in panels), fsum(err for _, err in panels) + tail
-
-
 def _require_finite(value: float, err: float, what: str) -> None:
     """NumericError if the value or its error is NaN or infinite."""
     if not (math.isfinite(value) and math.isfinite(err)):
@@ -143,10 +121,10 @@ _DELTAS = tuple(float(f"1e-{k}") for k in range(2, 324))
 _DELTA_TRIES = 29
 
 
-def mellin_lower(spec: Spectrum, s: float) -> tuple[float, float]:
-    """int_0^1 t^(s-1) F(t) dt with F the remainder of default_expansion;
-    needs s > -1.  log_det_reg takes it at s = 0 for its solos, the one part
-    of its lower integral without a closed form.
+def mellin_lower(spec: Spectrum) -> tuple[float, float]:
+    """int_0^1 F(t) dt/t with F the remainder of default_expansion; the one
+    part of log_det_reg's lower integral without a closed form, which takes
+    it for its solos.
 
     [0, delta] is closed with the exact small-time series integral
     (mellin_cutoff_integral), at the largest decade delta <= 1e-2 where
@@ -154,17 +132,15 @@ def mellin_lower(spec: Spectrum, s: float) -> tuple[float, float]:
     the explicit rows lam, where the series of exp(-lam*t) - 1 has no
     cancellation.  If none of 29 decades certifies, NumericError is raised.
     Tanh-sinh panels cover [delta, 1] with edges at most two decades apart;
-    starting them at delta keeps the t^s endpoint behaviour of F(t) t^(s-1)
-    out of the quadrature.  F is built once (remainder_fn) and evaluated at
-    every node.  The error adds the solos' coefficient rounding
+    starting them at delta keeps the endpoint behaviour of F(t)/t out of the
+    quadrature.  F is built once (remainder_fn) and evaluated at every node.
+    The error adds the solos' coefficient rounding
     (heat_expansion._solo_rounding).
     """
-    if not s > -0.999:
-        raise DomainError(f"lower Mellin integral needs s > -1, got {s!r}")
     lam_max = max((lam for lam, _, _ in spec.rows), default=0.0)
     deltas = [d for d in _DELTAS if d * lam_max <= 1.0][:_DELTA_TRIES]
     for delta in deltas:
-        cut = mellin_cutoff_integral(spec, delta, s)
+        cut = mellin_cutoff_integral(spec, delta, 0.0)
         if cut is not None:
             break
     else:
@@ -176,10 +152,10 @@ def mellin_lower(spec: Spectrum, s: float) -> tuple[float, float]:
     remainder = remainder_fn(spec, default_expansion(spec))
 
     def integrand(t: float) -> float:
-        return remainder(t) * t ** (s - 1.0)
+        return remainder(t) * t ** -1.0
 
     values = [cutoff_value]
-    err = cutoff_err + fsum(_solo_rounding(fam, delta, s) for fam in spec.poisson.solos)
+    err = cutoff_err + fsum(_solo_rounding(fam, delta) for fam in spec.poisson.solos)
     for a, b in zip(edges[:-1], edges[1:]):
         part, part_err = tanh_sinh(integrand, a, b, abs_tol=3e-15)
         values.append(part)
@@ -215,7 +191,7 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
             parts.append(-weight * _ein(lam))
             errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
     if poisson.solos:
-        value, err = mellin_lower(Spectrum(poisson.solos), 0.0)
+        value, err = mellin_lower(Spectrum(poisson.solos))
         parts.append(value)
         errs.append(err)
     value = fsum(parts)
@@ -245,7 +221,7 @@ def _log_det_reg(spec: Spectrum,
                  exp: HeatExpansion) -> tuple[float, float, dict[float, float]]:
     """log_det_reg's (value, error) and the cutoff determinants, by eps, on
     which it checked the asymptote; exp is default_expansion(spec)."""
-    upper, err_up = _mellin_upper(spec)
+    upper, err_up = _e1_sum(spec, 1.0)
     lower, err_low = _lower_closed_form(spec)
     cts = counterterms(exp)
     ct_sum = fsum(cts.values())

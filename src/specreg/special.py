@@ -526,7 +526,8 @@ def hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
     """(zeta_H(s, q), error bound), zeta_H(s, q) = sum_{k>=0} (q+k)^(-s)
     continued in s: Euler-Maclaurin with N = 16 explicit terms and
     Bernoulli corrections through B16 at q_N = q + 16.  Raises PoleError at
-    s = 1 and DomainError for q <= 0 or s < -2.
+    s = 1, DomainError for q <= 0 or s < -2, and NumericError when a head
+    term or the tail integral leaves the double range.
 
     The bound takes q as rounded by 2u (u = 2^-53), as zeta_closed_form
     forms it, and q + k by a further u, so a power x^(-p) carries 3|p| u
@@ -545,9 +546,13 @@ def hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
     if s < -2.0 - 1e-9:
         raise DomainError(f"Hurwitz zeta implemented for s >= -2, got {s!r}")
     n_explicit = 16
-    head = [(q + k) ** (-s) for k in range(n_explicit)]
     q_n = q + n_explicit
-    tail_integral = q_n ** (1.0 - s) / (s - 1.0)
+    try:
+        head = [(q + k) ** (-s) for k in range(n_explicit)]
+        head_sum = fsum(head)
+        tail_integral = q_n ** (1.0 - s) / (s - 1.0)
+    except OverflowError as exc:
+        raise NumericError(f"a term of zeta_H({s!r}, {q!r}) overflows") from exc
     half = 0.5 * q_n ** (-s)
     # Corrections B_{2k}/(2k)! * (s)_{2k-1} * q_n^{-s-2k+1}.
     poch = s
@@ -560,7 +565,7 @@ def hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
         poch *= (s + two_k - 1.0) * (s + two_k)
         factorial_inv /= (two_k + 1.0) * (two_k + 2.0)
         q_pow /= q_n * q_n
-    head_sum, correction = fsum(head), fsum(corrections)
+    correction = fsum(corrections)
     tail = tail_integral + half
     value = head_sum + tail + correction
     rising = abs(math.prod(s + i for i in range(16)))

@@ -501,7 +501,7 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     (_E1_ROUNDING for E1, u for the others) and 4 u the product with the
     weight and the rounding of rate*u^2 where it is of order one.  Further
     out the argument's rounding grows with rate*u^2 in a term that has
-    fallen like exp(-rate*u^2); for the E1 runs of log_det_eps, E1's
+    fallen like exp(-rate*u^2); for the E1 runs of regdet._e1_sum, E1's
     stated 160 u (at most 36 u measured beyond x = 2) absorbs it.
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult

@@ -212,6 +212,15 @@ def test_bridge_underflowing_eigenvalue_exits_1(run_cli, tmp_path):
     assert proc.stderr.startswith("numeric failure: ")
 
 
+def test_zeta_overflowing_term_exits_1(run_cli, tmp_path):
+    # q = 1e-8: the solo's first term q^(-60) at s = 30 leaves the double
+    # range; a numeric failure, not an input error
+    data = dict(spectrum_to_dict(lattice_family(1.0, 1e-8 - 1.0, "positive")), s_values=[30.0])
+    proc = run_cli("zeta", "--input", write_json(tmp_path, "solo.json", data))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numeric failure: ")
+
+
 def test_gamma_self_check(run_cli):
     proc = run_cli("gamma")
     assert proc.returncode == 0

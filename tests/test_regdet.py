@@ -193,11 +193,6 @@ def test_build_report_grid_validation():
 # the lower Mellin integral
 
 
-def test_mellin_lower_validation():
-    with pytest.raises(DomainError):
-        mellin_lower(ONEPI, -1.5)
-
-
 def test_default_expansion_skips_the_remainder_scan():
     # the same coefficients as analytic_expansion; only the scanned C, which
     # nothing reads for an analytic source, is left out
@@ -231,14 +226,18 @@ def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch):
 
     monkeypatch.setattr(regdet, "tanh_sinh", counted(regdet.tanh_sinh))
     for spec in BUILTINS:
-        mellin_lower(spec, 0.0)
+        mellin_lower(spec)
     assert calls[0] <= 2800
 
 
-def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch):
-    # the heat route's lower integral is a closed form for every family but a
-    # solo shifted one-sided one; the zeta route's zeta'(0) is a closed form
-    # for every family
+# a full lattice whose smallest eigenvalue (7.2e-226) is tiny but nonzero
+TINY = lattice_family(4.585, 2.68e-113, "full", 1)
+
+
+def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch, refuse):
+    # the heat route's upper integral is an E1 sum and its lower one a closed
+    # form for every family but a solo shifted one-sided one; the zeta
+    # route's zeta'(0) is a closed form for every family
     calls = {"tanh-sinh": 0}
 
     def counted(rule, key):
@@ -249,21 +248,77 @@ def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch):
             return rule(g, a, b, **kwargs)
         return run
 
+    refuse("gauss_kronrod", "heat_trace")
     monkeypatch.setattr(regdet, "tanh_sinh", counted(regdet.tanh_sinh, "tanh-sinh"))
-    for spec in BUILTINS:
+    for spec in BUILTINS + (TINY,):
         if spec is not ONEPI:
             log_det_reg(spec)
     assert calls["tanh-sinh"] == 0  # 2401 when every family went through tanh-sinh
     log_det_reg(ONEPI)
     assert calls["tanh-sinh"] == 357
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature or heat trace in zeta'(0)")
-
-    for name in ("gauss_kronrod", "tanh_sinh", "heat_trace"):
-        monkeypatch.setattr(regdet, name, refuse)
+    refuse("gauss_kronrod", "tanh_sinh", "heat_trace")
     for spec in BUILTINS:
         zeta_prime0(spec)
+
+
+# ---------------------------------------------------------------------------
+# the upper integral as an E1 sum, against mpmath
+
+
+def _mp_e1_sum(spec) -> mp.mpf:
+    """sum mult*E1(lam) over the positive spectrum at 40 digits, each lattice
+    eigenvalue (scale*n + shift)^2 formed exactly; a run stops past
+    lam = 130, where E1 < 1e-58."""
+    with mp.workdps(40):
+        total = mp.fsum(mult * mp.e1(lam) for lam, mult, _ in spec.rows)
+        for fam in spec.lattices:
+            c, sigma = mp.mpf(fam.scale), mp.mpf(fam.shift)
+            for sign, start in ((1, 1),) if fam.side == "positive" else ((1, 1), (-1, 0)):
+                n = start
+                while True:
+                    lam = (c * n + sign * sigma) ** 2
+                    if lam > 130 and c * n + sign * sigma > 0:
+                        break
+                    if lam:
+                        total += fam.mult * mp.e1(lam)
+                    n += 1
+        return total
+
+
+def _e1_cases() -> list:
+    """The built-ins and TINY, then 40 mixes like perfbench's fresh-spectra:
+    explicit rows, a full and a one-sided lattice at scales in [2, 7] (a
+    few at [0.05, 2]), and orbit spectra of rank 1 and 2."""
+    rng = random.Random(24)
+    cases = list(BUILTINS) + [TINY]
+    for k in range(40):
+        if k % 4 == 3:
+            rank = 1 + k % 8 // 4
+            roots = (((rng.uniform(0.5, 1.5),),) if rank == 1 else
+                     ((rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.4)),
+                      (rng.uniform(0.0, 0.4), rng.uniform(0.5, 1.5))))
+            x = tuple(rng.uniform(0.5, 1.5) for _ in range(rank))
+            cases.append(orbit_spectrum(LoopGroupOrbitSpec(rank, roots, x,
+                                                           rng.uniform(0.05, 0.6)),
+                                        primed=True))
+            continue
+        low = 0.05 if k % 5 == 0 else 2.0
+        c_full, c_one = rng.uniform(low, 7.0), rng.uniform(low, 7.0)
+        rows = [(rng.uniform(0.5, 20.0), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        cases.append(compose(
+            finite_spectrum(rows),
+            lattice_family(c_full, c_full * rng.uniform(-0.45, 0.45), "full", rng.randint(1, 3)),
+            lattice_family(c_one, c_one * rng.choice((0.0, rng.uniform(-0.45, 0.45))),
+                           "positive", rng.randint(1, 3))))
+    return cases
+
+
+@pytest.mark.parametrize("spec", _e1_cases())
+def test_upper_integral_e1_sum_against_mpmath(spec):
+    value, err = regdet._e1_sum(spec, 1.0)
+    assert abs(mp.mpf(value) - _mp_e1_sum(spec)) <= err
+    assert err <= 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from specreg import (
     EULER_GAMMA,
     DomainError,
+    NumericError,
     PoleError,
     euler_gamma_integral,
     euler_gamma_series,
@@ -212,6 +213,13 @@ def test_hurwitz_domain_and_pole():
         hurwitz_zeta(2.0, -1.0)
     with pytest.raises(DomainError):
         hurwitz_zeta(-2.5, 1.0)
+
+
+@pytest.mark.parametrize("s, q", [(60.0, 1e-8), (-2.0, 1e154), (-2.0, 1e300)])
+def test_hurwitz_overflow_is_numeric_error(s, q):
+    # a head term or the tail integral beyond the double range
+    with pytest.raises(NumericError, match="overflows"):
+        hurwitz_zeta(s, q)
 
 
 def test_hurwitz_prime0_closed_forms():

@@ -7,7 +7,6 @@ import random
 
 import mpmath as mp
 import pytest
-import specreg.regdet
 import specreg.zeta
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +27,7 @@ from specreg import (
     heat_trace,
     heat_trace_theta,
     lattice_family,
+    log_det_eps,
     log_det_reg,
     min_eigenvalue,
     orbit_spectrum,
@@ -319,10 +319,13 @@ UNDERFLOW = lattice_family(1.0, 1e-170, "full", 1)
 @pytest.mark.parametrize("call", [
     min_eigenvalue,
     log_det_reg,
+    lambda spec: log_det_eps(spec, 1e-2),
+    build_report,
     lambda spec: zeta_value(spec, 0.75),
     zeta_prime0,
     verify_bridge,
-], ids=["min_eigenvalue", "log_det_reg", "zeta_value", "zeta_prime0", "verify_bridge"])
+], ids=["min_eigenvalue", "log_det_reg", "log_det_eps", "build_report", "zeta_value",
+        "zeta_prime0", "verify_bridge"])
 def test_underflowing_smallest_eigenvalue_is_numeric_error(call):
     with pytest.raises(NumericError, match="underflows"):
         call(UNDERFLOW)
@@ -443,7 +446,7 @@ def _family_mix(draw):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(case=_family_mix())
 def test_bridge_on_random_mixes(case):
-    # the heat route's dual series, Ein terms and quadratures against the
+    # the heat route's E1 sums, dual series and Ein terms against the
     # zeta route's closed forms, and the heat route against the Lerch
     # formula with a rounding floor of 1e-13 per unit of term magnitude
     spec, terms = case
@@ -552,6 +555,15 @@ def _random_mix(rng: random.Random) -> Spectrum:
     return compose(*parts)
 
 
+def test_closed_form_overflowing_term_is_numeric_error():
+    # a solo with q = 1e-8: q^(-60) leaves the double range in zeta_H(60, q)
+    spec = lattice_family(1.0, 1e-8 - 1.0, "positive", 1)
+    with pytest.raises(NumericError, match="overflows"):
+        zeta_closed_form(spec, 30.0)
+    with pytest.raises(NumericError, match="overflows"):
+        zeta_value(spec, 30.0)
+
+
 def test_zeta_value_sweep_against_hurwitz():
     # each value within its stated error of the exact-q Hurwitz sum, and the
     # Dirichlet series, continued below s = 1/2, within the two errors
@@ -583,18 +595,14 @@ def test_orbit_pair_at_s_three():
 
 @pytest.mark.parametrize("spec", [FULLPI3, FULL0M2, FIN23, lattice_family(50.0, 10.0, "full"),
                                   lattice_family(0.05, 0.02, "full", 2), ONEPI])
-def test_closed_form_takes_no_quadrature(spec, monkeypatch):
+def test_closed_form_takes_no_quadrature(spec, monkeypatch, refuse):
     # nothing on the zeta side integrates numerically, a solo included, and
     # each theta takes a bounded number of incomplete gammas whatever its scale
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature or heat trace on the closed-form route")
-
     calls = []
     upper = specreg.zeta.upper_gamma_scaled
     monkeypatch.setattr(specreg.zeta, "upper_gamma_scaled",
                         lambda a, x: calls.append(a) or upper(a, x))
-    for name in ("heat_trace", "gauss_kronrod", "tanh_sinh"):
-        monkeypatch.setattr(specreg.regdet, name, refuse)
+    refuse("heat_trace", "gauss_kronrod", "tanh_sinh")
     for s in (-0.7, 0.25, 1.5, 7.5):
         zeta_value(spec, s)
     zeta_prime0(spec)
@@ -628,15 +636,11 @@ SOLOS = _random_solos()
 
 @pytest.mark.parametrize("s", [-0.95, -0.7, -0.45, -0.25, 0.1, 0.25, 0.45, 0.5 - 1e-5,
                                0.5 + 1e-5, 0.75, 1.5, 3.0, 10.0])
-def test_solo_zeta_value_against_hurwitz(s, monkeypatch):
+def test_solo_zeta_value_against_hurwitz(s, refuse):
     # each solo is its Dirichlet series continued below s = 1/2 by the
     # Euler-Maclaurin closure; no quadrature, and the stated error covers
     # the exact-q Hurwitz value with no floor
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature or heat trace on a solo")
-
-    for name in ("heat_trace", "gauss_kronrod", "tanh_sinh"):
-        monkeypatch.setattr(specreg.regdet, name, refuse)
+    refuse("heat_trace", "gauss_kronrod", "tanh_sinh")
     misses = []
     for fam in SOLOS:
         spec = Spectrum((fam,))
