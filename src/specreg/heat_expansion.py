@@ -27,8 +27,11 @@ its exact small-time power series F = sum_k a_k t^k (coefficients from odd
 Bernoulli polynomials of 1 + shift/scale, computed in double precision from
 their Fourier series and cached per family) whenever the dual terms are
 certifiably below 1e-20; only above that window does it fall back to a
-direct big-minus-big difference, which is then short, carries ~1e-14
-noise and the rounding of b_{-1} and b_0 (_solo_rounding).
+direct big-minus-big difference, which is then short and carries ~1e-14
+noise.  The determinant route reads F only through the series integral
+mellin_cutoff_integral; past it, regdet.mellin_lower takes the cutoff
+identity, whose b-terms carry the coefficients' rounding
+(_coeff_rounding).
 """
 
 from __future__ import annotations
@@ -332,8 +335,8 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
     w*expm1(-t*lam) over its exponentials and each solo's series or direct
     difference; for fitted sources it is the direct difference against the
     fitted coefficients.  The solos' series coefficients and b-coefficients
-    and each theta's table of cosines are resolved here, once.  A quadrature
-    over t builds F once and calls it at every node.
+    and each theta's table of cosines are resolved here, once, so a caller
+    evaluating F at many t (verify_remainder_bound) builds it once.
     """
     if exp.source == "fitted":
         return lambda t: heat_trace(spec, t) - expansion_value(exp, t)
@@ -365,29 +368,27 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
     return value
 
 
-# A solo's coefficients as the direct difference forms them, u = 2^-53:
-# b_0 = -mult*(1/2 + r), r = shift/scale, rounds r, the sum and the product,
-# u*mult*(|r| + 2|1/2 + r|) <= 3u*mult*(1/2 + |r|); b_{-1}/sqrt(t) takes float
-# sqrt(pi) (1.2 u), a product, two divisions and sqrt(t): 5.2 u of itself.
+# The coefficients' rounding as _analytic_coeffs forms them, u = 2^-53: a
+# solo's b_0 = -mult*(1/2 + r), r = shift/scale, rounds r, the sum and the
+# product, u*mult*(|r| + 2|1/2 + r|) <= 3u*mult*(1/2 + |r|); each term
+# w*sqrt(pi)/c of b_{-1} takes float sqrt(pi) (1.2 u), a product and a
+# division, 3.2 u, and the terms are all positive, so with half an ulp of
+# their sum b_{-1} is good to 4.2 u, stated as 4.5 u.
 _B0_ROUNDING = 3.0 * 2.0 ** -53
-_BM1_ROUNDING = 5.2 * 2.0 ** -53
+_BM1_ROUNDING = 4.5 * 2.0 ** -53
 
 
-def _solo_rounding(fam: LatticeFamily, delta: float) -> float:
-    """Bound on what the rounding of a solo's b_0 and b_{-1} adds to
-    int_delta^1 F(t) dt/t: delta_b0 * int dt/t + delta_b_{-1} * int
-    t^(-3/2) dt over the part [lo, 1] of [delta, 1] where F is the direct
-    difference.  That part is above the series' reach, which ends before
-    _dual_decay falls below 50 and, once the series holds at some t, holds
-    at every smaller t (each term ratio |a_{k+1}/a_k|*t shrinks with t): one
-    probe at decay 51 shows where it starts, or leaves all of [delta, 1]."""
-    bm1 = _solo_coeffs(fam)[0]
-    probe = min(1.0, math.pi ** 2 / (51.0 * fam.scale * fam.scale))
-    coeffs = _one_sided_power_coeffs(fam.scale, fam.shift)
-    lo = max(delta, probe) if _one_sided_series(fam, coeffs, probe) is not None else delta
-    db0 = _B0_ROUNDING * fam.mult * (0.5 + abs(fam.shift / fam.scale))
-    log_lo = math.log(lo)
-    return db0 * -log_lo + _BM1_ROUNDING * bm1 * (2.0 * math.expm1(-0.5 * log_lo))
+def _coeff_rounding(spec: Spectrum, exp: HeatExpansion) -> dict[int, float]:
+    """j -> a bound on the rounding of b_j in exp, the default expansion of
+    spec: analytic (_BM1_ROUNDING of b_{-1}; the solos' _B0_ROUNDING and
+    half an ulp of the sum for b_0, whose other weights are exact) or
+    finite (exact counts); the zero coefficients are exact."""
+    errs = {j: 0.0 for j in exp.coeffs}
+    if exp.source == "analytic":
+        errs[-1] = _BM1_ROUNDING * abs(exp.coeffs[-1])
+        errs[0] = fsum(_B0_ROUNDING * fam.mult * (0.5 + abs(fam.shift / fam.scale))
+                       for fam in spec.poisson.solos) + 0.5 * math.ulp(exp.b0)
+    return errs
 
 
 def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:

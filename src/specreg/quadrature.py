@@ -9,14 +9,13 @@ no epsilon-algorithm extrapolation, so an algebraic endpoint singularity
 t^p costs about a factor 2^(p+1) of error per bisection: integrable, but
 slow as p approaches -1.  [a, inf) is mapped onto (0, 1] by t = a + (1-u)/u.
 
-The tanh-sinh (double-exponential) rule serves the heat route's lower Mellin
-integral where it has no closed form (the solos of Spectrum.poisson, unpaired
-shifted one-sided lattices): F(t)/t with |F| <= C*t is integrable at the
-endpoint, and the DE substitution handles it without any endpoint
-evaluation.  gauss_kronrod takes only the integral route of the
-Euler-constant self-check: log_det_reg's upper Mellin integral is an E1 sum,
-and the zeta route integrates nothing, its values being closed forms and
-lattice sums.
+The tanh-sinh (double-exponential) rule handles integrable endpoint
+singularities without any endpoint evaluation.  No library route calls it:
+the heat route's Mellin integrals are E1 sums, erfc series and, for the
+solos of Spectrum.poisson, a small-time series and the cutoff identity
+(regdet.mellin_lower).  gauss_kronrod takes only the integral route of the
+Euler-constant self-check; the zeta route integrates nothing, its values
+being closed forms and lattice sums.
 """
 
 from __future__ import annotations

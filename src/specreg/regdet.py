@@ -17,16 +17,29 @@ only one these routes take.  The upper integral is the same E1 sum at
 eps = 1, since int_1^inf exp(-lam*t) dt/t = E1(lam) (A&S 5.1.1).  The lower
 one is a closed form from Spectrum.poisson (_lower_closed_form): each
 theta's Poisson dual terms integrate to an erfc series, and each
-exponential to Ein = gamma + log + E1.  Only the solos (unpaired shifted
-one-sided families) go through mellin_lower's tanh-sinh panels.  It then
-verifies that the cutoff determinant approaches the matching asymptote
-value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on a decreasing eps
-sequence, scaled down for lattice scales above 10*pi (_verify_eps; a
-non-divergence check on the expansion; the deviations measure
-|int_0^eps F/t|, not numerical error, so they are not folded into the
-reported error bound).  The guard and the upper integral share _e1_sum:
-what the guard checks is that the E1 sums at eps and at 1 differ by the
-counterterms, b_0*ln(eps) and the lower integral's dual series.
+exponential to Ein = gamma + log + E1.  The solos (unpaired shifted
+one-sided families) take mellin_lower: their small-time Bernoulli series
+on [0, delta] and, on [delta, 1], the cutoff identity (Ray-Singer;
+Minakshisundaram-Pleijel)
+
+    log det_delta = log det_reg + sum_{j != 0} (m*b_j/j)*delta^(j/m)
+                    + b_0*ln(delta) + int_0^delta F(t) dt/t,
+
+read as int_delta^1 F dt/t = E(delta) - E(1) - sum_{j != 0} (m*b_j/j)*(1 -
+delta^(j/m)) + b_0*ln(delta), with E the E1 sums.  So log_det_reg
+integrates nothing numerically.  It stays independent of the zeta route
+(zeta.zeta_prime0), which takes Lerch's formula through math.lgamma and
+Kronecker's limit formula: this route reads only E1 sums, erfc and Ein,
+and the solos' Bernoulli series.
+
+log_det_reg then verifies that the cutoff determinant approaches the
+matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on
+a decreasing eps sequence, scaled down for lattice scales above 10*pi
+(_verify_eps; a non-divergence check on the expansion; the deviations
+measure |int_0^eps F/t|, not numerical error, so they are not folded into
+the reported error bound).  The guard, the upper integral and
+mellin_lower share _e1_sum: each deviation the guard reads is the
+identity's last term at eps.
 """
 
 from __future__ import annotations
@@ -37,21 +50,22 @@ from math import fsum
 from typing import Sequence
 
 from .errors import DomainError, NumericError
-from .quadrature import tanh_sinh
 from .special import EULER_GAMMA, exp_integral_e1, _ein, _E1_ROUNDING, _U
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
     mellin_cutoff_integral,
-    remainder_fn,
+    _MAX_WHOLE_SCALES,
     _analytic_coeffs,
-    _solo_rounding,
+    _coeff_rounding,
+    _one_sided_power_coeffs,
 )
 from .spectra import (
     Spectrum,
     min_eigenvalue,
     _dual_mellin,
     _lattice_sum,
+    _series_relief,
     _tail_budget,
 )
 
@@ -74,16 +88,22 @@ def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
     long one sums a head directly and closes the rest with an
     Euler-Maclaurin tail, so it costs O(1) E1 calls whatever eps*scale^2 is,
     and bounds the remainder and the rounding.  An explicit row's term
-    carries _E1_ROUNDING and u for the product with its multiplicity (E1's
-    160 u also absorbs the rounding of eps*lam where E1 is not negligible,
-    as in _lattice_sum), and the exactly rounded sum half an ulp.
-    min_eigenvalue raises NumericError first when the smallest eigenvalue
-    underflows to 0.0, where E1 has no value.
+    carries E1's error, _E1_ROUNDING or, below 1, _E1_SERIES_ROUNDING
+    (through spectra._series_relief), either of which absorbs the rounding
+    of eps*lam as in _lattice_sum, and u for the product with its
+    multiplicity, and the
+    exactly rounded sum half an ulp.  NumericError is raised first when the
+    smallest eigenvalue lam0 (min_eigenvalue) or eps*lam0 underflows to
+    0.0, where E1 has no value.
     """
-    min_eigenvalue(spec)
+    lam0 = min_eigenvalue(spec)
+    if not eps * lam0 > 0.0:
+        raise NumericError(f"eps*lam0 = {eps!r}*{lam0!r} underflows to 0.0")
     budget = _tail_budget(spec)
-    terms = [mult * exp_integral_e1(eps * lam) for lam, mult, _ in spec.rows]
-    err = (_E1_ROUNDING + _U) * fsum(map(abs, terms))
+    args = [eps * lam for lam, _, _ in spec.rows]
+    terms = [mult * exp_integral_e1(x) for x, (_, mult, _) in zip(args, spec.rows)]
+    err = ((_E1_ROUNDING + _U) * fsum(map(abs, terms))
+           - _series_relief(args, terms))
     for fam in spec.lattices:
         fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
         terms.extend(fam_terms)
@@ -113,56 +133,92 @@ def _require_finite(value: float, err: float, what: str) -> None:
         raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
-# mellin_lower's panel edges above delta: every second decade up to 1e-2
-_EDGES = tuple(float(f"1e-{k}") for k in range(322, 0, -2)) + (1e-1, 1.0)
-# the deltas mellin_lower tries for the series closure of [0, delta], largest
-# first, and how many of them: without explicit rows, 1e-2 down to 1e-30
-_DELTAS = tuple(float(f"1e-{k}") for k in range(2, 324))
+# how many deltas mellin_lower tries, a decade apart, for the series closure
+# of [0, delta]
 _DELTA_TRIES = 29
 
 
-def mellin_lower(spec: Spectrum) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t with F the remainder of default_expansion; the one
-    part of log_det_reg's lower integral without a closed form, which takes
-    it for its solos.
+def _first_delta(spec: Spectrum) -> float:
+    """The largest delta that mellin_cutoff_integral can certify: 1, at most
+    1/lam over the exponentials, where the series of exp(-lam*t) - 1 has no
+    cancellation, and at most pi^2/(50*c^2) over the thetas' and solos'
+    scales c, where their dual terms decay like exp(-50 k^2), less 16 u so
+    that the check's own rounding reads at least 50."""
+    poisson = spec.poisson
+    lam_max = max((lam for lam, _ in poisson.exponentials), default=0.0)
+    c_max = max([scale for _, scale, _ in poisson.thetas]
+                + [fam.scale for fam in poisson.solos], default=0.0)
+    delta = 1.0 / max(1.0, lam_max)
+    if c_max > 0.0:
+        delta = min(delta, math.pi ** 2 / (50.0 * c_max * c_max) * (1.0 - 16.0 * _U))
+    return delta
 
-    [0, delta] is closed with the exact small-time series integral
-    (mellin_cutoff_integral), at the largest decade delta <= 1e-2 where
-    every part certifies its series; delta also stays at or below 1/lam over
-    the explicit rows lam, where the series of exp(-lam*t) - 1 has no
-    cancellation.  If none of 29 decades certifies, NumericError is raised.
-    Tanh-sinh panels cover [delta, 1] with edges at most two decades apart;
-    starting them at delta keeps the endpoint behaviour of F(t)/t out of the
-    quadrature.  F is built once (remainder_fn) and evaluated at every node.
-    The error adds the solos' coefficient rounding
-    (heat_expansion._solo_rounding).
+
+def mellin_lower(spec: Spectrum) -> tuple[float, float]:
+    """int_0^1 F(t) dt/t with F the remainder of default_expansion, in
+    closed form; the part of log_det_reg's lower integral that its solos
+    take.
+
+    [0, delta] is the exact small-time series integral
+    (mellin_cutoff_integral), at the first of _first_delta(spec) and the
+    decades below it where every part certifies its series; if none of
+    _DELTA_TRIES does, NumericError is raised.  [delta, 1] is the cutoff
+    identity: int_delta^1 exp(-lam*t) dt/t = E1(delta*lam) - E1(lam) and
+    int_delta^1 t^(j/m - 1) dt = (1 - delta^(j/m))*m/j, so
+
+        int_delta^1 F dt/t = E(delta) - E(1)
+                             - sum_{j != 0} (m*b_j/j)*(1 - delta^(j/m))
+                             + b_0*ln(delta),
+
+    E the E1 sums of _e1_sum and m*b_j/j the counterterms; it is empty at
+    delta = 1, the solos of scale below pi/sqrt(50).  Nothing is
+    integrated numerically.  The error adds the series', both E1 sums',
+    the rounding of b_j as the expansion forms them
+    (heat_expansion._coeff_rounding) times their weights 1 - delta^(j/m)
+    and ln(delta), the rounding of forming each term, and half an ulp of
+    the exactly rounded sum.  A solo whose shift spans more than
+    heat_expansion._MAX_WHOLE_SCALES whole scales has no table of series
+    coefficients, so nothing certifies [0, delta]: NumericError, naming it.
     """
-    lam_max = max((lam for lam, _, _ in spec.rows), default=0.0)
-    deltas = [d for d in _DELTAS if d * lam_max <= 1.0][:_DELTA_TRIES]
-    for delta in deltas:
+    for fam in spec.poisson.solos:
+        if not _one_sided_power_coeffs(fam.scale, fam.shift):
+            cause = (f"its shift spans more than {_MAX_WHOLE_SCALES} whole scales"
+                     if fam.shift / fam.scale >= _MAX_WHOLE_SCALES
+                     else "its first coefficient overflows")
+            raise NumericError(
+                f"a one-sided lattice (scale={fam.scale!r}, shift={fam.shift!r}) has no "
+                f"small-time series coefficients ({cause}), so no delta "
+                f"certifies [0, delta]")
+    first = _first_delta(spec)
+    for k in range(_DELTA_TRIES):
+        delta = first * 10.0 ** -k
         cut = mellin_cutoff_integral(spec, delta, 0.0)
         if cut is not None:
             break
     else:
         raise NumericError(
-            f"the small-time series does not certify [0, delta] for delta "
-            f"down to {deltas[-1]!r}")
-    cutoff_value, cutoff_err = cut
-    edges = [delta] + [e for e in _EDGES if e > delta]
-    remainder = remainder_fn(spec, default_expansion(spec))
-
-    def integrand(t: float) -> float:
-        return remainder(t) * t ** -1.0
-
-    values = [cutoff_value]
-    err = cutoff_err + fsum(_solo_rounding(fam, delta) for fam in spec.poisson.solos)
-    for a, b in zip(edges[:-1], edges[1:]):
-        part, part_err = tanh_sinh(integrand, a, b, abs_tol=3e-15)
-        values.append(part)
-        err += part_err
-    # exactly rounded: the panels can cancel, and a running sum would add a
-    # rounding error that no panel's estimate covers
-    return fsum(values), err
+            f"the small-time series does not certify [0, delta] for delta from "
+            f"{first!r} down to {delta!r}")
+    if delta == 1.0:
+        return cut
+    exp = default_expansion(spec)
+    near, near_err = _e1_sum(spec, delta)
+    far, far_err = _e1_sum(spec, 1.0)
+    coeff_err = _coeff_rounding(spec, exp)
+    log_delta = math.log(delta)
+    parts = [cut[0], near, -far, exp.b0 * log_delta]
+    # ln rounds by an ulp and the product by half of one
+    errs = [cut[1], near_err, far_err,
+            (coeff_err[0] + 3.0 * _U * abs(exp.b0)) * -log_delta]
+    for j, ct in counterterms(exp).items():
+        power = delta ** (j / exp.m)
+        parts.append(-ct * (1.0 - power))
+        # the power rounds by an ulp, m*b_j/j, 1 - power and the product by
+        # half of one each
+        errs.append(abs(exp.m / j) * coeff_err[j] * abs(1.0 - power)
+                    + _U * abs(ct) * (2.0 * abs(power) + 3.0 * abs(1.0 - power)))
+    value = fsum(parts)
+    return value, fsum(errs) + 0.5 * math.ulp(value)
 
 
 # relative error of special._ein (derived in its docstring)
@@ -175,9 +231,14 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
 
     A theta of weight w gives w*D(c, sigma) (spectra._dual_mellin) and an
     exponential (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1; a row at
-    lam = 0.0 adds nothing.  The solos have no closed form: their share of F
-    is the remainder of their own analytic expansion, integrated by
-    mellin_lower's tanh-sinh panels.  Each Ein term carries _EIN_ROUNDING and
+    lam = 0.0 adds nothing.  The solos have no Poisson form: each solo's
+    share of F is the remainder of its own analytic expansion, which
+    mellin_lower integrates by its small-time series and the cutoff
+    identity.  Each solo goes alone, at the delta of its own scale: a delta
+    set by a larger scale would make a small solo's E1 sum at delta grow
+    like 1/(scale*sqrt(delta)), and its cancellation against the b-terms
+    cost digits (solos of scales 16.7 and 0.22 together stated 2e-12, apart
+    9e-14).  Each Ein term carries _EIN_ROUNDING and
     each product with its weight a further u; the sum is exactly rounded.
     """
     poisson = spec.poisson
@@ -190,8 +251,8 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
         if lam > 0.0:
             parts.append(-weight * _ein(lam))
             errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
-    if poisson.solos:
-        value, err = mellin_lower(Spectrum(poisson.solos))
+    for fam in poisson.solos:
+        value, err = mellin_lower(Spectrum((fam,)))
         parts.append(value)
         errs.append(err)
     value = fsum(parts)

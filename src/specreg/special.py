@@ -28,10 +28,20 @@ TWO_PI = 2.0 * math.pi
 
 # unit roundoff
 _U = 2.0 ** -53
-# relative error of exp_integral_e1 (see its docstring) and of math.erfc
+# relative error of exp_integral_e1 (see its docstring): on its series
+# branch (x < 1), the 8 u measured doubled, the other half holding one
+# rounding of a caller's argument (E1's sensitivity exp(-x)/E1(x) is below
+# 2/log(1 + 2/x) < 2 there); on its continued fraction; and of math.erfc
 # (within 2.7 u of mpmath on [0, 26.5])
+_E1_SERIES_ROUNDING = 16.0 * _U
 _E1_ROUNDING = 160.0 * _U
 _ERFC_ROUNDING = 4.0 * _U
+
+
+def _e1_rounding(x: float) -> float:
+    """Relative error of exp_integral_e1(x): _E1_SERIES_ROUNDING below 1,
+    else _E1_ROUNDING."""
+    return _E1_SERIES_ROUNDING if x < 1.0 else _E1_ROUNDING
 
 
 def exp_integral_e1(x: float) -> float:
@@ -51,7 +61,8 @@ def exp_integral_e1(x: float) -> float:
     points of [1e-300, 700]: at most 8 u (u = 2^-53) below 1, 124 u on
     [1, 2] (worst just above 1, where the continued fraction takes the most
     iterations and its rounding accumulates), 36 u on [2, 30] and 11 u
-    beyond.  _E1_ROUNDING = 160 u states it for every caller's budget.
+    beyond.  _E1_SERIES_ROUNDING = 16 u states the series branch and
+    _E1_ROUNDING = 160 u the continued fraction (_e1_rounding picks one).
     """
     if not x > 0.0:
         raise DomainError(f"E1 requires x > 0, got {x!r}")
@@ -471,7 +482,7 @@ def _em_tail(kind: str, scale: float, a: float, rate: float,
                 derivs, mags = [phis[j] for j in odd], [phims[j] for j in odd]
                 integral = e1 / (2.0 * scale)
                 half = 0.5 * g / a
-                errs = [(_E1_ROUNDING + (2.0 * y2 + 4.0) * _U) * integral,
+                errs = [(_e1_rounding(y2) + (2.0 * y2 + 4.0) * _U) * integral,
                         (2.0 * y2 + 4.0) * _U * half]
                 slope = (1.0 / (a * a) + 2.0 * rate) * g
                 fa = g / a
@@ -482,10 +493,11 @@ def _em_tail(kind: str, scale: float, a: float, rate: float,
                 erfc_part = math.sqrt(math.pi / rate) * math.erfc(y)
                 integral = (erfc_part - edge) / scale
                 half = 0.5 * e1
-                errs = [(edge * (_E1_ROUNDING + (2.0 * y2 + 4.0) * _U)
+                e1_rounding = _e1_rounding(y2)
+                errs = [(edge * (e1_rounding + (2.0 * y2 + 4.0) * _U)
                          + erfc_part * (_ERFC_ROUNDING + (4.0 * y2 + 5.0) * _U)
                          + _U * abs(erfc_part - edge)) / scale + _U * abs(integral),
-                        (_E1_ROUNDING + (2.0 * y2 + 2.0) * _U) * half]
+                        (e1_rounding + (2.0 * y2 + 2.0) * _U) * half]
                 slope = 2.0 * g / a
                 fa = e1
         chain = [8.0 * j + 8.0 + 2.0 * y2 for j in odd]

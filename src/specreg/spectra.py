@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import fsum
@@ -57,6 +58,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .errors import DomainError, NumericError
 from .special import (
     _E1_ROUNDING,
+    _E1_SERIES_ROUNDING,
     _ERFC_ROUNDING,
     _U,
     _em_guess,
@@ -482,7 +484,34 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
                        else (rate * top * top + 1.0) * (2.0 * spread + 2.0) + 4.0)
         own = _E1_ROUNDING if kind == "e1" else _U
         bound += (own + sensitivity * _U) * fsum(map(abs, head))
+        if kind == "e1":
+            bound -= _series_relief((rate * x * x for x in xs), head)
     return head + pieces, bound
+
+
+# the smallest normal double
+_NORMAL_MIN = sys.float_info.min
+
+
+def _series_relief(args: Iterable[float], terms: list[float],
+                   spread: float | None = None) -> float:
+    """What a run of E1 terms weight*E1(x), x in args, that charged each
+    term _E1_ROUNDING (and, for a direct run, 4 u) gives back where x is
+    below 1 and exp_integral_e1 takes its series, good to
+    _E1_SERIES_ROUNDING; exactly 0.0 when no x is below 1.  A subnormal x
+    has lost the relative precision that this assumes and gives nothing
+    back.  With `spread`
+    (a direct run's, as in _lattice_sum) the term keeps u for the product
+    with the weight and the rounding of x itself, relative (2*spread + 2) u,
+    times E1's sensitivity exp(-x)/E1(x) < 2/log(1 + 2/x) (from E1(x) >
+    exp(-x)*log(1 + 2/x)/2, DLMF 6.8.2); without, the caller budgets that
+    already."""
+    series = [(x, abs(f)) for x, f in zip(args, terms) if _NORMAL_MIN <= x < 1.0]
+    relief = _E1_ROUNDING - _E1_SERIES_ROUNDING
+    if spread is None:
+        return relief * fsum(f for _, f in series)
+    argument = 2.0 * (2.0 * spread + 2.0) * _U
+    return fsum((relief + 3.0 * _U - argument / math.log1p(2.0 / x)) * f for x, f in series)
 
 
 def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
@@ -502,7 +531,9 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     weight and the rounding of rate*u^2 where it is of order one.  Further
     out the argument's rounding grows with rate*u^2 in a term that has
     fallen like exp(-rate*u^2); for the E1 runs of regdet._e1_sum, E1's
-    stated 160 u (at most 36 u measured beyond x = 2) absorbs it.
+    stated 160 u (at most 36 u measured beyond x = 2) absorbs it.  Below
+    x = 1 an E1 term states its series' error and the rounding of x
+    instead (_series_relief).
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult
     runs = runs or _runs(fam)
@@ -521,8 +552,8 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
             terms.extend(run_terms)
             bound += run_bound
             continue
-        run_terms = _summands(kind, weight, rate, _points(scale, sigma, start,
-                                                          n_hi + 1, sign))
+        xs = _points(scale, sigma, start, n_hi + 1, sign)
+        run_terms = _summands(kind, weight, rate, xs)
         terms.extend(run_terms)
         u_next = scale * (n_hi + 1) + sigma
         bound += (tail / (rate * u_next * u_next) if kind == "e1"
@@ -530,6 +561,9 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
                   else tail)
         own = _E1_ROUNDING if kind == "e1" else _U
         bound += (own + 4.0 * _U) * fsum(map(abs, run_terms))
+        if kind == "e1" and xs:
+            spread = 2.0 + abs(sigma) / min(map(abs, xs))
+            bound -= _series_relief((rate * x * x for x in xs), run_terms, spread)
     return terms, bound
 
 
@@ -637,11 +671,12 @@ def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
     2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
     cosine's angle, and the products; then half an ulp for the exactly
     rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
-    raise NumericError.  A limit of the same kind for the solos: a shift of
-    more than 2^18 whole scales has no table of small-time coefficients
-    (heat_expansion._MAX_WHOLE_SCALES), so nothing certifies the start of
-    mellin_lower's integral and log_det_reg raises NumericError (one-sided
-    shift 0.5 at scale 1e-6, for instance).
+    raise NumericError.  The solos have no such series: regdet.mellin_lower
+    integrates them by their small-time Bernoulli series and the cutoff
+    identity's E1 sums, and refuses, naming the cause, a shift of more than
+    2^18 whole scales (heat_expansion._MAX_WHOLE_SCALES; one-sided shift
+    0.5 at scale 1e-6, for instance), which has no table of series
+    coefficients.
     """
     # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
     log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)

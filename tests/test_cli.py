@@ -41,7 +41,6 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 FIN23 = finite_spectrum([(2.0, 1), (3.0, 1)])
 ONE0 = lattice_family(TWO_PI, 0.0, "positive", 1)
-ONEPI = lattice_family(TWO_PI, math.pi, "positive", 1)
 SU2 = LoopGroupOrbitSpec(1, ((1.0,),), (1.0,), 0.25)
 
 
@@ -172,7 +171,10 @@ def test_bridge_pass(run_cli, tmp_path):
 
 
 def test_bridge_tight_tolerance_fails(run_cli, tmp_path):
-    path = write_json(tmp_path, "onepi.json", spectrum_to_dict(ONEPI))
+    # a spectrum whose two routes differ (4.4e-16); one-sided-pi's agree to
+    # the last bit
+    fullpi3 = lattice_family(TWO_PI, math.pi / 3.0, "full", 1)
+    path = write_json(tmp_path, "fullpi3.json", spectrum_to_dict(fullpi3))
     proc = run_cli("bridge", "--input", path, "--abs-tol", "1e-18")
     assert proc.returncode == 1
     assert "bridge check failed" in proc.stderr
@@ -258,6 +260,14 @@ def test_bad_eps_list(run_cli, tmp_path):
     proc = run_cli("detreg", "--input", path, "--eps", "0,1")
     assert proc.returncode == 2
     assert "--eps" in proc.stderr
+
+
+def test_detreg_underflowing_cutoff_argument_exits_1(run_cli, tmp_path):
+    # eps*lam = 1e-330 underflows: a numeric failure (exit 1), not bad input
+    path = write_json(tmp_path, "row.json", spectrum_to_dict(finite_spectrum([(1e-300, 1)])))
+    proc = run_cli("detreg", "--input", path, "--eps", "1e-30")
+    assert proc.returncode == 1
+    assert "underflows" in proc.stderr
 
 
 def test_unknown_subcommand(run_cli):

@@ -24,7 +24,7 @@ from specreg import (
     log_det_reg,
     report_to_dict,
 )
-from specreg import regdet, spectra
+from specreg import regdet, special, spectra
 from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
 from specreg.zeta import zeta_prime0
@@ -77,6 +77,13 @@ def test_log_det_eps_domain():
         log_det_eps(FIN23, 0.0)
     with pytest.raises(DomainError):
         log_det_eps(FIN23, -0.1)
+
+
+def test_log_det_eps_underflowing_argument_is_numeric():
+    # a valid eps and eigenvalue whose product underflows: a numeric failure,
+    # not bad input
+    with pytest.raises(NumericError, match="underflows"):
+        log_det_eps(finite_spectrum([(1e-300, 1)]), 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -211,55 +218,80 @@ BUILTINS = (
 )
 
 
-def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch):
-    # tanh-sinh at s = 0 on the seven built-in spectra: 2758 evaluations with
-    # [0, delta] closed by the series up to delta = 1e-2
+def _count_e1_everywhere(monkeypatch) -> list[int]:
+    """Count exp_integral_e1 calls through every module that binds it."""
     calls = [0]
+    e1 = special.exp_integral_e1
 
-    def counted(rule):
-        def run(f, a, b, **kwargs):
-            def g(t):
-                calls[0] += 1
-                return f(t)
-            return rule(g, a, b, **kwargs)
-        return run
+    def counted(x):
+        calls[0] += 1
+        return e1(x)
 
-    monkeypatch.setattr(regdet, "tanh_sinh", counted(regdet.tanh_sinh))
-    for spec in BUILTINS:
-        mellin_lower(spec)
-    assert calls[0] <= 2800
+    for module in (special, spectra, regdet):
+        monkeypatch.setattr(module, "exp_integral_e1", counted)
+    return calls
 
 
 # a full lattice whose smallest eigenvalue (7.2e-226) is tiny but nonzero
 TINY = lattice_family(4.585, 2.68e-113, "full", 1)
 
 
+def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch, refuse):
+    # mellin_lower is a closed form for any spectrum: the series on [0, delta]
+    # and the cutoff identity's E1 sums on [delta, 1]; the tanh-sinh panels
+    # it replaced took 2758 integrand evaluations on the seven built-ins
+    refuse("tanh_sinh", "gauss_kronrod", "heat_trace")
+    calls = _count_e1_everywhere(monkeypatch)
+    for spec in BUILTINS + (TINY,):
+        mellin_lower(spec)
+    assert calls[0] <= 400  # 282 measured
+
+
 def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch, refuse):
     # the heat route's upper integral is an E1 sum and its lower one a closed
-    # form for every family but a solo shifted one-sided one; the zeta
-    # route's zeta'(0) is a closed form for every family
-    calls = {"tanh-sinh": 0}
-
-    def counted(rule, key):
-        def run(f, a, b, **kwargs):
-            def g(t):
-                calls[key] += 1
-                return f(t)
-            return rule(g, a, b, **kwargs)
-        return run
-
-    refuse("gauss_kronrod", "heat_trace")
-    monkeypatch.setattr(regdet, "tanh_sinh", counted(regdet.tanh_sinh, "tanh-sinh"))
+    # form for every family, the solos through mellin_lower's cutoff
+    # identity; the zeta route's zeta'(0) is a closed form for every family.
+    # One-sided-pi's tanh-sinh panels took 357 evaluations of F(t).
+    refuse("tanh_sinh", "gauss_kronrod", "heat_trace")
+    calls = _count_e1_everywhere(monkeypatch)
     for spec in BUILTINS + (TINY,):
-        if spec is not ONEPI:
-            log_det_reg(spec)
-    assert calls["tanh-sinh"] == 0  # 2401 when every family went through tanh-sinh
-    log_det_reg(ONEPI)
-    assert calls["tanh-sinh"] == 357
-
-    refuse("gauss_kronrod", "tanh_sinh", "heat_trace")
+        log_det_reg(spec)
+    assert calls[0] <= 800  # 558 measured, 44 of them one-sided-pi's
     for spec in BUILTINS:
         zeta_prime0(spec)
+
+
+def _solo_free_mixes(count: int = 24, seed: int = 25):
+    """Mixes without a solo: explicit rows, full lattices, zero-shift
+    one-sided lattices and pairs of opposite shifts, at scales 0.05-30."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [finite_spectrum([(rng.uniform(0.05, 40.0), rng.randint(1, 3))
+                                  for _ in range(rng.randint(0, 3))])]
+        for _ in range(rng.randint(1, 3)):
+            scale = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
+            shift, mult = rng.uniform(-0.49, 0.49) * scale, rng.randint(1, 3)
+            kind = rng.randrange(3)
+            if kind == 0:
+                parts.append(lattice_family(scale, shift, "full", mult))
+            elif kind == 1:
+                parts.append(lattice_family(scale, 0.0, "positive", mult))
+            else:
+                parts += [lattice_family(scale, shift, "positive", mult),
+                          lattice_family(scale, -shift, "positive", mult)]
+        yield compose(*parts)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in BUILTINS if not spec.poisson.solos]
+                         + list(_solo_free_mixes()))
+def test_mellin_lower_against_dual_closed_form(spec):
+    # two independent closed forms of int_0^1 F dt/t: the cutoff identity
+    # (small-time series and E1 sums) against the erfc series of the thetas'
+    # duals and Ein of the exponentials
+    assert not spec.poisson.solos
+    value, err = mellin_lower(spec)
+    closed, closed_err = regdet._lower_closed_form(spec)
+    assert abs(value - closed) <= err + closed_err
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +423,47 @@ def _solo_cases(count: int = 120, seed: int = 7):
     while len(cases) < count:
         scale = math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
         cases.append((scale, rng.uniform(-0.95, 2.5) * scale, rng.randint(1, 3)))
-    return cases
+    return cases + DELTA_ONE_SOLOS
+
+
+# solos of scale below pi/sqrt(50), whose small-time series certifies all of
+# [0, 1], so that mellin_lower takes no E1 sum
+DELTA_ONE_SOLOS = [(0.44, 0.9 * 0.44, 3), (0.3, -0.29, 1), (0.1, 0.05, 2),
+                   (0.05, 2.4 * 0.05, 1)]
 
 
 def test_log_det_reg_lerch_oracle_on_solos():
-    # the solos take the direct difference F = trace - b_{-1}/sqrt(t) - b_0
-    # through tanh-sinh panels; every stated error covers the 40-digit Lerch
-    # value, with no slack
+    # the solos take mellin_lower's small-time series and cutoff identity;
+    # every stated error covers the 40-digit Lerch value, with no slack
+    for scale, shift, mult in DELTA_ONE_SOLOS:
+        assert regdet._first_delta(lattice_family(scale, shift, "positive", mult)) == 1.0
     for scale, shift, mult in _solo_cases():
         spec = lattice_family(scale, shift, "positive", mult)
         assert spec.poisson.solos
         value, err = log_det_reg(spec)
         miss = abs(mp.mpf(value) - _lerch_log_det_reg(spec))
         assert miss <= err, (scale, shift, mult, float(miss), err)
+
+
+def test_mixed_scale_solos_take_their_own_delta():
+    # each solo integrates at the delta of its own scale; at the delta of
+    # the largest scale, the small solos' E1 sums cancelled 2e-12 away
+    spec = compose(lattice_family(16.742, 0.3 * 16.742, "positive", 2),
+                   lattice_family(0.224, 1.1 * 0.224, "positive", 1),
+                   lattice_family(2.5, -0.4 * 2.5, "positive", 3))
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err <= 3e-13
+
+
+def test_large_q_solo_refusal_states_its_cause():
+    # q = 1 + 0.5/1e-6 = 5e5 exceeds heat_expansion._MAX_WHOLE_SCALES = 2^18
+    # whole scales, so the solo has no table of small-time coefficients and
+    # nothing certifies the start of its lower integral
+    with pytest.raises(NumericError, match="whole scales"):
+        log_det_reg(lattice_family(1e-6, 0.5, "positive", 1))
+    spec = lattice_family(1e-5, 0.5, "positive", 1)  # q = 5e4
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
 
 
 @pytest.mark.parametrize("scale", CLOSED_FORM_SCALES)

@@ -374,7 +374,10 @@ def test_bridge_routes_are_independent():
 
 
 def test_bridge_tight_tolerance_fails():
-    report = verify_bridge(ONEPI, abs_tol=1e-18)
+    # a threshold below a nonzero discrepancy fails (one-sided-pi's two
+    # routes now agree to the last bit, so it cannot show this)
+    report = verify_bridge(FULLPI3, abs_tol=1e-18)
+    assert report.discrepancy > 1e-18
     assert not report.passed
     assert report.threshold == 1e-18
 
