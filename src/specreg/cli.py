@@ -215,8 +215,8 @@ def _parse_eps(text: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise DomainError(f"bad --eps list {text!r}: {exc}") from exc
-    if not values or any(not v > 0.0 for v in values):
-        raise DomainError(f"--eps needs positive comma-separated values, got {text!r}")
+    if not values or any(not 0.0 < v < math.inf for v in values):
+        raise DomainError(f"--eps needs positive finite comma-separated values, got {text!r}")
     return values
 
 

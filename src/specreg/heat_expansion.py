@@ -28,9 +28,10 @@ Bernoulli polynomials of 1 + shift/scale, computed in double precision from
 their Fourier series and cached per family) whenever the dual terms are
 certifiably below 1e-20; only above that window does it fall back to a
 direct big-minus-big difference, which is then short and carries ~1e-14
-noise.  The determinant route reads F only through the series integral
-mellin_cutoff_integral; past it, regdet.mellin_lower takes the cutoff
-identity, whose b-terms carry the coefficients' rounding
+noise.  The determinant route evaluates no F: regdet.mellin_lower takes
+its thetas and exponentials in closed form, and each solo through its
+series integral mellin_cutoff_integral up to the series' reach and the
+cutoff identity past it, whose b-terms carry the coefficients' rounding
 (_coeff_rounding).
 """
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
 from math import fsum
 from operator import add, mul
 from typing import Callable
@@ -404,15 +404,36 @@ def remainder(spec: Spectrum, exp: HeatExpansion, t: float) -> float:
 _CUTOFF_ROUNDING = 8.0 * 2.0 ** -52
 
 
-def _one_sided_cutoff(fam: LatticeFamily, delta: float, s: float) -> tuple[float, float] | None:
+def mellin_cutoff_integral(fam: LatticeFamily, delta: float) -> tuple[float, float] | None:
+    """int_0^delta F(t) dt/t for one solo fam (an unpaired shifted one-sided
+    family of Spectrum.poisson), F the remainder of its own analytic
+    expansion, from its exact small-time series F = sum a_k t^k, integrated
+    term by term.
+
+    The Poisson dual terms the series omits must decay at least like
+    exp(-50 k^2) at delta, and the series must fall below 1e-22 of its sum
+    before its terms start growing.  The error bound adds the dual terms'
+    bound, the last term and the rounding allowance.  Returns (value,
+    error_bound), or None when the series does not certify at delta
+    (regdet's solo integral then tries a smaller delta).  Any delta > 0 may
+    be asked for; the checks, not a fixed cap, decide.
+    """
+    if not 0.0 < delta:
+        return None
+    decay = _dual_decay(fam.scale, delta)
+    if decay < 50.0:
+        return None
+    # dual terms contribute below prefactor*exp(-decay) on (0, delta]
+    prefactor = fam.mult * SQRT_PI / (fam.scale * math.sqrt(delta))
+    dual_err = 2.0 * prefactor * math.exp(-decay)
     terms: list[float] = []
     total = 0.0
     prev = math.inf
     weighted = 0.0
-    power = delta ** s
+    power = 1.0
     for k, a in enumerate(_one_sided_power_coeffs(fam.scale, fam.shift), start=1):
         power *= delta
-        term = a * power / (k + s)
+        term = a * power / k
         if abs(term) > prev:
             return None
         prev = abs(term)
@@ -420,66 +441,9 @@ def _one_sided_cutoff(fam: LatticeFamily, delta: float, s: float) -> tuple[float
         total += term
         weighted += k * abs(term)
         if abs(term) <= 1e-22 * max(1.0, abs(total)):
-            return fam.mult * fsum(terms), fam.mult * (abs(term) + _CUTOFF_ROUNDING * weighted)
+            err = fam.mult * (abs(term) + _CUTOFF_ROUNDING * weighted)
+            return fam.mult * fsum(terms), dual_err + err + 1e-18
     return None
-
-
-def _explicit_cutoff(lam: float, weight: float, delta: float,
-                     s: float) -> tuple[float, float] | None:
-    # weight * int_0^delta t^(s-1) * (exp(-lam*t) - 1) dt, term by term
-    terms: list[float] = []
-    total = 0.0
-    weighted = 0.0
-    factor = 1.0
-    for k in range(1, 201):
-        factor *= -lam * delta / k
-        term = factor * delta ** s / (k + s)
-        terms.append(term)
-        total += term
-        weighted += k * abs(term)
-        if abs(term) <= 1e-22 * max(1.0, abs(total)):
-            return weight * fsum(terms), abs(weight) * (abs(term) + _CUTOFF_ROUNDING * weighted)
-    return None
-
-
-def mellin_cutoff_integral(spec: Spectrum, delta: float,
-                           s: float) -> tuple[float, float] | None:
-    """int_0^delta t^(s-1) F(t) dt from the exact small-time structure, F
-    the remainder of the spectrum's own analytic or finite expansion.
-
-    Every theta and solo of Spectrum.poisson needs its Poisson dual terms to
-    decay at least like exp(-50 k^2) at delta; a theta's share of F is then
-    only those terms, a solo integrates its power series F = sum a_k t^k term
-    by term, and an exponential (lam, w) the series of w*(exp(-lam*t) - 1).
-    A series must fall below 1e-22 of its sum before its terms start growing.
-    The error bound adds the dual terms' bound, the last term of each series
-    and its rounding allowance.  Returns (value, error_bound), or None when
-    some part cannot certify its series at delta (mellin_lower then tries a
-    smaller delta).  Any delta > 0 may be asked for; the checks, not a fixed
-    cap, decide.  Needs s > -1.
-    """
-    if not 0.0 < delta or not s > -1.0:
-        return None
-    poisson = spec.poisson
-    errs: list[float] = []
-    duals = [(weight, scale) for weight, scale, _ in poisson.thetas]
-    duals += [(fam.mult, fam.scale) for fam in poisson.solos]
-    for weight, scale in duals:
-        decay = _dual_decay(scale, delta)
-        if decay < 50.0:
-            return None
-        # dual terms contribute below prefactor*exp(-decay) on (0, delta]
-        prefactor = weight * SQRT_PI / (scale * math.sqrt(delta))
-        errs.append(2.0 * prefactor * math.exp(-decay) * delta ** s)
-    parts: list[float] = []
-    for got in chain((_one_sided_cutoff(fam, delta, s) for fam in poisson.solos),
-                     (_explicit_cutoff(lam, weight, delta, s)
-                      for lam, weight in poisson.exponentials)):
-        if got is None:
-            return None
-        parts.append(got[0])
-        errs.append(got[1])
-    return fsum(parts), fsum(errs) + 1e-18
 
 
 def _scan_remainder_bound(spec: Spectrum, exp: HeatExpansion) -> float:

@@ -125,8 +125,8 @@ def trace_shape_eps(target: OrbitOrSpectrum, eps: float) -> float:
             raise UnsupportedSpectrumError(
                 "the orbit shape trace is computed at the constant-loop point s = 0")
         target = orbit_spectrum(target, primed=True)
-    if not eps > 0.0:
-        raise DomainError(f"shape trace requires eps > 0, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"shape trace requires a finite eps > 0, got {eps!r}")
     budget = _tail_budget(target)
     terms = [-0.5 * mult * (deriv / lam) * math.exp(-eps * lam)
              for lam, mult, deriv in target.rows]
@@ -232,8 +232,8 @@ def minimality_report(target: OrbitOrSpectrum,
     difference of (1/2) log det'_eps at the reference eps (second grid
     point).
     """
-    if not eps_grid or any(not e > 0.0 for e in eps_grid):
-        raise DomainError("eps grid must be non-empty with positive entries")
+    if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
+        raise DomainError("eps grid must be non-empty with positive finite entries")
     if isinstance(target, LoopGroupOrbitSpec):
         target = orbit_spectrum(replace(target, s=0.0), primed=True)
     delta_b = dict(sorted(default_expansion(target).coeff_derivatives.items()))

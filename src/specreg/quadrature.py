@@ -11,9 +11,9 @@ slow as p approaches -1.  [a, inf) is mapped onto (0, 1] by t = a + (1-u)/u.
 
 The tanh-sinh (double-exponential) rule handles integrable endpoint
 singularities without any endpoint evaluation.  No library route calls it:
-the heat route's Mellin integrals are E1 sums, erfc series and, for the
-solos of Spectrum.poisson, a small-time series and the cutoff identity
-(regdet.mellin_lower).  gauss_kronrod takes only the integral route of the
+the heat route's Mellin integrals are E1 sums and regdet.mellin_lower's
+closed form, erfc series and Ein terms and, for each solo of
+Spectrum.poisson, a small-time series and the cutoff identity.  gauss_kronrod takes only the integral route of the
 Euler-constant self-check; the zeta route integrates nothing, its values
 being closed forms and lattice sums.
 """

@@ -15,12 +15,12 @@ closed form
 with b_j and F from the spectrum's own expansion (default_expansion), the
 only one these routes take.  The upper integral is the same E1 sum at
 eps = 1, since int_1^inf exp(-lam*t) dt/t = E1(lam) (A&S 5.1.1).  The lower
-one is a closed form from Spectrum.poisson (_lower_closed_form): each
-theta's Poisson dual terms integrate to an erfc series, and each
-exponential to Ein = gamma + log + E1.  The solos (unpaired shifted
-one-sided families) take mellin_lower: their small-time Bernoulli series
-on [0, delta] and, on [delta, 1], the cutoff identity (Ray-Singer;
-Minakshisundaram-Pleijel)
+one, mellin_lower, is a closed form from Spectrum.poisson for any
+spectrum: each theta's Poisson dual terms integrate to an erfc series, and
+each exponential to Ein = gamma + log + E1.  Each solo (an unpaired
+shifted one-sided family) goes alone (_solo_lower): its small-time
+Bernoulli series on [0, delta] and, on [delta, 1], the cutoff identity
+(Ray-Singer; Minakshisundaram-Pleijel)
 
     log det_delta = log det_reg + sum_{j != 0} (m*b_j/j)*delta^(j/m)
                     + b_0*ln(delta) + int_0^delta F(t) dt/t,
@@ -37,9 +37,9 @@ matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on
 a decreasing eps sequence, scaled down for lattice scales above 10*pi
 (_verify_eps; a non-divergence check on the expansion; the deviations
 measure |int_0^eps F/t|, not numerical error, so they are not folded into
-the reported error bound).  The guard, the upper integral and
-mellin_lower share _e1_sum: each deviation the guard reads is the
-identity's last term at eps.
+the reported error bound).  The guard, the upper integral and the
+solos' lower integrals share _e1_sum: each deviation the guard reads is
+the identity's last term at eps, mellin_lower(scale_spectrum(B, eps)).
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .heat_expansion import (
     _one_sided_power_coeffs,
 )
 from .spectra import (
+    LatticeFamily,
     Spectrum,
     min_eigenvalue,
     _dual_mellin,
@@ -117,8 +118,8 @@ def log_det_eps(spec: Spectrum, eps: float) -> float:
     spectrum, -sum mult*E1(eps*lam), with lattice runs closed and certified
     as in _e1_sum.
     """
-    if not eps > 0.0:
-        raise DomainError(f"cutoff parameter must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"cutoff parameter must be positive and finite, got {eps!r}")
     return -_e1_sum(spec, eps)[0]
 
 
@@ -133,37 +134,28 @@ def _require_finite(value: float, err: float, what: str) -> None:
         raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
-# how many deltas mellin_lower tries, a decade apart, for the series closure
+# how many deltas _solo_lower tries, a decade apart, for the series closure
 # of [0, delta]
 _DELTA_TRIES = 29
 
 
-def _first_delta(spec: Spectrum) -> float:
-    """The largest delta that mellin_cutoff_integral can certify: 1, at most
-    1/lam over the exponentials, where the series of exp(-lam*t) - 1 has no
-    cancellation, and at most pi^2/(50*c^2) over the thetas' and solos'
-    scales c, where their dual terms decay like exp(-50 k^2), less 16 u so
-    that the check's own rounding reads at least 50."""
-    poisson = spec.poisson
-    lam_max = max((lam for lam, _ in poisson.exponentials), default=0.0)
-    c_max = max([scale for _, scale, _ in poisson.thetas]
-                + [fam.scale for fam in poisson.solos], default=0.0)
-    delta = 1.0 / max(1.0, lam_max)
-    if c_max > 0.0:
-        delta = min(delta, math.pi ** 2 / (50.0 * c_max * c_max) * (1.0 - 16.0 * _U))
-    return delta
+def _first_delta(fam: LatticeFamily) -> float:
+    """The largest delta at which mellin_cutoff_integral can certify the solo
+    fam: at most 1, and at most pi^2/(50*c^2) for its scale c, where its dual
+    terms decay like exp(-50 k^2), less 16 u so that the check's own
+    rounding reads at least 50."""
+    return min(1.0, math.pi ** 2 / (50.0 * fam.scale * fam.scale) * (1.0 - 16.0 * _U))
 
 
-def mellin_lower(spec: Spectrum) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t with F the remainder of default_expansion, in
-    closed form; the part of log_det_reg's lower integral that its solos
-    take.
+def _solo_lower(fam: LatticeFamily) -> tuple[float, float]:
+    """int_0^1 F(t) dt/t for one solo, F the remainder of its own analytic
+    expansion, and its error bound.
 
     [0, delta] is the exact small-time series integral
-    (mellin_cutoff_integral), at the first of _first_delta(spec) and the
-    decades below it where every part certifies its series; if none of
-    _DELTA_TRIES does, NumericError is raised.  [delta, 1] is the cutoff
-    identity: int_delta^1 exp(-lam*t) dt/t = E1(delta*lam) - E1(lam) and
+    (mellin_cutoff_integral), at the first of _first_delta(fam) and the
+    decades below it where the series certifies; if none of _DELTA_TRIES
+    does, NumericError is raised.  [delta, 1] is the cutoff identity:
+    int_delta^1 exp(-lam*t) dt/t = E1(delta*lam) - E1(lam) and
     int_delta^1 t^(j/m - 1) dt = (1 - delta^(j/m))*m/j, so
 
         int_delta^1 F dt/t = E(delta) - E(1)
@@ -171,28 +163,26 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
                              + b_0*ln(delta),
 
     E the E1 sums of _e1_sum and m*b_j/j the counterterms; it is empty at
-    delta = 1, the solos of scale below pi/sqrt(50).  Nothing is
-    integrated numerically.  The error adds the series', both E1 sums',
-    the rounding of b_j as the expansion forms them
+    delta = 1, the solos of scale below pi/sqrt(50).  The error adds the
+    series', both E1 sums', the rounding of b_j as the expansion forms them
     (heat_expansion._coeff_rounding) times their weights 1 - delta^(j/m)
     and ln(delta), the rounding of forming each term, and half an ulp of
     the exactly rounded sum.  A solo whose shift spans more than
     heat_expansion._MAX_WHOLE_SCALES whole scales has no table of series
     coefficients, so nothing certifies [0, delta]: NumericError, naming it.
     """
-    for fam in spec.poisson.solos:
-        if not _one_sided_power_coeffs(fam.scale, fam.shift):
-            cause = (f"its shift spans more than {_MAX_WHOLE_SCALES} whole scales"
-                     if fam.shift / fam.scale >= _MAX_WHOLE_SCALES
-                     else "its first coefficient overflows")
-            raise NumericError(
-                f"a one-sided lattice (scale={fam.scale!r}, shift={fam.shift!r}) has no "
-                f"small-time series coefficients ({cause}), so no delta "
-                f"certifies [0, delta]")
-    first = _first_delta(spec)
+    if not _one_sided_power_coeffs(fam.scale, fam.shift):
+        cause = (f"its shift spans more than {_MAX_WHOLE_SCALES} whole scales"
+                 if fam.shift / fam.scale >= _MAX_WHOLE_SCALES
+                 else "its first coefficient overflows")
+        raise NumericError(
+            f"a one-sided lattice (scale={fam.scale!r}, shift={fam.shift!r}) has no "
+            f"small-time series coefficients ({cause}), so no delta "
+            f"certifies [0, delta]")
+    first = _first_delta(fam)
     for k in range(_DELTA_TRIES):
         delta = first * 10.0 ** -k
-        cut = mellin_cutoff_integral(spec, delta, 0.0)
+        cut = mellin_cutoff_integral(fam, delta)
         if cut is not None:
             break
     else:
@@ -201,6 +191,7 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
             f"{first!r} down to {delta!r}")
     if delta == 1.0:
         return cut
+    spec = Spectrum((fam,))
     exp = default_expansion(spec)
     near, near_err = _e1_sum(spec, delta)
     far, far_err = _e1_sum(spec, 1.0)
@@ -225,21 +216,23 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
 _EIN_ROUNDING = 8.0 * _U
 
 
-def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t, F the remainder of default_expansion, from
-    Spectrum.poisson, and its error bound.
+def mellin_lower(spec: Spectrum) -> tuple[float, float]:
+    """int_0^1 F(t) dt/t, F the remainder of default_expansion, in closed
+    form from Spectrum.poisson, and its error bound: log_det_reg's lower
+    integral.
 
     A theta of weight w gives w*D(c, sigma) (spectra._dual_mellin) and an
     exponential (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1; a row at
     lam = 0.0 adds nothing.  The solos have no Poisson form: each solo's
     share of F is the remainder of its own analytic expansion, which
-    mellin_lower integrates by its small-time series and the cutoff
+    _solo_lower integrates by its small-time series and the cutoff
     identity.  Each solo goes alone, at the delta of its own scale: a delta
     set by a larger scale would make a small solo's E1 sum at delta grow
     like 1/(scale*sqrt(delta)), and its cancellation against the b-terms
     cost digits (solos of scales 16.7 and 0.22 together stated 2e-12, apart
-    9e-14).  Each Ein term carries _EIN_ROUNDING and
-    each product with its weight a further u; the sum is exactly rounded.
+    9e-14).  Each Ein term carries _EIN_ROUNDING and each product with its
+    weight a further u; the sum is exactly rounded.  Nothing is integrated
+    numerically.
     """
     poisson = spec.poisson
     parts, errs = [], []
@@ -252,7 +245,7 @@ def _lower_closed_form(spec: Spectrum) -> tuple[float, float]:
             parts.append(-weight * _ein(lam))
             errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
     for fam in poisson.solos:
-        value, err = mellin_lower(Spectrum((fam,)))
+        value, err = _solo_lower(fam)
         parts.append(value)
         errs.append(err)
     value = fsum(parts)
@@ -283,7 +276,7 @@ def _log_det_reg(spec: Spectrum,
     """log_det_reg's (value, error) and the cutoff determinants, by eps, on
     which it checked the asymptote; exp is default_expansion(spec)."""
     upper, err_up = _e1_sum(spec, 1.0)
-    lower, err_low = _lower_closed_form(spec)
+    lower, err_low = mellin_lower(spec)
     cts = counterterms(exp)
     ct_sum = fsum(cts.values())
     head = -ct_sum - upper
@@ -343,8 +336,8 @@ def build_report(spec: Spectrum,
     """Cutoff determinants on a grid plus both regularised values, all of the
     positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
     them."""
-    if not eps_grid or any(not e > 0.0 for e in eps_grid):
-        raise DomainError("eps grid must be non-empty with positive entries")
+    if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
+        raise DomainError("eps grid must be non-empty with positive finite entries")
     exp = default_expansion(spec)
     value, err, dets = _log_det_reg(spec, exp)
     grid = tuple(float(e) for e in eps_grid)

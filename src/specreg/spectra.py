@@ -586,8 +586,8 @@ def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL) -> float:
     below abs_tol by the Gaussian tail bound, or, when it is long, closed by
     an Euler-Maclaurin tail with remainder below abs_tol (_lattice_sum).
     """
-    if not t > 0.0:
-        raise DomainError(f"heat trace requires t > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"heat trace requires a finite t > 0, got {t!r}")
     if not abs_tol > 0.0:
         raise DomainError(f"heat trace requires abs_tol > 0, got {abs_tol!r}")
     budget = _tail_budget(spec, abs_tol)
@@ -671,9 +671,10 @@ def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
     2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
     cosine's angle, and the products; then half an ulp for the exactly
     rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
-    raise NumericError.  The solos have no such series: regdet.mellin_lower
-    integrates them by their small-time Bernoulli series and the cutoff
-    identity's E1 sums, and refuses, naming the cause, a shift of more than
+    raise NumericError.  regdet.mellin_lower takes each theta's share of the
+    lower integral from here.  The solos have no such series: it integrates
+    each alone by its small-time Bernoulli series and the cutoff identity's
+    E1 sums, and refuses, naming the cause, a shift of more than
     2^18 whole scales (heat_expansion._MAX_WHOLE_SCALES; one-sided shift
     0.5 at scale 1e-6, for instance), which has no table of series
     coefficients.
@@ -705,8 +706,8 @@ def heat_trace_theta(spec: Spectrum, t: float) -> float:
     each solo as its full lattice's transform less its directly summed mirror
     run.  This is the independent small-t route used for cross-checks.
     """
-    if not t > 0.0:
-        raise DomainError(f"heat trace requires t > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"heat trace requires a finite t > 0, got {t!r}")
     budget = _tail_budget(spec)
     poisson = spec.poisson
     parts = [weight * _theta_full(scale, shift, t, budget / weight)

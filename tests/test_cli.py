@@ -383,7 +383,9 @@ BAD_ABS_TOL = {"nan": "nan", "infinity": "inf", "zero": "0", "negative": "-1e-9"
     for command in COMMANDS_FOR.get(name, ("detreg", "bridge"))] + [
     pytest.param(command, _spectrum_text(EXPLICIT), "--abs-tol", (f"--abs-tol={value}",),
                  id=f"abs-tol-{name}-{command}")
-    for name, value in BAD_ABS_TOL.items() for command in ("bridge", "gamma")])
+    for name, value in BAD_ABS_TOL.items() for command in ("bridge", "gamma")] + [
+    pytest.param(command, text, "--eps", ("--eps=1e-2,inf",), id=f"eps-infinity-{command}")
+    for command, text in (("detreg", _spectrum_text(EXPLICIT)), ("orbit", _orbit_text()))])
 def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, fragment,
                                              options):
     path = tmp_path / "bad.json"

@@ -30,6 +30,7 @@ from specreg import (
     zeta_prime0,
     zeta_value,
 )
+from specreg import regdet
 from specreg.heat_expansion import _one_sided_power_coeffs, mellin_cutoff_integral
 from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
 
@@ -361,12 +362,14 @@ def test_fit_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# exact cutoff integrals int_0^delta t^(s-1) F(t) dt
+# exact cutoff integrals int_0^delta F(t) dt/t of one solo
+
+SOLO_PI = ONEPI.lattices[0]
 
 
 def test_cutoff_integral_shifted_leading_term():
     delta = 1e-10
-    got = mellin_cutoff_integral(ONEPI, delta, 0.0)
+    got = mellin_cutoff_integral(SOLO_PI, delta)
     assert got is not None
     value, err = got
     # F = pi^2 t - (pi^4/2) t^2 + ..., so the integral is pi^2 d - (pi^4/4) d^2 + ...
@@ -374,24 +377,9 @@ def test_cutoff_integral_shifted_leading_term():
     assert 0.0 <= err <= 1e-15
 
 
-def test_cutoff_integral_explicit_leading_term():
-    delta = 1e-10
-    got = mellin_cutoff_integral(FIN23, delta, 0.0)
-    assert got is not None
-    value, _ = got
-    assert abs(value + 5.0 * delta) <= 1e-19
-
-
-def test_cutoff_integral_full_lattice_zero():
-    got = mellin_cutoff_integral(FULLPI, 1e-10, 0.0)
-    assert got is not None
-    assert got[0] == 0.0
-
-
 def test_cutoff_integral_out_of_reach():
     # at delta = 1e-1 the dual terms decay only like exp(-2.5 k^2)
-    assert mellin_cutoff_integral(ONEPI, 1e-1, 0.0) is None
-    assert mellin_cutoff_integral(ONEPI, 1e-10, -1.0) is None
+    assert mellin_cutoff_integral(SOLO_PI, 1e-1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -424,92 +412,71 @@ def test_expansion_from_dict_rejects_kernel_inclusive(flag):
 
 
 # ---------------------------------------------------------------------------
-# cutoff integrals at the largest certified delta, against mpmath oracles that
-# never go through the small-time series
+# cutoff integrals against mpmath oracles that never go through the
+# small-time series
 
 
-CUTOFF_S = [-0.9, 0.0, 0.75, 3.0]
-DECADES = [float(f"1e-{k}") for k in range(2, 31)]
-
-
-def _certified(spec, s):
-    """(delta, value, error) at the largest decade <= 1e-2 that certifies."""
-    return next((d,) + got for d in DECADES
-                if (got := mellin_cutoff_integral(spec, d, s)) is not None)
-
-
-def _mp_cutoff(f, s: float, delta: float):
-    """int_0^delta t^(s-1) f(t) dt by mp.quad.  For s < 0, t = u^p with
-    p = 1/(1+s) turns the t^s behaviour at t = 0 into a smooth integrand."""
-    s = mp.mpf(s)
-    p = 1 / (1 + s) if s < 0 else mp.mpf(1)
-    return mp.quad(lambda u: p * u ** (p * s - 1) * f(u ** p), [0, mp.mpf(delta) ** (1 / p)])
-
-
-@pytest.mark.parametrize("s", CUTOFF_S)
-def test_cutoff_integral_shifted_one_sided_against_quad(s):
+def test_cutoff_integral_shifted_one_sided_against_quad():
     # for shift pi, scale 2 pi the eigenvalues are the odd multiples 3 pi, 5 pi, ..
     # of pi, so F = -expm1(-pi^2 t) + (dual terms of the full odd lattice)/2,
-    # and those are below 1e-100 on (0, 1e-3]
-    delta, value, err = _certified(ONEPI, s)
+    # and those are below 1e-100 on (0, 1e-3]; 1e-3 is the largest decade
+    # that certifies
+    decades = [float(f"1e-{k}") for k in range(2, 31)]
+    delta, value, err = next((d,) + got for d in decades
+                             if (got := mellin_cutoff_integral(SOLO_PI, d)) is not None)
     assert delta == 1e-3
-    ref = _mp_cutoff(lambda t: -mp.expm1(-mp.pi ** 2 * t), s, delta)
+    ref = mp.quad(lambda t: -mp.expm1(-mp.pi ** 2 * t) / t, [0, delta])
     assert abs(value - float(ref)) <= err
 
 
-@pytest.mark.parametrize("s", CUTOFF_S)
-def test_cutoff_integral_explicit_against_quad(s):
-    delta, value, err = _certified(FIN23, s)
-    assert delta == 1e-2
-    ref = _mp_cutoff(lambda t: mp.expm1(-2 * t) + mp.expm1(-3 * t), s, delta)
-    assert abs(value - float(ref)) <= err
+def _identity_cutoff(scale: float, shift: float, delta: float):
+    """int_0^delta F(t) dt/t of a one-sided family of mult 1 from its zeta
+    function: the s -> 0 limit of Gamma(s) zeta_B(s) less the part above
+    delta, sum lam^(-s) Gamma(s, lam*delta), and the two expansion terms
+    b_j delta^(s+j/2)/(s+j/2).  The poles of Gamma(s) and of b_0/s cancel,
+    since b_0 = zeta_B(0) = 1/2 - q, and what is left is
 
+        zeta_B'(0) - gamma*b_0 - b_0*ln(delta) + 2*b_{-1}/sqrt(delta)
+        - sum E1(lam*delta),
 
-FULL44 = lattice_family(4.4, 0.5, "full", 1)
-
-
-@pytest.mark.parametrize("s", CUTOFF_S)
-def test_cutoff_integral_full_lattice_against_quad(s):
-    # the dual terms decay like exp(-51 k^2) at delta = 1e-2, barely certified;
-    # below t = 3.4e-3 F itself is under 1e-60, so the quadrature starts there
-    delta, value, err = _certified(FULL44, s)
-    assert delta == 1e-2 and value == 0.0
-    with mp.workdps(40):
-        c, shift = mp.mpf(4.4), mp.mpf(0.5)
-
-        def f(t):
-            n_max = int(mp.sqrt(250 / t) / c) + 2
-            return (mp.fsum(mp.exp(-t * (c * n + shift) ** 2) for n in range(-n_max, n_max + 1))
-                    - mp.sqrt(mp.pi) / (c * mp.sqrt(t)))
-
-        ref = mp.quad(lambda t: t ** (s - 1) * f(t), [mp.mpf("3.4e-3"), delta])
-    assert 0.0 < ref <= err
-
-
-def _identity_cutoff(scale: float, shift: float, s: float, delta: float):
-    """int_0^delta t^(s-1) F(t) dt of a one-sided family from its zeta function:
-    Gamma(s) zeta_B(s) less the part above delta, sum lam^(-s) Gamma(s, lam*delta),
-    and the two expansion terms b_j delta^(s+j/2)/(s+j/2).  s = 0 is taken as
-    s = 1e-20, where the poles of Gamma(s) and of b_0/s cancel at 45 digits."""
-    with mp.workdps(45):
+    b_{-1} = sqrt(pi)/(2c) and Lerch's zeta_B'(0) = (2q - 1)*ln(c) +
+    2*loggamma(q) - ln(2 pi), with q = 1 + shift/scale.  The sum stops past
+    lam*delta = 110, where E1 < 1e-49."""
+    with mp.workdps(30):
         c, d = mp.mpf(scale), mp.mpf(delta)
         q = 1 + mp.mpf(shift) / c
-        s = mp.mpf(s) if s != 0.0 else mp.mpf("1e-20")
-        total = mp.gamma(s) * c ** (-2 * s) * mp.zeta(2 * s, q)
-        n = 1
-        while (lam := (c * (n - 1 + q)) ** 2) * d <= 110:
-            total -= lam ** (-s) * mp.gammainc(s, lam * d)
+        b0 = mp.mpf(0.5) - q
+        total = (2 * q - 1) * mp.log(c) + 2 * mp.loggamma(q) - mp.log(2 * mp.pi)
+        total += -mp.euler * b0 - b0 * mp.log(d) + mp.sqrt(mp.pi / d) / c
+        n = 0
+        while (lam := (c * (n + q)) ** 2) * d <= 110:
+            total -= mp.e1(lam * d)
             n += 1
-        total -= mp.sqrt(mp.pi) / (2 * c) * d ** (s - mp.mpf(0.5)) / (s - mp.mpf(0.5))
-        total -= (mp.mpf(0.5) - q) * d ** s / s
         return +total
 
 
-@pytest.mark.parametrize("s", CUTOFF_S)
-@pytest.mark.parametrize("scale, shift", [(TWO_PI, math.pi / 3.0), (1.3, 0.4), (2.2, -0.5),
-                                          (1.0, 2.7)])
-def test_cutoff_integral_one_sided_against_zeta_identity(scale, shift, s):
-    spec = lattice_family(scale, shift, "positive", 1)
-    delta, value, err = _certified(spec, s)
-    assert delta >= 1e-3
-    assert abs(value - float(_identity_cutoff(scale, shift, s, delta))) <= err
+# (scale, shift, mult): shifts near -scale, q = 1 + shift/scale up to 50,
+# scales 0.05-20 (0.05 and 0.4 certify at delta = 1), mult 1-3
+IDENTITY_SOLOS = [(TWO_PI, math.pi / 3.0, 1), (1.3, 0.4, 1), (2.2, -0.5, 1), (1.0, 2.7, 1),
+                  (0.7, -0.69, 2), (3.0, -2.97, 1), (15.0, -14.85, 3), (0.4, -0.399, 1),
+                  (0.05, 2.45, 2), (0.1, 4.9, 2), (0.3, 9.0, 1), (5.0, 100.0, 2),
+                  (1.0, 47.5, 3), (20.0, 7.0, 2), (0.05, 0.01, 3), (12.0, -3.0, 1)]
+
+
+@pytest.mark.parametrize("scale, shift, mult", IDENTITY_SOLOS)
+def test_cutoff_integral_one_sided_against_zeta_identity(scale, shift, mult):
+    # every decade that regdet's solo integral may try and that certifies,
+    # down to scale^2*delta = 1e-4, where the oracle's E1 sum reaches about
+    # 1000 terms
+    fam = lattice_family(scale, shift, "positive", mult).lattices[0]
+    first = regdet._first_delta(fam)
+    deltas = [first * 10.0 ** -k for k in range(regdet._DELTA_TRIES)]
+    checked = 0
+    for delta in (d for d in deltas if scale * scale * d >= 1e-4):
+        got = mellin_cutoff_integral(fam, delta)
+        if got is None:
+            continue
+        value, err = got
+        assert abs(value - mult * _identity_cutoff(scale, shift, delta)) <= err, delta
+        checked += 1
+    assert checked

@@ -149,6 +149,8 @@ def test_orbit_shape_trace_guards():
         trace_shape_eps(SU2, 0.01)  # s != 0
     with pytest.raises(DomainError):
         trace_shape_eps(ABELIAN, 0.0)
+    with pytest.raises(DomainError, match="finite"):
+        trace_shape_eps(ABELIAN, math.inf)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 1.0, 10.0])
@@ -273,6 +275,8 @@ def test_minimality_grid_validation():
         minimality_report(SU2, eps_grid=())
     with pytest.raises(DomainError):
         minimality_report(SU2, eps_grid=(0.1, -0.1))
+    with pytest.raises(DomainError, match="finite"):
+        minimality_report(SU2, eps_grid=(0.1, math.inf))
 
 
 def test_curvature_to_dict_keys():

@@ -23,8 +23,9 @@ from specreg import (
     log_det_eps,
     log_det_reg,
     report_to_dict,
+    scale_spectrum,
 )
-from specreg import regdet, special, spectra
+from specreg import heat_expansion, regdet, special, spectra
 from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
 from specreg.zeta import zeta_prime0
@@ -77,6 +78,13 @@ def test_log_det_eps_domain():
         log_det_eps(FIN23, 0.0)
     with pytest.raises(DomainError):
         log_det_eps(FIN23, -0.1)
+    with pytest.raises(DomainError, match="finite"):
+        log_det_eps(FIN23, math.inf)
+
+
+def test_log_det_eps_overflowing_argument():
+    # 3*1e308 overflows to inf, where E1 is 0.0
+    assert log_det_eps(FIN23, 1e308) == 0.0
 
 
 def test_log_det_eps_underflowing_argument_is_numeric():
@@ -194,6 +202,8 @@ def test_build_report_grid_validation():
         build_report(FIN23, eps_grid=())
     with pytest.raises(DomainError):
         build_report(FIN23, eps_grid=(0.1, -0.2))
+    with pytest.raises(DomainError, match="finite"):
+        build_report(lattice_family(TWO_PI, 1.0, "full"), eps_grid=(math.inf,))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +247,20 @@ TINY = lattice_family(4.585, 2.68e-113, "full", 1)
 
 
 def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch, refuse):
-    # mellin_lower is a closed form for any spectrum: the series on [0, delta]
-    # and the cutoff identity's E1 sums on [delta, 1]; the tanh-sinh panels
-    # it replaced took 2758 integrand evaluations on the seven built-ins
+    # mellin_lower is a closed form for any spectrum: erfc series and Ein
+    # terms, and for the solo one-sided-pi the series on [0, delta] and the
+    # cutoff identity's E1 sums on [delta, 1]
     refuse("tanh_sinh", "gauss_kronrod", "heat_trace")
     calls = _count_e1_everywhere(monkeypatch)
     for spec in BUILTINS + (TINY,):
         mellin_lower(spec)
-    assert calls[0] <= 400  # 282 measured
+    assert calls[0] <= 25  # 18 measured
 
 
 def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch, refuse):
-    # the heat route's upper integral is an E1 sum and its lower one a closed
-    # form for every family, the solos through mellin_lower's cutoff
-    # identity; the zeta route's zeta'(0) is a closed form for every family.
+    # the heat route's upper integral is an E1 sum and its lower one,
+    # mellin_lower, a closed form for every family, the solos through the
+    # cutoff identity; the zeta route's zeta'(0) is a closed form for every family.
     # One-sided-pi's tanh-sinh panels took 357 evaluations of F(t).
     refuse("tanh_sinh", "gauss_kronrod", "heat_trace")
     calls = _count_e1_everywhere(monkeypatch)
@@ -280,18 +290,6 @@ def _solo_free_mixes(count: int = 24, seed: int = 25):
                 parts += [lattice_family(scale, shift, "positive", mult),
                           lattice_family(scale, -shift, "positive", mult)]
         yield compose(*parts)
-
-
-@pytest.mark.parametrize("spec", [spec for spec in BUILTINS if not spec.poisson.solos]
-                         + list(_solo_free_mixes()))
-def test_mellin_lower_against_dual_closed_form(spec):
-    # two independent closed forms of int_0^1 F dt/t: the cutoff identity
-    # (small-time series and E1 sums) against the erfc series of the thetas'
-    # duals and Ein of the exponentials
-    assert not spec.poisson.solos
-    value, err = mellin_lower(spec)
-    closed, closed_err = regdet._lower_closed_form(spec)
-    assert abs(value - closed) <= err + closed_err
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +378,34 @@ def _lerch_log_det_reg(spec) -> mp.mpf:
         return total
 
 
+def _lerch_lower(spec) -> tuple[mp.mpf, float]:
+    """int_0^1 F dt/t as the Lerch value implies it, -sum m*b_j/j - E(1) -
+    log det_reg with E(1) = _e1_sum(spec, 1), at 40 digits, and the error of
+    its double inputs: E(1)'s stated error and each m*b_j/j's, the rounding
+    of b_j (_coeff_rounding) and of the product."""
+    exp = default_expansion(spec)
+    coeff_err = heat_expansion._coeff_rounding(spec, exp)
+    cts = counterterms(exp)
+    upper, upper_err = regdet._e1_sum(spec, 1.0)
+    with mp.workdps(40):
+        value = -mp.fsum(cts.values()) - upper - _lerch_log_det_reg(spec)
+    return value, upper_err + math.fsum(abs(exp.m / j) * coeff_err[j] + special._U * abs(ct)
+                                        for j, ct in cts.items())
+
+
+@pytest.mark.parametrize("spec", [spec for spec in BUILTINS if not spec.poisson.solos]
+                         + list(_solo_free_mixes()))
+def test_mellin_lower_against_dual_closed_form(spec):
+    # mellin_lower, the erfc series of the thetas' duals and Ein of the
+    # exponentials on these solo-free spectra, against the lower integral
+    # that the Lerch/Kronecker value implies; no slack beyond the stated errors
+    assert not spec.poisson.solos
+    value, err = mellin_lower(spec)
+    oracle, oracle_err = _lerch_lower(spec)
+    assert abs(value - oracle) <= err + oracle_err
+    assert err <= 1e-13
+
+
 CLOSED_FORM_SCALES = (0.1, 1.0, TWO_PI, 50.0, 1e3)
 CLOSED_FORM_SHIFTS = (0.0, 1e-8, 0.3, 0.49, -0.49)  # absolute 1e-8, else times the scale
 
@@ -436,7 +462,8 @@ def test_log_det_reg_lerch_oracle_on_solos():
     # the solos take mellin_lower's small-time series and cutoff identity;
     # every stated error covers the 40-digit Lerch value, with no slack
     for scale, shift, mult in DELTA_ONE_SOLOS:
-        assert regdet._first_delta(lattice_family(scale, shift, "positive", mult)) == 1.0
+        fam = lattice_family(scale, shift, "positive", mult).lattices[0]
+        assert regdet._first_delta(fam) == 1.0
     for scale, shift, mult in _solo_cases():
         spec = lattice_family(scale, shift, "positive", mult)
         assert spec.poisson.solos
@@ -447,12 +474,17 @@ def test_log_det_reg_lerch_oracle_on_solos():
 
 def test_mixed_scale_solos_take_their_own_delta():
     # each solo integrates at the delta of its own scale; at the delta of
-    # the largest scale, the small solos' E1 sums cancelled 2e-12 away
+    # the largest scale, the small solos' E1 sums cancelled 2e-12 away, and
+    # mellin_lower stated 1.4e-12
     spec = compose(lattice_family(16.742, 0.3 * 16.742, "positive", 2),
                    lattice_family(0.224, 1.1 * 0.224, "positive", 1),
                    lattice_family(2.5, -0.4 * 2.5, "positive", 3))
     value, err = log_det_reg(spec)
     assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err <= 3e-13
+    lower, lower_err = mellin_lower(spec)
+    oracle, oracle_err = _lerch_lower(spec)
+    assert abs(lower - oracle) <= lower_err + oracle_err
+    assert lower_err <= 1e-13
 
 
 def test_large_q_solo_refusal_states_its_cause():
@@ -535,3 +567,37 @@ def test_guard_at_large_scale():
                    lattice_family(1e3, 100.0, "full", 2), finite_spectrum([(3.0, 1)]))
     value, err = log_det_reg(spec)
     assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
+
+
+@pytest.mark.xfail(raises=NumericError, strict=True, reason=(
+    "the guard wants |det_eps - asymptote| = |int_0^eps F dt/t| to shrink from "
+    "the first cutoff to the last, but here that integral changes sign "
+    "(-5.8e-4, 3.1e-2, 3.4e-3); ROADMAP item 10 checks the cutoff identity instead"))
+def test_guard_false_alarm_on_a_sign_changing_lower_integral():
+    spec = compose(finite_spectrum([(3.1793404903691282, 2), (26.860301444763444, 3)]),
+                   lattice_family(3.253086215777317, 0.0, "positive", 1),
+                   lattice_family(23.61358541378309, 10.911225765516328, "positive", 1),
+                   lattice_family(23.61358541378309, -10.911225765516328, "positive", 1),
+                   lattice_family(1.8400624460012316, 0.8398154263271145, "positive", 3),
+                   lattice_family(1.8400624460012316, -0.8398154263271145, "positive", 3))
+    assert spec == list(_solo_free_mixes())[8]
+    exp = default_expansion(spec)
+    cts = counterterms(exp)
+    coeff_err = heat_expansion._coeff_rounding(spec, exp)
+    lerch = _lerch_log_det_reg(spec)
+    # each deviation the guard reads is the lower integral of eps*B, within
+    # the stated errors of the E1 sum, of that integral and of the b-terms
+    for eps in regdet._verify_eps(spec):
+        det, det_err = regdet._e1_sum(spec, eps)
+        predicted, predicted_err = mellin_lower(scale_spectrum(spec, eps))
+        with mp.workdps(40):
+            powers = {j: mp.mpf(eps) ** (mp.mpf(j) / exp.m) for j in cts if j < 0}
+            asymptote = (lerch + exp.b0 * mp.log(eps)
+                         + mp.fsum(cts[j] * power for j, power in powers.items()))
+            miss = abs(-det - asymptote - predicted)
+        b_err = coeff_err[0] * -math.log(eps) + math.fsum(
+            (abs(exp.m / j) * coeff_err[j] + special._U * abs(cts[j])) * float(power)
+            for j, power in powers.items())
+        assert miss <= det_err + predicted_err + b_err
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - lerch) <= err

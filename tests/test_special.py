@@ -109,6 +109,11 @@ def test_e1_domain(bad):
         exp_integral_e1(bad)
 
 
+def test_e1_at_infinity_is_zero():
+    # a finite cutoff times a large eigenvalue can overflow to inf
+    assert exp_integral_e1(math.inf) == 0.0
+
+
 def test_ein_against_mpmath():
     # Ein(x) = gamma + ln x + E1(x) at 40 significant digits (the working
     # precision grows with -log10 x, where the three terms cancel), on 200

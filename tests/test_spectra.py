@@ -184,6 +184,9 @@ def test_heat_trace_domain():
         heat_trace(ONE0, 0.0)
     with pytest.raises(DomainError):
         heat_trace_theta(ONE0, -1.0)
+    for trace in (heat_trace, heat_trace_theta):
+        with pytest.raises(DomainError, match="finite"):
+            trace(lattice_family(TWO_PI, 1.0, "full"), math.inf)
 
 
 def test_heat_trace_excludes_kernel():
