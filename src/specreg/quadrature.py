@@ -13,9 +13,10 @@ The tanh-sinh (double-exponential) rule handles integrable endpoint
 singularities without any endpoint evaluation.  No library route calls it:
 the heat route's Mellin integrals are E1 sums and regdet.mellin_lower's
 closed form, erfc series and Ein terms and, for each solo of
-Spectrum.poisson, a small-time series and the cutoff identity.  gauss_kronrod takes only the integral route of the
-Euler-constant self-check; the zeta route integrates nothing, its values
-being closed forms and lattice sums.
+Spectrum.poisson, a small-time series and the cutoff identity.
+gauss_kronrod takes only the integral route of the Euler-constant
+self-check; the zeta route integrates nothing, its values being closed
+forms and lattice sums.
 """
 
 from __future__ import annotations

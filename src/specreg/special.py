@@ -55,7 +55,8 @@ def exp_integral_e1(x: float) -> float:
 
         E1(x) = exp(-x) / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
 
-    for x >= 1.  Beyond ~745 the result underflows cleanly to 0.0.
+    for x >= 1.  Beyond ~745 the result underflows cleanly to 0.0, and
+    E1(inf) is 0.0, for an eps*lam that overflows.
 
     Relative error, measured against mpmath at 30-40 digits on about 6e4
     points of [1e-300, 700]: at most 8 u (u = 2^-53) below 1, 124 u on

@@ -260,7 +260,8 @@ def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch, refuse):
 def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch, refuse):
     # the heat route's upper integral is an E1 sum and its lower one,
     # mellin_lower, a closed form for every family, the solos through the
-    # cutoff identity; the zeta route's zeta'(0) is a closed form for every family.
+    # cutoff identity; the zeta route's zeta'(0) is a closed form for every
+    # family.
     # One-sided-pi's tanh-sinh panels took 357 evaluations of F(t).
     refuse("tanh_sinh", "gauss_kronrod", "heat_trace")
     calls = _count_e1_everywhere(monkeypatch)
