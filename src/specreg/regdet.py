@@ -32,14 +32,14 @@ integrates nothing numerically.  It stays independent of the zeta route
 Kronecker's limit formula: this route reads only E1 sums, erfc and Ein,
 and the solos' Bernoulli series.
 
-log_det_reg then verifies that the cutoff determinant approaches the
-matching asymptote value + sum_{j<0} (m*b_j/j) eps^{j/m} + b_0*ln(eps) on
-a decreasing eps sequence, scaled down for lattice scales above 10*pi
-(_verify_eps; a non-divergence check on the expansion; the deviations
-measure |int_0^eps F/t|, not numerical error, so they are not folded into
-the reported error bound).  The guard, the upper integral and the
-solos' lower integrals share _e1_sum: each deviation the guard reads is
-the identity's last term at eps, mellin_lower(scale_spectrum(B, eps)).
+log_det_reg then checks the same identity for the whole spectrum at one
+cutoff eps (at most 1e-4): int_eps^1 F dt/t by the E1 sums and b-terms
+(_identity_terms) must match the lower integral less that of eps*B,
+mellin_lower(scale_spectrum(B, eps)) = int_0^eps F dt/t, within the sum of
+the stated errors of every piece, else NumericError.  The identity is
+exact at any eps, so pieces within their stated errors pass; an error
+beyond them in the upper E1 sum, the lower integral or the coefficients
+raises.  The check does not feed the reported error bound.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .spectra import (
     LatticeFamily,
     Spectrum,
     min_eigenvalue,
+    scale_spectrum,
     _dual_mellin,
     _lattice_sum,
     _series_relief,
@@ -91,11 +92,11 @@ def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
     and bounds the remainder and the rounding.  An explicit row's term
     carries E1's error, _E1_ROUNDING or, below 1, _E1_SERIES_ROUNDING
     (through spectra._series_relief), either of which absorbs the rounding
-    of eps*lam as in _lattice_sum, and u for the product with its
-    multiplicity, and the
-    exactly rounded sum half an ulp.  NumericError is raised first when the
-    smallest eigenvalue lam0 (min_eigenvalue) or eps*lam0 underflows to
-    0.0, where E1 has no value.
+    of eps*lam as in _lattice_sum, u for the product with its multiplicity
+    and, where eps*lam is subnormal, that rounding (also _series_relief;
+    none at eps = 1); the exactly rounded sum adds half an ulp.  NumericError
+    is raised first when the smallest eigenvalue lam0 (min_eigenvalue) or
+    eps*lam0 underflows to 0.0, where E1 has no value.
     """
     lam0 = min_eigenvalue(spec)
     if not eps * lam0 > 0.0:
@@ -103,8 +104,9 @@ def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
     budget = _tail_budget(spec)
     args = [eps * lam for lam, _, _ in spec.rows]
     terms = [mult * exp_integral_e1(x) for x, (_, mult, _) in zip(args, spec.rows)]
-    err = ((_E1_ROUNDING + _U) * fsum(map(abs, terms))
-           - _series_relief(args, terms))
+    # eps*lam is exact at eps = 1
+    err = ((_E1_ROUNDING + _U) * fsum(map(abs, terms)) - _series_relief(
+        args, terms, [mult for _, mult, _ in spec.rows] if eps != 1.0 else []))
     for fam in spec.lattices:
         fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
         terms.extend(fam_terms)
@@ -134,6 +136,31 @@ def _require_finite(value: float, err: float, what: str) -> None:
         raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
+def _identity_terms(spec: Spectrum, exp: HeatExpansion, delta: float,
+                    near: tuple[float, float], far: tuple[float, float]
+                    ) -> tuple[list[float], list[float]]:
+    """The terms of int_delta^1 F dt/t by the cutoff identity (module
+    docstring), E(delta) - E(1) - sum_{j != 0} (m*b_j/j)*(1 - delta^(j/m)) +
+    b_0*ln(delta), and their errors, given near = E(delta) and far = E(1)
+    with theirs (_e1_sum); exp is default_expansion(spec).  The errors add
+    the rounding of b_j as the expansion forms them
+    (heat_expansion._coeff_rounding) times their weights 1 - delta^(j/m)
+    and ln(delta), and the rounding of forming each term."""
+    coeff_err = _coeff_rounding(spec, exp)
+    log_delta = math.log(delta)
+    parts = [near[0], -far[0], exp.b0 * log_delta]
+    # ln rounds by an ulp and the product by half of one
+    errs = [near[1], far[1], (coeff_err[0] + 3.0 * _U * abs(exp.b0)) * -log_delta]
+    for j, ct in counterterms(exp).items():
+        power = delta ** (j / exp.m)
+        parts.append(-ct * (1.0 - power))
+        # the power rounds by an ulp, m*b_j/j, 1 - power and the product by
+        # half of one each
+        errs.append(abs(exp.m / j) * coeff_err[j] * abs(1.0 - power)
+                    + _U * abs(ct) * (2.0 * abs(power) + 3.0 * abs(1.0 - power)))
+    return parts, errs
+
+
 # how many deltas _solo_lower tries, a decade apart, for the series closure
 # of [0, delta]
 _DELTA_TRIES = 29
@@ -154,20 +181,12 @@ def _solo_lower(fam: LatticeFamily) -> tuple[float, float]:
     [0, delta] is the exact small-time series integral
     (mellin_cutoff_integral), at the first of _first_delta(fam) and the
     decades below it where the series certifies; if none of _DELTA_TRIES
-    does, NumericError is raised.  [delta, 1] is the cutoff identity:
-    int_delta^1 exp(-lam*t) dt/t = E1(delta*lam) - E1(lam) and
-    int_delta^1 t^(j/m - 1) dt = (1 - delta^(j/m))*m/j, so
-
-        int_delta^1 F dt/t = E(delta) - E(1)
-                             - sum_{j != 0} (m*b_j/j)*(1 - delta^(j/m))
-                             + b_0*ln(delta),
-
-    E the E1 sums of _e1_sum and m*b_j/j the counterterms; it is empty at
-    delta = 1, the solos of scale below pi/sqrt(50).  The error adds the
-    series', both E1 sums', the rounding of b_j as the expansion forms them
-    (heat_expansion._coeff_rounding) times their weights 1 - delta^(j/m)
-    and ln(delta), the rounding of forming each term, and half an ulp of
-    the exactly rounded sum.  A solo whose shift spans more than
+    does, NumericError is raised.  [delta, 1] is the cutoff identity
+    (_identity_terms), from int_delta^1 exp(-lam*t) dt/t = E1(delta*lam) -
+    E1(lam) and int_delta^1 t^(j/m - 1) dt = (1 - delta^(j/m))*m/j; it is
+    empty at delta = 1, the solos of scale below pi/sqrt(50).  The error
+    adds the series', the identity's terms' and half an ulp of the exactly
+    rounded sum.  A solo whose shift spans more than
     heat_expansion._MAX_WHOLE_SCALES whole scales has no table of series
     coefficients, so nothing certifies [0, delta]: NumericError, naming it.
     """
@@ -192,24 +211,10 @@ def _solo_lower(fam: LatticeFamily) -> tuple[float, float]:
     if delta == 1.0:
         return cut
     spec = Spectrum((fam,))
-    exp = default_expansion(spec)
-    near, near_err = _e1_sum(spec, delta)
-    far, far_err = _e1_sum(spec, 1.0)
-    coeff_err = _coeff_rounding(spec, exp)
-    log_delta = math.log(delta)
-    parts = [cut[0], near, -far, exp.b0 * log_delta]
-    # ln rounds by an ulp and the product by half of one
-    errs = [cut[1], near_err, far_err,
-            (coeff_err[0] + 3.0 * _U * abs(exp.b0)) * -log_delta]
-    for j, ct in counterterms(exp).items():
-        power = delta ** (j / exp.m)
-        parts.append(-ct * (1.0 - power))
-        # the power rounds by an ulp, m*b_j/j, 1 - power and the product by
-        # half of one each
-        errs.append(abs(exp.m / j) * coeff_err[j] * abs(1.0 - power)
-                    + _U * abs(ct) * (2.0 * abs(power) + 3.0 * abs(1.0 - power)))
-    value = fsum(parts)
-    return value, fsum(errs) + 0.5 * math.ulp(value)
+    parts, errs = _identity_terms(spec, default_expansion(spec), delta,
+                                  _e1_sum(spec, delta), _e1_sum(spec, 1.0))
+    value = fsum([cut[0]] + parts)
+    return value, fsum([cut[1]] + errs) + 0.5 * math.ulp(value)
 
 
 # relative error of special._ein (derived in its docstring)
@@ -252,29 +257,10 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     return value, fsum(errs) + 0.5 * math.ulp(value)
 
 
-# cutoffs on which log_det_reg checks the approach to its asymptote, for
-# lattice scales up to _VERIFY_SCALE
-_VERIFY_EPS = (1e-2, 1e-3, 1e-4)
-_VERIFY_SCALE = 10.0 * math.pi
-
-
-def _verify_eps(spec: Spectrum) -> tuple[float, ...]:
-    """_VERIFY_EPS, times (_VERIFY_SCALE/c_max)^2 when the largest lattice
-    scale c_max exceeds _VERIFY_SCALE: the expansion is asymptotic only once
-    eps*c_max^2 is small, and a lattice's dual terms fall like
-    exp(-pi^2/(eps*c^2)).  The Euler-Maclaurin tails keep the smaller
-    cutoffs cheap."""
-    c_max = max((fam.scale for fam in spec.lattices), default=0.0)
-    if c_max <= _VERIFY_SCALE:
-        return _VERIFY_EPS
-    factor = (_VERIFY_SCALE / c_max) ** 2
-    return tuple(eps * factor for eps in _VERIFY_EPS)
-
-
 def _log_det_reg(spec: Spectrum,
                  exp: HeatExpansion) -> tuple[float, float, dict[float, float]]:
-    """log_det_reg's (value, error) and the cutoff determinants, by eps, on
-    which it checked the asymptote; exp is default_expansion(spec)."""
+    """log_det_reg's (value, error) and the cutoff determinant, by eps, at
+    which it checked the cutoff identity; exp is default_expansion(spec)."""
     upper, err_up = _e1_sum(spec, 1.0)
     lower, err_low = mellin_lower(spec)
     cts = counterterms(exp)
@@ -285,17 +271,21 @@ def _log_det_reg(spec: Spectrum,
     # subtractions once each
     err = (err_up + err_low + _U * fsum(abs(c) for c in cts.values())
            + 0.5 * (math.ulp(ct_sum) + math.ulp(head) + math.ulp(value)))
-    dets = {eps: log_det_eps(spec, eps) for eps in _verify_eps(spec)}
-    devs = []
-    for eps, det in dets.items():
-        asymptote = value + exp.b0 * math.log(eps)
-        asymptote += fsum(cts[j] * eps ** (j / exp.m) for j in cts if j < 0)
-        devs.append(abs(det - asymptote))
-    if not all(math.isfinite(d) for d in devs) or devs[-1] > devs[0] + 1e-9:
-        raise NumericError(
-            f"cutoff determinant does not approach the computed asymptote: {devs}")
     _require_finite(value, err, "log_det_reg")
-    return value, err, dets
+    # the guard: int_eps^1 F dt/t by the identity against lower less the
+    # lower integral of eps*B, int_0^eps F dt/t, at eps = 1e-4 (a point of
+    # build_report's default grid, which reuses its E1 sum) or half a solo's
+    # _first_delta if smaller, where its share of int_0^eps is its series
+    eps = min([1e-4] + [0.5 * _first_delta(fam) for fam in spec.poisson.solos])
+    near = _e1_sum(spec, eps)
+    parts, errs = _identity_terms(spec, exp, eps, near, (upper, err_up))
+    tail, tail_err = mellin_lower(scale_spectrum(spec, eps))
+    residual = fsum(parts + [tail, -lower])
+    slack = fsum(errs + [tail_err, err_low]) + 0.5 * math.ulp(residual)
+    if not abs(residual) <= slack:
+        raise NumericError(f"the cutoff identity fails at eps = {eps!r}: residual "
+                           f"{residual!r} exceeds the stated errors {slack!r}")
+    return value, err, {eps: -near[0]}
 
 
 def log_det_reg(spec: Spectrum) -> tuple[float, float]:
@@ -303,9 +293,8 @@ def log_det_reg(spec: Spectrum) -> tuple[float, float]:
     spectrum; returns (value, error_bound).
 
     Evaluates the closed form (module docstring) with the coefficients of
-    default_expansion and verifies the cutoff asymptote on eps = 1e-2,
-    1e-3, 1e-4 (scaled down for lattice scales above 10*pi, see
-    _verify_eps), raising NumericError if the deviations grow.
+    default_expansion and checks the cutoff identity at one eps, raising
+    NumericError if it fails by more than the stated errors of its pieces.
     """
     value, err, _ = _log_det_reg(spec, default_expansion(spec))
     return value, err

@@ -485,7 +485,7 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
         own = _E1_ROUNDING if kind == "e1" else _U
         bound += (own + sensitivity * _U) * fsum(map(abs, head))
         if kind == "e1":
-            bound -= _series_relief((rate * x * x for x in xs), head)
+            bound -= _series_relief([rate * x * x for x in xs], head, [weight] * len(xs))
     return head + pieces, bound
 
 
@@ -493,25 +493,29 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
 _NORMAL_MIN = sys.float_info.min
 
 
-def _series_relief(args: Iterable[float], terms: list[float],
+def _series_relief(args: list[float], terms: list[float], weights: Iterable[float],
                    spread: float | None = None) -> float:
     """What a run of E1 terms weight*E1(x), x in args, that charged each
     term _E1_ROUNDING (and, for a direct run, 4 u) gives back where x is
     below 1 and exp_integral_e1 takes its series, good to
     _E1_SERIES_ROUNDING; exactly 0.0 when no x is below 1.  A subnormal x
-    has lost the relative precision that this assumes and gives nothing
-    back.  With `spread`
+    gives nothing back and is charged instead: a rounded product left there
+    is off by up to 2^-1075 absolute, which moves E1 (slope -exp(-x)/x,
+    exp(-x) = 1.0) by at most 2^-1075/(x - 2^-1075) <= 2^-1074/x per unit
+    of |weight| (`weights` is empty where every x is exact).  With `spread`
     (a direct run's, as in _lattice_sum) the term keeps u for the product
     with the weight and the rounding of x itself, relative (2*spread + 2) u,
     times E1's sensitivity exp(-x)/E1(x) < 2/log(1 + 2/x) (from E1(x) >
     exp(-x)*log(1 + 2/x)/2, DLMF 6.8.2); without, the caller budgets that
     already."""
+    charge = fsum(abs(w) * 2.0 ** -1074 / x for x, w in zip(args, weights) if x < _NORMAL_MIN)
     series = [(x, abs(f)) for x, f in zip(args, terms) if _NORMAL_MIN <= x < 1.0]
     relief = _E1_ROUNDING - _E1_SERIES_ROUNDING
     if spread is None:
-        return relief * fsum(f for _, f in series)
+        return relief * fsum(f for _, f in series) - charge
     argument = 2.0 * (2.0 * spread + 2.0) * _U
-    return fsum((relief + 3.0 * _U - argument / math.log1p(2.0 / x)) * f for x, f in series)
+    return fsum((relief + 3.0 * _U - argument / math.log1p(2.0 / x)) * f
+                for x, f in series) - charge
 
 
 def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
@@ -533,7 +537,7 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     fallen like exp(-rate*u^2); for the E1 runs of regdet._e1_sum, E1's
     stated 160 u (at most 36 u measured beyond x = 2) absorbs it.  Below
     x = 1 an E1 term states its series' error and the rounding of x
-    instead (_series_relief).
+    instead and a subnormal x its absolute rounding (_series_relief).
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult
     runs = runs or _runs(fam)
@@ -563,7 +567,8 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
         bound += (own + 4.0 * _U) * fsum(map(abs, run_terms))
         if kind == "e1" and xs:
             spread = 2.0 + abs(sigma) / min(map(abs, xs))
-            bound -= _series_relief((rate * x * x for x in xs), run_terms, spread)
+            bound -= _series_relief([rate * x * x for x in xs], run_terms,
+                                    [weight] * len(xs), spread)
     return terms, bound
 
 
@@ -615,9 +620,13 @@ def _theta_terms(scale: float, shift: float, t: float, log_target: float,
 
     `cosines`, when given, is a table of cos(2*pi*k*shift/scale) for k = 1, 2,
     .. that one family reuses across many t; it is extended here as far as
-    k_max needs.
+    k_max needs.  More than _MAX_RUN_TERMS terms raise NumericError.
     """
     decay = _dual_decay(scale, t)
+    # k_max > _MAX_RUN_TERMS, asked without dividing by a decay of 0.0
+    if max(log_target, 1.0) > decay * (_MAX_RUN_TERMS - 2) ** 2:
+        raise NumericError(f"the theta dual series at t = {t!r} (scale {scale!r}) "
+                           f"would need more than {_MAX_RUN_TERMS} terms")
     k_max = max(2, math.ceil(math.sqrt(max(log_target, 1.0) / decay)) + 2)
     if cosines is None:
         cosines = []

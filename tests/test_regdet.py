@@ -267,7 +267,7 @@ def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch, refuse):
     calls = _count_e1_everywhere(monkeypatch)
     for spec in BUILTINS + (TINY,):
         log_det_reg(spec)
-    assert calls[0] <= 800  # 558 measured, 44 of them one-sided-pi's
+    assert calls[0] <= 200  # 200 measured, 25 of them one-sided-pi's
     for spec in BUILTINS:
         zeta_prime0(spec)
 
@@ -538,7 +538,7 @@ def test_log_det_eps_calls_per_run(spec, monkeypatch):
     # direct sum of the first spectrum made about 6.7e5 at eps = 1e-4
     calls = _count_e1(monkeypatch)
     runs = sum(len(spectra._runs(fam)) for fam in spec.lattices)
-    for eps in regdet._VERIFY_EPS:
+    for eps in (1e-2, 1e-3, 1e-4):
         calls[0] = 0
         log_det_eps(spec, eps)
         assert calls[0] <= 64 * runs
@@ -553,12 +553,23 @@ def test_log_det_reg_small_scale(scale):
     assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
 
 
-def test_verify_eps_scales_with_the_largest_lattice():
-    for spec in (ONE0, FULLPI3, FIN23, lattice_family(10.0 * math.pi, 1.0, "full", 1)):
-        assert regdet._verify_eps(spec) is regdet._VERIFY_EPS
-    big = compose(ONE0, lattice_family(1e3, 100.0, "full", 2))
-    factor = (10.0 * math.pi / 1e3) ** 2
-    assert regdet._verify_eps(big) == tuple(e * factor for e in regdet._VERIFY_EPS)
+def test_guard_eps_stays_within_every_solos_series():
+    # the guard's one cutoff is at most 1e-4 and at most half each solo's
+    # first delta, so that the solos' lower integrals of eps*B are their
+    # series alone
+    def guard_eps(spec):
+        (eps,) = regdet._log_det_reg(spec, default_expansion(spec))[2]
+        return eps
+
+    mixed = compose(lattice_family(16.742, 0.3 * 16.742, "positive", 2),
+                    lattice_family(0.224, 1.1 * 0.224, "positive", 1),
+                    lattice_family(1e3, -490.0, "positive", 1), FULLPI3)
+    for spec in BUILTINS + (TINY, mixed, compose(ONE0, lattice_family(1e3, 100.0, "full", 2))):
+        eps = guard_eps(spec)
+        assert eps <= 1e-4
+        assert all(eps <= 0.5 * regdet._first_delta(fam) for fam in spec.poisson.solos)
+    assert guard_eps(FULLPI3) == 1e-4
+    assert guard_eps(mixed) == 0.5 * regdet._first_delta(mixed.lattices[2])
 
 
 def test_guard_at_large_scale():
@@ -570,11 +581,10 @@ def test_guard_at_large_scale():
     assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
 
 
-@pytest.mark.xfail(raises=NumericError, strict=True, reason=(
-    "the guard wants |det_eps - asymptote| = |int_0^eps F dt/t| to shrink from "
-    "the first cutoff to the last, but here that integral changes sign "
-    "(-5.8e-4, 3.1e-2, 3.4e-3); ROADMAP item 10 checks the cutoff identity instead"))
 def test_guard_false_alarm_on_a_sign_changing_lower_integral():
+    # int_0^eps F dt/t changes sign here (-5.8e-4, 3.1e-2, 3.4e-3 at eps =
+    # 1e-2, 1e-3, 1e-4), so a guard that wanted |det_eps - asymptote| to
+    # shrink raised on a right value; the cutoff identity holds at each eps
     spec = compose(finite_spectrum([(3.1793404903691282, 2), (26.860301444763444, 3)]),
                    lattice_family(3.253086215777317, 0.0, "positive", 1),
                    lattice_family(23.61358541378309, 10.911225765516328, "positive", 1),
@@ -586,9 +596,10 @@ def test_guard_false_alarm_on_a_sign_changing_lower_integral():
     cts = counterterms(exp)
     coeff_err = heat_expansion._coeff_rounding(spec, exp)
     lerch = _lerch_log_det_reg(spec)
-    # each deviation the guard reads is the lower integral of eps*B, within
-    # the stated errors of the E1 sum, of that integral and of the b-terms
-    for eps in regdet._verify_eps(spec):
+    # each deviation det_eps - asymptote is the lower integral of eps*B,
+    # within the stated errors of the E1 sum, of that integral and of the
+    # b-terms
+    for eps in (1e-2, 1e-3, 1e-4):
         det, det_err = regdet._e1_sum(spec, eps)
         predicted, predicted_err = mellin_lower(scale_spectrum(spec, eps))
         with mp.workdps(40):
@@ -602,3 +613,44 @@ def test_guard_false_alarm_on_a_sign_changing_lower_integral():
         assert miss <= det_err + predicted_err + b_err
     value, err = log_det_reg(spec)
     assert abs(mp.mpf(value) - lerch) <= err
+
+
+# one-sided lattices at the smallest scales, rows and full-lattice shifts
+# whose eigenvalues (or eps times them) are subnormal: the three-cutoff guard
+# raised on most, and the subnormal E1 arguments understated their error
+GUARD_CASES = [lattice_family(scale, frac * scale, "positive", 1)
+               for scale in (1e-5, 1e-6) for frac in (0.0, 0.3, 0.5)]
+GUARD_CASES += [finite_spectrum([(lam, 1)]) for lam in (1e-310, 1e-315, 1e-318)]
+GUARD_CASES += [lattice_family(1.0, shift, "full", 1) for shift in (1e-155, 1e-158)]
+
+
+@pytest.mark.parametrize("spec", GUARD_CASES)
+def test_guard_certifies_small_scales_and_subnormal_arguments(spec):
+    # every stated error covers the 40-digit Lerch value, with no slack
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
+
+
+def test_e1_sum_charges_subnormal_arguments():
+    # eps*lam = 1e-322 rounds by up to 2^-1075, 2.5% of itself, which moved
+    # E1 by 1.2e-2 where 1.3e-11 was stated; a row at eps = 1 is exact
+    for eps in (1e-4, 1.0):
+        value, err = regdet._e1_sum(finite_spectrum([(1e-318, 1)]), eps)
+        with mp.workdps(40):
+            assert abs(value - mp.e1(mp.mpf(eps) * mp.mpf(1e-318))) <= err
+    assert err <= 1.4e-11  # at eps = 1 only E1's own 160 u of 731.6
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_guard_sees_an_error_in_the_upper_integral(spec, monkeypatch):
+    # 1e-10 added to the upper E1 sum of log_det_reg itself (not to the
+    # solos' own E1 sums at 1) must break the cutoff identity
+    e1_sum = regdet._e1_sum
+
+    def shifted(arg, eps):
+        value, err = e1_sum(arg, eps)
+        return (value + 1e-10 if arg is spec and eps == 1.0 else value), err
+
+    monkeypatch.setattr(regdet, "_e1_sum", shifted)
+    with pytest.raises(NumericError, match="cutoff identity"):
+        log_det_reg(spec)

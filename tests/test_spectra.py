@@ -14,6 +14,7 @@ from specreg import (
     DomainError,
     ExplicitFamily,
     LatticeFamily,
+    NumericError,
     Spectrum,
     compose,
     deform,
@@ -187,6 +188,18 @@ def test_heat_trace_domain():
     for trace in (heat_trace, heat_trace_theta):
         with pytest.raises(DomainError, match="finite"):
             trace(lattice_family(TWO_PI, 1.0, "full"), math.inf)
+
+
+@pytest.mark.parametrize("t", [1e100, 1e308])
+def test_theta_route_refuses_huge_t(t):
+    # the dual series would need about sqrt(t) terms: 1e50 of them at t =
+    # 1e100 (out of memory), and at 1e308 its decay underflows to 0.0
+    spec = lattice_family(TWO_PI, 1.0, "full")
+    exp = default_expansion(spec)
+    for call in (lambda: heat_trace_theta(spec, t), lambda: specreg.remainder(spec, exp, t),
+                 lambda: specreg.verify_remainder_bound(spec, exp, [t])):
+        with pytest.raises(NumericError, match="dual series"):
+            call()
 
 
 def test_heat_trace_excludes_kernel():
@@ -475,6 +488,10 @@ def _em_oracle_cases():
     yield "e1", LatticeFamily(1e-2, -0.45e-2, "full", 1), 1e-4
     yield "e1", LatticeFamily(TWO_PI, 0.3 * TWO_PI, "full", 1), 1e-4
     yield "shape", LatticeFamily(1.0, 0.3, "full", 1, -1.5), 1e-4
+    # rate*u^2 = 1e-316 and 1e-320 are subnormal, in a direct run and in a
+    # closed run's head
+    yield "e1", LatticeFamily(1.0, 1e-158, "full", 1), 1.0
+    yield "e1", LatticeFamily(1.0, 1e-158, "full", 1), 1e-4
 
 
 @pytest.mark.parametrize("kind,fam,rate", list(_em_oracle_cases()))
