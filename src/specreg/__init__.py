@@ -21,7 +21,6 @@ from .special import (
     gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_prime0,
-    log_cutoff,
 )
 from .spectra import (
     ExplicitFamily,
@@ -43,8 +42,6 @@ from .spectra import (
 from .heat_expansion import (
     HeatExpansion,
     analytic_expansion,
-    expansion_from_dict,
-    expansion_to_dict,
     expansion_value,
     finite_expansion,
     fit_expansion,

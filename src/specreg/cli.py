@@ -46,147 +46,110 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _finite(report: dict) -> dict:
-    """The report, or NumericError if any number in it is NaN or infinite."""
+def _finite_json(report: dict) -> str:
+    """The report as JSON text, or NumericError if any number in it is NaN
+    or infinite."""
     try:
-        json.dumps(report, allow_nan=False)
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericError("the result has a NaN or infinite value") from exc
-    return report
 
 
-def _json_block(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _cell(value: object) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _csv_lines(comments: list[tuple[str, object]], header: list[str],
                rows: list[list[object]]) -> str:
-    out = [f"# {key}={value!r}" if isinstance(value, float) else f"# {key}={value}"
-           for key, value in comments]
+    out = [f"# {key}={_cell(value)}" for key, value in comments]
     out.append(",".join(header))
-    out.extend(",".join(repr(cell) if isinstance(cell, float) else str(cell)
-                        for cell in row) for row in rows)
+    out.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(out) + "\n"
 
 
-def _cmd_detreg(args: argparse.Namespace) -> int:
+def _grid_table(report: dict, keys: tuple[str, ...], column: str,
+                more: list[tuple[str, object]]) -> str:
+    """CSV of a report on an eps grid: the scalars `keys`, then `more`, as
+    comments, and one (eps, column) row per grid point."""
+    rows = list(map(list, zip(report["eps_grid"], report[column])))
+    return _csv_lines([(key, report[key]) for key in keys] + more, ["eps", column], rows)
+
+
+def _quantity_table(payload: dict) -> str:
+    """CSV of a flat report: one (quantity, value) row per key, sorted."""
+    return _csv_lines([], ["quantity", "value"], [[key, payload[key]] for key in sorted(payload)])
+
+
+# Each command returns (payload, its CSV form, the summary printed when the
+# report goes to --output, and a failure message, or None when it passes).
+Result = tuple[dict, str, str, "str | None"]
+
+
+def _cmd_detreg(args: argparse.Namespace) -> Result:
     spec = spectrum_from_dict(_load_json(args.input))
-    grid = args.eps or DEFAULT_EPS_GRID
-    report = _finite(report_to_dict(build_report(spec, eps_grid=grid)))
-    if args.format == "csv":
-        comments = [(key, report[key]) for key in
-                    ("log_det_reg", "log_Det_reg", "b0", "b0_primed", "kernel_dim",
-                     "quadrature_error")]
-        comments += [(f"counterterm_{j}", val)
-                     for j, val in sorted(report["counterterms"].items(), key=lambda kv: int(kv[0]))]
-        rows = [[eps, val] for eps, val in zip(report["eps_grid"], report["log_det_eps"])]
-        _emit(_csv_lines(comments, ["eps", "log_det_eps"], rows), args)
-    else:
-        _emit(_json_block(report), args)
-    if args.output:
-        print(f"detreg: log_det_reg={report['log_det_reg']!r} "
-              f"log_Det_reg={report['log_Det_reg']!r} -> {args.output}")
-    return 0
+    report = report_to_dict(build_report(spec, eps_grid=args.eps or DEFAULT_EPS_GRID))
+    counterterms = [(f"counterterm_{j}", val) for j, val in
+                    sorted(report["counterterms"].items(), key=lambda kv: int(kv[0]))]
+    csv = _grid_table(report, ("log_det_reg", "log_Det_reg", "b0", "b0_primed", "kernel_dim",
+                               "quadrature_error"), "log_det_eps", counterterms)
+    summary = (f"log_det_reg={report['log_det_reg']!r} "
+               f"log_Det_reg={report['log_Det_reg']!r}")
+    return report, csv, summary, None
 
 
-def _cmd_zeta(args: argparse.Namespace) -> int:
+def _cmd_zeta(args: argparse.Namespace) -> Result:
     raw = _load_json(args.input)
     spec = spectrum_from_dict(raw)
     s_values = raw.get("s_values", list(DEFAULT_S_VALUES))
     if not isinstance(s_values, list) or not s_values:
         raise DomainError("'s_values' must be a non-empty array of numbers")
     s_values = [_number(s, "each of 's_values'") for s in s_values]
-    evaluations = [zeta_value(spec, s) for s in s_values]
-    payload = _finite({
-        "spectrum": spectrum_to_dict(spec),
-        "evaluations": [
-            {"s": ev.s, "value": ev.value, "error": ev.error, "route": ev.route}
-            for ev in evaluations
-        ],
-    })
-    if args.format == "csv":
-        rows = [[ev.s, ev.value, ev.error, ev.route] for ev in evaluations]
-        _emit(_csv_lines([], ["s", "value", "error", "route"], rows), args)
-    else:
-        _emit(_json_block(payload), args)
-    if args.output:
-        print(f"zeta: {len(evaluations)} evaluation(s) -> {args.output}")
-    return 0
+    header = ["s", "value", "error", "route"]
+    rows = [[ev.s, ev.value, ev.error, ev.route]
+            for ev in (zeta_value(spec, s) for s in s_values)]
+    payload = {"spectrum": spectrum_to_dict(spec),
+               "evaluations": [dict(zip(header, row)) for row in rows]}
+    return payload, _csv_lines([], header, rows), f"{len(rows)} evaluation(s)", None
 
 
-def _cmd_bridge(args: argparse.Namespace) -> int:
+def _cmd_bridge(args: argparse.Namespace) -> Result:
     spec = spectrum_from_dict(_load_json(args.input))
     report = verify_bridge(spec, abs_tol=args.abs_tol)
-    payload = _finite(bridge_to_dict(report))
-    if args.format == "csv":
-        rows = [[key, payload[key]] for key in sorted(payload)]
-        _emit(_csv_lines([], ["quantity", "value"], rows), args)
-    else:
-        _emit(_json_block(payload), args)
-    if args.output:
-        verdict = "OK" if report.passed else "FAIL"
-        print(f"bridge: discrepancy={report.discrepancy!r} "
-              f"threshold={report.threshold!r} {verdict} -> {args.output}")
-    if not report.passed:
-        print(f"bridge check failed: discrepancy {report.discrepancy!r} "
-              f"exceeds threshold {report.threshold!r}", file=sys.stderr)
-        return 1
-    return 0
+    summary = (f"discrepancy={report.discrepancy!r} threshold={report.threshold!r} "
+               f"{'OK' if report.passed else 'FAIL'}")
+    failure = None if report.passed else (
+        f"bridge check failed: discrepancy {report.discrepancy!r} "
+        f"exceeds threshold {report.threshold!r}")
+    payload = bridge_to_dict(report)
+    return payload, _quantity_table(payload), summary, failure
 
 
-def _cmd_orbit(args: argparse.Namespace) -> int:
+def _cmd_orbit(args: argparse.Namespace) -> Result:
     ospec = orbit_from_dict(_load_json(args.input))
-    grid = args.eps or DEFAULT_ORBIT_EPS
-    report = _finite(curvature_to_dict(minimality_report(ospec, eps_grid=grid)))
-    if args.format == "csv":
-        comments = [(key, report[key]) for key in
-                    ("tr_reg_H", "Tr_reg_H", "gateaux_log_vol_eps_analytic",
-                     "gateaux_log_vol_eps_fd", "strongly_minimal", "heat_minimal",
-                     "zeta_minimal")]
-        rows = [[eps, val] for eps, val in zip(report["eps_grid"], report["tr_H_eps"])]
-        _emit(_csv_lines(comments, ["eps", "tr_H_eps"], rows), args)
-    else:
-        _emit(_json_block(report), args)
-    if args.output:
-        print(f"orbit: strongly_minimal={report['strongly_minimal']} "
-              f"-> {args.output}")
-    return 0
+    report = curvature_to_dict(minimality_report(ospec, eps_grid=args.eps or DEFAULT_ORBIT_EPS))
+    csv = _grid_table(report, ("tr_reg_H", "Tr_reg_H", "gateaux_log_vol_eps_analytic",
+                               "gateaux_log_vol_eps_fd", "strongly_minimal", "heat_minimal",
+                               "zeta_minimal"), "tr_H_eps", [])
+    return report, csv, f"strongly_minimal={report['strongly_minimal']}", None
 
 
-def _cmd_gamma(args: argparse.Namespace) -> int:
+def _cmd_gamma(args: argparse.Namespace) -> Result:
     integral, integral_err = euler_gamma_integral()
     series = euler_gamma_series()
     difference = abs(integral - series)
     tolerance = args.abs_tol if args.abs_tol is not None else DEFAULT_GAMMA_TOL
-    passed = difference <= tolerance
     payload = {
         "integral_route": integral,
         "integral_error": integral_err,
         "series_route": series,
         "difference": difference,
         "tolerance": tolerance,
-        "passed": passed,
+        "passed": difference <= tolerance,
     }
-    if args.format == "csv":
-        rows = [[key, payload[key]] for key in sorted(payload)]
-        _emit(_csv_lines([], ["quantity", "value"], rows), args)
-    else:
-        _emit(_json_block(payload), args)
-    if args.output:
-        print(f"gamma: integral={integral!r} series={series!r} "
-              f"difference={difference!r} -> {args.output}")
-    if not passed:
-        print(f"gamma routes disagree by {difference!r} (tolerance {tolerance!r})",
-              file=sys.stderr)
-        return 1
-    return 0
+    summary = f"integral={integral!r} series={series!r} difference={difference!r}"
+    failure = None if payload["passed"] else (
+        f"gamma routes disagree by {difference!r} (tolerance {tolerance!r})")
+    return payload, _quantity_table(payload), summary, failure
 
 
 _HANDLERS = {
@@ -201,13 +164,24 @@ _HANDLERS = {
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
-        return _HANDLERS[args.command](args)
+        payload, csv, summary, failure = _HANDLERS[args.command](args)
+        json_text = _finite_json(payload)
     except ArithmeticError as exc:  # NumericError, or a float overflow or division by zero
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except (DomainError, UnsupportedSpectrumError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    text = csv if args.format == "csv" else json_text
+    if args.output:
+        Path(args.output).write_text(text)
+        print(f"{args.command}: {summary} -> {args.output}")
+    else:
+        sys.stdout.write(text)
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:

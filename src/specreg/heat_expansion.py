@@ -458,35 +458,3 @@ def verify_remainder_bound(spec: Spectrum, exp: HeatExpansion, grid) -> float:
     for t in grid:
         worst = max(worst, abs(value(float(t))) / float(t))
     return worst
-
-
-def expansion_to_dict(exp: HeatExpansion) -> dict:
-    return {
-        "m": exp.m,
-        "J": exp.J,
-        "coeffs": {str(j): exp.coeffs[j] for j in sorted(exp.coeffs)},
-        "source": exp.source,
-        "remainder_bound": exp.remainder_bound,
-        "coeff_derivatives": {str(j): exp.coeff_derivatives[j]
-                              for j in sorted(exp.coeff_derivatives)},
-    }
-
-
-def expansion_from_dict(data: dict) -> HeatExpansion:
-    try:
-        # expansions are kernel-free; an older kernel-inclusive one is refused, not misread
-        if data.get("includes_kernel", False) is not False:
-            raise DomainError("kernel-inclusive expansions are not supported: "
-                              f"includes_kernel={data['includes_kernel']!r}")
-        coeffs = {int(j): float(b) for j, b in data["coeffs"].items()}
-        derivs = {int(j): float(b)
-                  for j, b in data.get("coeff_derivatives", {}).items()}
-        exp = HeatExpansion(
-            m=int(data["m"]), J=int(data["J"]), coeffs=coeffs,
-            source=str(data.get("source", "analytic")),
-            remainder_bound=float(data.get("remainder_bound", 0.0)),
-            coeff_derivatives=derivs or {j: 0.0 for j in coeffs},
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"malformed expansion object: {exc}") from exc
-    return exp

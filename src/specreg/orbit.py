@@ -12,11 +12,11 @@ excludes every n = 0 mode; the unprimed spectrum adds the explicit modes A^2
 (multiplicity 2, eigenvalue derivative 2*A*D) per root and counts the r
 Cartan zero modes in kernel_dim.
 
-The eps-smoothed shape trace at the constant-loop base point (s = 0) is the
-general spectrum formula on the orbit spectrum, where the +/- root families
-cancel to exactly 0.0; volumes are square roots of the primed determinants.
-Shape quantities at s != 0 are reduced to s = 0 (isometry reduction); only
-s = 0 is implemented.
+The eps-smoothed shape trace is the general spectrum formula; on the orbit
+spectrum at the constant-loop base point (s = 0) the +/- root families
+cancel to exactly 0.0.  The minimality certificate of an orbit at s != 0 is
+reduced to s = 0 (isometry reduction).  Volumes are square roots of the
+primed determinants.
 
 The regularised shape trace (the eps -> 0 limit of the shape trace once its
 -1/2 * delta_b_0 * log(eps) divergence is removed) is exact per family: with
@@ -34,11 +34,12 @@ terms cancel).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from math import fsum
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import DomainError, NumericError, UnsupportedSpectrumError
+from .errors import DomainError, NumericError
 from .special import EULER_GAMMA, TWO_PI, _digamma
 from .spectra import (
     Spectrum,
@@ -50,7 +51,7 @@ from .spectra import (
     _number,
     _tail_budget,
 )
-from .regdet import default_expansion, log_det_eps, log_det_reg
+from .regdet import default_expansion, log_det_eps, log_det_reg, _log_det_reg
 
 
 @dataclass(frozen=True)
@@ -110,61 +111,65 @@ def orbit_spectrum(ospec: LoopGroupOrbitSpec, primed: bool = True) -> Spectrum:
     return Spectrum(with_roots.families, with_roots.kernel_dim + ospec.rank)
 
 
-OrbitOrSpectrum = Union[LoopGroupOrbitSpec, Spectrum]
-
-
-def trace_shape_eps(target: OrbitOrSpectrum, eps: float) -> float:
+def trace_shape_eps(spec: Spectrum, eps: float) -> float:
     """Trace of the smoothed shape operator,
     -1/2 * sum mult * (dlam/lam) * exp(-eps*lam) over the positive spectrum,
     each lattice run summed directly or closed by an Euler-Maclaurin tail
-    (spectra._lattice_sum).  An orbit spec goes through its
-    primed spectrum, at s = 0 only (UnsupportedSpectrumError otherwise).
+    (spectra._lattice_sum).  An orbit's shape trace is that of its primed
+    spectrum, orbit_spectrum(ospec).
     """
-    if isinstance(target, LoopGroupOrbitSpec):
-        if target.s != 0.0:
-            raise UnsupportedSpectrumError(
-                "the orbit shape trace is computed at the constant-loop point s = 0")
-        target = orbit_spectrum(target, primed=True)
     if not 0.0 < eps < math.inf:
         raise DomainError(f"shape trace requires a finite eps > 0, got {eps!r}")
-    budget = _tail_budget(target)
+    budget = _tail_budget(spec)
     terms = [-0.5 * mult * (deriv / lam) * math.exp(-eps * lam)
-             for lam, mult, deriv in target.rows]
-    for fam in target.lattices:
+             for lam, mult, deriv in spec.rows]
+    for fam in spec.lattices:
         # dlam = 2*u*shift_derivative, lam = u^2, with u carrying its sign
         if fam.shift_derivative != 0.0:
             terms.extend(_lattice_sum(fam, "shape", eps, budget)[0])
     return fsum(terms)
 
 
+def _volume(name: str, log_vol: float) -> float:
+    """exp(log_vol), or NumericError naming the log-volume where the volume
+    is not a normal double: it underflows (to 0.0 or a subnormal) or
+    overflows."""
+    try:
+        vol = math.exp(log_vol)
+    except OverflowError:
+        vol = math.inf
+    if not sys.float_info.min <= vol < math.inf:
+        raise NumericError(f"{name} leaves the range of normal doubles: its "
+                           f"log-volume is {log_vol!r}")
+    return vol
+
+
 def vol_eps(ospec: LoopGroupOrbitSpec, eps: float) -> float:
     """Preregularised volume sqrt(det'_eps) of the orbit operator."""
-    return math.exp(0.5 * log_det_eps(orbit_spectrum(ospec, True), eps))
+    return _volume("vol_eps", 0.5 * log_det_eps(orbit_spectrum(ospec, True), eps))
 
 
 def vol_reg(ospec: LoopGroupOrbitSpec) -> float:
     """Heat-kernel regularised volume sqrt(det'_reg)."""
     value, _ = log_det_reg(orbit_spectrum(ospec, True))
-    return math.exp(0.5 * value)
+    return _volume("vol_reg", 0.5 * value)
 
 
 def vol_zeta(ospec: LoopGroupOrbitSpec) -> float:
     """Zeta-regularised volume sqrt(Det'_reg) = e^(-gamma*b0'/2) * vol_reg."""
     spec = orbit_spectrum(ospec, True)
-    value, _ = log_det_reg(spec)
-    return math.exp(0.5 * (-EULER_GAMMA * default_expansion(spec).b0 + value))
+    exp = default_expansion(spec)
+    value, _, _ = _log_det_reg(spec, exp)
+    return _volume("vol_zeta", 0.5 * (-EULER_GAMMA * exp.b0 + value))
 
 
-def gateaux_fd(f, s0: float, step: float = 1e-3, order: int = 4) -> tuple[float, float]:
-    """Central finite difference of f at s0; returns (value, error_estimate).
-
-    order=2 is the plain central stencil; order=4 (default) adds one
-    Richardson refinement, with the error gauged from the two stencil widths.
+def gateaux_fd(f, s0: float, step: float = 1e-3) -> tuple[float, float]:
+    """Central finite difference of f at s0 with one Richardson refinement;
+    returns (value, error_estimate), the error gauged from the two stencil
+    widths, step and step/2.
     """
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
-    if order not in (2, 4):
-        raise DomainError(f"order must be 2 or 4, got {order!r}")
 
     def central(h: float) -> float:
         hi, lo = f(s0 + h), f(s0 - h)
@@ -174,8 +179,6 @@ def gateaux_fd(f, s0: float, step: float = 1e-3, order: int = 4) -> tuple[float,
 
     d_h = central(step)
     d_half = central(0.5 * step)
-    if order == 2:
-        return d_half, abs(d_half - d_h)
     refined = (4.0 * d_half - d_h) / 3.0
     return refined, abs(refined - d_half)
 
@@ -217,7 +220,7 @@ def _reg_shape_trace(spec: Spectrum) -> float:
     return fsum(terms)
 
 
-def minimality_report(target: OrbitOrSpectrum,
+def minimality_report(target: LoopGroupOrbitSpec | Spectrum,
                       eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> CurvatureReport:
     """Assemble the minimality certificate for an orbit or a synthetic spectrum.
 

@@ -296,8 +296,7 @@ def log_det_reg(spec: Spectrum) -> tuple[float, float]:
     default_expansion and checks the cutoff identity at one eps, raising
     NumericError if it fails by more than the stated errors of its pieces.
     """
-    value, err, _ = _log_det_reg(spec, default_expansion(spec))
-    return value, err
+    return _log_det_reg(spec, default_expansion(spec))[:2]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Scalar special functions for the regularised-determinant machinery.
 
 Everything here is double precision and deterministic: the exponential
-integral E1 and its entire companion Ein, the logarithm of the spectral
-cutoff factor h_eps, the Gamma function (math.gamma with typed poles), the
-upper and lower incomplete gamma functions scaled by x^(-a) (zeta_value's
-closed form), the digamma function, the Hurwitz zeta function (Euler-Maclaurin), the
-Euler-Mascheroni constant by two independent routes (used by the `specreg
-gamma` self-check), and the closed forms of the Euler-Maclaurin tail of
-the lattice summands (tail integrals, derivatives and remainder bounds)
-that spectra._lattice_sum closes its long runs with.  hurwitz_zeta keeps
-its own Euler-Maclaurin sum: it is the oracle of zeta_direct and of
-zeta_value's solos, which go through _lattice_sum.
+integral E1 and its entire companion Ein, the Gamma function (math.gamma
+with typed poles), the upper and lower incomplete gamma functions scaled by
+x^(-a) (zeta_value's closed form), the digamma function, the Hurwitz zeta
+function (Euler-Maclaurin), the Euler-Mascheroni constant by two
+independent routes (used by the `specreg gamma` self-check), and the
+closed forms of the Euler-Maclaurin tail of the lattice summands (tail
+integrals, derivatives and remainder bounds) that spectra._lattice_sum
+closes its long runs with.  hurwitz_zeta keeps its own Euler-Maclaurin
+sum: it is the oracle of zeta_direct and of zeta_value's solos, which go
+through _lattice_sum.
 """
 
 from __future__ import annotations
@@ -125,20 +125,6 @@ def _ein(x: float) -> float:
         if abs(term) <= 2.0 ** -60 * x:
             break
     return fsum(terms)
-
-
-def log_cutoff(lam: float, eps: float) -> float:
-    """log of the cutoff factor h_eps(lam) = exp(-E1(eps*lam)).
-
-    Per-eigenvalue building block of the cutoff determinant: summing
-    mult * log_cutoff over the positive spectrum gives log det_eps.
-    Requires lam > 0 and eps > 0.
-    """
-    if not lam > 0.0:
-        raise DomainError(f"cutoff factor requires a positive eigenvalue, got {lam!r}")
-    if not eps > 0.0:
-        raise DomainError(f"cutoff factor requires eps > 0, got {eps!r}")
-    return -exp_integral_e1(eps * lam)
 
 
 def gamma_fn(s: float) -> float:
@@ -620,14 +606,13 @@ def euler_gamma_integral() -> tuple[float, float]:
     return low - up, err_low + err_up
 
 
-def euler_gamma_series(n: int = 100_000) -> float:
-    """Euler-Mascheroni constant via H_n - ln n with Euler-Maclaurin correction.
+def euler_gamma_series() -> float:
+    """Euler-Mascheroni constant via H_n - ln n at n = 100000, with
+    Euler-Maclaurin correction.
 
     The correction terms -1/(2n) + 1/(12 n^2) - 1/(120 n^4) leave an error
-    below 1/(252 n^6), so the default n is far past double precision.
+    below 1/(252 n^6), far past double precision at this n.
     """
-    if n < 10:
-        raise DomainError("series route needs n >= 10")
+    n = 100_000
     harmonic = fsum(1.0 / k for k in range(1, n + 1))
-    nf = float(n)
-    return harmonic - math.log(nf) - 0.5 / nf + 1.0 / (12.0 * nf * nf) - 1.0 / (120.0 * nf ** 4)
+    return harmonic - math.log(n) - 0.5 / n + 1.0 / (12.0 * n * n) - 1.0 / (120.0 * n ** 4)

@@ -578,24 +578,22 @@ def _direct_run(fam: LatticeFamily, t: float, budget: float, runs=None) -> float
     return fsum(_lattice_sum(fam, "heat", t, budget, runs)[0])
 
 
-def _tail_budget(spec: Spectrum, abs_tol: float = ABS_TOL) -> float:
+def _tail_budget(spec: Spectrum) -> float:
     """Truncation budget of one family's lattice tails in a sum over spec."""
-    return abs_tol / (2.0 * max(1, len(spec.families)))
+    return ABS_TOL / (2.0 * max(1, len(spec.families)))
 
 
-def heat_trace(spec: Spectrum, t: float, abs_tol: float = ABS_TOL) -> float:
+def heat_trace(spec: Spectrum, t: float) -> float:
     """tr exp(-t*B) over the positive (kernel-free) spectrum.
 
     Summed exactly rounded by math.fsum, so the order of the terms does not
     matter; each lattice run is summed directly with its tail certified
-    below abs_tol by the Gaussian tail bound, or, when it is long, closed by
-    an Euler-Maclaurin tail with remainder below abs_tol (_lattice_sum).
+    below ABS_TOL by the Gaussian tail bound, or, when it is long, closed by
+    an Euler-Maclaurin tail with remainder below ABS_TOL (_lattice_sum).
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"heat trace requires a finite t > 0, got {t!r}")
-    if not abs_tol > 0.0:
-        raise DomainError(f"heat trace requires abs_tol > 0, got {abs_tol!r}")
-    budget = _tail_budget(spec, abs_tol)
+    budget = _tail_budget(spec)
     terms = [mult * math.exp(-t * lam) for lam, mult, _ in spec.rows]
     for fam in spec.lattices:
         terms.extend(_lattice_sum(fam, "heat", t, budget)[0])

@@ -51,7 +51,7 @@ from .special import (
     upper_gamma_scaled,
 )
 from .spectra import Spectrum, min_eigenvalue, _lattice_sum, _zero_modes
-from .regdet import default_expansion, log_det_reg, _require_finite
+from .regdet import default_expansion, _log_det_reg, _require_finite
 
 S_RANGE = (-2.0, 30.0)
 _SMALLEST_NORMAL = 2.0 ** -1022
@@ -375,11 +375,11 @@ def verify_bridge(spec: Spectrum, abs_tol: float | None = None) -> BridgeReport:
     passed uses the threshold `abs_tol` when given, else twice the combined
     error budget of the two routes.
     """
-    b0 = default_expansion(spec).b0
+    exp = default_expansion(spec)
     zp, zeta_err = zeta_prime0(spec)
-    heat, heat_err = log_det_reg(spec)
+    heat, heat_err, _ = _log_det_reg(spec, exp)
     zeta_route = -zp
-    heat_route = -EULER_GAMMA * b0 + heat
+    heat_route = -EULER_GAMMA * exp.b0 + heat
     discrepancy = abs(zeta_route - heat_route)
     budget = zeta_err + heat_err + 1e-14
     threshold = abs_tol if abs_tol is not None else 2.0 * budget
@@ -392,7 +392,7 @@ def verify_bridge(spec: Spectrum, abs_tol: float | None = None) -> BridgeReport:
         budget=budget,
         threshold=threshold,
         passed=discrepancy <= threshold,
-        b0_primed=b0,
+        b0_primed=exp.b0,
         kernel_dim=spec.kernel_dim,
     )
 

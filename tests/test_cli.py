@@ -238,6 +238,106 @@ def test_gamma_tight_tolerance_fails(run_cli):
 
 
 # ---------------------------------------------------------------------------
+# every subcommand's report path: format, destination, summary line, exit
+
+
+def _cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_of(command: str, payload: dict) -> str:
+    """The CSV form of a JSON report, as the wire format section describes it."""
+    comments, header, rows = [], ["quantity", "value"], [
+        [key, payload[key]] for key in sorted(payload)]
+    if command == "detreg":
+        comments = [(key, payload[key]) for key in ("log_det_reg", "log_Det_reg", "b0",
+                                                    "b0_primed", "kernel_dim",
+                                                    "quadrature_error")]
+        comments += [(f"counterterm_{j}", val) for j, val in
+                     sorted(payload["counterterms"].items(), key=lambda kv: int(kv[0]))]
+        header = ["eps", "log_det_eps"]
+        rows = list(map(list, zip(payload["eps_grid"], payload["log_det_eps"])))
+    elif command == "orbit":
+        comments = [(key, payload[key]) for key in (
+            "tr_reg_H", "Tr_reg_H", "gateaux_log_vol_eps_analytic", "gateaux_log_vol_eps_fd",
+            "strongly_minimal", "heat_minimal", "zeta_minimal")]
+        header = ["eps", "tr_H_eps"]
+        rows = list(map(list, zip(payload["eps_grid"], payload["tr_H_eps"])))
+    elif command == "zeta":
+        header = ["s", "value", "error", "route"]
+        rows = [[ev[key] for key in header] for ev in payload["evaluations"]]
+    lines = [f"# {key}={_cell(val)}" for key, val in comments] + [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _summary_of(command: str, payload: dict, output: str) -> str:
+    """The line a command prints on stdout when its report goes to --output."""
+    if command == "detreg":
+        head = (f"log_det_reg={payload['log_det_reg']!r} "
+                f"log_Det_reg={payload['log_Det_reg']!r}")
+    elif command == "zeta":
+        head = f"{len(payload['evaluations'])} evaluation(s)"
+    elif command == "bridge":
+        verdict = "OK" if payload["passed"] else "FAIL"
+        head = (f"discrepancy={payload['discrepancy']!r} "
+                f"threshold={payload['threshold']!r} {verdict}")
+    elif command == "orbit":
+        head = f"strongly_minimal={payload['strongly_minimal']}"
+    else:
+        head = (f"integral={payload['integral_route']!r} "
+                f"series={payload['series_route']!r} difference={payload['difference']!r}")
+    return f"{command}: {head} -> {output}\n"
+
+
+def _failure_of(command: str, payload: dict) -> str:
+    """stderr of a bridge or gamma check that fails, '' when it passes."""
+    if payload["passed"]:
+        return ""
+    if command == "bridge":
+        return (f"bridge check failed: discrepancy {payload['discrepancy']!r} "
+                f"exceeds threshold {payload['threshold']!r}\n")
+    return (f"gamma routes disagree by {payload['difference']!r} "
+            f"(tolerance {payload['tolerance']!r})\n")
+
+
+REPORT_CASES = {  # name: (command, input object or None, extra options)
+    "detreg": ("detreg", spectrum_to_dict(FIN23), ()),
+    "zeta": ("zeta", dict(spectrum_to_dict(ONE0), s_values=[0.25, 2.0]), ()),
+    "bridge": ("bridge", spectrum_to_dict(ONE0), ()),
+    "bridge-fails": ("bridge", spectrum_to_dict(lattice_family(TWO_PI, math.pi / 3.0, "full")),
+                     ("--abs-tol", "1e-18")),
+    "orbit": ("orbit", orbit_to_dict(SU2), ()),
+    "gamma": ("gamma", None, ()),
+    "gamma-fails": ("gamma", None, ("--abs-tol", "1e-18")),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_paths(run_cli, tmp_path, case, fmt):
+    command, obj, options = REPORT_CASES[case]
+    inputs = ("--input", write_json(tmp_path, "in.json", obj)) if obj is not None else ()
+    reference = run_cli(command, *inputs, *options)
+    payload = json.loads(reference.stdout)
+    assert reference.stdout == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    failure = _failure_of(command, payload) if command in ("bridge", "gamma") else ""
+    expected_code = 1 if failure else 0
+    assert (reference.returncode, reference.stderr) == (expected_code, failure)
+    text = reference.stdout if fmt == "json" else _csv_of(command, payload)
+
+    to_stdout = run_cli(command, *inputs, *options, "--format", fmt)
+    assert (to_stdout.returncode, to_stdout.stdout, to_stdout.stderr) == (
+        expected_code, text, failure)
+
+    output = str(tmp_path / f"report.{fmt}")
+    to_file = run_cli(command, *inputs, *options, "--format", fmt, "--output", output)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (
+        expected_code, _summary_of(command, payload, output), failure)
+    assert Path(output).read_bytes() == text.encode()
+
+
+# ---------------------------------------------------------------------------
 # error handling
 
 

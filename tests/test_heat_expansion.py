@@ -15,8 +15,6 @@ from specreg import (
     UnsupportedSpectrumError,
     analytic_expansion,
     compose,
-    expansion_from_dict,
-    expansion_to_dict,
     expansion_value,
     finite_expansion,
     finite_spectrum,
@@ -380,35 +378,6 @@ def test_cutoff_integral_shifted_leading_term():
 def test_cutoff_integral_out_of_reach():
     # at delta = 1e-1 the dual terms decay only like exp(-2.5 k^2)
     assert mellin_cutoff_integral(SOLO_PI, 1e-1) is None
-
-
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-@pytest.mark.parametrize("exp", [analytic_expansion(ONEPI),
-                                 finite_expansion(FIN23),
-                                 fit_expansion(ONE0, FIT_GRID)])
-def test_expansion_round_trip(exp):
-    assert expansion_from_dict(expansion_to_dict(exp)) == exp
-
-
-def test_expansion_from_dict_malformed():
-    with pytest.raises(DomainError):
-        expansion_from_dict({"m": 2})
-    with pytest.raises(DomainError):
-        expansion_from_dict({"m": 2, "J": 2, "coeffs": "nope"})
-
-
-@pytest.mark.parametrize("flag", [True, 1, "true", None])
-def test_expansion_from_dict_rejects_kernel_inclusive(flag):
-    # expansions are kernel-free; an older dict that says otherwise is an
-    # error, never read as a kernel-free one
-    data = expansion_to_dict(analytic_expansion(ONEPI))
-    assert "includes_kernel" not in data
-    assert expansion_from_dict(dict(data, includes_kernel=False)) == expansion_from_dict(data)
-    with pytest.raises(DomainError, match="kernel-inclusive"):
-        expansion_from_dict(dict(data, includes_kernel=flag))
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,6 @@ def test_min_eigenvalue_one_sided_shift_beyond_scale():
     assert min_eigenvalue(lattice_family(2.0, 2.0)) == 16.0
 
 
-def test_tolerance_validation():
-    for abs_tol in (0.0, -1e-12, math.nan):
-        with pytest.raises(DomainError):
-            heat_trace(ONE0, 0.1, abs_tol)
-
-
 # ---------------------------------------------------------------------------
 # heat trace values
 
