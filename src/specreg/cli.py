@@ -174,7 +174,11 @@ def run(args: argparse.Namespace) -> int:
         return 2
     text = csv if args.format == "csv" else json_text
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"input error: cannot write output {args.output}: {exc}", file=sys.stderr)
+            return 2
         print(f"{args.command}: {summary} -> {args.output}")
     else:
         sys.stdout.write(text)

@@ -159,7 +159,7 @@ def vol_zeta(ospec: LoopGroupOrbitSpec) -> float:
     """Zeta-regularised volume sqrt(Det'_reg) = e^(-gamma*b0'/2) * vol_reg."""
     spec = orbit_spectrum(ospec, True)
     exp = default_expansion(spec)
-    value, _, _ = _log_det_reg(spec, exp)
+    value, _ = _log_det_reg(spec, exp)
     return _volume("vol_zeta", 0.5 * (-EULER_GAMMA * exp.b0 + value))
 
 

@@ -2,18 +2,22 @@
 
 The cutoff determinant multiplies per-eigenvalue factors h_eps(lam) =
 exp(-E1(eps*lam)), so log det_eps = -sum mult*E1(eps*lam) over the positive
-spectrum.  Each lattice run of that sum (_e1_sum) is summed directly for a
-head and closed by the Euler-Maclaurin tail of spectra._lattice_sum, so it
-costs a bounded number of E1 calls whatever eps*scale^2 is.  As eps -> 0 it
-diverges like the counterterm sum; the regularised determinant is the
-closed form
+spectrum.  log_det_eps splits each theta of Spectrum.poisson at its
+balanced point t* = max(eps, _SPLIT/c^2) (_e1_split; Chowla-Selberg): the
+E1 terms at t* with |u| below about 0.8*c, and the rest of [eps, t*] by
+Poisson summation, a pole term and an erfc series, about 15 terms.  The
+direct sum (_e1_sum) sums each lattice run for a head and closes it by the
+Euler-Maclaurin tail of spectra._lattice_sum, a bounded number of E1 calls
+whatever eps*scale^2 is; the solos, which have no theta, the upper
+integral and the guard below take it.  As eps -> 0 the sum diverges like
+the counterterm sum; the regularised determinant is the closed form
 
     log det_reg = - sum_{j != 0} m*b_j/j
                   - int_1^inf tr exp(-t*B) dt/t
                   - int_0^1 F(t) dt/t,
 
 with b_j and F from the spectrum's own expansion (default_expansion), the
-only one these routes take.  The upper integral is the same E1 sum at
+only one these routes take.  The upper integral is the direct E1 sum at
 eps = 1, since int_1^inf exp(-lam*t) dt/t = E1(lam) (A&S 5.1.1).  The lower
 one, mellin_lower, is a closed form from Spectrum.poisson for any
 spectrum: each theta's Poisson dual terms integrate to an erfc series, and
@@ -26,7 +30,7 @@ Bernoulli series on [0, delta] and, on [delta, 1], the cutoff identity
                     + b_0*ln(delta) + int_0^delta F(t) dt/t,
 
 read as int_delta^1 F dt/t = E(delta) - E(1) - sum_{j != 0} (m*b_j/j)*(1 -
-delta^(j/m)) + b_0*ln(delta), with E the E1 sums.  So log_det_reg
+delta^(j/m)) + b_0*ln(delta), with E the direct E1 sums.  So log_det_reg
 integrates nothing numerically.  It stays independent of the zeta route
 (zeta.zeta_prime0), which takes Lerch's formula through math.lgamma and
 Kronecker's limit formula: this route reads only E1 sums, erfc and Ein,
@@ -39,18 +43,21 @@ mellin_lower(scale_spectrum(B, eps)) = int_0^eps F dt/t, within the sum of
 the stated errors of every piece, else NumericError.  The identity is
 exact at any eps, so pieces within their stated errors pass; an error
 beyond them in the upper E1 sum, the lower integral or the coefficients
-raises.  The check does not feed the reported error bound.
+raises.  The check does not feed the reported error bound.  Its E1 sum at
+eps is the direct one: split, it would compare the theta dual series of
+log_det_eps with that of mellin_lower, the same series.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
 
 from .errors import DomainError, NumericError
-from .special import EULER_GAMMA, exp_integral_e1, _ein, _E1_ROUNDING, _U
+from .special import EULER_GAMMA, exp_integral_e1, _e1_rounding, _ein, _E1_ROUNDING, _U
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -61,6 +68,7 @@ from .heat_expansion import (
     _one_sided_power_coeffs,
 )
 from .spectra import (
+    SQRT_PI,
     LatticeFamily,
     Spectrum,
     min_eigenvalue,
@@ -81,33 +89,177 @@ def default_expansion(spec: Spectrum) -> HeatExpansion:
     return _analytic_coeffs(spec)
 
 
+def _row_terms(rows: Sequence[tuple[float, float]], eps: float) -> tuple[list[float], float]:
+    """weight*E1(eps*lam) for each row (lam, weight), lam > 0, and their error
+    bound: each term carries E1's error, _E1_ROUNDING or, below 1,
+    _E1_SERIES_ROUNDING (through spectra._series_relief), either of which
+    absorbs the rounding of eps*lam as in _lattice_sum, u for the product
+    with its weight and, where eps*lam is subnormal, that rounding (also
+    _series_relief; none at eps = 1, where eps*lam is exact)."""
+    args = [eps * lam for lam, _ in rows]
+    terms = [weight * exp_integral_e1(x) for x, (_, weight) in zip(args, rows)]
+    err = ((_E1_ROUNDING + _U) * fsum(map(abs, terms)) - _series_relief(
+        args, terms, [weight for _, weight in rows] if eps != 1.0 else []))
+    return terms, err
+
+
+def _check_eps_lam0(spec: Spectrum, eps: float) -> None:
+    """NumericError when the smallest eigenvalue lam0 (min_eigenvalue) or
+    eps*lam0 underflows to 0.0, where E1 has no value."""
+    lam0 = min_eigenvalue(spec)
+    if not eps * lam0 > 0.0:
+        raise NumericError(f"eps*lam0 = {eps!r}*{lam0!r} underflows to 0.0")
+
+
 def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
-    """(sum mult*E1(eps*lam) over the positive spectrum, error bound).
+    """(sum mult*E1(eps*lam) over the positive spectrum, error bound), summed
+    directly: the guard's, the upper integral's and the solos' route.
 
     Each lattice run goes through spectra._lattice_sum: a short run is
     summed directly and bounds its omitted tail by the Gaussian heat-trace
     tail over eps*lam at the first omitted index (E1(x) <= exp(-x)/x); a
     long one sums a head directly and closes the rest with an
     Euler-Maclaurin tail, so it costs O(1) E1 calls whatever eps*scale^2 is,
-    and bounds the remainder and the rounding.  An explicit row's term
-    carries E1's error, _E1_ROUNDING or, below 1, _E1_SERIES_ROUNDING
-    (through spectra._series_relief), either of which absorbs the rounding
-    of eps*lam as in _lattice_sum, u for the product with its multiplicity
-    and, where eps*lam is subnormal, that rounding (also _series_relief;
-    none at eps = 1); the exactly rounded sum adds half an ulp.  NumericError
-    is raised first when the smallest eigenvalue lam0 (min_eigenvalue) or
-    eps*lam0 underflows to 0.0, where E1 has no value.
+    and bounds the remainder and the rounding.  The explicit rows are
+    _row_terms; the exactly rounded sum adds half an ulp.  NumericError is
+    raised first when eps*lam0 underflows (_check_eps_lam0).
     """
-    lam0 = min_eigenvalue(spec)
-    if not eps * lam0 > 0.0:
-        raise NumericError(f"eps*lam0 = {eps!r}*{lam0!r} underflows to 0.0")
+    _check_eps_lam0(spec, eps)
     budget = _tail_budget(spec)
-    args = [eps * lam for lam, _, _ in spec.rows]
-    terms = [mult * exp_integral_e1(x) for x, (_, mult, _) in zip(args, spec.rows)]
-    # eps*lam is exact at eps = 1
-    err = ((_E1_ROUNDING + _U) * fsum(map(abs, terms)) - _series_relief(
-        args, terms, [mult for _, mult, _ in spec.rows] if eps != 1.0 else []))
+    terms, err = _row_terms([(lam, mult) for lam, mult, _ in spec.rows], eps)
     for fam in spec.lattices:
+        fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
+        terms.extend(fam_terms)
+        err += fam_bound
+    value = fsum(terms)
+    return value, err + 0.5 * math.ulp(value)
+
+
+# a theta of scale c splits at t* = _SPLIT/c^2: its direct side then keeps
+# the terms with |u| below about 0.8*c, one or two E1 calls, and its dual
+# side about 15 erfc terms (BENCH_theta_split.json compares other choices)
+_SPLIT = 16.0 * math.pi
+# relative error of special._ein (derived in its docstring)
+_EIN_ROUNDING = 8.0 * _U
+
+
+def _theta_near(weight: float, scale: float, shift: float, t: float, budget: float,
+                removed: bool) -> tuple[list[float], float, int]:
+    """The direct side of a theta's split at t, t*scale^2 >= _SPLIT: the terms
+    of weight*sum_n E1(t*u_n^2), u_n = scale*n + shift, over n != 0 if
+    `removed`, their error bound, and how many u_n == 0.0 it left out.
+
+    Each side of the lattice, u >= 0 and u < 0, is walked outward from the
+    crossing and stops before the first term y = |u| whose side's tail,
+    sum_{j>=0} E1(t*(y + j*scale)^2) <= exp(-t*y^2)/(t*y^2*(1 - exp(-t*scale*(2y
+    + scale)))) by E1(x) <= exp(-x)/x, is below half the budget; that tail
+    is stated.  The walk depends only on the |u| of each side, so mirrored
+    shifts keep mirrored terms.  Each term carries E1's error
+    (special._e1_rounding), u for the product with the weight and its
+    argument's rounding: u_n is good to (1 + |scale*n|/|u_n|) u/2, t*u_n^2
+    to (2 + |scale*n|/|u_n|) u, and E1's relative sensitivity is below x +
+    1 (x/(x + 1) < x*exp(x)*E1(x), DLMF 6.8.2).
+    """
+    terms, err, zeros = [], 0.0, 0
+    first = math.ceil(-shift / scale)
+    for n, step in ((first, 1), (first - 1, -1)):
+        while True:
+            cn = scale * n
+            u = cn + shift
+            x = t * (u * u)
+            n += step
+            if removed and n - step == 0:
+                continue
+            if x == 0.0:
+                zeros += 1
+                continue
+            y = abs(u)
+            tail = abs(weight) * math.exp(-x) / (x * -math.expm1(-t * scale * (2.0 * y + scale)))
+            if tail <= 0.5 * budget:
+                err += tail
+                break
+            term = weight * exp_integral_e1(x)
+            terms.append(term)
+            err += abs(term) * (_e1_rounding(x) + ((x + 1.0) * (abs(cn) / y + 2.0) + 1.0) * _U)
+    return terms, err, zeros
+
+
+def _e1_split(spec: Spectrum, eps: float) -> tuple[float, float]:
+    """The same sum and bound as _e1_sum, with each theta of Spectrum.poisson
+    split at its balanced point t* = max(eps, _SPLIT/c^2).
+
+    For a theta of weight w, scale c and shift sigma, u_n = c*n + sigma,
+    Poisson summation of its heat trace on [eps, t*] gives
+
+        sum_n E1(eps*u_n^2) = sum_n E1(t*u_n^2)
+                              + (sqrt(pi)/c)*2*(eps^(-1/2) - t*^(-1/2))
+                              + D(c, sigma; t*) - D(c, sigma; eps),
+
+    from int t^(-3/2) exp(-beta/t) dt = sqrt(pi/beta)*erfc(sqrt(beta/t)),
+    with D the dual series spectra._dual_mellin; at t* = eps the dual part
+    is empty.  The direct side is _theta_near.  A term the theta leaves out,
+    a structural zero u_n == 0.0 or its n = 0 term where Spectrum.poisson
+    removes it with the row (sigma^2, -w) (matched as in zeta._split_sums),
+    takes -w*int_eps^t* exp(-lam*t) dt/t = -w*(ln(t*/eps) + Ein(eps*lam) -
+    Ein(t*lam)) at lam = sigma^2, with its own theta's t*: Ein is small
+    where E1 is large, so a small shift's E1(t*sigma^2) and E1(eps*sigma^2)
+    do not cancel.  Every other row (lam, w) with lam > 0, the explicit
+    ones, stays an E1 term at eps (_row_terms), and each solo a direct
+    _lattice_sum run.
+
+    The error adds the direct side's, both D's, the rounding of the pole
+    term (eps^(-1/2) and t*^(-1/2) an ulp each, their difference, the
+    constant and three products: 3 u of it), of each logarithm (an ulp of
+    its value and of t*/eps), of each Ein (_EIN_ROUNDING, u for the product
+    and its argument's rounding, at most u*min(x, 1) by Ein'(x) = (1 -
+    exp(-x))/x, or (t* + 1)*2^-1073 where sigma^2 is subnormal or
+    underflows), and half an ulp of the exactly rounded sum.  _e1_sum is
+    taken instead, bit for bit, when no theta splits (eps >= _SPLIT/c^2 for
+    each) and when a theta's split point overflows (scale below about
+    1e-154).
+    """
+    poisson = spec.poisson
+    stars = [max(eps, _SPLIT / scale / scale) for _, scale, _ in poisson.thetas]
+    if all(t == eps for t in stars) or math.inf in stars:
+        return _e1_sum(spec, eps)
+    _check_eps_lam0(spec, eps)
+    budget = _tail_budget(spec)
+    rows = Counter(poisson.exponentials)
+    terms, err = [], 0.0
+    for (weight, scale, shift), t in zip(poisson.thetas, stars):
+        key = (shift * shift, -weight)
+        removed = rows[key] > 0
+        rows[key] -= removed
+        near, near_err, zeros = _theta_near(weight, scale, shift, t, budget, removed)
+        terms.extend(near)
+        err += near_err
+        if t == eps:
+            continue
+        inv_eps, inv_t = 1.0 / math.sqrt(eps), 1.0 / math.sqrt(t)
+        prefactor = weight * 2.0 * SQRT_PI / scale
+        dual_t, dual_t_err = _dual_mellin(scale, shift, t)
+        dual_eps, dual_eps_err = _dual_mellin(scale, shift, eps)
+        parts = [prefactor * (inv_eps - inv_t), weight * dual_t, -weight * dual_eps]
+        errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_eps + inv_t) * _U,
+                abs(weight) * (dual_t_err + dual_eps_err) + _U * (abs(parts[1]) + abs(parts[2]))]
+        log_ratio = math.log(t / eps)
+        for lam in [0.0] * zeros + [key[0]] * removed:
+            parts.append(-weight * log_ratio)
+            errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
+                                       + (t + 1.0) * 2.0 ** -1073))
+            for x, sign in ((eps * lam, -1.0), (t * lam, 1.0)):
+                if x > 0.0:
+                    parts.append(sign * weight * _ein(x))
+                    errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
+                                + abs(weight) * _U * min(x, 1.0))
+        terms.extend(parts)
+        err += fsum(errs)
+    row_terms, row_err = _row_terms(
+        [(lam, weight) for (lam, weight), count in rows.items() if lam > 0.0
+         for _ in range(count)], eps)
+    terms.extend(row_terms)
+    err += row_err
+    for fam in poisson.solos:
         fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
         terms.extend(fam_terms)
         err += fam_bound
@@ -117,12 +269,12 @@ def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
 
 def log_det_eps(spec: Spectrum, eps: float) -> float:
     """log of the cutoff determinant over the positive (kernel-free)
-    spectrum, -sum mult*E1(eps*lam), with lattice runs closed and certified
-    as in _e1_sum.
+    spectrum, -sum mult*E1(eps*lam), with each theta of Spectrum.poisson
+    split at its balanced point (_e1_split).
     """
     if not 0.0 < eps < math.inf:
         raise DomainError(f"cutoff parameter must be positive and finite, got {eps!r}")
-    return -_e1_sum(spec, eps)[0]
+    return -_e1_split(spec, eps)[0]
 
 
 def counterterms(exp: HeatExpansion) -> dict[int, float]:
@@ -217,10 +369,6 @@ def _solo_lower(fam: LatticeFamily) -> tuple[float, float]:
     return value, fsum([cut[1]] + errs) + 0.5 * math.ulp(value)
 
 
-# relative error of special._ein (derived in its docstring)
-_EIN_ROUNDING = 8.0 * _U
-
-
 def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     """int_0^1 F(t) dt/t, F the remainder of default_expansion, in closed
     form from Spectrum.poisson, and its error bound: log_det_reg's lower
@@ -242,7 +390,7 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     poisson = spec.poisson
     parts, errs = [], []
     for weight, scale, shift in poisson.thetas:
-        dual, dual_err = _dual_mellin(scale, shift)
+        dual, dual_err = _dual_mellin(scale, shift, 1.0)
         parts.append(weight * dual)
         errs.append(weight * dual_err + _U * abs(parts[-1]))
     for lam, weight in poisson.exponentials:
@@ -257,10 +405,16 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     return value, fsum(errs) + 0.5 * math.ulp(value)
 
 
-def _log_det_reg(spec: Spectrum,
-                 exp: HeatExpansion) -> tuple[float, float, dict[float, float]]:
-    """log_det_reg's (value, error) and the cutoff determinant, by eps, at
-    which it checked the cutoff identity; exp is default_expansion(spec)."""
+def _guard_eps(spec: Spectrum) -> float:
+    """The one cutoff at which log_det_reg checks the cutoff identity: 1e-4,
+    or half a solo's _first_delta if smaller, where that solo's share of
+    int_0^eps F dt/t is its small-time series alone."""
+    return min([1e-4] + [0.5 * _first_delta(fam) for fam in spec.poisson.solos])
+
+
+def _log_det_reg(spec: Spectrum, exp: HeatExpansion) -> tuple[float, float]:
+    """log_det_reg's (value, error), after checking the cutoff identity at
+    _guard_eps(spec); exp is default_expansion(spec)."""
     upper, err_up = _e1_sum(spec, 1.0)
     lower, err_low = mellin_lower(spec)
     cts = counterterms(exp)
@@ -273,19 +427,18 @@ def _log_det_reg(spec: Spectrum,
            + 0.5 * (math.ulp(ct_sum) + math.ulp(head) + math.ulp(value)))
     _require_finite(value, err, "log_det_reg")
     # the guard: int_eps^1 F dt/t by the identity against lower less the
-    # lower integral of eps*B, int_0^eps F dt/t, at eps = 1e-4 (a point of
-    # build_report's default grid, which reuses its E1 sum) or half a solo's
-    # _first_delta if smaller, where its share of int_0^eps is its series
-    eps = min([1e-4] + [0.5 * _first_delta(fam) for fam in spec.poisson.solos])
-    near = _e1_sum(spec, eps)
-    parts, errs = _identity_terms(spec, exp, eps, near, (upper, err_up))
+    # lower integral of eps*B, int_0^eps F dt/t.  Its E1 sum at eps is the
+    # direct one: with the split on both sides the check would compare the
+    # theta dual series with itself
+    eps = _guard_eps(spec)
+    parts, errs = _identity_terms(spec, exp, eps, _e1_sum(spec, eps), (upper, err_up))
     tail, tail_err = mellin_lower(scale_spectrum(spec, eps))
     residual = fsum(parts + [tail, -lower])
     slack = fsum(errs + [tail_err, err_low]) + 0.5 * math.ulp(residual)
     if not abs(residual) <= slack:
         raise NumericError(f"the cutoff identity fails at eps = {eps!r}: residual "
                            f"{residual!r} exceeds the stated errors {slack!r}")
-    return value, err, {eps: -near[0]}
+    return value, err
 
 
 def log_det_reg(spec: Spectrum) -> tuple[float, float]:
@@ -296,7 +449,7 @@ def log_det_reg(spec: Spectrum) -> tuple[float, float]:
     default_expansion and checks the cutoff identity at one eps, raising
     NumericError if it fails by more than the stated errors of its pieces.
     """
-    return _log_det_reg(spec, default_expansion(spec))[:2]
+    return _log_det_reg(spec, default_expansion(spec))
 
 
 @dataclass(frozen=True)
@@ -323,15 +476,16 @@ def build_report(spec: Spectrum,
                  eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> RegDetReport:
     """Cutoff determinants on a grid plus both regularised values, all of the
     positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
-    them."""
+    them.  Every grid point is log_det_eps, the split, also where the guard
+    of log_det_reg took the direct sum at the same eps."""
     if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive finite entries")
     exp = default_expansion(spec)
-    value, err, dets = _log_det_reg(spec, exp)
+    value, err = _log_det_reg(spec, exp)
     grid = tuple(float(e) for e in eps_grid)
     return RegDetReport(
         eps_grid=grid,
-        log_det_eps=tuple(dets[e] if e in dets else log_det_eps(spec, e) for e in grid),
+        log_det_eps=tuple(log_det_eps(spec, e) for e in grid),
         log_det_reg=value,
         log_det_zeta=-EULER_GAMMA * exp.b0 + value,
         b0=exp.b0 + spec.kernel_dim,

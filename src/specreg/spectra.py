@@ -23,8 +23,8 @@ among them), and the unpaired shifted one-sided families, the solos, which
 have no such form.  Every routine reads the views; only this module tells
 the family types apart.  Every walk over a lattice family reads its
 structure from here: index runs (_runs), the pairing, the Poisson dual
-series (_theta_terms, and its Mellin integral _dual_mellin) and the tail
-budget (_tail_budget).
+series (_theta_terms, and its Mellin integral up to a cutoff t,
+_dual_mellin) and the tail budget (_tail_budget).
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
@@ -469,7 +469,7 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
     (special._em_tail), and their error bound: the remainder, the closure's
     rounding, and the head's: per term the summand's own error plus its
     sensitivity to the rounding of u = scale*n + sigma (relative
-    u*(2 + |sigma|/|u|)) and of rate*u^2."""
+    u*(2 + |sigma|/|u|)) and of rate*u^2, each factor that term's own."""
     xs = _points(scale, sigma, start, n_em, sign)
     head = _summands(kind, weight, rate, xs)
     a = scale * n_em + sigma
@@ -478,12 +478,14 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
     pieces = [signed * p for p in pieces]
     bound = abs(signed) * (remainder + err) + _U * fsum(map(abs, pieces))
     if head:
-        spread = 2.0 + abs(sigma) / min(map(abs, xs))
-        top = max(abs(xs[0]), a)
-        sensitivity = (abs(rate) * spread + 3.0 if kind == "power"
-                       else (rate * top * top + 1.0) * (2.0 * spread + 2.0) + 4.0)
         own = _E1_ROUNDING if kind == "e1" else _U
-        bound += (own + sensitivity * _U) * fsum(map(abs, head))
+        # spread = 2 + |sigma|/|u|, so 2*spread + 2 = 6 + 2|sigma|/|u|
+        lean = abs(sigma)
+        sensitivity = (fsum((abs(rate) * (2.0 + lean / abs(x)) + 3.0) * abs(f)
+                            for x, f in zip(xs, head)) if kind == "power"
+                       else fsum(((rate * x * x + 1.0) * (6.0 + 2.0 * lean / abs(x)) + 4.0) * abs(f)
+                                 for x, f in zip(xs, head)))
+        bound += own * fsum(map(abs, head)) + sensitivity * _U
         if kind == "e1":
             bound -= _series_relief([rate * x * x for x in xs], head, [weight] * len(xs))
     return head + pieces, bound
@@ -653,6 +655,7 @@ def _theta_rest(scale: float, shift: float, t: float, cosines: list[float]) -> f
 
 # truncation target of each dual series D, per unit of weight
 _DUAL_TAIL = 1e-17
+_DUAL_LOG = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL))
 
 
 def _dual_tail(scale: float, K: int) -> float:
@@ -662,49 +665,60 @@ def _dual_tail(scale: float, K: int) -> float:
             / (math.pi ** 1.5 * (K + 1) ** 2 * -math.expm1(-a * (2 * K + 3))))
 
 
-def _dual_mellin(scale: float, shift: float) -> tuple[float, float]:
-    """D(c, sigma) = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*erfc(pi*k/c)/k and its
-    error bound, with c = scale and sigma = shift.
+def _dual_mellin(scale: float, shift: float, t: float) -> tuple[float, float]:
+    """D(c, sigma; t) = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*erfc(pi*k/(c*sqrt(t)))/k
+    and its error bound, with c = scale and sigma = shift.
 
-    D is int_0^1 of the Poisson dual part of sum_{n in Z} exp(-t*(c*n +
-    sigma)^2) against dt/t: per dual term, int_0^1 t^(-3/2) exp(-beta/t) dt
-    = sqrt(pi/beta)*erfc(sqrt(beta)) at beta = (pi*k/c)^2 (DLMF 8.4.6,
-    7.11.2).  With a = (pi/c)^2, erfc(x) <= exp(-x^2)/(x*sqrt(pi)) and
-    k^2 - (K+1)^2 >= (k-K-1)(2K+3) bound the terms past K by
-    2c*exp(-a(K+1)^2) / (pi^(3/2)*(K+1)^2*(1 - exp(-a(2K+3)))) (_dual_tail);
-    K starts where the exponential alone meets _DUAL_TAIL and grows until the
-    whole bound does.  The error adds, per term, erfc's own rounding, its
-    argument's (relative sensitivity at most 2x^2 + 1, since erfc(x) >
-    2exp(-x^2)/(sqrt(pi)(x + sqrt(x^2 + 2)))), the k-fold rounding of the
-    cosine's angle, and the products; then half an ulp for the exactly
-    rounded sum.  More than _MAX_RUN_TERMS terms (scales above about 5e5)
-    raise NumericError.  regdet.mellin_lower takes each theta's share of the
-    lower integral from here.  The solos have no such series: it integrates
-    each alone by its small-time Bernoulli series and the cutoff identity's
-    E1 sums, and refuses, naming the cause, a shift of more than
-    2^18 whole scales (heat_expansion._MAX_WHOLE_SCALES; one-sided shift
-    0.5 at scale 1e-6, for instance), which has no table of series
-    coefficients.
+    D is int_0^t of the Poisson dual part of sum_{n in Z} exp(-t'*(c*n +
+    sigma)^2) against dt'/t': per dual term, int_0^t t'^(-3/2) exp(-beta/t')
+    dt' = sqrt(pi/beta)*erfc(sqrt(beta/t)) at beta = (pi*k/c)^2 (DLMF 8.4.6,
+    7.11.2).  It depends on c and t only through c*sqrt(t), the scale at
+    which _dual_tail bounds it: with a = (pi/(c*sqrt(t)))^2, erfc(x) <=
+    exp(-x^2)/(x*sqrt(pi)) and k^2 - (K+1)^2 >= (k-K-1)(2K+3) bound the terms
+    past K by 2c*sqrt(t)*exp(-a(K+1)^2) / (pi^(3/2)*(K+1)^2*(1 -
+    exp(-a(2K+3)))); K starts where the exponential alone meets _DUAL_TAIL
+    and grows until the whole bound does.  The error adds, per term, erfc's
+    own rounding, its argument's (x = pi*k/(c*sqrt(t)) is good to 1.5 u:
+    float pi, the product with k and the quotient, and 1 u more for the
+    square root and the product with c where t != 1; erfc's relative
+    sensitivity is at most 2x^2 + 1, since erfc(x) > 2exp(-x^2)/(sqrt(pi)(x
+    + sqrt(x^2 + 2)))), the k-fold rounding of the cosine's angle, and the
+    products; then half an ulp for the exactly rounded sum.  More than
+    _MAX_RUN_TERMS terms (c*sqrt(t) above about 5e5) raise NumericError.
+
+    regdet.mellin_lower takes each theta's share of the lower integral from
+    D(c, sigma; 1), and regdet's balanced split of a cutoff determinant
+    takes D at its split point and at the cutoff.  The solos have no such
+    series: mellin_lower integrates each alone by its small-time Bernoulli
+    series and the cutoff identity's E1 sums, and refuses, naming the cause,
+    a shift of more than 2^18 whole scales (heat_expansion._MAX_WHOLE_SCALES;
+    one-sided shift 0.5 at scale 1e-6, for instance), which has no table of
+    series coefficients.
     """
-    # a(K+1)^2 >= log(2c/(pi^(3/2) _DUAL_TAIL))
-    log_target = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL)) + math.log(scale)
-    K = max(0, math.ceil(scale / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
+    root = scale * math.sqrt(t)
+    # a(K+1)^2 >= log(2c sqrt(t)/(pi^(3/2) _DUAL_TAIL))
+    log_target = _DUAL_LOG + math.log(root)
+    K = max(0, math.ceil(root / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
     if K > _MAX_RUN_TERMS:
         raise NumericError(f"the dual series of a lattice with scale {scale!r} "
-                           f"would need more than {_MAX_RUN_TERMS} terms")
-    while _dual_tail(scale, K) > _DUAL_TAIL:
+                           f"would need more than {_MAX_RUN_TERMS} terms at t = {t!r}")
+    tail = _dual_tail(root, K)
+    while tail > _DUAL_TAIL:
         K += 1
+        tail = _dual_tail(root, K)
     angle = 2.0 * math.pi * shift / scale
+    # (2x^2 + 1) times x's rounding, plus u
+    slope, offset = (3.0, 2.5) if t == 1.0 else (5.0, 3.5)
     terms, errs = [], []
     for k in range(1, K + 1):
-        x = math.pi * k / scale
+        x = math.pi * k / root
         weight = 2.0 * math.erfc(x) / k
         cos = math.cos(angle * k)
         terms.append(weight * cos)
-        errs.append(weight * (abs(cos) * (_ERFC_ROUNDING + (3.0 * x * x + 2.5) * _U)
+        errs.append(weight * (abs(cos) * (_ERFC_ROUNDING + (slope * x * x + offset) * _U)
                               + (2.0 * abs(angle * k) + 2.0) * _U))
     value = fsum(terms)
-    return value, _dual_tail(scale, K) + fsum(errs) + 0.5 * math.ulp(value)
+    return value, tail + fsum(errs) + 0.5 * math.ulp(value)
 
 
 def heat_trace_theta(spec: Spectrum, t: float) -> float:

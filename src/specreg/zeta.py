@@ -377,7 +377,7 @@ def verify_bridge(spec: Spectrum, abs_tol: float | None = None) -> BridgeReport:
     """
     exp = default_expansion(spec)
     zp, zeta_err = zeta_prime0(spec)
-    heat, heat_err, _ = _log_det_reg(spec, exp)
+    heat, heat_err = _log_det_reg(spec, exp)
     zeta_route = -zp
     heat_route = -EULER_GAMMA * exp.b0 + heat
     discrepancy = abs(zeta_route - heat_route)

@@ -355,6 +355,18 @@ def test_missing_input_file(run_cli, tmp_path):
     assert "cannot read input" in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["missing/dir/x.json", "."])
+def test_unwritable_output(run_cli, tmp_path, where):
+    # a missing directory, or a directory given as the path: an input error
+    # naming the path, not a traceback, and nothing on stdout
+    output = str(tmp_path / where)
+    proc = run_cli("gamma", "--output", output)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: cannot write output {output}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_eps_list(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path, "--eps", "0,1")

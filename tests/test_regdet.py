@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -26,8 +27,9 @@ from specreg import (
     scale_spectrum,
 )
 from specreg import heat_expansion, regdet, special, spectra
-from specreg.orbit import LoopGroupOrbitSpec, orbit_spectrum
+from specreg.orbit import LoopGroupOrbitSpec, minimality_report, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
+from specreg.spectra import LatticeFamily, Spectrum
 from specreg.zeta import zeta_prime0
 
 mp.mp.dps = 30
@@ -297,22 +299,23 @@ def _solo_free_mixes(count: int = 24, seed: int = 25):
 # the upper integral as an E1 sum, against mpmath
 
 
-def _mp_e1_sum(spec) -> mp.mpf:
-    """sum mult*E1(lam) over the positive spectrum at 40 digits, each lattice
-    eigenvalue (scale*n + shift)^2 formed exactly; a run stops past
-    lam = 130, where E1 < 1e-58."""
+def _mp_e1_sum(spec, eps: float = 1.0) -> mp.mpf:
+    """sum mult*E1(eps*lam) over the positive spectrum at 40 digits, each
+    lattice eigenvalue (scale*n + shift)^2 and its product with eps formed
+    exactly; a run stops past eps*lam = 130, where E1 < 1e-58."""
     with mp.workdps(40):
-        total = mp.fsum(mult * mp.e1(lam) for lam, mult, _ in spec.rows)
+        eps = mp.mpf(eps)
+        total = mp.fsum(mult * mp.e1(eps * lam) for lam, mult, _ in spec.rows)
         for fam in spec.lattices:
             c, sigma = mp.mpf(fam.scale), mp.mpf(fam.shift)
             for sign, start in ((1, 1),) if fam.side == "positive" else ((1, 1), (-1, 0)):
                 n = start
                 while True:
                     lam = (c * n + sign * sigma) ** 2
-                    if lam > 130 and c * n + sign * sigma > 0:
+                    if eps * lam > 130 and c * n + sign * sigma > 0:
                         break
                     if lam:
-                        total += fam.mult * mp.e1(lam)
+                        total += fam.mult * mp.e1(eps * lam)
                     n += 1
         return total
 
@@ -350,6 +353,119 @@ def test_upper_integral_e1_sum_against_mpmath(spec):
     value, err = regdet._e1_sum(spec, 1.0)
     assert abs(mp.mpf(value) - _mp_e1_sum(spec)) <= err
     assert err <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# cutoff determinants by the balanced split of each theta
+
+
+def _split_mixes(count: int = 30, seed: int = 33):
+    """Mixes at scales 1e-3 to 1e3, each with a lattice of every theta kind
+    (a full lattice, a zero-shift one-sided one, a pair of opposite shifts)
+    at shifts drawn anywhere, near 0 or near half a scale, explicit rows,
+    and every third a solo."""
+    rng = random.Random(seed)
+    for k in range(count):
+        def scale():
+            return 10.0 ** rng.uniform(-3.0, 3.0)
+
+        def frac():
+            near = rng.choice((1e-9, 1e-3, 0.5 - 1e-9, 0.5 - 1e-3))
+            return rng.choice((rng.uniform(-0.5, 0.5), near, -near))
+
+        c_full, c_half, c_pair = scale(), scale(), scale()
+        pair_shift, mult = frac() * c_pair, rng.randint(1, 3)
+        parts = [finite_spectrum([(10.0 ** rng.uniform(-2.0, 3.0), rng.randint(1, 3))
+                                  for _ in range(rng.randint(0, 2))]),
+                 lattice_family(c_full, frac() * c_full, "full", rng.randint(1, 3)),
+                 lattice_family(c_half, 0.0, "positive", rng.randint(1, 3)),
+                 lattice_family(c_pair, pair_shift, "positive", mult),
+                 lattice_family(c_pair, -pair_shift, "positive", mult)]
+        if k % 3 == 0:
+            c_solo = scale()
+            parts.append(lattice_family(c_solo, rng.uniform(-0.9, 2.0) * c_solo, "positive", 1))
+        yield compose(*parts)
+
+
+SPLIT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
+def test_split_against_direct_sum_on_mixes():
+    # the split and the direct sum agree within the sum of their stated
+    # errors at every cutoff; mirrored shifts give bit-equal splits
+    for spec in _split_mixes():
+        base = Spectrum(tuple(f for f in spec.families if f not in spec.poisson.solos))
+        mirror = Spectrum(tuple(replace(f, shift=-f.shift) if isinstance(f, LatticeFamily)
+                                else f for f in base.families))
+        for eps in SPLIT_EPS:
+            split, split_err = regdet._e1_split(spec, eps)
+            direct, direct_err = regdet._e1_sum(spec, eps)
+            assert abs(split - direct) <= split_err + direct_err, (spec, eps)
+            assert regdet._e1_split(mirror, eps)[0] == regdet._e1_split(base, eps)[0]
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_split_against_mpmath_on_builtins(spec):
+    # every split value of the default grid is within its stated error of
+    # the 40-digit sum, with no slack
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+        value, err = regdet._e1_split(spec, eps)
+        assert abs(mp.mpf(value) - _mp_e1_sum(spec, eps)) <= err, eps
+        assert log_det_eps(spec, eps) == -value
+
+
+@pytest.mark.parametrize("spec", [
+    Spectrum((LatticeFamily(TWO_PI, TWO_PI, "full", 1),), 1),  # its zero at n = -1
+    compose(lattice_family(1.0, 1e-170, "positive"), lattice_family(1.0, -1e-170, "positive")),
+    compose(lattice_family(1.0, 1e-160, "positive"), lattice_family(1.0, -1e-160, "positive")),
+    compose(lattice_family(1e-3, 1e-170, "positive"), lattice_family(1e-3, -1e-170, "positive")),
+    lattice_family(1.0, 1e-155, "full")], ids=["zero-off-0", "pair-0.0", "pair-subnormal",
+                                               "pair-0.0-small-scale", "full-subnormal"])
+def test_split_on_zeros_and_underflowing_shifts(spec):
+    # a structural zero away from n = 0, pairs whose sigma^2 underflows to
+    # 0.0 (their row is (0.0, -w)) or is subnormal, and a subnormal
+    # eigenvalue: the split agrees with the direct sum within their errors
+    for eps in (1e-2, 1e-4):
+        split, split_err = regdet._e1_split(spec, eps)
+        direct, direct_err = regdet._e1_sum(spec, eps)
+        assert abs(split - direct) <= split_err + direct_err
+
+
+def test_split_takes_the_direct_sum_where_no_theta_splits():
+    # at eps >= _SPLIT/c^2 for every theta the split is the direct sum, bit
+    # for bit, value and error
+    far = compose(lattice_family(1e3, 100.0, "full", 2), lattice_family(1e3, 0.0, "positive"),
+                  lattice_family(1e3, 490.0, "positive"), lattice_family(1e3, -490.0, "positive"),
+                  lattice_family(1e3, 250.0, "positive", 3), finite_spectrum([(3.0, 1)]))
+    for spec, eps in [(far, 1e-4), (far, 1e-1)] + [(spec, 2.0) for spec in BUILTINS]:
+        assert all(regdet._SPLIT / c / c <= eps for _, c, _ in spec.poisson.thetas)
+        assert regdet._e1_split(spec, eps) == regdet._e1_sum(spec, eps)
+
+
+def test_split_e1_calls_on_builtins(monkeypatch):
+    # each theta's direct side keeps at most two E1 terms at its split point;
+    # the direct sums made 495 calls on this grid and the two orbit
+    # certificates 132 + 220, gateaux_fd's four cutoff determinants
+    calls = _count_e1_everywhere(monkeypatch)
+    for spec in BUILTINS:
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            log_det_eps(spec, eps)
+    assert calls[0] <= 165  # 50 measured, 30 of them one-sided-pi's, a solo
+    calls[0] = 0
+    for ospec in (LoopGroupOrbitSpec(1, ((1.0,),), (1.0,), 0.25),
+                  LoopGroupOrbitSpec(2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4), 0.2)):
+        minimality_report(ospec)
+    assert calls[0] <= 117  # 0 measured
+
+
+def test_closed_run_head_rounding_per_term():
+    # the head's argument rounding used to take the largest rate*u^2 and the
+    # largest spread from different terms: this solo's upper E1 sum stated
+    # 1.04e-12 (about 800 u of its value) against a true error of 2.2e-15
+    spec = lattice_family(0.3, -0.29, "positive", 1)
+    value, err = regdet._e1_sum(spec, 1.0)
+    assert err <= 150.0 * special._U * value
+    assert abs(mp.mpf(value) - _mp_e1_sum(spec)) <= err
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +673,7 @@ def test_guard_eps_stays_within_every_solos_series():
     # the guard's one cutoff is at most 1e-4 and at most half each solo's
     # first delta, so that the solos' lower integrals of eps*B are their
     # series alone
-    def guard_eps(spec):
-        (eps,) = regdet._log_det_reg(spec, default_expansion(spec))[2]
-        return eps
-
+    guard_eps = regdet._guard_eps
     mixed = compose(lattice_family(16.742, 0.3 * 16.742, "positive", 2),
                     lattice_family(0.224, 1.1 * 0.224, "positive", 1),
                     lattice_family(1e3, -490.0, "positive", 1), FULLPI3)
