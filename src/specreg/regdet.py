@@ -184,7 +184,8 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
     return terms, err, zeros
 
 
-def _e1_split(spec: Spectrum, eps: float) -> tuple[float, float]:
+def _e1_split(spec: Spectrum, eps: float, sides: dict | None = None
+              ) -> tuple[float, float]:
     """The same sum and bound as _e1_sum, with each theta of Spectrum.poisson
     split at its balanced point t* = max(eps, _SPLIT/c^2).
 
@@ -217,6 +218,11 @@ def _e1_split(spec: Spectrum, eps: float) -> tuple[float, float]:
     taken instead, bit for bit, when no theta splits (eps >= _SPLIT/c^2 for
     each) and when a theta's split point overflows (scale below about
     1e-154).
+
+    Where a theta splits, t* = _SPLIT/c^2 whatever eps is, so its t* side
+    (_theta_near at t*, D(c, sigma; t*) and Ein(t*sigma^2)) is the same at
+    every such eps: `sides`, a dict that calls on one spectrum share (as
+    build_report's grid does), holds it per theta after its first use.
     """
     poisson = spec.poisson
     stars = [max(eps, _SPLIT / scale / scale) for _, scale, _ in poisson.thetas]
@@ -225,19 +231,26 @@ def _e1_split(spec: Spectrum, eps: float) -> tuple[float, float]:
     _check_eps_lam0(spec, eps)
     budget = _tail_budget(spec)
     rows = Counter(poisson.exponentials)
+    sides = {} if sides is None else sides
     terms, err = [], 0.0
-    for (weight, scale, shift), t in zip(poisson.thetas, stars):
+    for i, ((weight, scale, shift), t) in enumerate(zip(poisson.thetas, stars)):
         key = (shift * shift, -weight)
         removed = rows[key] > 0
         rows[key] -= removed
-        near, near_err, zeros = _theta_near(weight, scale, shift, t, budget, removed)
+        if t == eps:
+            near, near_err, _ = _theta_near(weight, scale, shift, t, budget, removed)
+            terms.extend(near)
+            err += near_err
+            continue
+        if i not in sides:
+            ein = _ein(t * key[0]) if removed and t * key[0] > 0.0 else None
+            sides[i] = (_theta_near(weight, scale, shift, t, budget, removed)
+                        + _dual_mellin(scale, shift, t) + (ein,))
+        near, near_err, zeros, dual_t, dual_t_err, ein_t = sides[i]
         terms.extend(near)
         err += near_err
-        if t == eps:
-            continue
         inv_eps, inv_t = 1.0 / math.sqrt(eps), 1.0 / math.sqrt(t)
         prefactor = weight * 2.0 * SQRT_PI / scale
-        dual_t, dual_t_err = _dual_mellin(scale, shift, t)
         dual_eps, dual_eps_err = _dual_mellin(scale, shift, eps)
         parts = [prefactor * (inv_eps - inv_t), weight * dual_t, -weight * dual_eps]
         errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_eps + inv_t) * _U,
@@ -249,7 +262,8 @@ def _e1_split(spec: Spectrum, eps: float) -> tuple[float, float]:
                                        + (t + 1.0) * 2.0 ** -1073))
             for x, sign in ((eps * lam, -1.0), (t * lam, 1.0)):
                 if x > 0.0:
-                    parts.append(sign * weight * _ein(x))
+                    # t*lam > 0.0 only where the side holds Ein(t*lam)
+                    parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
                     errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
                                 + abs(weight) * _U * min(x, 1.0))
         terms.extend(parts)
@@ -477,15 +491,17 @@ def build_report(spec: Spectrum,
     """Cutoff determinants on a grid plus both regularised values, all of the
     positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
     them.  Every grid point is log_det_eps, the split, also where the guard
-    of log_det_reg took the direct sum at the same eps."""
+    of log_det_reg took the direct sum at the same eps; the grid's splits
+    share each theta's t* side (_e1_split)."""
     if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive finite entries")
     exp = default_expansion(spec)
     value, err = _log_det_reg(spec, exp)
     grid = tuple(float(e) for e in eps_grid)
+    sides = {}
     return RegDetReport(
         eps_grid=grid,
-        log_det_eps=tuple(log_det_eps(spec, e) for e in grid),
+        log_det_eps=tuple(-_e1_split(spec, e, sides)[0] for e in grid),
         log_det_reg=value,
         log_det_zeta=-EULER_GAMMA * exp.b0 + value,
         b0=exp.b0 + spec.kernel_dim,

@@ -44,6 +44,10 @@ def _e1_rounding(x: float) -> float:
     return _E1_SERIES_ROUNDING if x < 1.0 else _E1_ROUNDING
 
 
+# the floor of exp_integral_e1's series stop
+_E1_FLOOR = 1e-18 * 1e-300
+
+
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf exp(-u)/u du, x > 0.
 
@@ -77,7 +81,9 @@ def exp_integral_e1(x: float) -> float:
             term *= -x / k
             contrib = -term / k
             total += contrib
-            if abs(contrib) <= 1e-18 * max(abs(total), 1e-300):
+            # |contrib| <= 1e-18*max(|total|, 1e-300), without a builtin call
+            limit = 1e-18 * total if total > 0.0 else -1e-18 * total
+            if -limit <= contrib <= limit or -_E1_FLOOR <= contrib <= _E1_FLOOR:
                 break
             k += 1
         return total
@@ -94,7 +100,7 @@ def exp_integral_e1(x: float) -> float:
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             break
     return h * math.exp(-x)
 
@@ -171,19 +177,21 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     the depth n at which one more level changes the value by less than
     1e-16 relative; the fraction is then evaluated bottom-up from level n,
     which does not accumulate one rounding per level into the result as
-    Lentz's running product does (90 u against 14 u at x = 1)."""
+    Lentz's running product does (90 u against 14 u at x = 1).  Every
+    denominator below `tiny` in magnitude is replaced by `tiny`, the first
+    one too: it is 0.0 at a = x + 1."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
-    d = 1.0 / b
+    d = 1.0 / (b if b >= tiny or b <= -tiny else tiny)
     for n in range(1, 1000):
         an = -n * (n - a)
         b += 2.0
         d = an * d + b
-        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        d = 1.0 / (d if d >= tiny or d <= -tiny else tiny)
         c = b + an / c
-        c = c if abs(c) >= tiny else tiny
-        if abs(d * c - 1.0) < 1e-16:
+        c = c if c >= tiny or c <= -tiny else tiny
+        if -1e-16 < d * c - 1.0 < 1e-16:
             break
     else:
         raise NumericError(f"Gamma({a!r}, {x!r}): continued fraction does not converge")

@@ -15,16 +15,18 @@ equal to 0.0 in exact float arithmetic) are detected at construction and
 moved into kernel_dim, and enumeration skips them defensively.
 
 A Spectrum keeps its families in order (deform, scale_spectrum and the wire
-format walk them so) and holds three views built once, on first use: its
-explicit rows (Spectrum.rows), its lattice families (Spectrum.lattices) and
-its trace as Poisson data (Spectrum.poisson): full theta sums, signed
-exponentials that complete them to the actual trace (every explicit row
-among them), and the unpaired shifted one-sided families, the solos, which
-have no such form.  Every routine reads the views; only this module tells
-the family types apart.  Every walk over a lattice family reads its
-structure from here: index runs (_runs), the pairing, the Poisson dual
-series (_theta_terms, and its Mellin integral up to a cutoff t,
-_dual_mellin) and the tail budget (_tail_budget).
+format walk them so) and holds four views built once, on first use: its
+explicit rows (Spectrum.rows), its lattice families (Spectrum.lattices), its
+smallest positive eigenvalue (Spectrum.lam0) and its trace as Poisson data
+(Spectrum.poisson): full theta sums, signed exponentials that complete them
+to the actual trace (every explicit row among them), and the unpaired
+shifted one-sided families, the solos, which have no such form.  Every
+routine reads the views; only this module tells the family types apart.
+Every walk over a lattice family reads its structure from here: index runs
+(_runs), the pairing, the Poisson dual series (_theta_terms, and its Mellin
+integral up to a cutoff t, _dual_mellin, whose shift-free weights
+_dual_weights tables once per c*sqrt(t)) and the tail budget
+(_tail_budget).
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
@@ -51,7 +53,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -160,6 +162,26 @@ class Spectrum:
     def lattices(self) -> tuple[LatticeFamily, ...]:
         """The lattice families, in order."""
         return tuple(fam for fam in self.families if isinstance(fam, LatticeFamily))
+
+    @cached_property
+    def lam0(self) -> float:
+        """The smallest positive eigenvalue (min_eigenvalue); its DomainError
+        or NumericError is raised again on every read."""
+        best = min((lam for lam, _, _ in self.rows), default=math.inf)
+        for fam in self.lattices:
+            for sigma, start, _ in _runs(fam):
+                # |u| is smallest next to where the run crosses zero, or at its start
+                c = -sigma / fam.scale
+                for n in {start, math.floor(c) - 1, math.floor(c), math.ceil(c),
+                          math.ceil(c) + 1}:
+                    u = fam.scale * n + sigma
+                    if n >= start and u != 0.0:
+                        best = min(best, u * u)
+        if not math.isfinite(best):
+            raise DomainError("spectrum has no positive eigenvalues")
+        if best == 0.0:
+            raise NumericError("the smallest eigenvalue underflows to 0.0 in double precision")
+        return best
 
     @cached_property
     def poisson(self) -> Poisson:
@@ -334,25 +356,12 @@ def scale_spectrum(spec: Spectrum, factor: float) -> Spectrum:
 
 
 def min_eigenvalue(spec: Spectrum) -> float:
-    """Smallest strictly positive eigenvalue of the spectrum.
+    """Smallest strictly positive eigenvalue of the spectrum (Spectrum.lam0).
 
     A lattice eigenvalue u^2 below the smallest subnormal float rounds to 0.0;
     that raises NumericError, since no routine can work with it.
     """
-    best = min((lam for lam, _, _ in spec.rows), default=math.inf)
-    for fam in spec.lattices:
-        for sigma, start, _ in _runs(fam):
-            # |u| is smallest next to where the run crosses zero, or at its start
-            c = -sigma / fam.scale
-            for n in {start, math.floor(c) - 1, math.floor(c), math.ceil(c), math.ceil(c) + 1}:
-                u = fam.scale * n + sigma
-                if n >= start and u != 0.0:
-                    best = min(best, u * u)
-    if not math.isfinite(best):
-        raise DomainError("spectrum has no positive eigenvalues")
-    if best == 0.0:
-        raise NumericError("the smallest eigenvalue underflows to 0.0 in double precision")
-    return best
+    return spec.lam0
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +695,13 @@ def _dual_mellin(scale: float, shift: float, t: float) -> tuple[float, float]:
     products; then half an ulp for the exactly rounded sum.  More than
     _MAX_RUN_TERMS terms (c*sqrt(t) above about 5e5) raise NumericError.
 
+    Only the cosines depend on sigma.  K, the tail bound and each weight
+    2*erfc(x)/k with its relative rounding come from the bounded table
+    _dual_weights, keyed by the float c*sqrt(t) and whether t == 1, so
+    every theta of one scale at one t (every orbit family has c = 2pi)
+    reads one entry.  A series with c*sqrt(t) of _DUAL_TABLE_ROOT or more
+    is evaluated afresh and not kept.
+
     regdet.mellin_lower takes each theta's share of the lower integral from
     D(c, sigma; 1), and regdet's balanced split of a cutoff determinant
     takes D at its split point and at the cutoff.  The solos have no such
@@ -696,29 +712,52 @@ def _dual_mellin(scale: float, shift: float, t: float) -> tuple[float, float]:
     series coefficients.
     """
     root = scale * math.sqrt(t)
+    table = _dual_weights if root < _DUAL_TABLE_ROOT else _dual_weights.__wrapped__
+    weights = table(root, t == 1.0)
+    if weights is None:
+        raise NumericError(f"the dual series of a lattice with scale {scale!r} "
+                           f"would need more than {_MAX_RUN_TERMS} terms at t = {t!r}")
+    tail, pairs = weights
+    angle = 2.0 * math.pi * shift / scale
+    terms, errs = [], []
+    for k, (weight, rounding) in enumerate(pairs, start=1):
+        cos = math.cos(angle * k)
+        terms.append(weight * cos)
+        errs.append(weight * (abs(cos) * rounding + (2.0 * abs(angle * k) + 2.0) * _U))
+    value = fsum(terms)
+    return value, tail + fsum(errs) + 0.5 * math.ulp(value)
+
+
+# an entry of _dual_weights holds about 2.1*c*sqrt(t) pairs (0.25 MB at
+# this bound), so only narrower series are kept
+_DUAL_TABLE_ROOT = 1024.0
+
+
+@lru_cache(maxsize=32)
+def _dual_weights(root: float, unit: bool
+                  ) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+    """The shift-free part of _dual_mellin at c*sqrt(t) = root, t == 1 when
+    `unit`: its tail bound and, for k = 1..K, the weight 2*erfc(x)/k with
+    x = pi*k/root and the weight's relative rounding; None past
+    _MAX_RUN_TERMS terms.  An entry holds K pairs, K about
+    (root/pi)*sqrt(38 + log(root)): 12 at root = 2pi."""
     # a(K+1)^2 >= log(2c sqrt(t)/(pi^(3/2) _DUAL_TAIL))
     log_target = _DUAL_LOG + math.log(root)
     K = max(0, math.ceil(root / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
     if K > _MAX_RUN_TERMS:
-        raise NumericError(f"the dual series of a lattice with scale {scale!r} "
-                           f"would need more than {_MAX_RUN_TERMS} terms at t = {t!r}")
+        return None
     tail = _dual_tail(root, K)
     while tail > _DUAL_TAIL:
         K += 1
         tail = _dual_tail(root, K)
-    angle = 2.0 * math.pi * shift / scale
     # (2x^2 + 1) times x's rounding, plus u
-    slope, offset = (3.0, 2.5) if t == 1.0 else (5.0, 3.5)
-    terms, errs = [], []
+    slope, offset = (3.0, 2.5) if unit else (5.0, 3.5)
+    pairs = []
     for k in range(1, K + 1):
         x = math.pi * k / root
-        weight = 2.0 * math.erfc(x) / k
-        cos = math.cos(angle * k)
-        terms.append(weight * cos)
-        errs.append(weight * (abs(cos) * (_ERFC_ROUNDING + (slope * x * x + offset) * _U)
-                              + (2.0 * abs(angle * k) + 2.0) * _U))
-    value = fsum(terms)
-    return value, tail + fsum(errs) + 0.5 * math.ulp(value)
+        pairs.append((2.0 * math.erfc(x) / k,
+                      _ERFC_ROUNDING + (slope * x * x + offset) * _U))
+    return tail, tuple(pairs)
 
 
 def heat_trace_theta(spec: Spectrum, t: float) -> float:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum
 
 from .errors import DomainError, NumericError, PoleError
@@ -96,6 +97,31 @@ def _gamma_tail(a: float, y: float) -> float:
     return math.exp(-x) / (slack * -math.expm1(-2.0 * math.pi * y))
 
 
+@lru_cache(maxsize=128)
+def _dual_gamma(a: float, k: int) -> tuple[float, float, float]:
+    """g(a, pi*k^2), g(a, x) = x^(-a) Gamma(a, x), its error bound, and
+    2*_gamma_tail(a, k + 1), which bounds twice the terms past k: the dual
+    term of every theta at a = 1/2 - s (_theta_bracket).
+
+    The error adds _GAMMA_INC_ROUNDING, the rounding of x = pi*k^2 (float
+    pi and one product, 1.35 u) through d g/d(ln x) = -(a*g + exp(-x)), and
+    that of a = 1/2 - s through 0 <= dg/da <= (a*g + exp(-x))/x - g (from
+    log t <= t - 1)."""
+    x = math.pi * (k * k)
+    g = upper_gamma_scaled(a, x)
+    slope = a * g + math.exp(-x)
+    err = (_GAMMA_INC_ROUNDING * g + 1.35 * _U * abs(slope)
+           + _U * abs(a) * max(0.0, slope / x - g) + _U * g)
+    return g, err, 2.0 * _gamma_tail(a, k + 1)
+
+
+@lru_cache(maxsize=64)
+def _unshifted_gamma(s: float, x: float) -> float:
+    """upper_gamma_scaled(s, x) for the direct terms of a shift-0 theta,
+    which depend on s and x alone (_theta_bracket)."""
+    return upper_gamma_scaled(s, x)
+
+
 def _theta_bracket(scale: float, shift: float, s: float,
                    removed: bool) -> tuple[float, float]:
     """B with Gamma(s) zeta(s) = (pi/scale^2)^s * B for the theta sum_{n in Z}
@@ -115,13 +141,20 @@ def _theta_bracket(scale: float, shift: float, s: float,
     Each side stops once _gamma_tail of the rest is below 2^-60 of the
     magnitudes summed, and states that tail.
 
+    Neither the dual terms g(1/2 - s, pi*k^2) nor the direct terms of a
+    shift-0 theta depend on the shift, nor the dual ones on the scale: they
+    come from two bounded tables, _dual_gamma keyed by (1/2 - s, k) and
+    _unshifted_gamma keyed by (s, x), that serve every theta and every call
+    at the same s.  Within one bracket, a direct term whose x was already
+    evaluated (the mirror terms of a shift-0 or half-scale theta) is not
+    evaluated again.  Every value is what the direct evaluation gives.
+
     Each term's error adds _GAMMA_INC_ROUNDING and the rounding of its
     argument x through d g/d(ln x) = -(a*g + exp(-x)): u = scale*n + shift
     is good to u*(1 + |scale*n|/|u|), x = pi*(u/scale)^2 to twice that plus
-    _X_ROUNDING.  A dual term adds the rounding of a = 1/2 - s through 0 <=
-    dg/da <= (a*g + exp(-x))/x - g (from log t <= t - 1), and its cosine the
-    k-fold rounding of its angle, formed from the exact remainder of shift
-    modulo scale.
+    _X_ROUNDING.  A dual term also carries the rounding of a = 1/2 - s
+    (_dual_gamma), and its cosine the k-fold rounding of its angle, formed
+    from the exact remainder of shift modulo scale.
     """
     terms, errs = [1.0 / (s - 0.5)], []
     errs.append(2.0 * _U * abs(terms[0]))
@@ -133,6 +166,11 @@ def _theta_bracket(scale: float, shift: float, s: float,
         terms.append(-lower)
         errs.append(lower_err + _X_ROUNDING * abs(math.exp(-x) - s * lower))
         magnitude += abs(lower)
+    # a shift-0 theta's terms depend on s and x alone (_unshifted_gamma), and
+    # the mirror of a term already summed (n and -n, or -1 - n at half a
+    # scale) has the same x
+    direct = _unshifted_gamma if shift == 0.0 else upper_gamma_scaled
+    seen = {}
     n0 = -round(shift / scale)
     for step in (1, -1):
         n = n0 if step == 1 else n0 - 1
@@ -150,7 +188,9 @@ def _theta_bracket(scale: float, shift: float, s: float,
                     term, err = -1.0 / s, _U / abs(s)
                 else:
                     x = math.pi * y * y
-                    term = upper_gamma_scaled(s, x)
+                    term = seen.get(x)
+                    if term is None:
+                        term = seen[x] = direct(s, x)
                     rel_x = 2.0 * _U * (1.0 + abs(scale * n) / abs(u)) + _X_ROUNDING
                     err = (_GAMMA_INC_ROUNDING * term
                            + rel_x * abs(s * term + math.exp(-x)))
@@ -162,22 +202,16 @@ def _theta_bracket(scale: float, shift: float, s: float,
     angle = 2.0 * math.pi * math.remainder(shift, scale) / scale
     k = 1
     while True:
-        if k > 1:
-            tail = 2.0 * _gamma_tail(a, k)
-            if tail <= 2.0 ** -60 * magnitude:
-                errs.append(tail)
-                break
-        # x: float pi and one product (1.35 u); the angle: float pi, two
-        # products and the k-fold one (3.35 u of k*angle)
-        x = math.pi * (k * k)
-        g = upper_gamma_scaled(a, x)
-        slope = a * g + math.exp(-x)
+        # the angle: float pi, two products and the k-fold one (3.35 u of
+        # k*angle)
+        g, g_err, rest = _dual_gamma(a, k)
         cos = math.cos(angle * k)
         terms.append(2.0 * cos * g)
-        g_err = (_GAMMA_INC_ROUNDING * g + 1.35 * _U * abs(slope)
-                 + _U * abs(a) * max(0.0, slope / x - g) + _U * g)
         errs.append(2.0 * (abs(cos) * g_err + g * (3.35 * abs(angle * k) + 2.0) * _U))
         magnitude += abs(terms[-1])
+        if rest <= 2.0 ** -60 * magnitude:
+            errs.append(rest)
+            break
         k += 1
     value = fsum(terms)
     return value, fsum(errs) + _U * abs(value)

@@ -8,6 +8,21 @@ import pytest
 
 import specreg  # noqa: F401  (loads every specreg module)
 
+# the bounded tables of shift-free dual factors (zeta._theta_bracket's
+# incomplete gammas, spectra._dual_mellin's erfc weights)
+DUAL_TABLES = (specreg.zeta._dual_gamma, specreg.zeta._unshifted_gamma,
+               specreg.spectra._dual_weights)
+
+
+@pytest.fixture(autouse=True)
+def cold_dual_tables():
+    """Every test starts with the dual tables empty, so a monkeypatch that
+    counts or replaces upper_gamma_scaled or math.erfc sees every call;
+    returns the tables."""
+    for table in DUAL_TABLES:
+        table.cache_clear()
+    return DUAL_TABLES
+
 
 @pytest.fixture
 def refuse(monkeypatch):

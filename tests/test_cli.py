@@ -138,6 +138,17 @@ def test_zeta_values(run_cli, tmp_path):
     assert evals[1]["value"] == pytest.approx(1.0 / 60480.0, abs=1e-9)
 
 
+def test_zeta_where_a_continued_fraction_starts_at_zero(run_cli, tmp_path):
+    # x = pi*q^2 rounds to 1 - 2^-53, so the direct term g(2, x) at s = 2
+    # gives the continued fraction the first denominator x + 1 - 2 == 0.0
+    obj = dict(spectrum_to_dict(lattice_family(1.0, 0.5641895835477563, "full")),
+               s_values=[2.0])
+    proc = run_cli("zeta", "--input", write_json(tmp_path, "z.json", obj))
+    assert proc.returncode == 0
+    value = json.loads(proc.stdout)["evaluations"][0]["value"]
+    assert value == pytest.approx(38.068024232591185, rel=1e-13)
+
+
 def test_zeta_csv_route_column(run_cli, tmp_path):
     obj = spectrum_to_dict(FIN23)
     obj["s_values"] = [1.5]

@@ -32,6 +32,7 @@ from specreg.special import (
     _digamma,
     _e1_rounding,
     _ein,
+    _upper_gamma_cf,
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
@@ -281,8 +282,76 @@ def _gamma_inc_points():
     points += [(a0 + d, x) for a0 in (0.0, -1.0, -2.0, 0.5, -0.5)
                for d in (0.0, 1e-9, -1e-9, 1e-3, -1e-3)
                for x in (1e-300, 1e-8, 0.3, 0.799, 0.8, 1.0, math.pi, 20.0)]
+    # a = x + 1, where the continued fraction's first denominator is 0.0
+    points += [(x + 1.0, x) for x in (0.8, 1.0, 2.0, 3.5, 10.0, 28.0)]
     # the result must stay inside the double range
     return [(a, x) for a, x in points if a <= 0 or math.lgamma(a) - a * math.log(x) < 700]
+
+
+def _upper_gamma_cf_reference(a: float, x: float) -> float:
+    """special._upper_gamma_cf with abs() in its guards and stop."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / (b if abs(b) >= tiny else tiny)
+    for n in range(1, 1000):
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    f = x + 2 * n + 1.0 - a
+    for i in range(n, 0, -1):
+        f = (x + 2 * i - 1.0 - a) - i * (i - a) / f
+    return math.exp(-x) / f
+
+
+def _e1_reference(x: float) -> float:
+    """exp_integral_e1 with abs() and max() in its stops."""
+    if x < 1.0:
+        total = -EULER_GAMMA - math.log(x)
+        term = 1.0
+        k = 1
+        while k < 80:
+            term *= -x / k
+            contrib = -term / k
+            total += contrib
+            if abs(contrib) <= 1e-18 * max(abs(total), 1e-300):
+                break
+            k += 1
+        return total
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 300):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h * math.exp(-x)
+
+
+def test_hot_loops_match_their_builtin_references():
+    # the stops compare without abs() or max() and must decide exactly as
+    # these references do, so every value is bit-equal
+    rng = random.Random(34)
+    for _ in range(4000):
+        x = math.exp(rng.uniform(math.log(1e-300), math.log(700.0)))
+        assert exp_integral_e1(x) == _e1_reference(x)
+        y = rng.uniform(0.8, 60.0)
+        a = rng.uniform(-30.0, y + 1.0)
+        assert _upper_gamma_cf(a, y) == _upper_gamma_cf_reference(a, y)
+    for x in (0.8, 1.0, 2.0, 3.5):
+        assert _upper_gamma_cf(x + 1.0, x) == _upper_gamma_cf_reference(x + 1.0, x)
 
 
 def test_upper_gamma_scaled_against_mpmath():

@@ -147,6 +147,23 @@ def test_min_eigenvalue():
         min_eigenvalue(finite_spectrum([]))
 
 
+def test_min_eigenvalue_walks_the_runs_once(monkeypatch):
+    # Spectrum.lam0 is a view: the runs are walked on the first read only,
+    # and an error is raised again on every read
+    calls = []
+    runs = specreg.spectra._runs
+    monkeypatch.setattr(specreg.spectra, "_runs", lambda fam: calls.append(fam) or runs(fam))
+    spec = compose(ONEPI, FULLPI3)
+    first = min_eigenvalue(spec)
+    assert min_eigenvalue(spec) == first == spec.lam0
+    assert len(calls) == 2
+    for bad, error in ((finite_spectrum([]), DomainError),
+                       (lattice_family(1.0, 1e-170, "full"), NumericError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                min_eigenvalue(bad)
+
+
 def test_min_eigenvalue_one_sided_shift_beyond_scale():
     # every index n >= 1 lies right of the zero crossing: the minimum is at n = 1
     assert min_eigenvalue(lattice_family(1.0, 2.5)) == 3.5 ** 2

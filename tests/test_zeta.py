@@ -167,6 +167,16 @@ def test_zeta_value_large_explicit_eigenvalue(lam, s):
     assert abs(got.value - exact) <= got.error <= 1e-13 * max(1.0, abs(exact))
 
 
+def test_zeta_value_where_a_continued_fraction_starts_at_zero():
+    # x = pi*q^2 rounds to 1 - 2^-53, so the direct term g(2, x) at s = 2
+    # gives the continued fraction the first denominator x + 1 - 2 == 0.0
+    q = 0.5641895835477563
+    assert math.pi * q * q + 1.0 - 2.0 == 0.0
+    got = zeta_value(lattice_family(1.0, q, "full"), 2.0)
+    want = mp.zeta(4, q) + mp.zeta(4, 1 - mp.mpf(q))
+    assert abs(got.value - want) <= got.error
+
+
 def test_zeta_below_minus_one_without_solos():
     # every row and theta is a closed form, so s <= -1 is reached exactly;
     # a spectrum with a solo keeps the domain s > -1
