@@ -11,7 +11,7 @@ Coefficient sources:
 * analytic  - exact table for lattice families (m=2, J=2), read from
   Spectrum.poisson: each theta of weight w contributes w*sqrt(pi)/scale to
   b_{-1} and nothing to b_0, each exponential its weight to b_0 (explicit
-  rows their multiplicity, a structural zero or a pair's n = 0 term a
+  rows their multiplicity, a structural zero or a removed n = 0 term a
   negative weight), and each solo sqrt(pi)/(2*scale) * mult to b_{-1} and
   -mult*(1/2 + shift/scale) to b_0.  Coefficient derivatives along the
   stored deformation: only b_0 moves, by -mult*shift_derivative/scale per
@@ -231,7 +231,7 @@ def _analytic_coeffs(spec: Spectrum) -> HeatExpansion:
     determinant and zeta routes never read."""
     poisson = spec.poisson
     solos = [_solo_coeffs(fam) for fam in poisson.solos]
-    b_minus1 = fsum([weight * SQRT_PI / scale for weight, scale, _ in poisson.thetas]
+    b_minus1 = fsum([weight * SQRT_PI / scale for weight, scale, _, _ in poisson.thetas]
                     + [bm1 for bm1, _ in solos])
     b0 = fsum([weight for _, weight in poisson.exponentials] + [b for _, b in solos])
     # only one-sided families have a shift-dependent b_0
@@ -335,25 +335,23 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
     w*expm1(-t*lam) over its exponentials and each solo's series or direct
     difference; for fitted sources it is the direct difference against the
     fitted coefficients.  The solos' series coefficients and b-coefficients
-    and each theta's table of cosines are resolved here, once, so a caller
-    evaluating F at many t (verify_remainder_bound) builds it once.
+    are resolved here, once, so a caller evaluating F at many t
+    (verify_remainder_bound) builds it once.
     """
     if exp.source == "fitted":
         return lambda t: heat_trace(spec, t) - expansion_value(exp, t)
     if exp.source == "finite" and spec.lattices:
         raise UnsupportedSpectrumError("finite expansion paired with a lattice spectrum")
     poisson = spec.poisson
-    # (weight, scale, shift, cosine table) per theta; (family, coefficients,
-    # b_{-1}, b_0) per solo
-    thetas = [theta + ([],) for theta in poisson.thetas]
+    # (family, coefficients, b_{-1}, b_0) per solo
     solos = [(fam, _one_sided_power_coeffs(fam.scale, fam.shift)) + _solo_coeffs(fam)
              for fam in poisson.solos]
 
     def value(t: float) -> float:
         if not t > 0.0:
             raise DomainError(f"remainder defined for t > 0, got {t!r}")
-        parts = [weight * _theta_rest(scale, shift, t, cosines)
-                 for weight, scale, shift, cosines in thetas]
+        parts = [weight * _theta_rest(scale, shift, t)
+                 for weight, scale, shift, _ in poisson.thetas]
         parts.extend(weight * math.expm1(-t * lam) for lam, weight in poisson.exponentials)
         for fam, coeffs, bm1, b0 in solos:
             # series at small t, else direct

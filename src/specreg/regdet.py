@@ -51,7 +51,6 @@ log_det_eps with that of mellin_lower, the same series.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
@@ -184,10 +183,10 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
     return terms, err, zeros
 
 
-def _e1_split(spec: Spectrum, eps: float, sides: dict | None = None
-              ) -> tuple[float, float]:
-    """The same sum and bound as _e1_sum, with each theta of Spectrum.poisson
-    split at its balanced point t* = max(eps, _SPLIT/c^2).
+def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]]:
+    """The same sum and bound as _e1_sum at each eps of `grid`, with each
+    theta of Spectrum.poisson split at its balanced point t* = max(eps,
+    _SPLIT/c^2).
 
     For a theta of weight w, scale c and shift sigma, u_n = c*n + sigma,
     Poisson summation of its heat trace on [eps, t*] gives
@@ -199,14 +198,13 @@ def _e1_split(spec: Spectrum, eps: float, sides: dict | None = None
     from int t^(-3/2) exp(-beta/t) dt = sqrt(pi/beta)*erfc(sqrt(beta/t)),
     with D the dual series spectra._dual_mellin; at t* = eps the dual part
     is empty.  The direct side is _theta_near.  A term the theta leaves out,
-    a structural zero u_n == 0.0 or its n = 0 term where Spectrum.poisson
-    removes it with the row (sigma^2, -w) (matched as in zeta._split_sums),
-    takes -w*int_eps^t* exp(-lam*t) dt/t = -w*(ln(t*/eps) + Ein(eps*lam) -
-    Ein(t*lam)) at lam = sigma^2, with its own theta's t*: Ein is small
-    where E1 is large, so a small shift's E1(t*sigma^2) and E1(eps*sigma^2)
-    do not cancel.  Every other row (lam, w) with lam > 0, the explicit
-    ones, stays an E1 term at eps (_row_terms), and each solo a direct
-    _lattice_sum run.
+    a structural zero u_n == 0.0 or its n = 0 term where the theta is
+    marked removed, takes -w*int_eps^t* exp(-lam*t) dt/t = -w*(ln(t*/eps) +
+    Ein(eps*lam) - Ein(t*lam)) at lam = sigma^2, with its own theta's t*:
+    Ein is small where E1 is large, so a small shift's E1(t*sigma^2) and
+    E1(eps*sigma^2) do not cancel.  Every row (lam, w) of Spectrum.poisson
+    with lam > 0, the explicit ones, stays an E1 term at eps (_row_terms),
+    and each solo a direct _lattice_sum run.
 
     The error adds the direct side's, both D's, the rounding of the pole
     term (eps^(-1/2) and t*^(-1/2) an ulp each, their difference, the
@@ -220,65 +218,65 @@ def _e1_split(spec: Spectrum, eps: float, sides: dict | None = None
     1e-154).
 
     Where a theta splits, t* = _SPLIT/c^2 whatever eps is, so its t* side
-    (_theta_near at t*, D(c, sigma; t*) and Ein(t*sigma^2)) is the same at
-    every such eps: `sides`, a dict that calls on one spectrum share (as
-    build_report's grid does), holds it per theta after its first use.
+    (_theta_near at t*, D(c, sigma; t*) and Ein(t*sigma^2)) is formed once
+    for the whole grid.
     """
     poisson = spec.poisson
-    stars = [max(eps, _SPLIT / scale / scale) for _, scale, _ in poisson.thetas]
-    if all(t == eps for t in stars) or math.inf in stars:
-        return _e1_sum(spec, eps)
-    _check_eps_lam0(spec, eps)
     budget = _tail_budget(spec)
-    rows = Counter(poisson.exponentials)
-    sides = {} if sides is None else sides
-    terms, err = [], 0.0
-    for i, ((weight, scale, shift), t) in enumerate(zip(poisson.thetas, stars)):
-        key = (shift * shift, -weight)
-        removed = rows[key] > 0
-        rows[key] -= removed
-        if t == eps:
-            near, near_err, _ = _theta_near(weight, scale, shift, t, budget, removed)
+    rows = [(lam, weight) for lam, weight in poisson.rows if lam > 0.0]
+    sides = {}
+
+    def split(eps: float) -> tuple[float, float]:
+        stars = [max(eps, _SPLIT / scale / scale) for _, scale, _, _ in poisson.thetas]
+        if all(t == eps for t in stars) or math.inf in stars:
+            return _e1_sum(spec, eps)
+        _check_eps_lam0(spec, eps)
+        terms, err = [], 0.0
+        for i, ((weight, scale, shift, removed), t) in enumerate(zip(poisson.thetas, stars)):
+            if t == eps:
+                near, near_err, _ = _theta_near(weight, scale, shift, t, budget, removed)
+                terms.extend(near)
+                err += near_err
+                continue
+            square = shift * shift
+            if i not in sides:
+                ein = _ein(t * square) if removed and t * square > 0.0 else None
+                sides[i] = (_theta_near(weight, scale, shift, t, budget, removed)
+                            + _dual_mellin(scale, shift, t) + (ein,))
+            near, near_err, zeros, dual_t, dual_t_err, ein_t = sides[i]
             terms.extend(near)
             err += near_err
-            continue
-        if i not in sides:
-            ein = _ein(t * key[0]) if removed and t * key[0] > 0.0 else None
-            sides[i] = (_theta_near(weight, scale, shift, t, budget, removed)
-                        + _dual_mellin(scale, shift, t) + (ein,))
-        near, near_err, zeros, dual_t, dual_t_err, ein_t = sides[i]
-        terms.extend(near)
-        err += near_err
-        inv_eps, inv_t = 1.0 / math.sqrt(eps), 1.0 / math.sqrt(t)
-        prefactor = weight * 2.0 * SQRT_PI / scale
-        dual_eps, dual_eps_err = _dual_mellin(scale, shift, eps)
-        parts = [prefactor * (inv_eps - inv_t), weight * dual_t, -weight * dual_eps]
-        errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_eps + inv_t) * _U,
-                abs(weight) * (dual_t_err + dual_eps_err) + _U * (abs(parts[1]) + abs(parts[2]))]
-        log_ratio = math.log(t / eps)
-        for lam in [0.0] * zeros + [key[0]] * removed:
-            parts.append(-weight * log_ratio)
-            errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
-                                       + (t + 1.0) * 2.0 ** -1073))
-            for x, sign in ((eps * lam, -1.0), (t * lam, 1.0)):
-                if x > 0.0:
-                    # t*lam > 0.0 only where the side holds Ein(t*lam)
-                    parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
-                    errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
-                                + abs(weight) * _U * min(x, 1.0))
-        terms.extend(parts)
-        err += fsum(errs)
-    row_terms, row_err = _row_terms(
-        [(lam, weight) for (lam, weight), count in rows.items() if lam > 0.0
-         for _ in range(count)], eps)
-    terms.extend(row_terms)
-    err += row_err
-    for fam in poisson.solos:
-        fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
-        terms.extend(fam_terms)
-        err += fam_bound
-    value = fsum(terms)
-    return value, err + 0.5 * math.ulp(value)
+            inv_eps, inv_t = 1.0 / math.sqrt(eps), 1.0 / math.sqrt(t)
+            prefactor = weight * 2.0 * SQRT_PI / scale
+            dual_eps, dual_eps_err = _dual_mellin(scale, shift, eps)
+            parts = [prefactor * (inv_eps - inv_t), weight * dual_t, -weight * dual_eps]
+            errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_eps + inv_t) * _U,
+                    abs(weight) * (dual_t_err + dual_eps_err)
+                    + _U * (abs(parts[1]) + abs(parts[2]))]
+            log_ratio = math.log(t / eps)
+            for lam in [0.0] * zeros + [square] * removed:
+                parts.append(-weight * log_ratio)
+                errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
+                                           + (t + 1.0) * 2.0 ** -1073))
+                for x, sign in ((eps * lam, -1.0), (t * lam, 1.0)):
+                    if x > 0.0:
+                        # t*lam > 0.0 only where the side holds Ein(t*lam)
+                        parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
+                        errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
+                                    + abs(weight) * _U * min(x, 1.0))
+            terms.extend(parts)
+            err += fsum(errs)
+        row_terms, row_err = _row_terms(rows, eps)
+        terms.extend(row_terms)
+        err += row_err
+        for fam in poisson.solos:
+            fam_terms, fam_bound = _lattice_sum(fam, "e1", eps, budget)
+            terms.extend(fam_terms)
+            err += fam_bound
+        value = fsum(terms)
+        return value, err + 0.5 * math.ulp(value)
+
+    return [split(eps) for eps in grid]
 
 
 def log_det_eps(spec: Spectrum, eps: float) -> float:
@@ -288,7 +286,7 @@ def log_det_eps(spec: Spectrum, eps: float) -> float:
     """
     if not 0.0 < eps < math.inf:
         raise DomainError(f"cutoff parameter must be positive and finite, got {eps!r}")
-    return -_e1_split(spec, eps)[0]
+    return -_e1_split(spec, (eps,))[0][0]
 
 
 def counterterms(exp: HeatExpansion) -> dict[int, float]:
@@ -403,7 +401,7 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     """
     poisson = spec.poisson
     parts, errs = [], []
-    for weight, scale, shift in poisson.thetas:
+    for weight, scale, shift, _ in poisson.thetas:
         dual, dual_err = _dual_mellin(scale, shift, 1.0)
         parts.append(weight * dual)
         errs.append(weight * dual_err + _U * abs(parts[-1]))
@@ -491,17 +489,16 @@ def build_report(spec: Spectrum,
     """Cutoff determinants on a grid plus both regularised values, all of the
     positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
     them.  Every grid point is log_det_eps, the split, also where the guard
-    of log_det_reg took the direct sum at the same eps; the grid's splits
-    share each theta's t* side (_e1_split)."""
+    of log_det_reg took the direct sum at the same eps; one _e1_split
+    serves the whole grid."""
     if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive finite entries")
     exp = default_expansion(spec)
     value, err = _log_det_reg(spec, exp)
     grid = tuple(float(e) for e in eps_grid)
-    sides = {}
     return RegDetReport(
         eps_grid=grid,
-        log_det_eps=tuple(-_e1_split(spec, e, sides)[0] for e in grid),
+        log_det_eps=tuple(-value for value, _ in _e1_split(spec, grid)),
         log_det_reg=value,
         log_det_zeta=-EULER_GAMMA * exp.b0 + value,
         b0=exp.b0 + spec.kernel_dim,

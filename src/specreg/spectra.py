@@ -18,15 +18,15 @@ A Spectrum keeps its families in order (deform, scale_spectrum and the wire
 format walk them so) and holds four views built once, on first use: its
 explicit rows (Spectrum.rows), its lattice families (Spectrum.lattices), its
 smallest positive eigenvalue (Spectrum.lam0) and its trace as Poisson data
-(Spectrum.poisson): full theta sums, signed exponentials that complete them
-to the actual trace (every explicit row among them), and the unpaired
-shifted one-sided families, the solos, which have no such form.  Every
-routine reads the views; only this module tells the family types apart.
-Every walk over a lattice family reads its structure from here: index runs
-(_runs), the pairing, the Poisson dual series (_theta_terms, and its Mellin
-integral up to a cutoff t, _dual_mellin, whose shift-free weights
-_dual_weights tables once per c*sqrt(t)) and the tail budget
-(_tail_budget).
+(Spectrum.poisson): full theta sums, each saying whether it leaves out its
+n = 0 term, signed exponentials that complete them to the actual trace
+(every explicit row among them), and the unpaired shifted one-sided
+families, the solos, which have no such form.  Every routine reads the
+views; only this module tells the family types apart.  Every walk over a
+lattice family reads its structure from here: index runs (_runs), the
+pairing, the Poisson dual series (_theta_terms, and its Mellin integral up
+to a cutoff t, _dual_mellin, whose shift-free weights _dual_weights tables
+once per c*sqrt(t)) and the tail budget (_tail_budget).
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
@@ -131,11 +131,22 @@ Family = Union[LatticeFamily, ExplicitFamily]
 class Poisson(NamedTuple):
     """A positive spectrum's heat trace as Poisson data: the sum of weight *
     sum_{n in Z} exp(-t*(scale*n + shift)^2) over thetas, of weight *
-    exp(-t*lam) over exponentials, and the one-sided traces of the solos."""
+    exp(-t*lam) over exponentials, and the one-sided traces of the solos.
 
-    thetas: tuple[tuple[float, float, float], ...]  # (weight, scale, shift)
-    exponentials: tuple[tuple[float, float], ...]  # (lam, weight)
+    A theta marked `removed` stands for its sum less the n = 0 term
+    weight*exp(-t*shift^2); `rows` are the exponentials that no theta
+    claims, and `exponentials` adds each removed term as (shift^2, -weight)
+    before them, for readers that take the trace as one list."""
+
+    thetas: tuple[tuple[float, float, float, bool], ...]  # (weight, scale, shift, removed)
+    rows: tuple[tuple[float, float], ...]  # (lam, weight)
     solos: tuple[LatticeFamily, ...]
+
+    @property
+    def exponentials(self) -> tuple[tuple[float, float], ...]:
+        """Every (lam, weight): the removed n = 0 terms, then the rows."""
+        return tuple((shift * shift, -weight) for weight, _, shift, removed in self.thetas
+                     if removed) + self.rows
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,8 @@ class Spectrum:
     @cached_property
     def lam0(self) -> float:
         """The smallest positive eigenvalue (min_eigenvalue); its DomainError
-        or NumericError is raised again on every read."""
+        (no eigenvalues) or NumericError (one that overflows or underflows)
+        is raised again on every read."""
         best = min((lam for lam, _, _ in self.rows), default=math.inf)
         for fam in self.lattices:
             for sigma, start, _ in _runs(fam):
@@ -178,6 +190,8 @@ class Spectrum:
                     if n >= start and u != 0.0:
                         best = min(best, u * u)
         if not math.isfinite(best):
+            if self.lattices:
+                raise NumericError("the smallest eigenvalue overflows to inf in double precision")
             raise DomainError("spectrum has no positive eigenvalues")
         if best == 0.0:
             raise NumericError("the smallest eigenvalue underflows to 0.0 in double precision")
@@ -186,34 +200,32 @@ class Spectrum:
     @cached_property
     def poisson(self) -> Poisson:
         """The trace as Poisson data.  A full family is the theta (mult, scale,
-        shift), plus the row (0.0, -mult) if it holds a structural zero; a
-        zero-shift one-sided family is the theta (mult/2, scale, 0.0) plus
-        (0.0, -mult/2).  A shifted one-sided family and the earliest unmatched
-        earlier one of equal scale and mult and opposite shift are that
-        family's theta (mult, scale, shift) plus the row (shift^2, -mult) that
-        removes its n = 0 term.  Shifted one-sided families left unmatched are
-        the solos, in order.  The explicit rows (lam, mult) come last."""
-        thetas, exponentials, waiting = [], [], []
+        shift), removed when shift is 0.0, else plus the row (0.0, -mult) if
+        it holds a structural zero; a zero-shift one-sided family is the
+        theta (mult/2, scale, 0.0), removed.  A shifted one-sided family and
+        the earliest unmatched earlier one of equal scale and mult and
+        opposite shift are that family's theta (mult, scale, shift),
+        removed.  Shifted one-sided families left unmatched are the solos, in
+        order.  The explicit rows (lam, mult) end the rows."""
+        thetas, rows, waiting = [], [], []
         for fam in self.lattices:
             if fam.side == "full":
-                thetas.append((fam.mult, fam.scale, fam.shift))
-                if _zero_modes(fam):
-                    exponentials.append((0.0, -fam.mult))
+                thetas.append((fam.mult, fam.scale, fam.shift, fam.shift == 0.0))
+                if fam.shift != 0.0 and _zero_modes(fam):
+                    rows.append((0.0, -fam.mult))
             elif fam.shift == 0.0:
-                thetas.append((0.5 * fam.mult, fam.scale, 0.0))
-                exponentials.append((0.0, -0.5 * fam.mult))
+                thetas.append((0.5 * fam.mult, fam.scale, 0.0, True))
             else:
                 for i, other in enumerate(waiting):
                     if (other.shift == -fam.shift and other.scale == fam.scale
                             and other.mult == fam.mult):
                         waiting.pop(i)
-                        thetas.append((other.mult, other.scale, other.shift))
-                        exponentials.append((other.shift * other.shift, -other.mult))
+                        thetas.append((other.mult, other.scale, other.shift, True))
                         break
                 else:
                     waiting.append(fam)
-        exponentials.extend((lam, mult) for lam, mult, _ in self.rows)
-        return Poisson(tuple(thetas), tuple(exponentials), tuple(waiting))
+        rows.extend((lam, mult) for lam, mult, _ in self.rows)
+        return Poisson(tuple(thetas), tuple(rows), tuple(waiting))
 
 
 def _zero_modes(fam: LatticeFamily) -> int:
@@ -231,12 +243,13 @@ def _zero_modes(fam: LatticeFamily) -> int:
 # constructors
 
 
-def _canonical_full_shift(scale: float, shift: float) -> float:
-    """Reduce a full-lattice shift into (-scale/2, scale/2]."""
-    reduced = shift - scale * round(shift / scale)
-    if reduced == -0.5 * scale:
-        reduced = 0.5 * scale
-    return reduced + 0.0  # normalise -0.0
+def _canonical_full_shift(fam: LatticeFamily) -> float:
+    """A full family's shift reduced into (-scale/2, scale/2] exactly
+    (math.remainder), or 0.0 where the family holds a structural zero."""
+    if _zero_modes(fam):
+        return 0.0
+    reduced = math.remainder(fam.shift, fam.scale)
+    return 0.5 * fam.scale if reduced == -0.5 * fam.scale else reduced
 
 
 def lattice_family(
@@ -248,8 +261,8 @@ def lattice_family(
 ) -> Spectrum:
     """Build a one-family Spectrum, moving any structural zero mode to the kernel.
 
-    Full-side shifts are canonicalised into (-scale/2, scale/2], so congruent
-    inputs compare and serialise identically.  After canonicalisation the only
+    Full-side shifts are reduced exactly into (-scale/2, scale/2], so
+    congruent inputs compare and serialise identically.  After that the only
     possible structural zero is n = 0 of a full lattice with shift exactly 0.0;
     one-sided families (shift > -scale, n >= 1) never contain one.
     """
@@ -257,7 +270,7 @@ def lattice_family(
                         shift_derivative=shift_derivative)
     kernel = 0
     if side == "full":
-        fam = replace(fam, shift=_canonical_full_shift(scale, shift))
+        fam = replace(fam, shift=_canonical_full_shift(fam))
         if fam.shift == 0.0:
             kernel = mult
     return Spectrum((fam,), kernel)
@@ -620,16 +633,12 @@ def _dual_decay(scale: float, t: float) -> float:
     return math.pi * math.pi / (scale * scale * t)
 
 
-def _theta_terms(scale: float, shift: float, t: float, log_target: float,
-                 cosines: list[float] | None = None) -> list[float]:
+def _theta_terms(scale: float, shift: float, t: float, log_target: float) -> list[float]:
     """Dual terms 2*exp(-decay*k^2)*cos(2*pi*k*shift/scale), k = 1..k_max past
     exp(-log_target), of sum_{n in Z} exp(-t*(scale*n + shift)^2) =
     sqrt(pi)/(scale*sqrt(t)) * (1 + sum_k dual_k).  They fall double-
     exponentially for small t, exactly where direct summation is expensive.
-
-    `cosines`, when given, is a table of cos(2*pi*k*shift/scale) for k = 1, 2,
-    .. that one family reuses across many t; it is extended here as far as
-    k_max needs.  More than _MAX_RUN_TERMS terms raise NumericError.
+    More than _MAX_RUN_TERMS terms raise NumericError.
     """
     decay = _dual_decay(scale, t)
     # k_max > _MAX_RUN_TERMS, asked without dividing by a decay of 0.0
@@ -637,12 +646,8 @@ def _theta_terms(scale: float, shift: float, t: float, log_target: float,
         raise NumericError(f"the theta dual series at t = {t!r} (scale {scale!r}) "
                            f"would need more than {_MAX_RUN_TERMS} terms")
     k_max = max(2, math.ceil(math.sqrt(max(log_target, 1.0) / decay)) + 2)
-    if cosines is None:
-        cosines = []
-    if len(cosines) < k_max:
-        angle = 2.0 * math.pi * shift / scale
-        cosines.extend(math.cos(angle * k) for k in range(len(cosines) + 1, k_max + 1))
-    return [2.0 * math.exp(-decay * k * k) * cosines[k - 1] for k in range(1, k_max + 1)]
+    angle = 2.0 * math.pi * shift / scale
+    return [2.0 * math.exp(-decay * k * k) * math.cos(angle * k) for k in range(1, k_max + 1)]
 
 
 def _theta_full(scale: float, shift: float, t: float, budget: float) -> float:
@@ -653,13 +658,12 @@ def _theta_full(scale: float, shift: float, t: float, budget: float) -> float:
     return prefactor * fsum([1.0] + _theta_terms(scale, shift, t, log_target))
 
 
-def _theta_rest(scale: float, shift: float, t: float, cosines: list[float]) -> float:
+def _theta_rest(scale: float, shift: float, t: float) -> float:
     """sum_{n in Z} exp(-t*(scale*n+shift)^2) - sqrt(pi)/(scale*sqrt(t)) from
     the dual terms down to exp(-45), without cancellation; it is exponentially
-    small for t*scale^2 << pi^2.  `cosines` is the family's table, as in
-    _theta_terms."""
+    small for t*scale^2 << pi^2."""
     prefactor = SQRT_PI / (scale * math.sqrt(t))
-    return prefactor * fsum(_theta_terms(scale, shift, t, 45.0, cosines))
+    return prefactor * fsum(_theta_terms(scale, shift, t, 45.0))
 
 
 # truncation target of each dual series D, per unit of weight
@@ -771,7 +775,7 @@ def heat_trace_theta(spec: Spectrum, t: float) -> float:
     budget = _tail_budget(spec)
     poisson = spec.poisson
     parts = [weight * _theta_full(scale, shift, t, budget / weight)
-             for weight, scale, shift in poisson.thetas]
+             for weight, scale, shift, _ in poisson.thetas]
     parts.extend(weight * math.exp(-t * lam) for lam, weight in poisson.exponentials)
     for fam in poisson.solos:
         mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice

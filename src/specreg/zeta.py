@@ -33,7 +33,6 @@ not share code with what it checks.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
@@ -134,10 +133,10 @@ def _theta_bracket(scale: float, shift: float, s: float,
     the terms over t > t_theta are g(s, pi*(n + q)^2) per n, and Poisson
     summation of those over t < t_theta gives 1/(s - 1/2) plus
     2*cos(2*pi*k*q)*g(1/2 - s, pi*k^2) per k >= 1.  A structural zero (u_n =
-    scale*n + shift == 0.0, as enumeration finds it) gives -1/s instead.  The
-    removed n = 0 term and its row together give -x^(-s) gamma(s, x) at x =
-    pi*q^2 (special.lower_gamma_scaled): the term's share over t > t_theta
-    less the row's whole Gamma(s) x^(-s), without forming that difference.
+    scale*n + shift == 0.0, as enumeration finds it) gives -1/s instead.
+    Removing the n = 0 term gives -x^(-s) gamma(s, x) at x = pi*q^2
+    (special.lower_gamma_scaled): the term's share over t > t_theta less
+    its whole Gamma(s) x^(-s), without forming that difference.
     Each side stops once _gamma_tail of the rest is below 2^-60 of the
     magnitudes summed, and states that tail.
 
@@ -218,24 +217,19 @@ def _theta_bracket(scale: float, shift: float, s: float,
 
 
 def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
-    """(Gamma(s) zeta(s) of the thetas, with the rows that remove their n =
-    0 terms, its error, zeta(s) of the other rows, its error), from
-    Spectrum.poisson; the solos are left out.
+    """(Gamma(s) zeta(s) of the thetas, each less the n = 0 term it removes,
+    its error, zeta(s) of the rows, its error), from Spectrum.poisson; the
+    solos are left out.
 
-    A theta (w, c, sigma) takes the row (sigma^2, -w) that removes its n = 0
-    term, when Spectrum.poisson holds one, into _theta_bracket, which then
-    has no cancellation between the two; w*(pi/c^2)^s is formed as
-    w*pi^s*c^(-2s).  Every other row (lam, w) is w*lam^(-s) exactly, and
-    nothing at lam = 0.0, which only cancels a structural zero that
-    _theta_bracket leaves out itself.
+    Each theta (w, c, sigma) goes to _theta_bracket with its own `removed`
+    flag, so the bracket forms the theta less its n = 0 term without
+    cancellation; w*(pi/c^2)^s is formed as w*pi^s*c^(-2s).  Every row (lam,
+    w) is w*lam^(-s) exactly, and nothing at lam = 0.0, which only cancels a
+    structural zero that _theta_bracket leaves out itself.
     """
     poisson = spec.poisson
-    rows = Counter(poisson.exponentials)
     parts, errs = [], []
-    for weight, scale, shift in poisson.thetas:
-        key = (shift * shift, -weight)
-        removed = rows[key] > 0
-        rows[key] -= removed
+    for weight, scale, shift, removed in poisson.thetas:
         bracket, bracket_err = _theta_bracket(scale, shift, s, removed)
         prefactor = weight * math.pi ** s * scale ** (-2.0 * s)
         parts.append(prefactor * bracket)
@@ -243,8 +237,7 @@ def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
         # three products
         errs.append(abs(prefactor) * bracket_err
                     + (0.35 * abs(s) + 7.0) * _U * abs(parts[-1]))
-    direct = [weight * lam ** -s for (lam, weight), count in rows.items()
-              for _ in range(count) if lam > 0.0]
+    direct = [weight * lam ** -s for lam, weight in poisson.rows if lam > 0.0]
     mellin = fsum(parts)
     return (mellin, fsum(errs) + _U * abs(mellin),
             fsum(direct), 4.0 * _U * fsum(map(abs, direct)))

@@ -393,6 +393,15 @@ def test_detreg_underflowing_cutoff_argument_exits_1(run_cli, tmp_path):
     assert "underflows" in proc.stderr
 
 
+def test_detreg_overflowing_eigenvalue_exits_1(run_cli, tmp_path):
+    # the smallest eigenvalue (1e300)^2 overflows: a numeric failure (exit 1),
+    # not a spectrum without positive eigenvalues (exit 2)
+    path = write_json(tmp_path, "wide.json", spectrum_to_dict(lattice_family(1e300)))
+    proc = run_cli("detreg", "--input", path)
+    assert proc.returncode == 1
+    assert "overflows" in proc.stderr
+
+
 def test_unknown_subcommand(run_cli):
     assert run_cli("frobnicate").returncode == 2
 

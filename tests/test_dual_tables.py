@@ -76,7 +76,7 @@ def _outputs(spec, clear) -> list[str]:
     calls = [lambda s=s: zeta_value(spec, s) for s in S_GRID]
     calls += [lambda: log_det_reg(spec), lambda: report_to_dict(build_report(spec)),
               lambda: verify_bridge(spec), lambda: mellin_lower(spec)]
-    calls += [lambda eps=eps: _e1_split(spec, eps) for eps in (1e-1, 1e-3, 1e-5)]
+    calls += [lambda eps=eps: _e1_split(spec, (eps,)) for eps in (1e-1, 1e-3, 1e-5)]
     out = []
     for call in calls:
         clear()

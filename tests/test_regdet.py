@@ -26,11 +26,12 @@ from specreg import (
     report_to_dict,
     scale_spectrum,
 )
+import specreg.zeta
 from specreg import heat_expansion, regdet, special, spectra
 from specreg.orbit import LoopGroupOrbitSpec, minimality_report, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
 from specreg.spectra import LatticeFamily, Spectrum
-from specreg.zeta import zeta_prime0
+from specreg.zeta import zeta_prime0, zeta_value
 
 mp.mp.dps = 30
 
@@ -398,10 +399,10 @@ def test_split_against_direct_sum_on_mixes():
         mirror = Spectrum(tuple(replace(f, shift=-f.shift) if isinstance(f, LatticeFamily)
                                 else f for f in base.families))
         for eps in SPLIT_EPS:
-            split, split_err = regdet._e1_split(spec, eps)
+            split, split_err = regdet._e1_split(spec, (eps,))[0]
             direct, direct_err = regdet._e1_sum(spec, eps)
             assert abs(split - direct) <= split_err + direct_err, (spec, eps)
-            assert regdet._e1_split(mirror, eps)[0] == regdet._e1_split(base, eps)[0]
+            assert regdet._e1_split(mirror, (eps,))[0][0] == regdet._e1_split(base, (eps,))[0][0]
 
 
 @pytest.mark.parametrize("spec", BUILTINS)
@@ -409,9 +410,59 @@ def test_split_against_mpmath_on_builtins(spec):
     # every split value of the default grid is within its stated error of
     # the 40-digit sum, with no slack
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        value, err = regdet._e1_split(spec, eps)
+        value, err = regdet._e1_split(spec, (eps,))[0]
         assert abs(mp.mpf(value) - _mp_e1_sum(spec, eps)) <= err, eps
         assert log_det_eps(spec, eps) == -value
+
+
+# a full lattice listed before a +- pair of equal shift^2 and weight; the
+# full lattice dropped its n = 0 term when the split and the zeta bracket
+# matched the pair's removed term to a theta by its value
+CROSS_LISTED = [
+    compose(lattice_family(2.0, 0.5, "full"), lattice_family(3.0, 0.5, "positive"),
+            lattice_family(3.0, -0.5, "positive")),
+    compose(lattice_family(1.0, -0.25, "full", 2), lattice_family(TWO_PI, 0.25, "positive", 2),
+            lattice_family(TWO_PI, -0.25, "positive", 2)),
+]
+
+
+@pytest.mark.parametrize("spec", CROSS_LISTED)
+def test_cross_listed_pair_against_mpmath(spec, monkeypatch):
+    # each theta keeps its own n = 0 term: only the pair's zeta bracket and
+    # split leave it out, and zeta_value at the CLI's five s, the cutoff
+    # determinants and the regularised one are each within their stated
+    # error of the 40-digit value, with no slack
+    removed = {}
+
+    def record(module, name, scale_at):
+        real = getattr(module, name)
+
+        def recording(*args):
+            removed.setdefault(args[scale_at], set()).add(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(specreg.zeta, "_theta_bracket", 0)
+    record(regdet, "_theta_near", 1)
+    for s in (0.25, 0.75, 1.5, 2.0, 3.0):
+        got = zeta_value(spec, s)
+        with mp.workdps(40):
+            s2 = 2 * mp.mpf(s)
+            want = mp.fsum(
+                fam.mult * mp.mpf(fam.scale) ** -s2 * mp.zeta(s2, q) for fam in spec.lattices
+                for q in ([1 + mp.mpf(fam.shift) / fam.scale] if fam.side == "positive" else
+                          [abs(mp.mpf(fam.shift)) / fam.scale,
+                           1 - abs(mp.mpf(fam.shift)) / fam.scale]))
+        assert abs(mp.mpf(got.value) - want) <= got.error, s
+    grid = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+    for eps, (value, err) in zip(grid, regdet._e1_split(spec, grid)):
+        assert abs(mp.mpf(value) - _mp_e1_sum(spec, eps)) <= err, eps
+        assert log_det_eps(spec, eps) == -value
+    value, err = log_det_reg(spec)
+    assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
+    full, pair = spec.lattices[0].scale, spec.lattices[1].scale
+    assert removed == {full: {False}, pair: {True}}
 
 
 @pytest.mark.parametrize("spec", [
@@ -426,7 +477,7 @@ def test_split_on_zeros_and_underflowing_shifts(spec):
     # 0.0 (their row is (0.0, -w)) or is subnormal, and a subnormal
     # eigenvalue: the split agrees with the direct sum within their errors
     for eps in (1e-2, 1e-4):
-        split, split_err = regdet._e1_split(spec, eps)
+        split, split_err = regdet._e1_split(spec, (eps,))[0]
         direct, direct_err = regdet._e1_sum(spec, eps)
         assert abs(split - direct) <= split_err + direct_err
 
@@ -438,8 +489,8 @@ def test_split_takes_the_direct_sum_where_no_theta_splits():
                   lattice_family(1e3, 490.0, "positive"), lattice_family(1e3, -490.0, "positive"),
                   lattice_family(1e3, 250.0, "positive", 3), finite_spectrum([(3.0, 1)]))
     for spec, eps in [(far, 1e-4), (far, 1e-1)] + [(spec, 2.0) for spec in BUILTINS]:
-        assert all(regdet._SPLIT / c / c <= eps for _, c, _ in spec.poisson.thetas)
-        assert regdet._e1_split(spec, eps) == regdet._e1_sum(spec, eps)
+        assert all(regdet._SPLIT / c / c <= eps for _, c, _, _ in spec.poisson.thetas)
+        assert regdet._e1_split(spec, (eps,)) == [regdet._e1_sum(spec, eps)]
 
 
 def test_split_e1_calls_on_builtins(monkeypatch):

@@ -302,9 +302,16 @@ def test_poisson_pairing_rules():
     spec = Spectrum(fams[:2] + (ExplicitFamily(((1.0, 1, 0.0),)),) + fams[2:])
     poisson = spec.poisson
     # half of the zero-shift family's theta, family 0 paired with family 3 as
-    # the theta of family 0 less its n = 0 term, then the two full families
-    assert poisson.thetas == ((0.5, 2.0, 0.0), (1, 2.0, 0.5), (1, 2.0, 0.25), (1, 2.0, 0.0))
+    # the theta of family 0, then the two full families; each but the
+    # shifted full one is less its n = 0 term, which no row repeats
+    assert poisson.thetas == ((0.5, 2.0, 0.0, True), (1, 2.0, 0.5, True),
+                              (1, 2.0, 0.25, False), (1, 2.0, 0.0, True))
+    assert poisson.rows == ((1.0, 1),)
     assert poisson.exponentials == ((0.0, -0.5), (0.25, -1), (0.0, -1), (1.0, 1))
+    # a structural zero away from n = 0 is a row; the theta keeps its n = 0 term
+    off = Spectrum((LatticeFamily(1.0, 1.0, "full", 2),)).poisson
+    assert off.thetas == ((2, 1.0, 1.0, False),)
+    assert off.rows == off.exponentials == ((0.0, -2),)
     # the earliest partner wins; scale, mult and an opposite shift must match
     assert [next(i for i, f in enumerate(fams) if f is fam)
             for fam in poisson.solos] == [1, 6, 7, 8]
@@ -316,7 +323,7 @@ def _poisson_trace(spec: Spectrum, t: float) -> float:
     reach = math.sqrt(50.0 / t)
     poisson = spec.poisson
     terms = [weight * math.exp(-t * lam) for lam, weight in poisson.exponentials]
-    lattices = [(weight, scale, shift, True) for weight, scale, shift in poisson.thetas]
+    lattices = [(weight, scale, shift, True) for weight, scale, shift, _ in poisson.thetas]
     lattices += [(fam.mult, fam.scale, fam.shift, False) for fam in poisson.solos]
     for weight, scale, shift, full in lattices:
         top = math.ceil((reach + abs(shift)) / scale)

@@ -326,7 +326,8 @@ def test_uncertified_small_time_series_raises():
 UNDERFLOW = lattice_family(1.0, 1e-170, "full", 1)
 
 
-@pytest.mark.parametrize("call", [
+# the public calls, each of which reads the smallest eigenvalue first
+LAM0_CALLS = pytest.mark.parametrize("call", [
     min_eigenvalue,
     log_det_reg,
     lambda spec: log_det_eps(spec, 1e-2),
@@ -336,9 +337,20 @@ UNDERFLOW = lattice_family(1.0, 1e-170, "full", 1)
     verify_bridge,
 ], ids=["min_eigenvalue", "log_det_reg", "log_det_eps", "build_report", "zeta_value",
         "zeta_prime0", "verify_bridge"])
+
+
+@LAM0_CALLS
 def test_underflowing_smallest_eigenvalue_is_numeric_error(call):
     with pytest.raises(NumericError, match="underflows"):
         call(UNDERFLOW)
+
+
+@LAM0_CALLS
+def test_overflowing_smallest_eigenvalue_is_numeric_error(call):
+    # (1e300)^2 overflows to inf: a numeric failure, not a spectrum without
+    # positive eigenvalues
+    with pytest.raises(NumericError, match="overflows"):
+        call(lattice_family(1e300))
 
 
 @pytest.mark.parametrize("kernel_dim", [0, 2])
@@ -681,6 +693,20 @@ def _mp_zeta_prime0(spec) -> mp.mpf:
                 total += fam.mult * (-2 * mp.log(c) * (mp.mpf(0.5) - q)
                                      + 2 * mp.loggamma(q) - mp.log(2 * mp.pi))
         return total
+
+
+@pytest.mark.parametrize("scale, shift", [(0.1, 100000.03), (0.3, 12345.678),
+                                          (TWO_PI, 1e7 + 1.0)])
+def test_full_shift_is_reduced_exactly(scale, shift):
+    # the stored lattice is the input lattice: its shift is the exact
+    # remainder, and zeta_prime0 is within its stated error of the input's
+    # Kronecker value with no slack (the inexact reduction was 2.5e-10,
+    # 1.6e-11 and 2.1e-10 off, with about 1e-15 stated)
+    spec = lattice_family(scale, shift, "full")
+    assert spec.lattices[0].shift == math.remainder(shift, scale)
+    value, err = zeta_prime0(spec)
+    exact = Spectrum((LatticeFamily(scale, shift, "full"),))
+    assert abs(mp.mpf(value) - _mp_zeta_prime0(exact)) <= err
 
 
 def _prime0_cases() -> list[Spectrum]:
