@@ -34,9 +34,7 @@ from .spectra import (
     lattice_family,
     min_eigenvalue,
     scale_spectrum,
-    spectrum_dumps,
     spectrum_from_dict,
-    spectrum_loads,
     spectrum_to_dict,
 )
 from .heat_expansion import (

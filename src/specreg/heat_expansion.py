@@ -38,7 +38,7 @@ cutoff identity past it, whose b-terms carry the coefficients' rounding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from math import fsum
 from operator import add, mul
@@ -53,29 +53,27 @@ from .spectra import (
     _direct_run,
     _dual_decay,
     _theta_rest,
+    _Validated,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class HeatExpansion:
+class HeatExpansion(_Validated, namedtuple(
+        "HeatExpansion", "m J coeffs source remainder_bound coeff_derivatives")):
     """Expansion data: coeffs maps j -> b_j for -J <= j <= m-1."""
 
-    m: int
-    J: int
-    coeffs: dict[int, float]
-    source: str
-    remainder_bound: float
-    coeff_derivatives: dict[int, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.J < 0:
-            raise DomainError(f"need m >= 1 and J >= 0, got m={self.m}, J={self.J}")
-        expected = set(range(-self.J, self.m))
-        if set(self.coeffs) != expected:
-            raise DomainError(
-                f"coeffs must cover j = {-self.J}..{self.m - 1}, got {sorted(self.coeffs)}")
+    def __new__(cls, m: int, J: int, coeffs: dict[int, float], source: str,
+                remainder_bound: float, coeff_derivatives: dict[int, float]):
+        self = super().__new__(cls, m, J, coeffs, source, remainder_bound, coeff_derivatives)
+        if m < 1 or J < 0:
+            raise DomainError(f"need m >= 1 and J >= 0, got m={m}, J={J}")
+        expected = set(range(-J, m))
+        if set(coeffs) != expected:
+            raise DomainError(f"coeffs must cover j = {-J}..{m - 1}, got {sorted(coeffs)}")
+        return self
 
     @property
     def b0(self) -> float:
@@ -223,7 +221,7 @@ def analytic_expansion(spec: Spectrum) -> HeatExpansion:
     (_scan_remainder_bound).
     """
     exp = _analytic_coeffs(spec)
-    return replace(exp, remainder_bound=_scan_remainder_bound(spec, exp))
+    return exp._replace(remainder_bound=_scan_remainder_bound(spec, exp))
 
 
 def _analytic_coeffs(spec: Spectrum) -> HeatExpansion:

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NumericError
 from .special import EULER_GAMMA, TWO_PI, _digamma
@@ -50,33 +50,33 @@ from .spectra import (
     _lattice_sum,
     _number,
     _tail_budget,
+    _Validated,
 )
 from .regdet import default_expansion, log_det_eps, log_det_reg, _log_det_reg
 
 
-@dataclass(frozen=True)
-class LoopGroupOrbitSpec:
+class LoopGroupOrbitSpec(_Validated, namedtuple(
+        "LoopGroupOrbitSpec", "rank positive_roots x s cartan_mode")):
     """Root data for one coadjoint orbit through the point s*x."""
 
-    rank: int
-    positive_roots: tuple[tuple[float, ...], ...]
-    x: tuple[float, ...]
-    s: float = 0.0
-    cartan_mode: str = "consistent-2r"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (type(self.rank) is int and self.rank >= 1):
-            raise DomainError(f"rank must be a positive integer, got {self.rank!r}")
-        if self.cartan_mode not in ("consistent-2r", "paper-4r"):
-            raise DomainError(f"unknown cartan_mode {self.cartan_mode!r}")
-        if len(self.x) != self.rank:
+    def __new__(cls, rank: int, positive_roots: tuple[tuple[float, ...], ...],
+                x: tuple[float, ...], s: float = 0.0, cartan_mode: str = "consistent-2r"):
+        self = super().__new__(cls, rank, positive_roots, x, s, cartan_mode)
+        if not (type(rank) is int and rank >= 1):
+            raise DomainError(f"rank must be a positive integer, got {rank!r}")
+        if cartan_mode not in ("consistent-2r", "paper-4r"):
+            raise DomainError(f"unknown cartan_mode {cartan_mode!r}")
+        if len(x) != rank:
             raise DomainError("base direction x must have `rank` components")
-        for root in self.positive_roots:
-            if len(root) != self.rank:
+        for root in positive_roots:
+            if len(root) != rank:
                 raise DomainError("every root must have `rank` components")
-        components = (a for root in self.positive_roots for a in root)
-        if not all(map(math.isfinite, (self.s, *self.x, *components))):
+        components = (a for root in positive_roots for a in root)
+        if not all(map(math.isfinite, (s, *x, *components))):
             raise DomainError(f"orbit data must be finite, got {self!r}")
+        return self
 
     @property
     def dim_g(self) -> int:
@@ -183,8 +183,7 @@ def gateaux_fd(f, s0: float, step: float = 1e-3) -> tuple[float, float]:
     return refined, abs(refined - d_half)
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Minimality certificate: shape traces, regularised traces, volume slopes."""
 
     eps_grid: tuple[float, ...]
@@ -238,7 +237,7 @@ def minimality_report(target: LoopGroupOrbitSpec | Spectrum,
     if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive finite entries")
     if isinstance(target, LoopGroupOrbitSpec):
-        target = orbit_spectrum(replace(target, s=0.0), primed=True)
+        target = orbit_spectrum(target._replace(s=0.0), primed=True)
     delta_b = dict(sorted(default_expansion(target).coeff_derivatives.items()))
     tr_reg = _reg_shape_trace(target)
     tr_zeta = tr_reg + 0.5 * EULER_GAMMA * delta_b.get(0, 0.0)

@@ -51,9 +51,8 @@ log_det_eps with that of mellin_lower, the same series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NumericError
 from .special import EULER_GAMMA, exp_integral_e1, _e1_rounding, _ein, _E1_ROUNDING, _U
@@ -464,8 +463,7 @@ def log_det_reg(spec: Spectrum) -> tuple[float, float]:
     return _log_det_reg(spec, default_expansion(spec))
 
 
-@dataclass(frozen=True)
-class RegDetReport:
+class RegDetReport(NamedTuple):
     """Determinant report in both regularisations on one eps grid.
 
     log_det_zeta is the zeta-regularised value obtained through the bridge

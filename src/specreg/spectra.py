@@ -48,11 +48,10 @@ evaluates the same quantity from it through the Jacobi theta transform
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -85,37 +84,47 @@ def _number(value: object, what: str, whole: bool = False):
     return int(value) if whole else float(value)
 
 
-@dataclass(frozen=True)
-class LatticeFamily:
+class _Validated:
+    """Mixin for a named tuple whose __new__ validates: namedtuple's _replace
+    builds through _make, so _make goes through the class as construction does."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class LatticeFamily(_Validated, namedtuple(
+        "LatticeFamily", "scale shift side mult shift_derivative")):
     """Eigenvalues (scale*n + shift)^2 for n >= 1 (positive) or n in Z (full)."""
 
-    scale: float
-    shift: float = 0.0
-    side: str = "positive"
-    mult: int = 1
-    shift_derivative: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.scale, self.shift, self.shift_derivative))):
+    def __new__(cls, scale: float, shift: float = 0.0, side: str = "positive",
+                mult: int = 1, shift_derivative: float = 0.0):
+        self = super().__new__(cls, scale, shift, side, mult, shift_derivative)
+        if not all(map(math.isfinite, (scale, shift, shift_derivative))):
             raise DomainError(f"lattice data must be finite, got {self!r}")
-        if not self.scale > 0.0:
-            raise DomainError(f"lattice scale must be positive, got {self.scale!r}")
-        if self.side not in ("positive", "full"):
-            raise DomainError(f"lattice side must be 'positive' or 'full', got {self.side!r}")
-        if not (type(self.mult) is int and self.mult >= 1):
-            raise DomainError(f"multiplicity must be a positive integer, got {self.mult!r}")
-        if self.side == "positive" and not self.shift > -self.scale:
+        if not scale > 0.0:
+            raise DomainError(f"lattice scale must be positive, got {scale!r}")
+        if side not in ("positive", "full"):
+            raise DomainError(f"lattice side must be 'positive' or 'full', got {side!r}")
+        if not (type(mult) is int and mult >= 1):
+            raise DomainError(f"multiplicity must be a positive integer, got {mult!r}")
+        if side == "positive" and not shift > -scale:
             # keeps scale*n + shift > 0-adjacent ordering and q = 1 + shift/scale > 0
             raise DomainError("one-sided lattice requires shift > -scale")
+        return self
 
 
-@dataclass(frozen=True)
-class ExplicitFamily:
+class ExplicitFamily(_Validated, namedtuple("ExplicitFamily", "values")):
     """Finitely many explicit eigenvalues as (lam, mult, lam_derivative) triples."""
 
-    values: tuple[tuple[float, int, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, values: tuple[tuple[float, int, float], ...]):
+        self = super().__new__(cls, values)
         for lam, mult, deriv in self.values:
             if not (lam > 0.0 and math.isfinite(lam)):
                 raise DomainError(f"explicit eigenvalues must be positive and finite, got {lam!r}")
@@ -123,6 +132,7 @@ class ExplicitFamily:
                 raise DomainError(f"eigenvalue derivatives must be finite, got {deriv!r}")
             if not (type(mult) is int and mult >= 1):
                 raise DomainError(f"multiplicity must be a positive integer, got {mult!r}")
+        return self
 
 
 Family = Union[LatticeFamily, ExplicitFamily]
@@ -149,19 +159,22 @@ class Poisson(NamedTuple):
                      if removed) + self.rows
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """A finite union of families plus the number of zero modes."""
+class Spectrum(_Validated, namedtuple("Spectrum", "families kernel_dim")):
+    """A finite union of families plus the number of zero modes.  Unlike the
+    other records it keeps a __dict__, where its four views are cached; no
+    attribute can be assigned."""
 
-    families: tuple[Family, ...]
-    kernel_dim: int = 0
-
-    def __post_init__(self) -> None:
-        if not (type(self.kernel_dim) is int and self.kernel_dim >= 0):
-            raise DomainError(f"kernel_dim must be a non-negative integer, got {self.kernel_dim!r}")
-        for fam in self.families:
+    def __new__(cls, families: tuple[Family, ...], kernel_dim: int = 0):
+        self = super().__new__(cls, families, kernel_dim)
+        if not (type(kernel_dim) is int and kernel_dim >= 0):
+            raise DomainError(f"kernel_dim must be a non-negative integer, got {kernel_dim!r}")
+        for fam in families:
             if not isinstance(fam, (LatticeFamily, ExplicitFamily)):
                 raise DomainError(f"unknown family type {type(fam).__name__}")
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Spectrum is immutable")
 
     @cached_property
     def rows(self) -> tuple[tuple[float, int, float], ...]:
@@ -270,7 +283,7 @@ def lattice_family(
                         shift_derivative=shift_derivative)
     kernel = 0
     if side == "full":
-        fam = replace(fam, shift=_canonical_full_shift(fam))
+        fam = fam._replace(shift=_canonical_full_shift(fam))
         if fam.shift == 0.0:
             kernel = mult
     return Spectrum((fam,), kernel)
@@ -778,7 +791,7 @@ def heat_trace_theta(spec: Spectrum, t: float) -> float:
              for weight, scale, shift, _ in poisson.thetas]
     parts.extend(weight * math.exp(-t * lam) for lam, weight in poisson.exponentials)
     for fam in poisson.solos:
-        mirror = _runs(replace(fam, side="full"))[1:]  # n <= 0 of the full lattice
+        mirror = _runs(fam._replace(side="full"))[1:]  # n <= 0 of the full lattice
         parts.append(fam.mult * _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
                      - _direct_run(fam, t, budget, mirror))
     return fsum(parts)
@@ -851,10 +864,3 @@ def spectrum_from_dict(data: dict) -> Spectrum:
             f"kernel_dim={kernel} cannot be below the {structural} structural zero mode(s)")
     return Spectrum(tuple(fams), kernel)
 
-
-def spectrum_dumps(spec: Spectrum) -> str:
-    return json.dumps(spectrum_to_dict(spec), sort_keys=True)
-
-
-def spectrum_loads(text: str) -> Spectrum:
-    return spectrum_from_dict(json.loads(text))

@@ -33,9 +33,9 @@ not share code with what it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
+from typing import NamedTuple
 
 from .errors import DomainError, NumericError, PoleError
 from .special import (
@@ -57,8 +57,7 @@ S_RANGE = (-2.0, 30.0)
 _SMALLEST_NORMAL = 2.0 ** -1022
 
 
-@dataclass(frozen=True)
-class ZetaEvaluation:
+class ZetaEvaluation(NamedTuple):
     s: float
     value: float
     error: float
@@ -380,8 +379,7 @@ def zeta_prime0(spec: Spectrum) -> tuple[float, float]:
     return value, fsum(errs) + 0.5 * math.ulp(value)
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(NamedTuple):
     """Comparison of -zeta'(0) against -gamma*b0' + log det_reg."""
 
     zeta_route: float

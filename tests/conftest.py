@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import specreg  # noqa: F401  (loads every specreg module)
+from specreg import DomainError
 
 # the bounded tables of shift-free dual factors (zeta._theta_bracket's
 # incomplete gammas, spectra._dual_mellin's erfc weights)
@@ -40,3 +41,34 @@ def refuse(monkeypatch):
                         monkeypatch.setattr(module, name, refused)
 
     return install
+
+
+@pytest.fixture
+def check_record():
+    """check_record(record, bad, message): building the record's class from
+    its fields with `bad` swapped in and record._replace(**bad) both raise
+    DomainError with the same text, which matches `message`; assigning a
+    field raises AttributeError; and a record built from the same fields is
+    equal and, where the record hashes at all, hashes equal."""
+
+    def check(record, bad: dict, message: str) -> None:
+        cls = type(record)
+        with pytest.raises(DomainError, match=message) as built:
+            cls(**{**record._asdict(), **bad})
+        with pytest.raises(DomainError) as replaced:
+            record._replace(**bad)
+        assert str(replaced.value) == str(built.value)
+        for name in bad:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        twin = cls(*record)
+        assert twin == record and twin is not record
+        try:
+            expected = hash(record)
+        except TypeError:  # a dict field, as in HeatExpansion
+            with pytest.raises(TypeError):
+                hash(twin)
+        else:
+            assert hash(twin) == expected
+
+    return check

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -184,7 +183,7 @@ def test_07_strong_minimality():
         # volume-slope clause: the smoothed-trace side is 0 (above), so the
         # finite-difference side must vanish too
         for s_point in (0.1, 0.25):
-            base = orbit_spectrum(replace(ospec, s=s_point), primed=True)
+            base = orbit_spectrum(ospec._replace(s=s_point), primed=True)
             for eps in (0.1, 0.01):
                 fd, _ = gateaux_fd(
                     lambda k: 0.5 * log_det_eps(deform(base, k), eps),
@@ -203,9 +202,9 @@ def test_08_volume_constancy():
     s_grid = (0.1, 0.2, 0.3, 0.4, 0.5)
     spreads = {}
     for eps in (0.1, 0.01):
-        vols = [vol_eps(replace(SU2, s=s), eps) for s in s_grid]
+        vols = [vol_eps(SU2._replace(s=s), eps) for s in s_grid]
         spreads[f"vol_eps(eps={eps})"] = (max(vols) - min(vols)) / min(vols)
-    logs = [math.log(vol_reg(replace(SU2, s=s))) for s in s_grid]
+    logs = [math.log(vol_reg(SU2._replace(s=s))) for s in s_grid]
     spreads["log vol_reg"] = max(logs) - min(logs)
     failures = [f"{key} spread {val:.6e}" for key, val in spreads.items()
                 if val > (1e-8 if key.startswith("vol_eps") else 1e-6)]

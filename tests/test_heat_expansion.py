@@ -130,6 +130,15 @@ def test_expansion_shape_validation():
                       remainder_bound=0.0, coeff_derivatives={0: 0.0})
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"coeffs": {-1: 1.0}}, "coeffs must cover j = -1..0"),
+    ({"m": 0}, "need m >= 1 and J >= 0"),
+    ({"J": -1}, "need m >= 1 and J >= 0"),
+], ids=["coeffs", "m", "J"])
+def test_expansion_validates_on_replace(check_record, bad, message):
+    check_record(finite_expansion(finite_spectrum([(2.0, 1), (3.0, 1)])), bad, message)
+
+
 # ---------------------------------------------------------------------------
 # power-series coefficients of a shifted one-sided lattice against mpmath
 

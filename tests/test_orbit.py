@@ -76,6 +76,17 @@ def test_orbit_spec_validation():
             LoopGroupOrbitSpec(1, ((1.0,),), (bad,))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"rank": 0}, "rank must be a positive integer"),
+    ({"cartan_mode": "other"}, "unknown cartan_mode"),
+    ({"x": (1.0, 2.0)}, "base direction x must have `rank` components"),
+    ({"positive_roots": ((1.0, 0.0),)}, "every root must have `rank` components"),
+    ({"s": math.nan}, "orbit data must be finite"),
+], ids=["rank", "cartan_mode", "x", "positive_roots", "s"])
+def test_orbit_spec_validates_on_replace(check_record, bad, message):
+    check_record(SU2, bad, message)
+
+
 def test_dim_g():
     assert SU2.dim_g == 3
     assert RANK2.dim_g == 6

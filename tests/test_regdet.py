@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -396,7 +395,7 @@ def test_split_against_direct_sum_on_mixes():
     # errors at every cutoff; mirrored shifts give bit-equal splits
     for spec in _split_mixes():
         base = Spectrum(tuple(f for f in spec.families if f not in spec.poisson.solos))
-        mirror = Spectrum(tuple(replace(f, shift=-f.shift) if isinstance(f, LatticeFamily)
+        mirror = Spectrum(tuple(f._replace(shift=-f.shift) if isinstance(f, LatticeFamily)
                                 else f for f in base.families))
         for eps in SPLIT_EPS:
             split, split_err = regdet._e1_split(spec, (eps,))[0]

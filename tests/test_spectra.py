@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from pathlib import Path
@@ -24,15 +25,19 @@ from specreg import (
     lattice_family,
     min_eigenvalue,
     scale_spectrum,
-    spectrum_dumps,
     spectrum_from_dict,
-    spectrum_loads,
     spectrum_to_dict,
 )
 from specreg.heat_expansion import remainder_fn
 from specreg.regdet import default_expansion
 
 mp.mp.dps = 30
+
+
+def _wire(spec: Spectrum) -> str:
+    """spec's wire format as JSON text, keys sorted."""
+    return json.dumps(spectrum_to_dict(spec), sort_keys=True)
+
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,6 +91,34 @@ def test_explicit_validation():
         Spectrum((), kernel_dim=-1)
 
 
+@pytest.mark.parametrize("record, bad, message", [
+    (LatticeFamily(1.0), {"scale": -1.0}, "lattice scale must be positive"),
+    (LatticeFamily(1.0), {"side": "half"}, "lattice side must be"),
+    (LatticeFamily(1.0), {"mult": 0}, "multiplicity must be a positive integer"),
+    (LatticeFamily(1.0), {"shift": math.nan}, "lattice data must be finite"),
+    (LatticeFamily(1.0, 0.5), {"shift": -1.0}, "one-sided lattice requires shift > -scale"),
+    (ExplicitFamily(((2.0, 1, 0.0),)), {"values": ((2.0, 0, 0.0),)},
+     "multiplicity must be a positive integer"),
+    (ExplicitFamily(((2.0, 1, 0.0),)), {"values": ((-2.0, 1, 0.0),)},
+     "explicit eigenvalues must be positive"),
+    (Spectrum((LatticeFamily(1.0),)), {"kernel_dim": -1}, "kernel_dim must be"),
+    (Spectrum((LatticeFamily(1.0),)), {"families": ((2.0, 1, 0.0),)}, "unknown family type"),
+], ids=["lattice-scale", "lattice-side", "lattice-mult", "lattice-nan-shift",
+        "lattice-low-shift", "explicit-mult", "explicit-lam", "spectrum-kernel",
+        "spectrum-family"])
+def test_records_validate_on_replace(check_record, record, bad, message):
+    check_record(record, bad, message)
+
+
+def test_spectrum_views_are_cached_and_read_only():
+    spec = compose(ONEPI, FIN23)
+    assert spec.poisson is spec.poisson
+    for view in ("rows", "lattices", "lam0", "poisson", "note"):
+        with pytest.raises(AttributeError):
+            setattr(spec, view, None)
+    assert spec._replace(kernel_dim=2) == Spectrum(spec.families, 2)
+
+
 NON_FINITE_OR_NON_INTEGRAL = {
     "scale-inf": lambda: LatticeFamily(scale=math.inf),
     "full-shift-nan": lambda: lattice_family(1.0, math.nan, "full"),
@@ -120,8 +153,8 @@ def test_full_shift_canonicalisation():
     assert lattice_family(2.0, -1.0, "full").families[0].shift == 1.0
     assert lattice_family(2.0, 3.5, "full").families[0].shift == -0.5
     assert lattice_family(2.0, 1.5, "full").families[0].shift == -0.5
-    assert spectrum_dumps(lattice_family(2.0, 3.0, "full")) == \
-        spectrum_dumps(lattice_family(2.0, -1.0, "full"))
+    assert spectrum_to_dict(lattice_family(2.0, 3.0, "full")) == \
+        spectrum_to_dict(lattice_family(2.0, -1.0, "full"))
 
 
 def test_structural_zero_goes_to_kernel():
@@ -246,7 +279,7 @@ def test_heat_trace_monotone_and_log_convex():
 # dual route: direct summation vs theta transform
 
 
-@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda s: spectrum_dumps(s)[:48])
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda s: _wire(s)[:48])
 def test_dual_route_mixed_tolerance(spec):
     for t in logspace(-4, 0, 25):
         direct = heat_trace(spec, float(t))
@@ -255,7 +288,7 @@ def test_dual_route_mixed_tolerance(spec):
             f"t={t}: direct={direct!r} theta={theta!r}"
 
 
-@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda s: spectrum_dumps(s)[:48])
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda s: _wire(s)[:48])
 def test_dual_route_pure_relative_above_floor(spec):
     # where the trace is not tiny, the agreement is genuinely relative
     for t in logspace(-4, 0, 25):
@@ -426,7 +459,7 @@ def test_scale_spectrum_trace_identity():
                                   compose(ONEPI, FIN23),
                                   lattice_family(2.0, 0.0, "full", 3)])
 def test_serialisation_round_trip(spec):
-    assert spectrum_loads(spectrum_dumps(spec)) == spec
+    assert spectrum_from_dict(json.loads(_wire(spec))) == spec
     assert spectrum_from_dict(spectrum_to_dict(spec)) == spec
 
 
