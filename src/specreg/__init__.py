@@ -32,7 +32,6 @@ from .spectra import (
     heat_trace,
     heat_trace_theta,
     lattice_family,
-    min_eigenvalue,
     scale_spectrum,
     spectrum_from_dict,
     spectrum_to_dict,

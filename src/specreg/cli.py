@@ -19,12 +19,10 @@ from pathlib import Path
 from .errors import DomainError, NumericError, UnsupportedSpectrumError
 from .special import euler_gamma_integral, euler_gamma_series
 from .spectra import _number, spectrum_from_dict, spectrum_to_dict
-from .regdet import build_report, report_to_dict
+from .regdet import DEFAULT_EPS_GRID, build_report, report_to_dict
 from .zeta import bridge_to_dict, verify_bridge, zeta_value
-from .orbit import curvature_to_dict, minimality_report, orbit_from_dict
+from .orbit import DEFAULT_ORBIT_EPS, curvature_to_dict, minimality_report, orbit_from_dict
 
-DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
-DEFAULT_ORBIT_EPS = (1e-1, 1e-2, 1e-3)
 DEFAULT_S_VALUES = (0.25, 0.75, 1.5, 2.0, 3.0)
 DEFAULT_GAMMA_TOL = 1e-10
 
@@ -35,8 +33,8 @@ def _reject_constant(name: str) -> float:
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read input {path}: {exc}") from exc
     try:
         return json.loads(text, parse_constant=_reject_constant)

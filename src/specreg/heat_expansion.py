@@ -11,10 +11,10 @@ Coefficient sources:
 * analytic  - exact table for lattice families (m=2, J=2), read from
   Spectrum.poisson: each theta of weight w contributes w*sqrt(pi)/scale to
   b_{-1} and nothing to b_0, each exponential its weight to b_0 (explicit
-  rows their multiplicity, a structural zero or a removed n = 0 term a
-  negative weight), and each solo sqrt(pi)/(2*scale) * mult to b_{-1} and
-  -mult*(1/2 + shift/scale) to b_0.  Coefficient derivatives along the
-  stored deformation: only b_0 moves, by -mult*shift_derivative/scale per
+  rows their multiplicity, a removed n = 0 term a negative weight), and
+  each solo sqrt(pi)/(2*scale) * mult to b_{-1} and -mult*(1/2 +
+  shift/scale) to b_0.  Coefficient derivatives along the stored
+  deformation: only b_0 moves, by -mult*shift_derivative/scale per
   one-sided family.
 * finite    - exact m=1, J=1 expansion for explicit spectra with the sharp
   remainder bound C = sum mult*lam (since |expm1(-x)| <= x).
@@ -47,6 +47,7 @@ from typing import Callable
 from .errors import DomainError, FitConditionError, UnsupportedSpectrumError
 from .spectra import (
     ABS_TOL,
+    SQRT_PI,
     LatticeFamily,
     Spectrum,
     heat_trace,
@@ -55,8 +56,6 @@ from .spectra import (
     _theta_rest,
     _Validated,
 )
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 class HeatExpansion(_Validated, namedtuple(
@@ -288,16 +287,17 @@ def _jacobi_svd(columns: list[list[float]]):
     return w, sigma, v
 
 
-def fit_expansion(spec: Spectrum, grid, m: int = 2, J: int = 2,
-                  max_condition: float = 1e12) -> HeatExpansion:
-    """Least-squares fit of the t^(j/m) basis to the heat trace on `grid`.
+def fit_expansion(spec: Spectrum, grid, max_condition: float = 1e12) -> HeatExpansion:
+    """Least-squares fit of the t^(j/m) basis, m = J = 2 as for a lattice
+    spectrum, to the heat trace on `grid`.
 
-    The grid must lie in (0, 1] and carry at least J+m+2 points.  Columns are
-    normalised, and one SVD of that matrix gives both its 2-norm condition
-    number (above max_condition raises FitConditionError) and the solution.
-    The remainder bound is estimated from the scaled residuals (doubled for
-    safety).
+    The grid must lie in (0, 1] and carry at least J+m+2 = 6 points.
+    Columns are normalised, and one SVD of that matrix gives both its
+    2-norm condition number (above max_condition raises FitConditionError)
+    and the solution.  The remainder bound is estimated from the scaled
+    residuals (doubled for safety).
     """
+    m = J = 2
     ts = sorted(float(t) for t in grid)
     if len(ts) < J + m + 2:
         raise DomainError(f"fit grid needs at least {J + m + 2} points, got {len(ts)}")

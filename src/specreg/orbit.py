@@ -199,6 +199,7 @@ class CurvatureReport(NamedTuple):
 
 
 MINIMALITY_TOL = 1e-8
+DEFAULT_ORBIT_EPS = (1e-1, 1e-2, 1e-3)
 
 
 def _reg_shape_trace(spec: Spectrum) -> float:
@@ -211,16 +212,14 @@ def _reg_shape_trace(spec: Spectrum) -> float:
             psi = _digamma(1.0 + fam.shift / c)
             terms.append(rate / c * (math.log(c) + 0.5 * EULER_GAMMA + psi))
             continue
-        # exact reduction: a full family built directly may hold any shift, and
-        # at a multiple of c its zero mode is skipped and the +/-n modes cancel
-        sigma = math.remainder(fam.shift, c)
-        if sigma != 0.0:
-            terms.append(-rate * math.pi / (c * math.tan(math.pi * sigma / c)))
+        # at shift 0.0 the zero mode is skipped and the +/-n modes cancel
+        if fam.shift != 0.0:
+            terms.append(-rate * math.pi / (c * math.tan(math.pi * fam.shift / c)))
     return fsum(terms)
 
 
 def minimality_report(target: LoopGroupOrbitSpec | Spectrum,
-                      eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> CurvatureReport:
+                      eps_grid: Sequence[float] = DEFAULT_ORBIT_EPS) -> CurvatureReport:
     """Assemble the minimality certificate for an orbit or a synthetic spectrum.
 
     Orbit inputs are anchored at the constant-loop point s = 0 (isometry

@@ -69,12 +69,12 @@ from .spectra import (
     SQRT_PI,
     LatticeFamily,
     Spectrum,
-    min_eigenvalue,
     scale_spectrum,
     _dual_mellin,
     _lattice_sum,
     _series_relief,
     _tail_budget,
+    _NORMAL_MIN,
 )
 
 
@@ -102,9 +102,9 @@ def _row_terms(rows: Sequence[tuple[float, float]], eps: float) -> tuple[list[fl
 
 
 def _check_eps_lam0(spec: Spectrum, eps: float) -> None:
-    """NumericError when the smallest eigenvalue lam0 (min_eigenvalue) or
+    """NumericError when the smallest eigenvalue lam0 (Spectrum.lam0) or
     eps*lam0 underflows to 0.0, where E1 has no value."""
-    lam0 = min_eigenvalue(spec)
+    lam0 = spec.lam0
     if not eps * lam0 > 0.0:
         raise NumericError(f"eps*lam0 = {eps!r}*{lam0!r} underflows to 0.0")
 
@@ -142,10 +142,10 @@ _EIN_ROUNDING = 8.0 * _U
 
 
 def _theta_near(weight: float, scale: float, shift: float, t: float, budget: float,
-                removed: bool) -> tuple[list[float], float, int]:
+                removed: bool) -> tuple[list[float], float]:
     """The direct side of a theta's split at t, t*scale^2 >= _SPLIT: the terms
     of weight*sum_n E1(t*u_n^2), u_n = scale*n + shift, over n != 0 if
-    `removed`, their error bound, and how many u_n == 0.0 it left out.
+    `removed`, and their error bound.
 
     Each side of the lattice, u >= 0 and u < 0, is walked outward from the
     crossing and stops before the first term y = |u| whose side's tail,
@@ -156,20 +156,21 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
     (special._e1_rounding), u for the product with the weight and its
     argument's rounding: u_n is good to (1 + |scale*n|/|u_n|) u/2, t*u_n^2
     to (2 + |scale*n|/|u_n|) u, and E1's relative sensitivity is below x +
-    1 (x/(x + 1) < x*exp(x)*E1(x), DLMF 6.8.2).
+    1 (x/(x + 1) < x*exp(x)*E1(x), DLMF 6.8.2).  A subnormal u_n^2 or x is
+    off by up to 2^-1075 absolute (x by t times that of u_n^2), which moves
+    E1 (slope -exp(-x)/x) by at most twice that over x per unit of |weight|,
+    as in spectra._series_relief.
     """
-    terms, err, zeros = [], 0.0, 0
+    terms, err = [], 0.0
     first = math.ceil(-shift / scale)
     for n, step in ((first, 1), (first - 1, -1)):
         while True:
             cn = scale * n
             u = cn + shift
-            x = t * (u * u)
+            square = u * u
+            x = t * square
             n += step
             if removed and n - step == 0:
-                continue
-            if x == 0.0:
-                zeros += 1
                 continue
             y = abs(u)
             tail = abs(weight) * math.exp(-x) / (x * -math.expm1(-t * scale * (2.0 * y + scale)))
@@ -179,7 +180,10 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
             term = weight * exp_integral_e1(x)
             terms.append(term)
             err += abs(term) * (_e1_rounding(x) + ((x + 1.0) * (abs(cn) / y + 2.0) + 1.0) * _U)
-    return terms, err, zeros
+            if x < _NORMAL_MIN or square < _NORMAL_MIN:
+                err += (abs(weight) * 2.0 ** -1074 / x
+                        * (t * (square < _NORMAL_MIN) + (x < _NORMAL_MIN)))
+    return terms, err
 
 
 def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]]:
@@ -196,14 +200,12 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
 
     from int t^(-3/2) exp(-beta/t) dt = sqrt(pi/beta)*erfc(sqrt(beta/t)),
     with D the dual series spectra._dual_mellin; at t* = eps the dual part
-    is empty.  The direct side is _theta_near.  A term the theta leaves out,
-    a structural zero u_n == 0.0 or its n = 0 term where the theta is
-    marked removed, takes -w*int_eps^t* exp(-lam*t) dt/t = -w*(ln(t*/eps) +
+    is empty.  The direct side is _theta_near.  The n = 0 term of a theta
+    marked removed takes -w*int_eps^t* exp(-lam*t) dt/t = -w*(ln(t*/eps) +
     Ein(eps*lam) - Ein(t*lam)) at lam = sigma^2, with its own theta's t*:
     Ein is small where E1 is large, so a small shift's E1(t*sigma^2) and
-    E1(eps*sigma^2) do not cancel.  Every row (lam, w) of Spectrum.poisson
-    with lam > 0, the explicit ones, stays an E1 term at eps (_row_terms),
-    and each solo a direct _lattice_sum run.
+    E1(eps*sigma^2) do not cancel.  Every explicit row (Spectrum.rows) stays
+    an E1 term at eps (_row_terms), and each solo a direct _lattice_sum run.
 
     The error adds the direct side's, both D's, the rounding of the pole
     term (eps^(-1/2) and t*^(-1/2) an ulp each, their difference, the
@@ -222,7 +224,7 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
     """
     poisson = spec.poisson
     budget = _tail_budget(spec)
-    rows = [(lam, weight) for lam, weight in poisson.rows if lam > 0.0]
+    rows = [(lam, mult) for lam, mult, _ in spec.rows]
     sides = {}
 
     def split(eps: float) -> tuple[float, float]:
@@ -233,7 +235,7 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
         terms, err = [], 0.0
         for i, ((weight, scale, shift, removed), t) in enumerate(zip(poisson.thetas, stars)):
             if t == eps:
-                near, near_err, _ = _theta_near(weight, scale, shift, t, budget, removed)
+                near, near_err = _theta_near(weight, scale, shift, t, budget, removed)
                 terms.extend(near)
                 err += near_err
                 continue
@@ -242,7 +244,7 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
                 ein = _ein(t * square) if removed and t * square > 0.0 else None
                 sides[i] = (_theta_near(weight, scale, shift, t, budget, removed)
                             + _dual_mellin(scale, shift, t) + (ein,))
-            near, near_err, zeros, dual_t, dual_t_err, ein_t = sides[i]
+            near, near_err, dual_t, dual_t_err, ein_t = sides[i]
             terms.extend(near)
             err += near_err
             inv_eps, inv_t = 1.0 / math.sqrt(eps), 1.0 / math.sqrt(t)
@@ -252,14 +254,14 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
             errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_eps + inv_t) * _U,
                     abs(weight) * (dual_t_err + dual_eps_err)
                     + _U * (abs(parts[1]) + abs(parts[2]))]
-            log_ratio = math.log(t / eps)
-            for lam in [0.0] * zeros + [square] * removed:
+            if removed:
+                log_ratio = math.log(t / eps)
                 parts.append(-weight * log_ratio)
                 errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
                                            + (t + 1.0) * 2.0 ** -1073))
-                for x, sign in ((eps * lam, -1.0), (t * lam, 1.0)):
+                for x, sign in ((eps * square, -1.0), (t * square, 1.0)):
                     if x > 0.0:
-                        # t*lam > 0.0 only where the side holds Ein(t*lam)
+                        # t*square > 0.0 only where the side holds Ein(t*square)
                         parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
                         errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
                                     + abs(weight) * _U * min(x, 1.0))
@@ -386,10 +388,10 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     integral.
 
     A theta of weight w gives w*D(c, sigma) (spectra._dual_mellin) and an
-    exponential (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1; a row at
-    lam = 0.0 adds nothing.  The solos have no Poisson form: each solo's
-    share of F is the remainder of its own analytic expansion, which
-    _solo_lower integrates by its small-time series and the cutoff
+    exponential (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1; a removed
+    n = 0 term at lam = 0.0 adds nothing.  The solos have no Poisson form:
+    each solo's share of F is the remainder of its own analytic expansion,
+    which _solo_lower integrates by its small-time series and the cutoff
     identity.  Each solo goes alone, at the delta of its own scale: a delta
     set by a larger scale would make a small solo's E1 sum at delta grow
     like 1/(scale*sqrt(delta)), and its cancellation against the b-terms
@@ -482,8 +484,10 @@ class RegDetReport(NamedTuple):
     counterterms: dict[int, float]
 
 
-def build_report(spec: Spectrum,
-                 eps_grid: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> RegDetReport:
+DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def build_report(spec: Spectrum, eps_grid: Sequence[float] = DEFAULT_EPS_GRID) -> RegDetReport:
     """Cutoff determinants on a grid plus both regularised values, all of the
     positive (kernel-free) spectrum; kernel_dim and b0 are reported beside
     them.  Every grid point is log_det_eps, the split, also where the guard

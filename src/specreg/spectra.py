@@ -10,9 +10,11 @@ rejected at construction:
   deformation, which is how geodesic directions enter Gateaux derivatives.
 * ExplicitFamily: a finite list of (eigenvalue, mult, eigenvalue_derivative).
 
-Zero modes never live inside a family: structural zeros (scale*n + shift
-equal to 0.0 in exact float arithmetic) are detected at construction and
-moved into kernel_dim, and enumeration skips them defensively.
+A full family stores its shift reduced (LatticeFamily), so its only
+possible structural zero (scale*n + shift equal to 0.0 in float arithmetic)
+is n = 0 at shift 0.0; a one-sided family (shift > -scale, n >= 1) holds
+none.  lattice_family counts that zero into kernel_dim, and enumeration
+skips it.
 
 A Spectrum keeps its families in order (deform, scale_spectrum and the wire
 format walk them so) and holds four views built once, on first use: its
@@ -97,7 +99,12 @@ class _Validated:
 
 class LatticeFamily(_Validated, namedtuple(
         "LatticeFamily", "scale shift side mult shift_derivative")):
-    """Eigenvalues (scale*n + shift)^2 for n >= 1 (positive) or n in Z (full)."""
+    """Eigenvalues (scale*n + shift)^2 for n >= 1 (positive) or n in Z (full).
+
+    A full family stores its shift reduced exactly into (-scale/2, scale/2]
+    (math.remainder), or 0.0 where scale*k == shift in float arithmetic for
+    an integer k (a structural zero), so congruent shifts give one record
+    and the only possible zero is n = 0 at shift 0.0."""
 
     __slots__ = ()
 
@@ -112,10 +119,19 @@ class LatticeFamily(_Validated, namedtuple(
             raise DomainError(f"lattice side must be 'positive' or 'full', got {side!r}")
         if not (type(mult) is int and mult >= 1):
             raise DomainError(f"multiplicity must be a positive integer, got {mult!r}")
-        if side == "positive" and not shift > -scale:
-            # keeps scale*n + shift > 0-adjacent ordering and q = 1 + shift/scale > 0
-            raise DomainError("one-sided lattice requires shift > -scale")
-        return self
+        if side == "positive":
+            if not shift > -scale:
+                # keeps scale*n + shift > 0-adjacent ordering and q = 1 + shift/scale > 0
+                raise DomainError("one-sided lattice requires shift > -scale")
+            return self
+        c = shift / scale
+        if scale * math.floor(c) == shift or scale * math.ceil(c) == shift:
+            shift = 0.0
+        else:
+            shift = math.remainder(shift, scale)
+            if shift == -0.5 * scale:
+                shift = 0.5 * scale
+        return super().__new__(cls, scale, shift, side, mult, shift_derivative)
 
 
 class ExplicitFamily(_Validated, namedtuple("ExplicitFamily", "values")):
@@ -144,19 +160,12 @@ class Poisson(NamedTuple):
     exp(-t*lam) over exponentials, and the one-sided traces of the solos.
 
     A theta marked `removed` stands for its sum less the n = 0 term
-    weight*exp(-t*shift^2); `rows` are the exponentials that no theta
-    claims, and `exponentials` adds each removed term as (shift^2, -weight)
-    before them, for readers that take the trace as one list."""
+    weight*exp(-t*shift^2); `exponentials` holds each removed term as
+    (shift^2, -weight), then the explicit rows (lam, mult)."""
 
     thetas: tuple[tuple[float, float, float, bool], ...]  # (weight, scale, shift, removed)
-    rows: tuple[tuple[float, float], ...]  # (lam, weight)
+    exponentials: tuple[tuple[float, float], ...]  # (lam, weight)
     solos: tuple[LatticeFamily, ...]
-
-    @property
-    def exponentials(self) -> tuple[tuple[float, float], ...]:
-        """Every (lam, weight): the removed n = 0 terms, then the rows."""
-        return tuple((shift * shift, -weight) for weight, _, shift, removed in self.thetas
-                     if removed) + self.rows
 
 
 class Spectrum(_Validated, namedtuple("Spectrum", "families kernel_dim")):
@@ -189,9 +198,9 @@ class Spectrum(_Validated, namedtuple("Spectrum", "families kernel_dim")):
 
     @cached_property
     def lam0(self) -> float:
-        """The smallest positive eigenvalue (min_eigenvalue); its DomainError
-        (no eigenvalues) or NumericError (one that overflows or underflows)
-        is raised again on every read."""
+        """The smallest positive eigenvalue; its DomainError (no eigenvalues)
+        or NumericError (one that overflows or underflows) is raised again
+        on every read."""
         best = min((lam for lam, _, _ in self.rows), default=math.inf)
         for fam in self.lattices:
             for sigma, start, _ in _runs(fam):
@@ -213,19 +222,17 @@ class Spectrum(_Validated, namedtuple("Spectrum", "families kernel_dim")):
     @cached_property
     def poisson(self) -> Poisson:
         """The trace as Poisson data.  A full family is the theta (mult, scale,
-        shift), removed when shift is 0.0, else plus the row (0.0, -mult) if
-        it holds a structural zero; a zero-shift one-sided family is the
-        theta (mult/2, scale, 0.0), removed.  A shifted one-sided family and
+        shift), removed when shift is 0.0, its one possible zero; a
+        zero-shift one-sided family is the theta (mult/2, scale, 0.0),
+        removed.  A shifted one-sided family and
         the earliest unmatched earlier one of equal scale and mult and
         opposite shift are that family's theta (mult, scale, shift),
         removed.  Shifted one-sided families left unmatched are the solos, in
-        order.  The explicit rows (lam, mult) end the rows."""
-        thetas, rows, waiting = [], [], []
+        order."""
+        thetas, waiting = [], []
         for fam in self.lattices:
             if fam.side == "full":
                 thetas.append((fam.mult, fam.scale, fam.shift, fam.shift == 0.0))
-                if fam.shift != 0.0 and _zero_modes(fam):
-                    rows.append((0.0, -fam.mult))
             elif fam.shift == 0.0:
                 thetas.append((0.5 * fam.mult, fam.scale, 0.0, True))
             else:
@@ -237,32 +244,14 @@ class Spectrum(_Validated, namedtuple("Spectrum", "families kernel_dim")):
                         break
                 else:
                     waiting.append(fam)
-        rows.extend((lam, mult) for lam, mult, _ in self.rows)
-        return Poisson(tuple(thetas), tuple(rows), tuple(waiting))
-
-
-def _zero_modes(fam: LatticeFamily) -> int:
-    """fam's structural zero modes: mult if an index of its runs gives
-    scale*n + shift == 0.0 in float arithmetic (which enumeration skips), else 0."""
-    for sigma, start, _ in _runs(fam):
-        c = -sigma / fam.scale
-        if any(n >= start and fam.scale * n + sigma == 0.0
-               for n in (math.floor(c), math.ceil(c))):
-            return fam.mult
-    return 0
+        exponentials = [(shift * shift, -weight) for weight, _, shift, removed in thetas
+                        if removed]
+        exponentials.extend((lam, mult) for lam, mult, _ in self.rows)
+        return Poisson(tuple(thetas), tuple(exponentials), tuple(waiting))
 
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def _canonical_full_shift(fam: LatticeFamily) -> float:
-    """A full family's shift reduced into (-scale/2, scale/2] exactly
-    (math.remainder), or 0.0 where the family holds a structural zero."""
-    if _zero_modes(fam):
-        return 0.0
-    reduced = math.remainder(fam.shift, fam.scale)
-    return 0.5 * fam.scale if reduced == -0.5 * fam.scale else reduced
 
 
 def lattice_family(
@@ -272,21 +261,11 @@ def lattice_family(
     mult: int = 1,
     shift_derivative: float = 0.0,
 ) -> Spectrum:
-    """Build a one-family Spectrum, moving any structural zero mode to the kernel.
-
-    Full-side shifts are reduced exactly into (-scale/2, scale/2], so
-    congruent inputs compare and serialise identically.  After that the only
-    possible structural zero is n = 0 of a full lattice with shift exactly 0.0;
-    one-sided families (shift > -scale, n >= 1) never contain one.
-    """
-    fam = LatticeFamily(scale=scale, shift=shift, side=side, mult=mult,
-                        shift_derivative=shift_derivative)
-    kernel = 0
-    if side == "full":
-        fam = fam._replace(shift=_canonical_full_shift(fam))
-        if fam.shift == 0.0:
-            kernel = mult
-    return Spectrum((fam,), kernel)
+    """Build a one-family Spectrum, moving its structural zero mode, the
+    n = 0 term of a full lattice whose reduced shift is 0.0 (LatticeFamily),
+    to the kernel."""
+    fam = LatticeFamily(scale, shift, side, mult, shift_derivative)
+    return Spectrum((fam,), mult if side == "full" and fam.shift == 0.0 else 0)
 
 
 def finite_spectrum(values: Iterable[Sequence[float]]) -> Spectrum:
@@ -340,7 +319,8 @@ def deform(spec: Spectrum, kappa: float) -> Spectrum:
     """
     # the zero modes not tied to a lattice; a family built directly may hold a
     # structural zero that kernel_dim never counted
-    base_kernel = max(0, spec.kernel_dim - sum(map(_zero_modes, spec.lattices)))
+    base_kernel = max(0, spec.kernel_dim - sum(
+        fam.mult for fam in spec.lattices if fam.side == "full" and fam.shift == 0.0))
     new_fams: list[Family] = []
     for fam in spec.families:
         if isinstance(fam, LatticeFamily):
@@ -379,15 +359,6 @@ def scale_spectrum(spec: Spectrum, factor: float) -> Spectrum:
             new_fams.append(ExplicitFamily(tuple(
                 (lam * factor, mult, deriv * factor) for lam, mult, deriv in fam.values)))
     return Spectrum(tuple(new_fams), spec.kernel_dim)
-
-
-def min_eigenvalue(spec: Spectrum) -> float:
-    """Smallest strictly positive eigenvalue of the spectrum (Spectrum.lam0).
-
-    A lattice eigenvalue u^2 below the smallest subnormal float rounds to 0.0;
-    that raises NumericError, since no routine can work with it.
-    """
-    return spec.lam0
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +762,7 @@ def heat_trace_theta(spec: Spectrum, t: float) -> float:
              for weight, scale, shift, _ in poisson.thetas]
     parts.extend(weight * math.exp(-t * lam) for lam, weight in poisson.exponentials)
     for fam in poisson.solos:
-        mirror = _runs(fam._replace(side="full"))[1:]  # n <= 0 of the full lattice
+        mirror = ((-fam.shift, 0, -1.0),)  # n <= 0 of the full lattice
         parts.append(fam.mult * _theta_full(fam.scale, fam.shift, t, budget / fam.mult)
                      - _direct_run(fam, t, budget, mirror))
     return fsum(parts)

@@ -17,10 +17,10 @@ which continues them below s = 1/2.  Nothing here integrates numerically.
 zeta_prime0 sums zeta_B'(0) per family: -m*log(lam) per row (lam, m);
 m*[(2q - 1)*log(c) + 2*log Gamma(q) - log(2 pi)] per one-sided family
 (c, sigma, m), q = 1 + sigma/c (Lerch's formula: Whittaker & Watson 13.21,
-DLMF 25.11.18); -2m*log(2*sin(pi*|sigma|/c)) per full one, sigma =
-math.remainder(shift, c) (Kronecker's limit formula), or 2m*log(c/(2 pi))
-with a structural zero.  verify_bridge compares two numbers that share no
-numerics, these closed forms and the heat route of regdet:
+DLMF 25.11.18); -2m*log(2*sin(pi*|sigma|/c)) per full one (Kronecker's
+limit formula), or 2m*log(c/(2 pi)) at sigma = 0.0, its structural zero.
+verify_bridge compares two numbers that share no numerics, these closed
+forms and the heat route of regdet:
 
     -zeta_B'(0)   versus   -gamma*b0' + log det_reg.
 
@@ -50,7 +50,7 @@ from .special import (
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
-from .spectra import Spectrum, min_eigenvalue, _lattice_sum, _zero_modes
+from .spectra import Spectrum, _lattice_sum, _NORMAL_MIN
 from .regdet import default_expansion, _log_det_reg, _require_finite
 
 S_RANGE = (-2.0, 30.0)
@@ -131,11 +131,10 @@ def _theta_bracket(scale: float, shift: float, s: float,
     shift/scale and g(a, x) = x^(-a) Gamma(a, x) (special.upper_gamma_scaled),
     the terms over t > t_theta are g(s, pi*(n + q)^2) per n, and Poisson
     summation of those over t < t_theta gives 1/(s - 1/2) plus
-    2*cos(2*pi*k*q)*g(1/2 - s, pi*k^2) per k >= 1.  A structural zero (u_n =
-    scale*n + shift == 0.0, as enumeration finds it) gives -1/s instead.
-    Removing the n = 0 term gives -x^(-s) gamma(s, x) at x = pi*q^2
-    (special.lower_gamma_scaled): the term's share over t > t_theta less
-    its whole Gamma(s) x^(-s), without forming that difference.
+    2*cos(2*pi*k*q)*g(1/2 - s, pi*k^2) per k >= 1.  Removing the n = 0
+    term gives -x^(-s) gamma(s, x) at x = pi*q^2 (special.lower_gamma_scaled):
+    the term's share over t > t_theta less its whole Gamma(s) x^(-s),
+    without forming that difference.
     Each side stops once _gamma_tail of the rest is below 2^-60 of the
     magnitudes summed, and states that tail.
 
@@ -150,9 +149,11 @@ def _theta_bracket(scale: float, shift: float, s: float,
     Each term's error adds _GAMMA_INC_ROUNDING and the rounding of its
     argument x through d g/d(ln x) = -(a*g + exp(-x)): u = scale*n + shift
     is good to u*(1 + |scale*n|/|u|), x = pi*(u/scale)^2 to twice that plus
-    _X_ROUNDING.  A dual term also carries the rounding of a = 1/2 - s
-    (_dual_gamma), and its cosine the k-fold rounding of its angle, formed
-    from the exact remainder of shift modulo scale.
+    _X_ROUNDING, and a subnormal x, off by up to 2^-1075 absolute, to
+    2^-1074/x more (as in spectra._series_relief).  A dual term also
+    carries the rounding of a = 1/2 - s (_dual_gamma), and its cosine the
+    k-fold rounding of its angle, formed from the exact remainder of shift
+    modulo scale.
     """
     terms, errs = [1.0 / (s - 0.5)], []
     errs.append(2.0 * _U * abs(terms[0]))
@@ -182,18 +183,15 @@ def _theta_bracket(scale: float, shift: float, s: float,
                     errs.append(tail)
                     break
             if not (removed and n == 0):
-                if u == 0.0:
-                    term, err = -1.0 / s, _U / abs(s)
-                else:
-                    x = math.pi * y * y
-                    term = seen.get(x)
-                    if term is None:
-                        term = seen[x] = direct(s, x)
-                    rel_x = 2.0 * _U * (1.0 + abs(scale * n) / abs(u)) + _X_ROUNDING
-                    err = (_GAMMA_INC_ROUNDING * term
-                           + rel_x * abs(s * term + math.exp(-x)))
+                x = math.pi * y * y
+                term = seen.get(x)
+                if term is None:
+                    term = seen[x] = direct(s, x)
+                rel_x = 2.0 * _U * (1.0 + abs(scale * n) / abs(u)) + _X_ROUNDING
+                if x < _NORMAL_MIN:
+                    rel_x += 2.0 ** -1074 / x
                 terms.append(term)
-                errs.append(err)
+                errs.append(_GAMMA_INC_ROUNDING * term + rel_x * abs(s * term + math.exp(-x)))
                 magnitude += abs(term)
             n += step
     a = 0.5 - s
@@ -216,15 +214,14 @@ def _theta_bracket(scale: float, shift: float, s: float,
 
 
 def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
-    """(Gamma(s) zeta(s) of the thetas, each less the n = 0 term it removes,
-    its error, zeta(s) of the rows, its error), from Spectrum.poisson; the
-    solos are left out.
+    """(Gamma(s) zeta(s) of the thetas of Spectrum.poisson, each less the
+    n = 0 term it removes, its error, zeta(s) of the explicit rows, its
+    error); the solos are left out.
 
     Each theta (w, c, sigma) goes to _theta_bracket with its own `removed`
     flag, so the bracket forms the theta less its n = 0 term without
-    cancellation; w*(pi/c^2)^s is formed as w*pi^s*c^(-2s).  Every row (lam,
-    w) is w*lam^(-s) exactly, and nothing at lam = 0.0, which only cancels a
-    structural zero that _theta_bracket leaves out itself.
+    cancellation; w*(pi/c^2)^s is formed as w*pi^s*c^(-2s).  Every
+    explicit row (lam, mult) is mult*lam^(-s) exactly.
     """
     poisson = spec.poisson
     parts, errs = [], []
@@ -236,7 +233,7 @@ def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
         # three products
         errs.append(abs(prefactor) * bracket_err
                     + (0.35 * abs(s) + 7.0) * _U * abs(parts[-1]))
-    direct = [weight * lam ** -s for lam, weight in poisson.rows if lam > 0.0]
+    direct = [mult * lam ** -s for lam, mult, _ in spec.rows]
     mellin = fsum(parts)
     return (mellin, fsum(errs) + _U * abs(mellin),
             fsum(direct), 4.0 * _U * fsum(map(abs, direct)))
@@ -245,14 +242,14 @@ def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
 def zeta_value(spec: Spectrum, s: float) -> ZetaEvaluation:
     """zeta_B(s) in closed form; route tag "mellin-split".
 
-    Every theta and row of Spectrum.poisson is a closed form (_split_sums),
-    and the solos are their Dirichlet series (zeta_direct), which restricts
-    a spectrum with solos to s > -1.  Rejects s within 1e-6 of the lattice
-    pole (_check_pole) and of the non-positive Gamma poles.  A term beyond
-    the double range raises NumericError.
+    Every theta of Spectrum.poisson and every explicit row is a closed form
+    (_split_sums), and the solos are their Dirichlet series (zeta_direct),
+    which restricts a spectrum with solos to s > -1.  Rejects s within 1e-6
+    of the lattice pole (_check_pole) and of the non-positive Gamma poles.
+    A term beyond the double range raises NumericError.
     """
     _check_s_range(s)
-    min_eigenvalue(spec)  # DomainError or NumericError before any sum meets it
+    spec.lam0  # DomainError or NumericError before any sum meets it
     _check_pole(s, spec)
     if s < 0.5 and abs(s - round(s)) <= 1e-6 and round(s) <= 0:
         raise PoleError(f"s={s!r} is within 1e-6 of a Gamma pole")
@@ -292,7 +289,7 @@ def zeta_direct(spec: Spectrum, s: float) -> ZetaEvaluation:
         parts = [mult * lam ** (-s) for lam, mult, _ in spec.rows]
         err = 2.0 * _U * fsum(parts)
         for fam in spec.lattices:
-            first = fam.mult * min_eigenvalue(Spectrum((fam,))) ** -s
+            first = fam.mult * Spectrum((fam,)).lam0 ** -s
             terms, bound = _lattice_sum(fam, "power", 2.0 * s,
                                         max(_U * first, _SMALLEST_NORMAL))
             parts.extend(terms)
@@ -310,9 +307,8 @@ def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:
     positive side: mult * scale^(-2s) * zeta_H(2s, (scale + shift)/scale);
     full side:     mult * scale^(-2s) * [zeta_H(2s, q) + zeta_H(2s, 1-q)]
     with q = |sigma|/scale and 1 - q = (scale - |sigma|)/scale, sigma the
-    exact remainder of shift modulo scale (math.remainder, as
-    orbit._reg_shape_trace reduces it), and 2*zeta_H(2s, 1) when sigma is
-    0.0, a structural zero.  Each q is good to the 2u that hurwitz_zeta's
+    reduced shift (LatticeFamily), and 2*zeta_H(2s, 1) when sigma is 0.0,
+    a structural zero.  Each q is good to the 2u that hurwitz_zeta's
     bound takes in; a row adds 3u, a family 5u (the power and products), the
     sum half an ulp.  Valid for 2s >= -2 away from s = 1/2.
     """
@@ -326,7 +322,7 @@ def zeta_closed_form(spec: Spectrum, s: float) -> ZetaEvaluation:
         if fam.side == "positive":
             qs = [(c + fam.shift) / c]
         else:
-            sigma = abs(math.remainder(fam.shift, c))
+            sigma = abs(fam.shift)
             qs = [1.0, 1.0] if sigma == 0.0 else [sigma / c, (c - sigma) / c]
         hurwitz = [hurwitz_zeta(2.0 * s, q) for q in qs]
         parts.append(c2s * fsum(value for value, _ in hurwitz))
@@ -347,7 +343,7 @@ def zeta_prime0(spec: Spectrum) -> tuple[float, float]:
     its sine's argument's 2.35u relative (theta*cot(theta) <= 1), the sine's
     ulp and the log's; a u per family sum and product, and half an ulp.
     """
-    min_eigenvalue(spec)  # DomainError or NumericError, as every route raises
+    spec.lam0  # DomainError or NumericError, as every route raises
     log_2pi = math.log(TWO_PI)
     terms, errs = [], []
     for lam, mult, _ in spec.rows:
@@ -366,12 +362,12 @@ def zeta_prime0(spec: Spectrum) -> tuple[float, float]:
                              + 3.0 * _U * log_2pi
                              + 4.0 * _U * (q * abs(log_c) + q_psi))
                         + 2.0 * _U * abs(terms[-1]))
-        elif _zero_modes(fam):
+        elif fam.shift == 0.0:
             log_ratio = math.log(c / TWO_PI)
             terms.append(2.0 * m * log_ratio)
             errs.append(2.0 * m * (1.35 + 2.0 * abs(log_ratio)) * _U + _U * abs(terms[-1]))
         else:
-            theta = math.pi * (abs(math.remainder(fam.shift, c)) / c)
+            theta = math.pi * (abs(fam.shift) / c)
             log_sine = math.log(2.0 * math.sin(theta))
             terms.append(-2.0 * m * log_sine)
             errs.append(2.0 * m * (4.35 + 2.0 * abs(log_sine)) * _U + _U * abs(terms[-1]))

@@ -531,6 +531,18 @@ def test_bad_input_exits_2_without_traceback(run_cli, tmp_path, command, text, f
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["detreg", "zeta", "bridge", "orbit"])
+def test_non_utf8_input_exits_2_without_traceback(run_cli, tmp_path, command):
+    # a UTF-16 byte order mark does not decode as UTF-8
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe" + _orbit_text().encode("utf-16-le"))
+    proc = run_cli(command, "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"input error: cannot read input {path}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # fuzz: every generated input ends in a certified result or a typed error
 

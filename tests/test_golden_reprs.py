@@ -47,6 +47,10 @@ SPECTRA = {
     "orbit-rank2": orbit_spectrum(ORBITS["rank2"]),
     # a full lattice whose smallest eigenvalue (7.2e-226) is tiny but nonzero
     "tiny": lattice_family(4.585, 2.68e-113, "full", 1),
+    # full shifts off (-scale/2, scale/2], reduced on construction: to -0.7,
+    # and to a zero at n = -3 (kernel 1)
+    "full-5.3/2": lattice_family(2.0, 5.3, "full", 1),
+    "full-3*2pi": lattice_family(TWO_PI, 3.0 * TWO_PI, "full", 1),
 }
 
 

@@ -804,6 +804,16 @@ def test_e1_sum_charges_subnormal_arguments():
     assert err <= 1.4e-11  # at eps = 1 only E1's own 160 u of 731.6
 
 
+@pytest.mark.parametrize("shift", [1e-160, 3e-161])
+def test_split_charges_subnormal_arguments(shift):
+    # the n = 0 term's u^2 = shift^2 is subnormal, and so t*u^2 at the
+    # split point t = 16 pi: its rounding moved E1 by 1.4e-5 (9.2e-4 at
+    # 3e-161) where 1.6e-12 was stated
+    spec = lattice_family(1.0, shift, "full")
+    value, err = regdet._e1_split(spec, (0.1,))[0]
+    assert abs(mp.mpf(value) - _mp_e1_sum(spec, 0.1)) <= err
+
+
 @pytest.mark.parametrize("spec", BUILTINS)
 def test_guard_sees_an_error_in_the_upper_integral(spec, monkeypatch):
     # 1e-10 added to the upper E1 sum of log_det_reg itself (not to the

@@ -23,7 +23,6 @@ from specreg import (
     heat_trace,
     heat_trace_theta,
     lattice_family,
-    min_eigenvalue,
     scale_spectrum,
     spectrum_from_dict,
     spectrum_to_dict,
@@ -164,6 +163,51 @@ def test_structural_zero_goes_to_kernel():
     assert ONE0.kernel_dim == 0
 
 
+# (scale, shift, canonical shift) of full families built directly: sigma +
+# k*c (exact in binary), the boundary -c/2, -0.0, and a zero at n = -2
+DIRECT_FULL = [(2.0, 0.75 + k * 2.0, 0.75) for k in (1, -1, 3, -3)] + [
+    (2.0, -1.0, 1.0), (2.0, -0.0, 0.0), (2.0 ** -10, 2.0 ** -9, 0.0)]
+PUBLIC_CALLS = {
+    "build_report": specreg.build_report,
+    "verify_bridge": specreg.verify_bridge,
+    "mellin_lower": specreg.regdet.mellin_lower,
+    "zeta_value": lambda spec: specreg.zeta_value(spec, 0.75),
+    "zeta_prime0": specreg.zeta_prime0,
+    "zeta_closed_form": lambda spec: specreg.zeta_closed_form(spec, 0.75),
+    "heat_trace": lambda spec: heat_trace(spec, 0.1),
+    "heat_trace_theta": lambda spec: heat_trace_theta(spec, 0.1),
+    "trace_shape_eps": lambda spec: specreg.trace_shape_eps(spec, 0.1),
+    "minimality_report": specreg.minimality_report,
+    "deform": lambda spec: deform(spec, 0.01),
+}
+
+
+@pytest.mark.parametrize("scale, shift, canonical", DIRECT_FULL,
+                         ids=["k1", "k-1", "k3", "k-3", "minus-half", "minus-zero",
+                              "zero-at-n-2"])
+def test_direct_full_family_is_stored_reduced(scale, shift, canonical):
+    # a full family built directly, by _replace or by scale_spectrum is the
+    # record lattice_family builds: equal, hash-equal and wire-equal, with
+    # the same repr from every public call
+    fam = LatticeFamily(scale, shift, "full", 2, 0.5)
+    assert fam.shift == canonical and math.copysign(1.0, fam.shift) == 1.0
+    built = lattice_family(scale, shift, "full", 2, 0.5)
+    assert built.kernel_dim == (2 if canonical == 0.0 else 0)
+    replaced = LatticeFamily(scale, 0.25, "full", 2, 0.5)._replace(shift=shift)
+    for other in (fam, replaced):
+        spec = Spectrum((other,), built.kernel_dim)
+        assert spec == built and hash(spec) == hash(built)
+        assert _wire(spec) == _wire(built)
+        for name, call in PUBLIC_CALLS.items():
+            assert repr(call(spec)) == repr(call(built)), name
+    root = math.sqrt(3.0)
+    scaled = scale_spectrum(Spectrum((fam,)), 3.0).families[0]
+    want = lattice_family(scale * root, canonical * root, "full", 2, 0.5 * root).families[0]
+    assert scaled == want and hash(scaled) == hash(want)
+    # deform counts the structural zero of the record as lattice_family does
+    assert deform(Spectrum((fam,), built.kernel_dim), 0.0) == built
+
+
 def test_finite_spectrum_kernel_and_sorting():
     spec = finite_spectrum([(3.0, 1), (0.0, 2), (1.0, 4)])
     assert spec.kernel_dim == 2
@@ -171,13 +215,13 @@ def test_finite_spectrum_kernel_and_sorting():
 
 
 def test_min_eigenvalue():
-    assert min_eigenvalue(ONE0) == pytest.approx(TWO_PI ** 2, rel=1e-15)
-    assert min_eigenvalue(ONEPI) == pytest.approx((3.0 * math.pi) ** 2, rel=1e-15)
-    assert min_eigenvalue(FULLPI) == pytest.approx(math.pi ** 2, rel=1e-15)
-    assert min_eigenvalue(FULLPI3) == pytest.approx((math.pi / 3.0) ** 2, rel=1e-15)
-    assert min_eigenvalue(FIN23) == 2.0
+    assert ONE0.lam0 == pytest.approx(TWO_PI ** 2, rel=1e-15)
+    assert ONEPI.lam0 == pytest.approx((3.0 * math.pi) ** 2, rel=1e-15)
+    assert FULLPI.lam0 == pytest.approx(math.pi ** 2, rel=1e-15)
+    assert FULLPI3.lam0 == pytest.approx((math.pi / 3.0) ** 2, rel=1e-15)
+    assert FIN23.lam0 == 2.0
     with pytest.raises(DomainError):
-        min_eigenvalue(finite_spectrum([]))
+        finite_spectrum([]).lam0
 
 
 def test_min_eigenvalue_walks_the_runs_once(monkeypatch):
@@ -187,20 +231,20 @@ def test_min_eigenvalue_walks_the_runs_once(monkeypatch):
     runs = specreg.spectra._runs
     monkeypatch.setattr(specreg.spectra, "_runs", lambda fam: calls.append(fam) or runs(fam))
     spec = compose(ONEPI, FULLPI3)
-    first = min_eigenvalue(spec)
-    assert min_eigenvalue(spec) == first == spec.lam0
+    first = spec.lam0
+    assert spec.lam0 == first
     assert len(calls) == 2
     for bad, error in ((finite_spectrum([]), DomainError),
                        (lattice_family(1.0, 1e-170, "full"), NumericError)):
         for _ in range(2):
             with pytest.raises(error):
-                min_eigenvalue(bad)
+                bad.lam0
 
 
 def test_min_eigenvalue_one_sided_shift_beyond_scale():
     # every index n >= 1 lies right of the zero crossing: the minimum is at n = 1
-    assert min_eigenvalue(lattice_family(1.0, 2.5)) == 3.5 ** 2
-    assert min_eigenvalue(lattice_family(2.0, 2.0)) == 16.0
+    assert lattice_family(1.0, 2.5).lam0 == 3.5 ** 2
+    assert lattice_family(2.0, 2.0).lam0 == 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +383,11 @@ def test_poisson_pairing_rules():
     # shifted full one is less its n = 0 term, which no row repeats
     assert poisson.thetas == ((0.5, 2.0, 0.0, True), (1, 2.0, 0.5, True),
                               (1, 2.0, 0.25, False), (1, 2.0, 0.0, True))
-    assert poisson.rows == ((1.0, 1),)
     assert poisson.exponentials == ((0.0, -0.5), (0.25, -1), (0.0, -1), (1.0, 1))
-    # a structural zero away from n = 0 is a row; the theta keeps its n = 0 term
+    # a structural zero away from n = 0 is reduced to n = 0, which the theta removes
     off = Spectrum((LatticeFamily(1.0, 1.0, "full", 2),)).poisson
-    assert off.thetas == ((2, 1.0, 1.0, False),)
-    assert off.rows == off.exponentials == ((0.0, -2),)
+    assert off.thetas == ((2, 1.0, 0.0, True),)
+    assert off.exponentials == ((0.0, -2),)
     # the earliest partner wins; scale, mult and an opposite shift must match
     assert [next(i for i, f in enumerate(fams) if f is fam)
             for fam in poisson.solos] == [1, 6, 7, 8]

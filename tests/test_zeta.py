@@ -29,7 +29,6 @@ from specreg import (
     lattice_family,
     log_det_eps,
     log_det_reg,
-    min_eigenvalue,
     orbit_spectrum,
     scale_spectrum,
     verify_bridge,
@@ -328,14 +327,14 @@ UNDERFLOW = lattice_family(1.0, 1e-170, "full", 1)
 
 # the public calls, each of which reads the smallest eigenvalue first
 LAM0_CALLS = pytest.mark.parametrize("call", [
-    min_eigenvalue,
+    lambda spec: spec.lam0,
     log_det_reg,
     lambda spec: log_det_eps(spec, 1e-2),
     build_report,
     lambda spec: zeta_value(spec, 0.75),
     zeta_prime0,
     verify_bridge,
-], ids=["min_eigenvalue", "log_det_reg", "log_det_eps", "build_report", "zeta_value",
+], ids=["lam0", "log_det_reg", "log_det_eps", "build_report", "zeta_value",
         "zeta_prime0", "verify_bridge"])
 
 
@@ -503,6 +502,16 @@ def _mp_zeta_lattice(spec, s: float) -> mp.mpf:
             parts = [1 - q] + ([q] if q else [1])
         total += fam.mult * sum(c ** (-2 * s) * _mp_hurwitz(2 * s, q) for q in parts)
     return total
+
+
+def test_bracket_charges_a_subnormal_argument():
+    # the n = 0 term's x = pi*(u/c)^2 = 3.1e-320 rounds by up to 8e-5 of
+    # itself, which moved zeta(0.25) = 1e80 by 1.4e75 where 8.7e65 was stated
+    spec = lattice_family(1.0, 1e-160, "full")
+    got = zeta_value(spec, 0.25)
+    with mp.workdps(40):
+        q = mp.mpf(1e-160)
+        assert abs(got.value - (mp.zeta(0.5, q) + mp.zeta(0.5, 1 - q))) <= got.error
 
 
 @pytest.mark.parametrize("spec", [ONE0, ONEPI, FULLPI3, FULL0M2,
