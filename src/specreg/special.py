@@ -1,7 +1,9 @@
 """Scalar special functions for the regularised-determinant machinery.
 
 Everything here is double precision and deterministic: the exponential
-integral E1 and its entire companion Ein, the Gamma function (math.gamma
+integral E1 and its entire companion Ein, from fixed polynomial tables
+(Taylor below 1, Chebyshev interpolants of x*exp(x)*E1(x) from 1 on, each
+summed by Horner's rule), the Gamma function (math.gamma
 with typed poles), the upper and lower incomplete gamma functions scaled by
 x^(-a) (zeta_value's closed form), the digamma function, the Hurwitz zeta
 function (Euler-Maclaurin), the Euler-Mascheroni constant by two
@@ -28,11 +30,12 @@ TWO_PI = 2.0 * math.pi
 
 # unit roundoff
 _U = 2.0 ** -53
-# relative error of exp_integral_e1 (see its docstring): on its series
-# branch (x < 1), the 8 u measured doubled, the other half holding one
-# rounding of a caller's argument (E1's sensitivity exp(-x)/E1(x) is below
-# 2/log(1 + 2/x) < 2 there); on its continued fraction; and of math.erfc
-# (within 2.7 u of mpmath on [0, 26.5])
+# relative error of exp_integral_e1 (see its docstring): below 1, the 8 u
+# allowed there doubled, the other half holding one rounding of a caller's
+# argument (E1's sensitivity exp(-x)/E1(x) is below 2/log(1 + 2/x) < 2
+# there); from 1 on, far above the 3.5 u measured there, since lowering it
+# moves every stated error that an E1 term enters; and of math.erfc (within
+# 2.7 u of mpmath on [0, 26.5])
 _E1_SERIES_ROUNDING = 16.0 * _U
 _E1_ROUNDING = 160.0 * _U
 _ERFC_ROUNDING = 4.0 * _U
@@ -44,93 +47,116 @@ def _e1_rounding(x: float) -> float:
     return _E1_SERIES_ROUNDING if x < 1.0 else _E1_ROUNDING
 
 
-# the floor of exp_integral_e1's series stop
-_E1_FLOOR = 1e-18 * 1e-300
+# Polynomial tables of exp_integral_e1 and _ein, highest power first, each
+# summed by Horner's rule.  tests/test_special.py rebuilds every table with
+# mpmath and checks that it equals the committed one.  Each degree is the
+# lowest whose first dropped term is below u/4 of the piece's smallest value.
+#
+# Ein(x)/x = sum_{k>=0} (-1)^k x^k/((k+1)(k+1)!) (DLMF 6.6.4), through
+# degree 16 on [0.25, 1) and 11 (the last 12 coefficients) below 0.25.
+_EIN_TAYLOR = (
+    1.6537983849091297e-16, -2.9871733327421158e-15, 5.0981091545465446e-14,
+    -8.193389712664089e-13, 1.2353110643708935e-11, -1.7397297489890083e-10,
+    2.27746439867652e-09, -2.755731922398589e-08, 3.0619243582206544e-07,
+    -3.1001984126984127e-06, 2.834467120181406e-05, -0.0002314814814814815,
+    0.0016666666666666668, -0.010416666666666666, 0.05555555555555555, -0.25, 1.0,
+)
+_EIN_TAYLOR_SHORT = _EIN_TAYLOR[-12:]
+# g(x) = x exp(x) E1(x) (DLMF 6.8.1: 1/2 < g < 1 for x >= 1), interpolated at
+# the Chebyshev points of the first kind from 40-digit mpmath values and
+# written out in monomials of t: degree 19 on [1, 2] in t = 2x - 3, degree
+# 19 on [2, 4] in t = x - 3 and degree 25 on [4, inf) in t = 8/x - 1.
+_G_1_2 = (
+    5.1508041022925595e-12, -1.7025847932825592e-11, 3.0803215241102515e-11,
+    -1.0377537449060462e-10, 4.0674501625024094e-10, -1.3841785331632418e-09,
+    4.685371428144805e-09, -1.6240537378571917e-08, 5.6954586196587714e-08,
+    -2.0208902967153363e-07, 7.276360964909993e-07, -2.6657063330130347e-06,
+    9.969588472249185e-06, -3.82276862407574e-05, 0.00015112891068722235,
+    -0.0006205521421678448, 0.002672210894234232, -0.012221040518266387,
+    0.06032083661447869, 0.6723850039373744,
+)
+_G_2_4 = (
+    8.898696687825777e-12, -2.919562140680952e-11, 5.169208685895561e-11,
+    -1.723500527088338e-10, 6.724123461743093e-10, -2.2597085270343483e-09,
+    7.533025319561065e-09, -2.5685975949184738e-08, 8.839554690639614e-08,
+    -3.0679468473469733e-07, 1.0762412040107013e-06, -3.82231599488987e-06,
+    1.3769260716051317e-05, -5.042787001490753e-05, 0.00018829873306012323,
+    -0.0007194029193250904, 0.0028244809960595555, -0.011457316028371464,
+    0.048334961021273985, 0.7862512207659554,
+)
+_G_4_INF = (
+    -8.001615440631582e-10, 1.3285774745001097e-09, 2.9736042588853118e-09,
+    -4.8625955150373845e-09, -6.936769924234592e-09, 1.1500621715097312e-08,
+    5.75650301385878e-09, -8.878663409757859e-09, -1.3475768564487912e-08,
+    2.462767137675858e-08, -2.6481877592364328e-08, 5.6338975575042305e-08,
+    -1.3215123474013128e-07, 2.8822257569074726e-07, -6.45255688616513e-07,
+    1.5063951919336178e-06, -3.6597936535096397e-06, 9.305059491892854e-06,
+    -2.4960876882546316e-05, 7.138003833004577e-05, -0.0002207091278137072,
+    0.0007530386322150118, -0.0029245277761943867, 0.013618587371725343,
+    -0.08413402625195046, 0.8982371140279946,
+)
 
 
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf exp(-u)/u du, x > 0.
 
-    Convergent power series
+    Below 1, E1(x) = x*P(x) - gamma - ln(x) with P(x) = Ein(x)/x from
+    _EIN_TAYLOR (degree 11 below 0.25, 16 on [0.25, 1)); from 1 on, E1(x) =
+    g(t)*exp(-x)/x with g from _G_1_2, _G_2_4 or _G_4_INF (degrees 19, 19
+    and 25; Cody and Thacher, Math. Comp. 22, 1968, split at 1 and 4 too,
+    with rational functions).  Beyond ~745 the result underflows cleanly to
+    0.0, and E1(inf) is 0.0, for an eps*lam that overflows.
 
-        E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^{k+1} x^k / (k * k!)
-
-    for x < 1, and the modified Lentz evaluation of the continued fraction
-
-        E1(x) = exp(-x) / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
-
-    for x >= 1.  Beyond ~745 the result underflows cleanly to 0.0, and
-    E1(inf) is 0.0, for an eps*lam that overflows.
-
-    Relative error, measured against mpmath at 30-40 digits on about 6e4
-    points of [1e-300, 700]: at most 8 u (u = 2^-53) below 1, 124 u on
-    [1, 2] (worst just above 1, where the continued fraction takes the most
-    iterations and its rounding accumulates), 36 u on [2, 30] and 11 u
-    beyond.  _E1_SERIES_ROUNDING = 16 u states the series branch and
-    _E1_ROUNDING = 160 u the continued fraction (_e1_rounding picks one).
+    Relative error, measured against 40-digit mpmath on 1.6e4 points
+    (tests/test_special.py: 2500 per piece, packed at each boundary, next to
+    1e-300 and up to 745, and 3400 below 1): at most 2.3 u (u = 2^-53) below
+    0.25, 5.8 u on [0.25, 1) (where gamma + ln(x) cancels x*P(x) by up to a
+    factor 3.6), 2.9 u on [1, 2), 3.5 u on [2, 4) and 3.2 u on [4, 745]; a
+    result below the normal range (x above ~708) is within 2^-1074.
+    _E1_SERIES_ROUNDING = 16 u states the pieces below 1 and _E1_ROUNDING =
+    160 u the others (_e1_rounding picks one).
     """
     if not x > 0.0:
         raise DomainError(f"E1 requires x > 0, got {x!r}")
-    if x == math.inf:
-        return 0.0
     if x < 1.0:
-        total = -EULER_GAMMA - math.log(x)
-        term = 1.0
-        k = 1
-        while k < 80:
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            # |contrib| <= 1e-18*max(|total|, 1e-300), without a builtin call
-            limit = 1e-18 * total if total > 0.0 else -1e-18 * total
-            if -limit <= contrib <= limit or -_E1_FLOOR <= contrib <= _E1_FLOOR:
-                break
-            k += 1
-        return total
-    # Modified Lentz continued fraction (Numerical Recipes style).
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if -1e-16 < delta - 1.0 < 1e-16:
-            break
-    return h * math.exp(-x)
+        p = 0.0
+        for coeff in _EIN_TAYLOR_SHORT if x < 0.25 else _EIN_TAYLOR:
+            p = p * x + coeff
+        return x * p - EULER_GAMMA - math.log(x)
+    if x < 2.0:
+        t, coeffs = 2.0 * x - 3.0, _G_1_2
+    elif x < 4.0:
+        t, coeffs = x - 3.0, _G_2_4
+    elif x == math.inf:
+        return 0.0
+    else:
+        t, coeffs = 8.0 / x - 1.0, _G_4_INF
+    g = 0.0
+    for coeff in coeffs:
+        g = g * t + coeff
+    return g / x * math.exp(-x)
 
 
 def _ein(x: float) -> float:
     """Ein(x) = int_0^x (1 - exp(-u))/u du = gamma + ln(x) + E1(x), x > 0
     (DLMF 6.2.3).
 
-    Below x = 2 the series sum_{k>=1} (-1)^(k+1) x^k/(k*k!) (DLMF 6.6.4),
-    whose terms never outweigh the value by more than a factor 2.8 there, so
-    small x loses nothing to cancellation; from 2 on gamma + ln(x) + E1(x),
-    three positive terms, with E1(x) <= 0.049.  Both sums are exactly
-    rounded.  The relative error stays below 8 u (u = 2^-53): the series
-    terms carry at most (k + 1/2) u each, and above 2 the error is one ulp of
-    ln(x) plus exp_integral_e1's, at most 36 u of E1 <= 0.049 against a value
-    >= 1.27 (E1's error peaks just above x = 1, which is why the series
-    reaches to 2).
+    Below 1, x*P(x) with exp_integral_e1's Taylor table, so small x loses
+    nothing to cancellation; from 1 on, gamma + ln(x) + E1(x), three positive
+    terms.  The relative error stays below 8 u (u = 2^-53): measured against
+    40-digit mpmath on 1.25e4 points of exp_integral_e1's pieces
+    (tests/test_special.py), at most 1.5 u below 1 and 2.1 u from 1 on, where
+    the sum carries two roundings, an ulp of ln(x) and E1's 3.5 u of a term
+    below 0.22 against a value above 0.79.
     """
     if not x > 0.0:
         raise DomainError(f"Ein requires x > 0, got {x!r}")
-    if x >= 2.0:
-        return fsum((EULER_GAMMA, math.log(x), exp_integral_e1(x)))
-    terms = []
-    term = -1.0
-    for k in range(1, 40):
-        term *= -x / k
-        terms.append(term / k)
-        if abs(term) <= 2.0 ** -60 * x:
-            break
-    return fsum(terms)
+    if x >= 1.0:
+        return EULER_GAMMA + math.log(x) + exp_integral_e1(x)
+    p = 0.0
+    for coeff in _EIN_TAYLOR_SHORT if x < 0.25 else _EIN_TAYLOR:
+        p = p * x + coeff
+    return x * p
 
 
 def gamma_fn(s: float) -> float:
@@ -615,12 +641,15 @@ def euler_gamma_integral() -> tuple[float, float]:
 
 
 def euler_gamma_series() -> float:
-    """Euler-Mascheroni constant via H_n - ln n at n = 100000, with
-    Euler-Maclaurin correction.
+    """Euler-Mascheroni constant as -psi(1) (_digamma): H_9 - ln(10) + 1/20
+    + sum_{k=1..8} B_2k/(2k*10^(2k)), the harmonic sum and the
+    Euler-Maclaurin series of psi(10) through B16 (DLMF 5.11.2), with no
+    quadrature and no E1.
 
-    The correction terms -1/(2n) + 1/(12 n^2) - 1/(120 n^4) leave an error
-    below 1/(252 n^6), far past double precision at this n.
+    For real x > 0 that series' remainder is bounded by its first omitted
+    term (DLMF 5.11(ii)): |B18|/(18*10^18) < 3.1e-18.  The exactly rounded
+    sum of rounded terms is good to 5e-16, mostly half an ulp of ln(10); it
+    is 2.6e-16 below the constant, two ulps under its correctly rounded
+    double.
     """
-    n = 100_000
-    harmonic = fsum(1.0 / k for k in range(1, n + 1))
-    return harmonic - math.log(n) - 0.5 / n + 1.0 / (12.0 * n * n) - 1.0 / (120.0 * n ** 4)
+    return -_digamma(1.0)

@@ -505,7 +505,7 @@ def _series_relief(args: list[float], terms: list[float], weights: Iterable[floa
                    spread: float | None = None) -> float:
     """What a run of E1 terms weight*E1(x), x in args, that charged each
     term _E1_ROUNDING (and, for a direct run, 4 u) gives back where x is
-    below 1 and exp_integral_e1 takes its series, good to
+    below 1 and exp_integral_e1 takes its Taylor pieces, good to
     _E1_SERIES_ROUNDING; exactly 0.0 when no x is below 1.  A subnormal x
     gives nothing back and is charged instead: a rounded product left there
     is off by up to 2^-1075 absolute, which moves E1 (slope -exp(-x)/x,
@@ -543,8 +543,8 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     weight and the rounding of rate*u^2 where it is of order one.  Further
     out the argument's rounding grows with rate*u^2 in a term that has
     fallen like exp(-rate*u^2); for the E1 runs of regdet._e1_sum, E1's
-    stated 160 u (at most 36 u measured beyond x = 2) absorbs it.  Below
-    x = 1 an E1 term states its series' error and the rounding of x
+    stated 160 u (at most 3.5 u measured from x = 1 on) absorbs it.  Below
+    x = 1 an E1 term states its Taylor pieces' error and the rounding of x
     instead and a subnormal x its absolute rounding (_series_relief).
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult

@@ -150,7 +150,8 @@ def _theta_bracket(scale: float, shift: float, s: float,
     argument x through d g/d(ln x) = -(a*g + exp(-x)): u = scale*n + shift
     is good to u*(1 + |scale*n|/|u|), x = pi*(u/scale)^2 to twice that plus
     _X_ROUNDING, and a subnormal x, off by up to 2^-1075 absolute, to
-    2^-1074/x more (as in spectra._series_relief).  A dual term also
+    2^-1074/x more (as in spectra._series_relief); one that underflows to
+    0.0, where g has no value, raises NumericError.  A dual term also
     carries the rounding of a = 1/2 - s (_dual_gamma), and its cosine the
     k-fold rounding of its angle, formed from the exact remainder of shift
     modulo scale.
@@ -184,6 +185,9 @@ def _theta_bracket(scale: float, shift: float, s: float,
                     break
             if not (removed and n == 0):
                 x = math.pi * y * y
+                if x == 0.0:
+                    raise NumericError(f"the theta term pi*(u/scale)^2 at u = {u!r}, scale "
+                                       f"{scale!r} underflows to 0.0")
                 term = seen.get(x)
                 if term is None:
                     term = seen[x] = direct(s, x)

@@ -30,6 +30,7 @@ from specreg import (
     LoopGroupOrbitSpec,
     finite_spectrum,
     lattice_family,
+    orbit_spectrum,
     orbit_to_dict,
     spectrum_to_dict,
 )
@@ -182,10 +183,10 @@ def test_bridge_pass(run_cli, tmp_path):
 
 
 def test_bridge_tight_tolerance_fails(run_cli, tmp_path):
-    # a spectrum whose two routes differ (4.4e-16); one-sided-pi's agree to
-    # the last bit
-    fullpi3 = lattice_family(TWO_PI, math.pi / 3.0, "full", 1)
-    path = write_json(tmp_path, "fullpi3.json", spectrum_to_dict(fullpi3))
+    # a spectrum whose two routes differ: the rank-2 orbit's (1.8e-15);
+    # one-sided-pi's and full-pi/3's agree to the last bit
+    rank2 = orbit_spectrum(LoopGroupOrbitSpec(2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4), 0.2))
+    path = write_json(tmp_path, "rank2.json", spectrum_to_dict(rank2))
     proc = run_cli("bridge", "--input", path, "--abs-tol", "1e-18")
     assert proc.returncode == 1
     assert "bridge check failed" in proc.stderr
@@ -223,6 +224,17 @@ def test_bridge_underflowing_eigenvalue_exits_1(run_cli, tmp_path):
     proc = run_cli("bridge", "--input", path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("numeric failure: ")
+
+
+def test_zeta_underflowing_theta_term_exits_1(run_cli, tmp_path):
+    # the eigenvalue 1e-320 is positive, but its theta term's argument
+    # pi*(1e-160/1e3)^2 underflows: a numeric failure, not an input error
+    path = write_json(tmp_path, "subnormal.json",
+                      spectrum_to_dict(lattice_family(1e3, 1e-160, "full")))
+    proc = run_cli("zeta", "--input", path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numeric failure: ")
+    assert "underflows" in proc.stderr
 
 
 def test_zeta_overflowing_term_exits_1(run_cli, tmp_path):

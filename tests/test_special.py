@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -24,11 +25,17 @@ from specreg.special import (
     _CRAMER,
     _E1_ROUNDING,
     _E1_SERIES_ROUNDING,
+    _EIN_TAYLOR,
+    _EIN_TAYLOR_SHORT,
     _EM_REMAINDER,
     _EM_WEIGHTS,
     _G1_COEFFS,
+    _G_1_2,
+    _G_2_4,
+    _G_4_INF,
     _GAMMA_INC_ROUNDING,
     _GAMMA_ROUNDING,
+    _U,
     _digamma,
     _e1_rounding,
     _ein,
@@ -36,6 +43,7 @@ from specreg.special import (
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
+from specreg.regdet import _EIN_ROUNDING
 
 mp.mp.dps = 30
 
@@ -50,7 +58,7 @@ def test_e1_against_mpmath(x):
 
 
 def test_e1_series_branch_rounding():
-    # below 1, E1 is within 8 u of mpmath (6.1 u measured on these 3400
+    # below 1, E1 is within 8 u of mpmath (5.8 u measured on these 3400
     # points, packed towards 0 and next to 1): half of _E1_SERIES_ROUNDING,
     # whose other half holds the rounding of a caller's argument
     rng = random.Random(16)
@@ -66,10 +74,177 @@ def test_e1_series_branch_rounding():
 
 
 def test_e1_stated_rounding_just_above_one():
-    # the continued fraction's rounding peaks just above x = 1
+    # where the Taylor pieces hand over to the table of g on [1, 2]
     for k in range(200):
         x = 1.0 + k * 2.5e-5
         assert abs(exp_integral_e1(x) - mp.e1(x)) <= _E1_ROUNDING * mp.e1(x)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial tables of exp_integral_e1 and _ein
+
+
+def _g(x):
+    """x exp(x) E1(x) at the working precision."""
+    x = mp.mpf(x)
+    return x * mp.exp(x) * mp.e1(x)
+
+
+def _chebyshev_coeffs(f, degree: int) -> list:
+    """Chebyshev coefficients c_0..c_degree of the polynomial interpolating f
+    at the degree + 1 Chebyshev points of the first kind on [-1, 1]."""
+    count = degree + 1
+    angles = [mp.pi * (j + mp.mpf(1) / 2) / count for j in range(count)]
+    values = [f(mp.cos(angle)) for angle in angles]
+    coeffs = [2 * mp.fsum(v * mp.cos(k * angle) for v, angle in zip(values, angles)) / count
+              for k in range(count)]
+    coeffs[0] /= 2
+    return coeffs
+
+
+def _monomials(coeffs: list) -> tuple:
+    """sum_k coeffs[k]*T_k(t) in monomials of t, highest power first, each
+    rounded to a double; T_k's integer coefficients by T_(k+1) = 2t*T_k -
+    T_(k-1)."""
+    chebyshev = [[1], [0, 1]]
+    while len(chebyshev) < len(coeffs):
+        prev, last = chebyshev[-2], chebyshev[-1]
+        chebyshev.append([2 * a - b for a, b in zip([0] + last, prev + [0, 0])])
+    powers = [mp.mpf(0)] * len(coeffs)
+    for c, poly in zip(coeffs, chebyshev):
+        for i, a in enumerate(poly):
+            powers[i] += c * a
+    return tuple(float(p) for p in reversed(powers))
+
+
+# each table of g: the map from t in [-1, 1] to x, its smallest g (at the
+# piece's smallest x, g being increasing) and its degree
+G_TABLES = (
+    (_G_1_2, lambda t: (t + 3) / 2, 1, 19),
+    (_G_2_4, lambda t: t + 3, 2, 19),
+    (_G_4_INF, lambda t: 8 / (t + 1), 4, 25),
+)
+
+
+def test_e1_tables_rebuild_from_mpmath():
+    # every committed table is what its recipe gives from 40-digit mpmath
+    with mp.workdps(40):
+        taylor = tuple(float(mp.mpf((-1) ** k) / ((k + 1) * mp.factorial(k + 1)))
+                       for k in range(16, -1, -1))
+        assert _EIN_TAYLOR == taylor
+        assert _EIN_TAYLOR_SHORT == taylor[-12:]
+        for table, to_x, _, degree in G_TABLES:
+            assert table == _monomials(_chebyshev_coeffs(lambda t: _g(to_x(t)), degree))
+
+
+def test_e1_table_degrees():
+    # each degree is the lowest whose first dropped term is below u/4 of the
+    # piece's smallest value: Chebyshev coefficients of a degree + 8
+    # interpolant for g, Taylor terms at the piece's right end for Ein(x)/x
+    quarter = 2.0 ** -55
+    with mp.workdps(40):
+        for _, to_x, low, degree in G_TABLES:
+            coeffs = [abs(c) for c in _chebyshev_coeffs(lambda t: _g(to_x(t)), degree + 8)]
+            floor = quarter * _g(low)
+            assert coeffs[degree] >= floor
+            assert max(coeffs[degree + 1:]) < floor
+        for table, right in ((_EIN_TAYLOR_SHORT, mp.mpf(0.25)), (_EIN_TAYLOR, mp.mpf(1))):
+            degree = len(table) - 1
+            floor = quarter * (mp.euler + mp.log(right) + mp.e1(right)) / right
+
+            def term(k):
+                return right ** k / ((k + 1) * mp.factorial(k + 1))
+            assert term(degree) >= floor > term(degree + 1)
+
+
+# the pieces of exp_integral_e1 and _ein, each sampled by _piece_points
+E1_PIECES = ((0.0, 0.25), (0.25, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 745.0))
+
+
+def _piece_points(lo: float, hi: float, rng: random.Random) -> list[float]:
+    """2500 points of [lo, hi): 500 within 1e-3 relative of each end (next to
+    1e-300 at the bottom, with each end and its neighbouring doubles), 750
+    uniform and 750 log-uniform."""
+    bottom = max(lo, 1e-300)
+    points = [bottom, math.nextafter(hi, 0.0)]
+    if lo > 0.0:
+        points.append(math.nextafter(lo, math.inf))
+    points += [bottom * (1.0 + rng.uniform(0.0, 1e-3)) for _ in range(499)]
+    points += [hi * (1.0 - rng.uniform(0.0, 1e-3)) for _ in range(499)]
+    points += [rng.uniform(lo, hi) for _ in range(750)]
+    points += [math.exp(rng.uniform(math.log(bottom), math.log(hi))) for _ in range(750)]
+    return [x for x in points if lo <= x < hi and x > 0.0]
+
+
+def _worst_error(function, reference, points) -> tuple[float, float]:
+    """The largest |function(x) - reference(x)| over points: relative where
+    the reference is at least the smallest normal double, and in units of
+    2^-1074 below that."""
+    relative, subnormal = 0.0, 0.0
+    for x in points:
+        ref = reference(x)
+        miss = abs(function(x) - ref)
+        if ref >= 2.0 ** -1022:
+            relative = max(relative, float(miss / ref))
+        else:
+            subnormal = max(subnormal, float(miss * mp.mpf(2) ** 1074))
+    return relative, subnormal
+
+
+# the measured worst relative error of each piece in units of u, rounded
+# up, as the docstrings of exp_integral_e1 and _ein state it (E1 on [0.25,
+# 1): test_e1_series_branch_rounding's points)
+E1_PIECE_ERRORS = (2.3, 5.8, 2.9, 3.5, 3.2)
+EIN_PIECE_ERRORS = (1.5, 1.5, 2.1, 2.0, 1.8)
+
+
+def test_e1_per_piece_error():
+    # 1.25e4 points: each piece of exp_integral_e1 within its measured worst
+    # error of 40-digit mpmath, and a result below the normal range (x above
+    # 708) within 2^-1074 of it
+    rng = random.Random(40)
+    with mp.workdps(40):
+        for (lo, hi), limit in zip(E1_PIECES, E1_PIECE_ERRORS):
+            relative, subnormal = _worst_error(exp_integral_e1, mp.e1, _piece_points(lo, hi, rng))
+            assert relative <= limit * _U, (lo, hi, relative / _U)
+            assert subnormal <= 1.0
+    assert max(E1_PIECE_ERRORS[:2]) <= 0.5 * _E1_SERIES_ROUNDING / _U
+    assert max(E1_PIECE_ERRORS[2:]) <= _E1_ROUNDING / _U
+
+
+def test_ein_per_piece_error():
+    # 1.25e4 points on the same pieces: _ein within its measured worst error
+    # of 40-digit mpmath, below the 8 u that _EIN_ROUNDING states
+
+    def reference(x):
+        with mp.workdps(40 + max(0, round(-math.log10(x)))):
+            return +(mp.euler + mp.log(x) + mp.e1(x))
+
+    rng = random.Random(41)
+    with mp.workdps(40):
+        for (lo, hi), limit in zip(E1_PIECES, EIN_PIECE_ERRORS):
+            relative, _ = _worst_error(_ein, reference, _piece_points(lo, hi, rng))
+            assert relative <= limit * _U, (lo, hi, relative / _U)
+    assert max(EIN_PIECE_ERRORS) * _U <= _EIN_ROUNDING
+
+
+def test_e1_continuous_and_decreasing_across_the_pieces():
+    # at each boundary b, E1 at b and at the double below it differ by at
+    # most the stated errors of both plus E1's own change; on 400 points
+    # within 1e-9 relative around b, and on a log grid of the whole range, E1
+    # decreases strictly
+    for b in (0.25, 1.0, 2.0, 4.0):
+        below, at = math.nextafter(b, 0.0), b
+        jump = abs(exp_integral_e1(below) - exp_integral_e1(at))
+        change = math.exp(-below) / below * (at - below)
+        assert jump <= (_e1_rounding(below) + _e1_rounding(at)) * exp_integral_e1(below) + change
+        near = [b * (1.0 + 1e-9 * i / 200) for i in range(-200, 201)]
+        values = [exp_integral_e1(x) for x in near]
+        assert all(a > c for a, c in zip(values, values[1:])), b
+    grid = [math.exp(math.log(1e-300) + i / 4000 * (math.log(700.0) - math.log(1e-300)))
+            for i in range(4001)]
+    values = [exp_integral_e1(x) for x in grid]
+    assert all(a > c for a, c in zip(values, values[1:]))
 
 
 def test_euler_maclaurin_constants():
@@ -117,7 +292,7 @@ def test_e1_at_infinity_is_zero():
 def test_ein_against_mpmath():
     # Ein(x) = gamma + ln x + E1(x) at 40 significant digits (the working
     # precision grows with -log10 x, where the three terms cancel), on 200
-    # log-spaced points and densely where the series hands over to E1; the
+    # log-spaced points and densely where the Taylor pieces hand over to E1; the
     # relative error stays inside the 8 u its docstring derives
     worst = 0.0
     for x in [10.0 ** (-300 + 600 * i / 199) for i in range(200)] + [
@@ -129,9 +304,11 @@ def test_ein_against_mpmath():
 
 
 def test_ein_series_meets_e1_route():
-    # the series below 2 and gamma + ln x + E1(x) from 2 on join continuously
-    below, above = _ein(math.nextafter(2.0, 0.0)), _ein(2.0)
-    assert 0.0 <= above - below <= 4.0 * math.ulp(above)
+    # the Taylor pieces below 1 and gamma + ln x + E1(x) from 1 on join
+    # continuously, as do the two Taylor pieces at 0.25
+    for b in (0.25, 1.0):
+        below, above = _ein(math.nextafter(b, 0.0)), _ein(b)
+        assert 0.0 <= above - below <= 4.0 * math.ulp(above)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300, math.nan])
@@ -310,39 +487,24 @@ def _upper_gamma_cf_reference(a: float, x: float) -> float:
 
 
 def _e1_reference(x: float) -> float:
-    """exp_integral_e1 with abs() and max() in its stops."""
-    if x < 1.0:
-        total = -EULER_GAMMA - math.log(x)
-        term = 1.0
-        k = 1
-        while k < 80:
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) <= 1e-18 * max(abs(total), 1e-300):
-                break
-            k += 1
-        return total
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x)
+    """exp_integral_e1 from a list of its pieces, each table summed by
+    functools.reduce."""
+
+    def horner(table, t):
+        return functools.reduce(lambda acc, coeff: acc * t + coeff, table, 0.0)
+
+    pieces = ((0.25, lambda: x * horner(_EIN_TAYLOR_SHORT, x) - EULER_GAMMA - math.log(x)),
+              (1.0, lambda: x * horner(_EIN_TAYLOR, x) - EULER_GAMMA - math.log(x)),
+              (2.0, lambda: horner(_G_1_2, 2.0 * x - 3.0) / x * math.exp(-x)),
+              (4.0, lambda: horner(_G_2_4, x - 3.0) / x * math.exp(-x)),
+              (math.inf, lambda: horner(_G_4_INF, 8.0 / x - 1.0) / x * math.exp(-x)))
+    return next(piece() for top, piece in pieces if x < top)
 
 
 def test_hot_loops_match_their_builtin_references():
-    # the stops compare without abs() or max() and must decide exactly as
-    # these references do, so every value is bit-equal
+    # exp_integral_e1 picks its piece and sums its table as the reference
+    # does; _upper_gamma_cf's stops compare without abs() and must decide
+    # exactly as its reference does; so every value is bit-equal
     rng = random.Random(34)
     for _ in range(4000):
         x = math.exp(rng.uniform(math.log(1e-300), math.log(700.0)))

@@ -395,9 +395,11 @@ def test_bridge_routes_are_independent():
 
 
 def test_bridge_tight_tolerance_fails():
-    # a threshold below a nonzero discrepancy fails (one-sided-pi's two
-    # routes now agree to the last bit, so it cannot show this)
-    report = verify_bridge(FULLPI3, abs_tol=1e-18)
+    # a threshold below a nonzero discrepancy fails: the rank-2 orbit's two
+    # routes differ (1.8e-15), where one-sided-pi's and full-pi/3's agree to
+    # the last bit
+    spec = orbit_spectrum(LoopGroupOrbitSpec(2, ((1.0, 0.0), (0.5, 0.8)), (1.0, 0.4), 0.2))
+    report = verify_bridge(spec, abs_tol=1e-18)
     assert report.discrepancy > 1e-18
     assert not report.passed
     assert report.threshold == 1e-18
@@ -512,6 +514,16 @@ def test_bracket_charges_a_subnormal_argument():
     with mp.workdps(40):
         q = mp.mpf(1e-160)
         assert abs(got.value - (mp.zeta(0.5, q) + mp.zeta(0.5, 1 - q))) <= got.error
+
+
+def test_bracket_refuses_an_underflowing_argument():
+    # at scale 1e3 the n = 0 term's x = pi*(1e-160/1e3)^2 underflows to 0.0
+    # for the positive eigenvalue 1e-320, where x^(-s)*Gamma(s, x) has no
+    # value: a numeric failure naming the underflow, not bad input
+    spec = lattice_family(1e3, 1e-160, "full")
+    assert spec.lam0 > 0.0
+    with pytest.raises(NumericError, match=r"pi\*\(u/scale\)\^2 .* underflows to 0\.0"):
+        zeta_value(spec, 0.75)
 
 
 @pytest.mark.parametrize("spec", [ONE0, ONEPI, FULLPI3, FULL0M2,
