@@ -332,9 +332,11 @@ def remainder_fn(spec: Spectrum, exp: HeatExpansion) -> Callable[[float], float]
     the module docstring: the sum of w*_theta_rest over its thetas,
     w*expm1(-t*lam) over its exponentials and each solo's series or direct
     difference; for fitted sources it is the direct difference against the
-    fitted coefficients.  The solos' series coefficients and b-coefficients
-    are resolved here, once, so a caller evaluating F at many t
-    (verify_remainder_bound) builds it once.
+    fitted coefficients.  A theta takes its dual series alone and refuses
+    where spectra.heat_trace_theta does, past c*sqrt(t) of about 5e5.  The
+    solos' series coefficients and b-coefficients are resolved here, once,
+    so a caller evaluating F at many t (verify_remainder_bound) builds it
+    once.
     """
     if exp.source == "fitted":
         return lambda t: heat_trace(spec, t) - expansion_value(exp, t)

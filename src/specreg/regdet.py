@@ -2,15 +2,14 @@
 
 The cutoff determinant multiplies per-eigenvalue factors h_eps(lam) =
 exp(-E1(eps*lam)), so log det_eps = -sum mult*E1(eps*lam) over the positive
-spectrum.  log_det_eps splits each theta of Spectrum.poisson at its
-balanced point t* = max(eps, _SPLIT/c^2) (_e1_split; Chowla-Selberg): the
-E1 terms at t* with |u| below about 0.8*c, and the rest of [eps, t*] by
-Poisson summation, a pole term and an erfc series, about 15 terms.  The
-direct sum (_e1_sum) sums each lattice run for a head and closes it by the
-Euler-Maclaurin tail of spectra._lattice_sum, a bounded number of E1 calls
-whatever eps*scale^2 is; the solos, which have no theta, the upper
-integral and the guard below take it.  As eps -> 0 the sum diverges like
-the counterterm sum; the regularised determinant is the closed form
+spectrum.  Every theta integral splits at its balanced point t* =
+_SPLIT/c^2 (_theta_split, Chowla-Selberg) into E1 terms with |u| below
+about 0.8*c and Poisson summation's pole term and erfc series, about 15
+terms; log_det_eps so splits each theta where eps < t* (_e1_split).  The
+direct sum (_e1_sum), each lattice run closed by spectra._lattice_sum,
+serves the solos, which have no theta, the upper integral and the guard
+below.  As eps -> 0 the sum diverges like the counterterm sum; the
+regularised determinant is the closed form
 
     log det_reg = - sum_{j != 0} m*b_j/j
                   - int_1^inf tr exp(-t*B) dt/t
@@ -20,11 +19,11 @@ with b_j and F from the spectrum's own expansion (default_expansion), the
 only one these routes take.  The upper integral is the direct E1 sum at
 eps = 1, since int_1^inf exp(-lam*t) dt/t = E1(lam) (A&S 5.1.1).  The lower
 one, mellin_lower, is a closed form from Spectrum.poisson for any
-spectrum: each theta's Poisson dual terms integrate to an erfc series, and
-each exponential to Ein = gamma + log + E1.  Each solo (an unpaired
-shifted one-sided family) goes alone (_solo_lower): its small-time
-Bernoulli series on [0, delta] and, on [delta, 1], the cutoff identity
-(Ray-Singer; Minakshisundaram-Pleijel)
+spectrum: each theta's Poisson dual terms integrate to an erfc series,
+split at t* where t* < 1, and each exponential to Ein = gamma + log + E1.
+Each solo (an unpaired shifted one-sided family) goes alone
+(_solo_lower): its small-time Bernoulli series on [0, delta] and, on
+[delta, 1], the cutoff identity (Ray-Singer; Minakshisundaram-Pleijel)
 
     log det_delta = log det_reg + sum_{j != 0} (m*b_j/j)*delta^(j/m)
                     + b_0*ln(delta) + int_0^delta F(t) dt/t,
@@ -37,15 +36,15 @@ Kronecker's limit formula: this route reads only E1 sums, erfc and Ein,
 and the solos' Bernoulli series.
 
 log_det_reg then checks the same identity for the whole spectrum at one
-cutoff eps (at most 1e-4): int_eps^1 F dt/t by the E1 sums and b-terms
-(_identity_terms) must match the lower integral less that of eps*B,
-mellin_lower(scale_spectrum(B, eps)) = int_0^eps F dt/t, within the sum of
-the stated errors of every piece, else NumericError.  The identity is
-exact at any eps, so pieces within their stated errors pass; an error
+cutoff eps (_guard_eps, at most 1e-4): int_eps^1 F dt/t by the E1 sums and
+b-terms (_identity_terms) must match the lower integral less that of
+eps*B, mellin_lower(scale_spectrum(B, eps)) = int_0^eps F dt/t, within the
+sum of the stated errors of every piece, else NumericError.  The identity
+is exact at any eps, so pieces within their stated errors pass; an error
 beyond them in the upper E1 sum, the lower integral or the coefficients
-raises.  The check does not feed the reported error bound.  Its E1 sum at
-eps is the direct one: split, it would compare the theta dual series of
-log_det_eps with that of mellin_lower, the same series.
+raises.  The check does not feed the reported error bound.  It compares
+different sums: its E1 sum at eps is the direct one, and no theta of
+eps*B splits, so the lower integral of eps*B is the dual series alone.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from .spectra import (
     scale_spectrum,
     _dual_mellin,
     _lattice_sum,
+    _DUAL_TAIL,
     _series_relief,
     _tail_budget,
     _NORMAL_MIN,
@@ -186,41 +186,78 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
     return terms, err
 
 
+def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: float,
+                 sides: dict) -> tuple[list[float], float, float]:
+    """A theta (w, c, sigma, removed) of Spectrum.poisson split at t* =
+    _SPLIT/c^2, up to T: the terms of S(T) for T <= t*, else of w*D(c,
+    sigma; T), and their error in two parts, the t* direct side's and the
+    rest's.  The t* side is formed once per theta and kept in `sides`.
+
+    With S(T) = w*sum_n E1(T*u_n^2), u_n = c*n + sigma over n != 0 if
+    removed, and D spectra._dual_mellin, Poisson summation and int t^(-3/2)
+    exp(-beta/t) dt = sqrt(pi/beta)*erfc(sqrt(beta/t)) give
+
+        S(T) + w*D(c, sigma; T) = S(t*) + w*D(c, sigma; t*)
+                                  + (sqrt(pi)/c)*2*w*(T^(-1/2) - t*^(-1/2))
+                                  - w*(ln(t*/T) + Ein(T*sigma^2) - Ein(t*sigma^2)),
+
+    the last line only if removed (the n = 0 term's -w*int_T^t* exp(-lam*t)
+    dt/t at lam = sigma^2: Ein is small where E1 is large, so a small
+    shift's E1(t*sigma^2) and E1(T*sigma^2) do not cancel).  The other term
+    at T is the one short there: D(c, sigma; T) for T <= t*, else S(T).
+    The error adds the direct sides', the D's, the rounding of the pole term
+    (T^(-1/2) and t*^(-1/2) an ulp each, their difference, the constant and
+    three products: 3 u of it), of the logarithm (an ulp of its value and of
+    t*/T), of each Ein (_EIN_ROUNDING, u for the product and its argument's
+    rounding, at most u*min(x, 1) by Ein'(x) = (1 - exp(-x))/x, or (t* +
+    1)*2^-1073 where sigma^2 is subnormal or underflows) and of each product
+    with w.
+    """
+    weight, scale, shift, removed = theta
+    t = _SPLIT / scale / scale
+    square = shift * shift
+    if theta not in sides:
+        ein = _ein(t * square) if removed and t * square > 0.0 else None
+        sides[theta] = (_theta_near(weight, scale, shift, t, budget, removed)
+                        + _dual_mellin(scale, shift, t) + (ein,))
+    near, near_err, dual_t, dual_t_err, ein_t = sides[theta]
+    inv_T, inv_t = 1.0 / math.sqrt(T), 1.0 / math.sqrt(t)
+    prefactor = weight * 2.0 * SQRT_PI / scale
+    parts = [prefactor * (inv_T - inv_t), weight * dual_t]
+    errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_T + inv_t) * _U]
+    if T <= t:
+        dual_T, dual_T_err = _dual_mellin(scale, shift, T)
+        parts.append(-weight * dual_T)
+        errs.append(abs(weight) * (dual_t_err + dual_T_err)
+                    + _U * (abs(parts[1]) + abs(parts[2])))
+    else:
+        far, far_err = _theta_near(weight, scale, shift, T, budget, removed)
+        parts.extend(-term for term in far)
+        errs.append(abs(weight) * dual_t_err + _U * abs(parts[1]) + far_err)
+    if removed:
+        log_ratio = math.log(t / T)
+        parts.append(-weight * log_ratio)
+        errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
+                                   + (t + 1.0) * 2.0 ** -1073))
+        for x, sign in ((T * square, -1.0), (t * square, 1.0)):
+            if x > 0.0:
+                # t*square > 0.0 only where the side holds Ein(t*square)
+                parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
+                errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
+                            + abs(weight) * _U * min(x, 1.0))
+    return near + parts, near_err, fsum(errs)
+
+
 def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]]:
     """The same sum and bound as _e1_sum at each eps of `grid`, with each
     theta of Spectrum.poisson split at its balanced point t* = max(eps,
-    _SPLIT/c^2).
-
-    For a theta of weight w, scale c and shift sigma, u_n = c*n + sigma,
-    Poisson summation of its heat trace on [eps, t*] gives
-
-        sum_n E1(eps*u_n^2) = sum_n E1(t*u_n^2)
-                              + (sqrt(pi)/c)*2*(eps^(-1/2) - t*^(-1/2))
-                              + D(c, sigma; t*) - D(c, sigma; eps),
-
-    from int t^(-3/2) exp(-beta/t) dt = sqrt(pi/beta)*erfc(sqrt(beta/t)),
-    with D the dual series spectra._dual_mellin; at t* = eps the dual part
-    is empty.  The direct side is _theta_near.  The n = 0 term of a theta
-    marked removed takes -w*int_eps^t* exp(-lam*t) dt/t = -w*(ln(t*/eps) +
-    Ein(eps*lam) - Ein(t*lam)) at lam = sigma^2, with its own theta's t*:
-    Ein is small where E1 is large, so a small shift's E1(t*sigma^2) and
-    E1(eps*sigma^2) do not cancel.  Every explicit row (Spectrum.rows) stays
-    an E1 term at eps (_row_terms), and each solo a direct _lattice_sum run.
-
-    The error adds the direct side's, both D's, the rounding of the pole
-    term (eps^(-1/2) and t*^(-1/2) an ulp each, their difference, the
-    constant and three products: 3 u of it), of each logarithm (an ulp of
-    its value and of t*/eps), of each Ein (_EIN_ROUNDING, u for the product
-    and its argument's rounding, at most u*min(x, 1) by Ein'(x) = (1 -
-    exp(-x))/x, or (t* + 1)*2^-1073 where sigma^2 is subnormal or
-    underflows), and half an ulp of the exactly rounded sum.  _e1_sum is
-    taken instead, bit for bit, when no theta splits (eps >= _SPLIT/c^2 for
-    each) and when a theta's split point overflows (scale below about
-    1e-154).
-
-    Where a theta splits, t* = _SPLIT/c^2 whatever eps is, so its t* side
-    (_theta_near at t*, D(c, sigma; t*) and Ein(t*sigma^2)) is formed once
-    for the whole grid.
+    _SPLIT/c^2): a theta with t* = eps is _theta_near at eps, any other
+    _theta_split at T = eps with one t* side for the whole grid; each
+    explicit row is an E1 term at eps (_row_terms) and each solo a direct
+    _lattice_sum run.  The error adds theirs and half an ulp of the exactly
+    rounded sum.  _e1_sum is taken instead, bit for bit, when no theta
+    splits (eps >= _SPLIT/c^2 for each) or a theta's split point overflows
+    (scale below about 1e-154).
     """
     poisson = spec.poisson
     budget = _tail_budget(spec)
@@ -233,40 +270,16 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
             return _e1_sum(spec, eps)
         _check_eps_lam0(spec, eps)
         terms, err = [], 0.0
-        for i, ((weight, scale, shift, removed), t) in enumerate(zip(poisson.thetas, stars)):
+        for theta, t in zip(poisson.thetas, stars):
             if t == eps:
-                near, near_err = _theta_near(weight, scale, shift, t, budget, removed)
-                terms.extend(near)
-                err += near_err
-                continue
-            square = shift * shift
-            if i not in sides:
-                ein = _ein(t * square) if removed and t * square > 0.0 else None
-                sides[i] = (_theta_near(weight, scale, shift, t, budget, removed)
-                            + _dual_mellin(scale, shift, t) + (ein,))
-            near, near_err, dual_t, dual_t_err, ein_t = sides[i]
-            terms.extend(near)
+                weight, scale, shift, removed = theta
+                piece, near_err = _theta_near(weight, scale, shift, t, budget, removed)
+                piece_err = 0.0
+            else:
+                piece, near_err, piece_err = _theta_split(theta, eps, budget, sides)
+            terms.extend(piece)
             err += near_err
-            inv_eps, inv_t = 1.0 / math.sqrt(eps), 1.0 / math.sqrt(t)
-            prefactor = weight * 2.0 * SQRT_PI / scale
-            dual_eps, dual_eps_err = _dual_mellin(scale, shift, eps)
-            parts = [prefactor * (inv_eps - inv_t), weight * dual_t, -weight * dual_eps]
-            errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_eps + inv_t) * _U,
-                    abs(weight) * (dual_t_err + dual_eps_err)
-                    + _U * (abs(parts[1]) + abs(parts[2]))]
-            if removed:
-                log_ratio = math.log(t / eps)
-                parts.append(-weight * log_ratio)
-                errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
-                                           + (t + 1.0) * 2.0 ** -1073))
-                for x, sign in ((eps * square, -1.0), (t * square, 1.0)):
-                    if x > 0.0:
-                        # t*square > 0.0 only where the side holds Ein(t*square)
-                        parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
-                        errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
-                                    + abs(weight) * _U * min(x, 1.0))
-            terms.extend(parts)
-            err += fsum(errs)
+            err += piece_err
         row_terms, row_err = _row_terms(rows, eps)
         terms.extend(row_terms)
         err += row_err
@@ -387,25 +400,30 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     form from Spectrum.poisson, and its error bound: log_det_reg's lower
     integral.
 
-    A theta of weight w gives w*D(c, sigma) (spectra._dual_mellin) and an
-    exponential (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1; a removed
-    n = 0 term at lam = 0.0 adds nothing.  The solos have no Poisson form:
-    each solo's share of F is the remainder of its own analytic expansion,
-    which _solo_lower integrates by its small-time series and the cutoff
-    identity.  Each solo goes alone, at the delta of its own scale: a delta
-    set by a larger scale would make a small solo's E1 sum at delta grow
-    like 1/(scale*sqrt(delta)), and its cancellation against the b-terms
-    cost digits (solos of scales 16.7 and 0.22 together stated 2e-12, apart
+    A theta of weight w gives w*D(c, sigma; 1) (spectra._dual_mellin), or
+    _theta_split's where its balanced point _SPLIT/c^2 is below 1, its
+    direct sides walked to _DUAL_TAIL per unit of weight.  An exponential
+    (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1, nothing at lam = 0.0
+    (a removed term's cancels a split's Ein(sigma^2) exactly).  Each solo
+    goes alone (_solo_lower), at the delta of its own scale: a delta set by
+    a larger scale would make a small solo's E1 sum at delta grow like
+    1/(scale*sqrt(delta)), and its cancellation against the b-terms cost
+    digits (solos of scales 16.7 and 0.22 together stated 2e-12, apart
     9e-14).  Each Ein term carries _EIN_ROUNDING and each product with its
-    weight a further u; the sum is exactly rounded.  Nothing is integrated
-    numerically.
+    weight a further u; the sum is exactly rounded.
     """
     poisson = spec.poisson
     parts, errs = [], []
-    for weight, scale, shift, _ in poisson.thetas:
-        dual, dual_err = _dual_mellin(scale, shift, 1.0)
-        parts.append(weight * dual)
-        errs.append(weight * dual_err + _U * abs(parts[-1]))
+    for theta in poisson.thetas:
+        weight, scale, shift, _ = theta
+        if _SPLIT / scale / scale >= 1.0:
+            dual, dual_err = _dual_mellin(scale, shift, 1.0)
+            parts.append(weight * dual)
+            errs.append(weight * dual_err + _U * abs(parts[-1]))
+        else:
+            piece, near_err, piece_err = _theta_split(theta, 1.0, _DUAL_TAIL * weight, {})
+            parts.extend(piece)
+            errs += [near_err, piece_err]
     for lam, weight in poisson.exponentials:
         if lam > 0.0:
             parts.append(-weight * _ein(lam))
@@ -420,9 +438,12 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
 
 def _guard_eps(spec: Spectrum) -> float:
     """The one cutoff at which log_det_reg checks the cutoff identity: 1e-4,
-    or half a solo's _first_delta if smaller, where that solo's share of
-    int_0^eps F dt/t is its small-time series alone."""
-    return min([1e-4] + [0.5 * _first_delta(fam) for fam in spec.poisson.solos])
+    or less: half a solo's _first_delta, so that its share of int_0^eps F
+    dt/t is its small-time series alone, and half a theta's _SPLIT/c^2 (c
+    above about 501), so that mellin_lower of eps*B does not split it."""
+    poisson = spec.poisson
+    return min([1e-4] + [0.5 * _first_delta(fam) for fam in poisson.solos]
+               + [0.5 * _SPLIT / scale / scale for _, scale, _, _ in poisson.thetas])
 
 
 def _log_det_reg(spec: Spectrum, exp: HeatExpansion) -> tuple[float, float]:
@@ -440,9 +461,7 @@ def _log_det_reg(spec: Spectrum, exp: HeatExpansion) -> tuple[float, float]:
            + 0.5 * (math.ulp(ct_sum) + math.ulp(head) + math.ulp(value)))
     _require_finite(value, err, "log_det_reg")
     # the guard: int_eps^1 F dt/t by the identity against lower less the
-    # lower integral of eps*B, int_0^eps F dt/t.  Its E1 sum at eps is the
-    # direct one: with the split on both sides the check would compare the
-    # theta dual series with itself
+    # lower integral of eps*B, int_0^eps F dt/t (module docstring)
     eps = _guard_eps(spec)
     parts, errs = _identity_terms(spec, exp, eps, _e1_sum(spec, eps), (upper, err_up))
     tail, tail_err = mellin_lower(scale_spectrum(spec, eps))

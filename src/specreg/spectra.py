@@ -27,8 +27,8 @@ families, the solos, which have no such form.  Every routine reads the
 views; only this module tells the family types apart.  Every walk over a
 lattice family reads its structure from here: index runs (_runs), the
 pairing, the Poisson dual series (_theta_terms, and its Mellin integral up
-to a cutoff t, _dual_mellin, whose shift-free weights _dual_weights tables
-once per c*sqrt(t)) and the tail budget (_tail_budget).
+to a cutoff t <= 16 pi/c^2, _dual_mellin, whose shift-free weights
+_dual_weights tables once per c*sqrt(t)) and the tail budget (_tail_budget).
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
@@ -45,7 +45,7 @@ states that bound plus its rounding, so its cost no longer grows like
 heat_trace sums mult * exp(-t*lam) over the positive spectrum with
 certified lattice tails and never reads Spectrum.poisson; heat_trace_theta
 evaluates the same quantity from it through the Jacobi theta transform
-(Poisson summation), which is the independent oracle route for small t.
+(Poisson summation), the independent oracle route for small t, dual-only.
 """
 
 from __future__ import annotations
@@ -680,32 +680,16 @@ def _dual_mellin(scale: float, shift: float, t: float) -> tuple[float, float]:
     square root and the product with c where t != 1; erfc's relative
     sensitivity is at most 2x^2 + 1, since erfc(x) > 2exp(-x^2)/(sqrt(pi)(x
     + sqrt(x^2 + 2)))), the k-fold rounding of the cosine's angle, and the
-    products; then half an ulp for the exactly rounded sum.  More than
-    _MAX_RUN_TERMS terms (c*sqrt(t) above about 5e5) raise NumericError.
+    products; then half an ulp for the exactly rounded sum.
 
     Only the cosines depend on sigma.  K, the tail bound and each weight
     2*erfc(x)/k with its relative rounding come from the bounded table
     _dual_weights, keyed by the float c*sqrt(t) and whether t == 1, so
     every theta of one scale at one t (every orbit family has c = 2pi)
-    reads one entry.  A series with c*sqrt(t) of _DUAL_TABLE_ROOT or more
-    is evaluated afresh and not kept.
-
-    regdet.mellin_lower takes each theta's share of the lower integral from
-    D(c, sigma; 1), and regdet's balanced split of a cutoff determinant
-    takes D at its split point and at the cutoff.  The solos have no such
-    series: mellin_lower integrates each alone by its small-time Bernoulli
-    series and the cutoff identity's E1 sums, and refuses, naming the cause,
-    a shift of more than 2^18 whole scales (heat_expansion._MAX_WHOLE_SCALES;
-    one-sided shift 0.5 at scale 1e-6, for instance), which has no table of
-    series coefficients.
+    reads one entry.  regdet takes D only at c*sqrt(t) <= sqrt(16 pi), about
+    7.09 (regdet._theta_split), so a series has at most 14 terms.
     """
-    root = scale * math.sqrt(t)
-    table = _dual_weights if root < _DUAL_TABLE_ROOT else _dual_weights.__wrapped__
-    weights = table(root, t == 1.0)
-    if weights is None:
-        raise NumericError(f"the dual series of a lattice with scale {scale!r} "
-                           f"would need more than {_MAX_RUN_TERMS} terms at t = {t!r}")
-    tail, pairs = weights
+    tail, pairs = _dual_weights(scale * math.sqrt(t), t == 1.0)
     angle = 2.0 * math.pi * shift / scale
     terms, errs = [], []
     for k, (weight, rounding) in enumerate(pairs, start=1):
@@ -716,24 +700,16 @@ def _dual_mellin(scale: float, shift: float, t: float) -> tuple[float, float]:
     return value, tail + fsum(errs) + 0.5 * math.ulp(value)
 
 
-# an entry of _dual_weights holds about 2.1*c*sqrt(t) pairs (0.25 MB at
-# this bound), so only narrower series are kept
-_DUAL_TABLE_ROOT = 1024.0
-
-
 @lru_cache(maxsize=32)
-def _dual_weights(root: float, unit: bool
-                  ) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+def _dual_weights(root: float, unit: bool) -> tuple[float, tuple[tuple[float, float], ...]]:
     """The shift-free part of _dual_mellin at c*sqrt(t) = root, t == 1 when
     `unit`: its tail bound and, for k = 1..K, the weight 2*erfc(x)/k with
-    x = pi*k/root and the weight's relative rounding; None past
-    _MAX_RUN_TERMS terms.  An entry holds K pairs, K about
-    (root/pi)*sqrt(38 + log(root)): 12 at root = 2pi."""
+    x = pi*k/root and the weight's relative rounding.  An entry holds K
+    pairs, K about (root/pi)*sqrt(38 + log(root)): 12 at root = 2pi, 14 at
+    sqrt(16 pi)."""
     # a(K+1)^2 >= log(2c sqrt(t)/(pi^(3/2) _DUAL_TAIL))
     log_target = _DUAL_LOG + math.log(root)
     K = max(0, math.ceil(root / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
-    if K > _MAX_RUN_TERMS:
-        return None
     tail = _dual_tail(root, K)
     while tail > _DUAL_TAIL:
         K += 1
@@ -752,7 +728,9 @@ def heat_trace_theta(spec: Spectrum, t: float) -> float:
     """Same trace as heat_trace, but through Spectrum.poisson: each theta by
     the Jacobi transform (Poisson summation), each exponential directly, and
     each solo as its full lattice's transform less its directly summed mirror
-    run.  This is the independent small-t route used for cross-checks.
+    run: the independent small-t route of the cross-checks, so it stays
+    dual-only, and raises NumericError past c*sqrt(t) of about 5e5, where a
+    dual series needs more than _MAX_RUN_TERMS terms, rather than sum directly.
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"heat trace requires a finite t > 0, got {t!r}")

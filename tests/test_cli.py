@@ -108,6 +108,18 @@ def test_detreg_small_scale_lattice(run_cli, tmp_path):
     assert math.isfinite(json.loads(proc.stdout)["log_det_reg"])
 
 
+def test_large_scale_lattice_exits_0(run_cli, tmp_path):
+    # at scale 1e6 both commands exited 1: the lower integral's dual series
+    # would have needed more than 2^20 terms
+    path = write_json(tmp_path, "wide.json",
+                      spectrum_to_dict(lattice_family(1e6, 3e5, "full")))
+    for command in ("detreg", "bridge"):
+        first, second = run_cli(command, "--input", path), run_cli(command, "--input", path)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
+    assert json.loads(first.stdout)["passed"] is True
+
+
 def test_detreg_csv(run_cli, tmp_path):
     path = write_json(tmp_path, "fin23.json", spectrum_to_dict(FIN23))
     proc = run_cli("detreg", "--input", path, "--format", "csv")

@@ -3,7 +3,9 @@
 zeta._theta_bracket reads its dual incomplete gammas from zeta._dual_gamma,
 keyed by (1/2 - s, k), and a shift-0 theta's direct ones from
 zeta._unshifted_gamma, keyed by (s, x); spectra._dual_mellin reads its erfc
-weights from spectra._dual_weights, keyed by (c*sqrt(t), t == 1).  The
+weights from spectra._dual_weights, keyed by (c*sqrt(t), t == 1), and
+regdet asks it for no c*sqrt(t) above sqrt(16 pi), so an entry holds at
+most 14 weights (test_regdet.py's test_dual_series_stay_short).  The
 autouse fixture of conftest.py empties all three before every test.
 """
 
@@ -145,10 +147,3 @@ def test_tables_stay_bounded(cold_dual_tables):
         info = table.cache_info()
         assert info.maxsize is not None and info.maxsize <= 128
         assert info.currsize == info.maxsize
-    # an entry grows with c*sqrt(t): a wider series is evaluated afresh and
-    # not kept
-    weights = specreg.spectra._dual_weights
-    assert len(weights(1000.0, True)[1]) < 2200
-    before = weights.cache_info()
-    specreg.spectra._dual_mellin(2e3, 0.3, 1.0)
-    assert weights.cache_info() == before

@@ -30,7 +30,7 @@ from specreg import heat_expansion, regdet, special, spectra
 from specreg.orbit import LoopGroupOrbitSpec, minimality_report, orbit_spectrum
 from specreg.regdet import default_expansion, mellin_lower
 from specreg.spectra import LatticeFamily, Spectrum
-from specreg.zeta import zeta_prime0, zeta_value
+from specreg.zeta import verify_bridge, zeta_prime0, zeta_value
 
 mp.mp.dps = 30
 
@@ -302,7 +302,8 @@ def _solo_free_mixes(count: int = 24, seed: int = 25):
 def _mp_e1_sum(spec, eps: float = 1.0) -> mp.mpf:
     """sum mult*E1(eps*lam) over the positive spectrum at 40 digits, each
     lattice eigenvalue (scale*n + shift)^2 and its product with eps formed
-    exactly; a run stops past eps*lam = 130, where E1 < 1e-58."""
+    exactly; a run stops at its first term past the crossing below 1e-45 of
+    the sum so far, so a run whose first term is already tiny keeps it."""
     with mp.workdps(40):
         eps = mp.mpf(eps)
         total = mp.fsum(mult * mp.e1(eps * lam) for lam, mult, _ in spec.rows)
@@ -311,13 +312,23 @@ def _mp_e1_sum(spec, eps: float = 1.0) -> mp.mpf:
             for sign, start in ((1, 1),) if fam.side == "positive" else ((1, 1), (-1, 0)):
                 n = start
                 while True:
-                    lam = (c * n + sign * sigma) ** 2
-                    if eps * lam > 130 and c * n + sign * sigma > 0:
-                        break
-                    if lam:
-                        total += fam.mult * mp.e1(eps * lam)
+                    u = c * n + sign * sigma
+                    if u:
+                        term = fam.mult * mp.e1(eps * u * u)
+                        if u > 0 and term < mp.mpf(10) ** -45 * abs(total):
+                            break
+                        total += term
                     n += 1
         return total
+
+
+def test_e1_oracle_keeps_a_tiny_first_term():
+    # one-sided-pi at eps = 3: every term has eps*lam >= 27 pi^2 > 130, and
+    # the oracle that stopped there returned 0 for -log_det_eps = 6.95e-119
+    value, err = regdet._e1_split(ONEPI, (3.0,))[0]
+    oracle = _mp_e1_sum(ONEPI, 3.0)
+    assert 6.9e-119 < oracle < 7.0e-119
+    assert abs(mp.mpf(value) - oracle) <= err
 
 
 def _e1_cases() -> list:
@@ -578,7 +589,9 @@ CLOSED_FORM_SHIFTS = (0.0, 1e-8, 0.3, 0.49, -0.49)  # absolute 1e-8, else times 
 
 
 def _closed_form_cases():
-    for scale in CLOSED_FORM_SCALES:
+    # at 1e6 and up the lower integral's dual series needed more than 2^20
+    # terms, and log_det_reg refused
+    for scale in CLOSED_FORM_SCALES + (1e6, 1e12, 1e21):
         for frac in CLOSED_FORM_SHIFTS:
             shift = frac if frac == 1e-8 else frac * scale
             yield pytest.param(lattice_family(scale, shift, "full", 3),
@@ -590,6 +603,8 @@ def _closed_form_cases():
             yield pytest.param(compose(lattice_family(scale, shift, "positive", 2),
                                        lattice_family(scale, -shift, "positive", 2)),
                                id=f"pair-{scale:g}-{frac:g}")
+            if scale == 1e21:
+                continue  # the mix's solo overflows in special._em_tail there
             yield pytest.param(compose(
                 lattice_family(scale, shift, "positive", 1),
                 lattice_family(scale, 0.1 * scale, "full", 2),
@@ -731,8 +746,13 @@ def test_guard_eps_stays_within_every_solos_series():
         eps = guard_eps(spec)
         assert eps <= 1e-4
         assert all(eps <= 0.5 * regdet._first_delta(fam) for fam in spec.poisson.solos)
-    assert guard_eps(FULLPI3) == 1e-4
+        # every theta of eps*B has its balanced point at t* >= 2, so the
+        # lower integral of eps*B is its dual series alone
+        assert all(eps <= 0.5 * regdet._SPLIT / c / c for _, c, _, _ in spec.poisson.thetas)
+    assert guard_eps(FULLPI3) == guard_eps(lattice_family(501.0, 0.3, "full")) == 1e-4
     assert guard_eps(mixed) == 0.5 * regdet._first_delta(mixed.lattices[2])
+    assert (guard_eps(compose(FULLPI3, lattice_family(1e6, 3e5, "full")))
+            == 0.5 * regdet._SPLIT / 1e6 / 1e6)
 
 
 def test_guard_at_large_scale():
@@ -814,7 +834,16 @@ def test_split_charges_subnormal_arguments(shift):
     assert abs(mp.mpf(value) - _mp_e1_sum(spec, 0.1)) <= err
 
 
-@pytest.mark.parametrize("spec", BUILTINS)
+# full lattices and pairs at scales where mellin_lower splits each theta and
+# the guard's cutoff follows the scale
+GUARD_SENSITIVITY = BUILTINS + tuple(
+    spec for c in (1e6, 1e12)
+    for spec in (lattice_family(c, 0.3 * c, "full"),
+                 compose(lattice_family(c, 0.2 * c, "positive"),
+                         lattice_family(c, -0.2 * c, "positive"))))
+
+
+@pytest.mark.parametrize("spec", GUARD_SENSITIVITY)
 def test_guard_sees_an_error_in_the_upper_integral(spec, monkeypatch):
     # 1e-10 added to the upper E1 sum of log_det_reg itself (not to the
     # solos' own E1 sums at 1) must break the cutoff identity
@@ -827,3 +856,74 @@ def test_guard_sees_an_error_in_the_upper_integral(spec, monkeypatch):
     monkeypatch.setattr(regdet, "_e1_sum", shifted)
     with pytest.raises(NumericError, match="cutoff identity"):
         log_det_reg(spec)
+
+
+@pytest.mark.parametrize("spec", GUARD_SENSITIVITY)
+def test_guard_sees_an_error_in_the_lower_integral(spec, monkeypatch):
+    # 1e-10 added to the lower integral of the spectrum itself, not to that
+    # of the spectrum scaled by the guard's cutoff
+    lower = regdet.mellin_lower
+
+    def shifted(arg):
+        value, err = lower(arg)
+        return (value + 1e-10 if arg is spec else value), err
+
+    monkeypatch.setattr(regdet, "mellin_lower", shifted)
+    with pytest.raises(NumericError, match="cutoff identity"):
+        log_det_reg(spec)
+
+
+# ---------------------------------------------------------------------------
+# every scale from 1e-8 to 1e21
+
+
+def _scale_sweep():
+    """The four theta kinds at every decade of scale from 1e-8 to 1e21: a
+    full lattice at shift 0.3*c and at 0, a zero-shift one-sided lattice and
+    a pair at +-0.2*c."""
+    for k in range(30):
+        c = 10.0 ** (k - 8)
+        yield lattice_family(c, 0.3 * c, "full")
+        yield lattice_family(c, 0.0, "full")
+        yield lattice_family(c, 0.0, "positive")
+        yield compose(lattice_family(c, 0.2 * c, "positive"),
+                      lattice_family(c, -0.2 * c, "positive"))
+
+
+SCALE_SWEEP = list(_scale_sweep())
+
+
+def test_no_refusal_at_any_scale():
+    # 64 of these 120 spectra, every one from scale 1e6 up, were refused by
+    # all three calls: mellin_lower's dual series needed more than 2^20 terms
+    for spec in SCALE_SWEEP:
+        value, err = log_det_reg(spec)
+        assert math.isfinite(value) and math.isfinite(err)
+        assert verify_bridge(spec).passed
+        assert build_report(spec).log_det_reg == value
+
+
+def test_dual_series_stay_short(monkeypatch):
+    # regdet takes D(c, sigma; t) only at c*sqrt(t) <= sqrt(16 pi), up to the
+    # rounding of t* = _SPLIT/c^2, so no table entry holds more than 14
+    # weights, the count at the split point itself; mellin_lower asked for
+    # about 2.1*c of them at t = 1 and refused past 2^20
+    roots, sizes = [], []
+    dual_mellin, weights = regdet._dual_mellin, spectra._dual_weights
+
+    def dual_recording(c, sigma, t):
+        roots.append(c * math.sqrt(t))
+        return dual_mellin(c, sigma, t)
+
+    def weights_recording(root, unit):
+        entry = weights(root, unit)
+        sizes.append(len(entry[1]))
+        return entry
+
+    monkeypatch.setattr(regdet, "_dual_mellin", dual_recording)
+    monkeypatch.setattr(spectra, "_dual_weights", weights_recording)
+    for spec in list(_split_mixes()) + SCALE_SWEEP:
+        regdet._e1_split(spec, SPLIT_EPS)
+        log_det_reg(spec)
+    assert max(roots) <= math.sqrt(regdet._SPLIT) * (1.0 + 4.0 * special._U)
+    assert max(sizes) == 14

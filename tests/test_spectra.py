@@ -278,11 +278,15 @@ def test_heat_trace_domain():
             trace(lattice_family(TWO_PI, 1.0, "full"), math.inf)
 
 
-@pytest.mark.parametrize("t", [1e100, 1e308])
-def test_theta_route_refuses_huge_t(t):
-    # the dual series would need about sqrt(t) terms: 1e50 of them at t =
-    # 1e100 (out of memory), and at 1e308 its decay underflows to 0.0
-    spec = lattice_family(TWO_PI, 1.0, "full")
+@pytest.mark.parametrize("spec, t", [(lattice_family(TWO_PI, 1.0, "full"), 1e100),
+                                     (lattice_family(TWO_PI, 1.0, "full"), 1e308),
+                                     (lattice_family(1e6, 3e5, "full"), 1.0)],
+                         ids=["1e+100", "1e+308", "scale-1e+06"])
+def test_theta_route_refuses_huge_t(spec, t):
+    # the dual series would need about scale*sqrt(t) terms: 1e50 of them at
+    # t = 1e100 (out of memory), more than 2^20 at scale 1e6 and t = 1, and
+    # at 1e308 its decay underflows to 0.0.  The theta route stays dual-only
+    # at every scale: it is the oracle for heat_trace's direct sums
     exp = default_expansion(spec)
     for call in (lambda: heat_trace_theta(spec, t), lambda: specreg.remainder(spec, exp, t),
                  lambda: specreg.verify_remainder_bound(spec, exp, [t])):
