@@ -54,7 +54,7 @@ from math import fsum
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NumericError
-from .special import EULER_GAMMA, exp_integral_e1, _e1_rounding, _ein, _E1_ROUNDING, _U
+from .special import EULER_GAMMA, exp_integral_e1, _e1_error, _ein, _ein_error, _NORMAL_MIN, _U
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -72,9 +72,7 @@ from .spectra import (
     _dual_mellin,
     _lattice_sum,
     _DUAL_TAIL,
-    _series_relief,
     _tail_budget,
-    _NORMAL_MIN,
 )
 
 
@@ -89,16 +87,13 @@ def default_expansion(spec: Spectrum) -> HeatExpansion:
 
 def _row_terms(rows: Sequence[tuple[float, float]], eps: float) -> tuple[list[float], float]:
     """weight*E1(eps*lam) for each row (lam, weight), lam > 0, and their error
-    bound: each term carries E1's error, _E1_ROUNDING or, below 1,
-    _E1_SERIES_ROUNDING (through spectra._series_relief), either of which
-    absorbs the rounding of eps*lam as in _lattice_sum, u for the product
-    with its weight and, where eps*lam is subnormal, that rounding (also
-    _series_relief; none at eps = 1, where eps*lam is exact)."""
+    bound, each term's by special._e1_error: eps*lam is good to u, or exact
+    at eps = 1."""
+    rounding = 0.0 if eps == 1.0 else _U
     args = [eps * lam for lam, _ in rows]
     terms = [weight * exp_integral_e1(x) for x, (_, weight) in zip(args, rows)]
-    err = ((_E1_ROUNDING + _U) * fsum(map(abs, terms)) - _series_relief(
-        args, terms, [weight for _, weight in rows] if eps != 1.0 else []))
-    return terms, err
+    return terms, fsum(_e1_error(term, weight, x, rounding)
+                       for term, x, (_, weight) in zip(terms, args, rows))
 
 
 def _check_eps_lam0(spec: Spectrum, eps: float) -> None:
@@ -137,8 +132,6 @@ def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
 # the terms with |u| below about 0.8*c, one or two E1 calls, and its dual
 # side about 15 erfc terms (BENCH_theta_split.json compares other choices)
 _SPLIT = 16.0 * math.pi
-# relative error of special._ein (derived in its docstring)
-_EIN_ROUNDING = 8.0 * _U
 
 
 def _theta_near(weight: float, scale: float, shift: float, t: float, budget: float,
@@ -152,14 +145,11 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
     sum_{j>=0} E1(t*(y + j*scale)^2) <= exp(-t*y^2)/(t*y^2*(1 - exp(-t*scale*(2y
     + scale)))) by E1(x) <= exp(-x)/x, is below half the budget; that tail
     is stated.  The walk depends only on the |u| of each side, so mirrored
-    shifts keep mirrored terms.  Each term carries E1's error
-    (special._e1_rounding), u for the product with the weight and its
-    argument's rounding: u_n is good to (1 + |scale*n|/|u_n|) u/2, t*u_n^2
-    to (2 + |scale*n|/|u_n|) u, and E1's relative sensitivity is below x +
-    1 (x/(x + 1) < x*exp(x)*E1(x), DLMF 6.8.2).  A subnormal u_n^2 or x is
-    off by up to 2^-1075 absolute (x by t times that of u_n^2), which moves
-    E1 (slope -exp(-x)/x) by at most twice that over x per unit of |weight|,
-    as in spectra._series_relief.
+    shifts keep mirrored terms.  Each term's error is special._e1_error's,
+    u_n good to (1 + |scale*n|/|u_n|) u/2 and t*u_n^2 to (2 +
+    |scale*n|/|u_n|) u; a subnormal u_n^2 adds t*2^-1074/x per unit of
+    |weight|, its 2^-1075 absolute rounding scaled by t and moving E1 (slope
+    -exp(-x)/x) by at most twice that over x.
     """
     terms, err = [], 0.0
     first = math.ceil(-shift / scale)
@@ -179,19 +169,20 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
                 break
             term = weight * exp_integral_e1(x)
             terms.append(term)
-            err += abs(term) * (_e1_rounding(x) + ((x + 1.0) * (abs(cn) / y + 2.0) + 1.0) * _U)
-            if x < _NORMAL_MIN or square < _NORMAL_MIN:
-                err += (abs(weight) * 2.0 ** -1074 / x
-                        * (t * (square < _NORMAL_MIN) + (x < _NORMAL_MIN)))
+            err += _e1_error(term, weight, x, (abs(cn) / y + 2.0) * _U)
+            if square < _NORMAL_MIN:
+                err += abs(weight) * 2.0 ** -1074 / x * t
     return terms, err
 
 
 def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: float,
-                 sides: dict) -> tuple[list[float], float, float]:
+                 sides: dict, far_ein: bool = True) -> tuple[list[float], float, float]:
     """A theta (w, c, sigma, removed) of Spectrum.poisson split at t* =
     _SPLIT/c^2, up to T: the terms of S(T) for T <= t*, else of w*D(c,
     sigma; T), and their error in two parts, the t* direct side's and the
     rest's.  The t* side is formed once per theta and kept in `sides`.
+    Without `far_ein` the term -w*Ein(T*sigma^2) is left out (mellin_lower,
+    where it is the exact negative of the removed term's exponential).
 
     With S(T) = w*sum_n E1(T*u_n^2), u_n = c*n + sigma over n != 0 if
     removed, and D spectra._dual_mellin, Poisson summation and int t^(-3/2)
@@ -208,8 +199,7 @@ def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: floa
     The error adds the direct sides', the D's, the rounding of the pole term
     (T^(-1/2) and t*^(-1/2) an ulp each, their difference, the constant and
     three products: 3 u of it), of the logarithm (an ulp of its value and of
-    t*/T), of each Ein (_EIN_ROUNDING, u for the product and its argument's
-    rounding, at most u*min(x, 1) by Ein'(x) = (1 - exp(-x))/x, or (t* +
+    t*/T), of each Ein (special._ein_error, its argument good to u, or (t* +
     1)*2^-1073 where sigma^2 is subnormal or underflows) and of each product
     with w.
     """
@@ -240,11 +230,10 @@ def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: floa
         errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
                                    + (t + 1.0) * 2.0 ** -1073))
         for x, sign in ((T * square, -1.0), (t * square, 1.0)):
-            if x > 0.0:
+            if x > 0.0 and (far_ein or sign > 0.0):
                 # t*square > 0.0 only where the side holds Ein(t*square)
                 parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
-                errs.append((_EIN_ROUNDING + _U) * abs(parts[-1])
-                            + abs(weight) * _U * min(x, 1.0))
+                errs.append(_ein_error(parts[-1], weight, x, _U))
     return near + parts, near_err, fsum(errs)
 
 
@@ -404,30 +393,35 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     _theta_split's where its balanced point _SPLIT/c^2 is below 1, its
     direct sides walked to _DUAL_TAIL per unit of weight.  An exponential
     (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1, nothing at lam = 0.0
-    (a removed term's cancels a split's Ein(sigma^2) exactly).  Each solo
-    goes alone (_solo_lower), at the delta of its own scale: a delta set by
-    a larger scale would make a small solo's E1 sum at delta grow like
+    (a split theta's removed term is left out, with the split's
+    -w*Ein(sigma^2) that it cancels exactly).  Each solo goes alone
+    (_solo_lower), at the delta of its own scale: a delta set by a larger
+    scale would make a small solo's E1 sum at delta grow like
     1/(scale*sqrt(delta)), and its cancellation against the b-terms cost
     digits (solos of scales 16.7 and 0.22 together stated 2e-12, apart
-    9e-14).  Each Ein term carries _EIN_ROUNDING and each product with its
-    weight a further u; the sum is exactly rounded.
+    9e-14).  Each Ein term states special._ein_error's, its argument exact;
+    the sum is exactly rounded.
     """
     poisson = spec.poisson
     parts, errs = [], []
+    exponentials = list(poisson.exponentials)
     for theta in poisson.thetas:
-        weight, scale, shift, _ = theta
+        weight, scale, shift, removed = theta
         if _SPLIT / scale / scale >= 1.0:
             dual, dual_err = _dual_mellin(scale, shift, 1.0)
             parts.append(weight * dual)
             errs.append(weight * dual_err + _U * abs(parts[-1]))
         else:
-            piece, near_err, piece_err = _theta_split(theta, 1.0, _DUAL_TAIL * weight, {})
+            piece, near_err, piece_err = _theta_split(theta, 1.0, _DUAL_TAIL * weight, {},
+                                                      far_ein=False)
             parts.extend(piece)
             errs += [near_err, piece_err]
-    for lam, weight in poisson.exponentials:
+            if removed:
+                exponentials.remove((shift * shift, -weight))
+    for lam, weight in exponentials:
         if lam > 0.0:
             parts.append(-weight * _ein(lam))
-            errs.append((_EIN_ROUNDING + _U) * abs(parts[-1]))
+            errs.append(_ein_error(parts[-1], weight, lam, 0.0))
     for fam in poisson.solos:
         value, err = _solo_lower(fam)
         parts.append(value)

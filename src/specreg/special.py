@@ -18,6 +18,7 @@ through _lattice_sum.
 from __future__ import annotations
 
 import math
+import sys
 from math import fsum
 
 from .errors import DomainError, NumericError, PoleError
@@ -30,21 +31,16 @@ TWO_PI = 2.0 * math.pi
 
 # unit roundoff
 _U = 2.0 ** -53
-# relative error of exp_integral_e1 (see its docstring): below 1, the 8 u
-# allowed there doubled, the other half holding one rounding of a caller's
-# argument (E1's sensitivity exp(-x)/E1(x) is below 2/log(1 + 2/x) < 2
-# there); from 1 on, far above the 3.5 u measured there, since lowering it
-# moves every stated error that an E1 term enters; and of math.erfc (within
-# 2.7 u of mpmath on [0, 26.5])
-_E1_SERIES_ROUNDING = 16.0 * _U
-_E1_ROUNDING = 160.0 * _U
+# relative errors of exp_integral_e1 and _ein: the worst measured on any of
+# their pieces against 40-digit mpmath (their docstrings: 5.8 u and 2.1 u,
+# on the points of tests/test_special.py and on ten times as many), rounded
+# up to a power of two; an E1 term adds its argument's rounding (_e1_error);
+# and of math.erfc (within 2.7 u of mpmath on [0, 26.5])
+_E1_ROUNDING = 8.0 * _U
+_EIN_ROUNDING = 4.0 * _U
 _ERFC_ROUNDING = 4.0 * _U
-
-
-def _e1_rounding(x: float) -> float:
-    """Relative error of exp_integral_e1(x): _E1_SERIES_ROUNDING below 1,
-    else _E1_ROUNDING."""
-    return _E1_SERIES_ROUNDING if x < 1.0 else _E1_ROUNDING
+# the smallest normal double
+_NORMAL_MIN = sys.float_info.min
 
 
 # Polynomial tables of exp_integral_e1 and _ein, highest power first, each
@@ -112,9 +108,9 @@ def exp_integral_e1(x: float) -> float:
     1e-300 and up to 745, and 3400 below 1): at most 2.3 u (u = 2^-53) below
     0.25, 5.8 u on [0.25, 1) (where gamma + ln(x) cancels x*P(x) by up to a
     factor 3.6), 2.9 u on [1, 2), 3.5 u on [2, 4) and 3.2 u on [4, 745]; a
-    result below the normal range (x above ~708) is within 2^-1074.
-    _E1_SERIES_ROUNDING = 16 u states the pieces below 1 and _E1_ROUNDING =
-    160 u the others (_e1_rounding picks one).
+    result below the normal range (x above ~708) is within 2^-1074.  On ten
+    times as many points of the same pieces the worst is 6.2 u, on [0.25,
+    1).  _E1_ROUNDING = 8 u states every piece.
     """
     if not x > 0.0:
         raise DomainError(f"E1 requires x > 0, got {x!r}")
@@ -143,11 +139,12 @@ def _ein(x: float) -> float:
 
     Below 1, x*P(x) with exp_integral_e1's Taylor table, so small x loses
     nothing to cancellation; from 1 on, gamma + ln(x) + E1(x), three positive
-    terms.  The relative error stays below 8 u (u = 2^-53): measured against
-    40-digit mpmath on 1.25e4 points of exp_integral_e1's pieces
-    (tests/test_special.py), at most 1.5 u below 1 and 2.1 u from 1 on, where
-    the sum carries two roundings, an ulp of ln(x) and E1's 3.5 u of a term
-    below 0.22 against a value above 0.79.
+    terms.  The relative error stays below _EIN_ROUNDING = 4 u (u = 2^-53):
+    measured against 40-digit mpmath on 1.25e4 points of exp_integral_e1's
+    pieces (tests/test_special.py), at most 1.5 u below 1 and 2.1 u from 1
+    on, where the sum carries two roundings, an ulp of ln(x) and E1's 3.5 u
+    of a term below 0.22 against a value above 0.79; on ten times as many
+    points, 1.7 u and 2.1 u.
     """
     if not x > 0.0:
         raise DomainError(f"Ein requires x > 0, got {x!r}")
@@ -157,6 +154,33 @@ def _ein(x: float) -> float:
     for coeff in _EIN_TAYLOR_SHORT if x < 0.25 else _EIN_TAYLOR:
         p = p * x + coeff
     return x * p
+
+
+def _e1_error(term: float, weight: float, x: float, rounding: float) -> float:
+    """The error bound of one E1 term, term = weight*exp_integral_e1(x), whose
+    argument x carries the relative rounding `rounding` (0.0 where x is
+    exact): E1's own _E1_ROUNDING, u for the product with the weight, and
+    `rounding` times E1's relative sensitivity exp(-x)/E1(x) < 2/log1p(2/x)
+    (from E1(x) > exp(-x)*log(1 + 2/x)/2, DLMF 6.8.2), below 2 for x < 1 and
+    tending to x + 1 above.  A rounded x below the normal range is off by up
+    to 2^-1075 absolute, which moves E1 (slope -exp(-x)/x, exp(-x) = 1.0) by
+    at most 2^-1074/x per unit of |weight|.  A term that underflowed to 0.0
+    (x above about 745, or inf) states 0.0.
+    """
+    if not term:
+        return 0.0
+    err = abs(term) * (_E1_ROUNDING + _U + rounding * 2.0 / math.log1p(2.0 / x))
+    if x < _NORMAL_MIN and rounding:
+        err += abs(weight) * 2.0 ** -1074 / x
+    return err
+
+
+def _ein_error(term: float, weight: float, x: float, rounding: float) -> float:
+    """The error bound of one Ein term, term = weight*_ein(x), whose argument
+    x carries the relative rounding `rounding`: _EIN_ROUNDING, u for the
+    product with the weight, and |weight|*rounding*min(x, 1) by x*Ein'(x) =
+    1 - exp(-x)."""
+    return (_EIN_ROUNDING + _U) * abs(term) + abs(weight) * rounding * min(x, 1.0)
 
 
 def gamma_fn(s: float) -> float:
@@ -505,7 +529,7 @@ def _em_tail(kind: str, scale: float, a: float, rate: float,
                 derivs, mags = [phis[j] for j in odd], [phims[j] for j in odd]
                 integral = e1 / (2.0 * scale)
                 half = 0.5 * g / a
-                errs = [(_e1_rounding(y2) + (2.0 * y2 + 4.0) * _U) * integral,
+                errs = [(_E1_ROUNDING + (2.0 * y2 + 4.0) * _U) * integral,
                         (2.0 * y2 + 4.0) * _U * half]
                 slope = (1.0 / (a * a) + 2.0 * rate) * g
                 fa = g / a
@@ -516,11 +540,10 @@ def _em_tail(kind: str, scale: float, a: float, rate: float,
                 erfc_part = math.sqrt(math.pi / rate) * math.erfc(y)
                 integral = (erfc_part - edge) / scale
                 half = 0.5 * e1
-                e1_rounding = _e1_rounding(y2)
-                errs = [(edge * (e1_rounding + (2.0 * y2 + 4.0) * _U)
+                errs = [(edge * (_E1_ROUNDING + (2.0 * y2 + 4.0) * _U)
                          + erfc_part * (_ERFC_ROUNDING + (4.0 * y2 + 5.0) * _U)
                          + _U * abs(erfc_part - edge)) / scale + _U * abs(integral),
-                        (e1_rounding + (2.0 * y2 + 2.0) * _U) * half]
+                        (_E1_ROUNDING + (2.0 * y2 + 2.0) * _U) * half]
                 slope = 2.0 * g / a
                 fa = e1
         chain = [8.0 * j + 8.0 + 2.0 * y2 for j in odd]

@@ -40,7 +40,8 @@ tail integral in closed form, f(N)/2, and the odd derivatives from a
 Hermite recurrence.  N is the first index where a derived remainder bound
 (special._em_remainder) meets _EM_SHARE of the run's budget, and the run
 states that bound plus its rounding, so its cost no longer grows like
-1/(scale*sqrt(t)).
+1/(scale*sqrt(t)).  An E1 term states its error as every E1 term does
+(special._e1_error), with its argument's rounding.
 
 heat_trace sums mult * exp(-t*lam) over the positive spectrum with
 certified lattice tails and never reads Spectrum.poisson; heat_trace_theta
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import fsum
@@ -60,10 +60,9 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, NumericError
 from .special import (
-    _E1_ROUNDING,
-    _E1_SERIES_ROUNDING,
     _ERFC_ROUNDING,
     _U,
+    _e1_error,
     _em_guess,
     _em_remainder,
     _em_tail,
@@ -475,7 +474,8 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
     (special._em_tail), and their error bound: the remainder, the closure's
     rounding, and the head's: per term the summand's own error plus its
     sensitivity to the rounding of u = scale*n + sigma (relative
-    u*(2 + |sigma|/|u|)) and of rate*u^2, each factor that term's own."""
+    u*(2 + |sigma|/|u|)) and of rate*u^2, each factor that term's own; an
+    E1 head's by _e1_head_error."""
     xs = _points(scale, sigma, start, n_em, sign)
     head = _summands(kind, weight, rate, xs)
     a = scale * n_em + sigma
@@ -483,47 +483,27 @@ def _closed_run(kind: str, weight: float, rate: float, scale: float, sigma: floa
     signed = weight * sign if kind == "shape" else weight
     pieces = [signed * p for p in pieces]
     bound = abs(signed) * (remainder + err) + _U * fsum(map(abs, pieces))
-    if head:
-        own = _E1_ROUNDING if kind == "e1" else _U
+    if kind == "e1":
+        bound += _e1_head_error(weight, rate, sigma, xs, head)
+    elif head:
         # spread = 2 + |sigma|/|u|, so 2*spread + 2 = 6 + 2|sigma|/|u|
         lean = abs(sigma)
         sensitivity = (fsum((abs(rate) * (2.0 + lean / abs(x)) + 3.0) * abs(f)
                             for x, f in zip(xs, head)) if kind == "power"
                        else fsum(((rate * x * x + 1.0) * (6.0 + 2.0 * lean / abs(x)) + 4.0) * abs(f)
                                  for x, f in zip(xs, head)))
-        bound += own * fsum(map(abs, head)) + sensitivity * _U
-        if kind == "e1":
-            bound -= _series_relief([rate * x * x for x in xs], head, [weight] * len(xs))
+        bound += _U * fsum(map(abs, head)) + sensitivity * _U
     return head + pieces, bound
 
 
-# the smallest normal double
-_NORMAL_MIN = sys.float_info.min
-
-
-def _series_relief(args: list[float], terms: list[float], weights: Iterable[float],
-                   spread: float | None = None) -> float:
-    """What a run of E1 terms weight*E1(x), x in args, that charged each
-    term _E1_ROUNDING (and, for a direct run, 4 u) gives back where x is
-    below 1 and exp_integral_e1 takes its Taylor pieces, good to
-    _E1_SERIES_ROUNDING; exactly 0.0 when no x is below 1.  A subnormal x
-    gives nothing back and is charged instead: a rounded product left there
-    is off by up to 2^-1075 absolute, which moves E1 (slope -exp(-x)/x,
-    exp(-x) = 1.0) by at most 2^-1075/(x - 2^-1075) <= 2^-1074/x per unit
-    of |weight| (`weights` is empty where every x is exact).  With `spread`
-    (a direct run's, as in _lattice_sum) the term keeps u for the product
-    with the weight and the rounding of x itself, relative (2*spread + 2) u,
-    times E1's sensitivity exp(-x)/E1(x) < 2/log(1 + 2/x) (from E1(x) >
-    exp(-x)*log(1 + 2/x)/2, DLMF 6.8.2); without, the caller budgets that
-    already."""
-    charge = fsum(abs(w) * 2.0 ** -1074 / x for x, w in zip(args, weights) if x < _NORMAL_MIN)
-    series = [(x, abs(f)) for x, f in zip(args, terms) if _NORMAL_MIN <= x < 1.0]
-    relief = _E1_ROUNDING - _E1_SERIES_ROUNDING
-    if spread is None:
-        return relief * fsum(f for _, f in series) - charge
-    argument = 2.0 * (2.0 * spread + 2.0) * _U
-    return fsum((relief + 3.0 * _U - argument / math.log1p(2.0 / x)) * f
-                for x, f in series) - charge
+def _e1_head_error(weight: float, rate: float, sigma: float, xs: list[float],
+                   terms: list[float]) -> float:
+    """The error of directly summed E1 terms weight*E1(rate*u^2), u in xs, of
+    a run of shift sigma: each term's by special._e1_error, with rate*u^2
+    good to (2*spread + 2) u, spread = 2 + |sigma|/|u| as in _closed_run."""
+    lean = abs(sigma)
+    return fsum(_e1_error(f, weight, rate * x * x, (6.0 + 2.0 * lean / abs(x)) * _U)
+                for x, f in zip(xs, terms))
 
 
 def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
@@ -537,15 +517,12 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
     was and states its Gaussian tail bound (over rate*u^2 for "e1", times
     |weight|/(mult*u) for "shape"); every other run, and every "power" run,
     is a _closed_run, whose remainder is at most _EM_SHARE of its share of
-    the budget.  A direct run also states its rounding, (own + 4 u) times
-    the sum of its terms' magnitudes: "own" is the summand's error
-    (_E1_ROUNDING for E1, u for the others) and 4 u the product with the
-    weight and the rounding of rate*u^2 where it is of order one.  Further
-    out the argument's rounding grows with rate*u^2 in a term that has
-    fallen like exp(-rate*u^2); for the E1 runs of regdet._e1_sum, E1's
-    stated 160 u (at most 3.5 u measured from x = 1 on) absorbs it.  Below
-    x = 1 an E1 term states its Taylor pieces' error and the rounding of x
-    instead and a subnormal x its absolute rounding (_series_relief).
+    the budget.  A direct run also states its rounding: an E1 run each
+    term's (_e1_head_error), any other 5 u times the sum of its terms'
+    magnitudes, u for the summand and 4 u for the product with the weight
+    and the rounding of rate*u^2 where it is of order one (further out that
+    rounding grows with rate*u^2 in a term that has fallen like
+    exp(-rate*u^2)).
     """
     weight = -fam.mult * fam.shift_derivative if kind == "shape" else fam.mult
     runs = runs or _runs(fam)
@@ -571,12 +548,8 @@ def _lattice_sum(fam: LatticeFamily, kind: str, rate: float, budget: float,
         bound += (tail / (rate * u_next * u_next) if kind == "e1"
                   else tail * abs(weight) / (fam.mult * u_next) if kind == "shape"
                   else tail)
-        own = _E1_ROUNDING if kind == "e1" else _U
-        bound += (own + 4.0 * _U) * fsum(map(abs, run_terms))
-        if kind == "e1" and xs:
-            spread = 2.0 + abs(sigma) / min(map(abs, xs))
-            bound -= _series_relief([rate * x * x for x in xs], run_terms,
-                                    [weight] * len(xs), spread)
+        bound += (_e1_head_error(weight, rate, sigma, xs, run_terms) if kind == "e1"
+                  else 5.0 * _U * fsum(map(abs, run_terms)))
     return terms, bound
 
 

@@ -44,13 +44,14 @@ from .special import (
     _GAMMA_INC_ROUNDING,
     _GAMMA_ROUNDING,
     _LGAMMA_ROUNDING,
+    _NORMAL_MIN,
     _U,
     gamma_fn,
     hurwitz_zeta,
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
-from .spectra import Spectrum, _lattice_sum, _NORMAL_MIN
+from .spectra import Spectrum, _lattice_sum
 from .regdet import default_expansion, _log_det_reg, _require_finite
 
 S_RANGE = (-2.0, 30.0)
@@ -150,7 +151,7 @@ def _theta_bracket(scale: float, shift: float, s: float,
     argument x through d g/d(ln x) = -(a*g + exp(-x)): u = scale*n + shift
     is good to u*(1 + |scale*n|/|u|), x = pi*(u/scale)^2 to twice that plus
     _X_ROUNDING, and a subnormal x, off by up to 2^-1075 absolute, to
-    2^-1074/x more (as in spectra._series_relief); one that underflows to
+    2^-1074/x more (as in special._e1_error); one that underflows to
     0.0, where g has no value, raises NumericError.  A dual term also
     carries the rounding of a = 1/2 - s (_dual_gamma), and its cosine the
     k-fold rounding of its angle, formed from the exact remainder of shift

@@ -299,12 +299,13 @@ def _solo_free_mixes(count: int = 24, seed: int = 25):
 # the upper integral as an E1 sum, against mpmath
 
 
-def _mp_e1_sum(spec, eps: float = 1.0) -> mp.mpf:
-    """sum mult*E1(eps*lam) over the positive spectrum at 40 digits, each
-    lattice eigenvalue (scale*n + shift)^2 and its product with eps formed
-    exactly; a run stops at its first term past the crossing below 1e-45 of
-    the sum so far, so a run whose first term is already tiny keeps it."""
-    with mp.workdps(40):
+def _mp_e1_sum(spec, eps: float = 1.0, digits: int = 40) -> mp.mpf:
+    """sum mult*E1(eps*lam) over the positive spectrum at 40 digits (or
+    `digits`), each lattice eigenvalue (scale*n + shift)^2 and its product
+    with eps formed exactly; a run stops at its first term past the crossing
+    below 10^-(digits + 5) of the sum so far, so a run whose first term is
+    already tiny keeps it."""
+    with mp.workdps(digits):
         eps = mp.mpf(eps)
         total = mp.fsum(mult * mp.e1(eps * lam) for lam, mult, _ in spec.rows)
         for fam in spec.lattices:
@@ -315,7 +316,7 @@ def _mp_e1_sum(spec, eps: float = 1.0) -> mp.mpf:
                     u = c * n + sign * sigma
                     if u:
                         term = fam.mult * mp.e1(eps * u * u)
-                        if u > 0 and term < mp.mpf(10) ** -45 * abs(total):
+                        if u > 0 and term < mp.mpf(10) ** -(digits + 5) * abs(total):
                             break
                         total += term
                     n += 1
@@ -529,6 +530,43 @@ def test_closed_run_head_rounding_per_term():
     assert abs(mp.mpf(value) - _mp_e1_sum(spec)) <= err
 
 
+def _large_argument_cases():
+    """Two sums whose stated errors a flat 160 u per E1 term missed 3.2 and
+    6.7 times over (E1's sensitivity to its argument's rounding is about x
+    there), then rows with eps*lam in [300, 700] at eps != 1, and one-sided
+    and full lattices whose first term has eps*u^2 in [100, 700]."""
+    yield finite_spectrum([(4103.515301768443, 1)]), 0.15211459724139334
+    yield lattice_family(25.350314278401036, -5.211577082747821, "positive", 1), 0.9482064191075938
+    rng = random.Random(45)
+    for _ in range(12):
+        eps = 10.0 ** rng.uniform(-4.0, -0.05)
+        yield finite_spectrum([(rng.uniform(300.0, 700.0) / eps, rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 3))]), eps
+    for k in range(12):
+        eps = 10.0 ** rng.uniform(-3.0, 0.0)
+        first = math.sqrt(rng.uniform(100.0, 700.0) / eps)
+        if k % 2:
+            scale = first * rng.uniform(0.3, 3.0)
+            yield lattice_family(scale, first - scale, "positive", rng.randint(1, 3)), eps
+        else:
+            scale = 2.0 * first * rng.uniform(1.0, 4.0)
+            yield lattice_family(scale, first, "full", rng.randint(1, 3)), eps
+
+
+def test_large_argument_e1_terms_against_mpmath():
+    # each E1 term charges its argument's rounding times E1's sensitivity,
+    # about x + 1 here; a lattice composed with one of scale 1 also takes
+    # the split, whose direct side walks it at eps
+    small = lattice_family(1.0, 0.3, "full", 1)
+    for spec, eps in _large_argument_cases():
+        value, err = regdet._e1_sum(spec, eps)
+        assert abs(mp.mpf(value) - _mp_e1_sum(spec, eps, 50)) <= err, (spec, eps)
+        if spec.lattices:
+            mix = compose(spec, small)
+            value, err = regdet._e1_split(mix, (eps,))[0]
+            assert abs(mp.mpf(value) - _mp_e1_sum(mix, eps, 50)) <= err, (spec, eps)
+
+
 # ---------------------------------------------------------------------------
 # the closed-form lower integral against the Lerch formula
 
@@ -582,6 +620,29 @@ def test_mellin_lower_against_dual_closed_form(spec):
     oracle, oracle_err = _lerch_lower(spec)
     assert abs(value - oracle) <= err + oracle_err
     assert err <= 1e-13
+
+
+@pytest.mark.parametrize("scale, value, stated", [
+    (10.0, 1.9944936650450802, 7.361056349074428e-15),
+    (1e3, 10.853888174541972, 2.865964932958704e-14),
+    (1e21, 93.74340661462581, 2.1893726041596465e-13),
+])
+def test_split_pair_leaves_out_its_cancelling_ein(scale, value, stated, monkeypatch):
+    # where a removed theta splits, the split's -w*Ein(sigma^2) and the
+    # exponential (sigma^2, -w) are exact negatives: neither is formed,
+    # summed or charged, so only Ein(t*sigma^2) is left, the value is the
+    # one both gave (pinned) and its error falls below the error stated
+    # when both were charged (pinned)
+    spec = compose(lattice_family(scale, 0.2 * scale, "positive", 1),
+                   lattice_family(scale, -0.2 * scale, "positive", 1))
+    calls = []
+    monkeypatch.setattr(regdet, "_ein", lambda x: calls.append(x) or special._ein(x))
+    got, err = mellin_lower(spec)
+    assert len(calls) == 1
+    oracle, oracle_err = _lerch_lower(spec)
+    assert got == value
+    assert err < stated
+    assert abs(got - oracle) <= err + oracle_err
 
 
 CLOSED_FORM_SCALES = (0.1, 1.0, TWO_PI, 50.0, 1e3)
@@ -821,7 +882,7 @@ def test_e1_sum_charges_subnormal_arguments():
         value, err = regdet._e1_sum(finite_spectrum([(1e-318, 1)]), eps)
         with mp.workdps(40):
             assert abs(value - mp.e1(mp.mpf(eps) * mp.mpf(1e-318))) <= err
-    assert err <= 1.4e-11  # at eps = 1 only E1's own 160 u of 731.6
+    assert err <= 1.4e-11  # at eps = 1 only E1's 8 u and the product's u of 731.6
 
 
 @pytest.mark.parametrize("shift", [1e-160, 3e-161])

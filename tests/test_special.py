@@ -24,7 +24,7 @@ from specreg import (
 from specreg.special import (
     _CRAMER,
     _E1_ROUNDING,
-    _E1_SERIES_ROUNDING,
+    _EIN_ROUNDING,
     _EIN_TAYLOR,
     _EIN_TAYLOR_SHORT,
     _EM_REMAINDER,
@@ -37,13 +37,11 @@ from specreg.special import (
     _GAMMA_ROUNDING,
     _U,
     _digamma,
-    _e1_rounding,
     _ein,
     _upper_gamma_cf,
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
-from specreg.regdet import _EIN_ROUNDING
 
 mp.mp.dps = 30
 
@@ -54,13 +52,12 @@ E1_GRID = [1e-300, 1e-12, 1e-8, 1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5,
 @pytest.mark.parametrize("x", E1_GRID)
 def test_e1_against_mpmath(x):
     ref = float(mp.e1(x))
-    assert exp_integral_e1(x) == pytest.approx(ref, rel=_e1_rounding(x), abs=1e-300)
+    assert exp_integral_e1(x) == pytest.approx(ref, rel=_E1_ROUNDING, abs=1e-300)
 
 
 def test_e1_series_branch_rounding():
-    # below 1, E1 is within 8 u of mpmath (5.8 u measured on these 3400
-    # points, packed towards 0 and next to 1): half of _E1_SERIES_ROUNDING,
-    # whose other half holds the rounding of a caller's argument
+    # below 1, E1 is within _E1_ROUNDING = 8 u of mpmath (5.8 u measured on
+    # these 3400 points, packed towards 0 and next to 1)
     rng = random.Random(16)
     points = ([math.exp(rng.uniform(math.log(1e-300), 0.0)) for _ in range(1500)]
               + [rng.uniform(0.0, 1.0) for _ in range(1000)]
@@ -68,9 +65,7 @@ def test_e1_series_branch_rounding():
     with mp.workdps(40):
         worst = max(abs(exp_integral_e1(x) - mp.e1(x)) / mp.e1(x)
                     for x in points if 0.0 < x < 1.0)
-    assert worst <= 0.5 * _E1_SERIES_ROUNDING
-    assert _e1_rounding(0.999) == _E1_SERIES_ROUNDING
-    assert _e1_rounding(1.0) == _E1_ROUNDING
+    assert worst <= _E1_ROUNDING
 
 
 def test_e1_stated_rounding_just_above_one():
@@ -208,13 +203,13 @@ def test_e1_per_piece_error():
             relative, subnormal = _worst_error(exp_integral_e1, mp.e1, _piece_points(lo, hi, rng))
             assert relative <= limit * _U, (lo, hi, relative / _U)
             assert subnormal <= 1.0
-    assert max(E1_PIECE_ERRORS[:2]) <= 0.5 * _E1_SERIES_ROUNDING / _U
-    assert max(E1_PIECE_ERRORS[2:]) <= _E1_ROUNDING / _U
+    # _E1_ROUNDING is the worst piece's error rounded up to a power of two
+    assert max(E1_PIECE_ERRORS) <= _E1_ROUNDING / _U
 
 
 def test_ein_per_piece_error():
     # 1.25e4 points on the same pieces: _ein within its measured worst error
-    # of 40-digit mpmath, below the 8 u that _EIN_ROUNDING states
+    # of 40-digit mpmath, below the 4 u that _EIN_ROUNDING states
 
     def reference(x):
         with mp.workdps(40 + max(0, round(-math.log10(x)))):
@@ -237,7 +232,7 @@ def test_e1_continuous_and_decreasing_across_the_pieces():
         below, at = math.nextafter(b, 0.0), b
         jump = abs(exp_integral_e1(below) - exp_integral_e1(at))
         change = math.exp(-below) / below * (at - below)
-        assert jump <= (_e1_rounding(below) + _e1_rounding(at)) * exp_integral_e1(below) + change
+        assert jump <= 2.0 * _E1_ROUNDING * exp_integral_e1(below) + change
         near = [b * (1.0 + 1e-9 * i / 200) for i in range(-200, 201)]
         values = [exp_integral_e1(x) for x in near]
         assert all(a > c for a, c in zip(values, values[1:])), b
