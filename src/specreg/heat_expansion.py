@@ -28,11 +28,9 @@ Bernoulli polynomials of 1 + shift/scale, computed in double precision from
 their Fourier series and cached per family) whenever the dual terms are
 certifiably below 1e-20; only above that window does it fall back to a
 direct big-minus-big difference, which is then short and carries ~1e-14
-noise.  The determinant route evaluates no F: regdet.mellin_lower takes
-its thetas and exponentials in closed form, and each solo through its
-series integral mellin_cutoff_integral up to the series' reach and the
-cutoff identity past it, whose b-terms carry the coefficients' rounding
-(_coeff_rounding).
+noise.  The determinant route evaluates no F: regdet reads the cutoff
+identity part by part, each solo's lower integral its series integral
+mellin_cutoff_integral, and the b-terms carry _coeff_rounding.
 """
 
 from __future__ import annotations

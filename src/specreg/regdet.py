@@ -1,50 +1,41 @@
 """Heat-kernel regularised determinants.
 
 The cutoff determinant multiplies per-eigenvalue factors h_eps(lam) =
-exp(-E1(eps*lam)), so log det_eps = -sum mult*E1(eps*lam) over the positive
-spectrum.  Every theta integral splits at its balanced point t* =
-_SPLIT/c^2 (_theta_split, Chowla-Selberg) into E1 terms with |u| below
-about 0.8*c and Poisson summation's pole term and erfc series, about 15
-terms; log_det_eps so splits each theta where eps < t* (_e1_split).  The
-direct sum (_e1_sum), each lattice run closed by spectra._lattice_sum,
-serves the solos, which have no theta, the upper integral and the guard
-below.  As eps -> 0 the sum diverges like the counterterm sum; the
-regularised determinant is the closed form
+exp(-E1(eps*lam)), so log det_eps = -E(eps), E(eps) = sum mult*E1(eps*lam)
+over the positive spectrum.  Every theta integral splits at its balanced
+point t* = _SPLIT/c^2 (_theta_split, Chowla-Selberg) into E1 terms with
+|u| below about 0.8*c and Poisson summation's pole term and erfc series,
+about 15 terms; log_det_eps so splits each theta where eps < t*
+(_e1_split).  The direct sum (_e1_sum), each lattice run closed by
+spectra._lattice_sum, serves the solos, which have no theta, and the guard.
+The regularised determinant is the finite part of -E(eps) as eps -> 0, by
+the cutoff identity (Ray-Singer; Minakshisundaram-Pleijel), exact at every
+T > 0:
 
-    log det_reg = - sum_{j != 0} m*b_j/j
-                  - int_1^inf tr exp(-t*B) dt/t
-                  - int_0^1 F(t) dt/t,
+    -E(T) = log det_reg + C(T) + L(T),   L(T) = int_0^T F(t) dt/t,
+    C(T) = sum_{j != 0} (m*b_j/j)*T^(j/m) + b_0*ln(T),
 
-with b_j and F from the spectrum's own expansion (default_expansion), the
-only one these routes take.  The upper integral is the direct E1 sum at
-eps = 1, since int_1^inf exp(-lam*t) dt/t = E1(lam) (A&S 5.1.1).  The lower
-one, mellin_lower, is a closed form from Spectrum.poisson for any
-spectrum: each theta's Poisson dual terms integrate to an erfc series,
-split at t* where t* < 1, and each exponential to Ein = gamma + log + E1.
-Each solo (an unpaired shifted one-sided family) goes alone
-(_solo_lower): its small-time Bernoulli series on [0, delta] and, on
-[delta, 1], the cutoff identity (Ray-Singer; Minakshisundaram-Pleijel)
+with b_j and F from the spectrum's own expansion (default_expansion).  It
+holds for each part of Spectrum.poisson alone, and log_det_reg sums the
+parts' values v, each read at a cutoff where E and L are a few closed-form
+terms, so that no digits cancel at any scale: a theta at t*
+(_theta_value), an explicit row (lam, m) at 1, v = m*(Ein(lam) -
+E1(lam)), and a solo at the largest delta where its small-time Bernoulli
+series certifies L(delta) (_solo_identity).  This route reads only E1
+sums, erfc, Ein and the solos' series, so it stays independent of the zeta
+route (zeta.zeta_prime0: Lerch's formula through math.lgamma and
+Kronecker's limit formula).  mellin_lower, L(1), reads the same identity.
 
-    log det_delta = log det_reg + sum_{j != 0} (m*b_j/j)*delta^(j/m)
-                    + b_0*ln(delta) + int_0^delta F(t) dt/t,
-
-read as int_delta^1 F dt/t = E(delta) - E(1) - sum_{j != 0} (m*b_j/j)*(1 -
-delta^(j/m)) + b_0*ln(delta), with E the direct E1 sums.  So log_det_reg
-integrates nothing numerically.  It stays independent of the zeta route
-(zeta.zeta_prime0), which takes Lerch's formula through math.lgamma and
-Kronecker's limit formula: this route reads only E1 sums, erfc and Ein,
-and the solos' Bernoulli series.
-
-log_det_reg then checks the same identity for the whole spectrum at one
-cutoff eps (_guard_eps, at most 1e-4): int_eps^1 F dt/t by the E1 sums and
-b-terms (_identity_terms) must match the lower integral less that of
-eps*B, mellin_lower(scale_spectrum(B, eps)) = int_0^eps F dt/t, within the
-sum of the stated errors of every piece, else NumericError.  The identity
-is exact at any eps, so pieces within their stated errors pass; an error
-beyond them in the upper E1 sum, the lower integral or the coefficients
-raises.  The check does not feed the reported error bound.  It compares
-different sums: its E1 sum at eps is the direct one, and no theta of
-eps*B splits, so the lower integral of eps*B is the dual series alone.
+log_det_reg then checks the identity for the whole spectrum on the value
+it returns, at one cutoff eps (_guard_eps, at most 1e-4): E(eps) + value +
+C(eps) + L(eps), with L(eps) = mellin_lower(scale_spectrum(B, eps)), must
+vanish within the sum of the four pieces' stated errors, else
+NumericError.  Pieces within their stated errors pass; an error beyond them
+in a piece the value reads, in E(eps), in L(eps) or in the whole
+spectrum's b_j raises.  The check does not feed the reported error bound.
+It compares different sums: E(eps) is the direct sum over the whole
+spectrum, no theta of eps*B splits, so L(eps) is the dual series alone,
+and the whole spectrum's b_j enter only here.
 """
 
 from __future__ import annotations
@@ -106,7 +97,7 @@ def _check_eps_lam0(spec: Spectrum, eps: float) -> None:
 
 def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
     """(sum mult*E1(eps*lam) over the positive spectrum, error bound), summed
-    directly: the guard's, the upper integral's and the solos' route.
+    directly: the guard's and the solos' route.
 
     Each lattice run goes through spectra._lattice_sum: a short run is
     summed directly and bounds its omitted tail by the Gaussian heat-trace
@@ -175,62 +166,59 @@ def _theta_near(weight: float, scale: float, shift: float, t: float, budget: flo
     return terms, err
 
 
+def _theta_side(theta: tuple[float, float, float, bool], budget: float) -> tuple:
+    """The t* record of a theta (w, c, sigma, removed), t* = _SPLIT/c^2: S(t*)'s
+    terms and error (_theta_near, tails below `budget`), D(c, sigma; t*) and
+    its error, and Ein(t*sigma^2) where removed and t*sigma^2 > 0, else None."""
+    weight, scale, shift, removed = theta
+    t = _SPLIT / scale / scale
+    x = t * (shift * shift)
+    ein = _ein(x) if removed and x > 0.0 else None
+    return (_theta_near(weight, scale, shift, t, budget, removed)
+            + _dual_mellin(scale, shift, t) + (ein,))
+
+
 def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: float,
-                 sides: dict, far_ein: bool = True) -> tuple[list[float], float, float]:
+                 sides: dict) -> tuple[list[float], float, float]:
     """A theta (w, c, sigma, removed) of Spectrum.poisson split at t* =
-    _SPLIT/c^2, up to T: the terms of S(T) for T <= t*, else of w*D(c,
-    sigma; T), and their error in two parts, the t* direct side's and the
-    rest's.  The t* side is formed once per theta and kept in `sides`.
-    Without `far_ein` the term -w*Ein(T*sigma^2) is left out (mellin_lower,
-    where it is the exact negative of the removed term's exponential).
+    _SPLIT/c^2, for T <= t*: the terms of S(T) = w*sum_n E1(T*u_n^2), u_n =
+    c*n + sigma over n != 0 if removed, and their error in two parts, the t*
+    side's and the rest's.  The t* record (_theta_side) is formed once per
+    theta and kept in `sides`.  The cutoff identity (module docstring) at T
+    and at t* gives
 
-    With S(T) = w*sum_n E1(T*u_n^2), u_n = c*n + sigma over n != 0 if
-    removed, and D spectra._dual_mellin, Poisson summation and int t^(-3/2)
-    exp(-beta/t) dt = sqrt(pi/beta)*erfc(sqrt(beta/t)) give
+        S(T) = S(t*) + w*D(c, sigma; t*) - w*D(c, sigma; T)
+               + (sqrt(pi)/c)*2*w*(T^(-1/2) - t*^(-1/2))
+               - w*(ln(t*/T) + Ein(T*sigma^2) - Ein(t*sigma^2)),
 
-        S(T) + w*D(c, sigma; T) = S(t*) + w*D(c, sigma; t*)
-                                  + (sqrt(pi)/c)*2*w*(T^(-1/2) - t*^(-1/2))
-                                  - w*(ln(t*/T) + Ein(T*sigma^2) - Ein(t*sigma^2)),
-
-    the last line only if removed (the n = 0 term's -w*int_T^t* exp(-lam*t)
-    dt/t at lam = sigma^2: Ein is small where E1 is large, so a small
-    shift's E1(t*sigma^2) and E1(T*sigma^2) do not cancel).  The other term
-    at T is the one short there: D(c, sigma; T) for T <= t*, else S(T).
-    The error adds the direct sides', the D's, the rounding of the pole term
-    (T^(-1/2) and t*^(-1/2) an ulp each, their difference, the constant and
-    three products: 3 u of it), of the logarithm (an ulp of its value and of
+    the last line only if removed (Ein is small where E1 is large, so a
+    small shift's E1(t*sigma^2) and E1(T*sigma^2) do not cancel).  The error
+    adds the record's, the D's, the rounding of the pole term (T^(-1/2) and
+    t*^(-1/2) an ulp each, their difference, the constant and three
+    products: 3 u of it), of the logarithm (an ulp of its value and of
     t*/T), of each Ein (special._ein_error, its argument good to u, or (t* +
     1)*2^-1073 where sigma^2 is subnormal or underflows) and of each product
     with w.
     """
     weight, scale, shift, removed = theta
     t = _SPLIT / scale / scale
-    square = shift * shift
     if theta not in sides:
-        ein = _ein(t * square) if removed and t * square > 0.0 else None
-        sides[theta] = (_theta_near(weight, scale, shift, t, budget, removed)
-                        + _dual_mellin(scale, shift, t) + (ein,))
+        sides[theta] = _theta_side(theta, budget)
     near, near_err, dual_t, dual_t_err, ein_t = sides[theta]
     inv_T, inv_t = 1.0 / math.sqrt(T), 1.0 / math.sqrt(t)
     prefactor = weight * 2.0 * SQRT_PI / scale
-    parts = [prefactor * (inv_T - inv_t), weight * dual_t]
-    errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_T + inv_t) * _U]
-    if T <= t:
-        dual_T, dual_T_err = _dual_mellin(scale, shift, T)
-        parts.append(-weight * dual_T)
-        errs.append(abs(weight) * (dual_t_err + dual_T_err)
-                    + _U * (abs(parts[1]) + abs(parts[2])))
-    else:
-        far, far_err = _theta_near(weight, scale, shift, T, budget, removed)
-        parts.extend(-term for term in far)
-        errs.append(abs(weight) * dual_t_err + _U * abs(parts[1]) + far_err)
+    dual_T, dual_T_err = _dual_mellin(scale, shift, T)
+    parts = [prefactor * (inv_T - inv_t), weight * dual_t, -weight * dual_T]
+    errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_T + inv_t) * _U,
+            abs(weight) * (dual_t_err + dual_T_err) + _U * (abs(parts[1]) + abs(parts[2]))]
     if removed:
         log_ratio = math.log(t / T)
         parts.append(-weight * log_ratio)
         errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
                                    + (t + 1.0) * 2.0 ** -1073))
+        square = shift * shift
         for x, sign in ((T * square, -1.0), (t * square, 1.0)):
-            if x > 0.0 and (far_ein or sign > 0.0):
+            if x > 0.0:
                 # t*square > 0.0 only where the side holds Ein(t*square)
                 parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
                 errs.append(_ein_error(parts[-1], weight, x, _U))
@@ -303,33 +291,69 @@ def _require_finite(value: float, err: float, what: str) -> None:
         raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
-def _identity_terms(spec: Spectrum, exp: HeatExpansion, delta: float,
-                    near: tuple[float, float], far: tuple[float, float]
-                    ) -> tuple[list[float], list[float]]:
-    """The terms of int_delta^1 F dt/t by the cutoff identity (module
-    docstring), E(delta) - E(1) - sum_{j != 0} (m*b_j/j)*(1 - delta^(j/m)) +
-    b_0*ln(delta), and their errors, given near = E(delta) and far = E(1)
-    with theirs (_e1_sum); exp is default_expansion(spec).  The errors add
-    the rounding of b_j as the expansion forms them
-    (heat_expansion._coeff_rounding) times their weights 1 - delta^(j/m)
-    and ln(delta), and the rounding of forming each term."""
+def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float, less_one: bool
+                  ) -> tuple[list[float], list[float]]:
+    """The terms of C(T), the cutoff identity's b-terms (module docstring), or
+    with `less_one` of C(T) - C(1), and their errors: the rounding of b_j in
+    exp, the default expansion of spec (heat_expansion._coeff_rounding),
+    times its weight, and of forming each term."""
     coeff_err = _coeff_rounding(spec, exp)
-    log_delta = math.log(delta)
-    parts = [near[0], -far[0], exp.b0 * log_delta]
+    one = 1.0 if less_one else 0.0
+    log_T = math.log(T)
+    parts = [exp.b0 * log_T]
     # ln rounds by an ulp and the product by half of one
-    errs = [near[1], far[1], (coeff_err[0] + 3.0 * _U * abs(exp.b0)) * -log_delta]
+    errs = [(coeff_err[0] + 3.0 * _U * abs(exp.b0)) * abs(log_T)]
     for j, ct in counterterms(exp).items():
-        power = delta ** (j / exp.m)
-        parts.append(-ct * (1.0 - power))
-        # the power rounds by an ulp, m*b_j/j, 1 - power and the product by
-        # half of one each
-        errs.append(abs(exp.m / j) * coeff_err[j] * abs(1.0 - power)
-                    + _U * abs(ct) * (2.0 * abs(power) + 3.0 * abs(1.0 - power)))
+        power = T ** (j / exp.m)
+        gap = power - one
+        parts.append(ct * gap)
+        # the power rounds by an ulp, m*b_j/j, the difference and the
+        # product by half of one each
+        errs.append(abs(exp.m / j) * coeff_err[j] * abs(gap)
+                    + _U * abs(ct) * (2.0 * abs(power) + 3.0 * abs(gap)))
     return parts, errs
 
 
-# how many deltas _solo_lower tries, a decade apart, for the series closure
-# of [0, delta]
+def _theta_value(theta: tuple[float, float, float, bool]) -> tuple[list[float], list[float]]:
+    """The terms of the log det_reg v of a theta (w, c, sigma, removed) of
+    Spectrum.poisson, its removed term included, and their errors: the
+    cutoff identity at t* = _SPLIT/c^2 on its t* record (_theta_side, direct
+    sides walked to _DUAL_TAIL per unit of weight), where the pole term of
+    C(t*), -2w*sqrt(pi)/(c*sqrt(t*)), is -w/2:
+
+        v = -S(t*) - w*D(c, sigma; t*) + w/2 + [removed] w*(ln t* - Ein(t*sigma^2)).
+
+    w/2 is off the pole term at the float t* (two roundings of _SPLIT/c/c,
+    and float pi in _SPLIT) by under 0.75 u*|w|, charged u*|w|; ln t* is the
+    log of that float t*, no power of c formed, good to an ulp, and the
+    product to half of one.  A subnormal or underflowing sigma^2 adds
+    t*2^-1074 per unit of |w|, the most its rounding moves Ein(t*sigma^2).
+    NumericError where t* overflows or underflows (scale below about
+    1.4e-154 or above 1e163).
+    """
+    weight, scale, shift, removed = theta
+    t = _SPLIT / scale / scale
+    if not 0.0 < t < math.inf:
+        raise NumericError(f"the balanced point _SPLIT/c^2 of a theta of scale {scale!r} "
+                           f"is {t!r}")
+    near, near_err, dual, dual_err, ein = _theta_side(theta, _DUAL_TAIL * weight)
+    parts = [-term for term in near] + [-weight * dual, 0.5 * weight]
+    errs = [near_err, abs(weight) * dual_err + _U * (abs(parts[-2]) + abs(weight))]
+    if removed:
+        log_t = math.log(t)
+        parts.append(weight * log_t)
+        errs.append(abs(weight) * math.ulp(log_t) + 0.5 * math.ulp(parts[-1]))
+        square = shift * shift
+        if ein is not None:
+            parts.append(-weight * ein)
+            errs.append(_ein_error(parts[-1], weight, t * square, _U))
+        if shift and square < _NORMAL_MIN:
+            errs.append(abs(weight) * t * 2.0 ** -1074)
+    return parts, errs
+
+
+# how many deltas _solo_identity tries, a decade apart, for the series
+# closure of [0, delta]
 _DELTA_TRIES = 29
 
 
@@ -341,21 +365,19 @@ def _first_delta(fam: LatticeFamily) -> float:
     return min(1.0, math.pi ** 2 / (50.0 * fam.scale * fam.scale) * (1.0 - 16.0 * _U))
 
 
-def _solo_lower(fam: LatticeFamily) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t for one solo, F the remainder of its own analytic
-    expansion, and its error bound.
+def _solo_identity(fam: LatticeFamily, lower: bool) -> tuple[float, float]:
+    """One solo's cutoff identity at its certified delta, E, C and L its own:
+    its log det_reg v = -E(delta) - C(delta) - L(delta), or with `lower`
+    mellin_lower's L(1) = E(delta) - E(1) + C(delta) - C(1) + L(delta), the
+    series alone at delta = 1 (scales below pi/sqrt(50)); and the error
+    bound, its pieces' and half an ulp of the exactly rounded sum.
 
-    [0, delta] is the exact small-time series integral
-    (mellin_cutoff_integral), at the first of _first_delta(fam) and the
-    decades below it where the series certifies; if none of _DELTA_TRIES
-    does, NumericError is raised.  [delta, 1] is the cutoff identity
-    (_identity_terms), from int_delta^1 exp(-lam*t) dt/t = E1(delta*lam) -
-    E1(lam) and int_delta^1 t^(j/m - 1) dt = (1 - delta^(j/m))*m/j; it is
-    empty at delta = 1, the solos of scale below pi/sqrt(50).  The error
-    adds the series', the identity's terms' and half an ulp of the exactly
-    rounded sum.  A solo whose shift spans more than
-    heat_expansion._MAX_WHOLE_SCALES whole scales has no table of series
-    coefficients, so nothing certifies [0, delta]: NumericError, naming it.
+    L(delta) is the small-time series integral (mellin_cutoff_integral) at
+    the first of _first_delta(fam) and the decades below it that it
+    certifies; if none of _DELTA_TRIES does, NumericError.  A solo whose
+    shift spans more than heat_expansion._MAX_WHOLE_SCALES whole scales has
+    no table of series coefficients, so nothing certifies [0, delta]:
+    NumericError, naming it.
     """
     if not _one_sided_power_coeffs(fam.scale, fam.shift):
         cause = (f"its shift spans more than {_MAX_WHOLE_SCALES} whole scales"
@@ -375,55 +397,55 @@ def _solo_lower(fam: LatticeFamily) -> tuple[float, float]:
         raise NumericError(
             f"the small-time series does not certify [0, delta] for delta from "
             f"{first!r} down to {delta!r}")
-    if delta == 1.0:
+    if lower and delta == 1.0:
         return cut
     spec = Spectrum((fam,))
-    parts, errs = _identity_terms(spec, default_expansion(spec), delta,
-                                  _e1_sum(spec, delta), _e1_sum(spec, 1.0))
+    parts, errs = _cutoff_terms(spec, default_expansion(spec), delta, lower)
+    for T in (delta, 1.0) if lower else (delta,):
+        total, total_err = _e1_sum(spec, T)
+        parts.append(total if T == delta else -total)
+        errs.append(total_err)
     value = fsum([cut[0]] + parts)
-    return value, fsum([cut[1]] + errs) + 0.5 * math.ulp(value)
+    err = fsum([cut[1]] + errs) + 0.5 * math.ulp(value)
+    return (value, err) if lower else (-value, err)
 
 
 def mellin_lower(spec: Spectrum) -> tuple[float, float]:
-    """int_0^1 F(t) dt/t, F the remainder of default_expansion, in closed
-    form from Spectrum.poisson, and its error bound: log_det_reg's lower
-    integral.
+    """L(1) = int_0^1 F(t) dt/t, F the remainder of default_expansion, in
+    closed form from Spectrum.poisson, part by part, and its error bound.
 
-    A theta of weight w gives w*D(c, sigma; 1) (spectra._dual_mellin), or
-    _theta_split's where its balanced point _SPLIT/c^2 is below 1, its
-    direct sides walked to _DUAL_TAIL per unit of weight.  An exponential
-    (lam, w) gives -w*Ein(lam), from exp(-lam*t) - 1, nothing at lam = 0.0
-    (a split theta's removed term is left out, with the split's
-    -w*Ein(sigma^2) that it cancels exactly).  Each solo goes alone
-    (_solo_lower), at the delta of its own scale: a delta set by a larger
-    scale would make a small solo's E1 sum at delta grow like
-    1/(scale*sqrt(delta)), and its cancellation against the b-terms cost
-    digits (solos of scales 16.7 and 0.22 together stated 2e-12, apart
-    9e-14).  Each Ein term states special._ein_error's, its argument exact;
-    the sum is exactly rounded.
+    A theta gives w*D(c, sigma; 1) (spectra._dual_mellin) and w*Ein(sigma^2)
+    for its removed term; where t* = _SPLIT/c^2 < 1, its value v through the
+    cutoff identity, -S(1) - v - C(1), C(1) = -2w*sqrt(pi)/c (4 u: float pi,
+    its root, two products).  A row (lam, m) gives -m*Ein(lam).  Each solo
+    goes alone (_solo_identity), at the delta of its own scale: at one set
+    by a larger scale a small solo's E1 sum grows like 1/(scale*sqrt(delta))
+    and cancels digits against its b-terms (solos of scales 16.7 and 0.22
+    stated 2e-12 together, 9e-14 apart).  Each Ein term states
+    special._ein_error's, its argument exact; the sum is exactly rounded.
     """
-    poisson = spec.poisson
     parts, errs = [], []
-    exponentials = list(poisson.exponentials)
-    for theta in poisson.thetas:
+    for theta in spec.poisson.thetas:
         weight, scale, shift, removed = theta
+        square = shift * shift
         if _SPLIT / scale / scale >= 1.0:
             dual, dual_err = _dual_mellin(scale, shift, 1.0)
             parts.append(weight * dual)
             errs.append(weight * dual_err + _U * abs(parts[-1]))
+            if removed and square > 0.0:
+                parts.append(weight * _ein(square))
+                errs.append(_ein_error(parts[-1], weight, square, 0.0))
         else:
-            piece, near_err, piece_err = _theta_split(theta, 1.0, _DUAL_TAIL * weight, {},
-                                                      far_ein=False)
-            parts.extend(piece)
-            errs += [near_err, piece_err]
-            if removed:
-                exponentials.remove((shift * shift, -weight))
-    for lam, weight in exponentials:
-        if lam > 0.0:
-            parts.append(-weight * _ein(lam))
-            errs.append(_ein_error(parts[-1], weight, lam, 0.0))
-    for fam in poisson.solos:
-        value, err = _solo_lower(fam)
+            piece, piece_errs = _theta_value(theta)
+            far, far_err = _theta_near(weight, scale, shift, 1.0, _DUAL_TAIL * weight, removed)
+            pole = weight * 2.0 * SQRT_PI / scale
+            parts += [-term for term in piece + far] + [pole]
+            errs += piece_errs + [far_err, 4.0 * _U * pole]
+    for lam, mult, _ in spec.rows:
+        parts.append(-mult * _ein(lam))
+        errs.append(_ein_error(parts[-1], mult, lam, 0.0))
+    for fam in spec.poisson.solos:
+        value, err = _solo_identity(fam, True)
         parts.append(value)
         errs.append(err)
     value = fsum(parts)
@@ -441,26 +463,33 @@ def _guard_eps(spec: Spectrum) -> float:
 
 
 def _log_det_reg(spec: Spectrum, exp: HeatExpansion) -> tuple[float, float]:
-    """log_det_reg's (value, error), after checking the cutoff identity at
-    _guard_eps(spec); exp is default_expansion(spec)."""
-    upper, err_up = _e1_sum(spec, 1.0)
-    lower, err_low = mellin_lower(spec)
-    cts = counterterms(exp)
-    ct_sum = fsum(cts.values())
-    head = -ct_sum - upper
-    value = head - lower
-    # forming the value rounds each m*b_j/j twice, their sum once and the two
-    # subtractions once each
-    err = (err_up + err_low + _U * fsum(abs(c) for c in cts.values())
-           + 0.5 * (math.ulp(ct_sum) + math.ulp(head) + math.ulp(value)))
+    """log_det_reg's (value, error): the exactly rounded sum of each Poisson
+    part's value, checked by the guard (module docstring); exp is
+    default_expansion(spec)."""
+    # first the error of a spectrum whose lam0 is not a positive float
+    _check_eps_lam0(spec, 1.0)
+    rows = [(lam, mult) for lam, mult, _ in spec.rows]
+    e1_terms, e1_err = _row_terms(rows, 1.0)
+    parts, errs = [-term for term in e1_terms], [e1_err]
+    for lam, mult in rows:
+        parts.append(mult * _ein(lam))
+        errs.append(_ein_error(parts[-1], mult, lam, 0.0))
+    for piece, piece_errs in map(_theta_value, spec.poisson.thetas):
+        parts += piece
+        errs += piece_errs
+    for solo, solo_err in (_solo_identity(fam, False) for fam in spec.poisson.solos):
+        parts.append(solo)
+        errs.append(solo_err)
+    value = fsum(parts)
+    err = fsum(errs) + 0.5 * math.ulp(value)
     _require_finite(value, err, "log_det_reg")
-    # the guard: int_eps^1 F dt/t by the identity against lower less the
-    # lower integral of eps*B, int_0^eps F dt/t (module docstring)
+    # the guard: E(eps) + value + C(eps) + L(eps) = 0 (module docstring)
     eps = _guard_eps(spec)
-    parts, errs = _identity_terms(spec, exp, eps, _e1_sum(spec, eps), (upper, err_up))
+    near, near_err = _e1_sum(spec, eps)
     tail, tail_err = mellin_lower(scale_spectrum(spec, eps))
-    residual = fsum(parts + [tail, -lower])
-    slack = fsum(errs + [tail_err, err_low]) + 0.5 * math.ulp(residual)
+    b_terms, b_errs = _cutoff_terms(spec, exp, eps, False)
+    residual = fsum(b_terms + [near, value, tail])
+    slack = fsum(b_errs + [near_err, err, tail_err]) + 0.5 * math.ulp(residual)
     if not abs(residual) <= slack:
         raise NumericError(f"the cutoff identity fails at eps = {eps!r}: residual "
                            f"{residual!r} exceeds the stated errors {slack!r}")
@@ -471,8 +500,8 @@ def log_det_reg(spec: Spectrum) -> tuple[float, float]:
     """Heat-kernel regularised log-determinant of the positive (kernel-free)
     spectrum; returns (value, error_bound).
 
-    Evaluates the closed form (module docstring) with the coefficients of
-    default_expansion and checks the cutoff identity at one eps, raising
+    Sums each Poisson part's value by the cutoff identity (module docstring)
+    and checks the identity for the whole spectrum on it at one eps, raising
     NumericError if it fails by more than the stated errors of its pieces.
     """
     return _log_det_reg(spec, default_expansion(spec))

@@ -552,6 +552,9 @@ def _em_tail(kind: str, scale: float, a: float, rate: float,
         corrections.append(-weight * power * deriv)
         errs.append(steps * _U * abs(weight) * power * mag)
         power *= scale * scale
+    if not all(map(math.isfinite, corrections)):
+        raise NumericError(f"an Euler-Maclaurin correction of a {kind!r} lattice sum at "
+                           f"scale {scale!r} is not finite")
     correction = fsum(corrections)
     errs.append(_U * abs(correction))
     errs.append(_U * (index_part + a) * (fa / scale + slope))

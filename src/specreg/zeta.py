@@ -51,6 +51,7 @@ from .special import (
     lower_gamma_scaled,
     upper_gamma_scaled,
 )
+from .heat_expansion import _coeff_rounding
 from .spectra import Spectrum, _lattice_sum
 from .regdet import default_expansion, _log_det_reg, _require_finite
 
@@ -399,13 +400,16 @@ def verify_bridge(spec: Spectrum, abs_tol: float | None = None) -> BridgeReport:
     """Check the determinant bridge on one spectrum; primed throughout.
 
     passed uses the threshold `abs_tol` when given, else twice the combined
-    error budget of the two routes.
+    error budget of the two routes.  The heat route's adds gamma times b0's
+    rounding, u each for float gamma and the product, and the sum's half ulp.
     """
     exp = default_expansion(spec)
     zp, zeta_err = zeta_prime0(spec)
     heat, heat_err = _log_det_reg(spec, exp)
     zeta_route = -zp
     heat_route = -EULER_GAMMA * exp.b0 + heat
+    heat_err += (EULER_GAMMA * _coeff_rounding(spec, exp)[0]
+                 + 2.0 * _U * abs(EULER_GAMMA * exp.b0) + 0.5 * math.ulp(heat_route))
     discrepancy = abs(zeta_route - heat_route)
     budget = zeta_err + heat_err + 1e-14
     threshold = abs_tol if abs_tol is not None else 2.0 * budget

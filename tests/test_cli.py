@@ -426,6 +426,20 @@ def test_detreg_overflowing_eigenvalue_exits_1(run_cli, tmp_path):
     assert "overflows" in proc.stderr
 
 
+def test_zeta_non_finite_closure_exits_1(run_cli, tmp_path):
+    # at s = 10 on a solo of scale 1e-11 the Euler-Maclaurin closure's
+    # corrections overflow to -inf and inf: a numeric failure naming the
+    # closure, not a ValueError from fsum
+    obj = spectrum_to_dict(lattice_family(1e-11, -5e-12, "positive"))
+    obj["s_values"] = [10]
+    proc = run_cli("zeta", "--input", write_json(tmp_path, "small.json", obj))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numeric failure: ")
+    assert "Euler-Maclaurin" in proc.stderr and "1e-11" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unknown_subcommand(run_cli):
     assert run_cli("frobnicate").returncode == 2
 

@@ -260,16 +260,16 @@ def test_mellin_lower_integrand_evaluations_on_builtins(monkeypatch, refuse):
 
 
 def test_log_det_reg_integrand_evaluations_on_builtins(monkeypatch, refuse):
-    # the heat route's upper integral is an E1 sum and its lower one,
-    # mellin_lower, a closed form for every family, the solos through the
-    # cutoff identity; the zeta route's zeta'(0) is a closed form for every
-    # family.
+    # the heat route reads the cutoff identity per Poisson part in E1, erfc
+    # and Ein terms, the solos through their series integral, and its guard
+    # an E1 sum and the scaled spectrum's mellin_lower; the zeta route's
+    # zeta'(0) is a closed form for every family.
     # One-sided-pi's tanh-sinh panels took 357 evaluations of F(t).
     refuse("tanh_sinh", "gauss_kronrod", "heat_trace")
     calls = _count_e1_everywhere(monkeypatch)
     for spec in BUILTINS + (TINY,):
         log_det_reg(spec)
-    assert calls[0] <= 200  # 200 measured, 25 of them one-sided-pi's
+    assert calls[0] <= 200  # 164 measured, 200 when the value read E(1)
     for spec in BUILTINS:
         zeta_prime0(spec)
 
@@ -296,7 +296,7 @@ def _solo_free_mixes(count: int = 24, seed: int = 25):
 
 
 # ---------------------------------------------------------------------------
-# the upper integral as an E1 sum, against mpmath
+# the direct E1 sum, against mpmath
 
 
 def _mp_e1_sum(spec, eps: float = 1.0, digits: int = 40) -> mp.mpf:
@@ -522,7 +522,7 @@ def test_split_e1_calls_on_builtins(monkeypatch):
 
 def test_closed_run_head_rounding_per_term():
     # the head's argument rounding used to take the largest rate*u^2 and the
-    # largest spread from different terms: this solo's upper E1 sum stated
+    # largest spread from different terms: this solo's E1 sum at 1 stated
     # 1.04e-12 (about 800 u of its value) against a true error of 2.2e-15
     spec = lattice_family(0.3, -0.29, "positive", 1)
     value, err = regdet._e1_sum(spec, 1.0)
@@ -571,14 +571,16 @@ def test_large_argument_e1_terms_against_mpmath():
 # the closed-form lower integral against the Lerch formula
 
 
-def _lerch_log_det_reg(spec) -> mp.mpf:
-    """log det_reg = -zeta'(0) + gamma*zeta(0), per family at 40 digits; a
-    lattice family sums Hurwitz series with zeta_H(0, q) = 1/2 - q and
-    zeta_H'(0, q) = loggamma(q) - log(2 pi)/2, its q formed exactly."""
+def _lerch_log_det_reg(spec, zeta_route: bool = False) -> mp.mpf:
+    """log det_reg = -zeta'(0) + gamma*zeta(0), or with `zeta_route` the
+    zeta route's -zeta'(0) alone, per family at 40 digits; a lattice family
+    sums Hurwitz series with zeta_H(0, q) = 1/2 - q and zeta_H'(0, q) =
+    loggamma(q) - log(2 pi)/2, its q formed exactly."""
     with mp.workdps(40):
+        gamma = 0 if zeta_route else mp.euler
         total = mp.mpf(0)
         for lam, mult, _ in spec.rows:
-            total += mult * (mp.log(lam) + mp.euler)
+            total += mult * (mp.log(lam) + gamma)
         for fam in spec.lattices:
             c, sigma = mp.mpf(fam.scale), mp.mpf(fam.shift)
             if fam.side == "positive":
@@ -590,7 +592,7 @@ def _lerch_log_det_reg(spec) -> mp.mpf:
             for weight, q in parts:
                 zeta0 = mp.mpf(0.5) - q
                 zeta0_prime = -2 * mp.log(c) * zeta0 + 2 * (mp.loggamma(q) - mp.log(2 * mp.pi) / 2)
-                total += fam.mult * weight * (-zeta0_prime + mp.euler * zeta0)
+                total += fam.mult * weight * (-zeta0_prime + gamma * zeta0)
         return total
 
 
@@ -628,11 +630,11 @@ def test_mellin_lower_against_dual_closed_form(spec):
     (1e21, 93.74340661462581, 2.1893726041596465e-13),
 ])
 def test_split_pair_leaves_out_its_cancelling_ein(scale, value, stated, monkeypatch):
-    # where a removed theta splits, the split's -w*Ein(sigma^2) and the
-    # exponential (sigma^2, -w) are exact negatives: neither is formed,
-    # summed or charged, so only Ein(t*sigma^2) is left, the value is the
-    # one both gave (pinned) and its error falls below the error stated
-    # when both were charged (pinned)
+    # where a removed theta splits, mellin_lower reads its value at t*
+    # through the cutoff identity, in which Ein(sigma^2) does not appear: only
+    # Ein(t*sigma^2) is formed, the value is the one that charging both
+    # cancelling Ein(sigma^2) terms gave (pinned) and its error falls below
+    # the error stated then (pinned)
     spec = compose(lattice_family(scale, 0.2 * scale, "positive", 1),
                    lattice_family(scale, -0.2 * scale, "positive", 1))
     calls = []
@@ -699,6 +701,20 @@ def _solo_cases(count: int = 120, seed: int = 7):
 # [0, 1], so that mellin_lower takes no E1 sum
 DELTA_ONE_SOLOS = [(0.44, 0.9 * 0.44, 3), (0.3, -0.29, 1), (0.1, 0.05, 2),
                    (0.05, 2.4 * 0.05, 1)]
+
+
+@pytest.mark.parametrize("spec", BUILTINS + (TINY, lattice_family(0.3, 0.2, "positive", 3),
+                                             lattice_family(2.5, -1.0, "positive", 2),
+                                             compose(ONEPI, FIN23, lattice_family(7.5, 0.0))))
+def test_bridge_heat_error_covers_its_own_rounding(spec):
+    # the heat route -gamma*b0' + log_det_reg states log_det_reg's error, b0's
+    # rounding times gamma, the rounding of gamma*b0' and half an ulp of the
+    # sum; it covers the 40-digit -zeta'(0) with no slack
+    report = verify_bridge(spec)
+    _, err = log_det_reg(spec)
+    b0_err = heat_expansion._coeff_rounding(spec, default_expansion(spec))[0]
+    assert report.heat_error >= err + EULER_GAMMA * b0_err + 0.5 * math.ulp(report.heat_route)
+    assert abs(mp.mpf(report.heat_route) - _lerch_log_det_reg(spec, True)) <= report.heat_error
 
 
 def test_log_det_reg_lerch_oracle_on_solos():
@@ -895,41 +911,83 @@ def test_split_charges_subnormal_arguments(shift):
     assert abs(mp.mpf(value) - _mp_e1_sum(spec, 0.1)) <= err
 
 
-# full lattices and pairs at scales where mellin_lower splits each theta and
-# the guard's cutoff follows the scale
-GUARD_SENSITIVITY = BUILTINS + tuple(
+# full lattices and pairs at scales where the guard's cutoff follows the scale
+GUARD_SPECTRA = BUILTINS + tuple(
     spec for c in (1e6, 1e12)
     for spec in (lattice_family(c, 0.3 * c, "full"),
                  compose(lattice_family(c, 0.2 * c, "positive"),
                          lattice_family(c, -0.2 * c, "positive"))))
 
 
-@pytest.mark.parametrize("spec", GUARD_SENSITIVITY)
+def _plus(result):
+    """result moved by 1e-10: a float, the first float of a pair, or a
+    list of terms (as the first item) with one more term."""
+    if isinstance(result, float):
+        return result + 1e-10
+    first, *rest = result
+    return (first + [1e-10] if isinstance(first, list) else first + 1e-10, *rest)
+
+
+def _shift_where(monkeypatch, owner, name: str, when) -> None:
+    """Replace owner.name by a copy whose result moves by 1e-10 (_plus)
+    wherever when(*args, result) holds."""
+    original = getattr(owner, name)
+
+    def shifted(*args):
+        result = original(*args)
+        return _plus(result) if result is not None and when(*args, result) else result
+
+    monkeypatch.setattr(owner, name, shifted)
+
+
+@pytest.mark.parametrize("spec", GUARD_SPECTRA)
 def test_guard_sees_an_error_in_the_upper_integral(spec, monkeypatch):
-    # 1e-10 added to the upper E1 sum of log_det_reg itself (not to the
-    # solos' own E1 sums at 1) must break the cutoff identity
-    e1_sum = regdet._e1_sum
-
-    def shifted(arg, eps):
-        value, err = e1_sum(arg, eps)
-        return (value + 1e-10 if arg is spec and eps == 1.0 else value), err
-
-    monkeypatch.setattr(regdet, "_e1_sum", shifted)
+    # 1e-10 added to the guard's own E(eps) = int_eps^inf tr exp(-t*B) dt/t,
+    # the direct E1 sum of the whole spectrum, must break the cutoff identity
+    _shift_where(monkeypatch, regdet, "_e1_sum",
+                 lambda arg, eps, result: arg is spec and eps == regdet._guard_eps(spec))
     with pytest.raises(NumericError, match="cutoff identity"):
         log_det_reg(spec)
 
 
-@pytest.mark.parametrize("spec", GUARD_SENSITIVITY)
+@pytest.mark.parametrize("spec", GUARD_SPECTRA)
 def test_guard_sees_an_error_in_the_lower_integral(spec, monkeypatch):
-    # 1e-10 added to the lower integral of the spectrum itself, not to that
-    # of the spectrum scaled by the guard's cutoff
-    lower = regdet.mellin_lower
+    # 1e-10 added to the guard's L(eps), the lower integral of the spectrum
+    # scaled by the guard's cutoff
+    _shift_where(monkeypatch, regdet, "mellin_lower", lambda arg, result: arg is not spec)
+    with pytest.raises(NumericError, match="cutoff identity"):
+        log_det_reg(spec)
 
-    def shifted(arg):
-        value, err = lower(arg)
-        return (value + 1e-10 if arg is spec else value), err
 
-    monkeypatch.setattr(regdet, "mellin_lower", shifted)
+# a theta whose t* = 0.02 direct side keeps the n = 0 term, a pair (removed,
+# so ln t* and Ein(t*sigma^2) enter its value), rows and a solo at delta < 1
+THETA50 = lattice_family(50.0, 15.0, "full")
+PAIR50 = compose(lattice_family(50.0, 10.0, "positive"), lattice_family(50.0, -10.0, "positive"))
+T50 = regdet._SPLIT / 50.0 / 50.0
+GUARD_SENSITIVITY = [
+    pytest.param(THETA50, regdet, "_theta_near", lambda *args: True, id="theta-near"),
+    pytest.param(THETA50, regdet, "_dual_mellin", lambda c, sigma, t, result: t == T50,
+                 id="theta-dual"),
+    pytest.param(PAIR50, regdet, "_ein", lambda x, result: x == T50 * 100.0,
+                 id="pair-ein"),
+    pytest.param(PAIR50, math, "log", lambda x, result: x == T50, id="pair-log"),
+    pytest.param(FIN23, regdet, "_row_terms", lambda rows, eps, result: eps == 1.0,
+                 id="row-e1"),
+    pytest.param(FIN23, regdet, "_ein", lambda x, result: x == 2.0, id="row-ein"),
+    pytest.param(ONEPI, regdet, "mellin_cutoff_integral",
+                 lambda fam, delta, result: fam.scale == TWO_PI, id="solo-series"),
+    pytest.param(ONEPI, regdet, "_e1_sum",
+                 lambda arg, eps, result: eps == regdet._first_delta(arg.lattices[0]),
+                 id="solo-e1"),
+]
+
+
+@pytest.mark.parametrize("spec, owner, name, when", GUARD_SENSITIVITY)
+def test_guard_sees_an_error_in_each_piece_of_the_value(spec, owner, name, when, monkeypatch):
+    # 1e-10 added to one piece that the value reads, and to no piece of the
+    # guard's E(eps) or L(eps), must break the cutoff identity
+    log_det_reg(spec)  # passes unperturbed
+    _shift_where(monkeypatch, owner, name, when)
     with pytest.raises(NumericError, match="cutoff identity"):
         log_det_reg(spec)
 
@@ -957,11 +1015,29 @@ SCALE_SWEEP = list(_scale_sweep())
 def test_no_refusal_at_any_scale():
     # 64 of these 120 spectra, every one from scale 1e6 up, were refused by
     # all three calls: mellin_lower's dual series needed more than 2^20 terms
-    for spec in SCALE_SWEEP:
+    laws = {kind: [] for kind in range(4)}
+    for i, spec in enumerate(SCALE_SWEEP):
         value, err = log_det_reg(spec)
         assert math.isfinite(value) and math.isfinite(err)
         assert verify_bridge(spec).passed
         assert build_report(spec).log_det_reg == value
+        scale = spec.lattices[0].scale
+        with mp.workdps(40):
+            laws[i % 4].append((mp.mpf(value) - default_expansion(spec).b0
+                                * mp.log(mp.mpf(scale) ** 2), err))
+    # log det_reg(c^2*B) = log det_reg(B) + b0'*ln c^2, so each kind's value
+    # less b0'*ln c^2 is one number at every scale, within the stated errors
+    # (the digits lost to cancelling counterterms and E1 sums at small
+    # scales broke this by 2.8e-8 at 1e-8)
+    for law in laws.values():
+        for a, err_a in law:
+            assert all(abs(a - b) <= err_a + err_b for b, err_b in law)
+    spec = lattice_family(1e-8, 3e-9, "full")
+    value, err = log_det_reg(spec)
+    with mp.workdps(40):
+        exact = 2 * mp.log(2 * mp.sin(mp.pi * 3 / 10))
+    assert abs(value - exact) <= err < 1e-14
+    assert float(exact) == 0.9624236501192069
 
 
 def test_dual_series_stay_short(monkeypatch):

@@ -352,6 +352,18 @@ def test_overflowing_smallest_eigenvalue_is_numeric_error(call):
         call(lattice_family(1e300))
 
 
+@pytest.mark.parametrize("spec, s", [
+    (lattice_family(1e-11, -5e-12, "positive"), 10.0),
+    (lattice_family(1e-5, 3e-6, "positive"), 29.0),
+])
+def test_non_finite_closure_is_numeric_error(spec, s):
+    # the Euler-Maclaurin corrections of these solos' power sums overflow to
+    # -inf and inf, which fsum refused with a bare ValueError
+    scale = spec.lattices[0].scale
+    with pytest.raises(NumericError, match=f"Euler-Maclaurin .* scale {scale!r}"):
+        zeta_value(spec, s)
+
+
 @pytest.mark.parametrize("kernel_dim", [0, 2])
 @pytest.mark.parametrize("call", [
     log_det_reg,
