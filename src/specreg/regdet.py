@@ -3,11 +3,12 @@
 The cutoff determinant multiplies per-eigenvalue factors h_eps(lam) =
 exp(-E1(eps*lam)), so log det_eps = -E(eps), E(eps) = sum mult*E1(eps*lam)
 over the positive spectrum.  Every theta integral splits at its balanced
-point t* = _SPLIT/c^2 (_theta_split, Chowla-Selberg) into E1 terms with
-|u| below about 0.8*c and Poisson summation's pole term and erfc series,
-about 15 terms; log_det_eps so splits each theta where eps < t*
-(_e1_split).  The direct sum (_e1_sum), each lattice run closed by
-spectra._lattice_sum, serves the solos, which have no theta, and the guard.
+point t* = _SPLIT/c^2 (Chowla-Selberg: spectra's split walk with the E1
+kernel _e1_kernel and the erfc table _erfc_table) into E1 terms with |u|
+below about 0.8*c and Poisson summation's pole term and erfc series, about
+15 terms; log_det_eps so splits each theta where eps < t* (_e1_split).  The
+direct sum (_e1_sum), each lattice run closed by spectra._lattice_sum,
+serves the solos, which have no theta, and the guard.
 The regularised determinant is the finite part of -E(eps) as eps -> 0, by
 the cutoff identity (Ray-Singer; Minakshisundaram-Pleijel), exact at every
 T > 0:
@@ -41,11 +42,13 @@ and the whole spectrum's b_j enter only here.
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
 from math import fsum
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NumericError
-from .special import EULER_GAMMA, exp_integral_e1, _e1_error, _ein, _ein_error, _NORMAL_MIN, _U
+from .special import (EULER_GAMMA, exp_integral_e1, _e1_error, _ein, _ein_error,
+                      _ERFC_ROUNDING, _NORMAL_MIN, _U)
 from .heat_expansion import (
     HeatExpansion,
     finite_expansion,
@@ -59,11 +62,12 @@ from .spectra import (
     SQRT_PI,
     LatticeFamily,
     Spectrum,
+    ThetaKernel,
     scale_spectrum,
-    _dual_mellin,
     _lattice_sum,
-    _DUAL_TAIL,
     _tail_budget,
+    _theta_direct,
+    _theta_dual,
 )
 
 
@@ -83,7 +87,7 @@ def _row_terms(rows: Sequence[tuple[float, float]], eps: float) -> tuple[list[fl
     rounding = 0.0 if eps == 1.0 else _U
     args = [eps * lam for lam, _ in rows]
     terms = [weight * exp_integral_e1(x) for x, (_, weight) in zip(args, rows)]
-    return terms, fsum(_e1_error(term, weight, x, rounding)
+    return terms, fsum(_e1_error(weight, term, x, rounding)
                        for term, x, (_, weight) in zip(terms, args, rows))
 
 
@@ -123,118 +127,161 @@ def _e1_sum(spec: Spectrum, eps: float) -> tuple[float, float]:
 # the terms with |u| below about 0.8*c, one or two E1 calls, and its dual
 # side about 15 erfc terms (BENCH_theta_split.json compares other choices)
 _SPLIT = 16.0 * math.pi
+# truncation target of each dual series D, per unit of weight
+_DUAL_TAIL = 1e-17
+_DUAL_LOG = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL))
 
 
-def _theta_near(weight: float, scale: float, shift: float, t: float, budget: float,
-                removed: bool) -> tuple[list[float], float]:
-    """The direct side of a theta's split at t, t*scale^2 >= _SPLIT: the terms
-    of weight*sum_n E1(t*u_n^2), u_n = scale*n + shift, over n != 0 if
-    `removed`, and their error bound.
-
-    Each side of the lattice, u >= 0 and u < 0, is walked outward from the
-    crossing and stops before the first term y = |u| whose side's tail,
-    sum_{j>=0} E1(t*(y + j*scale)^2) <= exp(-t*y^2)/(t*y^2*(1 - exp(-t*scale*(2y
-    + scale)))) by E1(x) <= exp(-x)/x, is below half the budget; that tail
-    is stated.  The walk depends only on the |u| of each side, so mirrored
-    shifts keep mirrored terms.  Each term's error is special._e1_error's,
-    u_n good to (1 + |scale*n|/|u_n|) u/2 and t*u_n^2 to (2 +
-    |scale*n|/|u_n|) u; a subnormal u_n^2 adds t*2^-1074/x per unit of
-    |weight|, its 2^-1075 absolute rounding scaled by t and moving E1 (slope
-    -exp(-x)/x) by at most twice that over x.
-    """
-    terms, err = [], 0.0
-    first = math.ceil(-shift / scale)
-    for n, step in ((first, 1), (first - 1, -1)):
-        while True:
-            cn = scale * n
-            u = cn + shift
-            square = u * u
-            x = t * square
-            n += step
-            if removed and n - step == 0:
-                continue
-            y = abs(u)
-            tail = abs(weight) * math.exp(-x) / (x * -math.expm1(-t * scale * (2.0 * y + scale)))
-            if tail <= 0.5 * budget:
-                err += tail
-                break
-            term = weight * exp_integral_e1(x)
-            terms.append(term)
-            err += _e1_error(term, weight, x, (abs(cn) / y + 2.0) * _U)
-            if square < _NORMAL_MIN:
-                err += abs(weight) * 2.0 ** -1074 / x * t
-    return terms, err
+@lru_cache(maxsize=64)
+def _e1_kernel(weight: float, T: float, budget: float) -> ThetaKernel:
+    """The E1 kernel at the split T: x = T*u^2 (the square and the product),
+    weight*E1(x) with special._e1_error's error, sides split by the sign of u
+    and checked from their first term, stopping below half the budget; a
+    side's tail from y = |u| is |weight|*exp(-T*y^2)/(T*y^2*(1 -
+    exp(-T*c*(2y + c)))) by E1(x) <= exp(-x)/x."""
+    size = abs(weight)
+    return ThetaKernel(
+        lambda v, c: T * (v * v), 2.0, T, weight, exp_integral_e1, partial(_e1_error, weight),
+        lambda x, v, c: size * math.exp(-x) / (x * -math.expm1(-T * c * (2.0 * v + c))),
+        lambda shift, c: math.ceil(-shift / c), False, 0.5 * budget, 0.0, "t*u^2")
 
 
-def _theta_side(theta: tuple[float, float, float, bool], budget: float) -> tuple:
-    """The t* record of a theta (w, c, sigma, removed), t* = _SPLIT/c^2: S(t*)'s
-    terms and error (_theta_near, tails below `budget`), D(c, sigma; t*) and
-    its error, and Ein(t*sigma^2) where removed and t*sigma^2 > 0, else None."""
+def _heat_direct(theta: tuple[float, float, float, bool], T: float, budget: float
+                 ) -> tuple[list[float], list[float]]:
+    """S(T) = w*sum_n E1(T*u_n^2) of a theta (w, c, sigma, removed), u_n =
+    c*n + sigma over n != 0 if removed: its terms and errors."""
     weight, scale, shift, removed = theta
+    terms, errs, _ = _theta_direct(_e1_kernel(weight, T, budget), scale, shift, 0.0, removed)
+    return terms, errs
+
+
+def _erfc_tail(root: float, K: int) -> float:
+    """Bound on sum_{k>K} 2*erfc(pi*k/root)/k: with a = (pi/root)^2,
+    erfc(x) <= exp(-x^2)/(x*sqrt(pi)) and k^2 - (K+1)^2 >= (k-K-1)(2K+3), it
+    is 2*root*exp(-a(K+1)^2)/(pi^(3/2)*(K+1)^2*(1 - exp(-a(2K+3))))."""
+    a = (math.pi / root) ** 2
+    return (2.0 * root * math.exp(-a * (K + 1) ** 2)
+            / (math.pi ** 1.5 * (K + 1) ** 2 * -math.expm1(-a * (2 * K + 3))))
+
+
+@lru_cache(maxsize=32)
+def _erfc_table(root: float, unit: bool) -> tuple:
+    """The dual table of D at c*sqrt(t) = root (t == 1 when `unit`): entry k
+    = 1..K holds W_k = 2*erfc(x)/k, x = pi*k/root, and its rounding; the
+    last, and rest_0, _erfc_tail(root, K), where K grows until that meets
+    _DUAL_TAIL, 12 at root = 2pi, 14 at sqrt(16 pi).  W_k rounds by _ERFC_ROUNDING, u for /k, and
+    x's rounding (float pi, *k and /root: 2.35 u; 2 u more for sqrt(t) and
+    *c where t != 1) times erfc's relative sensitivity, at most 2x^2 + 1."""
+    # a(K+1)^2 >= log(2c sqrt(t)/(pi^(3/2) _DUAL_TAIL))
+    log_target = _DUAL_LOG + math.log(root)
+    K = max(0, math.ceil(root / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
+    tail = _erfc_tail(root, K)
+    while tail > _DUAL_TAIL:
+        K += 1
+        tail = _erfc_tail(root, K)
+    arg_rounding = (2.35 if unit else 4.35) * _U
+    entries = []
+    for k in range(1, K + 1):
+        x = math.pi * k / root
+        weight = 2.0 * math.erfc(x) / k
+        rounding = weight * (_ERFC_ROUNDING + _U + (2.0 * x * x + 1.0) * arg_rounding)
+        entries.append((k, weight, rounding, tail if k == K else math.inf))
+    return tail, tuple(entries)
+
+
+def _theta_lower(theta: tuple[float, float, float, bool], T: float
+                 ) -> tuple[list[float], list[float]]:
+    """The lower side of a theta (w, c, sigma, removed) split at T, int_0^T
+    of its trace less the pole term and, where removed, less -w, against
+    dt/t: w*D(c, sigma; T), D = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*
+    erfc(pi*k/(c*sqrt(T)))/k (DLMF 8.4.6, 7.11.2), and where removed
+    w*Ein(T*sigma^2); and their errors.  D is the whole _erfc_table entry of
+    the float c*sqrt(T) <= sqrt(16 pi), so at most 14 terms, shared by every
+    theta of its scale; it adds half an ulp of its sum and u of *w.  Ein's
+    argument carries two roundings, and a subnormal or underflowing sigma^2
+    T*2^-1074 per unit of |w|."""
+    weight, scale, shift, removed = theta
+    terms, errs = _theta_dual(_erfc_table(scale * math.sqrt(T), T == 1.0), scale, shift)
+    dual = fsum(terms)
+    parts = [weight * dual]
+    errs = [abs(weight) * (fsum(errs) + 0.5 * math.ulp(dual)) + _U * abs(parts[0])]
+    if removed:
+        square = shift * shift
+        x = T * square
+        if x > 0.0:
+            parts.append(weight * _ein(x))
+            errs.append(_ein_error(parts[-1], weight, x, 2.0 * _U))
+        if shift and square < _NORMAL_MIN:
+            errs.append(abs(weight) * T * 2.0 ** -1074)
+    return parts, errs
+
+
+def _balanced_point(scale: float) -> float:
+    """t* = _SPLIT/c^2, where a theta of scale c splits; NumericError where it
+    overflows or underflows (scale below about 1.4e-154 or above 1e163)."""
     t = _SPLIT / scale / scale
-    x = t * (shift * shift)
-    ein = _ein(x) if removed and x > 0.0 else None
-    return (_theta_near(weight, scale, shift, t, budget, removed)
-            + _dual_mellin(scale, shift, t) + (ein,))
+    if not 0.0 < t < math.inf:
+        raise NumericError(f"the balanced point _SPLIT/c^2 of a theta of scale {scale!r} "
+                           f"is {t!r}")
+    return t
+
+
+def _theta_cutoff(theta: tuple[float, float, float, bool], t: float
+                  ) -> tuple[list[float], list[float]]:
+    """The b-terms C(t*) of a theta (w, c, sigma, removed) at t* =
+    _balanced_point(c) and their errors: the pole term, -w/2 within 0.75
+    u*|w| at the float t*, charged u*|w|; where removed, -w*ln t*, an ulp
+    of the log and half of one for the product."""
+    weight, _, _, removed = theta
+    parts, errs = [-0.5 * weight], [_U * abs(weight)]
+    if removed:
+        log_t = math.log(t)
+        parts.append(-weight * log_t)
+        errs.append(abs(weight) * math.ulp(log_t) + 0.5 * math.ulp(parts[-1]))
+    return parts, errs
 
 
 def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: float,
-                 sides: dict) -> tuple[list[float], float, float]:
-    """A theta (w, c, sigma, removed) of Spectrum.poisson split at t* =
-    _SPLIT/c^2, for T <= t*: the terms of S(T) = w*sum_n E1(T*u_n^2), u_n =
-    c*n + sigma over n != 0 if removed, and their error in two parts, the t*
-    side's and the rest's.  The t* record (_theta_side) is formed once per
-    theta and kept in `sides`.  The cutoff identity (module docstring) at T
-    and at t* gives
+                 sides: dict) -> tuple[list[float], list[float]]:
+    """The terms of S(T) = w*sum_n E1(T*u_n^2), T <= t* = _SPLIT/c^2, of a
+    theta (w, c, sigma, removed), and their errors, by the cutoff identity
+    (module docstring) at T and at t*:
 
-        S(T) = S(t*) + w*D(c, sigma; t*) - w*D(c, sigma; T)
-               + (sqrt(pi)/c)*2*w*(T^(-1/2) - t*^(-1/2))
-               - w*(ln(t*/T) + Ein(T*sigma^2) - Ein(t*sigma^2)),
+        S(T) = S(t*) + lower(t*) - lower(T)
+               + (sqrt(pi)/c)*2*w*(T^(-1/2) - t*^(-1/2)) - [removed] w*ln(t*/T),
 
-    the last line only if removed (Ein is small where E1 is large, so a
-    small shift's E1(t*sigma^2) and E1(T*sigma^2) do not cancel).  The error
-    adds the record's, the D's, the rounding of the pole term (T^(-1/2) and
-    t*^(-1/2) an ulp each, their difference, the constant and three
-    products: 3 u of it), of the logarithm (an ulp of its value and of
-    t*/T), of each Ein (special._ein_error, its argument good to u, or (t* +
-    1)*2^-1073 where sigma^2 is subnormal or underflows) and of each product
-    with w.
+    S(t*) (tails below `budget`) and lower(t*) kept per theta in `sides`.
+    The pole term states 3 u, the log an ulp of itself and of t*/T and (t* +
+    1)*2^-1073 for a subnormal or underflowing sigma^2.
     """
     weight, scale, shift, removed = theta
     t = _SPLIT / scale / scale
     if theta not in sides:
-        sides[theta] = _theta_side(theta, budget)
-    near, near_err, dual_t, dual_t_err, ein_t = sides[theta]
+        sides[theta] = _heat_direct(theta, t, budget) + _theta_lower(theta, t)
+    near, near_errs, lower_t, lower_t_errs = sides[theta]
+    lower_T, lower_T_errs = _theta_lower(theta, T)
     inv_T, inv_t = 1.0 / math.sqrt(T), 1.0 / math.sqrt(t)
     prefactor = weight * 2.0 * SQRT_PI / scale
-    dual_T, dual_T_err = _dual_mellin(scale, shift, T)
-    parts = [prefactor * (inv_T - inv_t), weight * dual_t, -weight * dual_T]
-    errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_T + inv_t) * _U,
-            abs(weight) * (dual_t_err + dual_T_err) + _U * (abs(parts[1]) + abs(parts[2]))]
+    parts = [prefactor * (inv_T - inv_t)] + lower_t + [-part for part in lower_T]
+    errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_T + inv_t) * _U]
     if removed:
         log_ratio = math.log(t / T)
         parts.append(-weight * log_ratio)
         errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
                                    + (t + 1.0) * 2.0 ** -1073))
-        square = shift * shift
-        for x, sign in ((T * square, -1.0), (t * square, 1.0)):
-            if x > 0.0:
-                # t*square > 0.0 only where the side holds Ein(t*square)
-                parts.append(sign * weight * (ein_t if sign > 0.0 else _ein(x)))
-                errs.append(_ein_error(parts[-1], weight, x, _U))
-    return near + parts, near_err, fsum(errs)
+    return near + parts, near_errs + lower_t_errs + lower_T_errs + errs
 
 
 def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]]:
     """The same sum and bound as _e1_sum at each eps of `grid`, with each
     theta of Spectrum.poisson split at its balanced point t* = max(eps,
-    _SPLIT/c^2): a theta with t* = eps is _theta_near at eps, any other
-    _theta_split at T = eps with one t* side for the whole grid; each
-    explicit row is an E1 term at eps (_row_terms) and each solo a direct
-    _lattice_sum run.  The error adds theirs and half an ulp of the exactly
-    rounded sum.  _e1_sum is taken instead, bit for bit, when no theta
-    splits (eps >= _SPLIT/c^2 for each) or a theta's split point overflows
-    (scale below about 1e-154).
+    _SPLIT/c^2): a theta with t* = eps is its direct sum at eps
+    (_heat_direct), any other _theta_split at T = eps with one t* record for
+    the whole grid; each explicit row is an E1 term at eps (_row_terms) and
+    each solo a direct _lattice_sum run.  The error adds theirs and half an
+    ulp of the exactly rounded sum.  _e1_sum is taken instead, bit for bit,
+    when no theta splits (eps >= _SPLIT/c^2 for each) or a theta's split
+    point overflows (scale below about 1e-154).
     """
     poisson = spec.poisson
     budget = _tail_budget(spec)
@@ -246,17 +293,13 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
         if all(t == eps for t in stars) or math.inf in stars:
             return _e1_sum(spec, eps)
         _check_eps_lam0(spec, eps)
-        terms, err = [], 0.0
+        terms, errs = [], []
         for theta, t in zip(poisson.thetas, stars):
-            if t == eps:
-                weight, scale, shift, removed = theta
-                piece, near_err = _theta_near(weight, scale, shift, t, budget, removed)
-                piece_err = 0.0
-            else:
-                piece, near_err, piece_err = _theta_split(theta, eps, budget, sides)
+            piece, piece_errs = (_heat_direct(theta, t, budget) if t == eps
+                                 else _theta_split(theta, eps, budget, sides))
             terms.extend(piece)
-            err += near_err
-            err += piece_err
+            errs.extend(piece_errs)
+        err = fsum(errs)
         row_terms, row_err = _row_terms(rows, eps)
         terms.extend(row_terms)
         err += row_err
@@ -296,7 +339,9 @@ def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float, less_one: bool
     """The terms of C(T), the cutoff identity's b-terms (module docstring), or
     with `less_one` of C(T) - C(1), and their errors: the rounding of b_j in
     exp, the default expansion of spec (heat_expansion._coeff_rounding),
-    times its weight, and of forming each term."""
+    times its weight, and of forming each term.  A power T^(j/m) beyond the
+    double range (a solo's certified delta below about 1e-308) raises
+    NumericError naming the family and T."""
     coeff_err = _coeff_rounding(spec, exp)
     one = 1.0 if less_one else 0.0
     log_T = math.log(T)
@@ -304,7 +349,12 @@ def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float, less_one: bool
     # ln rounds by an ulp and the product by half of one
     errs = [(coeff_err[0] + 3.0 * _U * abs(exp.b0)) * abs(log_T)]
     for j, ct in counterterms(exp).items():
-        power = T ** (j / exp.m)
+        try:
+            power = T ** (j / exp.m)
+        except OverflowError as exc:
+            raise NumericError(f"the b-term T^({j}/{exp.m}) of the cutoff identity of "
+                               f"{spec.families[0] if len(spec.families) == 1 else 'the spectrum'}"
+                               f" overflows at T = {T!r}") from exc
         gap = power - one
         parts.append(ct * gap)
         # the power rounds by an ulp, m*b_j/j, the difference and the
@@ -315,41 +365,15 @@ def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float, less_one: bool
 
 
 def _theta_value(theta: tuple[float, float, float, bool]) -> tuple[list[float], list[float]]:
-    """The terms of the log det_reg v of a theta (w, c, sigma, removed) of
-    Spectrum.poisson, its removed term included, and their errors: the
-    cutoff identity at t* = _SPLIT/c^2 on its t* record (_theta_side, direct
-    sides walked to _DUAL_TAIL per unit of weight), where the pole term of
-    C(t*), -2w*sqrt(pi)/(c*sqrt(t*)), is -w/2:
-
-        v = -S(t*) - w*D(c, sigma; t*) + w/2 + [removed] w*(ln t* - Ein(t*sigma^2)).
-
-    w/2 is off the pole term at the float t* (two roundings of _SPLIT/c/c,
-    and float pi in _SPLIT) by under 0.75 u*|w|, charged u*|w|; ln t* is the
-    log of that float t*, no power of c formed, good to an ulp, and the
-    product to half of one.  A subnormal or underflowing sigma^2 adds
-    t*2^-1074 per unit of |w|, the most its rounding moves Ein(t*sigma^2).
-    NumericError where t* overflows or underflows (scale below about
-    1.4e-154 or above 1e163).
-    """
-    weight, scale, shift, removed = theta
-    t = _SPLIT / scale / scale
-    if not 0.0 < t < math.inf:
-        raise NumericError(f"the balanced point _SPLIT/c^2 of a theta of scale {scale!r} "
-                           f"is {t!r}")
-    near, near_err, dual, dual_err, ein = _theta_side(theta, _DUAL_TAIL * weight)
-    parts = [-term for term in near] + [-weight * dual, 0.5 * weight]
-    errs = [near_err, abs(weight) * dual_err + _U * (abs(parts[-2]) + abs(weight))]
-    if removed:
-        log_t = math.log(t)
-        parts.append(weight * log_t)
-        errs.append(abs(weight) * math.ulp(log_t) + 0.5 * math.ulp(parts[-1]))
-        square = shift * shift
-        if ein is not None:
-            parts.append(-weight * ein)
-            errs.append(_ein_error(parts[-1], weight, t * square, _U))
-        if shift and square < _NORMAL_MIN:
-            errs.append(abs(weight) * t * 2.0 ** -1074)
-    return parts, errs
+    """The terms of the log det_reg of a theta (w, c, sigma, removed), its
+    removed term included, and their errors, by the cutoff identity at t* =
+    _balanced_point(c): v = -S(t*) - lower(t*) - C(t*), S(t*) walked to
+    _DUAL_TAIL per unit of weight."""
+    t = _balanced_point(theta[1])
+    near, near_errs = _heat_direct(theta, t, _DUAL_TAIL * theta[0])
+    lower, lower_errs = _theta_lower(theta, t)
+    cut, cut_errs = _theta_cutoff(theta, t)
+    return [-term for term in near + lower + cut], near_errs + lower_errs + cut_errs
 
 
 # how many deltas _solo_identity tries, a decade apart, for the series
@@ -414,33 +438,29 @@ def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     """L(1) = int_0^1 F(t) dt/t, F the remainder of default_expansion, in
     closed form from Spectrum.poisson, part by part, and its error bound.
 
-    A theta gives w*D(c, sigma; 1) (spectra._dual_mellin) and w*Ein(sigma^2)
-    for its removed term; where t* = _SPLIT/c^2 < 1, its value v through the
-    cutoff identity, -S(1) - v - C(1), C(1) = -2w*sqrt(pi)/c (4 u: float pi,
-    its root, two products).  A row (lam, m) gives -m*Ein(lam).  Each solo
-    goes alone (_solo_identity), at the delta of its own scale: at one set
-    by a larger scale a small solo's E1 sum grows like 1/(scale*sqrt(delta))
-    and cancels digits against its b-terms (solos of scales 16.7 and 0.22
-    stated 2e-12 together, 9e-14 apart).  Each Ein term states
-    special._ein_error's, its argument exact; the sum is exactly rounded.
+    A theta splits at T = min(1, t*), t* = _balanced_point(c), and gives its
+    lower side there; where T = t* < 1 the cutoff identity adds S(t*) - S(1)
+    + C(t*) - C(1), empty at T = 1, C(1) = -2w*sqrt(pi)/c (4 u).  A row
+    (lam, m) gives -m*Ein(lam), its argument exact.  Each solo goes alone
+    (_solo_identity), at the delta of its own scale: at one set by a larger
+    scale a small solo's E1 sum grows like 1/(scale*sqrt(delta)) and cancels
+    digits against its b-terms (solos of scales 16.7 and 0.22 stated 2e-12
+    together, 9e-14 apart).  The sum is exactly rounded.
     """
     parts, errs = [], []
     for theta in spec.poisson.thetas:
-        weight, scale, shift, removed = theta
-        square = shift * shift
-        if _SPLIT / scale / scale >= 1.0:
-            dual, dual_err = _dual_mellin(scale, shift, 1.0)
-            parts.append(weight * dual)
-            errs.append(weight * dual_err + _U * abs(parts[-1]))
-            if removed and square > 0.0:
-                parts.append(weight * _ein(square))
-                errs.append(_ein_error(parts[-1], weight, square, 0.0))
-        else:
-            piece, piece_errs = _theta_value(theta)
-            far, far_err = _theta_near(weight, scale, shift, 1.0, _DUAL_TAIL * weight, removed)
+        weight, scale = theta[:2]
+        T = 1.0 if _SPLIT / scale / scale >= 1.0 else _balanced_point(scale)
+        lower, lower_errs = _theta_lower(theta, T)
+        parts += lower
+        errs += lower_errs
+        if T < 1.0:
+            near, near_errs = _heat_direct(theta, T, _DUAL_TAIL * weight)
+            far, far_errs = _heat_direct(theta, 1.0, _DUAL_TAIL * weight)
+            cut, cut_errs = _theta_cutoff(theta, T)
             pole = weight * 2.0 * SQRT_PI / scale
-            parts += [-term for term in piece + far] + [pole]
-            errs += piece_errs + [far_err, 4.0 * _U * pole]
+            parts += near + [-term for term in far] + cut + [pole]
+            errs += near_errs + far_errs + cut_errs + [4.0 * _U * pole]
     for lam, mult, _ in spec.rows:
         parts.append(-mult * _ein(lam))
         errs.append(_ein_error(parts[-1], mult, lam, 0.0))

@@ -156,7 +156,7 @@ def _ein(x: float) -> float:
     return x * p
 
 
-def _e1_error(term: float, weight: float, x: float, rounding: float) -> float:
+def _e1_error(weight: float, term: float, x: float, rounding: float) -> float:
     """The error bound of one E1 term, term = weight*exp_integral_e1(x), whose
     argument x carries the relative rounding `rounding` (0.0 where x is
     exact): E1's own _E1_ROUNDING, u for the product with the weight, and
@@ -164,15 +164,16 @@ def _e1_error(term: float, weight: float, x: float, rounding: float) -> float:
     (from E1(x) > exp(-x)*log(1 + 2/x)/2, DLMF 6.8.2), below 2 for x < 1 and
     tending to x + 1 above.  A rounded x below the normal range is off by up
     to 2^-1075 absolute, which moves E1 (slope -exp(-x)/x, exp(-x) = 1.0) by
-    at most 2^-1074/x per unit of |weight|.  A term that underflowed to 0.0
-    (x above about 745, or inf) states 0.0.
+    at most 2^-1074/x per unit of |weight|, and its sensitivity is taken at
+    the smallest normal x, where 2/x is finite.  A term that underflowed to
+    0.0 (x above about 745, or inf) states 0.0.
     """
     if not term:
         return 0.0
-    err = abs(term) * (_E1_ROUNDING + _U + rounding * 2.0 / math.log1p(2.0 / x))
     if x < _NORMAL_MIN and rounding:
-        err += abs(weight) * 2.0 ** -1074 / x
-    return err
+        return (abs(term) * (_E1_ROUNDING + _U + rounding * 2.0 / math.log1p(2.0 / _NORMAL_MIN))
+                + abs(weight) * 2.0 ** -1074 / x)
+    return abs(term) * (_E1_ROUNDING + _U + rounding * 2.0 / math.log1p(2.0 / x))
 
 
 def _ein_error(term: float, weight: float, x: float, rounding: float) -> float:

@@ -26,9 +26,11 @@ n = 0 term, signed exponentials that complete them to the actual trace
 families, the solos, which have no such form.  Every routine reads the
 views; only this module tells the family types apart.  Every walk over a
 lattice family reads its structure from here: index runs (_runs), the
-pairing, the Poisson dual series (_theta_terms, and its Mellin integral up
-to a cutoff t <= 16 pi/c^2, _dual_mellin, whose shift-free weights
-_dual_weights tables once per c*sqrt(t)) and the tail budget (_tail_budget).
+pairing, the Poisson dual series (_theta_terms), the tail budget
+(_tail_budget), and the Chowla-Selberg split of a theta's Mellin transform:
+its direct terms (_theta_direct) and its cosine dual series over a
+shift-free table (_theta_dual), under one rounding statement, with E1 and
+erfc kernels for regdet and incomplete gammas for zeta.
 
 Every sum of a summand over a lattice family's runs goes through
 _lattice_sum: the heat trace exp(-t*u^2), the cutoff determinant's
@@ -54,13 +56,14 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import count
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, NumericError
 from .special import (
-    _ERFC_ROUNDING,
+    _NORMAL_MIN,
     _U,
     _e1_error,
     _em_guess,
@@ -502,7 +505,7 @@ def _e1_head_error(weight: float, rate: float, sigma: float, xs: list[float],
     a run of shift sigma: each term's by special._e1_error, with rate*u^2
     good to (2*spread + 2) u, spread = 2 + |sigma|/|u| as in _closed_run."""
     lean = abs(sigma)
-    return fsum(_e1_error(f, weight, rate * x * x, (6.0 + 2.0 * lean / abs(x)) * _U)
+    return fsum(_e1_error(weight, f, rate * x * x, (6.0 + 2.0 * lean / abs(x)) * _U)
                 for x, f in zip(xs, terms))
 
 
@@ -623,78 +626,96 @@ def _theta_rest(scale: float, shift: float, t: float) -> float:
     return prefactor * fsum(_theta_terms(scale, shift, t, 45.0))
 
 
-# truncation target of each dual series D, per unit of weight
-_DUAL_TAIL = 1e-17
-_DUAL_LOG = math.log(2.0 / (math.pi ** 1.5 * _DUAL_TAIL))
+# ---------------------------------------------------------------------------
+# the Chowla-Selberg split of a theta
 
 
-def _dual_tail(scale: float, K: int) -> float:
-    """Bound on sum_{k>K} 2*erfc(pi*k/c)/k, c = scale; see _dual_mellin."""
-    a = (math.pi / scale) ** 2
-    return (2.0 * scale * math.exp(-a * (K + 1) ** 2)
-            / (math.pi ** 1.5 * (K + 1) ** 2 * -math.expm1(-a * (2 * K + 3))))
+class ThetaKernel(namedtuple("ThetaKernel", "arg ops ratio weight term error tail start free "
+                                            "level rel_level form")):
+    """What a split evaluates per direct term (_theta_direct): x = arg(|u|,
+    scale), `ops` roundings from |u|, `ratio` = x/(the square it scales); the
+    term weight*term(x), its error(term, x, rel) and tail(x, |u|, scale), a
+    bound on a side from |u| on; start(shift, scale), the upward side's first
+    index, whether a side's first term goes unchecked, the stop level +
+    rel_level*magnitude, x's name.  A kernel serves every theta at its split
+    point: the theta's scale and shift come with each call."""
+
+    __slots__ = ()
 
 
-def _dual_mellin(scale: float, shift: float, t: float) -> tuple[float, float]:
-    """D(c, sigma; t) = sum_{k>=1} 2*cos(2*pi*k*sigma/c)*erfc(pi*k/(c*sqrt(t)))/k
-    and its error bound, with c = scale and sigma = shift.
+def _theta_direct(kernel: ThetaKernel, scale: float, shift: float, magnitude: float,
+                  removed: bool) -> tuple[list[float], list[float], float]:
+    """The direct side of a theta's split: its terms over n (n != 0 if
+    `removed`), their errors and each side's stated tail, and `magnitude`
+    plus the terms' magnitudes.  Each side walks outward from kernel.start
+    (upward) or the index below it and stops before the first checked term
+    whose tail is at most kernel.level + kernel.rel_level*magnitude; a
+    removed n = 0 is left out, unchecked where it opens its side and after
+    its side's check elsewhere.  A term
+    whose x was already evaluated (a mirror term) is not evaluated again.
 
-    D is int_0^t of the Poisson dual part of sum_{n in Z} exp(-t'*(c*n +
-    sigma)^2) against dt'/t': per dual term, int_0^t t'^(-3/2) exp(-beta/t')
-    dt' = sqrt(pi/beta)*erfc(sqrt(beta/t)) at beta = (pi*k/c)^2 (DLMF 8.4.6,
-    7.11.2).  It depends on c and t only through c*sqrt(t), the scale at
-    which _dual_tail bounds it: with a = (pi/(c*sqrt(t)))^2, erfc(x) <=
-    exp(-x^2)/(x*sqrt(pi)) and k^2 - (K+1)^2 >= (k-K-1)(2K+3) bound the terms
-    past K by 2c*sqrt(t)*exp(-a(K+1)^2) / (pi^(3/2)*(K+1)^2*(1 -
-    exp(-a(2K+3)))); K starts where the exponential alone meets _DUAL_TAIL
-    and grows until the whole bound does.  The error adds, per term, erfc's
-    own rounding, its argument's (x = pi*k/(c*sqrt(t)) is good to 1.5 u:
-    float pi, the product with k and the quotient, and 1 u more for the
-    square root and the product with c where t != 1; erfc's relative
-    sensitivity is at most 2x^2 + 1, since erfc(x) > 2exp(-x^2)/(sqrt(pi)(x
-    + sqrt(x^2 + 2)))), the k-fold rounding of the cosine's angle, and the
-    products; then half an ulp for the exactly rounded sum.
-
-    Only the cosines depend on sigma.  K, the tail bound and each weight
-    2*erfc(x)/k with its relative rounding come from the bounded table
-    _dual_weights, keyed by the float c*sqrt(t) and whether t == 1, so
-    every theta of one scale at one t (every orbit family has c = 2pi)
-    reads one entry.  regdet takes D only at c*sqrt(t) <= sqrt(16 pi), about
-    7.09 (regdet._theta_split), so a series has at most 14 terms.
+    The rounding, at u = 2^-53 per correctly rounded operation: u_n =
+    scale*n + shift is good to u*(1 + |scale*n|/|u_n|), x to twice that plus
+    kernel.ops*u, and a square below the normal range, off by up to 2^-1075,
+    adds 2^-1074/square.  An x that underflows to 0.0 raises NumericError.
     """
-    tail, pairs = _dual_weights(scale * math.sqrt(t), t == 1.0)
-    angle = 2.0 * math.pi * shift / scale
+    arg, ops, ratio, weight, f, error, tail, start, free, level, rel_level, form = kernel
+    first = start(shift, scale)
+    floor, lift = ratio * _NORMAL_MIN, ratio * 2.0 ** -1074
+    terms, errs, seen = [], [], {}
+    left_out = 0 if removed else None
+    for opening, step in ((first, 1), (first - 1, -1)):
+        unchecked = opening if free else None
+        for n in count(opening + step if opening == left_out else opening, step):
+            cn = scale * n
+            u = cn + shift
+            v = abs(u)
+            x = arg(v, scale)
+            if x == 0.0 and n != left_out:
+                raise NumericError(f"the theta term {form} at u = {u!r}, scale {scale!r} "
+                                   f"underflows to 0.0")
+            if n != unchecked:
+                bound = tail(x, v, scale)
+                if bound <= level + rel_level * magnitude:
+                    errs.append(bound)
+                    break
+            if n == left_out:
+                continue
+            term = seen.get(x)
+            if term is None:
+                term = seen[x] = weight * f(x)
+            rel = (2.0 * (1.0 + abs(cn) / v) + ops) * _U
+            if x < floor:
+                rel += lift / x
+            terms.append(term)
+            errs.append(error(term, x, rel))
+            magnitude += abs(term)
+    return terms, errs, magnitude
+
+
+def _theta_dual(table: tuple, scale: float, phase: float, level: float = 0.0,
+                rel_level: float = 0.0, magnitude: float = 0.0) -> tuple[list[float], list[float]]:
+    """The cosine dual series sum_k W_k*cos(k*angle), angle =
+    2*pi*phase/scale, of a theta's split: its terms and errors.  `table` is
+    (rest_0, entries of (k, W_k, W_k's rounding, a bound past k)); the series
+    stops after the first k whose bound is at most level +
+    rel_level*magnitude (each term adding its own), or at the table's end,
+    and states that bound.  k*angle carries 3.35 u (float pi, two products,
+    the quotient, *k), a term u for the cosine and u for the product."""
+    rest, entries = table
+    angle = 2.0 * math.pi * phase / scale
     terms, errs = [], []
-    for k, (weight, rounding) in enumerate(pairs, start=1):
-        cos = math.cos(angle * k)
+    for k, weight, rounding, rest in entries:
+        turn = angle * k
+        cos = math.cos(turn)
+        size = abs(cos)
         terms.append(weight * cos)
-        errs.append(weight * (abs(cos) * rounding + (2.0 * abs(angle * k) + 2.0) * _U))
-    value = fsum(terms)
-    return value, tail + fsum(errs) + 0.5 * math.ulp(value)
-
-
-@lru_cache(maxsize=32)
-def _dual_weights(root: float, unit: bool) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """The shift-free part of _dual_mellin at c*sqrt(t) = root, t == 1 when
-    `unit`: its tail bound and, for k = 1..K, the weight 2*erfc(x)/k with
-    x = pi*k/root and the weight's relative rounding.  An entry holds K
-    pairs, K about (root/pi)*sqrt(38 + log(root)): 12 at root = 2pi, 14 at
-    sqrt(16 pi)."""
-    # a(K+1)^2 >= log(2c sqrt(t)/(pi^(3/2) _DUAL_TAIL))
-    log_target = _DUAL_LOG + math.log(root)
-    K = max(0, math.ceil(root / math.pi * math.sqrt(max(log_target, 0.0))) - 1)
-    tail = _dual_tail(root, K)
-    while tail > _DUAL_TAIL:
-        K += 1
-        tail = _dual_tail(root, K)
-    # (2x^2 + 1) times x's rounding, plus u
-    slope, offset = (3.0, 2.5) if unit else (5.0, 3.5)
-    pairs = []
-    for k in range(1, K + 1):
-        x = math.pi * k / root
-        pairs.append((2.0 * math.erfc(x) / k,
-                      _ERFC_ROUNDING + (slope * x * x + offset) * _U))
-    return tail, tuple(pairs)
+        errs.append(size * rounding + weight * (3.35 * abs(turn) + 2.0) * _U)
+        magnitude += weight * size
+        if rest <= level + rel_level * magnitude:
+            break
+    errs.append(rest)
+    return terms, errs
 
 
 def heat_trace_theta(spec: Spectrum, t: float) -> float:

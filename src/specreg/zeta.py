@@ -9,7 +9,9 @@ Physical Applications of Spectral Zeta Functions*, 1995): the part above is
 a sum of upper incomplete gammas over n, the part below, by Poisson
 summation, the pole term 1/(s - 1/2) plus a sum of incomplete gammas over
 the dual index k, and both stop after a handful of terms at every scale
-(_theta_bracket).  An explicit row is exactly mult*lam^(-s).  The solos,
+(_split_sums, on spectra's split walk with the incomplete-gamma kernel
+_gamma_kernel and table _gamma_table).  An explicit row is exactly
+mult*lam^(-s).  The solos,
 unpaired shifted one-sided lattices, are their Dirichlet series
 (zeta_direct), closed by the Euler-Maclaurin tail of spectra._lattice_sum,
 which continues them below s = 1/2.  Nothing here integrates numerically.
@@ -33,7 +35,7 @@ not share code with what it checks.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import fsum
 from typing import NamedTuple
 
@@ -44,7 +46,6 @@ from .special import (
     _GAMMA_INC_ROUNDING,
     _GAMMA_ROUNDING,
     _LGAMMA_ROUNDING,
-    _NORMAL_MIN,
     _U,
     gamma_fn,
     hurwitz_zeta,
@@ -52,7 +53,7 @@ from .special import (
     upper_gamma_scaled,
 )
 from .heat_expansion import _coeff_rounding
-from .spectra import Spectrum, _lattice_sum
+from .spectra import Spectrum, ThetaKernel, _lattice_sum, _theta_direct, _theta_dual
 from .regdet import default_expansion, _log_det_reg, _require_finite
 
 S_RANGE = (-2.0, 30.0)
@@ -78,145 +79,72 @@ def _check_pole(s: float, spec: Spectrum) -> None:
         raise PoleError(f"s={s!r} is within 1e-6 of the pole at 0.5")
 
 
-# relative rounding of x = pi*(u/scale)^2 beyond twice that of u: the
-# division (twice, through the square), the square, the product and float pi
-# (0.35 u)
-_X_ROUNDING = 4.5 * _U
-
-
-def _gamma_tail(a: float, y: float) -> float:
+def _gamma_tail(lean: float, x: float, v: float, scale: float) -> float:
     """Bound on sum_{m>=0} g(a, pi*(y + m)^2), g(a, x) = x^(-a) Gamma(a, x),
-    for y > 0; inf unless pi*y^2 > max(a - 1, 0).  On t >= 1, t^(a-1) <=
-    exp(max(a - 1, 0)*(t - 1)), so g(a, x) = int_1^inf t^(a-1) exp(-x*t) dt
-    <= exp(-x)/(x - max(a - 1, 0)); and (y + m)^2 >= y^2 + 2*y*m makes the
-    exponentials geometric."""
-    x = math.pi * y * y
-    slack = x - max(a - 1.0, 0.0)
+    for y = v/scale > 0, x = pi*y^2 and lean = max(a - 1, 0); inf unless x >
+    lean.  On t >= 1, t^(a-1) <= exp(lean*(t - 1)), so g(a, x) =
+    int_1^inf t^(a-1) exp(-x*t) dt <= exp(-x)/(x - lean); and (y + m)^2 >=
+    y^2 + 2*y*m makes the exponentials geometric."""
+    slack = x - lean
     if not slack > 0.0:
         return math.inf
-    return math.exp(-x) / (slack * -math.expm1(-2.0 * math.pi * y))
+    return math.exp(-x) / (slack * -math.expm1(-2.0 * math.pi * (v / scale)))
 
 
 @lru_cache(maxsize=128)
-def _dual_gamma(a: float, k: int) -> tuple[float, float, float]:
-    """g(a, pi*k^2), g(a, x) = x^(-a) Gamma(a, x), its error bound, and
-    2*_gamma_tail(a, k + 1), which bounds twice the terms past k: the dual
-    term of every theta at a = 1/2 - s (_theta_bracket).
+def _dual_gamma(a: float) -> list[tuple[int, float, float, float]]:
+    """The dual table at a = 1/2 - s, grown by _gamma_table: entry k holds
+    2*g(a, pi*k^2), g(a, x) = x^(-a) Gamma(a, x), its error (with x's 1.35 u
+    through d g/d(ln x) = -(a*g + exp(-x)), a's u through 0 <= dg/da <=
+    (a*g + exp(-x))/x - g) and 2*_gamma_tail at y = k + 1, a bound
+    past k."""
+    return []
 
-    The error adds _GAMMA_INC_ROUNDING, the rounding of x = pi*k^2 (float
-    pi and one product, 1.35 u) through d g/d(ln x) = -(a*g + exp(-x)), and
-    that of a = 1/2 - s through 0 <= dg/da <= (a*g + exp(-x))/x - g (from
-    log t <= t - 1)."""
-    x = math.pi * (k * k)
-    g = upper_gamma_scaled(a, x)
-    slope = a * g + math.exp(-x)
-    err = (_GAMMA_INC_ROUNDING * g + 1.35 * _U * abs(slope)
-           + _U * abs(a) * max(0.0, slope / x - g) + _U * g)
-    return g, err, 2.0 * _gamma_tail(a, k + 1)
+
+def _gamma_table(a: float, entries: list, level: float) -> tuple:
+    """(rest_0, entries), entries = _dual_gamma(a) grown until the last rest
+    is at most `level`, so that a series stopping at that level ends within
+    them."""
+    lean = max(a - 1.0, 0.0)
+    while not entries or entries[-1][3] > level:
+        k = len(entries) + 1
+        x = math.pi * (k * k)
+        g = upper_gamma_scaled(a, x)
+        slope = a * g + math.exp(-x)
+        err = (_GAMMA_INC_ROUNDING * g + 1.35 * _U * abs(slope)
+               + _U * abs(a) * max(0.0, slope / x - g) + _U * g)
+        entries.append((k, 2.0 * g, 2.0 * err,
+                        2.0 * _gamma_tail(lean, math.pi * (k + 1) * (k + 1), k + 1, 1.0)))
+    return math.inf, entries
 
 
 @lru_cache(maxsize=64)
 def _unshifted_gamma(s: float, x: float) -> float:
     """upper_gamma_scaled(s, x) for the direct terms of a shift-0 theta,
-    which depend on s and x alone (_theta_bracket)."""
+    which depend on s and x alone (_gamma_kernel)."""
     return upper_gamma_scaled(s, x)
 
 
-def _theta_bracket(scale: float, shift: float, s: float,
-                   removed: bool) -> tuple[float, float]:
-    """B with Gamma(s) zeta(s) = (pi/scale^2)^s * B for the theta sum_{n in Z}
-    exp(-t*(scale*n + shift)^2), less its n = 0 term when `removed`, and B's
-    error bound.
+def _gamma_arg(v: float, scale: float) -> float:
+    """x = pi*(v/scale)^2 of a direct term."""
+    y = v / scale
+    return math.pi * y * y
 
-    Split at its balanced point t_theta = pi/scale^2, where both series
-    below stop after a handful of terms at every scale.  With q =
-    shift/scale and g(a, x) = x^(-a) Gamma(a, x) (special.upper_gamma_scaled),
-    the terms over t > t_theta are g(s, pi*(n + q)^2) per n, and Poisson
-    summation of those over t < t_theta gives 1/(s - 1/2) plus
-    2*cos(2*pi*k*q)*g(1/2 - s, pi*k^2) per k >= 1.  Removing the n = 0
-    term gives -x^(-s) gamma(s, x) at x = pi*q^2 (special.lower_gamma_scaled):
-    the term's share over t > t_theta less its whole Gamma(s) x^(-s),
-    without forming that difference.
-    Each side stops once _gamma_tail of the rest is below 2^-60 of the
-    magnitudes summed, and states that tail.
 
-    Neither the dual terms g(1/2 - s, pi*k^2) nor the direct terms of a
-    shift-0 theta depend on the shift, nor the dual ones on the scale: they
-    come from two bounded tables, _dual_gamma keyed by (1/2 - s, k) and
-    _unshifted_gamma keyed by (s, x), that serve every theta and every call
-    at the same s.  Within one bracket, a direct term whose x was already
-    evaluated (the mirror terms of a shift-0 or half-scale theta) is not
-    evaluated again.  Every value is what the direct evaluation gives.
-
-    Each term's error adds _GAMMA_INC_ROUNDING and the rounding of its
-    argument x through d g/d(ln x) = -(a*g + exp(-x)): u = scale*n + shift
-    is good to u*(1 + |scale*n|/|u|), x = pi*(u/scale)^2 to twice that plus
-    _X_ROUNDING, and a subnormal x, off by up to 2^-1075 absolute, to
-    2^-1074/x more (as in special._e1_error); one that underflows to
-    0.0, where g has no value, raises NumericError.  A dual term also
-    carries the rounding of a = 1/2 - s (_dual_gamma), and its cosine the
-    k-fold rounding of its angle, formed from the exact remainder of shift
-    modulo scale.
-    """
-    terms, errs = [1.0 / (s - 0.5)], []
-    errs.append(2.0 * _U * abs(terms[0]))
-    magnitude = abs(terms[0])
-    if removed:
-        q = shift / scale
-        x = math.pi * q * q
-        lower, lower_err = lower_gamma_scaled(s, x)
-        terms.append(-lower)
-        errs.append(lower_err + _X_ROUNDING * abs(math.exp(-x) - s * lower))
-        magnitude += abs(lower)
-    # a shift-0 theta's terms depend on s and x alone (_unshifted_gamma), and
-    # the mirror of a term already summed (n and -n, or -1 - n at half a
-    # scale) has the same x
-    direct = _unshifted_gamma if shift == 0.0 else upper_gamma_scaled
-    seen = {}
-    n0 = -round(shift / scale)
-    for step in (1, -1):
-        n = n0 if step == 1 else n0 - 1
-        while True:
-            u = scale * n + shift
-            y = abs(u) / scale
-            # past the first term of a side, |y| grows by 1 per step
-            if n not in (n0, n0 - 1):
-                tail = _gamma_tail(s, y)
-                if tail <= 2.0 ** -60 * magnitude:
-                    errs.append(tail)
-                    break
-            if not (removed and n == 0):
-                x = math.pi * y * y
-                if x == 0.0:
-                    raise NumericError(f"the theta term pi*(u/scale)^2 at u = {u!r}, scale "
-                                       f"{scale!r} underflows to 0.0")
-                term = seen.get(x)
-                if term is None:
-                    term = seen[x] = direct(s, x)
-                rel_x = 2.0 * _U * (1.0 + abs(scale * n) / abs(u)) + _X_ROUNDING
-                if x < _NORMAL_MIN:
-                    rel_x += 2.0 ** -1074 / x
-                terms.append(term)
-                errs.append(_GAMMA_INC_ROUNDING * term + rel_x * abs(s * term + math.exp(-x)))
-                magnitude += abs(term)
-            n += step
-    a = 0.5 - s
-    angle = 2.0 * math.pi * math.remainder(shift, scale) / scale
-    k = 1
-    while True:
-        # the angle: float pi, two products and the k-fold one (3.35 u of
-        # k*angle)
-        g, g_err, rest = _dual_gamma(a, k)
-        cos = math.cos(angle * k)
-        terms.append(2.0 * cos * g)
-        errs.append(2.0 * (abs(cos) * g_err + g * (3.35 * abs(angle * k) + 2.0) * _U))
-        magnitude += abs(terms[-1])
-        if rest <= 2.0 ** -60 * magnitude:
-            errs.append(rest)
-            break
-        k += 1
-    value = fsum(terms)
-    return value, fsum(errs) + _U * abs(value)
+@lru_cache(maxsize=64)
+def _gamma_kernel(s: float, unshifted: bool) -> ThetaKernel:
+    """The incomplete-gamma kernel at t = pi/scale^2: g(s, x), x =
+    pi*(|u|/scale)^2 (the division, float pi, two products: 4.5 u), its error
+    _GAMMA_INC_ROUNDING and x's through d g/d(ln x) = -(s*g + exp(-x)); the
+    sides split at the nearest crossing, each side's first term unchecked,
+    stopping below 2^-60 of the magnitudes summed (_gamma_tail).  A shift-0
+    theta's terms come from _unshifted_gamma."""
+    direct = _unshifted_gamma if unshifted else upper_gamma_scaled
+    return ThetaKernel(
+        _gamma_arg, 4.5, 1.0, 1.0, partial(direct, s),
+        lambda g, x, rel: _GAMMA_INC_ROUNDING * g + rel * abs(s * g + math.exp(-x)),
+        partial(_gamma_tail, max(s - 1.0, 0.0)), lambda shift, c: -round(shift / c), True, 0.0,
+        2.0 ** -60, "pi*(u/scale)^2")
 
 
 def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
@@ -224,15 +152,36 @@ def _split_sums(spec: Spectrum, s: float) -> tuple[float, float, float, float]:
     n = 0 term it removes, its error, zeta(s) of the explicit rows, its
     error); the solos are left out.
 
-    Each theta (w, c, sigma) goes to _theta_bracket with its own `removed`
-    flag, so the bracket forms the theta less its n = 0 term without
-    cancellation; w*(pi/c^2)^s is formed as w*pi^s*c^(-2s).  Every
-    explicit row (lam, mult) is mult*lam^(-s) exactly.
+    Each theta (w, c, sigma, removed) is w*(pi/c^2)^s, formed as
+    w*pi^s*c^(-2s), times its bracket B, its Mellin transform split at t =
+    pi/c^2 (Chowla-Selberg).  With q = sigma/c and g(a, x) = x^(-a) Gamma(a,
+    x), the part above is g(s, pi*(n + q)^2) per n (_gamma_kernel), and
+    Poisson summation of the part below the pole term 1/(s - 1/2) plus
+    2*cos(2*pi*k*q)*g(1/2 - s, pi*k^2) per k >= 1 (_gamma_table, the angle
+    from the exact remainder of sigma modulo c), both stopping below 2^-60
+    of the magnitudes summed.  The removed n = 0 term is -x^(-s) gamma(s,
+    x) at x = pi*q^2 (special.lower_gamma_scaled), without forming a
+    difference.  The pole term states 2 u, the removed one its own error and
+    x's 4.5 u, and B half an ulp.  Every explicit row (lam, mult) is
+    mult*lam^(-s) exactly.
     """
-    poisson = spec.poisson
     parts, errs = [], []
-    for weight, scale, shift, removed in poisson.thetas:
-        bracket, bracket_err = _theta_bracket(scale, shift, s, removed)
+    pole, a = 1.0 / (s - 0.5), 0.5 - s
+    entries = _dual_gamma(a)
+    for weight, scale, shift, removed in spec.poisson.thetas:
+        kernel = _gamma_kernel(s, shift == 0.0)
+        terms, term_errs, magnitude = [pole], [2.0 * _U * abs(pole)], abs(pole)
+        if removed:
+            x = _gamma_arg(abs(shift), scale)
+            lower, lower_err = lower_gamma_scaled(s, x)
+            terms.append(-lower)
+            term_errs.append(lower_err + kernel.ops * _U * abs(math.exp(-x) - s * lower))
+            magnitude += abs(lower)
+        direct, direct_errs, magnitude = _theta_direct(kernel, scale, shift, magnitude, removed)
+        dual, dual_errs = _theta_dual(_gamma_table(a, entries, 2.0 ** -60 * magnitude), scale,
+                                      math.remainder(shift, scale), 0.0, 2.0 ** -60, magnitude)
+        bracket = fsum(terms + direct + dual)
+        bracket_err = fsum(term_errs + direct_errs + dual_errs) + _U * abs(bracket)
         prefactor = weight * math.pi ** s * scale ** (-2.0 * s)
         parts.append(prefactor * bracket)
         # pi^s: float pi (0.35 u) times |s| and one ulp; c^(-2s) one ulp;

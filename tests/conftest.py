@@ -9,18 +9,21 @@ import pytest
 import specreg  # noqa: F401  (loads every specreg module)
 from specreg import DomainError
 
-# the bounded tables of shift-free dual factors (zeta._theta_bracket's
-# incomplete gammas, spectra._dual_mellin's erfc weights)
+# the bounded tables of shift-free dual factors (the zeta bracket's
+# incomplete gammas, the heat split's erfc weights)
 DUAL_TABLES = (specreg.zeta._dual_gamma, specreg.zeta._unshifted_gamma,
-               specreg.spectra._dual_weights)
+               specreg.regdet._erfc_table)
+# the cached split kernels, which bind exp_integral_e1 and upper_gamma_scaled
+# as they are built
+KERNELS = (specreg.regdet._e1_kernel, specreg.zeta._gamma_kernel)
 
 
 @pytest.fixture(autouse=True)
 def cold_dual_tables():
-    """Every test starts with the dual tables empty, so a monkeypatch that
-    counts or replaces upper_gamma_scaled or math.erfc sees every call;
-    returns the tables."""
-    for table in DUAL_TABLES:
+    """Every test starts with the dual tables and the split kernels empty, so
+    a monkeypatch that counts or replaces exp_integral_e1,
+    upper_gamma_scaled or math.erfc sees every call; returns the tables."""
+    for table in DUAL_TABLES + KERNELS:
         table.cache_clear()
     return DUAL_TABLES
 

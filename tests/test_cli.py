@@ -238,6 +238,16 @@ def test_bridge_underflowing_eigenvalue_exits_1(run_cli, tmp_path):
     assert proc.stderr.startswith("numeric failure: ")
 
 
+def test_detreg_overflowing_b_term_exits_1(run_cli, tmp_path):
+    # the solo's certified delta 2.343e-320 puts its b-term delta^(-1) past
+    # the double range: a numeric failure naming it, not a bare OverflowError
+    spec = lattice_family(9.17934426094324e+148, 4.58967213047162e+148, "positive")
+    proc = run_cli("detreg", "--input", write_json(tmp_path, "solo.json", spectrum_to_dict(spec)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numeric failure: the b-term")
+    assert "overflows at T = 2.343e-320" in proc.stderr
+
+
 def test_zeta_underflowing_theta_term_exits_1(run_cli, tmp_path):
     # the eigenvalue 1e-320 is positive, but its theta term's argument
     # pi*(1e-160/1e3)^2 underflows: a numeric failure, not an input error

@@ -1,9 +1,10 @@
 """The bounded tables of shift-free dual factors change no value or error.
 
-zeta._theta_bracket reads its dual incomplete gammas from zeta._dual_gamma,
-keyed by (1/2 - s, k), and a shift-0 theta's direct ones from
-zeta._unshifted_gamma, keyed by (s, x); spectra._dual_mellin reads its erfc
-weights from spectra._dual_weights, keyed by (c*sqrt(t), t == 1), and
+The zeta bracket's cosine series (spectra._theta_dual) reads its dual
+incomplete gammas from zeta._dual_gamma, one table per 1/2 - s grown to the
+index it needs, and a shift-0 theta's direct terms come from
+zeta._unshifted_gamma, keyed by (s, x); the heat split's series reads its
+erfc weights from regdet._erfc_table, keyed by (c*sqrt(t), t == 1), and
 regdet asks it for no c*sqrt(t) above sqrt(16 pi), so an entry holds at
 most 14 weights (test_regdet.py's test_dual_series_stay_short).  The
 autouse fixture of conftest.py empties all three before every test.
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-import specreg.spectra
+import specreg.regdet
 import specreg.zeta
 from specreg import (
     LoopGroupOrbitSpec,
@@ -130,8 +131,8 @@ def test_dual_weights_once_per_scale(monkeypatch):
     erfc = math.erfc
     monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
     mellin_lower(RANK2)
-    tail, pairs = specreg.spectra._dual_weights(TWO_PI, True)
-    assert len(calls) == len(pairs) == 12
+    rest, entries = specreg.regdet._erfc_table(TWO_PI, True)
+    assert len(calls) == len(entries) == 12
     calls.clear()
     mellin_lower(RANK2)
     assert calls == []

@@ -445,17 +445,18 @@ def test_cross_listed_pair_against_mpmath(spec, monkeypatch):
     # error of the 40-digit value, with no slack
     removed = {}
 
-    def record(module, name, scale_at):
-        real = getattr(module, name)
+    def record(module):
+        # the shared walk of a theta's direct terms, as each route binds it
+        real = module._theta_direct
 
-        def recording(*args):
-            removed.setdefault(args[scale_at], set()).add(args[-1])
-            return real(*args)
+        def recording(kernel, scale, shift, magnitude, flag):
+            removed.setdefault(scale, set()).add(flag)
+            return real(kernel, scale, shift, magnitude, flag)
 
-        monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(module, "_theta_direct", recording)
 
-    record(specreg.zeta, "_theta_bracket", 0)
-    record(regdet, "_theta_near", 1)
+    record(specreg.zeta)
+    record(regdet)
     for s in (0.25, 0.75, 1.5, 2.0, 3.0):
         got = zeta_value(spec, s)
         with mp.workdps(40):
@@ -767,7 +768,7 @@ def test_dual_tail_bound(scale, K):
         tail = mp.fsum(2 * mp.erfc(mp.pi * k / c) / k
                        for k in range(K + 1, K + 2 + int(3 * scale)))
     # a bound below the smallest subnormal rounds to 0.0
-    assert tail <= spectra._dual_tail(scale, K) or tail < 2.0 ** -1074
+    assert tail <= regdet._erfc_tail(scale, K) or tail < 2.0 ** -1074
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +892,24 @@ def test_guard_certifies_small_scales_and_subnormal_arguments(spec):
     assert abs(mp.mpf(value) - _lerch_log_det_reg(spec)) <= err
 
 
+def test_cutoff_overflow_is_a_numeric_error():
+    # the solo's certified delta is 2.343e-320, where its b-term delta^(-1)
+    # leaves the double range: a bare OverflowError until it named both
+    spec = lattice_family(9.17934426094324e+148, 4.58967213047162e+148, "positive")
+    with pytest.raises(NumericError, match=r"LatticeFamily\(scale=9\.17934426094324e\+148, "
+                       r"shift=4\.58967213047162e\+148.* overflows at T = 2\.343e-320"):
+        log_det_reg(spec)
+
+
+def test_heat_walk_refuses_an_underflowing_argument():
+    # t*u^2 at t* = 16 pi/1e6 and u = 1e-160 underflows to 0.0, the direct
+    # side's tail bound divided by it (ZeroDivisionError), as the zeta
+    # bracket's pi*(u/scale)^2 does
+    for call in (log_det_reg, build_report):
+        with pytest.raises(NumericError, match=r"t\*u\^2 at u = 1e-160, scale 1000\.0 underflows"):
+            call(lattice_family(1e3, 1e-160, "full"))
+
+
 def test_e1_sum_charges_subnormal_arguments():
     # eps*lam = 1e-322 rounds by up to 2^-1075, 2.5% of itself, which moved
     # E1 by 1.2e-2 where 1.3e-11 was stated; a row at eps = 1 is exact
@@ -965,8 +984,8 @@ THETA50 = lattice_family(50.0, 15.0, "full")
 PAIR50 = compose(lattice_family(50.0, 10.0, "positive"), lattice_family(50.0, -10.0, "positive"))
 T50 = regdet._SPLIT / 50.0 / 50.0
 GUARD_SENSITIVITY = [
-    pytest.param(THETA50, regdet, "_theta_near", lambda *args: True, id="theta-near"),
-    pytest.param(THETA50, regdet, "_dual_mellin", lambda c, sigma, t, result: t == T50,
+    pytest.param(THETA50, regdet, "_heat_direct", lambda *args: True, id="theta-near"),
+    pytest.param(THETA50, regdet, "_theta_lower", lambda theta, t, result: t == T50,
                  id="theta-dual"),
     pytest.param(PAIR50, regdet, "_ein", lambda x, result: x == T50 * 100.0,
                  id="pair-ein"),
@@ -1046,19 +1065,15 @@ def test_dual_series_stay_short(monkeypatch):
     # weights, the count at the split point itself; mellin_lower asked for
     # about 2.1*c of them at t = 1 and refused past 2^20
     roots, sizes = [], []
-    dual_mellin, weights = regdet._dual_mellin, spectra._dual_weights
+    table = regdet._erfc_table
 
-    def dual_recording(c, sigma, t):
-        roots.append(c * math.sqrt(t))
-        return dual_mellin(c, sigma, t)
-
-    def weights_recording(root, unit):
-        entry = weights(root, unit)
+    def table_recording(root, unit):
+        entry = table(root, unit)
+        roots.append(root)
         sizes.append(len(entry[1]))
         return entry
 
-    monkeypatch.setattr(regdet, "_dual_mellin", dual_recording)
-    monkeypatch.setattr(spectra, "_dual_weights", weights_recording)
+    monkeypatch.setattr(regdet, "_erfc_table", table_recording)
     for spec in list(_split_mixes()) + SCALE_SWEEP:
         regdet._e1_split(spec, SPLIT_EPS)
         log_det_reg(spec)
