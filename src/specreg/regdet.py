@@ -17,15 +17,15 @@ T > 0:
     C(T) = sum_{j != 0} (m*b_j/j)*T^(j/m) + b_0*ln(T),
 
 with b_j and F from the spectrum's own expansion (default_expansion).  It
-holds for each part of Spectrum.poisson alone, and log_det_reg sums the
-parts' values v, each read at a cutoff where E and L are a few closed-form
-terms, so that no digits cancel at any scale: a theta at t*
-(_theta_value), an explicit row (lam, m) at 1, v = m*(Ein(lam) -
-E1(lam)), and a solo at the largest delta where its small-time Bernoulli
-series certifies L(delta) (_solo_identity).  This route reads only E1
-sums, erfc, Ein and the solos' series, so it stays independent of the zeta
-route (zeta.zeta_prime0: Lerch's formula through math.lgamma and
-Kronecker's limit formula).  mellin_lower, L(1), reads the same identity.
+holds for each part of Spectrum.poisson alone, at one anchor T0 per part
+and call where its E = S and L are a few closed-form terms (_Anchor), so
+no digits cancel at any scale: a theta's t*, a solo's largest delta where
+its small-time Bernoulli series certifies L(delta), a row (lam, m)'s 1.
+log_det_reg sums the values v = -(S(T0) + L(T0) + C(T0)), a row's
+m*(Ein(lam) - E1(lam)); log_det_eps reads S(eps < t*) and mellin_lower
+L(1 > T0) from the same anchors.  This route reads only E1 sums, erfc, Ein
+and the solos' series, independent of the zeta route (zeta.zeta_prime0:
+Lerch's formula through math.lgamma and Kronecker's limit formula).
 
 log_det_reg then checks the identity for the whole spectrum on the value
 it returns, at one cutoff eps (_guard_eps, at most 1e-4): E(eps) + value +
@@ -35,8 +35,8 @@ NumericError.  Pieces within their stated errors pass; an error beyond them
 in a piece the value reads, in E(eps), in L(eps) or in the whole
 spectrum's b_j raises.  The check does not feed the reported error bound.
 It compares different sums: E(eps) is the direct sum over the whole
-spectrum, no theta of eps*B splits, so L(eps) is the dual series alone,
-and the whole spectrum's b_j enter only here.
+spectrum, eps*B forms no anchor, so L(eps) is the dual series alone, and
+the whole spectrum's b_j enter only here.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 from math import fsum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, NumericError
 from .special import (EULER_GAMMA, exp_integral_e1, _e1_error, _ein, _ein_error,
@@ -216,77 +216,95 @@ def _theta_lower(theta: tuple[float, float, float, bool], T: float
     return parts, errs
 
 
-def _balanced_point(scale: float) -> float:
-    """t* = _SPLIT/c^2, where a theta of scale c splits; NumericError where it
-    overflows or underflows (scale below about 1.4e-154 or above 1e163)."""
+class _Anchor(NamedTuple):
+    """One Poisson part's cutoff identity (module docstring) at its anchor
+    T0, formed once per call (_anchor): S(T0) = E(T0), L(T0) and C(T0), the
+    last formed when value() reads it, as terms and errors; (b_{-1}, b_0,
+    their roundings)."""
+
+    T0: float
+    near: tuple[list[float], list[float]]
+    lower: tuple[list[float], list[float]]
+    cut: Callable[[], tuple[list[float], list[float]]]
+    b: tuple[float, float, float, float]
+
+    def value(self) -> tuple[list[float], list[float]]:
+        """v = -(S(T0) + L(T0) + C(T0)): its terms and errors."""
+        (near, near_errs), (lower, lower_errs), (cut, cut_errs) = self.near, self.lower, self.cut()
+        return [-term for term in near + lower + cut], near_errs + lower_errs + cut_errs
+
+    def read(self, T: float, other: tuple[list[float], list[float]]
+             ) -> tuple[list[float], list[float]]:
+        """S(T0) + L(T0) + [C(T0) - C(T)] - other: S(T) where other is L(T),
+        L(T) where it is S(T); terms and errors.  C(T0) - C(T) =
+        2*b_{-1}*(T^(-1/2) - T0^(-1/2)) + b_0*ln(T0/T), each term charging its
+        coefficient's rounding times its factor; the pole term 3 u of itself
+        and u of each inverse root, the log an ulp of itself and of T0/T and
+        (T0 + 1)*2^-1073 per unit of b_0 (a theta's subnormal sigma^2)."""
+        T0, (near, near_errs), (lower, lower_errs), _, (bm1, b0, bm1_err, b0_err) = self
+        inv_T, inv_T0 = 1.0 / math.sqrt(T), 1.0 / math.sqrt(T0)
+        pole, gap = 2.0 * bm1, inv_T - inv_T0
+        parts = [pole * gap]
+        errs = [2.0 * bm1_err * abs(gap) + 3.0 * _U * abs(parts[0])
+                + abs(pole) * (inv_T + inv_T0) * _U]
+        if b0 or b0_err:
+            log_ratio = math.log(T0 / T)
+            parts.append(b0 * log_ratio)
+            errs.append(b0_err * abs(log_ratio) + abs(b0) * (
+                (2.0 * abs(log_ratio) + 1.0) * _U + (T0 + 1.0) * 2.0 ** -1073))
+        return (near + lower + parts + [-term for term in other[0]],
+                near_errs + lower_errs + errs + other[1])
+
+
+def _anchor(anchors: dict, part, build) -> _Anchor:
+    """build(part), the anchor of a part of Spectrum.poisson, formed on its
+    first read and kept in `anchors`: identical parts share one."""
+    anchor = anchors.get(part)
+    if anchor is None:
+        anchor = anchors[part] = build(part)
+    return anchor
+
+
+def _theta_anchor(theta: tuple[float, float, float, bool]) -> _Anchor:
+    """The anchor of a theta (w, c, sigma, removed) at t* = _SPLIT/c^2
+    (NumericError where it overflows or underflows: c below about 1.4e-154
+    or above 1e163): S(t*) walked to _DUAL_TAIL per unit of weight, the
+    lower side (_theta_lower), C(t*) = -w/2 (0.75 u*|w| at the float t*,
+    charged u*|w|) and where removed -w*ln t* (an ulp of the log, half of
+    one for the product); b_{-1} = w*sqrt(pi)/c and b_0 = -w where removed,
+    whose rounding _Anchor.read's own charges cover."""
+    weight, scale, _, removed = theta
     t = _SPLIT / scale / scale
     if not 0.0 < t < math.inf:
         raise NumericError(f"the balanced point _SPLIT/c^2 of a theta of scale {scale!r} "
                            f"is {t!r}")
-    return t
+
+    def cut() -> tuple[list[float], list[float]]:
+        terms, errs = [-0.5 * weight], [_U * abs(weight)]
+        if removed:
+            log_t = math.log(t)
+            terms.append(-weight * log_t)
+            errs.append(abs(weight) * math.ulp(log_t) + 0.5 * math.ulp(terms[-1]))
+        return terms, errs
+
+    return _Anchor(t, _heat_direct(theta, t, _DUAL_TAIL * weight), _theta_lower(theta, t), cut,
+                   (weight * SQRT_PI / scale, -weight if removed else 0.0, 0.0, 0.0))
 
 
-def _theta_cutoff(theta: tuple[float, float, float, bool], t: float
-                  ) -> tuple[list[float], list[float]]:
-    """The b-terms C(t*) of a theta (w, c, sigma, removed) at t* =
-    _balanced_point(c) and their errors: the pole term, -w/2 within 0.75
-    u*|w| at the float t*, charged u*|w|; where removed, -w*ln t*, an ulp
-    of the log and half of one for the product."""
-    weight, _, _, removed = theta
-    parts, errs = [-0.5 * weight], [_U * abs(weight)]
-    if removed:
-        log_t = math.log(t)
-        parts.append(-weight * log_t)
-        errs.append(abs(weight) * math.ulp(log_t) + 0.5 * math.ulp(parts[-1]))
-    return parts, errs
-
-
-def _theta_split(theta: tuple[float, float, float, bool], T: float, budget: float,
-                 sides: dict) -> tuple[list[float], list[float]]:
-    """The terms of S(T) = w*sum_n E1(T*u_n^2), T <= t* = _SPLIT/c^2, of a
-    theta (w, c, sigma, removed), and their errors, by the cutoff identity
-    (module docstring) at T and at t*:
-
-        S(T) = S(t*) + lower(t*) - lower(T)
-               + (sqrt(pi)/c)*2*w*(T^(-1/2) - t*^(-1/2)) - [removed] w*ln(t*/T),
-
-    S(t*) (tails below `budget`) and lower(t*) kept per theta in `sides`.
-    The pole term states 3 u, the log an ulp of itself and of t*/T and (t* +
-    1)*2^-1073 for a subnormal or underflowing sigma^2.
-    """
-    weight, scale, shift, removed = theta
-    t = _SPLIT / scale / scale
-    if theta not in sides:
-        sides[theta] = _heat_direct(theta, t, budget) + _theta_lower(theta, t)
-    near, near_errs, lower_t, lower_t_errs = sides[theta]
-    lower_T, lower_T_errs = _theta_lower(theta, T)
-    inv_T, inv_t = 1.0 / math.sqrt(T), 1.0 / math.sqrt(t)
-    prefactor = weight * 2.0 * SQRT_PI / scale
-    parts = [prefactor * (inv_T - inv_t)] + lower_t + [-part for part in lower_T]
-    errs = [3.0 * _U * abs(parts[0]) + abs(prefactor) * (inv_T + inv_t) * _U]
-    if removed:
-        log_ratio = math.log(t / T)
-        parts.append(-weight * log_ratio)
-        errs.append(abs(weight) * ((2.0 * abs(log_ratio) + 1.0) * _U
-                                   + (t + 1.0) * 2.0 ** -1073))
-    return near + parts, near_errs + lower_t_errs + lower_T_errs + errs
-
-
-def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]]:
-    """The same sum and bound as _e1_sum at each eps of `grid`, with each
-    theta of Spectrum.poisson split at its balanced point t* = max(eps,
-    _SPLIT/c^2): a theta with t* = eps is its direct sum at eps
-    (_heat_direct), any other _theta_split at T = eps with one t* record for
-    the whole grid; each explicit row is an E1 term at eps (_row_terms) and
-    each solo a direct _lattice_sum run.  The error adds theirs and half an
-    ulp of the exactly rounded sum.  _e1_sum is taken instead, bit for bit,
-    when no theta splits (eps >= _SPLIT/c^2 for each) or a theta's split
-    point overflows (scale below about 1e-154).
+def _e1_split(spec: Spectrum, grid: Sequence[float], anchors: dict | None = None
+              ) -> list[tuple[float, float]]:
+    """The same sum and bound as _e1_sum at each eps of `grid`: a theta of
+    Spectrum.poisson with eps >= t* = _SPLIT/c^2 is its direct sum at eps
+    (_heat_direct), any other S(eps) from its anchor (_Anchor.read with
+    L(eps)), kept in `anchors`; each explicit row is an E1 term at eps
+    (_row_terms), each solo a direct _lattice_sum run.  The error adds theirs
+    and half an ulp of the exactly rounded sum.  _e1_sum is taken instead,
+    bit for bit, when no theta splits or a t* overflows (scale below about 1e-154).
     """
     poisson = spec.poisson
     budget = _tail_budget(spec)
     rows = [(lam, mult) for lam, mult, _ in spec.rows]
-    sides = {}
+    anchors = {} if anchors is None else anchors
 
     def split(eps: float) -> tuple[float, float]:
         stars = [max(eps, _SPLIT / scale / scale) for _, scale, _, _ in poisson.thetas]
@@ -295,8 +313,9 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
         _check_eps_lam0(spec, eps)
         terms, errs = [], []
         for theta, t in zip(poisson.thetas, stars):
-            piece, piece_errs = (_heat_direct(theta, t, budget) if t == eps
-                                 else _theta_split(theta, eps, budget, sides))
+            piece, piece_errs = (_heat_direct(theta, t, budget) if t == eps else
+                                 _anchor(anchors, theta, _theta_anchor).read(
+                                     eps, _theta_lower(theta, eps)))
             terms.extend(piece)
             errs.extend(piece_errs)
         err = fsum(errs)
@@ -315,8 +334,8 @@ def _e1_split(spec: Spectrum, grid: Sequence[float]) -> list[tuple[float, float]
 
 def log_det_eps(spec: Spectrum, eps: float) -> float:
     """log of the cutoff determinant over the positive (kernel-free)
-    spectrum, -sum mult*E1(eps*lam), with each theta of Spectrum.poisson
-    split at its balanced point (_e1_split).
+    spectrum, -sum mult*E1(eps*lam), each theta of Spectrum.poisson with
+    eps < t* read from its anchor (_e1_split).
     """
     if not 0.0 < eps < math.inf:
         raise DomainError(f"cutoff parameter must be positive and finite, got {eps!r}")
@@ -334,16 +353,14 @@ def _require_finite(value: float, err: float, what: str) -> None:
         raise NumericError(f"{what} is not finite: {value!r} with error {err!r}")
 
 
-def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float, less_one: bool
+def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float
                   ) -> tuple[list[float], list[float]]:
-    """The terms of C(T), the cutoff identity's b-terms (module docstring), or
-    with `less_one` of C(T) - C(1), and their errors: the rounding of b_j in
-    exp, the default expansion of spec (heat_expansion._coeff_rounding),
-    times its weight, and of forming each term.  A power T^(j/m) beyond the
-    double range (a solo's certified delta below about 1e-308) raises
-    NumericError naming the family and T."""
+    """The terms of C(T), the cutoff identity's b-terms (module docstring),
+    and their errors: the rounding of b_j in exp, the default expansion of
+    spec (heat_expansion._coeff_rounding), times its weight, and of forming
+    each term.  A power T^(j/m) beyond the double range (a solo's certified
+    delta below about 1e-308) raises NumericError naming the family and T."""
     coeff_err = _coeff_rounding(spec, exp)
-    one = 1.0 if less_one else 0.0
     log_T = math.log(T)
     parts = [exp.b0 * log_T]
     # ln rounds by an ulp and the product by half of one
@@ -355,28 +372,14 @@ def _cutoff_terms(spec: Spectrum, exp: HeatExpansion, T: float, less_one: bool
             raise NumericError(f"the b-term T^({j}/{exp.m}) of the cutoff identity of "
                                f"{spec.families[0] if len(spec.families) == 1 else 'the spectrum'}"
                                f" overflows at T = {T!r}") from exc
-        gap = power - one
-        parts.append(ct * gap)
-        # the power rounds by an ulp, m*b_j/j, the difference and the
-        # product by half of one each
-        errs.append(abs(exp.m / j) * coeff_err[j] * abs(gap)
-                    + _U * abs(ct) * (2.0 * abs(power) + 3.0 * abs(gap)))
+        parts.append(ct * power)
+        # an ulp of the power (2 u), half of one each of m*b_j/j and the product (3 u)
+        size = abs(power)
+        errs.append(abs(exp.m / j) * coeff_err[j] * size + _U * abs(ct) * (2.0 * size + 3.0 * size))
     return parts, errs
 
 
-def _theta_value(theta: tuple[float, float, float, bool]) -> tuple[list[float], list[float]]:
-    """The terms of the log det_reg of a theta (w, c, sigma, removed), its
-    removed term included, and their errors, by the cutoff identity at t* =
-    _balanced_point(c): v = -S(t*) - lower(t*) - C(t*), S(t*) walked to
-    _DUAL_TAIL per unit of weight."""
-    t = _balanced_point(theta[1])
-    near, near_errs = _heat_direct(theta, t, _DUAL_TAIL * theta[0])
-    lower, lower_errs = _theta_lower(theta, t)
-    cut, cut_errs = _theta_cutoff(theta, t)
-    return [-term for term in near + lower + cut], near_errs + lower_errs + cut_errs
-
-
-# how many deltas _solo_identity tries, a decade apart, for the series
+# how many deltas _solo_anchor tries, a decade apart, for the series
 # closure of [0, delta]
 _DELTA_TRIES = 29
 
@@ -389,20 +392,14 @@ def _first_delta(fam: LatticeFamily) -> float:
     return min(1.0, math.pi ** 2 / (50.0 * fam.scale * fam.scale) * (1.0 - 16.0 * _U))
 
 
-def _solo_identity(fam: LatticeFamily, lower: bool) -> tuple[float, float]:
-    """One solo's cutoff identity at its certified delta, E, C and L its own:
-    its log det_reg v = -E(delta) - C(delta) - L(delta), or with `lower`
-    mellin_lower's L(1) = E(delta) - E(1) + C(delta) - C(1) + L(delta), the
-    series alone at delta = 1 (scales below pi/sqrt(50)); and the error
-    bound, its pieces' and half an ulp of the exactly rounded sum.
-
-    L(delta) is the small-time series integral (mellin_cutoff_integral) at
-    the first of _first_delta(fam) and the decades below it that it
-    certifies; if none of _DELTA_TRIES does, NumericError.  A solo whose
-    shift spans more than heat_expansion._MAX_WHOLE_SCALES whole scales has
-    no table of series coefficients, so nothing certifies [0, delta]:
-    NumericError, naming it.
-    """
+def _solo_anchor(fam: LatticeFamily) -> _Anchor:
+    """The anchor of a solo, E, C and L its own, at the first delta of
+    _first_delta(fam) and the _DELTA_TRIES decades below it where its series
+    integral (mellin_cutoff_integral) certifies L(delta), else NumericError:
+    its E1 sum (_e1_sum) and C(delta) (_cutoff_terms) there, b_{-1} and b_0
+    with heat_expansion._coeff_rounding.  A solo whose shift spans more than
+    heat_expansion._MAX_WHOLE_SCALES whole scales has no table of series
+    coefficients: NumericError, naming it."""
     if not _one_sided_power_coeffs(fam.scale, fam.shift):
         cause = (f"its shift spans more than {_MAX_WHOLE_SCALES} whole scales"
                  if fam.shift / fam.scale >= _MAX_WHOLE_SCALES
@@ -414,62 +411,59 @@ def _solo_identity(fam: LatticeFamily, lower: bool) -> tuple[float, float]:
     first = _first_delta(fam)
     for k in range(_DELTA_TRIES):
         delta = first * 10.0 ** -k
-        cut = mellin_cutoff_integral(fam, delta)
-        if cut is not None:
+        series = mellin_cutoff_integral(fam, delta)
+        if series is not None:
             break
     else:
         raise NumericError(
             f"the small-time series does not certify [0, delta] for delta from "
             f"{first!r} down to {delta!r}")
-    if lower and delta == 1.0:
-        return cut
     spec = Spectrum((fam,))
-    parts, errs = _cutoff_terms(spec, default_expansion(spec), delta, lower)
-    for T in (delta, 1.0) if lower else (delta,):
-        total, total_err = _e1_sum(spec, T)
-        parts.append(total if T == delta else -total)
-        errs.append(total_err)
-    value = fsum([cut[0]] + parts)
-    err = fsum([cut[1]] + errs) + 0.5 * math.ulp(value)
-    return (value, err) if lower else (-value, err)
+    exp = default_expansion(spec)
+    cut = _cutoff_terms(spec, exp, delta)
+    near, near_err = _e1_sum(spec, delta)
+    rounding = _coeff_rounding(spec, exp)
+    return _Anchor(delta, ([near], [near_err]), ([series[0]], [series[1]]), lambda: cut,
+                   (exp.coeffs[-1], exp.b0, rounding[-1], rounding[0]))
+
+
+def _row_lower(rows: Sequence[tuple[float, int, float]]) -> tuple[list[float], list[float]]:
+    """L(1) = -m*Ein(lam) of each explicit row (lam, m, _), read at T0 = 1,
+    where a row's C(1) is 0, and their errors, the arguments exact."""
+    parts = [-mult * _ein(lam) for lam, mult, _ in rows]
+    return parts, [_ein_error(part, mult, lam, 0.0) for part, (lam, mult, _) in zip(parts, rows)]
 
 
 def mellin_lower(spec: Spectrum) -> tuple[float, float]:
     """L(1) = int_0^1 F(t) dt/t, F the remainder of default_expansion, in
     closed form from Spectrum.poisson, part by part, and its error bound.
 
-    A theta splits at T = min(1, t*), t* = _balanced_point(c), and gives its
-    lower side there; where T = t* < 1 the cutoff identity adds S(t*) - S(1)
-    + C(t*) - C(1), empty at T = 1, C(1) = -2w*sqrt(pi)/c (4 u).  A row
-    (lam, m) gives -m*Ein(lam), its argument exact.  Each solo goes alone
-    (_solo_identity), at the delta of its own scale: at one set by a larger
-    scale a small solo's E1 sum grows like 1/(scale*sqrt(delta)) and cancels
-    digits against its b-terms (solos of scales 16.7 and 0.22 stated 2e-12
-    together, 9e-14 apart).  The sum is exactly rounded.
-    """
-    parts, errs = [], []
-    for theta in spec.poisson.thetas:
+    A theta with t* = _SPLIT/c^2 >= 1 gives its lower side at 1
+    (_theta_lower), a row -m*Ein(lam) (_row_lower), a solo whose series
+    certifies delta = 1 that integral; these form no anchor, so the guard's
+    L(eps) reads only them.  Any other theta or solo reads L(1) from its
+    anchor (_Anchor.read with S(1)), a solo's at the delta of its own scale:
+    at one set by a larger scale a small solo's E1 sum grows like
+    1/(scale*sqrt(delta)) and cancels digits against its b-terms (solos of
+    scales 16.7 and 0.22 stated 2e-12 together, 9e-14 apart).  Exactly
+    rounded."""
+    poisson = spec.poisson
+    anchors = {}
+    pieces = [_row_lower(spec.rows)]
+    for theta in poisson.thetas:
         weight, scale = theta[:2]
-        T = 1.0 if _SPLIT / scale / scale >= 1.0 else _balanced_point(scale)
-        lower, lower_errs = _theta_lower(theta, T)
-        parts += lower
-        errs += lower_errs
-        if T < 1.0:
-            near, near_errs = _heat_direct(theta, T, _DUAL_TAIL * weight)
-            far, far_errs = _heat_direct(theta, 1.0, _DUAL_TAIL * weight)
-            cut, cut_errs = _theta_cutoff(theta, T)
-            pole = weight * 2.0 * SQRT_PI / scale
-            parts += near + [-term for term in far] + cut + [pole]
-            errs += near_errs + far_errs + cut_errs + [4.0 * _U * pole]
-    for lam, mult, _ in spec.rows:
-        parts.append(-mult * _ein(lam))
-        errs.append(_ein_error(parts[-1], mult, lam, 0.0))
-    for fam in spec.poisson.solos:
-        value, err = _solo_identity(fam, True)
-        parts.append(value)
-        errs.append(err)
-    value = fsum(parts)
-    return value, fsum(errs) + 0.5 * math.ulp(value)
+        pieces.append(_theta_lower(theta, 1.0) if _SPLIT / scale / scale >= 1.0 else
+                      _anchor(anchors, theta, _theta_anchor).read(
+                          1.0, _heat_direct(theta, 1.0, _DUAL_TAIL * weight)))
+    for fam in poisson.solos:
+        series = mellin_cutoff_integral(fam, 1.0) if _first_delta(fam) == 1.0 else None
+        if series is None:
+            far, far_err = _e1_sum(Spectrum((fam,)), 1.0)
+            pieces.append(_anchor(anchors, fam, _solo_anchor).read(1.0, ([far], [far_err])))
+        else:
+            pieces.append(([series[0]], [series[1]]))
+    value = fsum(term for terms, _ in pieces for term in terms)
+    return value, fsum(err for _, errs in pieces for err in errs) + 0.5 * math.ulp(value)
 
 
 def _guard_eps(spec: Spectrum) -> float:
@@ -482,24 +476,26 @@ def _guard_eps(spec: Spectrum) -> float:
                + [0.5 * _SPLIT / scale / scale for _, scale, _, _ in poisson.thetas])
 
 
-def _log_det_reg(spec: Spectrum, exp: HeatExpansion) -> tuple[float, float]:
+def _log_det_reg(spec: Spectrum, exp: HeatExpansion, anchors: dict | None = None
+                 ) -> tuple[float, float]:
     """log_det_reg's (value, error): the exactly rounded sum of each Poisson
-    part's value, checked by the guard (module docstring); exp is
-    default_expansion(spec)."""
+    part's value v, read from its anchor (a row's at 1), each solo's rounded
+    on its own, checked by the guard (module docstring); exp is
+    default_expansion(spec), and the anchors are kept in `anchors`."""
     # first the error of a spectrum whose lam0 is not a positive float
     _check_eps_lam0(spec, 1.0)
-    rows = [(lam, mult) for lam, mult, _ in spec.rows]
-    e1_terms, e1_err = _row_terms(rows, 1.0)
-    parts, errs = [-term for term in e1_terms], [e1_err]
-    for lam, mult in rows:
-        parts.append(mult * _ein(lam))
-        errs.append(_ein_error(parts[-1], mult, lam, 0.0))
-    for piece, piece_errs in map(_theta_value, spec.poisson.thetas):
+    anchors = {} if anchors is None else anchors
+    e1_terms, e1_err = _row_terms([(lam, mult) for lam, mult, _ in spec.rows], 1.0)
+    lower, lower_errs = _row_lower(spec.rows)
+    parts, errs = [-term for term in e1_terms + lower], [e1_err] + lower_errs
+    for theta in spec.poisson.thetas:
+        piece, piece_errs = _anchor(anchors, theta, _theta_anchor).value()
         parts += piece
         errs += piece_errs
-    for solo, solo_err in (_solo_identity(fam, False) for fam in spec.poisson.solos):
-        parts.append(solo)
-        errs.append(solo_err)
+    for fam in spec.poisson.solos:
+        terms, terms_errs = _anchor(anchors, fam, _solo_anchor).value()
+        parts.append(fsum(terms))
+        errs.append(fsum(terms_errs) + 0.5 * math.ulp(parts[-1]))
     value = fsum(parts)
     err = fsum(errs) + 0.5 * math.ulp(value)
     _require_finite(value, err, "log_det_reg")
@@ -507,7 +503,7 @@ def _log_det_reg(spec: Spectrum, exp: HeatExpansion) -> tuple[float, float]:
     eps = _guard_eps(spec)
     near, near_err = _e1_sum(spec, eps)
     tail, tail_err = mellin_lower(scale_spectrum(spec, eps))
-    b_terms, b_errs = _cutoff_terms(spec, exp, eps, False)
+    b_terms, b_errs = _cutoff_terms(spec, exp, eps)
     residual = fsum(b_terms + [near, value, tail])
     slack = fsum(b_errs + [near_err, err, tail_err]) + 0.5 * math.ulp(residual)
     if not abs(residual) <= slack:
@@ -558,11 +554,12 @@ def build_report(spec: Spectrum, eps_grid: Sequence[float] = DEFAULT_EPS_GRID) -
     if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
         raise DomainError("eps grid must be non-empty with positive finite entries")
     exp = default_expansion(spec)
-    value, err = _log_det_reg(spec, exp)
+    anchors = {}
+    value, err = _log_det_reg(spec, exp, anchors)
     grid = tuple(float(e) for e in eps_grid)
     return RegDetReport(
         eps_grid=grid,
-        log_det_eps=tuple(-value for value, _ in _e1_split(spec, grid)),
+        log_det_eps=tuple(-value for value, _ in _e1_split(spec, grid, anchors)),
         log_det_reg=value,
         log_det_zeta=-EULER_GAMMA * exp.b0 + value,
         b0=exp.b0 + spec.kernel_dim,

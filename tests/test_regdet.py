@@ -938,23 +938,23 @@ GUARD_SPECTRA = BUILTINS + tuple(
                          lattice_family(c, -0.2 * c, "positive"))))
 
 
-def _plus(result):
-    """result moved by 1e-10: a float, the first float of a pair, or a
+def _plus(result, size: float = 1e-10):
+    """result moved by `size`: a float, the first float of a pair, or a
     list of terms (as the first item) with one more term."""
     if isinstance(result, float):
-        return result + 1e-10
+        return result + size
     first, *rest = result
-    return (first + [1e-10] if isinstance(first, list) else first + 1e-10, *rest)
+    return (first + [size] if isinstance(first, list) else first + size, *rest)
 
 
-def _shift_where(monkeypatch, owner, name: str, when) -> None:
-    """Replace owner.name by a copy whose result moves by 1e-10 (_plus)
+def _shift_where(monkeypatch, owner, name: str, when, size: float = 1e-10) -> None:
+    """Replace owner.name by a copy whose result moves by `size` (_plus)
     wherever when(*args, result) holds."""
     original = getattr(owner, name)
 
     def shifted(*args):
         result = original(*args)
-        return _plus(result) if result is not None and when(*args, result) else result
+        return _plus(result, size) if result is not None and when(*args, result) else result
 
     monkeypatch.setattr(owner, name, shifted)
 
@@ -984,7 +984,8 @@ THETA50 = lattice_family(50.0, 15.0, "full")
 PAIR50 = compose(lattice_family(50.0, 10.0, "positive"), lattice_family(50.0, -10.0, "positive"))
 T50 = regdet._SPLIT / 50.0 / 50.0
 GUARD_SENSITIVITY = [
-    pytest.param(THETA50, regdet, "_heat_direct", lambda *args: True, id="theta-near"),
+    pytest.param(THETA50, regdet, "_heat_direct", lambda theta, t, budget, result: t == T50,
+                 id="theta-near"),
     pytest.param(THETA50, regdet, "_theta_lower", lambda theta, t, result: t == T50,
                  id="theta-dual"),
     pytest.param(PAIR50, regdet, "_ein", lambda x, result: x == T50 * 100.0,
@@ -1003,12 +1004,16 @@ GUARD_SENSITIVITY = [
 
 @pytest.mark.parametrize("spec, owner, name, when", GUARD_SENSITIVITY)
 def test_guard_sees_an_error_in_each_piece_of_the_value(spec, owner, name, when, monkeypatch):
-    # 1e-10 added to one piece that the value reads, and to no piece of the
-    # guard's E(eps) or L(eps), must break the cutoff identity
-    log_det_reg(spec)  # passes unperturbed
-    _shift_where(monkeypatch, owner, name, when)
-    with pytest.raises(NumericError, match="cutoff identity"):
-        log_det_reg(spec)
+    # 1e-10, and 16 times the value's own stated error, added to one piece
+    # that the value reads, and to no piece of the guard's E(eps) or L(eps),
+    # must break the cutoff identity; the guard's slack is 4.9-12.7 times
+    # the value's stated error on these spectra, so 4 times passes unseen
+    _, err = log_det_reg(spec)  # passes unperturbed
+    for size in (1e-10, 16.0 * err):
+        with monkeypatch.context() as patch:
+            _shift_where(patch, owner, name, when, size)
+            with pytest.raises(NumericError, match="cutoff identity"):
+                log_det_reg(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,3 +1084,48 @@ def test_dual_series_stay_short(monkeypatch):
         log_det_reg(spec)
     assert max(roots) <= math.sqrt(regdet._SPLIT) * (1.0 + 4.0 * special._U)
     assert max(sizes) == 14
+
+
+# ---------------------------------------------------------------------------
+# one anchor per Poisson part and call
+
+
+def test_guard_lower_integral_reads_no_anchor(monkeypatch, refuse):
+    # the guard's L(eps) is mellin_lower of eps*B, where every theta has t*
+    # >= 2 and every solo certifies its series at delta = 1: dual series,
+    # Ein and the solos' series alone, no E1 term (regdet's binding; Ein
+    # reads E1 inside special above x = 1), no direct theta walk and no
+    # part's anchor, so it shares nothing with the value it checks
+    cases = [(spec, scale_spectrum(spec, regdet._guard_eps(spec)))
+             for spec in GUARD_SPECTRA + tuple(_split_mixes()) + tuple(SCALE_SWEEP)]
+    assert len(cases) == 161
+
+    def refused(*args):
+        raise AssertionError("an E1 term")
+
+    monkeypatch.setattr(regdet, "exp_integral_e1", refused)
+    refuse("_theta_direct", "_e1_sum", "_anchor", "_theta_anchor", "_solo_anchor")
+    for spec, scaled in cases:
+        value, err = mellin_lower(scaled)
+        assert math.isfinite(value) and err < 1e-10, spec
+
+
+def test_one_anchor_per_distinct_part_per_call(monkeypatch):
+    # build_report walks each distinct theta's S(t*) once, for its value and
+    # its cutoff sums alike: 8 walks on the seven built-ins (16 when the
+    # value and the sums each kept their own), one for three copies of a theta
+    walks = []
+    walk = regdet._theta_direct
+
+    def counted(kernel, scale, shift, *rest):
+        if kernel.ratio == regdet._SPLIT / scale / scale:
+            walks.append(scale)
+        return walk(kernel, scale, shift, *rest)
+
+    monkeypatch.setattr(regdet, "_theta_direct", counted)
+    for spec in BUILTINS:
+        build_report(spec)
+    assert len(walks) == 8
+    walks.clear()
+    build_report(compose(FULLPI3, FULLPI3, FULLPI3))
+    assert walks == [TWO_PI]
